@@ -3,9 +3,8 @@
 The solver runs on a dense tableau with Bland's rule engaged permanently
 (generated cutting-plane rows are often degenerate), pivot tolerance 1e-9,
 and infinities as explicit bound markers.  The pivot loop is the package's
-hot kernel: a compiled Cython implementation is preferred at import time and
-a pure-numpy twin (``_kernel_py``) is the fallback.  Both choose identical
-pivots, so results do not depend on which backend is active.
+hot kernel and lives in ``_kernel``, a dense numpy rank-one update per pivot;
+``solve_lp`` drives it in bursts between exact tableau refreshes.
 
 Dual sign convention, for ``sense="min"``: multipliers of ``<=`` rows are
 nonpositive, ``>=`` rows nonnegative, ``=`` rows free, and the dual
@@ -15,24 +14,13 @@ optimality.  For ``sense="max"`` all multipliers flip sign.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import SolverError
 
-from . import _kernel_py
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _kernel_cy as _kernel_compiled
-except ImportError:
-    _kernel_compiled = None
-
-if os.environ.get("MINREGRET_PURE_PYTHON") == "1" or _kernel_compiled is None:
-    _kernel = _kernel_py
-else:  # pragma: no cover
-    _kernel = _kernel_compiled
+from . import _kernel
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -45,16 +33,8 @@ _RELATIONS = (LESS, EQUAL, GREATER)
 
 
 def kernel_backend() -> str:
-    """Name of the active pivot kernel: "compiled" or "python"."""
-    return _kernel.BACKEND
-
-
-def available_kernels():
-    """All importable pivot kernels (used by tests and the benchmark)."""
-    kernels = [_kernel_py]
-    if _kernel_compiled is not None:  # pragma: no cover
-        kernels.append(_kernel_compiled)
-    return kernels
+    """Name of the pivot kernel, recorded in benchmark stamps: always "python"."""
+    return "python"
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,13 @@
-"""Pure-numpy simplex pivot kernel.
+"""Simplex pivot kernel: the dense numpy pivot loop behind ``solve_lp``.
 
-Same contract as the compiled kernel in ``_kernel_cy.pyx``; the two must
-choose identical pivots (Bland's rule, identical tie-breaking) so that every
-result is bit-for-bit reproducible whichever backend is active.
+Bland's rule picks both the entering column (lowest eligible index) and the
+leaving row (lowest basis index among minimum ratios), so the pivot sequence,
+and with it every result, is deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "python"
 
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1

@@ -179,9 +179,20 @@ def player_best_response(
     aligned with ``w.support``.
     """
     oracle = _oracle_for(instance, oracle)
-    d = w.mean_costs()
+    costs = np.stack([c.values for c in w.support])
     if optima is None:
         optima = np.array([oracle.solve(c.values)[1] for c in w.support])
-    T, value_at_d = oracle.solve(d)
-    expected = value_at_d - float(w.probs @ optima)
+    return weighted_player_response(w.probs, costs, optima, oracle)
+
+
+def weighted_player_response(
+    weights: np.ndarray, costs: np.ndarray, optima: np.ndarray, oracle: NominalOracle
+) -> BestResponse:
+    """Player best response to raw weights over the rows of ``costs``.
+
+    One nominal solve at ``weights @ costs``; ``optima`` holds each row's
+    nominal optimum.  The rows need not be distinct cost vectors.
+    """
+    T, value_at_d = oracle.solve(weights @ costs)
+    expected = value_at_d - float(weights @ optima)
     return BestResponse(responder="player", value=expected, chosen_set=T)

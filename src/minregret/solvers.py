@@ -41,6 +41,7 @@ from .regret import (
     max_regret_det_discrete,
     max_regret_det_interval,
     scenario_optima,
+    weighted_player_response,
 )
 
 # Dense payoff matrices above this size are refused; the exhaustive solver is
@@ -89,6 +90,13 @@ class _Columns:
         self.labels.append(A)
         return True
 
+    def adversary_response(self, marginal: MarginalVector):
+        if self.interval:
+            return max_expected_regret_interval(marginal, self.instance, self.oracle)
+        return max_expected_regret_discrete(
+            marginal, self.instance, self.oracle, optima=self.scenario_optima
+        )
+
     def add_best_response(self, br) -> bool:
         if self.interval:
             return self.add_generator(br.chosen_set)
@@ -134,14 +142,7 @@ def solve_randomized(
     row_seen = {rows[0]}
 
     first_marginal = MarginalVector(rows[0].indicator.astype(float))
-    if instance.is_interval:
-        columns.add_best_response(max_expected_regret_interval(first_marginal, instance, oracle))
-    else:
-        columns.add_best_response(
-            max_expected_regret_discrete(
-                first_marginal, instance, oracle, optima=columns.scenario_optima
-            )
-        )
+    columns.add_best_response(columns.adversary_response(first_marginal))
 
     best_lower = -np.inf
     best_upper = np.inf
@@ -152,20 +153,13 @@ def solve_randomized(
         y_mix, w_mix, value = solve_matrix_game(payoff)
 
         marginal = MarginalVector(y_mix @ X)
-        if instance.is_interval:
-            adv_br = max_expected_regret_interval(marginal, instance, oracle)
-        else:
-            adv_br = max_expected_regret_discrete(
-                marginal, instance, oracle, optima=columns.scenario_optima
-            )
-        # player best response, inline: one nominal solve at the mix-averaged
-        # costs (the active support may not be distinct-as-strategies yet)
-        d = w_mix @ C
-        T_br, value_at_d = oracle.solve(d)
-        play_lower = float(value_at_d) - float(w_mix @ np.asarray(columns.optima))
+        adv_br = columns.adversary_response(marginal)
+        # raw column weights: the active support may not be distinct-as-
+        # strategies yet, so no AdversaryMixedStrategy is built here
+        play_br = weighted_player_response(w_mix, C, np.asarray(columns.optima), oracle)
 
         upper = adv_br.value
-        lower = play_lower
+        lower = play_br.value
         best_upper = min(best_upper, upper)
         best_lower = max(best_lower, lower)
         gap = upper - lower
@@ -182,9 +176,9 @@ def solve_randomized(
             )
 
         progressed = columns.add_best_response(adv_br)
-        if T_br not in row_seen:
-            row_seen.add(T_br)
-            rows.append(T_br)
+        if play_br.chosen_set not in row_seen:
+            row_seen.add(play_br.chosen_set)
+            rows.append(play_br.chosen_set)
             progressed = True
         if not progressed:
             raise SolverError(

@@ -5,9 +5,11 @@ from minregret.core import (
     AdversaryMixedStrategy,
     CostVector,
     IterationLimitError,
+    SolverError,
     expected_regret,
     marginal_of_strategy,
 )
+from minregret.gen import generate_instance
 from minregret.nominal import build_oracle
 from minregret.regret import max_expected_regret, player_best_response
 from minregret.solvers import (
@@ -77,6 +79,19 @@ class TestSolveRandomized:
         assert info.value.lower is not None and info.value.upper is not None
         assert info.value.lower <= 0.2 + 1e-9
         assert info.value.upper >= 0.2 - 1e-9
+
+    # Phase-1 breakdowns of the restricted game LP at scale; pinned until the
+    # LP core is made robust (ROADMAP item 4), which turns these green.
+    @pytest.mark.xfail(
+        raises=SolverError,
+        strict=True,
+        reason="matrix-game LP breaks down in phase 1 (ROADMAP item 4)",
+    )
+    @pytest.mark.parametrize("n", [80, 100])
+    def test_interval_k_selection_breakdown(self, n):
+        inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=2)
+        game = solve_randomized(inst)
+        assert game.certified_gap <= 1e-7
 
 
 class TestSolveDeterministic:
