@@ -8,14 +8,21 @@ the deviation LP
                   + lam_plus_e - lam_minus_e = p_e          for every item e,
                 sum_T y_T = 1,   y, lam >= 0
 
-reaches zero.  Columns y_T are generated on demand: the LP duals (u, w) price
-a candidate set T at sum(u over T) + w, and the most violated column is found
-by one nominal solve at costs -u.  At optimum the basic y variables are the
-strategy (at most n+1 of them can be basic), and a strictly positive optimum
-yields a separating certificate in the normalized form ``w' - sum(u' over T)
-<= 0 for all feasible T`` yet ``w' - p @ u' > 0``.  The deviation columns
-play the role of a phase-1 relaxation, so an out-of-hull p degrades to a
-certified rejection instead of an unbounded dual.
+reaches zero.  It is solved in its dual form
+
+    maximize  p @ u + w
+    subject to  sum(u over T) + w <= 0     for every generated T,
+                -1 <= u <= 1,   w free,
+
+whose rows all have a nonnegative right-hand side |T| once u is shifted to
+its lower bound, so the simplex starts from the feasible slack basis and
+never runs phase 1.  Rows are generated on demand: the most violated one is
+found by one nominal solve at costs -u.  The row duals are the weights y_T
+of the strategy (at most n+1 of them are nonzero at a basic optimum), the
+objective is the L1 deviation, and a strictly positive optimum yields a
+separating certificate in the normalized form ``w' - sum(u' over T) <= 0
+for all feasible T`` yet ``w' - p @ u' > 0``.  The box on u keeps the LP
+bounded, so an out-of-hull p degrades to a certified rejection.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .core import (
     SolverError,
     marginal_of_strategy,
 )
-from .lp import EQUAL, LinearProgram, solve_lp
+from .lp import LESS, LinearProgram, solve_lp
 from .nominal import NominalOracle
 
 
@@ -56,7 +63,7 @@ def decompose_marginal(
 
     Raises :class:`NotInHullError` with a separating certificate when no such
     strategy exists.  The support of the returned strategy never exceeds
-    n + 1 sets (one per LP row at a basic optimum).
+    n + 1 sets (one per basic u or w variable at a basic optimum).
     """
     n = len(p)
     if oracle.n != n:
@@ -67,27 +74,26 @@ def decompose_marginal(
     columns: list[FeasibleSet] = [oracle.solve(np.zeros(n))[0]]
     seen = {columns[0]}
 
+    lower = np.concatenate([-np.ones(n), [-np.inf]])
+    upper = np.concatenate([np.ones(n), [np.inf]])
+    objective = np.concatenate([p_arr, [1.0]])
     for _ in range(max_cuts):
+        # variables: u (n) then w; one row u(T) + w <= 0 per generated T
         mu = len(columns)
-        # variables: y (mu) then lam_plus (n) then lam_minus (n)
-        lhs = np.zeros((n + 1, mu + 2 * n))
-        for j, T in enumerate(columns):
-            lhs[:n, j] = T.indicator
-            lhs[n, j] = 1.0
-        lhs[:n, mu : mu + n] = np.eye(n)
-        lhs[:n, mu + n :] = -np.eye(n)
-        rhs = np.concatenate([p_arr, [1.0]])
-        objective = np.concatenate([np.zeros(mu), np.ones(2 * n)])
-        sol = solve_lp(
-            LinearProgram(objective, lhs, (EQUAL,) * (n + 1), rhs, sense="min")
+        lhs = np.ones((mu, n + 1))
+        lhs[:, :n] = np.stack([T.indicator for T in columns])
+        lp = LinearProgram(
+            objective, lhs, (LESS,) * mu, np.zeros(mu),
+            lower=lower, upper=upper, sense="max",
         )
+        sol = solve_lp(lp)
         if not sol.is_optimal:
             raise SolverError(f"decomposition LP ended with status {sol.status}")
 
-        u = sol.duals[:n]
-        w = float(sol.duals[n])
-        # Most negative reduced cost over all feasible sets: maximize
-        # sum(u over T), i.e. one nominal solve at costs -u.
+        u = sol.x[:n]
+        w = float(sol.x[n])
+        # Most violated row over all feasible sets: maximize sum(u over T),
+        # i.e. one nominal solve at costs -u.
         T_new, neg_val = oracle.solve(-u)
         violation = (-neg_val) + w  # = max_T sum(u over T) + w
         if violation > sep_tol and T_new not in seen:
@@ -103,8 +109,8 @@ def decompose_marginal(
                 u=-u,
                 w=w,
             )
-        weights = sol.x[:mu]
-        strategy = PlayerMixedStrategy.cleaned(columns, weights)
+        # row duals are the weights; cleaning drops round-off below PROB_DROP
+        strategy = PlayerMixedStrategy.cleaned(columns, sol.duals)
         err = np.max(np.abs(marginal_of_strategy(strategy).p - p_arr))
         if err > tol:
             raise SolverError(

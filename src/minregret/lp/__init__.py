@@ -6,6 +6,13 @@ and infinities as explicit bound markers.  The pivot loop is the package's
 hot kernel and lives in ``_kernel``, a dense numpy rank-one update per pivot;
 ``solve_lp`` drives it in bursts between exact tableau refreshes.
 
+Phase 1 runs only when some row is ``=`` or ``>=`` after the rhs is made
+nonnegative.  The package's own LPs (``solve_matrix_game``, which also
+serves the adversary cutting-plane LP, and the dual deviation LP of
+``decompose``) are written with ``<=`` rows and nonnegative right-hand sides,
+so they start from their feasible slack basis and skip it; phase 1 remains
+for general ``solve_lp`` callers.
+
 Dual sign convention, for ``sense="min"``: multipliers of ``<=`` rows are
 nonpositive, ``>=`` rows nonnegative, ``=`` rows free, and the dual
 objective (rhs times duals plus bound terms) equals the primal objective at
@@ -319,6 +326,12 @@ def solve_matrix_game(payoff) -> tuple[np.ndarray, np.ndarray, float]:
     The row player picks ``i`` to minimize ``payoff[i, j]``; the column
     player picks ``j`` to maximize it.  Returns ``(row_mix, col_mix, value)``
     with ``value = min_y max_j y @ payoff[:, j]``.
+
+    The payoff is mapped onto ``M = 1 + (hi - P) / span`` with entries in
+    [1, 2], and the column player's LP ``max 1·z s.t. M z <= 1, z >= 0``
+    starts from its feasible slack basis, so no phase 1 runs.  The answer
+    certifies itself: both mixes must bracket the value within
+    ``1e-9 * max(span, 1)``, else :class:`SolverError` is raised.
     """
     P = np.asarray(payoff, dtype=float)
     if P.ndim != 2 or P.size == 0:
@@ -326,28 +339,27 @@ def solve_matrix_game(payoff) -> tuple[np.ndarray, np.ndarray, float]:
     if not np.all(np.isfinite(P)):
         raise ValueError("payoff entries must be finite")
     r, s = P.shape
-    # Variables (y_1..y_r, v): minimize v subject to P^T y <= v per column
-    # and a probability row; the column mix is read off the row duals.
-    lhs = np.zeros((s + 1, r + 1))
-    lhs[:s, :r] = P.T
-    lhs[:s, r] = -1.0
-    lhs[s, :r] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    relations = (LESS,) * s + (EQUAL,)
-    objective = np.zeros(r + 1)
-    objective[r] = 1.0
-    lower = np.zeros(r + 1)
-    lower[r] = -np.inf
-    lp = LinearProgram(objective, lhs, relations, rhs, lower=lower, sense="min")
+    hi = float(P.max())
+    span = hi - float(P.min())
+    if span <= 0.0:
+        span = 1.0
+    M = 1.0 + (hi - P) / span
+    lp = LinearProgram(np.ones(s), M, (LESS,) * r, np.ones(r), sense="max")
     sol = solve_lp(lp)
     if not sol.is_optimal:
         raise SolverError(f"matrix-game LP ended with status {sol.status}")
-    row_mix = np.clip(sol.x[:r], 0.0, None)
-    row_mix /= row_mix.sum()
-    col_mix = np.clip(-sol.duals[:s], 0.0, None)
-    total = col_mix.sum()
-    if total <= 0.0:  # pragma: no cover - duals of a solved game sum to one
-        raise SolverError("degenerate column duals in matrix-game LP")
-    col_mix /= total
-    return row_mix, col_mix, float(sol.objective)
+    # sum(z) = sum(y) = 1 / value(M) >= 1/2 at the optimum
+    z = np.clip(sol.x, 0.0, None)
+    y = np.clip(sol.duals, 0.0, None)
+    col_mix = z / z.sum()
+    row_mix = y / y.sum()
+    value = hi - span * (1.0 / z.sum() - 1.0)
+    tol = 1e-9 * max(span, 1.0)
+    row_worst = float((row_mix @ P).max())
+    col_worst = float((P @ col_mix).min())
+    if not (abs(row_worst - value) <= tol and abs(col_worst - value) <= tol):  # NaN fails
+        raise SolverError(
+            f"matrix-game mixes do not bracket the value {value:.12g}: "
+            f"row mix concedes {row_worst:.12g}, column mix secures {col_worst:.12g}"
+        )
+    return row_mix, col_mix, float(value)

@@ -32,7 +32,7 @@ from .core import (
     SolverError,
     marginal_of_strategy,
 )
-from .lp import GREATER, EQUAL, LinearProgram, solve_lp, solve_matrix_game
+from .lp import solve_matrix_game
 from .nominal import NominalOracle, build_oracle, enumeration_cap
 from .regret import (
     extreme_cost_vector,
@@ -290,13 +290,15 @@ def solve_adversary_lp_discrete(
     max_cuts: int = 10000,
     oracle: NominalOracle | None = None,
 ) -> tuple[AdversaryMixedStrategy, float, PlayerMixedStrategy]:
-    """Adversary's maxmin expected regret by cutting planes, plus row duals.
+    """Adversary's maxmin expected regret by cutting planes, plus both mixes.
 
     Maximizes z subject to: for every feasible set T, the expected regret of
-    T under the scenario mix w is at least z.  Rows are generated by solving
-    the nominal problem at the mix-averaged costs; the optimal row duals are
-    the player's equilibrium probabilities, so the returned value equals the
-    randomized minmax regret.
+    T under the scenario mix w is at least z.  Over the generated rows this
+    LP is the matrix game "generated sets x all scenarios", solved by
+    ``solve_matrix_game``; its row mix (the LP's row duals) is the player's
+    equilibrium strategy, so the returned value equals the randomized minmax
+    regret.  Rows are generated by solving the nominal problem at the
+    mix-averaged costs.
     """
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
@@ -308,43 +310,21 @@ def solve_adversary_lp_discrete(
     rows: list[FeasibleSet] = [oracle.solve(unc.costs.mean(axis=0))[0]]
     row_seen = {rows[0]}
 
-    w_cur = np.full(k, 1.0 / k)
     z_cur = 0.0
     for _ in range(max_cuts):
-        n_rows = len(rows)
-        lhs = np.zeros((n_rows + 1, k + 1))
-        for i, T in enumerate(rows):
-            lhs[i, :k] = unc.costs @ T.indicator - optima
-            lhs[i, k] = -1.0
-        lhs[n_rows, :k] = 1.0
-        rhs = np.zeros(n_rows + 1)
-        rhs[n_rows] = 1.0
-        relations = (GREATER,) * n_rows + (EQUAL,)
-        objective = np.zeros(k + 1)
-        objective[k] = 1.0
-        lower = np.zeros(k + 1)
-        lower[k] = -np.inf
-        sol = solve_lp(
-            LinearProgram(objective, lhs, relations, rhs, lower=lower, sense="max")
-        )
-        if not sol.is_optimal:
-            raise SolverError(f"adversary LP ended with status {sol.status}")
-        w_cur, z_cur = sol.x[:k], float(sol.x[k])
+        X = np.stack([T.indicator for T in rows]).astype(float)
+        y_mix, w_cur, z_cur = solve_matrix_game(X @ unc.costs.T - optima)
 
         d = w_cur @ unc.costs
         T_new, val = oracle.solve(d)
         lowest = val - float(w_cur @ optima)
         if lowest >= z_cur - tol:
-            player_probs = np.clip(-sol.duals[:n_rows], 0.0, None)
-            total = player_probs.sum()
-            if abs(total - 1.0) > 1e-6:
-                raise SolverError("adversary LP row duals do not form a distribution")
             adversary = AdversaryMixedStrategy.cleaned(
                 tuple(CostVector(unc.costs[s]) for s in range(k)),
                 w_cur,
                 scenario_indices=tuple(range(k)),
             )
-            player = PlayerMixedStrategy.cleaned(rows, player_probs / total)
+            player = PlayerMixedStrategy.cleaned(rows, y_mix)
             return adversary, z_cur, player
         if T_new in row_seen:
             raise SolverError("adversary LP stalled: separating row already present")

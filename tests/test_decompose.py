@@ -8,7 +8,13 @@ from minregret.core import (
     marginal_of_strategy,
 )
 from minregret.decompose import HullCertificate, certify_in_hull, decompose_marginal
-from minregret.nominal import DagPathOracle, KSelectionOracle, SpanningTreeOracle
+from minregret.gen import generate_instance
+from minregret.nominal import (
+    DagPathOracle,
+    KSelectionOracle,
+    SpanningTreeOracle,
+    build_oracle,
+)
 
 from conftest import random_support_strategy
 
@@ -115,3 +121,34 @@ class TestRoundTripProperties:
                 assert best >= exc.w - 1e-9
                 assert exc.w - float(p_raw @ exc.u) > 0.0
         assert rejected > 0  # random points of the cube are mostly outside
+
+
+class TestBeyondDeskScale:
+    """DAG-path and spanning-tree marginals with n 30-40, on both sides of
+    the hull.  In-hull marginals mix six nominal optima at random costs; the
+    out-of-hull twin moves the largest coordinate down by 0.3, which breaks
+    a linear equality every point of these hulls satisfies (flow conservation
+    or the edge count of a spanning tree)."""
+
+    @pytest.mark.parametrize("family", ["dag-path", "spanning-tree"])
+    @pytest.mark.parametrize("n,seed", [(30, 1), (35, 2), (40, 3)])
+    def test_both_sides_of_the_hull(self, family, n, seed):
+        oracle = build_oracle(generate_instance(family, n=n, seed=seed))
+        rng = np.random.default_rng(seed)
+        sets = [oracle.solve(rng.random(oracle.n))[0] for _ in range(6)]
+        y0 = PlayerMixedStrategy.cleaned(sets, rng.dirichlet(np.ones(len(sets))))
+        p = marginal_of_strategy(y0).p
+
+        y = decompose_marginal(MarginalVector(p), oracle)
+        assert np.max(np.abs(marginal_of_strategy(y).p - p)) <= 1e-7
+        assert y.support_size <= oracle.n + 1
+        for T in y.support:
+            assert oracle.is_feasible(T)
+
+        q = p.copy()
+        q[int(np.argmax(p))] -= 0.3
+        with pytest.raises(NotInHullError) as info:
+            decompose_marginal(MarginalVector(q), oracle)
+        u, w = info.value.u, info.value.w
+        assert oracle.solve(u)[1] >= w - 1e-7
+        assert w - float(q @ u) > 0.0

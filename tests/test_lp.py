@@ -4,12 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import minregret.lp as lpmod
+from minregret.core import SolverError
+from minregret.gen import generate_instance
 from minregret.lp import (
     LinearProgram,
+    LpSolution,
     kernel_backend,
     solve_lp,
     solve_matrix_game,
 )
+from minregret.nominal import build_oracle
+from minregret.regret import extreme_cost_vector
 
 
 def make_lp(c, A, rels, b, lower=None, upper=None, sense="min"):
@@ -110,6 +116,93 @@ class TestMatrixGameExamples:
         assert shifted == pytest.approx(value + kappa, abs=1e-9)
         _, _, swapped = solve_matrix_game(-P.T)
         assert swapped == pytest.approx(-value, abs=1e-9)
+
+
+    def test_unbracketed_answer_raises(self, monkeypatch):
+        # a solve whose row duals are off must not pass as an equilibrium
+        def skewed(lp, max_pivots=None):
+            sol = solve_lp(lp, max_pivots)
+            duals = sol.duals.copy()
+            duals[0] += 1.0
+            return LpSolution(sol.status, sol.x, duals, sol.objective, sol.pivots)
+
+        monkeypatch.setattr(lpmod, "solve_lp", skewed)
+        with pytest.raises(SolverError, match="bracket"):
+            solve_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _restricted_game(family, n, seed):
+    """``X @ C.T - optima`` over n + 10 feasible rows and extreme columns.
+
+    Rows and columns outnumber the items, so the payoff has rank at most
+    n + 1 and is rank-deficient, like a late double-oracle restricted game.
+    """
+    inst = generate_instance(family, n=n, uncertainty="interval", seed=seed)
+    oracle = build_oracle(inst)
+    rng = np.random.default_rng(seed)
+
+    def draw_sets(count):
+        found = {}
+        for _ in range(20 * count):
+            T = oracle.solve(rng.random(oracle.n))[0]
+            found.setdefault(T, None)
+            if len(found) == count:
+                break
+        return list(found)
+
+    X = np.stack([T.indicator for T in draw_sets(n + 10)]).astype(float)
+    C = np.stack([extreme_cost_vector(A, inst.uncertainty).values for A in draw_sets(n + 10)])
+    optima = np.array([oracle.solve(c)[1] for c in C])
+    return X @ C.T - optima
+
+
+def _highs_game_value(P):
+    """min v s.t. y @ P[:, j] <= v, sum(y) = 1, y >= 0, solved by HiGHS."""
+    r, s = P.shape
+    res = linprog(
+        np.r_[np.zeros(r), 1.0],
+        A_ub=np.c_[P.T, -np.ones(s)],
+        b_ub=np.zeros(s),
+        A_eq=np.r_[np.ones(r), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * r + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+class TestMatrixGameAgainstHighs:
+    def _check(self, P):
+        row, col, value = solve_matrix_game(P)
+        reference = _highs_game_value(P)
+        tol = 1e-7 * max(float(P.max() - P.min()), 1.0)
+        assert value == pytest.approx(reference, abs=tol)
+        for mix in (row, col):
+            assert np.all(mix >= 0.0) and mix.sum() == pytest.approx(1.0)
+        assert np.min(P @ col) - tol <= reference <= np.max(row @ P) + tol
+
+    @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_rank_deficient_restricted_games(self, family, n):
+        P = _restricted_game(family, n, seed=n)
+        assert np.linalg.matrix_rank(P) < min(P.shape)
+        self._check(P)
+
+    def test_constant_payoff(self):
+        P = np.full((3, 4), 2.5)
+        assert solve_matrix_game(P)[2] == 2.5
+        self._check(P)
+
+    def test_single_row_and_single_column(self):
+        P = _restricted_game("k-selection", 20, seed=3)
+        self._check(P[:1])
+        self._check(P[:, :1])
+        assert solve_matrix_game(P[:1])[2] == pytest.approx(P[0].max(), abs=1e-9)
+        assert solve_matrix_game(P[:, :1])[2] == pytest.approx(P[:, 0].min(), abs=1e-9)
+
+    def test_large_offset(self):
+        self._check(_restricted_game("spanning-tree", 20, seed=4) + 1e6)
 
 
 def _dual_objective(lp, sol):

@@ -5,6 +5,8 @@ from minregret.core import (
     AdversaryMixedStrategy,
     CostVector,
     IterationLimitError,
+    MarginalVector,
+    NotInHullError,
     SolverError,
     expected_regret,
     marginal_of_strategy,
@@ -80,18 +82,17 @@ class TestSolveRandomized:
         assert info.value.lower <= 0.2 + 1e-9
         assert info.value.upper >= 0.2 - 1e-9
 
-    # Phase-1 breakdowns of the restricted game LP at scale; pinned until the
-    # LP core is made robust (ROADMAP item 4), which turns these green.
-    @pytest.mark.xfail(
-        raises=SolverError,
-        strict=True,
-        reason="matrix-game LP breaks down in phase 1 (ROADMAP item 4)",
-    )
-    @pytest.mark.parametrize("n", [80, 100])
-    def test_interval_k_selection_breakdown(self, n):
-        inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=2)
+    # k-selection interval cases that used to fail in the restricted game
+    # LP's phase 1 (n=80/100 seed 2 broke down) or took 26 s (n=100 seed 3).
+    @pytest.mark.parametrize("n,seed", [(80, 2), (100, 2), (100, 3)])
+    def test_interval_k_selection_at_scale(self, n, seed):
+        inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=seed)
         game = solve_randomized(inst)
         assert game.certified_gap <= 1e-7
+        upper = max_expected_regret(game.marginal, inst).value
+        lower = player_best_response(game.adversary, inst).value
+        assert -1e-9 <= upper - game.value <= 1e-6
+        assert -1e-9 <= game.value - lower <= 1e-6
 
 
 class TestSolveDeterministic:
@@ -290,3 +291,39 @@ class TestBruteforceAndInvariants:
         game.adversary.validate_for(tight_interval())
         game_d = solve_randomized(tight_discrete(3))
         game_d.adversary.validate_for(tight_discrete(3))
+
+
+def test_solver_lps_start_from_slack_basis(monkeypatch):
+    """Every LP the solvers build has only ``<=`` rows whose right-hand side
+    stays nonnegative once each variable sits at its finite bound, so the
+    slack basis is feasible and the simplex never runs phase 1."""
+    import minregret.decompose as decompose_mod
+    import minregret.lp as lp_mod
+
+    seen = []
+    real_solve_lp = lp_mod.solve_lp
+
+    def recording(lp, max_pivots=None):
+        seen.append(lp)
+        return real_solve_lp(lp, max_pivots)
+
+    monkeypatch.setattr(lp_mod, "solve_lp", recording)
+    monkeypatch.setattr(decompose_mod, "solve_lp", recording)
+
+    interval = generate_instance("k-selection", n=12, uncertainty="interval", seed=1)
+    game = solve_randomized(interval)
+    solve_adversary_lp_discrete(
+        generate_instance("spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1)
+    )
+    oracle = build_oracle(interval)
+    decompose_mod.decompose_marginal(game.marginal, oracle)
+    with pytest.raises(NotInHullError):
+        decompose_mod.decompose_marginal(MarginalVector(np.zeros(oracle.n)), oracle)
+
+    assert seen
+    for lp in seen:
+        assert set(lp.relations) == {"<="}
+        at_bound = np.where(
+            np.isfinite(lp.lower), lp.lower, np.where(np.isfinite(lp.upper), lp.upper, 0.0)
+        )
+        assert np.all(lp.rhs - lp.lhs @ at_bound >= 0.0)
