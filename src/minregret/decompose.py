@@ -14,15 +14,21 @@ reaches zero.  It is solved in its dual form
     subject to  sum(u over T) + w <= 0     for every generated T,
                 -1 <= u <= 1,   w free,
 
-whose rows all have a nonnegative right-hand side |T| once u is shifted to
-its lower bound, so the simplex starts from the feasible slack basis and
-never runs phase 1.  Rows are generated on demand: the most violated one is
-found by one nominal solve at costs -u.  The row duals are the weights y_T
-of the strategy (at most n+1 of them are nonzero at a basic optimum), the
-objective is the L1 deviation, and a strictly positive optimum yields a
-separating certificate in the normalized form ``w' - sum(u' over T) <= 0
-for all feasible T`` yet ``w' - p @ u' > 0``.  The box on u keeps the LP
-bounded, so an out-of-hull p degrades to a certified rejection.
+written for a :class:`~minregret.lp.WarmLP` with ``t = u + 1`` in [0, 2]
+and ``w = w_plus - w_minus``: maximize ``p @ t + w_plus - w_minus`` (the
+deviation plus ``sum(p)``) subject to ``t <= 2`` (n rows) and
+``t(T) + w_plus - w_minus <= |T|`` per generated T.  Every right-hand side
+is nonnegative, so the first solve starts from the feasible slack basis and
+no solve runs phase 1.  Rows are generated on demand: the most violated one
+is found by one nominal solve at costs -u.  Each generated T appends one
+row, whose slack joins the kept optimal basis; the dual pass restores
+feasibility from there instead of re-solving the grown LP cold.  The
+duals of the set rows are the weights y_T of the strategy (at most n+1 of
+them are nonzero at a basic optimum), the objective minus ``sum(p)`` is the
+L1 deviation, and a strictly positive optimum yields a separating
+certificate in the normalized form ``w' - sum(u' over T) <= 0 for all
+feasible T`` yet ``w' - p @ u' > 0``.  The box on u keeps the LP bounded,
+so an out-of-hull p degrades to a certified rejection.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .core import (
     SolverError,
     marginal_of_strategy,
 )
-from .lp import LESS, LinearProgram, solve_lp
+from .lp import WarmLP
 from .nominal import NominalOracle
 
 
@@ -74,24 +80,25 @@ def decompose_marginal(
     columns: list[FeasibleSet] = [oracle.solve(np.zeros(n))[0]]
     seen = {columns[0]}
 
-    lower = np.concatenate([-np.ones(n), [-np.inf]])
-    upper = np.concatenate([np.ones(n), [np.inf]])
-    objective = np.concatenate([p_arr, [1.0]])
-    for _ in range(max_cuts):
-        # variables: u (n) then w; one row u(T) + w <= 0 per generated T
-        mu = len(columns)
-        lhs = np.ones((mu, n + 1))
-        lhs[:, :n] = np.stack([T.indicator for T in columns])
-        lp = LinearProgram(
-            objective, lhs, (LESS,) * mu, np.zeros(mu),
-            lower=lower, upper=upper, sense="max",
-        )
-        sol = solve_lp(lp)
-        if not sol.is_optimal:
-            raise SolverError(f"decomposition LP ended with status {sol.status}")
+    def set_row(T: FeasibleSet) -> np.ndarray:
+        row = np.ones(n + 2)
+        row[:n] = T.indicator
+        row[n + 1] = -1.0
+        return row
 
-        u = sol.x[:n]
-        w = float(sol.x[n])
+    # variables t (n), w_plus, w_minus; rows t <= 2, then one per generated T
+    lp = WarmLP(
+        np.concatenate([p_arr, [1.0, -1.0]]),
+        np.vstack([np.eye(n, n + 2), set_row(columns[0])]),
+        np.concatenate([np.full(n, 2.0), [columns[0].size]]),
+    )
+    for _ in range(max_cuts):
+        sol = lp.solve()
+        if not sol.is_optimal:
+            raise SolverError(f"decomposition LP ended with status {sol.status_text}")
+
+        u = sol.x[:n] - 1.0
+        w = float(sol.x[n] - sol.x[n + 1])
         # Most violated row over all feasible sets: maximize sum(u over T),
         # i.e. one nominal solve at costs -u.
         T_new, neg_val = oracle.solve(-u)
@@ -99,9 +106,10 @@ def decompose_marginal(
         if violation > sep_tol and T_new not in seen:
             seen.add(T_new)
             columns.append(T_new)
+            lp.add_rows(set_row(T_new)[None, :], [T_new.size])
             continue
 
-        deviation = float(sol.objective)
+        deviation = float(p_arr @ u + w)
         if deviation > tol:
             # Certificate in the standard orientation (see module docstring).
             raise NotInHullError(
@@ -110,7 +118,7 @@ def decompose_marginal(
                 w=w,
             )
         # row duals are the weights; cleaning drops round-off below PROB_DROP
-        strategy = PlayerMixedStrategy.cleaned(columns, sol.duals)
+        strategy = PlayerMixedStrategy.cleaned(columns, sol.duals[n:])
         err = np.max(np.abs(marginal_of_strategy(strategy).p - p_arr))
         if err > tol:
             raise SolverError(

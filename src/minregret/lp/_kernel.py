@@ -1,8 +1,34 @@
 """Simplex pivot kernel: the dense numpy pivot loop behind ``solve_lp``.
 
-Bland's rule picks both the entering column (lowest eligible index) and the
-leaving row (lowest basis index among minimum ratios), so the pivot sequence,
-and with it every result, is deterministic.
+One call runs a dual pass, then a primal pass.
+
+The dual pass runs while some right-hand side is below ``-tol``, which
+happens when a row is appended to an optimal tableau: the basis is then
+still dual feasible.  Columns with a nonnegative reduced cost (within
+``tol``) enter first, so a column appended in the same step with a negative
+reduced cost waits for the primal pass; only when no such column can repair
+the row does any unlocked column enter.  The leaving row is the most
+infeasible one; the entering column has the largest pivot element among
+the columns whose ratio is within ``tol`` of the minimum ratio, which keeps
+reduced costs nonnegative within ``tol``.  After ``DUAL_STALL_PIVOTS``
+consecutive degenerate pivots the pass switches to dual Bland's rule
+(leaving row: the lowest basis index among infeasible rows; entering
+column: the lowest index among minimum ratios) until a pivot moves the dual
+objective again.  Pure dual Bland took about ten times as many pivots on
+the double oracle's restricted games.
+
+That makes the dual pass finite only while every entering column is dual
+feasible.  When no such column can repair the row, a column with a
+negative reduced cost enters: its ratio is clipped to zero, but the pivot
+lowers the reduced cost of every column with a positive entry in the
+leaving row, so the tableau loses dual feasibility, the dual objective is
+no longer monotone, and from then on only ``max_pivots`` (the caller's
+budget) bounds the pass.
+
+The primal pass uses Bland's rule: the entering column is the lowest
+eligible index, the leaving row the lowest basis index among minimum
+ratios.  Every choice breaks its ties by index, so the pivot sequence, and
+with it every result, is deterministic.
 """
 
 from __future__ import annotations
@@ -12,10 +38,17 @@ import numpy as np
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_PIVOT_LIMIT = 2
+# The dual pass found a negative right-hand side that no unlocked column
+# can repair.
+STATUS_INFEASIBLE = 3
+
+# Degenerate dual pivots in a row before the dual pass falls back to dual
+# Bland's rule.
+DUAL_STALL_PIVOTS = 50
 
 
 def run_simplex(tableau, basis, locked, max_pivots, tol):
-    """Pivot ``tableau`` in place until the reduced-cost row is nonnegative.
+    """Pivot ``tableau`` in place until it is primal and dual feasible.
 
     tableau : (m+1, w) float64, C-contiguous.  Rows 0..m-1 are constraint
         rows with the right-hand side in the last column; row m holds the
@@ -26,8 +59,46 @@ def run_simplex(tableau, basis, locked, max_pivots, tol):
     """
     m = tableau.shape[0] - 1
     obj = tableau[m]
+    rhs = tableau[:m, -1]
     pivots = 0
     unlocked = locked == 0
+
+    stalled = 0  # consecutive degenerate dual pivots
+    while True:
+        infeasible = np.nonzero(rhs < -tol)[0]
+        if not infeasible.size:
+            break
+        if pivots >= max_pivots:
+            return STATUS_PIVOT_LIMIT, pivots
+        bland = stalled >= DUAL_STALL_PIVOTS
+        if bland:
+            # Dual Bland's leaving rule: lowest basis index among infeasible rows.
+            leave = int(infeasible[np.argmin(basis[infeasible])])
+        else:
+            leave = int(infeasible[np.argmin(rhs[infeasible])])  # first of ties
+        row = tableau[leave, :-1]
+        neg = unlocked & (row < -tol)
+        if not neg.any():
+            return STATUS_INFEASIBLE, pivots
+        # Dual feasible columns go first: a column appended with a negative
+        # reduced cost waits for the primal pass.
+        feasible = neg & (obj[:-1] >= -tol)
+        if feasible.any():
+            neg = feasible
+        # Clip negative reduced costs to zero so that no ratio is negative.
+        ratios = np.full(row.shape, np.inf)
+        ratios[neg] = np.maximum(obj[:-1][neg], 0.0) / -row[neg]
+        best = ratios.min()
+        if bland:
+            # Dual Bland's entering rule: lowest index among minimum ratios.
+            enter = int(ratios.argmin())
+        else:
+            near = np.nonzero(ratios <= best + tol)[0]
+            enter = int(near[np.argmax(-row[near])])
+        stalled = stalled + 1 if best <= tol else 0
+        pivot_inplace(tableau, basis, leave, enter)
+        pivots += 1
+
     while True:
         # Bland's entering rule: lowest-index eligible column.
         eligible = unlocked & (obj[:-1] < -tol)
@@ -42,7 +113,7 @@ def run_simplex(tableau, basis, locked, max_pivots, tol):
         if not pos.any():
             return STATUS_UNBOUNDED, pivots
         ratios = np.full(m, np.inf)
-        ratios[pos] = tableau[:m, -1][pos] / col[pos]
+        ratios[pos] = rhs[pos] / col[pos]
         best = ratios.min()
         ties = np.nonzero(ratios == best)[0]
         # Bland's leaving rule: among minimum ratios, lowest basis index.

@@ -6,7 +6,9 @@ whose rows are feasible sets and whose columns are scenario cost vectors
 solve the restricted matrix game exactly, then let each side best-respond to
 the other's current mix, and stop once the two best-response values bracket
 the restricted value within tolerance.  The bracketing gap is certified in
-the returned solution.
+the returned solution.  The restricted game is one ``MatrixGame`` that grows
+by at most a row and a column per iteration, so each solve starts from the
+previous optimal basis.
 
 Deterministic minmax regret is solved by enumeration of the feasible family;
 the mean-cost and midpoint-cost approximations and the adversary's
@@ -32,7 +34,7 @@ from .core import (
     SolverError,
     marginal_of_strategy,
 )
-from .lp import solve_matrix_game
+from .lp import MatrixGame, solve_matrix_game
 from .nominal import NominalOracle, build_oracle, enumeration_cap
 from .regret import (
     extreme_cost_vector,
@@ -141,22 +143,22 @@ def solve_randomized(
     rows: list[FeasibleSet] = [_initial_player_set(instance, oracle)]
     row_seen = {rows[0]}
 
-    first_marginal = MarginalVector(rows[0].indicator.astype(float))
-    columns.add_best_response(columns.adversary_response(first_marginal))
+    X = rows[0].indicator[None, :].astype(float)
+    columns.add_best_response(columns.adversary_response(MarginalVector(X[0])))
+    C = np.stack(columns.costs)
+    optima = np.asarray(columns.optima)
+    game = MatrixGame(X @ C.T - optima)
 
     best_lower = -np.inf
     best_upper = np.inf
     for iteration in range(1, max_iter + 1):
-        X = np.stack([T.indicator for T in rows]).astype(float)
-        C = np.stack(columns.costs)
-        payoff = X @ C.T - np.asarray(columns.optima)
-        y_mix, w_mix, value = solve_matrix_game(payoff)
+        y_mix, w_mix, value = game.solve()
 
         marginal = MarginalVector(y_mix @ X)
         adv_br = columns.adversary_response(marginal)
         # raw column weights: the active support may not be distinct-as-
         # strategies yet, so no AdversaryMixedStrategy is built here
-        play_br = weighted_player_response(w_mix, C, np.asarray(columns.optima), oracle)
+        play_br = weighted_player_response(w_mix, C, optima, oracle)
 
         upper = adv_br.value
         lower = play_br.value
@@ -175,10 +177,19 @@ def solve_randomized(
                 certified_gap=float(max(gap, 0.0)),
             )
 
+        # The restricted game grows by one column (an LP row) and one row
+        # (an LP column); the next solve starts from the current basis.
         progressed = columns.add_best_response(adv_br)
+        if progressed:
+            C = np.stack(columns.costs)
+            optima = np.asarray(columns.optima)
+            game.add_columns(X @ C[-1:].T - optima[-1])
         if play_br.chosen_set not in row_seen:
             row_seen.add(play_br.chosen_set)
             rows.append(play_br.chosen_set)
+            x_new = play_br.chosen_set.indicator.astype(float)
+            X = np.vstack([X, x_new])
+            game.add_rows((C @ x_new - optima)[None, :])
             progressed = True
         if not progressed:
             raise SolverError(
@@ -294,11 +305,14 @@ def solve_adversary_lp_discrete(
 
     Maximizes z subject to: for every feasible set T, the expected regret of
     T under the scenario mix w is at least z.  Over the generated rows this
-    LP is the matrix game "generated sets x all scenarios", solved by
-    ``solve_matrix_game``; its row mix (the LP's row duals) is the player's
-    equilibrium strategy, so the returned value equals the randomized minmax
-    regret.  Rows are generated by solving the nominal problem at the
-    mix-averaged costs.
+    LP is the matrix game "generated sets x all scenarios", held in one
+    :class:`~minregret.lp.MatrixGame`; its row mix is the player's
+    equilibrium strategy and its column mix the adversary's, so the returned
+    value equals the randomized minmax regret.  Rows are generated by solving
+    the nominal problem at the mix-averaged costs.  Each cut appends one
+    variable to the game's LP (over player-set weights, one constraint per
+    scenario), so every re-solve starts from the previous optimal basis and
+    runs only the primal pass.
     """
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
@@ -310,10 +324,13 @@ def solve_adversary_lp_discrete(
     rows: list[FeasibleSet] = [oracle.solve(unc.costs.mean(axis=0))[0]]
     row_seen = {rows[0]}
 
+    def regrets(T: FeasibleSet) -> np.ndarray:
+        return (unc.costs @ T.indicator.astype(float) - optima)[None, :]
+
+    game = MatrixGame(regrets(rows[0]))
     z_cur = 0.0
     for _ in range(max_cuts):
-        X = np.stack([T.indicator for T in rows]).astype(float)
-        y_mix, w_cur, z_cur = solve_matrix_game(X @ unc.costs.T - optima)
+        y_mix, w_cur, z_cur = game.solve()
 
         d = w_cur @ unc.costs
         T_new, val = oracle.solve(d)
@@ -330,6 +347,7 @@ def solve_adversary_lp_discrete(
             raise SolverError("adversary LP stalled: separating row already present")
         row_seen.add(T_new)
         rows.append(T_new)
+        game.add_rows(regrets(T_new))
 
     raise IterationLimitError(
         f"adversary LP exceeded {max_cuts} cuts",

@@ -152,3 +152,21 @@ class TestBeyondDeskScale:
         u, w = info.value.u, info.value.w
         assert oracle.solve(u)[1] >= w - 1e-7
         assert w - float(q @ u) > 0.0
+
+
+def test_k_selection_n120_in_hull_marginal():
+    """The in-hull k-selection n=120 marginal of the decompose benchmark.
+    Solved cold at every cut it ended in ``decomposition LP ended with
+    status breakdown`` after about 290 s; warm-started it solves."""
+    n = 120
+    oracle = build_oracle(generate_instance("k-selection", n=n, uncertainty="interval", seed=1))
+    rng = np.random.default_rng([1, 14])
+    X = np.stack([oracle.solve(rng.random(n))[0].indicator for _ in range(6)])
+    w = rng.random(6)
+    p = (w / w.sum()) @ X.astype(float)
+
+    y = decompose_marginal(MarginalVector(p), oracle)
+    assert np.max(np.abs(marginal_of_strategy(y).p - p)) <= 1e-7
+    assert y.support_size <= n + 1
+    for T in y.support:
+        assert oracle.is_feasible(T)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,16 +7,21 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import minregret.lp as lpmod
-from minregret.core import SolverError
+from minregret.core import MarginalVector, SolverError
+from minregret.decompose import decompose_marginal
 from minregret.gen import generate_instance
 from minregret.lp import (
+    LESS,
     LinearProgram,
     LpSolution,
+    MatrixGame,
+    WarmLP,
+    _kernel,
     kernel_backend,
     solve_lp,
     solve_matrix_game,
 )
-from minregret.nominal import build_oracle
+from minregret.nominal import KSelectionOracle, build_oracle
 from minregret.regret import extreme_cost_vector
 
 
@@ -60,6 +67,8 @@ class TestSolveLpExamples:
         lp = make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [">=", "="], [2.0, 0.0])
         sol = solve_lp(lp, max_pivots=1)
         assert sol.status == "breakdown"
+        assert sol.reason == "budget"
+        assert sol.status_text == "breakdown (budget)"
         assert sol.pivots <= 1
 
     def test_bounds_are_markers_not_sentinels(self):
@@ -309,3 +318,263 @@ class TestAgainstScipy:
 
 def test_active_backend_reported():
     assert kernel_backend() == "python"
+
+
+class TestKernelDualPass:
+    """``min -x1 - x2 s.t. x1 <= 1, x2 <= 1`` at its optimum, with the row
+    ``x1 + x2 <= 1.5`` appended (its slack s3 basic at -0.5) and a new
+    column x3 whose ratio 0.1/2 would beat the old columns' 1/1."""
+
+    @staticmethod
+    def _tableau(row3=(0.0, 0.0, -1.0, -1.0, 1.0, -2.0, -0.5)):
+        # columns: x1 x2 s1 s2 s3 x3 | rhs
+        T = np.array(
+            [
+                [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0],
+                list(row3),
+                [0.0, 0.0, 1.0, 1.0, 0.0, 0.1, 2.0],
+            ]
+        )
+        return T, np.array([0, 1, 4], dtype=np.intp)
+
+    real_pivot = staticmethod(_kernel.pivot_inplace)
+
+    def _run(self, monkeypatch, T, basis, locked):
+        pivots = []
+        real = self.real_pivot
+
+        def recording(tableau, basis, row, col):
+            pivots.append((row, col))
+            real(tableau, basis, row, col)
+
+        monkeypatch.setattr(_kernel, "pivot_inplace", recording)
+        status, used = _kernel.run_simplex(T, basis, locked, 100, 1e-9)
+        assert used == len(pivots)
+        return status, pivots
+
+    def test_violated_row_repaired_with_locked_column_kept_out(self, monkeypatch):
+        locked = np.array([0, 0, 0, 0, 0, 1], dtype=np.uint8)
+        T, basis = self._tableau()
+        status, pivots = self._run(monkeypatch, T, basis, locked)
+        assert status == _kernel.STATUS_OPTIMAL
+        # s1 enters for s3 (s1 and s2 tie; the lower index wins); x3 never does
+        assert pivots == [(2, 2)]
+        assert list(basis) == [0, 1, 2]
+        assert np.all(T[:3, -1] >= 0.0)
+        assert T[3, -1] == pytest.approx(1.5)  # minus the objective -1.5
+        assert T[3, 5] < 0.0  # x3 would improve, but it is locked
+
+        # unlocked, the primal pass lets x3 in
+        status, pivots = self._run(monkeypatch, T, basis, np.zeros(6, dtype=np.uint8))
+        assert status == _kernel.STATUS_OPTIMAL
+        assert [col for _, col in pivots] == [5]
+
+    def test_dual_infeasible_column_waits_for_the_primal_pass(self, monkeypatch):
+        T, basis = self._tableau()
+        # x3 appended unlocked, with a negative reduced cost and a bounded ray
+        T[:, 5] = [0.0, 1.0, -2.0, -0.1]
+        status, pivots = self._run(monkeypatch, T, basis, np.zeros(6, dtype=np.uint8))
+        assert status == _kernel.STATUS_OPTIMAL
+        # the dual pass enters s1, not x3; the primal pass then enters x3
+        assert pivots[:2] == [(2, 2), (2, 5)]
+        assert np.all(T[:3, -1] >= 0.0) and np.all(T[3, :-1] >= 0.0)
+
+    def test_dual_infeasible_column_repairs_when_nothing_else_can(self, monkeypatch):
+        T, basis = self._tableau(row3=(0.0, 0.0, 0.0, 0.0, 1.0, -2.0, -0.5))
+        T[:, 5] = [0.0, 1.0, -2.0, -0.1]
+        status, pivots = self._run(monkeypatch, T, basis, np.zeros(6, dtype=np.uint8))
+        assert status == _kernel.STATUS_OPTIMAL
+        assert pivots[0] == (2, 5)
+        assert np.all(T[:3, -1] >= 0.0) and np.all(T[3, :-1] >= 0.0)
+
+    def test_pivot_sequence_is_deterministic(self, monkeypatch):
+        locked = np.array([0, 0, 0, 0, 0, 1], dtype=np.uint8)
+        runs = []
+        for _ in range(2):
+            T, basis = self._tableau()
+            runs.append(self._run(monkeypatch, T, basis, locked) + (T, basis))
+        (s1, p1, T1, b1), (s2, p2, T2, b2) = runs
+        assert s1 == s2 and p1 == p2
+        assert np.array_equal(T1, T2) and np.array_equal(b1, b2)
+
+    def test_row_only_a_locked_column_can_repair(self, monkeypatch):
+        locked = np.array([0, 0, 0, 0, 0, 1], dtype=np.uint8)
+        T, basis = self._tableau(row3=(0.0, 0.0, 0.0, 0.0, 1.0, -2.0, -0.5))
+        status, pivots = self._run(monkeypatch, T, basis, locked)
+        assert status == _kernel.STATUS_INFEASIBLE
+        assert pivots == []
+
+
+def _highs_max(c, A, b):
+    res = linprog(-c, A_ub=A, b_ub=b, method="highs")
+    assert res.status == 0
+    return -float(res.fun), -res.ineqlin.marginals
+
+
+class TestWarmAgainstCold:
+    """Every warm solve matches a cold ``solve_lp`` on the same data within
+    1e-9 and HiGHS within 1e-7."""
+
+    def _check(self, warm_lp, c, A, b, unique_duals=True):
+        warm = warm_lp.solve()
+        cold = solve_lp(LinearProgram(c, A, (LESS,) * len(b), b, sense="max"))
+        highs_obj, highs_duals = _highs_max(c, A, b)
+        assert warm.is_optimal and cold.is_optimal
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.objective == pytest.approx(highs_obj, abs=1e-7)
+        if unique_duals:
+            assert np.max(np.abs(warm.duals - cold.duals)) <= 1e-9
+            assert np.max(np.abs(warm.duals - highs_duals)) <= 1e-7
+        else:
+            # a dual optimum need not be unique: check it is one
+            assert np.all(warm.duals >= -1e-9)
+            assert np.all(A.T @ warm.duals >= c - 1e-9)
+            assert float(b @ warm.duals) == pytest.approx(cold.objective, abs=1e-9)
+            assert float(b @ warm.duals) == pytest.approx(highs_obj, abs=1e-7)
+        return warm
+
+    @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_restricted_game_growth(self, family, n):
+        # A double oracle over the pool P: each step appends the pool's best
+        # column against the current row mix (an LP row, repaired by the
+        # dual pass) and its best row against the column mix (an LP column,
+        # entered by the primal pass); every third step appends only one.
+        P = _restricted_game(family, n, seed=n)
+        Q = 1.0 + P / max(float(P[0, 0]), 1.0)  # lo = 0: regrets are >= 0
+        rows, cols = [0], [0]
+        lp = WarmLP(np.ones(1), Q[:1, :1].T, np.ones(1))
+        sol = self._check(lp, np.ones(1), Q[:1, :1].T, np.ones(1))
+        for step in itertools.count():
+            spare_cols = [j for j in range(P.shape[1]) if j not in cols]
+            spare_rows = [i for i in range(P.shape[0]) if i not in rows]
+            if not (spare_cols or spare_rows):
+                break
+            y = sol.x / sol.x.sum()
+            z = sol.duals / sol.duals.sum()
+            j = max(spare_cols, key=lambda j: y @ P[rows, j], default=None)
+            i = min(spare_rows, key=lambda i: P[i, cols] @ z, default=None)
+            if j is not None and step % 3 != 1:
+                lp.add_rows(Q[rows, j][None, :], [1.0])
+                cols.append(j)
+            if i is not None and step % 3 != 2:
+                lp.add_columns(Q[i, cols][:, None], [1.0])
+                rows.append(i)
+            sub = Q[np.ix_(rows, cols)]
+            sol = self._check(lp, np.ones(len(rows)), sub.T, np.ones(len(cols)))
+
+    def test_dual_bland_from_the_first_pivot(self, monkeypatch):
+        # the anti-cycling fallback, which these games never reach on their own
+        monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", 0)
+        self.test_restricted_game_growth("k-selection", 40)
+
+    @pytest.mark.parametrize(
+        "family,n", [("k-selection", 30), ("spanning-tree", 40), ("dag-path", 40)]
+    )
+    def test_decomposition_cut_rows(self, family, n):
+        oracle = build_oracle(generate_instance(family, n=n, seed=1))
+        rng = np.random.default_rng(n)
+        sets = [oracle.solve(rng.random(n))[0] for _ in range(6)]
+        p = rng.dirichlet(np.ones(6)) @ np.stack([T.indicator for T in sets])
+
+        def set_row(T):
+            row = np.ones(n + 2)
+            row[:n] = T.indicator
+            row[n + 1] = -1.0
+            return row
+
+        c = np.concatenate([p, [1.0, -1.0]])
+        T0 = oracle.solve(np.zeros(n))[0]
+        A = np.vstack([np.eye(n, n + 2), set_row(T0)])
+        b = np.concatenate([np.full(n, 2.0), [T0.size]])
+        lp = WarmLP(c, A, b)
+        cuts = 0
+        while True:
+            sol = self._check(lp, c, A, b, unique_duals=False)
+            u = sol.x[:n] - 1.0
+            T, value = oracle.solve(-u)
+            if -value + sol.x[n] - sol.x[n + 1] <= 1e-8:
+                break
+            lp.add_rows(set_row(T)[None, :], [T.size])
+            A = np.vstack([A, set_row(T)])
+            b = np.append(b, T.size)
+            cuts += 1
+        assert cuts >= 5
+
+    @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
+    def test_matrix_game_matches_one_shot(self, family):
+        P = _restricted_game(family, 20, seed=7)
+        game = MatrixGame(P[:1, :1])
+        r = s = 1
+        for step in itertools.count():
+            if r == P.shape[0] and s == P.shape[1]:
+                break
+            if s < P.shape[1] and step % 3 != 1:
+                game.add_columns(P[:r, s : s + 1])
+                s += 1
+            if r < P.shape[0] and step % 3 != 2:
+                game.add_rows(P[r : r + 1, :s])
+                r += 1
+            row, col, value = game.solve()
+            assert value == pytest.approx(solve_matrix_game(P[:r, :s])[2], abs=1e-9)
+            assert np.max(row @ P[:r, :s]) <= value + 1e-9
+            assert np.min(P[:r, :s] @ col) >= value - 1e-9
+
+    def test_payoff_below_the_positive_range_raises(self):
+        game = MatrixGame([[2.0, 3.0]])  # scale 3
+        with pytest.raises(SolverError, match="not positive"):
+            game.add_rows([[1.0, -3.0]])
+
+
+def _kernel_fault(reason):
+    """A stand-in for ``_kernel.run_simplex`` that fails for ``reason``."""
+    if reason == "budget":
+        return lambda T, basis, locked, max_pivots, tol: (_kernel.STATUS_PIVOT_LIMIT, max_pivots)
+    if reason == "dual-infeasible":
+        return lambda T, basis, locked, max_pivots, tol: (_kernel.STATUS_INFEASIBLE, 0)
+    raise ValueError(reason)
+
+
+class TestBreakdownReasons:
+    """Each breakdown names its reason, in ``LpSolution.reason`` and in the
+    ``SolverError`` of every generator, next to ``status breakdown``."""
+
+    def _install(self, monkeypatch, reason):
+        if reason == "singular-basis":
+            monkeypatch.setattr(lpmod, "_refresh", lambda *args: False)
+        else:
+            monkeypatch.setattr(_kernel, "run_simplex", _kernel_fault(reason))
+
+    @pytest.mark.parametrize("reason", ["budget", "singular-basis", "dual-infeasible"])
+    def test_reason_reaches_every_error(self, monkeypatch, reason):
+        self._install(monkeypatch, reason)
+        sol = WarmLP([1.0], [[1.0]], [1.0]).solve()
+        assert (sol.status, sol.reason) == ("breakdown", reason)
+        expected = rf"status breakdown \({reason}\)"
+        with pytest.raises(SolverError, match="matrix-game LP ended with " + expected):
+            MatrixGame([[1.0, 2.0]]).solve()
+        with pytest.raises(SolverError, match="matrix-game LP ended with " + expected):
+            solve_matrix_game([[1.0, 2.0]])
+        with pytest.raises(SolverError, match="decomposition LP ended with " + expected):
+            decompose_marginal(MarginalVector(np.array([0.5, 0.5])), KSelectionOracle(2, 1))
+
+    def test_budget_without_a_fault(self, monkeypatch):
+        # max x1 + x2 s.t. x1 <= 1, x2 <= 1 takes two pivots; allow one
+        run_phase = lpmod._run_phase
+        monkeypatch.setattr(
+            lpmod, "_run_phase", lambda *args: run_phase(*args[:6], 1, args[7])
+        )
+        sol = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0]).solve()
+        assert (sol.status, sol.reason) == ("breakdown", "budget")
+
+    def test_phase_1_unbounded(self, monkeypatch):
+        monkeypatch.setattr(
+            _kernel, "run_simplex", lambda *args: (_kernel.STATUS_UNBOUNDED, 0)
+        )
+        sol = solve_lp(make_lp([1.0], [[1.0]], [">="], [1.0]))
+        assert (sol.status, sol.reason) == ("breakdown", "phase-1-unbounded")
+
+    def test_genuine_statuses_carry_no_reason(self):
+        assert solve_lp(make_lp([1.0], [[1.0]], [">="], [0.0], sense="max")).reason is None
+        assert solve_lp(make_lp([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0])).reason is None

@@ -294,36 +294,78 @@ class TestBruteforceAndInvariants:
 
 
 def test_solver_lps_start_from_slack_basis(monkeypatch):
-    """Every LP the solvers build has only ``<=`` rows whose right-hand side
-    stays nonnegative once each variable sits at its finite bound, so the
-    slack basis is feasible and the simplex never runs phase 1."""
+    """Each generator run keeps one ``WarmLP``.  Its first solve starts from
+    the slack basis (feasible, since every right-hand side is nonnegative),
+    every later solve starts from the basis the previous solve ended at plus
+    the slacks of the rows appended since, and no generator calls
+    ``solve_lp``, whose two-phase path is the only one with a phase 1.  A
+    generator that rebuilt its LP cold would show up as extra engines or as
+    ``solve_lp`` calls."""
     import minregret.decompose as decompose_mod
     import minregret.lp as lp_mod
 
-    seen = []
+    engines = []  # kept alive so that ids stay unique
+    history = {}  # id(engine) -> [(shape, start basis, end basis)]
+    refreshed = []  # bases refreshed during the current solve
+    real_solve = lp_mod.WarmLP.solve
+    real_refresh = lp_mod._refresh
     real_solve_lp = lp_mod.solve_lp
+    cold = []
 
-    def recording(lp, max_pivots=None):
-        seen.append(lp)
+    def recording(self):
+        if id(self) not in history:
+            engines.append(self)
+            history[id(self)] = []
+        refreshed.clear()
+        sol = real_solve(self)
+        assert sol.is_optimal
+        # a solve's first refresh builds the tableau at its starting basis
+        history[id(self)].append((self.shape, refreshed[0], self.basis.copy()))
+        return sol
+
+    def refresh(T, basis, *args):
+        refreshed.append(basis.copy())
+        return real_refresh(T, basis, *args)
+
+    def cold_solve(lp, max_pivots=None):
+        cold.append(lp)
         return real_solve_lp(lp, max_pivots)
 
-    monkeypatch.setattr(lp_mod, "solve_lp", recording)
-    monkeypatch.setattr(decompose_mod, "solve_lp", recording)
+    monkeypatch.setattr(lp_mod.WarmLP, "solve", recording)
+    monkeypatch.setattr(lp_mod, "_refresh", refresh)
+    monkeypatch.setattr(lp_mod, "solve_lp", cold_solve)
+
+    runs = []
+
+    def one_engine(run, *args):
+        before = len(engines)
+        try:
+            run(*args)
+        finally:
+            runs.append(engines[before:])
 
     interval = generate_instance("k-selection", n=12, uncertainty="interval", seed=1)
-    game = solve_randomized(interval)
-    solve_adversary_lp_discrete(
-        generate_instance("spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1)
-    )
     oracle = build_oracle(interval)
-    decompose_mod.decompose_marginal(game.marginal, oracle)
+    game = solve_randomized(interval)
+    runs.append(engines[:])
+    one_engine(
+        solve_adversary_lp_discrete,
+        generate_instance("spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1),
+    )
+    one_engine(decompose_mod.decompose_marginal, game.marginal, oracle)
+    outside = game.marginal.p.copy()
+    outside[int(np.argmax(outside))] -= 0.3  # breaks the set-size equality
     with pytest.raises(NotInHullError):
-        decompose_mod.decompose_marginal(MarginalVector(np.zeros(oracle.n)), oracle)
+        one_engine(decompose_mod.decompose_marginal, MarginalVector(outside), oracle)
 
-    assert seen
-    for lp in seen:
-        assert set(lp.relations) == {"<="}
-        at_bound = np.where(
-            np.isfinite(lp.lower), lp.lower, np.where(np.isfinite(lp.upper), lp.upper, 0.0)
-        )
-        assert np.all(lp.rhs - lp.lhs @ at_bound >= 0.0)
+    assert not cold
+    assert [len(run) for run in runs] == [1, 1, 1, 1]
+    for (engine,) in runs:
+        solves = history[id(engine)]
+        assert len(solves) >= 2
+        (m, n), start, _ = solves[0]
+        assert np.array_equal(start, np.arange(n, n + m))
+        for (prev_shape, _, prev_end), (shape, start, _) in zip(solves, solves[1:]):
+            (m0, n0), (m1, n1) = prev_shape, shape
+            kept = np.where(prev_end >= n0, prev_end + (n1 - n0), prev_end)
+            assert np.array_equal(start, np.concatenate([kept, n1 + m0 + np.arange(m1 - m0)]))
