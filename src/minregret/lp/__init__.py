@@ -1,27 +1,36 @@
 """Dense simplex with dual extraction, a warm-startable LP and matrix games.
 
-The solver runs on a dense tableau with pivot tolerance 1e-9 and
-infinities as explicit bound markers.  The pivot loop is the package's hot
-kernel and lives in ``_kernel``, a dense numpy rank-one update per pivot: a
-dual pass while some right-hand side is negative (dual feasible columns
-first, largest infeasibility first, dual Bland's rule once it stalls), then a
-primal pass with Bland's rule engaged permanently (generated cutting-plane
-rows are often degenerate).  The solvers here run it in bursts between exact
-tableau refreshes.
+The solver runs on a condensed tableau, ``B⁻¹[A_N | b]`` over the nonbasic
+columns only, with their reduced costs, next to a ``nonbasic`` index array;
+pivot tolerance is 1e-9 and infinities are explicit bound markers.  The
+pivot loop is the package's hot kernel and lives in ``_kernel``, a dense
+numpy basis exchange per pivot: a dual pass while some right-hand side is
+negative (dual feasible columns first, largest infeasibility first, dual
+Bland's rule once it stalls), then a primal pass with Bland's rule engaged
+permanently (generated cutting-plane rows are often degenerate); both break
+ties by variable index.  The solvers here run it in bursts and accept a
+claim only after an exact refresh (``_refresh``) and a kernel run that
+confirms it without pivoting.  Every row has one unit column (a slack or an
+artificial); the refresh drops the basic ones and factors only the square
+block of the basis that is left.
 
 :class:`WarmLP` is ``max c·x s.t. A x <= b, x >= 0`` with ``b >= 0``.  Its
-first solve starts from the feasible slack basis.  It keeps each optimal
-basis and re-optimises from it after ``add_rows`` (the new slacks join the
-basis, which stays dual feasible, so the dual pass restores primal
-feasibility) or ``add_columns`` (the new variables start at zero, the basis
-stays primal feasible, and the primal pass lets them enter).
+first solve starts from the feasible slack basis, whose tableau is the data
+itself.  It keeps each confirmed tableau and re-optimises from it after
+``add_rows`` (the new slacks join the basis, which stays dual feasible, so
+the dual pass restores primal feasibility) or ``add_columns`` (the new
+variables start at zero, the basis stays primal feasible, and the primal
+pass lets them enter); both extend the kept tableau in place of a refresh,
+so a warm solve that ends within one burst refreshes once.
 :class:`MatrixGame` is a zero-sum game that grows by strategies, solved on
 one WarmLP; the double oracle and the adversary cutting-plane LP each keep
 one, and ``decompose`` keeps a WarmLP for its dual deviation LP.
-``solve_lp`` is the two-phase solver for general callers; phase 1 runs only
-when some row is ``=`` or ``>=`` after the rhs is made nonnegative, so the
-one-shot game LP of ``solve_matrix_game``, whose rows are all ``<=`` with
-rhs 1, starts from its feasible slack basis.
+``solve_lp`` is the two-phase solver for general callers, on the same
+kernel and refresh; phase 1 runs only when some row is ``=`` or ``>=``
+after the rhs is made nonnegative, so the one-shot game LP of
+``solve_matrix_game``, whose rows are all ``<=`` with rhs 1, starts from its
+feasible slack basis.  Artificials stay locked in phase 2, and a row's dual
+is read off the reduced cost of its unit column (0 while that is basic).
 
 Dual sign convention, for ``sense="min"``: multipliers of ``<=`` rows are
 nonpositive, ``>=`` rows nonnegative, ``=`` rows free, and the dual
@@ -118,6 +127,8 @@ class LpSolution:
     found the basis numerically singular), "dual-infeasible" (the dual pass
     met a violated row that no column can repair) or "phase-1-unbounded"
     (phase 1 claimed an unbounded ray, which exact arithmetic rules out).
+    ``refreshes`` counts the exact tableau refreshes the solve ran, on every
+    outcome.
     """
 
     status: str  # optimal | infeasible | unbounded | breakdown
@@ -126,6 +137,7 @@ class LpSolution:
     objective: float | None
     pivots: int
     reason: str | None = None
+    refreshes: int = 0
 
     @property
     def is_optimal(self) -> bool:
@@ -137,35 +149,51 @@ class LpSolution:
         return self.status if self.reason is None else f"{self.status} ({self.reason})"
 
 
-def _refresh(T, basis, A_full, b_full, costs):
+def _refresh(T, basis, nonbasic, A, b, costs, unit_row):
     """Recompute the tableau exactly from original data at the current basis.
 
     Long pivot runs accumulate round-off in the tableau (a single near-tol
     pivot element amplifies it); refreshing before trusting any optimality or
     unboundedness claim makes every accepted answer exact at its basis.
-    Returns False when the basis matrix is numerically singular.
+
+    Variables ``0..g-1`` have the columns of ``A`` (m × g); variable ``g + k``
+    is the unit column of row ``unit_row[k]``, and every row has exactly one.
+    The basic unit columns and their rows drop out of the basis matrix, so
+    only the square block ``A[rows whose unit column is nonbasic, basic
+    variables below g]`` is factored.  The rows of the basic unit columns
+    follow from the same solve, and the reduced costs ``c_N - c_B B⁻¹A_N``
+    from the refreshed rows, so a row's dual, the reduced cost of its unit
+    column, comes from the same block too.  Returns False when that block is
+    numerically singular.
     """
-    m = len(basis)
-    if m == 0:
-        T[0, :-1] = costs
-        T[0, -1] = 0.0
-        return True
-    B = A_full[:, basis]
+    m, g = A.shape
+    unit = basis >= g
+    unit_rows = unit_row[basis[unit] - g]  # rows of the basic unit columns
+    structural = basis[~unit]
+    rest = np.ones(m, dtype=bool)  # as many rows as structural basics
+    rest[unit_rows] = False
+    # [A_N | b] in row space: a nonbasic unit column is e of its row
+    data = np.zeros((m, len(nonbasic) + 1))
+    general = nonbasic < g
+    data[:, np.flatnonzero(general)] = A[:, nonbasic[general]]
+    data[unit_row[nonbasic[~general] - g], np.flatnonzero(~general)] = 1.0
+    data[:, -1] = b
     try:
-        body = np.linalg.solve(B, np.column_stack([A_full, b_full]))
-        y = np.linalg.solve(B.T, costs[basis])
+        body = np.linalg.solve(A[rest][:, structural], data[rest])
     except np.linalg.LinAlgError:
         return False
-    T[:m, :-1] = body[:, :-1]
-    T[:m, -1] = np.where(np.abs(body[:, -1]) < 1e-11, 0.0, body[:, -1])
-    T[m, :-1] = costs - A_full.T @ y
-    T[m, -1] = -float(costs[basis] @ T[:m, -1])
-    # basic columns are exactly unit
-    T[:, basis] = 0.0
-    T[m, basis] = 0.0
-    for i, col in enumerate(basis):
-        T[i, col] = 1.0
+    rows = T[:m]
+    rows[~unit] = body
+    rows[unit] = data[unit_rows] - A[unit_rows][:, structural] @ body
+    rows[:, -1] = np.where(np.abs(rows[:, -1]) < 1e-11, 0.0, rows[:, -1])
+    _price(T, basis, nonbasic, costs)
     return True
+
+
+def _price(T, basis, nonbasic, costs):
+    """Fill the objective row of ``T`` from its constraint rows and ``costs``."""
+    m = len(basis)
+    T[m] = np.append(costs[nonbasic], 0.0) - costs[basis] @ T[:m]
 
 
 # Kernel status -> (status, reason) of a claim confirmed on fresh data.
@@ -176,30 +204,33 @@ _CLAIMS = {
 }
 
 
-def _run_phase(T, basis, locked, A_full, b_full, costs, budget, pivots_so_far):
+def _run_phase(T, basis, nonbasic, locked, problem, budget):
     """Kernel bursts interleaved with exact refreshes until a claim survives.
 
-    The kernel runs at most ``BURST_PIVOTS`` pivots at a time; each burst
-    starts from an exactly recomputed tableau, and a claim is accepted only
-    when the kernel confirms it on fresh data without pivoting.  Returns
-    ``(status, reason, total_pivots)``; see :class:`LpSolution` for the
-    breakdown reasons.
+    ``problem`` is ``(A, b, costs, unit_row)`` as :func:`_refresh` takes it;
+    ``T`` is only a starting point.  The kernel runs at most
+    ``BURST_PIVOTS`` pivots at a time and the tableau is refreshed after
+    every burst; a claim is accepted only when the kernel confirms it on a
+    refreshed tableau without pivoting.  So a phase that ends within one
+    burst refreshes once.  Returns ``(status, reason, pivots, refreshes)``;
+    see :class:`LpSolution` for the breakdown reasons.
     """
-    total = pivots_so_far
+    pivots = refreshes = 0
+    fresh = False
     while True:
-        if not _refresh(T, basis, A_full, b_full, costs):
-            return "breakdown", "singular-basis", total
-        remaining = budget - total
+        remaining = budget - pivots
         if remaining <= 0:
-            return "breakdown", "budget", total
+            return "breakdown", "budget", pivots, refreshes
         status, used = _kernel.run_simplex(
-            T, basis, locked, min(remaining, BURST_PIVOTS), PIVOT_TOL
+            T, basis, nonbasic, locked, min(remaining, BURST_PIVOTS), PIVOT_TOL
         )
-        total += used
-        if status == _kernel.STATUS_PIVOT_LIMIT:
-            continue  # burst exhausted; refresh and resume
-        if used == 0:
-            return _CLAIMS[status] + (total,)
+        pivots += used
+        if fresh and used == 0 and status != _kernel.STATUS_PIVOT_LIMIT:
+            return _CLAIMS[status] + (pivots, refreshes)
+        refreshes += 1
+        if not _refresh(T, basis, nonbasic, *problem):
+            return "breakdown", "singular-basis", pivots, refreshes
+        fresh = True
 
 
 def _finite(*arrays):
@@ -210,34 +241,49 @@ def _finite(*arrays):
 class WarmLP:
     """``max c·x s.t. A x <= b, x >= 0`` with ``b >= 0``, re-solved warm.
 
-    ``x = 0`` is always feasible, so the LP is never infeasible.  The first
-    solve starts from the slack basis; every optimal solve keeps its basis,
-    and the next solve starts from it:
+    ``x = 0`` is always feasible, so the LP is never infeasible.  The LP
+    keeps a condensed tableau, ``B⁻¹[A_N | b]`` over its ``nonbasic``
+    variables with their reduced costs, for its ``basis``.  At creation that
+    is the slack-basis tableau, built straight from the data; after every
+    optimal solve it is the refreshed tableau that solve confirmed.  The next
+    solve starts from it:
 
-    * ``add_rows`` appends constraints whose slacks join the basis.  The
-      basis stays dual feasible, so the kernel's dual pass restores primal
-      feasibility.
-    * ``add_columns`` appends variables at zero.  The basis stays primal
-      feasible and the primal pass lets them enter; the dual pass, which
-      prefers dual feasible columns, leaves them out until then.
+    * ``add_rows`` appends constraints whose slacks join the basis; their
+      tableau rows are ``[a_N | b] - a_B·T``.  The basis stays dual
+      feasible, so the kernel's dual pass restores primal feasibility.
+    * ``add_columns`` appends variables at zero, with tableau column
+      ``B⁻¹a`` and reduced cost ``-c - y·a``, both read off the columns of
+      the nonbasic slacks.  The basis stays primal feasible and the primal
+      pass lets them enter; the dual pass, which prefers dual feasible
+      columns, leaves them out until then.
 
-    Each answer is accepted only after an exact refresh at its final basis
-    and a kernel run that confirms it without pivoting.  ``basis`` indexes
-    the layout ``[variables | slacks]``, one slack per row.
+    The kept tableau is only a starting point: each answer is accepted only
+    after an exact refresh at its final basis and a kernel run that confirms
+    it without pivoting, so a solve that ends within one burst of pivots
+    refreshes once.  ``basis`` and ``nonbasic`` index the layout
+    ``[variables | slacks]``, one slack per row.
     """
 
     def __init__(self, objective, lhs, rhs):
         self._c = np.asarray(objective, dtype=float)
         _finite(self._c)
-        self._A = np.empty((0, len(self._c)))
+        n = len(self._c)
+        self._A = np.empty((0, n))
         self._b = np.empty(0)
         self.basis = np.empty(0, dtype=np.intp)
+        self.nonbasic = np.arange(n, dtype=np.intp)
+        self._T = np.append(-self._c, 0.0)[None, :]  # the kernel minimizes
         self.add_rows(lhs, rhs)  # the slack basis
 
     @property
     def shape(self) -> tuple[int, int]:
         """``(rows, variables)``."""
         return self._A.shape
+
+    def _problem(self):
+        """``(A, b, costs, unit_row)`` for :func:`_refresh`: the slacks are units."""
+        m = len(self._b)
+        return self._A, self._b, np.concatenate([-self._c, np.zeros(m)]), np.arange(m)
 
     def add_rows(self, lhs, rhs) -> None:
         """Append constraints ``lhs @ x <= rhs``; their slacks enter the basis."""
@@ -247,7 +293,12 @@ class WarmLP:
         _finite(A, b)
         if np.any(b < 0.0):
             raise ValueError("WarmLP right-hand sides must be nonnegative")
-        self._A = np.vstack([self._A, A])
+        a = np.zeros((len(b), n + m))  # the old slacks are absent
+        a[:, :n] = A
+        rows = np.concatenate([a[:, self.nonbasic], b[:, None]], axis=1)
+        rows -= a[:, self.basis] @ self._T[:m]
+        self._T = np.concatenate([self._T[:m], rows, self._T[m:]])
+        self._A = np.concatenate([self._A, A])
         self._b = np.concatenate([self._b, b])
         self.basis = np.concatenate([self.basis, n + m + np.arange(len(b))])
 
@@ -257,28 +308,42 @@ class WarmLP:
         c = np.asarray(objective, dtype=float)
         A = np.asarray(lhs, dtype=float).reshape(m, len(c))
         _finite(A, c)
-        self._A = np.hstack([self._A, A])
+        # The slack columns of the full tableau are B⁻¹ over -y (a basic
+        # slack's column is e of its row): B⁻¹a and -y·a read off them.
+        full = np.zeros((m + 1, n + m))
+        full[:, self.nonbasic] = self._T[:, :-1]
+        full[np.arange(m), self.basis] = 1.0
+        cols = full[:, n:] @ A
+        cols[m] -= c
+        shift = len(c)
+        self.basis = np.where(self.basis >= n, self.basis + shift, self.basis)
+        self.nonbasic = np.concatenate([
+            np.where(self.nonbasic >= n, self.nonbasic + shift, self.nonbasic),
+            n + np.arange(shift),
+        ])
+        self._T = np.concatenate([self._T[:, :-1], cols, self._T[:, -1:]], axis=1)
+        self._A = np.concatenate([self._A, A], axis=1)
         self._c = np.concatenate([self._c, c])
-        self.basis = np.where(self.basis >= n, self.basis + len(c), self.basis)
 
     def solve(self) -> LpSolution:
-        """Re-optimise from the kept basis; row duals are nonnegative."""
+        """Re-optimise from the kept tableau; row duals are nonnegative."""
         m, n = self._A.shape
-        A_full = np.hstack([self._A, np.eye(m)])
-        costs = np.concatenate([-self._c, np.zeros(m)])  # the kernel minimizes
-        T = np.empty((m + 1, n + m + 1))
-        basis = self.basis.copy()
+        T, basis, nonbasic = self._T.copy(), self.basis.copy(), self.nonbasic.copy()
         budget = 10 * (2 * m + n) ** 2
-        status, reason, pivots = _run_phase(
-            T, basis, np.zeros(n + m, dtype=np.uint8), A_full, self._b, costs, budget, 0
+        status, reason, pivots, refreshes = _run_phase(
+            T, basis, nonbasic, np.zeros(n + m, dtype=np.uint8), self._problem(), budget
         )
         if status != "optimal":
-            return LpSolution(status, None, None, None, pivots, reason)
-        self.basis = basis
+            return LpSolution(status, None, None, None, pivots, reason, refreshes)
+        self._T, self.basis, self.nonbasic = T, basis, nonbasic
         x = np.zeros(n + m)
         x[basis] = T[:m, -1]
+        # a row's dual is the reduced cost of its slack, 0 while that is basic
+        duals = np.zeros(m)
+        slacks = nonbasic >= n
+        duals[nonbasic[slacks] - n] = T[m, :-1][slacks]
         return LpSolution(
-            "optimal", x[:n], T[m, n : n + m].copy(), float(self._c @ x[:n]), pivots
+            "optimal", x[:n], duals, float(self._c @ x[:n]), pivots, refreshes=refreshes
         )
 
 
@@ -340,76 +405,74 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
             if rels[i] != EQUAL:
                 rels[i] = LESS if rels[i] == GREATER else GREATER
 
-    # --- tableau layout: [structural | slack | surplus | artificial | rhs] ---
-    slack_rows = [i for i in range(m) if rels[i] == LESS]
+    # --- layout: [structural | surplus | slack | artificial] ---
+    # Each row has one unit column, its slack or its artificial; it starts
+    # basic, and it is the row's marker: the row's dual is minus its final
+    # reduced cost (0 while it is basic).
     surplus_rows = [i for i in range(m) if rels[i] == GREATER]
+    slack_rows = [i for i in range(m) if rels[i] == LESS]
     art_rows = [i for i in range(m) if rels[i] != LESS]
-    slack_at = {i: nt + p for p, i in enumerate(slack_rows)}
-    surplus_base = nt + len(slack_rows)
-    surplus_at = {i: surplus_base + p for p, i in enumerate(surplus_rows)}
-    art_base = surplus_base + len(surplus_rows)
-    art_at = {i: art_base + p for p, i in enumerate(art_rows)}
-    width = art_base + len(art_rows) + 1
-
-    T = np.zeros((m + 1, width))
-    T[:m, :nt] = A
+    g = nt + len(surplus_rows)
+    A_gen = np.zeros((m, g))
+    A_gen[:, :nt] = A
+    A_gen[surplus_rows, nt + np.arange(len(surplus_rows))] = -1.0
+    unit_row = np.array(slack_rows + art_rows, dtype=np.intp)
+    art_base = g + len(slack_rows)
+    width = g + m  # variables
+    markers = np.empty(m, dtype=np.intp)
+    markers[unit_row] = g + np.arange(m)
+    basis = markers.copy()
+    nonbasic = np.arange(g, dtype=np.intp)
+    T = np.zeros((m + 1, g + 1))
+    T[:m, :-1] = A_gen
     T[:m, -1] = b
-    basis = np.empty(m, dtype=np.intp)
-    for i in range(m):
-        if i in slack_at:
-            T[i, slack_at[i]] = 1.0
-            basis[i] = slack_at[i]
-        else:
-            if i in surplus_at:
-                T[i, surplus_at[i]] = -1.0
-            T[i, art_at[i]] = 1.0
-            basis[i] = art_at[i]
-    # marker column of each row: unit +e_i with zero phase-2 cost, kept in the
-    # tableau, so the row's dual is minus its final reduced cost.
-    markers = [slack_at.get(i, art_at.get(i)) for i in range(m)]
 
-    budget = 10 * (m + width - 1) ** 2 if max_pivots is None else max_pivots
-    pivots_total = 0
-    A_full = T[:m, :-1].copy()
-    b_full = T[:m, -1].copy()
+    budget = 10 * (m + width) ** 2 if max_pivots is None else max_pivots
+    pivots_total = refreshes = 0
 
     # --- phase 1: minimize the artificial sum ---
     if art_rows:
-        costs_one = np.zeros(width - 1)
+        costs_one = np.zeros(width)
         costs_one[art_base:] = 1.0
-        unlocked = np.zeros(width - 1, dtype=np.uint8)
-        status, reason, pivots_total = _run_phase(
-            T, basis, unlocked, A_full, b_full, costs_one, budget, pivots_total
+        _price(T, basis, nonbasic, costs_one)
+        status, reason, pivots_total, refreshes = _run_phase(
+            T, basis, nonbasic, np.zeros(width, dtype=np.uint8),
+            (A_gen, b, costs_one, unit_row), budget,
         )
         if status == "unbounded":  # a verified-unbounded phase 1 cannot happen
-            return LpSolution("breakdown", None, None, None, pivots_total, "phase-1-unbounded")
+            return LpSolution(
+                "breakdown", None, None, None, pivots_total, "phase-1-unbounded", refreshes
+            )
         if status != "optimal":
-            return LpSolution(status, None, None, None, pivots_total, reason)
+            return LpSolution(status, None, None, None, pivots_total, reason, refreshes)
         if -T[m, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, None, pivots_total)
+            return LpSolution("infeasible", None, None, None, pivots_total, refreshes=refreshes)
         # Pivot zero-valued artificials out wherever the row allows it; rows
-        # that stay all-zero over structural columns are redundant and inert.
+        # that stay all-zero over the other columns are redundant and inert.
         for i in range(m):
             if basis[i] >= art_base:
-                row = T[i, :art_base]
-                nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
+                nz = np.flatnonzero((nonbasic < art_base) & (np.abs(T[i, :-1]) > PIVOT_TOL))
                 if nz.size:
-                    _kernel.pivot_inplace(T, basis, i, int(nz[0]))
+                    enter = int(nz[np.argmin(nonbasic[nz])])
+                    _kernel.pivot_inplace(T, basis, nonbasic, i, enter)
                     pivots_total += 1
 
-    # --- phase 2 ---
-    costs_two = np.zeros(width - 1)
+    # --- phase 2: the artificials stay locked ---
+    costs_two = np.zeros(width)
     costs_two[:nt] = c_int
-    locked = np.zeros(width - 1, dtype=np.uint8)
+    _price(T, basis, nonbasic, costs_two)
+    locked = np.zeros(width, dtype=np.uint8)
     locked[art_base:] = 1
-    status, reason, pivots_total = _run_phase(
-        T, basis, locked, A_full, b_full, costs_two, budget, pivots_total
+    status, reason, used, more = _run_phase(
+        T, basis, nonbasic, locked, (A_gen, b, costs_two, unit_row), budget - pivots_total
     )
+    pivots_total += used
+    refreshes += more
     if status != "optimal":
-        return LpSolution(status, None, None, None, pivots_total, reason)
+        return LpSolution(status, None, None, None, pivots_total, reason, refreshes)
 
     # --- recover primal, duals, objective in the original variable space ---
-    x_int = np.zeros(width - 1)
+    x_int = np.zeros(width)
     x_int[basis] = T[:m, -1]
     x = np.zeros(n)
     for col_idx, rec in enumerate(recover):
@@ -423,12 +486,13 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
         else:  # from_lower
             x[j] = rec[2] + x_int[col_idx]
 
-    duals_int = np.array([-T[m, markers[i]] for i in range(m)])
-    duals = (flips * duals_int)[:m_orig]
+    reduced = np.zeros(width)
+    reduced[nonbasic] = T[m, :-1]
+    duals = (-flips * reduced[markers])[:m_orig]
     objective = float(lp.objective @ x)
     if not minimize:
         duals = -duals
-    return LpSolution("optimal", x, duals, objective, pivots_total)
+    return LpSolution("optimal", x, duals, objective, pivots_total, refreshes=refreshes)
 
 
 def _payoff(payoff) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Simplex pivot kernel: the dense numpy pivot loop behind ``solve_lp``.
+"""Simplex pivot kernel: the dense numpy pivot loop behind every LP solve.
+
+The kernel works on a condensed tableau: one column per nonbasic variable
+(``nonbasic`` names them) and none for the basic ones, whose columns are unit
+vectors that no rule reads.  A pivot is a basis exchange: the entering
+variable's column becomes the leaving variable's, and every choice below that
+breaks a tie by index uses the variable index, not the column position.
 
 One call runs a dual pass, then a primal pass.
 
@@ -13,9 +19,9 @@ the columns whose ratio is within ``tol`` of the minimum ratio, which keeps
 reduced costs nonnegative within ``tol``.  After ``DUAL_STALL_PIVOTS``
 consecutive degenerate pivots the pass switches to dual Bland's rule
 (leaving row: the lowest basis index among infeasible rows; entering
-column: the lowest index among minimum ratios) until a pivot moves the dual
-objective again.  Pure dual Bland took about ten times as many pivots on
-the double oracle's restricted games.
+column: the lowest variable index among minimum ratios) until a pivot moves
+the dual objective again.  Pure dual Bland took about ten times as many
+pivots on the double oracle's restricted games.
 
 That makes the dual pass finite only while every entering column is dual
 feasible.  When no such column can repair the row, a column with a
@@ -26,9 +32,9 @@ no longer monotone, and from then on only ``max_pivots`` (the caller's
 budget) bounds the pass.
 
 The primal pass uses Bland's rule: the entering column is the lowest
-eligible index, the leaving row the lowest basis index among minimum
-ratios.  Every choice breaks its ties by index, so the pivot sequence, and
-with it every result, is deterministic.
+eligible variable index, the leaving row the lowest basis index among
+minimum ratios.  Every choice breaks its ties by index, so the pivot
+sequence, and with it every result, is deterministic.
 """
 
 from __future__ import annotations
@@ -47,21 +53,34 @@ STATUS_INFEASIBLE = 3
 DUAL_STALL_PIVOTS = 50
 
 
-def run_simplex(tableau, basis, locked, max_pivots, tol):
+def _lowest_variable(candidates, nonbasic):
+    """Column among the ``candidates`` positions whose variable index is lowest."""
+    if candidates.size == 1:
+        return int(candidates[0])
+    return int(candidates[np.argmin(nonbasic[candidates])])
+
+
+def run_simplex(tableau, basis, nonbasic, locked, max_pivots, tol):
     """Pivot ``tableau`` in place until it is primal and dual feasible.
 
-    tableau : (m+1, w) float64, C-contiguous.  Rows 0..m-1 are constraint
-        rows with the right-hand side in the last column; row m holds the
-        reduced costs and, in its last cell, minus the current objective.
-    basis : (m,) intp, basic column of each row.
-    locked : (w-1,) uint8, columns that may never enter the basis.
+    tableau : (m+1, k+1) float64, C-contiguous, ``B⁻¹[A_N | b]`` over the k
+        nonbasic variables.  Rows 0..m-1 are constraint rows with the
+        right-hand side in the last column; row m holds the reduced costs
+        and, in its last cell, minus the current objective.
+    basis : (m,) intp, basic variable of each row.
+    nonbasic : (k,) intp, nonbasic variable of each column.
+    locked : uint8 per variable, the variables that may never enter.
     Returns ``(status, pivots_used)``.
     """
     m = tableau.shape[0] - 1
-    obj = tableau[m]
+    obj = tableau[m, :-1]
     rhs = tableau[:m, -1]
     pivots = 0
-    unlocked = locked == 0
+    unlocked = locked[nonbasic] == 0
+
+    def pivot(leave, enter):
+        pivot_inplace(tableau, basis, nonbasic, leave, enter)
+        unlocked[enter] = locked[nonbasic[enter]] == 0
 
     stalled = 0  # consecutive degenerate dual pivots
     while True:
@@ -82,31 +101,35 @@ def run_simplex(tableau, basis, locked, max_pivots, tol):
             return STATUS_INFEASIBLE, pivots
         # Dual feasible columns go first: a column appended with a negative
         # reduced cost waits for the primal pass.
-        feasible = neg & (obj[:-1] >= -tol)
+        feasible = neg & (obj >= -tol)
         if feasible.any():
             neg = feasible
         # Clip negative reduced costs to zero so that no ratio is negative.
         ratios = np.full(row.shape, np.inf)
-        ratios[neg] = np.maximum(obj[:-1][neg], 0.0) / -row[neg]
+        ratios[neg] = np.maximum(obj[neg], 0.0) / -row[neg]
         best = ratios.min()
         if bland:
-            # Dual Bland's entering rule: lowest index among minimum ratios.
-            enter = int(ratios.argmin())
+            # Dual Bland's entering rule: lowest variable index among minimum ratios.
+            enter = _lowest_variable(np.nonzero(ratios == best)[0], nonbasic)
         else:
             near = np.nonzero(ratios <= best + tol)[0]
-            enter = int(near[np.argmax(-row[near])])
+            if near.size > 1:
+                size = -row[near]
+                near = near[size == size.max()]
+            enter = _lowest_variable(near, nonbasic)
         stalled = stalled + 1 if best <= tol else 0
-        pivot_inplace(tableau, basis, leave, enter)
+        pivot(leave, enter)
         pivots += 1
 
+    top = len(locked)  # above every variable index
     while True:
-        # Bland's entering rule: lowest-index eligible column.
-        eligible = unlocked & (obj[:-1] < -tol)
+        # Bland's entering rule: lowest-index eligible variable.
+        eligible = unlocked & (obj < -tol)
         if not eligible.any():
             return STATUS_OPTIMAL, pivots
         if pivots >= max_pivots:
             return STATUS_PIVOT_LIMIT, pivots
-        enter = int(eligible.argmax())
+        enter = int(np.argmin(np.where(eligible, nonbasic, top)))
 
         col = tableau[:m, enter]
         pos = col > tol
@@ -119,18 +142,23 @@ def run_simplex(tableau, basis, locked, max_pivots, tol):
         # Bland's leaving rule: among minimum ratios, lowest basis index.
         leave = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
 
-        pivot_inplace(tableau, basis, leave, enter)
+        pivot(leave, enter)
         pivots += 1
 
 
-def pivot_inplace(tableau, basis, row, col):
-    """One pivot: scale the pivot row, eliminate the column elsewhere."""
+def pivot_inplace(tableau, basis, nonbasic, row, col):
+    """One basis exchange: ``nonbasic[col]`` enters in ``row``, ``basis[row]``
+    takes over column ``col``.
+
+    The pivot row is scaled and the entering column eliminated elsewhere; the
+    leaving variable's new column is ``-col / piv`` with ``1 / piv`` in the
+    pivot row.
+    """
     piv = tableau[row, col]
+    column = tableau[:, col].copy()
+    column[row] = 0.0
     tableau[row] /= piv
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    # Stamp the exact unit column to stop round-off drift.
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
+    tableau -= column[:, None] * tableau[row]
+    tableau[:, col] = -column / piv
+    tableau[row, col] = 1.0 / piv
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]

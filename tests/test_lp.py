@@ -70,6 +70,7 @@ class TestSolveLpExamples:
         assert sol.reason == "budget"
         assert sol.status_text == "breakdown (budget)"
         assert sol.pivots <= 1
+        assert sol.refreshes == 1  # after the one-pivot burst
 
     def test_bounds_are_markers_not_sentinels(self):
         with pytest.raises(ValueError):
@@ -323,67 +324,74 @@ def test_active_backend_reported():
 class TestKernelDualPass:
     """``min -x1 - x2 s.t. x1 <= 1, x2 <= 1`` at its optimum, with the row
     ``x1 + x2 <= 1.5`` appended (its slack s3 basic at -0.5) and a new
-    column x3 whose ratio 0.1/2 would beat the old columns' 1/1."""
+    column x3 whose ratio 0.1/2 would beat the old columns' 1/1.
+
+    Variables are x1 x2 s1 s2 s3 x3 (0..5); the condensed tableau has the
+    nonbasic columns s1 s2 x3 and the basis x1 x2 s3.  Pivots are recorded
+    as (row, entering variable)."""
+
+    X3 = 2  # tableau column of x3
 
     @staticmethod
-    def _tableau(row3=(0.0, 0.0, -1.0, -1.0, 1.0, -2.0, -0.5)):
-        # columns: x1 x2 s1 s2 s3 x3 | rhs
+    def _tableau(row3=(-1.0, -1.0, -2.0, -0.5)):
+        # columns: s1 s2 x3 | rhs
         T = np.array(
             [
-                [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-                [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 1.0],
+                [0.0, 1.0, 0.0, 1.0],
                 list(row3),
-                [0.0, 0.0, 1.0, 1.0, 0.0, 0.1, 2.0],
+                [1.0, 1.0, 0.1, 2.0],
             ]
         )
-        return T, np.array([0, 1, 4], dtype=np.intp)
+        return T, np.array([0, 1, 4], dtype=np.intp), np.array([2, 3, 5], dtype=np.intp)
 
     real_pivot = staticmethod(_kernel.pivot_inplace)
 
-    def _run(self, monkeypatch, T, basis, locked):
+    def _run(self, monkeypatch, T, basis, nonbasic, locked):
         pivots = []
         real = self.real_pivot
 
-        def recording(tableau, basis, row, col):
-            pivots.append((row, col))
-            real(tableau, basis, row, col)
+        def recording(tableau, basis, nonbasic, row, col):
+            pivots.append((row, int(nonbasic[col])))
+            real(tableau, basis, nonbasic, row, col)
 
         monkeypatch.setattr(_kernel, "pivot_inplace", recording)
-        status, used = _kernel.run_simplex(T, basis, locked, 100, 1e-9)
+        status, used = _kernel.run_simplex(T, basis, nonbasic, locked, 100, 1e-9)
         assert used == len(pivots)
         return status, pivots
 
     def test_violated_row_repaired_with_locked_column_kept_out(self, monkeypatch):
         locked = np.array([0, 0, 0, 0, 0, 1], dtype=np.uint8)
-        T, basis = self._tableau()
-        status, pivots = self._run(monkeypatch, T, basis, locked)
+        T, basis, nonbasic = self._tableau()
+        status, pivots = self._run(monkeypatch, T, basis, nonbasic, locked)
         assert status == _kernel.STATUS_OPTIMAL
         # s1 enters for s3 (s1 and s2 tie; the lower index wins); x3 never does
         assert pivots == [(2, 2)]
         assert list(basis) == [0, 1, 2]
+        assert sorted(nonbasic) == [3, 4, 5]
         assert np.all(T[:3, -1] >= 0.0)
         assert T[3, -1] == pytest.approx(1.5)  # minus the objective -1.5
-        assert T[3, 5] < 0.0  # x3 would improve, but it is locked
+        assert T[3, self.X3] < 0.0  # x3 would improve, but it is locked
 
         # unlocked, the primal pass lets x3 in
-        status, pivots = self._run(monkeypatch, T, basis, np.zeros(6, dtype=np.uint8))
+        status, pivots = self._run(monkeypatch, T, basis, nonbasic, np.zeros(6, dtype=np.uint8))
         assert status == _kernel.STATUS_OPTIMAL
-        assert [col for _, col in pivots] == [5]
+        assert [var for _, var in pivots] == [5]
 
     def test_dual_infeasible_column_waits_for_the_primal_pass(self, monkeypatch):
-        T, basis = self._tableau()
+        T, basis, nonbasic = self._tableau()
         # x3 appended unlocked, with a negative reduced cost and a bounded ray
-        T[:, 5] = [0.0, 1.0, -2.0, -0.1]
-        status, pivots = self._run(monkeypatch, T, basis, np.zeros(6, dtype=np.uint8))
+        T[:, self.X3] = [0.0, 1.0, -2.0, -0.1]
+        status, pivots = self._run(monkeypatch, T, basis, nonbasic, np.zeros(6, dtype=np.uint8))
         assert status == _kernel.STATUS_OPTIMAL
         # the dual pass enters s1, not x3; the primal pass then enters x3
         assert pivots[:2] == [(2, 2), (2, 5)]
         assert np.all(T[:3, -1] >= 0.0) and np.all(T[3, :-1] >= 0.0)
 
     def test_dual_infeasible_column_repairs_when_nothing_else_can(self, monkeypatch):
-        T, basis = self._tableau(row3=(0.0, 0.0, 0.0, 0.0, 1.0, -2.0, -0.5))
-        T[:, 5] = [0.0, 1.0, -2.0, -0.1]
-        status, pivots = self._run(monkeypatch, T, basis, np.zeros(6, dtype=np.uint8))
+        T, basis, nonbasic = self._tableau(row3=(0.0, 0.0, -2.0, -0.5))
+        T[:, self.X3] = [0.0, 1.0, -2.0, -0.1]
+        status, pivots = self._run(monkeypatch, T, basis, nonbasic, np.zeros(6, dtype=np.uint8))
         assert status == _kernel.STATUS_OPTIMAL
         assert pivots[0] == (2, 5)
         assert np.all(T[:3, -1] >= 0.0) and np.all(T[3, :-1] >= 0.0)
@@ -392,18 +400,132 @@ class TestKernelDualPass:
         locked = np.array([0, 0, 0, 0, 0, 1], dtype=np.uint8)
         runs = []
         for _ in range(2):
-            T, basis = self._tableau()
-            runs.append(self._run(monkeypatch, T, basis, locked) + (T, basis))
-        (s1, p1, T1, b1), (s2, p2, T2, b2) = runs
+            T, basis, nonbasic = self._tableau()
+            runs.append(self._run(monkeypatch, T, basis, nonbasic, locked) + (T, basis, nonbasic))
+        (s1, p1, T1, b1, n1), (s2, p2, T2, b2, n2) = runs
         assert s1 == s2 and p1 == p2
-        assert np.array_equal(T1, T2) and np.array_equal(b1, b2)
+        assert np.array_equal(T1, T2) and np.array_equal(b1, b2) and np.array_equal(n1, n2)
+
+    @pytest.mark.parametrize("row3", [(-1.0, -1.0, -2.0, -0.5), (0.0, 0.0, -2.0, -0.5)])
+    @pytest.mark.parametrize("x3", [None, (0.0, 1.0, -2.0, -0.1)])
+    def test_ties_break_by_variable_not_column(self, monkeypatch, row3, x3):
+        # the same LP with its nonbasic columns stored in every order
+        runs = []
+        for order in itertools.permutations(range(3)):
+            T, basis, nonbasic = self._tableau(row3)
+            if x3 is not None:
+                T[:, self.X3] = x3
+            T = np.ascontiguousarray(T[:, list(order) + [3]])
+            nonbasic = nonbasic[list(order)]
+            unlocked = np.zeros(6, dtype=np.uint8)
+            status, pivots = self._run(monkeypatch, T, basis, nonbasic, unlocked)
+            by_variable = T[:, np.argsort(nonbasic).tolist() + [3]]
+            runs.append((status, pivots, list(basis), by_variable))
+        for status, pivots, basis, T in runs[1:]:
+            assert (status, pivots, basis) == runs[0][:3]
+            assert np.allclose(T, runs[0][3], atol=1e-12)
 
     def test_row_only_a_locked_column_can_repair(self, monkeypatch):
         locked = np.array([0, 0, 0, 0, 0, 1], dtype=np.uint8)
-        T, basis = self._tableau(row3=(0.0, 0.0, 0.0, 0.0, 1.0, -2.0, -0.5))
-        status, pivots = self._run(monkeypatch, T, basis, locked)
+        T, basis, nonbasic = self._tableau(row3=(0.0, 0.0, -2.0, -0.5))
+        status, pivots = self._run(monkeypatch, T, basis, nonbasic, locked)
         assert status == _kernel.STATUS_INFEASIBLE
         assert pivots == []
+
+
+def _full_matrix(A, unit_row):
+    """``A`` followed by the unit columns that ``unit_row`` places."""
+    m, g = A.shape
+    full = np.zeros((m, g + m))
+    full[:, :g] = A
+    full[unit_row, g + np.arange(m)] = 1.0
+    return full
+
+
+def _dense_refresh(basis, nonbasic, A, b, costs, unit_row):
+    """The full-basis formula: ``B⁻¹[A_N | b]``, ``c_N - yA_N`` with ``Bᵀy = c_B``."""
+    full = _full_matrix(A, unit_row)
+    B = full[:, basis]
+    body = np.linalg.solve(B, np.column_stack([full[:, nonbasic], b]))
+    y = np.linalg.solve(B.T, costs[basis])
+    reduced = costs[nonbasic] - full[:, nonbasic].T @ y
+    return np.vstack([body, np.append(reduced, -costs[basis] @ body[:, -1])])
+
+
+class TestStructuredRefresh:
+    """``_refresh`` factors only the block of the basis outside its unit
+    columns; it must agree with the dense full-basis formula within 1e-10."""
+
+    @staticmethod
+    def _layout(rng, m, g):
+        A = rng.normal(size=(m, g))
+        b = rng.uniform(0.0, 2.0, m)
+        return A, b, rng.normal(size=g + m), rng.permutation(m).astype(np.intp)
+
+    @staticmethod
+    def _basis(rng, m, g, structural):
+        """``structural`` general basics and ``m - structural`` unit basics, shuffled."""
+        units = g + rng.choice(m, m - structural, replace=False)
+        basis = rng.permutation(np.concatenate([rng.choice(g, structural, replace=False), units]))
+        rest = np.setdiff1d(np.arange(g + m), basis)
+        return basis.astype(np.intp), rng.permutation(rest).astype(np.intp)
+
+    def _compare(self, basis, nonbasic, problem):
+        T = np.full((len(basis) + 1, len(nonbasic) + 1), np.nan)
+        A, _, _, unit_row = problem
+        if np.linalg.matrix_rank(_full_matrix(A, unit_row)[:, basis]) < len(basis):
+            # a surplus column with its own row's unit column
+            assert not lpmod._refresh(T, basis, nonbasic, *problem)
+            return
+        assert lpmod._refresh(T, basis, nonbasic, *problem)
+        assert np.max(np.abs(T - _dense_refresh(basis, nonbasic, *problem))) <= 1e-10
+
+    @pytest.mark.parametrize("m,g", [(6, 4), (8, 8), (5, 12), (1, 3)])
+    def test_random_bases(self, m, g):
+        rng = np.random.default_rng(10 * m + g)
+        problem = self._layout(rng, m, g)
+        for structural in sorted({0, min(m, g), 1 % (min(m, g) + 1), min(m, g) // 2}):
+            for _ in range(5):
+                self._compare(*self._basis(rng, m, g, structural), problem)
+
+    def test_solve_lp_layout(self):
+        # [structural | surplus | slack | artificial] as solve_lp builds it:
+        # rows 0, 2 are <=, rows 1, 4 are >=, row 3 is =
+        rng = np.random.default_rng(5)
+        m, nt = 5, 3
+        A = np.zeros((m, nt + 2))
+        A[:, :nt] = rng.normal(size=(m, nt))
+        A[[1, 4], nt + np.arange(2)] = -1.0  # surplus columns
+        unit_row = np.array([0, 2, 1, 3, 4], dtype=np.intp)  # slacks, then artificials
+        costs = np.concatenate([rng.normal(size=nt), np.zeros(2 + m)])
+        costs[-3:] = 1.0  # phase 1 prices the artificials
+        problem = (A, rng.uniform(0.0, 2.0, m), costs, unit_row)
+        for structural in range(m + 1):
+            for _ in range(5):
+                self._compare(*self._basis(rng, m, nt + 2, structural), problem)
+
+    def test_singular_block(self):
+        rng = np.random.default_rng(3)
+        A, b, costs, unit_row = self._layout(rng, 4, 3)
+        # variable 0 is the unit column of row 0, whose own unit column is
+        # basic: the block left after the unit columns drop out is singular
+        A[:, 0] = 0.0
+        A[0, 0] = 1.0
+        own = 3 + int(np.flatnonzero(unit_row == 0)[0])
+        basis = np.array([0, own, 1, 2], dtype=np.intp)
+        nonbasic = np.setdiff1d(np.arange(7), basis).astype(np.intp)
+        T = np.zeros((5, 4))
+        assert not lpmod._refresh(T, basis, nonbasic, A, b, costs, unit_row)
+
+    def test_singular_basis_reaches_the_solution(self):
+        # max x1 s.t. x1 <= 1, 0 <= 1, with a kept basis {x1, slack 0}: both
+        # columns are e_0, so the confirming refresh finds it singular
+        lp = WarmLP([1.0], [[1.0], [0.0]], [1.0, 1.0])
+        lp.basis = np.array([0, 1], dtype=np.intp)
+        lp.nonbasic = np.array([2], dtype=np.intp)
+        lp._T = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        sol = lp.solve()
+        assert (sol.status, sol.reason, sol.refreshes) == ("breakdown", "singular-basis", 1)
 
 
 def _highs_max(c, A, b):
@@ -412,12 +534,26 @@ def _highs_max(c, A, b):
     return -float(res.fun), -res.ineqlin.marginals
 
 
+def _assert_kept_tableau(lp):
+    """The tableau a WarmLP starts its next solve from equals an exact refresh
+    at the same basis within 1e-9."""
+    fresh = np.empty_like(lp._T)
+    assert lpmod._refresh(fresh, lp.basis.copy(), lp.nonbasic.copy(), *lp._problem())
+    assert np.max(np.abs(lp._T - fresh)) <= 1e-9
+
+
 class TestWarmAgainstCold:
-    """Every warm solve matches a cold ``solve_lp`` on the same data within
-    1e-9 and HiGHS within 1e-7."""
+    """Every warm solve starts from a kept tableau equal to a refresh at its
+    basis within 1e-9 (after ``add_rows``, after ``add_columns`` and after
+    both), matches a cold ``solve_lp`` on the same data within 1e-9 and HiGHS
+    within 1e-7, and, when it takes fewer than ``BURST_PIVOTS`` pivots, runs
+    exactly one refresh: the confirmation."""
 
     def _check(self, warm_lp, c, A, b, unique_duals=True):
+        _assert_kept_tableau(warm_lp)
         warm = warm_lp.solve()
+        if warm.pivots < lpmod.BURST_PIVOTS:
+            assert warm.refreshes == 1
         cold = solve_lp(LinearProgram(c, A, (LESS,) * len(b), b, sense="max"))
         highs_obj, highs_duals = _highs_max(c, A, b)
         assert warm.is_optimal and cold.is_optimal
@@ -530,9 +666,12 @@ class TestWarmAgainstCold:
 def _kernel_fault(reason):
     """A stand-in for ``_kernel.run_simplex`` that fails for ``reason``."""
     if reason == "budget":
-        return lambda T, basis, locked, max_pivots, tol: (_kernel.STATUS_PIVOT_LIMIT, max_pivots)
+        return lambda T, basis, nonbasic, locked, max_pivots, tol: (
+            _kernel.STATUS_PIVOT_LIMIT,
+            max_pivots,
+        )
     if reason == "dual-infeasible":
-        return lambda T, basis, locked, max_pivots, tol: (_kernel.STATUS_INFEASIBLE, 0)
+        return lambda T, basis, nonbasic, locked, max_pivots, tol: (_kernel.STATUS_INFEASIBLE, 0)
     raise ValueError(reason)
 
 
@@ -563,7 +702,11 @@ class TestBreakdownReasons:
         # max x1 + x2 s.t. x1 <= 1, x2 <= 1 takes two pivots; allow one
         run_phase = lpmod._run_phase
         monkeypatch.setattr(
-            lpmod, "_run_phase", lambda *args: run_phase(*args[:6], 1, args[7])
+            lpmod,
+            "_run_phase",
+            lambda T, basis, nonbasic, locked, problem, budget: run_phase(
+                T, basis, nonbasic, locked, problem, 1
+            ),
         )
         sol = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0]).solve()
         assert (sol.status, sol.reason) == ("breakdown", "budget")

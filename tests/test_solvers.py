@@ -306,9 +306,9 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
 
     engines = []  # kept alive so that ids stay unique
     history = {}  # id(engine) -> [(shape, start basis, end basis)]
-    refreshed = []  # bases refreshed during the current solve
+    started = []  # the basis of each kernel run during the current solve
     real_solve = lp_mod.WarmLP.solve
-    real_refresh = lp_mod._refresh
+    real_run = lp_mod._kernel.run_simplex
     real_solve_lp = lp_mod.solve_lp
     cold = []
 
@@ -316,23 +316,23 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
         if id(self) not in history:
             engines.append(self)
             history[id(self)] = []
-        refreshed.clear()
+        started.clear()
         sol = real_solve(self)
         assert sol.is_optimal
-        # a solve's first refresh builds the tableau at its starting basis
-        history[id(self)].append((self.shape, refreshed[0], self.basis.copy()))
+        # a solve's first kernel run starts from the tableau it kept
+        history[id(self)].append((self.shape, started[0], self.basis.copy()))
         return sol
 
-    def refresh(T, basis, *args):
-        refreshed.append(basis.copy())
-        return real_refresh(T, basis, *args)
+    def run(T, basis, *args):
+        started.append(basis.copy())
+        return real_run(T, basis, *args)
 
     def cold_solve(lp, max_pivots=None):
         cold.append(lp)
         return real_solve_lp(lp, max_pivots)
 
     monkeypatch.setattr(lp_mod.WarmLP, "solve", recording)
-    monkeypatch.setattr(lp_mod, "_refresh", refresh)
+    monkeypatch.setattr(lp_mod._kernel, "run_simplex", run)
     monkeypatch.setattr(lp_mod, "solve_lp", cold_solve)
 
     runs = []
