@@ -1,7 +1,30 @@
 """Recover an explicit mixed strategy from a marginal probability vector.
 
-A marginal p lies in the convex hull of the feasible indicator vectors iff
-the deviation LP
+A marginal p is a strategy once it is written as a convex combination of
+feasible indicator vectors.  Where the hull of the family has a compact
+description, membership is a check of that description and the
+decomposition is exact and near-linear:
+
+* k-selection: the hull is the box [0, 1]^n (which every
+  :class:`~minregret.core.MarginalVector` satisfies) cut by the row
+  ``sum(p) = k``.  Systematic sampling (Madow 1949) lays p end to end on
+  [0, k); an offset t in [0, 1) selects the items that cover t, t + 1, ...,
+  t + k - 1.  The fractional parts of the cumulative sums cut [0, 1) into at
+  most n intervals, each one set, with the interval's length as its
+  probability.
+* DAG path: the hull is the s-t flow polytope: flow balance at every node
+  other than s and t, and unit net outflow at s.  Flow peeling (Ahuja,
+  Magnanti & Orlin 1993, section 3.5) walks an s-t path along positive-flow
+  arcs and subtracts its bottleneck.  Each peel zeroes at least one arc, so
+  the support is at most n paths.
+
+A row violated by more than ``tol`` rejects p, and the certificate is read
+off that row: ``u = +-1`` and ``w = +-k`` for the cardinality row, and for a
+flow row a node potential pi of +-1 on the violated node, with
+``u[a] = pi(head) - pi(tail)`` and ``w = pi(t) - pi(s)``.
+
+Every other family (spanning trees, explicit families) goes through a
+cutting-plane LP.  The marginal p lies in the hull iff the deviation LP
 
     minimize  sum_e (lam_plus_e + lam_minus_e)
     subject to  sum over generated T containing e of y_T
@@ -29,6 +52,9 @@ L1 deviation, and a strictly positive optimum yields a separating
 certificate in the normalized form ``w' - sum(u' over T) <= 0 for all
 feasible T`` yet ``w' - p @ u' > 0``.  The box on u keeps the LP bounded,
 so an out-of-hull p degrades to a certified rejection.
+
+Whatever the path, the strategy is accepted only if its marginal reproduces
+p within ``tol``.
 """
 
 from __future__ import annotations
@@ -38,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PROB_DROP,
     FeasibleSet,
     IterationLimitError,
     MarginalVector,
@@ -47,7 +74,12 @@ from .core import (
     marginal_of_strategy,
 )
 from .lp import WarmLP
-from .nominal import NominalOracle
+from .nominal import DagPathOracle, KSelectionOracle, NominalOracle
+
+
+# Marginals within this of 1 count as 1 in systematic sampling; it exceeds
+# the largest shift (2 * PROB_DROP) that cut merging applies to an item.
+_FULL_MARGIN = 4 * PROB_DROP
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +100,160 @@ def decompose_marginal(
     """Mixed strategy whose marginal reproduces ``p`` within ``tol``.
 
     Raises :class:`NotInHullError` with a separating certificate when no such
-    strategy exists.  The support of the returned strategy never exceeds
-    n + 1 sets (one per basic u or w variable at a basic optimum).
+    strategy exists.  The support never exceeds n + 1 sets: at most n for
+    k-selection (one per interval of [0, 1)) and for DAG paths (one per
+    zeroed arc), and at most n + 1 on the LP path (one per basic u or w
+    variable at a basic optimum).  ``max_cuts`` bounds the rows the LP path
+    generates.
     """
-    n = len(p)
-    if oracle.n != n:
+    if oracle.n != len(p):
         raise SolverError("marginal length differs from the oracle's item count")
+    if isinstance(oracle, KSelectionOracle):
+        return _systematic_sampling(p, oracle, tol)
+    if isinstance(oracle, DagPathOracle):
+        return _peel_paths(p, oracle, tol)
+    return _decompose_by_rows(p, oracle, tol, max_cuts)
+
+
+def _reconstructed(
+    sets: list[FeasibleSet], weights, p: np.ndarray, tol: float
+) -> PlayerMixedStrategy:
+    """The strategy of ``sets`` at ``weights``, if it reproduces p within tol."""
+    # cleaning drops round-off below PROB_DROP and renormalizes
+    strategy = PlayerMixedStrategy.cleaned(sets, weights)
+    err = np.max(np.abs(marginal_of_strategy(strategy).p - p))
+    if err > tol:
+        raise SolverError(
+            f"decomposition reconstruction error {err:.3g} exceeds tol {tol:.3g}"
+        )
+    return strategy
+
+
+def _offset_intervals(q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Systematic sampling of ``q`` (each below 1, summing to at least k up
+    to round-off): one indicator row per interval of offsets in [0, 1), with
+    exactly k ones, and the interval lengths, each above ``PROB_DROP``.
+    """
+    if k == 0:
+        return np.zeros((1, len(q)), dtype=np.int8), np.ones(1)
+    S = np.cumsum(q)
+    S *= k / S[-1]  # shrinks every item, so none grows past one unit
+    S[-1] = k  # item i covers [S[i-1], S[i]) of [0, k)
+    F = np.floor(S)
+    f = S - F  # exact: the fractional bits of S
+    # A fraction within round-off of 1 wraps to 0 of the next unit.
+    wrap = f > 1.0 - PROB_DROP
+    F[wrap] += 1.0
+    f[wrap] = 0.0
+    # Fractions within PROB_DROP above a cut move down onto it, so no
+    # interval is a round-off sliver.  The move keeps S nondecreasing, and
+    # each item shorter than one unit, since every q is more than
+    # _FULL_MARGIN below 1.
+    cuts = [0.0]
+    for c in np.sort(f):
+        if c - cuts[-1] > PROB_DROP:
+            cuts.append(float(c))
+    cuts = np.array(cuts)
+    f = cuts[np.searchsorted(cuts, f, side="right") - 1]
+    # For offsets in [c, next cut), G[r, i] counts the points c + j
+    # (j = 0, 1, ...) below S[i]: j < F[i], or j == F[i] and c < f[i].
+    G = F.astype(np.int32) + (f[None, :] > cuts[:, None])
+    rows = np.diff(G, axis=1, prepend=0).astype(np.int8)
+    return rows, np.diff(np.append(cuts, 1.0))
+
+
+def _systematic_sampling(
+    p: MarginalVector, oracle: KSelectionOracle, tol: float
+) -> PlayerMixedStrategy:
+    p_arr, k = p.p, oracle.k
+    total = float(p_arr.sum())
+    gap = k - total
+    if abs(gap) > tol:
+        sign = 1.0 if gap > 0 else -1.0
+        raise NotInHullError(
+            f"marginal is outside the feasible hull (sum {total:.9g} differs from k={k})",
+            u=np.full(len(p_arr), sign),
+            w=sign * k,
+        )
+    # Raise a short sum onto k inside the box: every coordinate moves toward
+    # 1 by at most gap <= tol.  Sampling scales a long sum down.
+    q = p_arr
+    if gap > 0:
+        q = p_arr + gap * (1.0 - p_arr) / (len(p_arr) - total)
+    # Items at 1 are in every set; sampling the rest keeps each item's
+    # stretch of [0, k) shorter than one unit, so no offset picks it twice.
+    full = q > 1.0 - _FULL_MARGIN
+    rest, lengths = _offset_intervals(q[~full], k - int(full.sum()))
+    rows = np.ones((len(lengths), len(p_arr)), dtype=np.int8)
+    rows[:, ~full] = rest
+    return _reconstructed([FeasibleSet(row) for row in rows], lengths, p_arr, tol)
+
+
+def _peel_paths(
+    p: MarginalVector, oracle: DagPathOracle, tol: float
+) -> PlayerMixedStrategy:
+    p_arr = p.p
+    s, t = oracle.source, oracle.target
+    tails, heads = np.array(oracle.arcs).T
+    # excess[v] = net outflow minus its target: 1 at s, 0 at inner nodes;
+    # the row of t is implied by the others.
+    excess = np.bincount(tails, p_arr, oracle.vertices) - np.bincount(
+        heads, p_arr, oracle.vertices
+    )
+    excess[s] -= 1.0
+    excess[t] = 0.0
+    v = int(np.argmax(np.abs(excess)))
+    if abs(excess[v]) > tol:
+        pi = np.zeros(oracle.vertices)
+        pi[v] = np.sign(excess[v])
+        raise NotInHullError(
+            f"marginal is outside the feasible hull (flow balance off by "
+            f"{excess[v]:.3g} at node {v})",
+            u=pi[heads] - pi[tails],
+            w=pi[t] - pi[s],
+        )
+
+    # Only arcs whose head reaches t, so that a walk never enters a dead end
+    # (which flow within tol of balance may lead into).
+    to_t = [False] * oracle.vertices
+    to_t[t] = True
+    for node in reversed(oracle.topo):
+        if any(to_t[head] for _, head in oracle.out[node]):
+            to_t[node] = True
+    onward = [
+        [idx for idx, head in oracle.out[node] if to_t[head]]
+        for node in range(oracle.vertices)
+    ]
+
+    flow = p_arr.tolist()
+    head_of = heads.tolist()
+    paths, weights = [], []
+    for _ in range(oracle.n):
+        path, node = [], s
+        while node != t:
+            # the fullest arc onward; the first (lowest index) among ties
+            idx = max(onward[node], key=flow.__getitem__)
+            path.append(idx)
+            node = head_of[idx]
+        neck = min(path, key=flow.__getitem__)
+        weight = flow[neck]
+        if weight <= 0.0:
+            break
+        for idx in path:
+            flow[idx] -= weight  # exactly 0 at the neck
+        paths.append(FeasibleSet.from_indices(oracle.n, path))
+        weights.append(weight)
+    return _reconstructed(paths, weights, p_arr, tol)
+
+
+def _decompose_by_rows(
+    p: MarginalVector,
+    oracle: NominalOracle,
+    tol: float = 1e-7,
+    max_cuts: int = 10000,
+) -> PlayerMixedStrategy:
+    """The cutting-plane LP of the module docstring, for any family."""
+    n = len(p)
     p_arr = p.p
     sep_tol = tol / 10.0  # inner column-pricing margin, decoupled from tol
 
@@ -117,14 +297,8 @@ def decompose_marginal(
                 u=-u,
                 w=w,
             )
-        # row duals are the weights; cleaning drops round-off below PROB_DROP
-        strategy = PlayerMixedStrategy.cleaned(columns, sol.duals[n:])
-        err = np.max(np.abs(marginal_of_strategy(strategy).p - p_arr))
-        if err > tol:
-            raise SolverError(
-                f"decomposition reconstruction error {err:.3g} exceeds tol {tol:.3g}"
-            )
-        return strategy
+        # the row duals are the weights
+        return _reconstructed(columns, sol.duals[n:], p_arr, tol)
 
     raise IterationLimitError(
         f"decomposition exceeded {max_cuts} generated columns", iterations=max_cuts

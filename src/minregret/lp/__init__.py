@@ -24,7 +24,8 @@ pass lets them enter); both extend the kept tableau in place of a refresh,
 so a warm solve that ends within one burst refreshes once.
 :class:`MatrixGame` is a zero-sum game that grows by strategies, solved on
 one WarmLP; the double oracle and the adversary cutting-plane LP each keep
-one, and ``decompose`` keeps a WarmLP for its dual deviation LP.
+one, and ``decompose`` keeps a WarmLP for its dual deviation LP (spanning trees
+and explicit families).
 ``solve_lp`` is the two-phase solver for general callers, on the same
 kernel and refresh; phase 1 runs only when some row is ``=`` or ``>=``
 after the rhs is made nonnegative, so the one-shot game LP of

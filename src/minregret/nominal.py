@@ -73,11 +73,6 @@ class NominalOracle:
                 )
         return out
 
-    @property
-    def size_descriptor(self) -> int:
-        """Encoded size of the family description."""
-        raise NotImplementedError
-
 
 class KSelectionOracle(NominalOracle):
     def __init__(self, n: int, k: int):
@@ -100,10 +95,6 @@ class KSelectionOracle(NominalOracle):
     def _enumerate(self):
         for idx in combinations(range(self.n), self.k):
             yield FeasibleSet.from_indices(self.n, idx)
-
-    @property
-    def size_descriptor(self):
-        return 2
 
 
 class _DisjointSet:
@@ -170,10 +161,6 @@ class SpanningTreeOracle(NominalOracle):
             cand = FeasibleSet.from_indices(self.n, idx)
             if self.is_feasible(cand):
                 yield cand
-
-    @property
-    def size_descriptor(self):
-        return 1 + self.n
 
 
 class DagPathOracle(NominalOracle):
@@ -274,10 +261,6 @@ class DagPathOracle(NominalOracle):
         for arcs in sorted(paths):
             yield FeasibleSet.from_indices(self.n, arcs)
 
-    @property
-    def size_descriptor(self):
-        return 3 + self.n
-
 
 class ExplicitOracle(NominalOracle):
     def __init__(self, n: int, sets):
@@ -309,10 +292,6 @@ class ExplicitOracle(NominalOracle):
 
     def _enumerate(self):
         yield from self.family
-
-    @property
-    def size_descriptor(self):
-        return sum(T.size for T in self.family) + len(self.family)
 
 
 def build_oracle(instance: Instance) -> NominalOracle:

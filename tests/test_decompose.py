@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from minregret.core import (
+    PROB_DROP,
     MarginalVector,
     NotInHullError,
     PlayerMixedStrategy,
     marginal_of_strategy,
 )
-from minregret.decompose import HullCertificate, certify_in_hull, decompose_marginal
+from minregret.decompose import (
+    HullCertificate,
+    _decompose_by_rows,
+    _offset_intervals,
+    certify_in_hull,
+    decompose_marginal,
+)
 from minregret.gen import generate_instance
 from minregret.nominal import (
     DagPathOracle,
@@ -154,10 +161,24 @@ class TestBeyondDeskScale:
         assert w - float(q @ u) > 0.0
 
 
+def _assert_decomposes(oracle, p, y, max_support):
+    assert np.max(np.abs(marginal_of_strategy(y).p - p)) <= 1e-7
+    assert y.support_size <= max_support
+    for T in y.support:
+        assert oracle.is_feasible(T)
+
+
+def _assert_sound_certificate(oracle, p, exc):
+    # no feasible set beats the certificate's price, yet p does
+    assert oracle.solve(exc.u)[1] >= exc.w - 1e-9
+    assert exc.w - float(p @ exc.u) > 0.0
+
+
 def test_k_selection_n120_in_hull_marginal():
-    """The in-hull k-selection n=120 marginal of the decompose benchmark.
-    Solved cold at every cut it ended in ``decomposition LP ended with
-    status breakdown`` after about 290 s; warm-started it solves."""
+    """The in-hull k-selection n=120 marginal of the decompose benchmark, on
+    the LP path.  Solved cold at every cut it ended in ``decomposition LP
+    ended with status breakdown`` after about 290 s; warm-started it solves.
+    The public path samples it exactly."""
     n = 120
     oracle = build_oracle(generate_instance("k-selection", n=n, uncertainty="interval", seed=1))
     rng = np.random.default_rng([1, 14])
@@ -165,8 +186,160 @@ def test_k_selection_n120_in_hull_marginal():
     w = rng.random(6)
     p = (w / w.sum()) @ X.astype(float)
 
-    y = decompose_marginal(MarginalVector(p), oracle)
+    y = _decompose_by_rows(MarginalVector(p), oracle)
     assert np.max(np.abs(marginal_of_strategy(y).p - p)) <= 1e-7
     assert y.support_size <= n + 1
     for T in y.support:
         assert oracle.is_feasible(T)
+
+    _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), n)
+
+
+def _verdict(decompose, oracle, p, max_support):
+    """True with a checked strategy, or False with a checked certificate."""
+    try:
+        y = decompose(MarginalVector(p), oracle)
+    except NotInHullError as exc:
+        _assert_sound_certificate(oracle, p, exc)
+        return False
+    _assert_decomposes(oracle, p, y, max_support)
+    return True
+
+
+class TestExactAgainstLP:
+    """Systematic sampling (k-selection) and flow peeling (DAG paths) against
+    the cutting-plane LP on mixes of random optima, their +-0.1 shifted twins
+    (the benchmark's out-of-hull marginals) and their -0.3 shifted twins."""
+
+    @pytest.mark.parametrize("family", ["k-selection", "dag-path"])
+    @pytest.mark.parametrize("n,seed", [(10, 1), (25, 2), (40, 3)])
+    def test_same_verdicts(self, family, n, seed):
+        oracle = build_oracle(generate_instance(family, n=n, seed=seed))
+        exact_support = n + 1 if family == "k-selection" else n
+        rng = np.random.default_rng([seed, n])
+        for _ in range(3):
+            sets = [oracle.solve(rng.random(n))[0] for _ in range(6)]
+            y0 = PlayerMixedStrategy.cleaned(sets, rng.dirichlet(np.ones(len(sets))))
+            p = marginal_of_strategy(y0).p
+            nudged = p.copy()
+            e = int(rng.integers(n))
+            nudged[e] += 0.1 if nudged[e] <= 0.5 else -0.1
+            lowered = p.copy()
+            e = int(np.argmax(p))
+            lowered[e] -= min(0.3, lowered[e])
+            for marginal, in_hull in ((p, True), (nudged, False), (lowered, False)):
+                assert _verdict(decompose_marginal, oracle, marginal, exact_support) is in_hull
+                assert _verdict(_decompose_by_rows, oracle, marginal, n + 1) is in_hull
+
+
+class TestExactPathEdgeCases:
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_k_selection_indicators_give_one_set(self, k):
+        oracle = KSelectionOracle(6, k)
+        for T in oracle.enumerate_feasible()[:5]:
+            y = decompose_marginal(MarginalVector(T.indicator.astype(float)), oracle)
+            assert y.support == (T,)
+
+    def test_dag_path_indicators_give_one_set(self):
+        oracle = _decomposition_oracles()[2]
+        for T in oracle.enumerate_feasible():
+            y = decompose_marginal(MarginalVector(T.indicator.astype(float)), oracle)
+            assert y.support == (T,)
+
+    def test_breakpoint_at_round_off_below_one_wraps_to_zero(self):
+        p = np.full(20, 0.1)
+        assert np.cumsum(p)[9] < 1.0  # 0.9999999999999999: one unit's end
+        rows, lengths = _offset_intervals(p, 2)
+        assert np.all(lengths > PROB_DROP)
+        assert len({row.tobytes() for row in rows}) == len(rows) == 10
+        assert np.all(rows.sum(axis=1) == 2)
+        y = decompose_marginal(MarginalVector(p), KSelectionOracle(20, 2))
+        assert y.support_size == 10
+        assert np.allclose(y.probs, 0.1, rtol=0.0, atol=1e-12)
+
+    def test_items_at_one_across_a_power_of_two(self):
+        # The running sum passes 1024 inside an item at 1, whose stretch
+        # then rounds to more than one unit; a cut placed just within
+        # PROB_DROP below its start would let one offset pick it twice.
+        x = 0.2543
+        start = (1023.0 + x) - 1023.0
+        end = (1024.0 + x) - 1024.0
+        assert end > start
+        c = start - PROB_DROP + (end - start) / 2
+        p = np.array([c, 1.0 - c] + [1.0] * 1022 + [x, 1.0, 1.0 - x])
+        oracle = KSelectionOracle(len(p), 1025)
+        _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), len(p))
+
+    @pytest.mark.parametrize("last", [0.6 - 5e-8, 0.6 + 5e-8], ids=["short", "long"])
+    def test_sum_within_tol_of_k(self, last):
+        # the item just below 1 must stay below 1 as the sum moves onto k
+        p = np.array([1.0, 1.0 - 3e-8, 0.4, last])
+        oracle = KSelectionOracle(4, 3)
+        _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), 4)
+
+    def test_many_items_within_round_off_of_one(self):
+        # Counted as 1, they leave 3e-9 more than one unit to the rest, which
+        # must shrink evenly: the last item alone is smaller than the excess.
+        p = np.array([1.0 - 3e-12] * 1000 + [0.5, 0.5, 1e-10])
+        oracle = KSelectionOracle(len(p), 1001)
+        _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), len(p))
+
+    def test_flow_within_tol_into_a_dead_end_is_left_over(self):
+        # arc 3 leads from s to node 3, which has no way on to t
+        oracle = DagPathOracle(4, [(0, 1), (1, 2), (0, 2), (0, 3)], 0, 2)
+        p = np.array([0.5, 0.5, 0.5, 1e-9])
+        y = decompose_marginal(MarginalVector(p), oracle)
+        _assert_decomposes(oracle, p, y, 3)
+        assert y.support_size == 2
+
+    @pytest.mark.parametrize(
+        "arc,extra",
+        [
+            ((5, 3), [(5, 3), (3, 4)]),  # its tail is unreachable from s
+            ((4, 6), [(4, 6)]),  # its tail is t
+        ],
+        ids=["into-a-path", "out-of-t"],
+    )
+    def test_flow_off_every_path_is_rejected(self, arc, extra):
+        # two s-t paths 0-1-4 and 0-2-3-4, plus the arcs of ``extra``
+        arcs = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)]
+        arcs += [a for a in extra if a not in arcs]
+        oracle = DagPathOracle(7, arcs, 0, 4)
+        p = np.array([0.5, 0.5, 0.5, 0.5, 0.5] + [0.0] * (len(arcs) - 5))
+        for a in extra:
+            p[arcs.index(a)] += 0.4
+        assert p[arcs.index(arc)] == 0.4
+        with pytest.raises(NotInHullError) as info:
+            decompose_marginal(MarginalVector(p), oracle)
+        _assert_sound_certificate(oracle, p, info.value)
+        assert set(np.unique(info.value.u)) <= {-1.0, 0.0, 1.0}
+
+
+class TestExactPathsAtScale:
+    """Far beyond the LP path's reach; each takes well under a second."""
+
+    def test_k_selection_n2000(self):
+        n, k = 2000, 500
+        oracle = KSelectionOracle(n, k)
+        r = np.random.default_rng(2000).random(n)
+        p = r * (k / r.sum())
+        _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), n)
+        q = p.copy()
+        q[0] += 0.1
+        with pytest.raises(NotInHullError) as info:
+            decompose_marginal(MarginalVector(q), oracle)
+        _assert_sound_certificate(oracle, q, info.value)
+
+    def test_dag_path_n400(self):
+        n = 400
+        oracle = build_oracle(generate_instance("dag-path", n=n, seed=4))
+        rng = np.random.default_rng(400)
+        sets = [oracle.solve(rng.random(n))[0] for _ in range(40)]
+        y0 = PlayerMixedStrategy.cleaned(sets, rng.dirichlet(np.ones(len(sets))))
+        p = marginal_of_strategy(y0).p
+        _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), n)
+        q = p.copy()
+        q[int(np.argmax(p))] -= 0.1
+        with pytest.raises(NotInHullError) as info:
+            decompose_marginal(MarginalVector(q), oracle)
+        _assert_sound_certificate(oracle, q, info.value)

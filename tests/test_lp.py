@@ -21,7 +21,7 @@ from minregret.lp import (
     solve_lp,
     solve_matrix_game,
 )
-from minregret.nominal import KSelectionOracle, build_oracle
+from minregret.nominal import SpanningTreeOracle, build_oracle
 from minregret.regret import extreme_cost_vector
 
 
@@ -695,8 +695,10 @@ class TestBreakdownReasons:
             MatrixGame([[1.0, 2.0]]).solve()
         with pytest.raises(SolverError, match="matrix-game LP ended with " + expected):
             solve_matrix_game([[1.0, 2.0]])
+        # spanning trees take the LP path; k-selection and DAG paths do not
+        triangle = SpanningTreeOracle(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(SolverError, match="decomposition LP ended with " + expected):
-            decompose_marginal(MarginalVector(np.array([0.5, 0.5])), KSelectionOracle(2, 1))
+            decompose_marginal(MarginalVector(np.full(3, 2.0 / 3.0)), triangle)
 
     def test_budget_without_a_fault(self, monkeypatch):
         # max x1 + x2 s.t. x1 <= 1, x2 <= 1 takes two pivots; allow one

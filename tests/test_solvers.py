@@ -352,11 +352,12 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
         solve_adversary_lp_discrete,
         generate_instance("spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1),
     )
-    one_engine(decompose_mod.decompose_marginal, game.marginal, oracle)
+    # the private entry, since k-selection marginals skip the LP
+    one_engine(decompose_mod._decompose_by_rows, game.marginal, oracle)
     outside = game.marginal.p.copy()
     outside[int(np.argmax(outside))] -= 0.3  # breaks the set-size equality
     with pytest.raises(NotInHullError):
-        one_engine(decompose_mod.decompose_marginal, MarginalVector(outside), oracle)
+        one_engine(decompose_mod._decompose_by_rows, MarginalVector(outside), oracle)
 
     assert not cold
     assert [len(run) for run in runs] == [1, 1, 1, 1]
