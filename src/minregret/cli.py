@@ -296,7 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimal randomized or deterministic solution")
     p.add_argument("--instance", required=True)
     p.add_argument("--model", choices=("randomized", "deterministic"), required=True)
-    p.add_argument("--max-iter", type=int, default=10000, help="double-oracle iteration budget")
+    p.add_argument(
+        "--max-iter",
+        type=int,
+        default=10000,
+        help="iteration budget of the double oracle (spanning trees, DAG paths, explicit families)",
+    )
     add_common(p)
     p.set_defaults(func=cmd_solve)
 

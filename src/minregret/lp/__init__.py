@@ -26,11 +26,11 @@ so a warm solve that ends within one burst refreshes once.
 one WarmLP; the double oracle and the adversary cutting-plane LP each keep
 one, and ``decompose`` keeps a WarmLP for its dual deviation LP (spanning trees
 and explicit families).
-``solve_lp`` is the two-phase solver for general callers, on the same
-kernel and refresh; phase 1 runs only when some row is ``=`` or ``>=``
-after the rhs is made nonnegative, so the one-shot game LP of
-``solve_matrix_game``, whose rows are all ``<=`` with rhs 1, starts from its
-feasible slack basis.  Artificials stay locked in phase 2, and a row's dual
+``solve_lp`` is the two-phase solver for general callers (among them the
+compact k-selection LP of ``solvers``), on the same kernel and refresh;
+phase 1 runs only when some row is ``=`` or ``>=`` after the rhs is made
+nonnegative, so the one-shot game LP of ``solve_matrix_game``, whose rows
+are all ``<=`` with rhs 1, starts from its feasible slack basis.  Artificials stay locked in phase 2, and a row's dual
 is read off the reduced cost of its unit column (0 while that is basic).
 
 Dual sign convention, for ``sense="min"``: multipliers of ``<=`` rows are

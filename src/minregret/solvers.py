@@ -1,14 +1,32 @@
 """Top-level minmax-regret solvers.
 
-``solve_randomized`` runs a double-oracle loop over the finite zero-sum game
-whose rows are feasible sets and whose columns are scenario cost vectors
-(discrete uncertainty) or extreme cost vectors c^A (interval uncertainty):
-solve the restricted matrix game exactly, then let each side best-respond to
-the other's current mix, and stop once the two best-response values bracket
-the restricted value within tolerance.  The bracketing gap is certified in
-the returned solution.  The restricted game is one ``MatrixGame`` that grows
-by at most a row and a column per iteration, so each solve starts from the
-previous optimal basis.
+``solve_randomized`` dispatches on the nominal oracle.  For k-selection,
+whose hull conv(X) is the box [0, 1]^n cut by the row ``sum(p) = k``, LP
+duality on the adversary's inner minimum turns the game into one compact LP
+over the marginal p, solved once by ``lp.solve_lp``:
+
+* intervals: minimize ``u.p - k*alpha - sum(beta)`` subject to
+  ``alpha + beta_i - (u_i - l_i) p_i <= l_i`` for every item, ``sum(p) = k``,
+  ``0 <= p <= 1``, alpha free and ``beta <= 0``;
+* scenarios: minimize t subject to ``c^s.p - t <= opt_s`` for every
+  scenario, ``sum(p) = k`` and ``0 <= p <= 1``.
+
+The player's strategy is the exact decomposition of p.  The adversary's mix
+comes from the duals of the item or scenario rows: under intervals they are a
+point mu of conv(X), decomposed the same way, each set A played as its
+extreme cost vector c^A; under scenarios they are the scenario weights.
+
+Every other family (spanning trees, DAG paths, explicit families) runs the
+double-oracle loop over the finite zero-sum game whose rows are feasible
+sets and whose columns are scenario cost vectors (discrete uncertainty) or
+extreme cost vectors c^A (interval uncertainty): solve the restricted matrix
+game exactly, then let each side best-respond to the other's current mix,
+and stop once the two best-response values bracket the restricted value
+within tolerance.  The restricted game is one ``MatrixGame`` that grows by
+at most a row and a column per iteration, so each solve starts from the
+previous optimal basis.  Both paths certify the same bracket: the
+adversary's best response to the returned marginal against the player's best
+response to the returned adversary mix.
 
 Deterministic minmax regret is solved by enumeration of the feasible family;
 the mean-cost and midpoint-cost approximations and the adversary's
@@ -30,18 +48,22 @@ from .core import (
     InstanceError,
     IterationLimitError,
     MarginalVector,
+    NotInHullError,
     PlayerMixedStrategy,
     SolverError,
     marginal_of_strategy,
 )
-from .lp import MatrixGame, solve_matrix_game
-from .nominal import NominalOracle, build_oracle, enumeration_cap
+from .decompose import decompose_marginal
+from .lp import LinearProgram, MatrixGame, solve_lp, solve_matrix_game
+from .nominal import KSelectionOracle, NominalOracle, build_oracle, enumeration_cap
 from .regret import (
     extreme_cost_vector,
+    max_expected_regret,
     max_expected_regret_discrete,
     max_expected_regret_interval,
     max_regret_det_discrete,
     max_regret_det_interval,
+    player_best_response,
     scenario_optima,
     weighted_player_response,
 )
@@ -130,14 +152,102 @@ def solve_randomized(
     max_iter: int = 10000,
     oracle: NominalOracle | None = None,
 ) -> GameSolution:
-    """Optimal randomized minmax regret via the double-oracle loop.
+    """Optimal randomized minmax regret.
 
-    Returns a :class:`GameSolution` whose ``certified_gap`` (final distance
-    between the adversary's and the player's best-response values) is at most
-    ``tol``.  Raises :class:`IterationLimitError` carrying the bracketing
-    interval if ``max_iter`` is exhausted first.
+    k-selection instances are solved by the compact LP of the module
+    docstring, with ``iterations = 1``; every other family by the double
+    oracle, with its iteration count.  Either way the returned
+    :class:`GameSolution`'s ``certified_gap`` (the distance between the
+    adversary's best response to the marginal and the player's best response
+    to the adversary mix) is at most ``tol``, else :class:`SolverError`
+    names the gap.  ``max_iter`` bounds the double oracle only; when it is
+    exhausted, :class:`IterationLimitError` carries the bracketing interval.
     """
     oracle = build_oracle(instance) if oracle is None else oracle
+    if isinstance(oracle, KSelectionOracle):
+        return _compact_k_selection(instance, tol, oracle)
+    return _double_oracle(instance, tol, max_iter, oracle)
+
+
+def _compact_k_selection(
+    instance: Instance, tol: float, oracle: KSelectionOracle
+) -> GameSolution:
+    """The compact marginal-space LP of the module docstring, solved once."""
+    n, k = oracle.n, oracle.k
+    unc = instance.uncertainty
+    if instance.is_interval:
+        # variables p (n), alpha, beta (n); one row per item
+        objective = np.concatenate([unc.upper, [-k], -np.ones(n)])
+        rows = np.hstack([-np.diag(unc.upper - unc.lower), np.ones((n, 1)), np.eye(n)])
+        rhs = unc.lower
+        lower = np.concatenate([np.zeros(n), np.full(n + 1, -np.inf)])
+        upper = np.concatenate([np.ones(n), [np.inf], np.zeros(n)])
+    else:
+        # variables p (n), t; one row per scenario
+        optima = scenario_optima(instance, oracle)
+        objective = np.concatenate([np.zeros(n), [1.0]])
+        rows = np.hstack([unc.costs, -np.ones((unc.k, 1))])
+        rhs = optima
+        lower = np.concatenate([np.zeros(n), [-np.inf]])
+        upper = np.concatenate([np.ones(n), [np.inf]])
+    m = len(rhs)
+    cardinality = np.concatenate([np.ones(n), np.zeros(rows.shape[1] - n)])
+    sol = solve_lp(
+        LinearProgram(
+            objective,
+            np.vstack([rows, cardinality]),
+            ("<=",) * m + ("=",),
+            np.append(rhs, k),
+            lower,
+            upper,
+        )
+    )
+    if not sol.is_optimal:
+        raise SolverError(f"compact k-selection LP ended with status {sol.status_text}")
+    weights = -sol.duals[:m]  # nonnegative multipliers of the min LP's <= rows
+
+    try:
+        player = decompose_marginal(MarginalVector(sol.x[:n]), oracle, tol=tol)
+        if instance.is_interval:
+            # sum(mu) = k and 0 <= mu <= 1 are the alpha and beta columns'
+            # dual rows, so mu lies in conv(X)
+            mix = decompose_marginal(MarginalVector(weights), oracle, tol=tol)
+            adversary = AdversaryMixedStrategy.cleaned(
+                tuple(extreme_cost_vector(A, unc) for A in mix.support),
+                mix.probs,
+                generators=mix.support,
+            )
+        else:
+            adversary = AdversaryMixedStrategy.cleaned(
+                tuple(CostVector(c) for c in unc.costs),
+                weights,
+                scenario_indices=tuple(range(m)),
+            )
+    except NotInHullError as exc:
+        raise SolverError(f"compact k-selection LP answer outside the hull: {exc}") from exc
+
+    marginal = marginal_of_strategy(player)
+    upper_value = max_expected_regret(marginal, instance, oracle).value
+    lower_value = player_best_response(adversary, instance, oracle).value
+    gap = upper_value - lower_value
+    if gap > tol:
+        raise SolverError(
+            f"compact k-selection LP left a best-response gap {gap:.3g} > tol {tol:.3g}"
+        )
+    return GameSolution(
+        value=float(sol.objective),
+        player=player,
+        marginal=marginal,
+        adversary=adversary,
+        iterations=1,
+        certified_gap=float(max(gap, 0.0)),
+    )
+
+
+def _double_oracle(
+    instance: Instance, tol: float, max_iter: int, oracle: NominalOracle
+) -> GameSolution:
+    """The double-oracle loop of the module docstring, for any family."""
     columns = _Columns(instance, oracle)
 
     rows: list[FeasibleSet] = [_initial_player_set(instance, oracle)]

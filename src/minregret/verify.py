@@ -3,9 +3,11 @@
 Each check reports a measured slack (how far inside the inequality the
 result landed); a negative slack is a failure.  The checks cover the value
 ordering between the randomized and deterministic optima, the k / 2 gap
-bounds, agreement with the exhaustive game solve, duality of the adversary
-LP, the approximation guarantees, the midpoint identities, saddle-point
-certificates, and the marginal decomposition round trip.
+bounds, agreement with the exhaustive game solve, agreement of the compact
+k-selection LP with the double oracle (which, unlike the exhaustive solve,
+stays cheap as n grows), duality of the adversary LP, the approximation
+guarantees, the midpoint identities, saddle-point certificates, and the
+marginal decomposition round trip.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .core import (
 )
 from .decompose import decompose_marginal
 from .gen import generate_instance
-from .nominal import build_oracle
+from .nominal import KSelectionOracle, build_oracle
 from .regret import max_expected_regret, player_best_response
 from .solvers import (
     approx_mean_cost,
@@ -31,6 +33,7 @@ from .solvers import (
     solve_adversary_lp_discrete,
     solve_deterministic_exact,
     solve_randomized,
+    _double_oracle,
 )
 
 VALUE_TOL = 1e-6
@@ -82,11 +85,21 @@ def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResu
             _check(
                 "bruteforce_equivalence",
                 VALUE_TOL - abs(z_r - brute),
-                f"double-oracle={z_r:.9g} exhaustive={brute:.9g}",
+                f"randomized={z_r:.9g} exhaustive={brute:.9g}",
             )
         )
     except EnumerationCapError as exc:
         results.append(CheckResult("bruteforce_equivalence", True, 0.0, str(exc), skipped=True))
+
+    if isinstance(oracle, KSelectionOracle):
+        z_do = _double_oracle(instance, tol, 10000, oracle).value
+        results.append(
+            _check(
+                "compact_vs_double_oracle",
+                VALUE_TOL - abs(z_r - z_do),
+                f"compact={z_r:.9g} double-oracle={z_do:.9g}",
+            )
+        )
 
     if not instance.is_interval:
         _, z_ar, _ = solve_adversary_lp_discrete(instance, tol=tol, oracle=oracle)

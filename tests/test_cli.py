@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from minregret.cli import main
+from minregret.core import describe_instance, validate_instance
 from minregret.gen import generate_instance
 from minregret.io import save_instance
 
@@ -70,8 +71,13 @@ class TestSolveCommand:
         assert "item 0" in capsys.readouterr().err
 
     def test_iteration_budget_exit_3_with_bracket_report(self, tmp_path):
+        # The tight-discrete k=10 game with its family listed explicitly:
+        # k-selection takes the compact LP, which has no iteration budget,
+        # while explicit families run the double oracle.
         inst = tmp_path / "t10.json"
-        save_instance(generate_instance("tight-discrete", k=10), inst)
+        tight = describe_instance(generate_instance("tight-discrete", k=10))
+        tight["nominal"] = {"type": "explicit", "sets": [[e] for e in range(10)]}
+        save_instance(validate_instance(tight), inst)
         code, report = run_json(
             [
                 "solve",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from minregret.core import (
     AdversaryMixedStrategy,
@@ -13,7 +14,7 @@ from minregret.core import (
 )
 from minregret.gen import generate_instance
 from minregret.nominal import build_oracle
-from minregret.regret import max_expected_regret, player_best_response
+from minregret.regret import extreme_cost_vector, max_expected_regret, player_best_response
 from minregret.solvers import (
     approx_dual_weighted,
     approx_mean_cost,
@@ -22,6 +23,7 @@ from minregret.solvers import (
     solve_adversary_lp_discrete,
     solve_deterministic_exact,
     solve_randomized,
+    _double_oracle,
 )
 
 from conftest import (
@@ -75,24 +77,137 @@ class TestSolveRandomized:
         assert np.max(np.abs(rebuilt.p - game.marginal.p)) <= 1e-7
 
     def test_iteration_limit_reports_bracket(self):
+        # the budget applies to the double oracle; k-selection's public path
+        # is the compact LP
         inst = tight_discrete(5)
         with pytest.raises(IterationLimitError) as info:
-            solve_randomized(inst, max_iter=2)
+            _double_oracle(inst, 1e-7, 2, build_oracle(inst))
         assert info.value.lower is not None and info.value.upper is not None
         assert info.value.lower <= 0.2 + 1e-9
         assert info.value.upper >= 0.2 - 1e-9
 
     # k-selection interval cases that used to fail in the restricted game
     # LP's phase 1 (n=80/100 seed 2 broke down) or took 26 s (n=100 seed 3).
+    # The double-oracle arm keeps those regressions on the game LP; the
+    # public path is the compact LP.
     @pytest.mark.parametrize("n,seed", [(80, 2), (100, 2), (100, 3)])
     def test_interval_k_selection_at_scale(self, n, seed):
         inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=seed)
-        game = solve_randomized(inst)
-        assert game.certified_gap <= 1e-7
-        upper = max_expected_regret(game.marginal, inst).value
-        lower = player_best_response(game.adversary, inst).value
-        assert -1e-9 <= upper - game.value <= 1e-6
-        assert -1e-9 <= game.value - lower <= 1e-6
+        for game in (
+            solve_randomized(inst),
+            _double_oracle(inst, 1e-7, 10000, build_oracle(inst)),
+        ):
+            assert game.certified_gap <= 1e-7
+            upper = max_expected_regret(game.marginal, inst).value
+            lower = player_best_response(game.adversary, inst).value
+            assert -1e-9 <= upper - game.value <= 1e-6
+            assert -1e-9 <= game.value - lower <= 1e-6
+
+
+def _highs_interval_k_selection(inst) -> float:
+    """The compact interval LP over (p, alpha, beta), solved by HiGHS."""
+    n, k = inst.n, inst.nominal.k
+    lo, hi = inst.uncertainty.lower, inst.uncertainty.upper
+    res = linprog(
+        np.concatenate([hi, [-k], -np.ones(n)]),
+        A_ub=np.hstack([-np.diag(hi - lo), np.ones((n, 1)), np.eye(n)]),
+        b_ub=lo,
+        A_eq=np.concatenate([np.ones(n), np.zeros(n + 1)])[None, :],
+        b_eq=[k],
+        bounds=[(0, 1)] * n + [(None, None)] + [(None, 0)] * n,
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _assert_sound_game(game, inst, oracle):
+    """Closed bracket, consistent marginal, feasible sets, distinct costs."""
+    assert game.certified_gap <= 1e-7
+    assert np.array_equal(marginal_of_strategy(game.player).p, game.marginal.p)
+    assert game.player.support_size <= inst.n
+    assert all(oracle.is_feasible(T) for T in game.player.support)
+    costs = {c.values.tobytes() for c in game.adversary.support}
+    assert len(costs) == game.adversary.support_size
+    if inst.is_interval:
+        assert all(oracle.is_feasible(A) for A in game.adversary.generators)
+        for A, c in zip(game.adversary.generators, game.adversary.support):
+            assert c == extreme_cost_vector(A, inst.uncertainty)
+    else:
+        assert game.adversary.scenario_indices is not None
+    game.adversary.validate_for(inst)
+
+
+class TestCompactKSelection:
+    """The compact marginal-space LP against the double oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [10, 25, 40, 80])
+    @pytest.mark.parametrize(
+        "uncertainty,scenarios",
+        [("interval", 2), ("scenarios", 2), ("scenarios", 8)],
+        ids=["interval", "2-scenarios", "8-scenarios"],
+    )
+    def test_matches_double_oracle(self, uncertainty, scenarios, n, seed):
+        inst = generate_instance(
+            "k-selection", n=n, uncertainty=uncertainty, n_scenarios=scenarios, seed=seed
+        )
+        oracle = build_oracle(inst)
+        game = solve_randomized(inst, oracle=oracle)
+        reference = _double_oracle(inst, 1e-7, 10000, oracle)
+        assert game.iterations == 1
+        assert game.value == pytest.approx(reference.value, abs=1e-6)
+        _assert_sound_game(game, inst, oracle)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            k_selection_instance(6, 1, lower=[0, 1, 2, 0, 1, 2], upper=[3, 2, 5, 1, 4, 2]),
+            k_selection_instance(6, 6, lower=[0, 1, 2, 0, 1, 2], upper=[3, 2, 5, 1, 4, 2]),
+            k_selection_instance(5, 1, scenarios=[[1, 0, 2, 3, 1], [0, 2, 1, 1, 3]]),
+            k_selection_instance(5, 5, scenarios=[[1, 0, 2, 3, 1], [0, 2, 1, 1, 3]]),
+            tight_interval(),
+            tight_discrete(4),
+            k_selection_instance(3, 1, lower=[2, 3, 4], upper=[2, 3, 4]),
+            k_selection_instance(5, 2, lower=[1, 1, 1, 1, 1], upper=[1, 1, 1, 1, 1]),
+            k_selection_instance(
+                4, 2, lower=[1.0, 1.0, 0.0, 0.5], upper=[1.0, 1.0, 2.0, 1.5]
+            ),
+        ],
+        ids=[
+            "interval-k1",
+            "interval-kn",
+            "scenarios-k1",
+            "scenarios-kn",
+            "tight-interval",
+            "tight-discrete",
+            "degenerate",
+            "degenerate-ties",
+            "partially-degenerate",
+        ],
+    )
+    def test_edge_cases(self, inst):
+        oracle = build_oracle(inst)
+        game = solve_randomized(inst, oracle=oracle)
+        reference = _double_oracle(inst, 1e-7, 10000, oracle)
+        brute, _, _ = bruteforce_game_value(inst, oracle=oracle)
+        assert game.value == pytest.approx(reference.value, abs=1e-6)
+        assert game.value == pytest.approx(brute, abs=1e-6)
+        _assert_sound_game(game, inst, oracle)
+
+    # Beyond desk scale: the double oracle takes 9 s on seed 1 and had not
+    # finished seed 2 after 60 s.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_interval_n200(self, seed):
+        inst = generate_instance("k-selection", n=200, uncertainty="interval", seed=seed)
+        oracle = build_oracle(inst)
+        game = solve_randomized(inst, oracle=oracle)
+        assert game.iterations == 1
+        _assert_sound_game(game, inst, oracle)
+        upper = max_expected_regret(game.marginal, inst, oracle).value
+        lower = player_best_response(game.adversary, inst, oracle).value
+        assert lower - 1e-9 <= game.value <= upper + 1e-9
+        assert game.value == pytest.approx(_highs_interval_k_selection(inst), abs=1e-6)
 
 
 class TestSolveDeterministic:
@@ -346,7 +461,8 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
 
     interval = generate_instance("k-selection", n=12, uncertainty="interval", seed=1)
     oracle = build_oracle(interval)
-    game = solve_randomized(interval)
+    # the private entry, since k-selection games skip the double oracle
+    game = _double_oracle(interval, 1e-7, 10000, oracle)
     runs.append(engines[:])
     one_engine(
         solve_adversary_lp_discrete,
