@@ -39,10 +39,11 @@ reaches zero.  It is solved in its dual form
 
 written for a :class:`~minregret.lp.WarmLP` with ``t = u + 1`` in [0, 2]
 and ``w = w_plus - w_minus``: maximize ``p @ t + w_plus - w_minus`` (the
-deviation plus ``sum(p)``) subject to ``t <= 2`` (n rows) and
-``t(T) + w_plus - w_minus <= |T|`` per generated T.  Every right-hand side
-is nonnegative, so the first solve starts from the feasible slack basis and
-no solve runs phase 1.  Rows are generated on demand: the most violated one
+deviation plus ``sum(p)``) subject to ``t(T) + w_plus - w_minus <= |T|`` per
+generated T.  The box ``t <= 2`` is a native upper bound of the engine, not
+n rows, so the LP has one row per generated set.  Every right-hand side is
+nonnegative, so the first solve starts from the feasible slack basis and no
+solve runs phase 1.  Rows are generated on demand: the most violated one
 is found by one nominal solve at costs -u.  Each generated T appends one
 row, whose slack joins the kept optimal basis; the dual pass restores
 feasibility from there instead of re-solving the grown LP cold.  The
@@ -266,11 +267,12 @@ def _decompose_by_rows(
         row[n + 1] = -1.0
         return row
 
-    # variables t (n), w_plus, w_minus; rows t <= 2, then one per generated T
+    # variables t (n) in [0, 2], w_plus, w_minus; one row per generated T
     lp = WarmLP(
         np.concatenate([p_arr, [1.0, -1.0]]),
-        np.vstack([np.eye(n, n + 2), set_row(columns[0])]),
-        np.concatenate([np.full(n, 2.0), [columns[0].size]]),
+        set_row(columns[0])[None, :],
+        [columns[0].size],
+        upper=np.concatenate([np.full(n, 2.0), [np.inf, np.inf]]),
     )
     for _ in range(max_cuts):
         sol = lp.solve()
@@ -298,7 +300,7 @@ def _decompose_by_rows(
                 w=w,
             )
         # the row duals are the weights
-        return _reconstructed(columns, sol.duals[n:], p_arr, tol)
+        return _reconstructed(columns, sol.duals, p_arr, tol)
 
     raise IterationLimitError(
         f"decomposition exceeded {max_cuts} generated columns", iterations=max_cuts

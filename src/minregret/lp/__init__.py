@@ -2,21 +2,28 @@
 
 The solver runs on a condensed tableau, ``B⁻¹[A_N | b]`` over the nonbasic
 columns only, with their reduced costs, next to a ``nonbasic`` index array;
-pivot tolerance is 1e-9 and infinities are explicit bound markers.  The
-pivot loop is the package's hot kernel and lives in ``_kernel``, a dense
-numpy basis exchange per pivot: a dual pass while some right-hand side is
-negative (dual feasible columns first, largest infeasibility first, dual
-Bland's rule once it stalls), then a primal pass with Bland's rule engaged
-permanently (generated cutting-plane rows are often degenerate); both break
-ties by variable index.  The solvers here run it in bursts and accept a
-claim only after an exact refresh (``_refresh``) and a kernel run that
-confirms it without pivoting.  Every row has one unit column (a slack or an
+pivot tolerance is 1e-9 and infinities are explicit bound markers.  Upper
+bounds ``0 <= x <= u`` are native: a nonbasic variable sits at 0 or at its
+bound, where it is stored complemented (``x' = u - x``: its column and
+reduced cost negated, the bound folded into the right-hand side, flagged in
+a per-variable ``flipped`` array), so no bound is a row.  The pivot loop is
+the package's hot kernel and lives in ``_kernel``, a dense numpy basis
+exchange per pivot: a dual pass while some basic variable is out of its
+bounds (dual feasible columns first, largest infeasibility first, a
+bound-flipping ratio test, dual Bland's rule once it stalls), then a primal
+pass whose ratio test includes the entering variable's own bound flip; both
+break ties by variable index.  The primal pass enters by Bland's rule on
+warm solves (generated cutting-plane rows are often degenerate) and by
+Dantzig's rule, with Bland's as its anti-stall fallback, on the cold solves
+of ``solve_lp``.  The solvers here run it in bursts and accept a claim only
+after an exact refresh (``_refresh``) and a kernel run that confirms it
+without pivoting.  Every row has one unit column (a slack or an
 artificial); the refresh drops the basic ones and factors only the square
 block of the basis that is left.
 
-:class:`WarmLP` is ``max c·x s.t. A x <= b, x >= 0`` with ``b >= 0``.  Its
-first solve starts from the feasible slack basis, whose tableau is the data
-itself.  It keeps each confirmed tableau and re-optimises from it after
+:class:`WarmLP` is ``max c·x s.t. A x <= b, 0 <= x <= u`` with ``b >= 0``.
+Its first solve starts from the feasible slack basis, whose tableau is the
+data itself.  It keeps each confirmed tableau and re-optimises from it after
 ``add_rows`` (the new slacks join the basis, which stays dual feasible, so
 the dual pass restores primal feasibility) or ``add_columns`` (the new
 variables start at zero, the basis stays primal feasible, and the primal
@@ -24,13 +31,17 @@ pass lets them enter); both extend the kept tableau in place of a refresh,
 so a warm solve that ends within one burst refreshes once.
 :class:`MatrixGame` is a zero-sum game that grows by strategies, solved on
 one WarmLP; the double oracle and the adversary cutting-plane LP each keep
-one, and ``decompose`` keeps a WarmLP for its dual deviation LP (spanning trees
-and explicit families).
+one, and ``decompose`` keeps a WarmLP, with ``t <= 2`` as bounds, for its
+dual deviation LP (spanning trees and explicit families).
 ``solve_lp`` is the two-phase solver for general callers (among them the
-compact k-selection LP of ``solvers``), on the same kernel and refresh;
-phase 1 runs only when some row is ``=`` or ``>=`` after the rhs is made
-nonnegative, so the one-shot game LP of ``solve_matrix_game``, whose rows
-are all ``<=`` with rhs 1, starts from its feasible slack basis.  Artificials stay locked in phase 2, and a row's dual
+compact k-selection LP of ``solvers``, whose box ``0 <= p <= 1`` is n
+bounds), on the same kernel and refresh.  It shifts every variable onto
+``[0, u]`` and splits a free variable into its positive and negative parts
+(the compact LP has one free column, so a third nonbasic state in every
+ratio test would not pay).  Phase 1 runs only when some row is ``=`` or
+``>=`` after the rhs is made nonnegative, so the one-shot game LP of
+``solve_matrix_game``, whose rows are all ``<=`` with rhs 1, starts from its
+feasible slack basis.  Artificials stay locked in phase 2, and a row's dual
 is read off the reduced cost of its unit column (0 while that is basic).
 
 Dual sign convention, for ``sense="min"``: multipliers of ``<=`` rows are
@@ -128,6 +139,9 @@ class LpSolution:
     found the basis numerically singular), "dual-infeasible" (the dual pass
     met a violated row that no column can repair) or "phase-1-unbounded"
     (phase 1 claimed an unbounded ray, which exact arithmetic rules out).
+    ``pivots`` counts basis exchanges plus primal bound flips (a nonbasic
+    variable moving to its other bound without a basis change); the flips
+    of a bound-flipping dual ratio test are part of their dual pivot.
     ``refreshes`` counts the exact tableau refreshes the solve ran, on every
     outcome.
     """
@@ -150,7 +164,7 @@ class LpSolution:
         return self.status if self.reason is None else f"{self.status} ({self.reason})"
 
 
-def _refresh(T, basis, nonbasic, A, b, costs, unit_row):
+def _refresh(T, basis, nonbasic, A, b, costs, unit_row, upper=None, flipped=None):
     """Recompute the tableau exactly from original data at the current basis.
 
     Long pivot runs accumulate round-off in the tableau (a single near-tol
@@ -164,8 +178,10 @@ def _refresh(T, basis, nonbasic, A, b, costs, unit_row):
     variables below g]`` is factored.  The rows of the basic unit columns
     follow from the same solve, and the reduced costs ``c_N - c_B B⁻¹A_N``
     from the refreshed rows, so a row's dual, the reduced cost of its unit
-    column, comes from the same block too.  Returns False when that block is
-    numerically singular.
+    column, comes from the same block too.  The nonbasic variables that
+    ``flipped`` marks sit at their ``upper`` bound and are stored
+    complemented: their columns are negated and the right-hand side is
+    ``b - A_U u_U``.  Returns False when that block is numerically singular.
     """
     m, g = A.shape
     unit = basis >= g
@@ -179,6 +195,10 @@ def _refresh(T, basis, nonbasic, A, b, costs, unit_row):
     data[:, np.flatnonzero(general)] = A[:, nonbasic[general]]
     data[unit_row[nonbasic[~general] - g], np.flatnonzero(~general)] = 1.0
     data[:, -1] = b
+    at_upper = _at_upper(nonbasic, flipped)
+    if at_upper.size:
+        data[:, -1] -= data[:, at_upper] @ upper[nonbasic[at_upper]]
+        data[:, at_upper] *= -1.0
     try:
         body = np.linalg.solve(A[rest][:, structural], data[rest])
     except np.linalg.LinAlgError:
@@ -187,14 +207,28 @@ def _refresh(T, basis, nonbasic, A, b, costs, unit_row):
     rows[~unit] = body
     rows[unit] = data[unit_rows] - A[unit_rows][:, structural] @ body
     rows[:, -1] = np.where(np.abs(rows[:, -1]) < 1e-11, 0.0, rows[:, -1])
-    _price(T, basis, nonbasic, costs)
+    _price(T, basis, nonbasic, costs, upper, flipped)
     return True
 
 
-def _price(T, basis, nonbasic, costs):
-    """Fill the objective row of ``T`` from its constraint rows and ``costs``."""
+def _at_upper(nonbasic, flipped):
+    """Columns of the nonbasic variables at their upper bound."""
+    if flipped is None:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(flipped[nonbasic])
+
+
+def _price(T, basis, nonbasic, costs, upper=None, flipped=None):
+    """Fill the objective row of ``T`` from its constraint rows and ``costs``;
+    a flipped column's cost is negated and its bound's cost is a constant."""
     m = len(basis)
-    T[m] = np.append(costs[nonbasic], 0.0) - costs[basis] @ T[:m]
+    cost_n = costs[nonbasic]
+    at_upper = _at_upper(nonbasic, flipped)
+    if at_upper.size:
+        cost_n[at_upper] *= -1.0
+    T[m] = np.append(cost_n, 0.0) - costs[basis] @ T[:m]
+    if at_upper.size:
+        T[m, -1] -= costs[nonbasic[at_upper]] @ upper[nonbasic[at_upper]]
 
 
 # Kernel status -> (status, reason) of a claim confirmed on fresh data.
@@ -205,17 +239,20 @@ _CLAIMS = {
 }
 
 
-def _run_phase(T, basis, nonbasic, locked, problem, budget):
+def _run_phase(T, basis, nonbasic, locked, problem, budget, flipped=None, dantzig=False):
     """Kernel bursts interleaved with exact refreshes until a claim survives.
 
-    ``problem`` is ``(A, b, costs, unit_row)`` as :func:`_refresh` takes it;
+    ``problem`` is ``(A, b, costs, unit_row, upper)`` as :func:`_refresh`
+    takes it, and ``flipped`` the nonbasic variables at their upper bound;
     ``T`` is only a starting point.  The kernel runs at most
     ``BURST_PIVOTS`` pivots at a time and the tableau is refreshed after
     every burst; a claim is accepted only when the kernel confirms it on a
     refreshed tableau without pivoting.  So a phase that ends within one
-    burst refreshes once.  Returns ``(status, reason, pivots, refreshes)``;
-    see :class:`LpSolution` for the breakdown reasons.
+    burst refreshes once.  ``dantzig`` selects the kernel's primal pricing.
+    Returns ``(status, reason, pivots, refreshes)``; see :class:`LpSolution`
+    for the breakdown reasons.
     """
+    upper = problem[4]
     pivots = refreshes = 0
     fresh = False
     while True:
@@ -223,13 +260,14 @@ def _run_phase(T, basis, nonbasic, locked, problem, budget):
         if remaining <= 0:
             return "breakdown", "budget", pivots, refreshes
         status, used = _kernel.run_simplex(
-            T, basis, nonbasic, locked, min(remaining, BURST_PIVOTS), PIVOT_TOL
+            T, basis, nonbasic, locked, min(remaining, BURST_PIVOTS), PIVOT_TOL,
+            upper=upper, flipped=flipped, dantzig=dantzig,
         )
         pivots += used
         if fresh and used == 0 and status != _kernel.STATUS_PIVOT_LIMIT:
             return _CLAIMS[status] + (pivots, refreshes)
         refreshes += 1
-        if not _refresh(T, basis, nonbasic, *problem):
+        if not _refresh(T, basis, nonbasic, *problem, flipped=flipped):
             return "breakdown", "singular-basis", pivots, refreshes
         fresh = True
 
@@ -240,35 +278,48 @@ def _finite(*arrays):
 
 
 class WarmLP:
-    """``max c·x s.t. A x <= b, x >= 0`` with ``b >= 0``, re-solved warm.
+    """``max c·x s.t. A x <= b, 0 <= x <= u`` with ``b >= 0``, re-solved warm.
 
-    ``x = 0`` is always feasible, so the LP is never infeasible.  The LP
-    keeps a condensed tableau, ``B⁻¹[A_N | b]`` over its ``nonbasic``
-    variables with their reduced costs, for its ``basis``.  At creation that
-    is the slack-basis tableau, built straight from the data; after every
-    optimal solve it is the refreshed tableau that solve confirmed.  The next
-    solve starts from it:
+    ``x = 0`` is always feasible, so the LP is never infeasible.  The upper
+    bounds ``u`` (``upper``, a scalar or one per variable, ``inf`` for none)
+    are native: a nonbasic variable sits at 0 or, complemented, at its bound
+    (``flipped``), and no bound is a row.  An LP without a finite bound
+    keeps neither array (both are None), so its solves do no bound work.  The LP keeps a condensed tableau,
+    ``B⁻¹[A_N | b - A_U u_U]`` over its ``nonbasic`` variables with their
+    reduced costs, for its ``basis``.  At creation that is the slack-basis
+    tableau, built straight from the data; after every optimal solve it is
+    the refreshed tableau that solve confirmed.  The next solve starts from
+    it:
 
     * ``add_rows`` appends constraints whose slacks join the basis; their
-      tableau rows are ``[a_N | b] - a_B·T``.  The basis stays dual
-      feasible, so the kernel's dual pass restores primal feasibility.
-    * ``add_columns`` appends variables at zero, with tableau column
-      ``B⁻¹a`` and reduced cost ``-c - y·a``, both read off the columns of
-      the nonbasic slacks.  The basis stays primal feasible and the primal
-      pass lets them enter; the dual pass, which prefers dual feasible
-      columns, leaves them out until then.
+      tableau rows are ``[a_N | b - a_U u_U] - a_B·T``.  The basis stays
+      dual feasible, so the kernel's dual pass restores primal feasibility.
+    * ``add_columns`` appends variables at zero, with no upper bound, with
+      tableau column ``B⁻¹a`` and reduced cost ``-c - y·a``, both read off
+      the columns of the nonbasic slacks.  The basis stays primal feasible
+      and the primal pass lets them enter; the dual pass, which prefers dual
+      feasible columns, leaves them out until then.
 
     The kept tableau is only a starting point: each answer is accepted only
     after an exact refresh at its final basis and a kernel run that confirms
     it without pivoting, so a solve that ends within one burst of pivots
-    refreshes once.  ``basis`` and ``nonbasic`` index the layout
-    ``[variables | slacks]``, one slack per row.
+    refreshes once.  The primal pass keeps Bland's rule: on these warm,
+    degenerate LPs Dantzig pricing took more time.  ``basis``, ``nonbasic``
+    and ``flipped`` index the layout ``[variables | slacks]``, one slack per
+    row.
     """
 
-    def __init__(self, objective, lhs, rhs):
+    def __init__(self, objective, lhs, rhs, upper=None):
         self._c = np.asarray(objective, dtype=float)
         _finite(self._c)
         n = len(self._c)
+        self._upper = self.flipped = None
+        if upper is not None:
+            u = np.array(np.broadcast_to(np.asarray(upper, dtype=float), (n,)))
+            if np.any(np.isnan(u)) or np.any(u < 0.0):
+                raise ValueError("WarmLP upper bounds must be nonnegative")
+            if np.isfinite(u).any():
+                self._upper, self.flipped = u, np.zeros(n, dtype=np.uint8)
         self._A = np.empty((0, n))
         self._b = np.empty(0)
         self.basis = np.empty(0, dtype=np.intp)
@@ -282,9 +333,12 @@ class WarmLP:
         return self._A.shape
 
     def _problem(self):
-        """``(A, b, costs, unit_row)`` for :func:`_refresh`: the slacks are units."""
+        """``(A, b, costs, unit_row, upper)`` for :func:`_refresh`: the
+        slacks are units, and ``upper`` is None without a finite bound."""
         m = len(self._b)
-        return self._A, self._b, np.concatenate([-self._c, np.zeros(m)]), np.arange(m)
+        return (
+            self._A, self._b, np.concatenate([-self._c, np.zeros(m)]), np.arange(m), self._upper
+        )
 
     def add_rows(self, lhs, rhs) -> None:
         """Append constraints ``lhs @ x <= rhs``; their slacks enter the basis."""
@@ -297,11 +351,18 @@ class WarmLP:
         a = np.zeros((len(b), n + m))  # the old slacks are absent
         a[:, :n] = A
         rows = np.concatenate([a[:, self.nonbasic], b[:, None]], axis=1)
+        at_upper = _at_upper(self.nonbasic, self.flipped)
+        if at_upper.size:  # as _refresh lays out the flipped columns
+            rows[:, -1] -= rows[:, at_upper] @ self._upper[self.nonbasic[at_upper]]
+            rows[:, at_upper] *= -1.0
         rows -= a[:, self.basis] @ self._T[:m]
         self._T = np.concatenate([self._T[:m], rows, self._T[m:]])
         self._A = np.concatenate([self._A, A])
         self._b = np.concatenate([self._b, b])
         self.basis = np.concatenate([self.basis, n + m + np.arange(len(b))])
+        if self._upper is not None:  # the new slacks are unbounded
+            self._upper = np.concatenate([self._upper, np.full(len(b), np.inf)])
+            self.flipped = np.concatenate([self.flipped, np.zeros(len(b), dtype=np.uint8)])
 
     def add_columns(self, lhs, objective) -> None:
         """Append variables with constraint columns ``lhs``, starting at zero."""
@@ -310,7 +371,8 @@ class WarmLP:
         A = np.asarray(lhs, dtype=float).reshape(m, len(c))
         _finite(A, c)
         # The slack columns of the full tableau are B⁻¹ over -y (a basic
-        # slack's column is e of its row): B⁻¹a and -y·a read off them.
+        # slack's column is e of its row, and no slack is flipped): B⁻¹a and
+        # -y·a read off them.
         full = np.zeros((m + 1, n + m))
         full[:, self.nonbasic] = self._T[:, :-1]
         full[np.arange(m), self.basis] = 1.0
@@ -322,6 +384,13 @@ class WarmLP:
             np.where(self.nonbasic >= n, self.nonbasic + shift, self.nonbasic),
             n + np.arange(shift),
         ])
+        if self._upper is not None:  # the new variables are unbounded
+            self._upper = np.concatenate(
+                [self._upper[:n], np.full(shift, np.inf), self._upper[n:]]
+            )
+            self.flipped = np.concatenate(
+                [self.flipped[:n], np.zeros(shift, dtype=np.uint8), self.flipped[n:]]
+            )
         self._T = np.concatenate([self._T[:, :-1], cols, self._T[:, -1:]], axis=1)
         self._A = np.concatenate([self._A, A], axis=1)
         self._c = np.concatenate([self._c, c])
@@ -330,15 +399,20 @@ class WarmLP:
         """Re-optimise from the kept tableau; row duals are nonnegative."""
         m, n = self._A.shape
         T, basis, nonbasic = self._T.copy(), self.basis.copy(), self.nonbasic.copy()
+        flipped = None if self.flipped is None else self.flipped.copy()
         budget = 10 * (2 * m + n) ** 2
         status, reason, pivots, refreshes = _run_phase(
-            T, basis, nonbasic, np.zeros(n + m, dtype=np.uint8), self._problem(), budget
+            T, basis, nonbasic, np.zeros(n + m, dtype=np.uint8), self._problem(), budget,
+            flipped=flipped,
         )
         if status != "optimal":
             return LpSolution(status, None, None, None, pivots, reason, refreshes)
-        self._T, self.basis, self.nonbasic = T, basis, nonbasic
+        self._T, self.basis, self.nonbasic, self.flipped = T, basis, nonbasic, flipped
         x = np.zeros(n + m)
         x[basis] = T[:m, -1]
+        if flipped is not None:
+            at_upper = flipped != 0
+            x[at_upper] = self._upper[at_upper]
         # a row's dual is the reduced cost of its slack, 0 while that is basic
         duals = np.zeros(m)
         slacks = nonbasic >= n
@@ -349,51 +423,51 @@ class WarmLP:
 
 
 def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
-    """Two-phase dense simplex returning primal and dual solutions."""
+    """Two-phase dense simplex returning primal and dual solutions.
+
+    Both phases start from the slack/artificial basis and price the primal
+    pass by Dantzig's rule (see :mod:`._kernel`).  Finite upper bounds are
+    native; a free variable is split into its positive and negative parts.
+    """
     minimize = lp.sense == "min"
     c = lp.objective if minimize else -lp.objective
 
-    # --- variable transform: all internal variables get bounds [0, inf) ---
+    # --- variable transform: internal variables get bounds [0, width] ---
     n = lp.n_vars
     cols = []  # internal column vectors of the original rows
     costs = []
+    widths = []  # upper bound of each internal column
     recover = []  # (kind, original index, data...) per internal column
-    bound_rows = []  # (internal column, width of the box) for two-sided vars
     b_shift = np.zeros(lp.n_rows)
     for j in range(n):
         lo, hi = lp.lower[j], lp.upper[j]
         aj = lp.lhs[:, j]
         if lo == -np.inf and hi == np.inf:
-            cols.append(aj)
-            costs.append(c[j])
-            recover.append(("pos", j))
-            cols.append(-aj)
-            costs.append(-c[j])
-            recover.append(("negpart", j))
+            cols += [aj, -aj]
+            costs += [c[j], -c[j]]
+            widths += [np.inf, np.inf]
+            recover += [("pos", j), ("negpart", j)]
         elif lo == -np.inf:  # x = hi - t
             cols.append(-aj)
             costs.append(-c[j])
+            widths.append(np.inf)
             recover.append(("from_upper", j, hi))
             b_shift += aj * hi
-        else:  # x = lo + t, optionally boxed above
+        else:  # x = lo + t, t <= hi - lo
             cols.append(aj)
             costs.append(c[j])
+            widths.append(hi - lo)
             recover.append(("from_lower", j, lo))
             if lo != 0.0:
                 b_shift += aj * lo
-            if hi != np.inf:
-                bound_rows.append((len(cols) - 1, hi - lo))
 
     nt = len(cols)
-    m_orig = lp.n_rows
-    m = m_orig + len(bound_rows)
+    m = lp.n_rows
     A = np.zeros((m, nt))
     if nt:
-        A[:m_orig] = np.column_stack(cols)
-    b = np.concatenate([lp.rhs - b_shift, [wd for _, wd in bound_rows]])
-    rels = list(lp.relations) + [LESS] * len(bound_rows)
-    for r, (col_idx, _) in enumerate(bound_rows):
-        A[m_orig + r, col_idx] = 1.0
+        A[:] = np.column_stack(cols)
+    b = lp.rhs - b_shift
+    rels = list(lp.relations)
     c_int = np.asarray(costs, dtype=float)
 
     # --- row normalization: nonnegative rhs, remember the sign flips ---
@@ -420,6 +494,9 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     unit_row = np.array(slack_rows + art_rows, dtype=np.intp)
     art_base = g + len(slack_rows)
     width = g + m  # variables
+    upper = np.full(width, np.inf)
+    upper[:nt] = widths
+    flipped = np.zeros(width, dtype=np.uint8)
     markers = np.empty(m, dtype=np.intp)
     markers[unit_row] = g + np.arange(m)
     basis = markers.copy()
@@ -438,7 +515,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
         _price(T, basis, nonbasic, costs_one)
         status, reason, pivots_total, refreshes = _run_phase(
             T, basis, nonbasic, np.zeros(width, dtype=np.uint8),
-            (A_gen, b, costs_one, unit_row), budget,
+            (A_gen, b, costs_one, unit_row, upper), budget, flipped=flipped, dantzig=True,
         )
         if status == "unbounded":  # a verified-unbounded phase 1 cannot happen
             return LpSolution(
@@ -455,17 +532,22 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
                 nz = np.flatnonzero((nonbasic < art_base) & (np.abs(T[i, :-1]) > PIVOT_TOL))
                 if nz.size:
                     enter = int(nz[np.argmin(nonbasic[nz])])
+                    var = nonbasic[enter]
                     _kernel.pivot_inplace(T, basis, nonbasic, i, enter)
+                    if flipped[var]:  # basic variables are never complemented
+                        flipped[var] = 0
+                        _kernel.complement_row(T, i, upper[var])
                     pivots_total += 1
 
     # --- phase 2: the artificials stay locked ---
     costs_two = np.zeros(width)
     costs_two[:nt] = c_int
-    _price(T, basis, nonbasic, costs_two)
+    _price(T, basis, nonbasic, costs_two, upper, flipped)
     locked = np.zeros(width, dtype=np.uint8)
     locked[art_base:] = 1
     status, reason, used, more = _run_phase(
-        T, basis, nonbasic, locked, (A_gen, b, costs_two, unit_row), budget - pivots_total
+        T, basis, nonbasic, locked, (A_gen, b, costs_two, unit_row, upper),
+        budget - pivots_total, flipped=flipped, dantzig=True,
     )
     pivots_total += used
     refreshes += more
@@ -475,6 +557,8 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     # --- recover primal, duals, objective in the original variable space ---
     x_int = np.zeros(width)
     x_int[basis] = T[:m, -1]
+    at_upper = flipped != 0
+    x_int[at_upper] = upper[at_upper]
     x = np.zeros(n)
     for col_idx, rec in enumerate(recover):
         kind, j = rec[0], rec[1]
@@ -489,7 +573,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
 
     reduced = np.zeros(width)
     reduced[nonbasic] = T[m, :-1]
-    duals = (-flips * reduced[markers])[:m_orig]
+    duals = -flips * reduced[markers]
     objective = float(lp.objective @ x)
     if not minimize:
         duals = -duals

@@ -6,22 +6,44 @@ vectors that no rule reads.  A pivot is a basis exchange: the entering
 variable's column becomes the leaving variable's, and every choice below that
 breaks a tie by index uses the variable index, not the column position.
 
+Every variable is ``0 <= x <= u`` with ``u`` finite or not (``upper``, one
+entry per variable; None means no finite bound).  A nonbasic variable sits
+at 0 or, flagged in ``flipped``, at its upper bound, where it is stored
+complemented: the tableau holds ``x' = u - x``, whose column and reduced
+cost are negated and whose bound has moved into the right-hand side.  Basic
+variables are never complemented between pivots.  So every nonbasic
+variable is at 0 in the variable its column describes, and the optimality
+test and the plain ratio tests read the tableau as if no variable had an
+upper bound.  Moving a nonbasic variable to its other bound
+(:func:`flip_column`) is its own kind of step, which changes no basis.  With
+no finite bound, every pivot runs exactly the numpy calls of the unbounded
+loop; all bounded work hangs on one flag set once per call.
+
 One call runs a dual pass, then a primal pass.
 
-The dual pass runs while some right-hand side is below ``-tol``, which
+The dual pass runs while some basic variable is out of its bounds, which
 happens when a row is appended to an optimal tableau: the basis is then
-still dual feasible.  Columns with a nonnegative reduced cost (within
-``tol``) enter first, so a column appended in the same step with a negative
-reduced cost waits for the primal pass; only when no such column can repair
-the row does any unlocked column enter.  The leaving row is the most
-infeasible one; the entering column has the largest pivot element among
-the columns whose ratio is within ``tol`` of the minimum ratio, which keeps
-reduced costs nonnegative within ``tol``.  After ``DUAL_STALL_PIVOTS``
-consecutive degenerate pivots the pass switches to dual Bland's rule
-(leaving row: the lowest basis index among infeasible rows; entering
-column: the lowest variable index among minimum ratios) until a pivot moves
-the dual objective again.  Pure dual Bland took about ten times as many
-pivots on the double oracle's restricted games.
+still dual feasible.  A basic variable above its upper bound is infeasible
+by ``rhs - u``; its row is complemented (:func:`complement_row`), which
+makes it the usual negative right-hand side, and it leaves at that bound.
+Columns with a nonnegative reduced cost (within ``tol``) enter first, so a
+column appended in the same step with a negative reduced cost waits for the
+primal pass; only when no such column can repair the row does any unlocked
+column enter.  The leaving row is the most infeasible one.
+
+With finite bounds the entering column comes from a bound-flipping ratio
+test (Fourer 1994; Koberstein 2005, ch. 3): the breakpoints are walked in
+ratio order, ties by variable index, and each boxed one whose flip leaves
+the row still infeasible is flipped; the first breakpoint that would close
+the row, or has no finite bound, enters.  The flips are part of that dual
+pivot.  When the first breakpoint does not flip, the entering column has the
+largest pivot element among the columns whose ratio is within ``tol`` of the
+minimum ratio, which keeps reduced costs nonnegative within ``tol``.  After
+``DUAL_STALL_PIVOTS`` consecutive degenerate pivots the pass switches to
+dual Bland's rule (leaving row: the lowest basis index among infeasible
+rows; entering column: the lowest variable index among minimum ratios, no
+flips) until a pivot moves the dual objective again.  Pure dual Bland took
+about ten times as many pivots on the double oracle's restricted games.
 
 That makes the dual pass finite only while every entering column is dual
 feasible.  When no such column can repair the row, a column with a
@@ -31,10 +53,19 @@ leaving row, so the tableau loses dual feasibility, the dual objective is
 no longer monotone, and from then on only ``max_pivots`` (the caller's
 budget) bounds the pass.
 
-The primal pass uses Bland's rule: the entering column is the lowest
-eligible variable index, the leaving row the lowest basis index among
-minimum ratios.  Every choice breaks its ties by index, so the pivot
-sequence, and with it every result, is deterministic.
+The primal pass enters, by default, with Bland's rule: the lowest eligible
+variable index.  With ``dantzig`` it enters the most negative reduced cost
+(ties by the lowest variable index) and falls back to Bland's rule after
+``DUAL_STALL_PIVOTS`` consecutive degenerate steps, until a step is
+nondegenerate.  The ratio test counts a basic variable reaching 0, a basic
+variable reaching its upper bound (its row is complemented and it leaves
+flipped) and the entering variable reaching its own bound, which flips its
+column without a basis change and wins ties; among rows, the lowest basis
+index wins.  An entering variable that was flipped has its row
+un-complemented after the pivot.  Every choice breaks its ties by index, so
+the pivot sequence, and with it every result, is deterministic.
+
+The pivot count returned covers basis exchanges and primal bound flips.
 """
 
 from __future__ import annotations
@@ -44,12 +75,11 @@ import numpy as np
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_PIVOT_LIMIT = 2
-# The dual pass found a negative right-hand side that no unlocked column
-# can repair.
+# The dual pass found a violated row that no unlocked column can repair.
 STATUS_INFEASIBLE = 3
 
-# Degenerate dual pivots in a row before the dual pass falls back to dual
-# Bland's rule.
+# Degenerate pivots in a row before the dual pass falls back to dual Bland's
+# rule, and before Dantzig pricing in the primal pass falls back to Bland's.
 DUAL_STALL_PIVOTS = 50
 
 
@@ -60,16 +90,38 @@ def _lowest_variable(candidates, nonbasic):
     return int(candidates[np.argmin(nonbasic[candidates])])
 
 
-def run_simplex(tableau, basis, nonbasic, locked, max_pivots, tol):
+def complement_row(tableau, row, bound):
+    """The basic variable ``x`` of ``row`` becomes ``bound - x``."""
+    tableau[row, :-1] *= -1.0
+    tableau[row, -1] = bound - tableau[row, -1]
+
+
+def flip_column(tableau, col, bound):
+    """The nonbasic variable ``x`` of ``col`` becomes ``bound - x``: it moves
+    to its other bound, and the right-hand sides and objective follow."""
+    tableau[:, -1] -= tableau[:, col] * bound
+    tableau[:, col] *= -1.0
+
+
+def run_simplex(
+    tableau, basis, nonbasic, locked, max_pivots, tol,
+    upper=None, flipped=None, dantzig=False,
+):
     """Pivot ``tableau`` in place until it is primal and dual feasible.
 
     tableau : (m+1, k+1) float64, C-contiguous, ``B⁻¹[A_N | b]`` over the k
-        nonbasic variables.  Rows 0..m-1 are constraint rows with the
-        right-hand side in the last column; row m holds the reduced costs
-        and, in its last cell, minus the current objective.
+        nonbasic variables (complemented where flipped).  Rows 0..m-1 are
+        constraint rows with the right-hand side in the last column; row m
+        holds the reduced costs and, in its last cell, minus the current
+        objective.
     basis : (m,) intp, basic variable of each row.
     nonbasic : (k,) intp, nonbasic variable of each column.
     locked : uint8 per variable, the variables that may never enter.
+    upper : float64 per variable, the upper bounds (``inf`` for none), or
+        None when no variable has one.
+    flipped : uint8 per variable, the nonbasic variables at their upper
+        bound; updated in place.  Needed only with a finite bound.
+    dantzig : enter the primal pass by the most negative reduced cost.
     Returns ``(status, pivots_used)``.
     """
     m = tableau.shape[0] - 1
@@ -77,14 +129,27 @@ def run_simplex(tableau, basis, nonbasic, locked, max_pivots, tol):
     rhs = tableau[:m, -1]
     pivots = 0
     unlocked = locked[nonbasic] == 0
+    bounded = upper is not None and bool(np.isfinite(upper).any())
 
-    def pivot(leave, enter):
+    def pivot(leave, enter, at_upper=False):
+        # ``at_upper``: row ``leave`` is complemented, its variable leaves flipped
+        entering, leaving = nonbasic[enter], basis[leave]
         pivot_inplace(tableau, basis, nonbasic, leave, enter)
-        unlocked[enter] = locked[nonbasic[enter]] == 0
+        unlocked[enter] = locked[leaving] == 0
+        if bounded:
+            flipped[leaving] = at_upper
+            if flipped[entering]:
+                flipped[entering] = 0
+                complement_row(tableau, leave, upper[entering])
 
     stalled = 0  # consecutive degenerate dual pivots
     while True:
-        infeasible = np.nonzero(rhs < -tol)[0]
+        if bounded:
+            ub = upper[basis]
+            violation = np.maximum(-rhs, rhs - ub)
+            infeasible = np.nonzero(violation > tol)[0]
+        else:
+            infeasible = np.nonzero(rhs < -tol)[0]
         if not infeasible.size:
             break
         if pivots >= max_pivots:
@@ -93,11 +158,18 @@ def run_simplex(tableau, basis, nonbasic, locked, max_pivots, tol):
         if bland:
             # Dual Bland's leaving rule: lowest basis index among infeasible rows.
             leave = int(infeasible[np.argmin(basis[infeasible])])
+        elif bounded:
+            leave = int(infeasible[np.argmax(violation[infeasible])])  # first of ties
         else:
             leave = int(infeasible[np.argmin(rhs[infeasible])])  # first of ties
+        above = bounded and rhs[leave] > ub[leave]
+        if above:
+            complement_row(tableau, leave, ub[leave])
         row = tableau[leave, :-1]
         neg = unlocked & (row < -tol)
         if not neg.any():
+            if above:
+                complement_row(tableau, leave, ub[leave])  # back to rest
             return STATUS_INFEASIBLE, pivots
         # Dual feasible columns go first: a column appended with a negative
         # reduced cost waits for the primal pass.
@@ -108,42 +180,103 @@ def run_simplex(tableau, basis, nonbasic, locked, max_pivots, tol):
         ratios = np.full(row.shape, np.inf)
         ratios[neg] = np.maximum(obj[neg], 0.0) / -row[neg]
         best = ratios.min()
+        step = best
+        enter = -1
         if bland:
             # Dual Bland's entering rule: lowest variable index among minimum ratios.
             enter = _lowest_variable(np.nonzero(ratios == best)[0], nonbasic)
-        else:
+        elif bounded:
+            enter = _flip_breakpoints(
+                tableau, leave, neg, ratios, nonbasic, upper, flipped
+            )
+            if enter >= 0:
+                step = ratios[enter]
+        if enter < 0:
             near = np.nonzero(ratios <= best + tol)[0]
             if near.size > 1:
                 size = -row[near]
                 near = near[size == size.max()]
             enter = _lowest_variable(near, nonbasic)
-        stalled = stalled + 1 if best <= tol else 0
-        pivot(leave, enter)
+        stalled = stalled + 1 if step <= tol else 0
+        pivot(leave, enter, above)
         pivots += 1
 
     top = len(locked)  # above every variable index
+    degenerate = 0  # consecutive degenerate primal steps
     while True:
-        # Bland's entering rule: lowest-index eligible variable.
         eligible = unlocked & (obj < -tol)
         if not eligible.any():
             return STATUS_OPTIMAL, pivots
         if pivots >= max_pivots:
             return STATUS_PIVOT_LIMIT, pivots
-        enter = int(np.argmin(np.where(eligible, nonbasic, top)))
+        if dantzig and degenerate < DUAL_STALL_PIVOTS:
+            # Dantzig's rule: most negative reduced cost, lowest index among ties.
+            scores = np.where(eligible, obj, np.inf)
+            enter = _lowest_variable(np.nonzero(scores == scores.min())[0], nonbasic)
+        else:
+            # Bland's entering rule: lowest-index eligible variable.
+            enter = int(np.argmin(np.where(eligible, nonbasic, top)))
 
         col = tableau[:m, enter]
-        pos = col > tol
-        if not pos.any():
-            return STATUS_UNBOUNDED, pivots
-        ratios = np.full(m, np.inf)
-        ratios[pos] = rhs[pos] / col[pos]
-        best = ratios.min()
+        if bounded:
+            ub = upper[basis]
+            pos = col > tol
+            # a basic variable falling to 0, or rising to its upper bound
+            rising = (col < -tol) & (ub < np.inf)
+            ratios = np.full(m, np.inf)
+            ratios[pos] = rhs[pos] / col[pos]
+            ratios[rising] = (ub[rising] - rhs[rising]) / -col[rising]
+            best = ratios.min()
+            width = upper[nonbasic[enter]]
+            if width <= best:
+                if width == np.inf:
+                    return STATUS_UNBOUNDED, pivots
+                # the entering variable reaches its own bound first
+                flip_column(tableau, enter, width)
+                flipped[nonbasic[enter]] ^= 1
+                degenerate = degenerate + 1 if width <= tol else 0
+                pivots += 1
+                continue
+        else:
+            pos = col > tol
+            if not pos.any():
+                return STATUS_UNBOUNDED, pivots
+            ratios = np.full(m, np.inf)
+            ratios[pos] = rhs[pos] / col[pos]
+            best = ratios.min()
         ties = np.nonzero(ratios == best)[0]
         # Bland's leaving rule: among minimum ratios, lowest basis index.
         leave = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
-
-        pivot(leave, enter)
+        above = bounded and rising[leave]
+        if above:
+            complement_row(tableau, leave, ub[leave])
+        degenerate = degenerate + 1 if best <= tol else 0
+        pivot(leave, enter, above)
         pivots += 1
+
+
+def _flip_breakpoints(tableau, leave, candidates, ratios, nonbasic, upper, flipped):
+    """Bound-flipping ratio test on the infeasible row ``leave``.
+
+    Walks the ``candidates`` columns in ratio order (ties by variable index)
+    and flips each leading breakpoint whose flip leaves the row's right-hand
+    side below zero.  Returns the column of the first breakpoint that would
+    close the row, or has no finite bound, once at least one breakpoint has
+    flipped, and -1 (nothing flipped) otherwise.  When flipping every
+    breakpoint would still leave the row infeasible, the last one enters.
+    """
+    cols = np.nonzero(candidates)[0]
+    cols = cols[np.lexsort((nonbasic[cols], ratios[cols]))]
+    # the row's right-hand side after flipping each prefix of breakpoints
+    after = tableau[leave, -1] - np.cumsum(tableau[leave, cols] * upper[nonbasic[cols]])
+    closes = np.flatnonzero(after >= 0.0)
+    closing = int(closes[0]) if closes.size else len(cols) - 1
+    if closing == 0:
+        return -1
+    for col in cols[:closing]:
+        flip_column(tableau, col, upper[nonbasic[col]])
+        flipped[nonbasic[col]] ^= 1
+    return int(cols[closing])
 
 
 def pivot_inplace(tableau, basis, nonbasic, row, col):

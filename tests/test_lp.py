@@ -321,6 +321,23 @@ def test_active_backend_reported():
     assert kernel_backend() == "python"
 
 
+_REAL_PIVOT = _kernel.pivot_inplace
+
+
+def _recorded_run(monkeypatch, T, basis, nonbasic, locked, **options):
+    """``run_simplex`` with every basis exchange recorded as (row, entering
+    variable); returns ``(status, pivots used, exchanges)``."""
+    exchanges = []
+
+    def recording(tableau, basis, nonbasic, row, col):
+        exchanges.append((row, int(nonbasic[col])))
+        _REAL_PIVOT(tableau, basis, nonbasic, row, col)
+
+    monkeypatch.setattr(_kernel, "pivot_inplace", recording)
+    status, used = _kernel.run_simplex(T, basis, nonbasic, locked, 100, 1e-9, **options)
+    return status, used, exchanges
+
+
 class TestKernelDualPass:
     """``min -x1 - x2 s.t. x1 <= 1, x2 <= 1`` at its optimum, with the row
     ``x1 + x2 <= 1.5`` appended (its slack s3 basic at -0.5) and a new
@@ -345,18 +362,8 @@ class TestKernelDualPass:
         )
         return T, np.array([0, 1, 4], dtype=np.intp), np.array([2, 3, 5], dtype=np.intp)
 
-    real_pivot = staticmethod(_kernel.pivot_inplace)
-
     def _run(self, monkeypatch, T, basis, nonbasic, locked):
-        pivots = []
-        real = self.real_pivot
-
-        def recording(tableau, basis, nonbasic, row, col):
-            pivots.append((row, int(nonbasic[col])))
-            real(tableau, basis, nonbasic, row, col)
-
-        monkeypatch.setattr(_kernel, "pivot_inplace", recording)
-        status, used = _kernel.run_simplex(T, basis, nonbasic, locked, 100, 1e-9)
+        status, used, pivots = _recorded_run(monkeypatch, T, basis, nonbasic, locked)
         assert used == len(pivots)
         return status, pivots
 
@@ -433,6 +440,143 @@ class TestKernelDualPass:
         assert pivots == []
 
 
+class TestKernelBounds:
+    """Hand-built LPs with upper bounds, run from the tableau at a starting
+    basis.  Each run is checked against the dense formula at the basis and
+    flips it ends at, so a complemented row left behind, a missed
+    un-complement or a wrong right-hand side after a flip all show.
+
+    Problems are ``(A, b, costs, unit_row, upper)`` as ``_refresh`` takes
+    them; pivots are recorded as (row, entering variable)."""
+
+    @staticmethod
+    def _start(problem, basis, flipped=None):
+        width = len(problem[2])
+        basis = np.asarray(basis, dtype=np.intp)
+        nonbasic = np.setdiff1d(np.arange(width), basis).astype(np.intp)
+        flipped = np.zeros(width, dtype=np.uint8) if flipped is None else np.asarray(
+            flipped, dtype=np.uint8
+        )
+        T = np.ascontiguousarray(_dense_refresh(basis, nonbasic, *problem, flipped=flipped))
+        return T, basis, nonbasic, flipped
+
+    def _solve(self, monkeypatch, problem, basis, flipped=None, **options):
+        T, basis, nonbasic, flipped = self._start(problem, basis, flipped)
+        locked = np.zeros(len(flipped), dtype=np.uint8)
+        status, used, exchanges = _recorded_run(
+            monkeypatch, T, basis, nonbasic, locked, upper=problem[4], flipped=flipped, **options
+        )
+        dense = _dense_refresh(basis, nonbasic, *problem, flipped=flipped)
+        assert np.max(np.abs(T - dense)) <= 1e-12
+        return status, used, exchanges, basis, flipped, T
+
+    def test_primal_bound_flip_without_basis_change(self, monkeypatch):
+        # min -x1 s.t. x1 + x2 <= 5, x1 <= 2: x1 reaches its bound before
+        # the row binds, so its column flips and the slack stays basic
+        problem = (np.array([[1.0, 1.0]]), np.array([5.0]), np.array([-1.0, 0.0, 0.0]),
+                   np.array([0]), np.array([2.0, np.inf, np.inf]))
+        status, used, exchanges, basis, flipped, T = self._solve(monkeypatch, problem, [2])
+        assert status == _kernel.STATUS_OPTIMAL
+        assert (used, exchanges) == (1, [])  # one bound flip, no basis exchange
+        assert list(basis) == [2] and list(flipped) == [1, 0, 0]
+        assert T[0, -1] == pytest.approx(3.0)  # the slack, 5 - 2
+        assert T[1, -1] == pytest.approx(2.0)  # minus the objective -2
+
+    def test_basic_variable_leaves_at_its_upper_bound(self, monkeypatch):
+        # x1 - x2 <= 1 with x1 basic at 1 and x1 <= 3, x2 <= 10; min -x2.
+        # x2 enters and lifts x1, which leaves at 3, flipped.
+        problem = (np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([1.0, 10.0]),
+                   np.array([0.0, -1.0, 0.0, 0.0]), np.array([0, 1]),
+                   np.array([3.0, np.inf, np.inf, np.inf]))
+        status, used, exchanges, basis, flipped, T = self._solve(monkeypatch, problem, [0, 3])
+        assert status == _kernel.STATUS_OPTIMAL
+        assert exchanges[0] == (0, 1)  # x2 enters the row of x1
+        assert flipped[0] == 1 and 0 not in basis
+        assert used == len(exchanges)
+        assert T[-1, -1] == pytest.approx(10.0)  # x2 = 10
+
+    def test_flipped_variable_enters_and_its_row_is_uncomplemented(self, monkeypatch):
+        # min x1 s.t. x1 >= 0.5 (as -x1 <= -0.5), x1 <= 2, from x1 = 2:
+        # lowering x1 hits the row at 0.5 before the bound at 0
+        problem = (np.array([[-1.0]]), np.array([-0.5]), np.array([1.0, 0.0]),
+                   np.array([0]), np.array([2.0, np.inf]))
+        status, used, exchanges, basis, flipped, T = self._solve(
+            monkeypatch, problem, [1], flipped=[1, 0]
+        )
+        assert status == _kernel.STATUS_OPTIMAL
+        assert exchanges == [(0, 0)]
+        assert list(basis) == [0] and not flipped.any()
+        assert T[0, -1] == pytest.approx(0.5)  # x1 itself, not 2 - x1
+
+    def test_dual_pass_repairs_a_row_above_its_upper_bound(self, monkeypatch):
+        # x1 + x2 <= 5 with x1 basic at 5 but x1 <= 2; min -x1 + 0.5 x2 is
+        # dual feasible there.  The row is complemented and x1 leaves at 2.
+        problem = (np.array([[1.0, 1.0]]), np.array([5.0]), np.array([-1.0, 0.5, 0.0]),
+                   np.array([0]), np.array([2.0, np.inf, np.inf]))
+        status, used, exchanges, basis, flipped, T = self._solve(monkeypatch, problem, [0])
+        assert status == _kernel.STATUS_OPTIMAL
+        assert exchanges == [(0, 2)]  # the slack (ratio 1) beats x2 (1.5)
+        assert list(flipped) == [1, 0, 0]
+        assert T[0, -1] == pytest.approx(3.0)
+        assert T[1, -1] == pytest.approx(2.0)  # minus the objective -2
+
+    # x1 + x2 + x3 + x4 >= rhs (as a <= row with its slack basic), costs
+    # 1, 2, 3, 4, x1..x3 <= 1: the ratios are the costs.
+    @staticmethod
+    def _breakpoints(rhs, upper_x4=np.inf):
+        return (np.full((1, 4), -1.0), np.array([-rhs]), np.array([1.0, 2.0, 3.0, 4.0, 0.0]),
+                np.array([0]), np.array([1.0, 1.0, 1.0, upper_x4, np.inf]))
+
+    def test_bound_flipping_ratio_test(self, monkeypatch):
+        # At 2.5, x1 and x2 flip (the row is still short by 0.5) and x3,
+        # whose flip would close the row, enters: one dual pivot, at 0.5.
+        status, used, exchanges, basis, flipped, T = self._solve(
+            monkeypatch, self._breakpoints(2.5), [4]
+        )
+        assert status == _kernel.STATUS_OPTIMAL
+        assert (used, exchanges) == (1, [(0, 2)])
+        assert list(flipped) == [1, 1, 0, 0, 0]
+        assert T[0, -1] == pytest.approx(0.5)
+        assert T[1, -1] == pytest.approx(-4.5)  # minus the objective 1 + 2 + 1.5
+        assert np.all(T[1, :-1] >= 0.0)
+
+    def test_first_breakpoint_closing_the_row_flips_nothing(self, monkeypatch):
+        status, used, exchanges, basis, flipped, T = self._solve(
+            monkeypatch, self._breakpoints(0.5), [4]
+        )
+        assert status == _kernel.STATUS_OPTIMAL
+        assert (used, exchanges) == (1, [(0, 0)])
+        assert not flipped.any()
+
+    def test_row_no_flip_can_close_is_infeasible(self, monkeypatch):
+        # every variable boxed at 1 and the row asks for 5: x1..x3 flip, x4
+        # enters above its bound, and its complemented row has no repair
+        status, used, exchanges, basis, flipped, T = self._solve(
+            monkeypatch, self._breakpoints(5.0, upper_x4=1.0), [4]
+        )
+        assert status == _kernel.STATUS_INFEASIBLE
+        assert (used, exchanges) == (1, [(0, 3)])
+        assert list(flipped) == [1, 1, 1, 0, 0]
+
+    @pytest.mark.parametrize("dantzig,entered", [(True, [1, 2, 0]), (False, [0, 1, 2])])
+    def test_dantzig_ties_break_by_variable_under_permutations(
+        self, monkeypatch, dantzig, entered
+    ):
+        # min -0.5 x1 - x2 - x3 s.t. x_i <= 1: Dantzig enters x2 before x3
+        # (tied, lower index) and x1 last; Bland enters in index order
+        problem = (np.eye(3), np.ones(3), np.array([-0.5, -1.0, -1.0, 0.0, 0.0, 0.0]),
+                   np.arange(3), np.full(6, np.inf))
+        for order in itertools.permutations(range(3)):
+            T, basis, nonbasic, flipped = self._start(problem, [3, 4, 5])
+            T = np.ascontiguousarray(T[:, list(order) + [3]])
+            nonbasic = nonbasic[list(order)]
+            status, used, exchanges = _recorded_run(
+                monkeypatch, T, basis, nonbasic, np.zeros(6, dtype=np.uint8), dantzig=dantzig
+            )
+            assert status == _kernel.STATUS_OPTIMAL
+            assert [var for _, var in exchanges] == entered
+
+
 def _full_matrix(A, unit_row):
     """``A`` followed by the unit columns that ``unit_row`` places."""
     m, g = A.shape
@@ -442,14 +586,23 @@ def _full_matrix(A, unit_row):
     return full
 
 
-def _dense_refresh(basis, nonbasic, A, b, costs, unit_row):
-    """The full-basis formula: ``B⁻¹[A_N | b]``, ``c_N - yA_N`` with ``Bᵀy = c_B``."""
+def _dense_refresh(basis, nonbasic, A, b, costs, unit_row, upper=None, flipped=None):
+    """The full-basis formula: ``B⁻¹[A_N | b - A_U u_U]``, ``c_N - yA_N`` with
+    ``Bᵀy = c_B``, where the nonbasic variables U that ``flipped`` marks sit
+    at their ``upper`` bound, complemented: their columns and costs negated."""
     full = _full_matrix(A, unit_row)
     B = full[:, basis]
-    body = np.linalg.solve(B, np.column_stack([full[:, nonbasic], b]))
+    sign = np.ones(len(nonbasic))
+    if flipped is not None:
+        sign[flipped[nonbasic] != 0] = -1.0
+    at_upper = nonbasic[sign < 0]
+    bound = np.zeros(0) if upper is None else upper[at_upper]
+    cols = full[:, nonbasic] * sign
+    body = np.linalg.solve(B, np.column_stack([cols, b - full[:, at_upper] @ bound]))
     y = np.linalg.solve(B.T, costs[basis])
-    reduced = costs[nonbasic] - full[:, nonbasic].T @ y
-    return np.vstack([body, np.append(reduced, -costs[basis] @ body[:, -1])])
+    reduced = sign * costs[nonbasic] - cols.T @ y
+    objective = costs[basis] @ body[:, -1] + costs[at_upper] @ bound
+    return np.vstack([body, np.append(reduced, -objective)])
 
 
 class TestStructuredRefresh:
@@ -470,15 +623,16 @@ class TestStructuredRefresh:
         rest = np.setdiff1d(np.arange(g + m), basis)
         return basis.astype(np.intp), rng.permutation(rest).astype(np.intp)
 
-    def _compare(self, basis, nonbasic, problem):
+    def _compare(self, basis, nonbasic, problem, flipped=None):
         T = np.full((len(basis) + 1, len(nonbasic) + 1), np.nan)
-        A, _, _, unit_row = problem
+        A, _, _, unit_row = problem[:4]
         if np.linalg.matrix_rank(_full_matrix(A, unit_row)[:, basis]) < len(basis):
             # a surplus column with its own row's unit column
-            assert not lpmod._refresh(T, basis, nonbasic, *problem)
+            assert not lpmod._refresh(T, basis, nonbasic, *problem, flipped=flipped)
             return
-        assert lpmod._refresh(T, basis, nonbasic, *problem)
-        assert np.max(np.abs(T - _dense_refresh(basis, nonbasic, *problem))) <= 1e-10
+        assert lpmod._refresh(T, basis, nonbasic, *problem, flipped=flipped)
+        dense = _dense_refresh(basis, nonbasic, *problem, flipped=flipped)
+        assert np.max(np.abs(T - dense)) <= 1e-10
 
     @pytest.mark.parametrize("m,g", [(6, 4), (8, 8), (5, 12), (1, 3)])
     def test_random_bases(self, m, g):
@@ -487,6 +641,24 @@ class TestStructuredRefresh:
         for structural in sorted({0, min(m, g), 1 % (min(m, g) + 1), min(m, g) // 2}):
             for _ in range(5):
                 self._compare(*self._basis(rng, m, g, structural), problem)
+
+    @pytest.mark.parametrize("m,g", [(6, 4), (8, 8), (5, 12), (1, 3)])
+    def test_flipped_nonbasics(self, m, g):
+        # about half the nonbasic general variables at their upper bound
+        rng = np.random.default_rng(100 + 10 * m + g)
+        A, b, costs, unit_row = self._layout(rng, m, g)
+        upper = np.concatenate([rng.uniform(0.5, 3.0, g), np.full(m, np.inf)])
+        problem = (A, b, costs, unit_row, upper)
+        seen = 0
+        for structural in sorted({0, min(m, g), 1 % (min(m, g) + 1), min(m, g) // 2}):
+            for _ in range(5):
+                basis, nonbasic = self._basis(rng, m, g, structural)
+                flipped = np.zeros(g + m, dtype=np.uint8)
+                general = nonbasic[nonbasic < g]
+                flipped[general[rng.random(len(general)) < 0.5]] = 1
+                seen += int(flipped.sum())
+                self._compare(basis, nonbasic, problem, flipped)
+        assert seen > 0
 
     def test_solve_lp_layout(self):
         # [structural | surplus | slack | artificial] as solve_lp builds it:
@@ -528,8 +700,9 @@ class TestStructuredRefresh:
         assert (sol.status, sol.reason, sol.refreshes) == ("breakdown", "singular-basis", 1)
 
 
-def _highs_max(c, A, b):
-    res = linprog(-c, A_ub=A, b_ub=b, method="highs")
+def _highs_max(c, A, b, upper=None):
+    bounds = (0, None) if upper is None else [(0, None if u == np.inf else u) for u in upper]
+    res = linprog(-c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
     assert res.status == 0
     return -float(res.fun), -res.ineqlin.marginals
 
@@ -538,7 +711,9 @@ def _assert_kept_tableau(lp):
     """The tableau a WarmLP starts its next solve from equals an exact refresh
     at the same basis within 1e-9."""
     fresh = np.empty_like(lp._T)
-    assert lpmod._refresh(fresh, lp.basis.copy(), lp.nonbasic.copy(), *lp._problem())
+    assert lpmod._refresh(
+        fresh, lp.basis.copy(), lp.nonbasic.copy(), *lp._problem(), flipped=lp.flipped
+    )
     assert np.max(np.abs(lp._T - fresh)) <= 1e-9
 
 
@@ -549,13 +724,13 @@ class TestWarmAgainstCold:
     within 1e-7, and, when it takes fewer than ``BURST_PIVOTS`` pivots, runs
     exactly one refresh: the confirmation."""
 
-    def _check(self, warm_lp, c, A, b, unique_duals=True):
+    def _check(self, warm_lp, c, A, b, unique_duals=True, upper=None):
         _assert_kept_tableau(warm_lp)
         warm = warm_lp.solve()
         if warm.pivots < lpmod.BURST_PIVOTS:
             assert warm.refreshes == 1
-        cold = solve_lp(LinearProgram(c, A, (LESS,) * len(b), b, sense="max"))
-        highs_obj, highs_duals = _highs_max(c, A, b)
+        cold = solve_lp(LinearProgram(c, A, (LESS,) * len(b), b, upper=upper, sense="max"))
+        highs_obj, highs_duals = _highs_max(c, A, b, upper)
         assert warm.is_optimal and cold.is_optimal
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert warm.objective == pytest.approx(highs_obj, abs=1e-7)
@@ -563,11 +738,17 @@ class TestWarmAgainstCold:
             assert np.max(np.abs(warm.duals - cold.duals)) <= 1e-9
             assert np.max(np.abs(warm.duals - highs_duals)) <= 1e-7
         else:
-            # a dual optimum need not be unique: check it is one
+            # A dual optimum need not be unique: check it is one.  The dual
+            # is min b·y + u·r s.t. Aᵀy + r >= c, y, r >= 0, with r = 0 where
+            # u is infinite, so r = max(c - Aᵀy, 0) on the bounded variables.
+            bounded = np.zeros(len(c), dtype=bool) if upper is None else upper < np.inf
+            excess = c - A.T @ warm.duals
             assert np.all(warm.duals >= -1e-9)
-            assert np.all(A.T @ warm.duals >= c - 1e-9)
-            assert float(b @ warm.duals) == pytest.approx(cold.objective, abs=1e-9)
-            assert float(b @ warm.duals) == pytest.approx(highs_obj, abs=1e-7)
+            assert np.all(excess[~bounded] <= 1e-9)
+            dual_obj = float(b @ warm.duals + upper[bounded] @ np.maximum(excess[bounded], 0.0)
+                             if bounded.any() else b @ warm.duals)
+            assert dual_obj == pytest.approx(cold.objective, abs=1e-9)
+            assert dual_obj == pytest.approx(highs_obj, abs=1e-7)
         return warm
 
     @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
@@ -609,6 +790,17 @@ class TestWarmAgainstCold:
         "family,n", [("k-selection", 30), ("spanning-tree", 40), ("dag-path", 40)]
     )
     def test_decomposition_cut_rows(self, family, n):
+        # the box t <= 2 as n explicit rows
+        self._cut_rows(family, n, bounded=False)
+
+    @pytest.mark.parametrize(
+        "family,n", [("k-selection", 30), ("spanning-tree", 40), ("dag-path", 40)]
+    )
+    def test_decomposition_cut_rows_bounded(self, family, n):
+        # the box t <= 2 as native upper bounds, the layout decompose uses
+        self._cut_rows(family, n, bounded=True)
+
+    def _cut_rows(self, family, n, bounded):
         oracle = build_oracle(generate_instance(family, n=n, seed=1))
         rng = np.random.default_rng(n)
         sets = [oracle.solve(rng.random(n))[0] for _ in range(6)]
@@ -622,12 +814,18 @@ class TestWarmAgainstCold:
 
         c = np.concatenate([p, [1.0, -1.0]])
         T0 = oracle.solve(np.zeros(n))[0]
-        A = np.vstack([np.eye(n, n + 2), set_row(T0)])
-        b = np.concatenate([np.full(n, 2.0), [T0.size]])
-        lp = WarmLP(c, A, b)
+        if bounded:
+            upper = np.concatenate([np.full(n, 2.0), [np.inf, np.inf]])
+            A, b = set_row(T0)[None, :], np.array([float(T0.size)])
+            lp = WarmLP(c, A, b, upper=upper)
+        else:
+            upper = None
+            A = np.vstack([np.eye(n, n + 2), set_row(T0)])
+            b = np.concatenate([np.full(n, 2.0), [T0.size]])
+            lp = WarmLP(c, A, b)
         cuts = 0
         while True:
-            sol = self._check(lp, c, A, b, unique_duals=False)
+            sol = self._check(lp, c, A, b, unique_duals=False, upper=upper)
             u = sol.x[:n] - 1.0
             T, value = oracle.solve(-u)
             if -value + sol.x[n] - sol.x[n + 1] <= 1e-8:
@@ -637,6 +835,8 @@ class TestWarmAgainstCold:
             b = np.append(b, T.size)
             cuts += 1
         assert cuts >= 5
+        if bounded:  # the kept tableaux held complemented columns
+            assert lp.flipped.any()
 
     @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
     def test_matrix_game_matches_one_shot(self, family):
@@ -666,12 +866,15 @@ class TestWarmAgainstCold:
 def _kernel_fault(reason):
     """A stand-in for ``_kernel.run_simplex`` that fails for ``reason``."""
     if reason == "budget":
-        return lambda T, basis, nonbasic, locked, max_pivots, tol: (
+        return lambda T, basis, nonbasic, locked, max_pivots, tol, **bounds: (
             _kernel.STATUS_PIVOT_LIMIT,
             max_pivots,
         )
     if reason == "dual-infeasible":
-        return lambda T, basis, nonbasic, locked, max_pivots, tol: (_kernel.STATUS_INFEASIBLE, 0)
+        return lambda T, basis, nonbasic, locked, max_pivots, tol, **bounds: (
+            _kernel.STATUS_INFEASIBLE,
+            0,
+        )
     raise ValueError(reason)
 
 
@@ -681,7 +884,7 @@ class TestBreakdownReasons:
 
     def _install(self, monkeypatch, reason):
         if reason == "singular-basis":
-            monkeypatch.setattr(lpmod, "_refresh", lambda *args: False)
+            monkeypatch.setattr(lpmod, "_refresh", lambda *args, **bounds: False)
         else:
             monkeypatch.setattr(_kernel, "run_simplex", _kernel_fault(reason))
 
@@ -706,8 +909,8 @@ class TestBreakdownReasons:
         monkeypatch.setattr(
             lpmod,
             "_run_phase",
-            lambda T, basis, nonbasic, locked, problem, budget: run_phase(
-                T, basis, nonbasic, locked, problem, 1
+            lambda T, basis, nonbasic, locked, problem, budget, **bounds: run_phase(
+                T, basis, nonbasic, locked, problem, 1, **bounds
             ),
         )
         sol = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0]).solve()
@@ -715,7 +918,7 @@ class TestBreakdownReasons:
 
     def test_phase_1_unbounded(self, monkeypatch):
         monkeypatch.setattr(
-            _kernel, "run_simplex", lambda *args: (_kernel.STATUS_UNBOUNDED, 0)
+            _kernel, "run_simplex", lambda *args, **bounds: (_kernel.STATUS_UNBOUNDED, 0)
         )
         sol = solve_lp(make_lp([1.0], [[1.0]], [">="], [1.0]))
         assert (sol.status, sol.reason) == ("breakdown", "phase-1-unbounded")

@@ -121,6 +121,24 @@ def _highs_interval_k_selection(inst) -> float:
     return float(res.fun)
 
 
+def _highs_scenario_k_selection(inst, oracle) -> float:
+    """The compact scenario LP over (p, t), solved by HiGHS."""
+    n, k = inst.n, inst.nominal.k
+    costs = inst.uncertainty.costs
+    optima = np.array([oracle.solve(c)[1] for c in costs])
+    res = linprog(
+        np.concatenate([np.zeros(n), [1.0]]),
+        A_ub=np.hstack([costs, -np.ones((len(costs), 1))]),
+        b_ub=optima,
+        A_eq=np.concatenate([np.ones(n), [0.0]])[None, :],
+        b_eq=[k],
+        bounds=[(0, 1)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
 def _assert_sound_game(game, inst, oracle):
     """Closed bracket, consistent marginal, feasible sets, distinct costs."""
     assert game.certified_gap <= 1e-7
@@ -195,11 +213,8 @@ class TestCompactKSelection:
         assert game.value == pytest.approx(brute, abs=1e-6)
         _assert_sound_game(game, inst, oracle)
 
-    # Beyond desk scale: the double oracle takes 9 s on seed 1 and had not
-    # finished seed 2 after 60 s.
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_interval_n200(self, seed):
-        inst = generate_instance("k-selection", n=200, uncertainty="interval", seed=seed)
+    @staticmethod
+    def _check_at_scale(inst, reference):
         oracle = build_oracle(inst)
         game = solve_randomized(inst, oracle=oracle)
         assert game.iterations == 1
@@ -207,7 +222,27 @@ class TestCompactKSelection:
         upper = max_expected_regret(game.marginal, inst, oracle).value
         lower = player_best_response(game.adversary, inst, oracle).value
         assert lower - 1e-9 <= game.value <= upper + 1e-9
-        assert game.value == pytest.approx(_highs_interval_k_selection(inst), abs=1e-6)
+        assert game.value == pytest.approx(reference(inst, oracle), abs=1e-6)
+
+    # Beyond desk scale: the double oracle takes 9 s on seed 1 and had not
+    # finished seed 2 after 60 s.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_interval_n200(self, seed):
+        inst = generate_instance("k-selection", n=200, uncertainty="interval", seed=seed)
+        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst))
+
+    # With the box 0 <= p <= 1 as n explicit rows the LP took about 2 s per
+    # case on a 2-vCPU machine; as native bounds, about 0.25 s.
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_interval_n300(self, seed):
+        inst = generate_instance("k-selection", n=300, uncertainty="interval", seed=seed)
+        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst))
+
+    def test_16_scenarios_n400(self):
+        inst = generate_instance(
+            "k-selection", n=400, uncertainty="scenarios", n_scenarios=16, seed=1
+        )
+        self._check_at_scale(inst, _highs_scenario_k_selection)
 
 
 class TestSolveDeterministic:
@@ -438,9 +473,9 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
         history[id(self)].append((self.shape, started[0], self.basis.copy()))
         return sol
 
-    def run(T, basis, *args):
+    def run(T, basis, *args, **bounds):
         started.append(basis.copy())
-        return real_run(T, basis, *args)
+        return real_run(T, basis, *args, **bounds)
 
     def cold_solve(lp, max_pivots=None):
         cold.append(lp)
