@@ -37,22 +37,39 @@ reaches zero.  It is solved in its dual form
     subject to  sum(u over T) + w <= 0     for every generated T,
                 -1 <= u <= 1,   w free,
 
-written for a :class:`~minregret.lp.WarmLP` with ``t = u + 1`` in [0, 2]
-and ``w = w_plus - w_minus``: maximize ``p @ t + w_plus - w_minus`` (the
-deviation plus ``sum(p)``) subject to ``t(T) + w_plus - w_minus <= |T|`` per
-generated T.  The box ``t <= 2`` is a native upper bound of the engine, not
-n rows, so the LP has one row per generated set.  Every right-hand side is
-nonnegative, so the first solve starts from the feasible slack basis and no
-solve runs phase 1.  Rows are generated on demand: the most violated one
-is found by one nominal solve at costs -u.  Each generated T appends one
-row, whose slack joins the kept optimal basis; the dual pass restores
-feasibility from there instead of re-solving the grown LP cold.  The
+written for a :class:`~minregret.lp.WarmLP` with ``t = u + 1`` in [0, 2].
+Only the fractional items F get a column.  An item with ``p <= PROB_DROP``
+is fixed at ``u = -1`` (``t = 0``) and one with ``p >= 1 - PROB_DROP`` at
+``u = +1`` (``t = 2``); O is the set of the items at 1.  With
+``w' = w + 2|O| = w_plus - w_minus`` the LP is: maximize
+``p_F @ t_F + w_plus - w_minus`` (the deviation plus a constant) subject to
+``t_F(T) + w_plus - w_minus <= |T| + 2|O minus T|`` per generated T.  The box
+``t_F <= 2`` is a native upper bound of the engine, not rows, so the LP has
+one row per generated set.  Every right-hand side is nonnegative, so the
+first solve starts from the feasible slack basis and no solve runs phase 1.
+Rows are generated on demand: the most violated one is found by one nominal
+solve at costs -u over all n items, fixed ones included, and the loop stops
+only when no feasible set violates the LP optimum by more than a tenth of
+``tol``.  Each generated T appends one row, whose slack joins the kept
+optimal basis; the dual pass restores feasibility from there instead of
+re-solving the grown LP cold.
+
+Fixing is sound on both sides of the hull.  The stopping test runs at the
+full ``(u, w)``, so that pair is dual feasible for every feasible set, and
+a ``p @ u + w`` above ``tol`` is a separating certificate in the normalized
+form ``w - sum(u' over T) <= 0`` for all feasible T yet ``w - p @ u' > 0``,
+with ``u' = -u``.  In the other direction, fixing u only restricts the dual.
+Its primal keeps the rows of the fractional items and relaxes those of the
+fixed ones: weight on a set that holds an item at 0, or misses an item at
+1, costs 1 per unit instead of being ruled out.  A decomposition of p puts
+at most PROB_DROP of weight per fixed item on such sets, so for a p in the
+hull the restricted optimum is at most zero and p is never rejected.  The
 duals of the set rows are the weights y_T of the strategy (at most n+1 of
-them are nonzero at a basic optimum), the objective minus ``sum(p)`` is the
-L1 deviation, and a strictly positive optimum yields a separating
-certificate in the normalized form ``w' - sum(u' over T) <= 0 for all
-feasible T`` yet ``w' - p @ u' > 0``.  The box on u keeps the LP bounded,
-so an out-of-hull p degrades to a certified rejection.
+them are nonzero at a basic optimum), and an in-hull verdict stands only
+once they reproduce p within ``tol``.  The box on u keeps the LP bounded,
+so an out-of-hull p degrades to a certified rejection.  A most violated set
+that is already a row means the LP optimum disagrees with its own rows;
+that raises :class:`SolverError` instead of a verdict.
 
 Whatever the path, the strategy is accepted only if its marginal reproduces
 p within ``tol``.
@@ -254,41 +271,57 @@ def _decompose_by_rows(
     max_cuts: int = 10000,
 ) -> PlayerMixedStrategy:
     """The cutting-plane LP of the module docstring, for any family."""
-    n = len(p)
     p_arr = p.p
     sep_tol = tol / 10.0  # inner column-pricing margin, decoupled from tol
 
-    columns: list[FeasibleSet] = [oracle.solve(np.zeros(n))[0]]
-    seen = {columns[0]}
+    # Items within PROB_DROP of 0 keep u = -1 (t = 0) and those within
+    # PROB_DROP of 1 keep u = +1 (t = 2); only the fractional items F are LP
+    # columns, and w' = w + 2|O| over the items O at 1 keeps every rhs >= 0.
+    one = p_arr >= 1.0 - PROB_DROP
+    frac = np.flatnonzero(~one & (p_arr > PROB_DROP))
+    u = np.where(one, 1.0, -1.0)
+    u[frac] = 0.0
+    shift = 2.0 * float(one.sum())
 
-    def set_row(T: FeasibleSet) -> np.ndarray:
-        row = np.ones(n + 2)
-        row[:n] = T.indicator
-        row[n + 1] = -1.0
-        return row
-
-    # variables t (n) in [0, 2], w_plus, w_minus; one row per generated T
+    # variables t_F in [0, 2], w'+, w'-; one row per generated T
     lp = WarmLP(
-        np.concatenate([p_arr, [1.0, -1.0]]),
-        set_row(columns[0])[None, :],
-        [columns[0].size],
-        upper=np.concatenate([np.full(n, 2.0), [np.inf, np.inf]]),
+        np.concatenate([p_arr[frac], [1.0, -1.0]]),
+        np.empty((0, len(frac) + 2)),
+        [],
+        upper=np.concatenate([np.full(len(frac), 2.0), [np.inf, np.inf]]),
     )
+    columns: list[FeasibleSet] = []
+    seen: set[FeasibleSet] = set()
+
+    def generate(T: FeasibleSet) -> None:
+        """Append the row ``t_F(T) + w'+ - w'- <= |T| + 2|O minus T|``."""
+        seen.add(T)
+        columns.append(T)
+        row = np.ones(len(frac) + 2)
+        row[:-2] = T.indicator[frac]
+        row[-1] = -1.0
+        rhs = T.size + 2 * np.count_nonzero(one & (T.indicator == 0))
+        lp.add_rows(row[None, :], [rhs])
+
+    generate(oracle.solve(-u)[0])  # the best set at the fixed prices, F at 0
     for _ in range(max_cuts):
         sol = lp.solve()
         if not sol.is_optimal:
             raise SolverError(f"decomposition LP ended with status {sol.status_text}")
 
-        u = sol.x[:n] - 1.0
-        w = float(sol.x[n] - sol.x[n + 1])
-        # Most violated row over all feasible sets: maximize sum(u over T),
-        # i.e. one nominal solve at costs -u.
+        u[frac] = sol.x[:-2] - 1.0
+        w = float(sol.x[-2] - sol.x[-1]) - shift
+        # Most violated row over all feasible sets, at the full u: maximize
+        # sum(u over T), i.e. one nominal solve at costs -u.
         T_new, neg_val = oracle.solve(-u)
         violation = (-neg_val) + w  # = max_T sum(u over T) + w
-        if violation > sep_tol and T_new not in seen:
-            seen.add(T_new)
-            columns.append(T_new)
-            lp.add_rows(set_row(T_new)[None, :], [T_new.size])
+        if violation > sep_tol:
+            if T_new in seen:
+                raise SolverError(
+                    f"decomposition LP re-generated a set it already holds, "
+                    f"violated by {violation:.3g}"
+                )
+            generate(T_new)
             continue
 
         deviation = float(p_arr @ u + w)

@@ -29,14 +29,19 @@ makes it the usual negative right-hand side, and it leaves at that bound.
 Columns with a nonnegative reduced cost (within ``tol``) enter first, so a
 column appended in the same step with a negative reduced cost waits for the
 primal pass; only when no such column can repair the row does any unlocked
-column enter.  The leaving row is the most infeasible one.
+column enter.  The leaving row is the most infeasible one.  The ratios are
+computed on those candidate columns only (:func:`_dual_entering`), never
+over the full row.
 
 With finite bounds the entering column comes from a bound-flipping ratio
 test (Fourer 1994; Koberstein 2005, ch. 3): the breakpoints are walked in
 ratio order, ties by variable index, and each boxed one whose flip leaves
 the row still infeasible is flipped; the first breakpoint that would close
 the row, or has no finite bound, enters.  The flips are part of that dual
-pivot.  When the first breakpoint does not flip, the entering column has the
+pivot.  When the first breakpoint already closes the row, which is the
+common case (about two calls in three on the decomposition LPs), it is
+found without sorting or summing the breakpoints, and nothing flips.  When
+the first breakpoint does not flip, the entering column has the
 largest pivot element among the columns whose ratio is within ``tol`` of the
 minimum ratio, which keeps reduced costs nonnegative within ``tol``.  After
 ``DUAL_STALL_PIVOTS`` consecutive degenerate pivots the pass switches to
@@ -176,27 +181,9 @@ def run_simplex(
         feasible = neg & (obj >= -tol)
         if feasible.any():
             neg = feasible
-        # Clip negative reduced costs to zero so that no ratio is negative.
-        ratios = np.full(row.shape, np.inf)
-        ratios[neg] = np.maximum(obj[neg], 0.0) / -row[neg]
-        best = ratios.min()
-        step = best
-        enter = -1
-        if bland:
-            # Dual Bland's entering rule: lowest variable index among minimum ratios.
-            enter = _lowest_variable(np.nonzero(ratios == best)[0], nonbasic)
-        elif bounded:
-            enter = _flip_breakpoints(
-                tableau, leave, neg, ratios, nonbasic, upper, flipped
-            )
-            if enter >= 0:
-                step = ratios[enter]
-        if enter < 0:
-            near = np.nonzero(ratios <= best + tol)[0]
-            if near.size > 1:
-                size = -row[near]
-                near = near[size == size.max()]
-            enter = _lowest_variable(near, nonbasic)
+        enter, step = _dual_entering(
+            tableau, leave, neg, nonbasic, upper if bounded else None, flipped, bland, tol
+        )
         stalled = stalled + 1 if step <= tol else 0
         pivot(leave, enter, above)
         pivots += 1
@@ -255,28 +242,64 @@ def run_simplex(
         pivots += 1
 
 
-def _flip_breakpoints(tableau, leave, candidates, ratios, nonbasic, upper, flipped):
+def _dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, tol):
+    """Entering column of the dual pivot on the infeasible row ``leave``, and
+    its ratio, among the ``candidates`` columns (a mask).
+
+    The ratios are computed on the candidate columns only.  ``bland`` takes
+    the lowest variable index among the minimum ratios.  Otherwise, with
+    ``upper`` (None when no variable is bounded), the bound-flipping ratio
+    test runs first; when it flips nothing, the column with the largest
+    pivot element among the ratios within ``tol`` of the minimum enters.
+    """
+    cols = np.flatnonzero(candidates)
+    row = tableau[leave, cols]
+    # Clip negative reduced costs to zero so that no ratio is negative.
+    ratios = np.maximum(tableau[-1, cols], 0.0) / -row
+    best = ratios.min()
+    if bland:
+        # Dual Bland's entering rule: lowest variable index among minimum ratios.
+        return _lowest_variable(cols[ratios == best], nonbasic), best
+    if upper is not None:
+        at = _flip_breakpoints(tableau, leave, cols, ratios, best, nonbasic, upper, flipped)
+        if at >= 0:
+            return int(cols[at]), ratios[at]
+    near = np.flatnonzero(ratios <= best + tol)
+    if near.size > 1:
+        size = -row[near]
+        near = near[size == size.max()]
+    return _lowest_variable(cols[near], nonbasic), best
+
+
+def _flip_breakpoints(tableau, leave, cols, ratios, best, nonbasic, upper, flipped):
     """Bound-flipping ratio test on the infeasible row ``leave``.
 
-    Walks the ``candidates`` columns in ratio order (ties by variable index)
-    and flips each leading breakpoint whose flip leaves the row's right-hand
-    side below zero.  Returns the column of the first breakpoint that would
+    Walks the candidate columns ``cols`` in order of their ``ratios`` (the
+    lowest is ``best``; ties by variable index) and flips each leading
+    breakpoint whose flip leaves the row's right-hand side below zero.
+    Returns the position in ``cols`` of the first breakpoint that would
     close the row, or has no finite bound, once at least one breakpoint has
     flipped, and -1 (nothing flipped) otherwise.  When flipping every
     breakpoint would still leave the row infeasible, the last one enters.
+    The first breakpoint alone decides the common case: when it closes the
+    row, nothing is sorted or summed.
     """
-    cols = np.nonzero(candidates)[0]
-    cols = cols[np.lexsort((nonbasic[cols], ratios[cols]))]
+    rhs = tableau[leave, -1]
+    first = _lowest_variable(cols[ratios == best], nonbasic)
+    if rhs - tableau[leave, first] * upper[nonbasic[first]] >= 0.0:
+        return -1
+    order = np.lexsort((nonbasic[cols], ratios))
+    walk = cols[order]
     # the row's right-hand side after flipping each prefix of breakpoints
-    after = tableau[leave, -1] - np.cumsum(tableau[leave, cols] * upper[nonbasic[cols]])
+    after = rhs - np.cumsum(tableau[leave, walk] * upper[nonbasic[walk]])
     closes = np.flatnonzero(after >= 0.0)
-    closing = int(closes[0]) if closes.size else len(cols) - 1
+    closing = int(closes[0]) if closes.size else len(walk) - 1
     if closing == 0:
         return -1
-    for col in cols[:closing]:
+    for col in walk[:closing]:
         flip_column(tableau, col, upper[nonbasic[col]])
         flipped[nonbasic[col]] ^= 1
-    return int(cols[closing])
+    return int(order[closing])
 
 
 def pivot_inplace(tableau, basis, nonbasic, row, col):

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from minregret.core import (
     PROB_DROP,
     MarginalVector,
     NotInHullError,
     PlayerMixedStrategy,
+    SolverError,
     marginal_of_strategy,
 )
 from minregret.decompose import (
@@ -18,10 +22,12 @@ from minregret.decompose import (
 from minregret.gen import generate_instance
 from minregret.nominal import (
     DagPathOracle,
+    ExplicitOracle,
     KSelectionOracle,
     SpanningTreeOracle,
     build_oracle,
 )
+from minregret.solvers import solve_randomized
 
 from conftest import random_support_strategy
 
@@ -343,3 +349,167 @@ class TestExactPathsAtScale:
         with pytest.raises(NotInHullError) as info:
             decompose_marginal(MarginalVector(q), oracle)
         _assert_sound_certificate(oracle, q, info.value)
+
+
+class _RepeatingOracle:
+    """Finds the most violated set with ``oracle``, but reports the first
+    set it ever returned in its place."""
+
+    def __init__(self, oracle):
+        self.oracle, self.n, self.first = oracle, oracle.n, None
+
+    def solve(self, costs):
+        T, value = self.oracle.solve(costs)
+        self.first = self.first or T
+        return self.first, value
+
+
+def test_regenerated_violated_row_raises():
+    oracle = KSelectionOracle(6, 3)
+    p = MarginalVector(np.full(6, 0.5))
+    assert decompose_marginal(p, oracle).support_size > 1
+    with pytest.raises(SolverError, match="re-generated a set it already holds, violated by"):
+        _decompose_by_rows(p, _RepeatingOracle(oracle))
+
+
+def _forced_mix(oracle, rng, sets=6):
+    """Marginal of a random mix of nominal optima at random costs, forced to
+    have an item at 1 and two at 0: the first item of the largest of four
+    nominal optima T is priced at -n and two items outside T at +n, so every
+    optimum contains the first and avoids the others, as T does."""
+    n = oracle.n
+    T = max((oracle.solve(rng.random(n))[0] for _ in range(4)), key=lambda T: T.size)
+    costs = rng.random((sets, n))
+    costs[:, T.indices[0]] = -n
+    costs[:, np.flatnonzero(T.indicator == 0)[:2]] = n
+    y = PlayerMixedStrategy.cleaned(
+        [oracle.solve(c)[0] for c in costs], rng.dirichlet(np.ones(sets))
+    )
+    p = marginal_of_strategy(y).p.copy()
+    assert np.any(p <= PROB_DROP) and np.any(p >= 1.0 - PROB_DROP)
+    return p
+
+
+class TestFixedItems:
+    """The LP path fixes the items within PROB_DROP of 0 and of 1 and keeps
+    LP columns only for the fractional ones."""
+
+    @pytest.mark.parametrize("family", ["k-selection", "dag-path"])
+    @pytest.mark.parametrize("n,seed", [(12, 1), (30, 2)])
+    def test_same_verdicts_as_the_exact_paths(self, family, n, seed):
+        oracle = build_oracle(generate_instance(family, n=n, seed=seed))
+        rng = np.random.default_rng([seed, n, 7])
+        for _ in range(3):
+            p = _forced_mix(oracle, rng)
+            raised = p.copy()  # an item at 0 moves off it
+            raised[int(np.argmin(p))] += 0.3
+            lowered = p.copy()  # an item at 1 moves off it
+            lowered[int(np.argmax(p))] -= 0.3
+            cases = [(p, True), (raised, False), (lowered, False)]
+            fractional = np.flatnonzero((p > PROB_DROP) & (p < 1.0 - PROB_DROP))
+            if fractional.size:  # a fractional item moves by a tenth
+                nudged = p.copy()
+                nudged[rng.choice(fractional)] -= 0.1 * p[fractional].min()
+                cases.append((nudged, False))
+            for marginal, in_hull in cases:
+                assert _verdict(decompose_marginal, oracle, marginal, n + 1) is in_hull
+                assert _verdict(_decompose_by_rows, oracle, marginal, n + 1) is in_hull
+
+    def test_zero_edges_that_disconnect_the_graph(self):
+        # K5 with every edge at vertex 4 at 0, and K4 on the rest at 1/2
+        # each, which is a point of K4's spanning-tree hull
+        edges = list(itertools.combinations(range(5), 2))
+        oracle = SpanningTreeOracle(5, edges)
+        p = np.array([0.0 if 4 in e else 0.5 for e in edges])
+        with pytest.raises(NotInHullError) as info:
+            _decompose_by_rows(MarginalVector(p), oracle)
+        _assert_sound_certificate(oracle, p, info.value)
+
+    def test_edges_at_one_that_form_a_cycle(self):
+        # K5 with the triangle 0-1-2 at 1; the other seven edges share the
+        # fourth unit, so the edge count of a tree holds
+        edges = list(itertools.combinations(range(5), 2))
+        oracle = SpanningTreeOracle(5, edges)
+        p = np.array([1.0 if max(e) <= 2 else 1.0 / 7.0 for e in edges])
+        assert p.sum() == pytest.approx(4.0)
+        with pytest.raises(NotInHullError) as info:
+            _decompose_by_rows(MarginalVector(p), oracle)
+        _assert_sound_certificate(oracle, p, info.value)
+
+    def test_zero_edges_at_a_vertex_of_a_generated_graph(self):
+        oracle = build_oracle(generate_instance("spanning-tree", n=40, seed=1))
+        rng = np.random.default_rng(40)
+        p = _forced_mix(oracle, rng)
+        q = p.copy()
+        q[[e for e, edge in enumerate(oracle.edges) if 0 in edge]] = 0.0
+        assert q.sum() < p.sum()
+        with pytest.raises(NotInHullError) as info:
+            _decompose_by_rows(MarginalVector(q), oracle)
+        _assert_sound_certificate(oracle, q, info.value)
+
+    @pytest.mark.parametrize(
+        "family,n", [("spanning-tree", 30), ("k-selection", 20), ("dag-path", 30)]
+    )
+    def test_items_within_prob_drop_of_a_bound(self, family, n):
+        oracle = build_oracle(generate_instance(family, n=n, seed=3))
+        rng = np.random.default_rng([n, 3])
+        p = _forced_mix(oracle, rng)
+        p[p == 0.0] = 0.5 * PROB_DROP
+        p[p >= 1.0 - PROB_DROP] = 1.0 - 0.5 * PROB_DROP
+        _assert_decomposes(oracle, p, _decompose_by_rows(MarginalVector(p), oracle), n + 1)
+
+
+def _highs_member(X, p):
+    """Whether ``p`` is a convex combination of the rows of ``X``, by HiGHS."""
+    A = np.vstack([X.T, np.ones(len(X))])
+    res = linprog(
+        np.zeros(len(X)), A_eq=A, b_eq=np.append(p, 1.0), bounds=(0, None), method="highs"
+    )
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_explicit_families_agree_with_highs(seed):
+    rng = np.random.default_rng([seed, 8])
+    n = 8
+    sets = [rng.choice(n, size=int(rng.integers(2, 6)), replace=False) for _ in range(12)]
+    oracle = ExplicitOracle(n, [sorted(s) for s in sets])
+    X = np.stack([T.indicator for T in oracle.family]).astype(float)
+    marginals = []
+    for size in (1, 2, 4, 6):  # one set: every item at 0 or 1
+        idx = rng.choice(len(X), size=size, replace=False)
+        p = rng.dirichlet(np.ones(size)) @ X[idx]
+        marginals += [p, np.clip(p + rng.choice([-0.1, 0.1], n), 0.0, 1.0)]
+    marginals += [rng.random(n) for _ in range(4)]
+    verdicts = set()
+    for p in marginals:
+        in_hull = _highs_member(X, p)
+        verdicts.add((in_hull, bool(np.any((p <= PROB_DROP) | (p >= 1.0 - PROB_DROP)))))
+        assert _verdict(_decompose_by_rows, oracle, p, n + 1) is in_hull
+        assert _verdict(decompose_marginal, oracle, p, n + 1) is in_hull
+    # both verdicts, each on a marginal with an item at 0 or 1
+    assert {(True, True), (False, True)} <= verdicts
+
+
+def test_k_selection_n200_optimal_marginal_on_the_lp_path():
+    """The k-selection interval n=200 seed 1 optimal marginal (54 items at 0
+    and 64 at 1), which the LP path with a column per item gave up on after
+    61-95 s with ``breakdown (singular-basis)``; over its 82 fractional items
+    it takes well under a second."""
+    n = 200
+    instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
+    oracle = build_oracle(instance)
+    p = solve_randomized(instance).marginal.p
+    y = _decompose_by_rows(MarginalVector(p), oracle)
+    _assert_decomposes(oracle, p, y, n + 1)
+
+
+def test_spanning_tree_n300_optimal_marginal():
+    """``solve_randomized``'s optimal marginal of spanning-tree interval n=300
+    seed 1 (243 edges at 0, 13 at 1) decomposes through the LP path."""
+    n = 300
+    instance = generate_instance("spanning-tree", n=n, uncertainty="interval", seed=1)
+    oracle = build_oracle(instance)
+    p = solve_randomized(instance).marginal.p
+    _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), n + 1)

@@ -926,3 +926,144 @@ class TestBreakdownReasons:
     def test_genuine_statuses_carry_no_reason(self):
         assert solve_lp(make_lp([1.0], [[1.0]], [">="], [0.0], sense="max")).reason is None
         assert solve_lp(make_lp([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0])).reason is None
+
+
+def _reference_dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, tol):
+    """The dual pass's entering rule written over the full row: ratios in a
+    full-width array with ``inf`` off the candidates, and a bound-flipping
+    ratio test that always sorts and sums every breakpoint.  The kernel's
+    ``_dual_entering`` must agree with it exactly."""
+    row = tableau[leave, :-1]
+    obj = tableau[-1, :-1]
+    ratios = np.full(row.shape, np.inf)
+    ratios[candidates] = np.maximum(obj[candidates], 0.0) / -row[candidates]
+    best = ratios.min()
+
+    def lowest(cols):
+        return int(cols[np.argmin(nonbasic[cols])])
+
+    if bland:
+        return lowest(np.nonzero(ratios == best)[0]), best
+    if upper is not None:
+        cols = np.nonzero(candidates)[0]
+        cols = cols[np.lexsort((nonbasic[cols], ratios[cols]))]
+        after = tableau[leave, -1] - np.cumsum(tableau[leave, cols] * upper[nonbasic[cols]])
+        closes = np.flatnonzero(after >= 0.0)
+        closing = int(closes[0]) if closes.size else len(cols) - 1
+        if closing > 0:
+            for col in cols[:closing]:
+                _kernel.flip_column(tableau, col, upper[nonbasic[col]])
+                flipped[nonbasic[col]] ^= 1
+            return int(cols[closing]), ratios[cols[closing]]
+    near = np.nonzero(ratios <= best + tol)[0]
+    if near.size > 1:
+        size = -row[near]
+        near = near[size == size.max()]
+    return lowest(near), best
+
+
+def _kernel_runs(monkeypatch, fixture):
+    """Every kernel run ``fixture(monkeypatch)`` makes: its status and pivot
+    count, and the basis, nonbasic and flipped arrays it leaves."""
+    runs = []
+    real = _kernel.run_simplex
+
+    def recording(*args, **options):
+        result = real(*args, **options)
+        flipped = options.get("flipped")
+        runs.append((result, args[1].tolist(), args[2].tolist(),
+                     None if flipped is None else flipped.tolist()))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernel, "run_simplex", recording)
+        fixture(patch)
+    return runs
+
+
+def _dual_pass_fixtures():
+    """Tests above whose kernel runs reach the dual pass, each a callable of
+    the monkeypatch fixture."""
+    dual, bounds, warm = TestKernelDualPass(), TestKernelBounds(), TestWarmAgainstCold()
+    fixtures = {
+        "locked-column": dual.test_violated_row_repaired_with_locked_column_kept_out,
+        "column-waits": dual.test_dual_infeasible_column_waits_for_the_primal_pass,
+        "column-repairs": dual.test_dual_infeasible_column_repairs_when_nothing_else_can,
+        "permuted-ties": lambda mp: dual.test_ties_break_by_variable_not_column(
+            mp, (-1.0, -1.0, -2.0, -0.5), (0.0, 1.0, -2.0, -0.1)
+        ),
+        "above-bound": bounds.test_dual_pass_repairs_a_row_above_its_upper_bound,
+        "bfrt": bounds.test_bound_flipping_ratio_test,
+        "bfrt-first-closes": bounds.test_first_breakpoint_closing_the_row_flips_nothing,
+        "bfrt-no-close": bounds.test_row_no_flip_can_close_is_infeasible,
+        "game-dual-bland": warm.test_dual_bland_from_the_first_pivot,
+        "cuts-spanning-tree": lambda mp: warm.test_decomposition_cut_rows("spanning-tree", 40),
+    }
+    for family in ("k-selection", "spanning-tree"):
+        fixtures[f"game-{family}"] = (
+            lambda mp, family=family: warm.test_restricted_game_growth(family, 40)
+        )
+    for family, n in (("k-selection", 30), ("spanning-tree", 40), ("dag-path", 40)):
+        fixtures[f"cuts-bounded-{family}"] = (
+            lambda mp, family=family, n=n: warm.test_decomposition_cut_rows_bounded(family, n)
+        )
+    return fixtures
+
+
+_DUAL_PASS_FIXTURES = _dual_pass_fixtures()
+
+
+class TestDualEnteringAgainstReference:
+    """The kernel takes the dual ratios over the candidate columns only and
+    lets the first breakpoint decide the bound-flipping ratio test when it
+    closes the row; both must leave every choice of the full-row rule
+    (``_reference_dual_entering``) unchanged."""
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(2024)
+        paths = {"bland": 0, "flips": 0, "no-flip": 0}
+        for case in range(600):
+            m, k = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+            # halves, so that ratios and pivot elements often tie
+            T = rng.integers(-4, 5, size=(m + 1, k + 1)) / 2.0
+            leave = int(rng.integers(m))
+            T[leave, -1] = -float(rng.integers(1, 12)) / 2.0
+            T[leave, 0] = min(T[leave, 0], -0.5)
+            candidates = (T[leave, :-1] < -1e-9) & (rng.random(k) < 0.8)
+            candidates[0] = True
+            if case % 3:  # dual feasible candidates, as the kernel prefers
+                T[m, :-1] = np.abs(T[m, :-1])
+            nonbasic = rng.permutation(k + m)[:k].astype(np.intp)
+            bland = case % 7 == 0
+            upper = flipped = None
+            if case % 4:
+                upper = rng.choice([0.5, 1.0, 2.0, np.inf], size=k + m)
+                flipped = rng.integers(0, 2, size=k + m).astype(np.uint8)
+            results = []
+            for rule in (_kernel._dual_entering, _reference_dual_entering):
+                T_run = np.ascontiguousarray(T.copy())
+                f_run = None if flipped is None else flipped.copy()
+                enter, step = rule(T_run, leave, candidates, nonbasic, upper, f_run, bland, 1e-9)
+                results.append((enter, step, T_run, f_run))
+            (enter, step, T_kernel, f_kernel), (ref_enter, ref_step, T_ref, f_ref) = results
+            assert (enter, step) == (ref_enter, ref_step)
+            assert np.array_equal(T_kernel, T_ref)
+            assert (f_kernel is None and f_ref is None) or np.array_equal(f_kernel, f_ref)
+            if bland:
+                paths["bland"] += 1
+            elif upper is not None:
+                paths["flips" if not np.array_equal(T, T_ref) else "no-flip"] += 1
+        assert min(paths.values()) >= 50
+
+    @pytest.mark.parametrize("fixture", _DUAL_PASS_FIXTURES)
+    def test_fixture_pivots_unchanged(self, monkeypatch, fixture):
+        kernel = _kernel_runs(monkeypatch, _DUAL_PASS_FIXTURES[fixture])
+        calls = []
+
+        def reference(*args):
+            calls.append(args[1])
+            return _reference_dual_entering(*args)
+
+        monkeypatch.setattr(_kernel, "_dual_entering", reference)
+        assert _kernel_runs(monkeypatch, _DUAL_PASS_FIXTURES[fixture]) == kernel
+        assert calls  # the dual pass ran
