@@ -139,20 +139,28 @@ class LpSolution:
     found the basis numerically singular), "dual-infeasible" (the dual pass
     met a violated row that no column can repair) or "phase-1-unbounded"
     (phase 1 claimed an unbounded ray, which exact arithmetic rules out).
-    ``pivots`` counts basis exchanges plus primal bound flips (a nonbasic
-    variable moving to its other bound without a basis change); the flips
-    of a bound-flipping dual ratio test are part of their dual pivot.
-    ``refreshes`` counts the exact tableau refreshes the solve ran, on every
-    outcome.
+    ``dual_pivots`` counts the pivots of the kernel's dual passes and
+    ``primal_pivots`` those of its primal passes, with ``solve_lp``'s
+    pivots that drive zero-valued artificials out of the basis; their sum is
+    ``pivots``.  A pivot is a basis exchange or a primal bound flip (a
+    nonbasic variable moving to its other bound without a basis change);
+    the flips of a bound-flipping dual ratio test are part of their dual
+    pivot.  ``refreshes`` counts the exact tableau refreshes the solve ran,
+    on every outcome.
     """
 
     status: str  # optimal | infeasible | unbounded | breakdown
     x: np.ndarray | None
     duals: np.ndarray | None
     objective: float | None
-    pivots: int
+    dual_pivots: int
+    primal_pivots: int
     reason: str | None = None
     refreshes: int = 0
+
+    @property
+    def pivots(self) -> int:
+        return self.dual_pivots + self.primal_pivots
 
     @property
     def is_optimal(self) -> bool:
@@ -192,8 +200,10 @@ def _refresh(T, basis, nonbasic, A, b, costs, unit_row, upper=None, flipped=None
     # [A_N | b] in row space: a nonbasic unit column is e of its row
     data = np.zeros((m, len(nonbasic) + 1))
     general = nonbasic < g
-    data[:, np.flatnonzero(general)] = A[:, nonbasic[general]]
-    data[unit_row[nonbasic[~general] - g], np.flatnonzero(~general)] = 1.0
+    columns = general.nonzero()[0]
+    data[:, columns] = A[:, nonbasic[columns]]
+    columns = (~general).nonzero()[0]
+    data[unit_row[nonbasic[columns] - g], columns] = 1.0
     data[:, -1] = b
     at_upper = _at_upper(nonbasic, flipped)
     if at_upper.size:
@@ -206,7 +216,8 @@ def _refresh(T, basis, nonbasic, A, b, costs, unit_row, upper=None, flipped=None
     rows = T[:m]
     rows[~unit] = body
     rows[unit] = data[unit_rows] - A[unit_rows][:, structural] @ body
-    rows[:, -1] = np.where(np.abs(rows[:, -1]) < 1e-11, 0.0, rows[:, -1])
+    rhs = rows[:, -1]
+    rhs[np.abs(rhs) < 1e-11] = 0.0
     _price(T, basis, nonbasic, costs, upper, flipped)
     return True
 
@@ -215,7 +226,7 @@ def _at_upper(nonbasic, flipped):
     """Columns of the nonbasic variables at their upper bound."""
     if flipped is None:
         return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(flipped[nonbasic])
+    return flipped[nonbasic].nonzero()[0]
 
 
 def _price(T, basis, nonbasic, costs, upper=None, flipped=None):
@@ -249,26 +260,27 @@ def _run_phase(T, basis, nonbasic, locked, problem, budget, flipped=None, dantzi
     every burst; a claim is accepted only when the kernel confirms it on a
     refreshed tableau without pivoting.  So a phase that ends within one
     burst refreshes once.  ``dantzig`` selects the kernel's primal pricing.
-    Returns ``(status, reason, pivots, refreshes)``; see :class:`LpSolution`
-    for the breakdown reasons.
+    Returns ``(status, reason, dual_pivots, primal_pivots, refreshes)``; see
+    :class:`LpSolution` for the breakdown reasons.
     """
     upper = problem[4]
-    pivots = refreshes = 0
+    dual = primal = refreshes = 0
     fresh = False
     while True:
-        remaining = budget - pivots
+        remaining = budget - dual - primal
         if remaining <= 0:
-            return "breakdown", "budget", pivots, refreshes
-        status, used = _kernel.run_simplex(
+            return "breakdown", "budget", dual, primal, refreshes
+        status, used, dual_used = _kernel.run_simplex(
             T, basis, nonbasic, locked, min(remaining, BURST_PIVOTS), PIVOT_TOL,
             upper=upper, flipped=flipped, dantzig=dantzig,
         )
-        pivots += used
+        dual += dual_used
+        primal += used - dual_used
         if fresh and used == 0 and status != _kernel.STATUS_PIVOT_LIMIT:
-            return _CLAIMS[status] + (pivots, refreshes)
+            return _CLAIMS[status] + (dual, primal, refreshes)
         refreshes += 1
         if not _refresh(T, basis, nonbasic, *problem, flipped=flipped):
-            return "breakdown", "singular-basis", pivots, refreshes
+            return "breakdown", "singular-basis", dual, primal, refreshes
         fresh = True
 
 
@@ -401,12 +413,11 @@ class WarmLP:
         T, basis, nonbasic = self._T.copy(), self.basis.copy(), self.nonbasic.copy()
         flipped = None if self.flipped is None else self.flipped.copy()
         budget = 10 * (2 * m + n) ** 2
-        status, reason, pivots, refreshes = _run_phase(
-            T, basis, nonbasic, np.zeros(n + m, dtype=np.uint8), self._problem(), budget,
-            flipped=flipped,
+        status, reason, dual, primal, refreshes = _run_phase(
+            T, basis, nonbasic, None, self._problem(), budget, flipped=flipped
         )
         if status != "optimal":
-            return LpSolution(status, None, None, None, pivots, reason, refreshes)
+            return LpSolution(status, None, None, None, dual, primal, reason, refreshes)
         self._T, self.basis, self.nonbasic, self.flipped = T, basis, nonbasic, flipped
         x = np.zeros(n + m)
         x[basis] = T[:m, -1]
@@ -418,7 +429,7 @@ class WarmLP:
         slacks = nonbasic >= n
         duals[nonbasic[slacks] - n] = T[m, :-1][slacks]
         return LpSolution(
-            "optimal", x[:n], duals, float(self._c @ x[:n]), pivots, refreshes=refreshes
+            "optimal", x[:n], duals, float(self._c @ x[:n]), dual, primal, refreshes=refreshes
         )
 
 
@@ -506,25 +517,25 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     T[:m, -1] = b
 
     budget = 10 * (m + width) ** 2 if max_pivots is None else max_pivots
-    pivots_total = refreshes = 0
+    dual = primal = refreshes = 0
 
     # --- phase 1: minimize the artificial sum ---
     if art_rows:
         costs_one = np.zeros(width)
         costs_one[art_base:] = 1.0
         _price(T, basis, nonbasic, costs_one)
-        status, reason, pivots_total, refreshes = _run_phase(
-            T, basis, nonbasic, np.zeros(width, dtype=np.uint8),
+        status, reason, dual, primal, refreshes = _run_phase(
+            T, basis, nonbasic, None,
             (A_gen, b, costs_one, unit_row, upper), budget, flipped=flipped, dantzig=True,
         )
         if status == "unbounded":  # a verified-unbounded phase 1 cannot happen
             return LpSolution(
-                "breakdown", None, None, None, pivots_total, "phase-1-unbounded", refreshes
+                "breakdown", None, None, None, dual, primal, "phase-1-unbounded", refreshes
             )
         if status != "optimal":
-            return LpSolution(status, None, None, None, pivots_total, reason, refreshes)
+            return LpSolution(status, None, None, None, dual, primal, reason, refreshes)
         if -T[m, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, None, pivots_total, refreshes=refreshes)
+            return LpSolution("infeasible", None, None, None, dual, primal, refreshes=refreshes)
         # Pivot zero-valued artificials out wherever the row allows it; rows
         # that stay all-zero over the other columns are redundant and inert.
         for i in range(m):
@@ -537,7 +548,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
                     if flipped[var]:  # basic variables are never complemented
                         flipped[var] = 0
                         _kernel.complement_row(T, i, upper[var])
-                    pivots_total += 1
+                    primal += 1
 
     # --- phase 2: the artificials stay locked ---
     costs_two = np.zeros(width)
@@ -545,14 +556,15 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     _price(T, basis, nonbasic, costs_two, upper, flipped)
     locked = np.zeros(width, dtype=np.uint8)
     locked[art_base:] = 1
-    status, reason, used, more = _run_phase(
+    status, reason, dual_two, primal_two, more = _run_phase(
         T, basis, nonbasic, locked, (A_gen, b, costs_two, unit_row, upper),
-        budget - pivots_total, flipped=flipped, dantzig=True,
+        budget - dual - primal, flipped=flipped, dantzig=True,
     )
-    pivots_total += used
+    dual += dual_two
+    primal += primal_two
     refreshes += more
     if status != "optimal":
-        return LpSolution(status, None, None, None, pivots_total, reason, refreshes)
+        return LpSolution(status, None, None, None, dual, primal, reason, refreshes)
 
     # --- recover primal, duals, objective in the original variable space ---
     x_int = np.zeros(width)
@@ -577,7 +589,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     objective = float(lp.objective @ x)
     if not minimize:
         duals = -duals
-    return LpSolution("optimal", x, duals, objective, pivots_total, refreshes=refreshes)
+    return LpSolution("optimal", x, duals, objective, dual, primal, refreshes=refreshes)
 
 
 def _payoff(payoff) -> np.ndarray:

@@ -16,8 +16,17 @@ variable is at 0 in the variable its column describes, and the optimality
 test and the plain ratio tests read the tableau as if no variable had an
 upper bound.  Moving a nonbasic variable to its other bound
 (:func:`flip_column`) is its own kind of step, which changes no basis.  With
-no finite bound, every pivot runs exactly the numpy calls of the unbounded
-loop; all bounded work hangs on one flag set once per call.
+no finite bound, every pivot skips the bound work; it hangs on one flag set
+once per call.
+
+Each pivot makes as few numpy calls as it can, since on these small
+tableaux a call's fixed cost, not its arithmetic, is most of a pivot's
+time.  Candidates (infeasible rows, entering columns, leaving rows) are
+index arrays (``x.nonzero()[0]``), a minimum or maximum is read at
+``x.argmin()`` or ``x.argmax()``, whose first hit is the lowest position,
+the bound of each basic variable is kept per row and updated at each pivot
+instead of gathered, and locked columns are filtered out only when some
+variable is locked.
 
 One call runs a dual pass, then a primal pass.
 
@@ -26,24 +35,27 @@ happens when a row is appended to an optimal tableau: the basis is then
 still dual feasible.  A basic variable above its upper bound is infeasible
 by ``rhs - u``; its row is complemented (:func:`complement_row`), which
 makes it the usual negative right-hand side, and it leaves at that bound.
-Columns with a nonnegative reduced cost (within ``tol``) enter first, so a
-column appended in the same step with a negative reduced cost waits for the
-primal pass; only when no such column can repair the row does any unlocked
-column enter.  The leaving row is the most infeasible one.  The ratios are
-computed on those candidate columns only (:func:`_dual_entering`), never
-over the full row.
+The leaving row is the most infeasible one, the first of ties.  The
+candidate columns are the unlocked ones with a negative entry in that row,
+and the dual feasible ones among them (reduced cost nonnegative within
+``tol``) go first, so a column appended in the same step with a negative
+reduced cost waits for the primal pass; only when no such column can repair
+the row does any other candidate enter.  The ratios are computed on the
+candidates only (:func:`_dual_entering`), never over the full row.
 
 With finite bounds the entering column comes from a bound-flipping ratio
 test (Fourer 1994; Koberstein 2005, ch. 3): the breakpoints are walked in
 ratio order, ties by variable index, and each boxed one whose flip leaves
 the row still infeasible is flipped; the first breakpoint that would close
 the row, or has no finite bound, enters.  The flips are part of that dual
-pivot.  When the first breakpoint already closes the row, which is the
-common case (about two calls in three on the decomposition LPs), it is
-found without sorting or summing the breakpoints, and nothing flips.  When
-the first breakpoint does not flip, the entering column has the
-largest pivot element among the columns whose ratio is within ``tol`` of the
-minimum ratio, which keeps reduced costs nonnegative within ``tol``.  After
+pivot.  The first breakpoint is tested on its own, and when it closes the
+row nothing is sorted and nothing flips.  Otherwise the breakpoints are
+sorted once and walked one at a time with a running sum of their
+``entry * bound`` products, which is ``np.cumsum``'s prefix sum to the bit,
+until one closes the row (:func:`_flip_breakpoints`).  When the first
+breakpoint does not flip, the entering column has the largest pivot element
+among the columns whose ratio is within ``tol`` of the minimum ratio, which
+keeps reduced costs nonnegative within ``tol``.  After
 ``DUAL_STALL_PIVOTS`` consecutive degenerate pivots the pass switches to
 dual Bland's rule (leaving row: the lowest basis index among infeasible
 rows; entering column: the lowest variable index among minimum ratios, no
@@ -70,7 +82,8 @@ index wins.  An entering variable that was flipped has its row
 un-complemented after the pivot.  Every choice breaks its ties by index, so
 the pivot sequence, and with it every result, is deterministic.
 
-The pivot count returned covers basis exchanges and primal bound flips.
+The pivot counts returned cover basis exchanges and primal bound flips; the
+flips of a bound-flipping ratio test are part of their dual pivot.
 """
 
 from __future__ import annotations
@@ -88,11 +101,12 @@ STATUS_INFEASIBLE = 3
 DUAL_STALL_PIVOTS = 50
 
 
-def _lowest_variable(candidates, nonbasic):
-    """Column among the ``candidates`` positions whose variable index is lowest."""
+def _lowest_variable(candidates, variables):
+    """Position among ``candidates`` whose variable index in ``variables`` (the
+    nonbasic columns' or the basis rows') is lowest."""
     if candidates.size == 1:
         return int(candidates[0])
-    return int(candidates[np.argmin(nonbasic[candidates])])
+    return int(candidates[variables[candidates].argmin()])
 
 
 def complement_row(tableau, row, bound):
@@ -121,120 +135,120 @@ def run_simplex(
         objective.
     basis : (m,) intp, basic variable of each row.
     nonbasic : (k,) intp, nonbasic variable of each column.
-    locked : uint8 per variable, the variables that may never enter.
+    locked : uint8 per variable, the variables that may never enter, or
+        None when none is locked.
     upper : float64 per variable, the upper bounds (``inf`` for none), or
         None when no variable has one.
     flipped : uint8 per variable, the nonbasic variables at their upper
         bound; updated in place.  Needed only with a finite bound.
     dantzig : enter the primal pass by the most negative reduced cost.
-    Returns ``(status, pivots_used)``.
+    Returns ``(status, pivots, dual_pivots)``: the pivots of both passes,
+    and how many of them the dual pass made.
     """
     m = tableau.shape[0] - 1
     obj = tableau[m, :-1]
     rhs = tableau[:m, -1]
+    below = -tol
     pivots = 0
-    unlocked = locked[nonbasic] == 0
+    # None when no variable is locked, so that no column ever is
+    unlocked = locked[nonbasic] == 0 if locked is not None and locked.any() else None
     bounded = upper is not None and bool(np.isfinite(upper).any())
+    ub = upper[basis] if bounded else None  # the bound of each row's basic variable
 
     def pivot(leave, enter, at_upper=False):
         # ``at_upper``: row ``leave`` is complemented, its variable leaves flipped
         entering, leaving = nonbasic[enter], basis[leave]
         pivot_inplace(tableau, basis, nonbasic, leave, enter)
-        unlocked[enter] = locked[leaving] == 0
+        if unlocked is not None:
+            unlocked[enter] = locked[leaving] == 0
         if bounded:
             flipped[leaving] = at_upper
+            ub[leave] = upper[entering]
             if flipped[entering]:
                 flipped[entering] = 0
-                complement_row(tableau, leave, upper[entering])
+                complement_row(tableau, leave, ub[leave])
 
     stalled = 0  # consecutive degenerate dual pivots
-    while True:
+    while m:  # a tableau without rows has no row to repair
         if bounded:
-            ub = upper[basis]
             violation = np.maximum(-rhs, rhs - ub)
-            infeasible = np.nonzero(violation > tol)[0]
+            leave = int(violation.argmax())  # the first of ties
+            if not violation[leave] > tol:
+                break
         else:
-            infeasible = np.nonzero(rhs < -tol)[0]
-        if not infeasible.size:
-            break
+            leave = int(rhs.argmin())  # the first of ties
+            if not rhs[leave] < below:
+                break
         if pivots >= max_pivots:
-            return STATUS_PIVOT_LIMIT, pivots
+            return STATUS_PIVOT_LIMIT, pivots, pivots
         bland = stalled >= DUAL_STALL_PIVOTS
         if bland:
             # Dual Bland's leaving rule: lowest basis index among infeasible rows.
-            leave = int(infeasible[np.argmin(basis[infeasible])])
-        elif bounded:
-            leave = int(infeasible[np.argmax(violation[infeasible])])  # first of ties
-        else:
-            leave = int(infeasible[np.argmin(rhs[infeasible])])  # first of ties
+            infeasible = ((violation > tol) if bounded else (rhs < below)).nonzero()[0]
+            leave = _lowest_variable(infeasible, basis)
         above = bounded and rhs[leave] > ub[leave]
         if above:
             complement_row(tableau, leave, ub[leave])
-        row = tableau[leave, :-1]
-        neg = unlocked & (row < -tol)
-        if not neg.any():
+        candidates = (tableau[leave, :-1] < below).nonzero()[0]
+        if unlocked is not None:
+            candidates = candidates[unlocked[candidates]]
+        if not candidates.size:
             if above:
                 complement_row(tableau, leave, ub[leave])  # back to rest
-            return STATUS_INFEASIBLE, pivots
-        # Dual feasible columns go first: a column appended with a negative
-        # reduced cost waits for the primal pass.
-        feasible = neg & (obj >= -tol)
-        if feasible.any():
-            neg = feasible
+            return STATUS_INFEASIBLE, pivots, pivots
         enter, step = _dual_entering(
-            tableau, leave, neg, nonbasic, upper if bounded else None, flipped, bland, tol
+            tableau, leave, candidates, nonbasic, upper if bounded else None, flipped, bland, tol
         )
         stalled = stalled + 1 if step <= tol else 0
         pivot(leave, enter, above)
         pivots += 1
+    dual = pivots
 
-    top = len(locked)  # above every variable index
     degenerate = 0  # consecutive degenerate primal steps
     while True:
-        eligible = unlocked & (obj < -tol)
-        if not eligible.any():
-            return STATUS_OPTIMAL, pivots
+        eligible = (obj < below).nonzero()[0]
+        if unlocked is not None:
+            eligible = eligible[unlocked[eligible]]
+        if not eligible.size:
+            return STATUS_OPTIMAL, pivots, dual
         if pivots >= max_pivots:
-            return STATUS_PIVOT_LIMIT, pivots
-        if dantzig and degenerate < DUAL_STALL_PIVOTS:
+            return STATUS_PIVOT_LIMIT, pivots, dual
+        if dantzig and degenerate < DUAL_STALL_PIVOTS and eligible.size > 1:
             # Dantzig's rule: most negative reduced cost, lowest index among ties.
-            scores = np.where(eligible, obj, np.inf)
-            enter = _lowest_variable(np.nonzero(scores == scores.min())[0], nonbasic)
-        else:
-            # Bland's entering rule: lowest-index eligible variable.
-            enter = int(np.argmin(np.where(eligible, nonbasic, top)))
+            scores = obj[eligible]
+            eligible = eligible[scores == scores[scores.argmin()]]
+        # Bland's entering rule, and Dantzig's tie-break: lowest-index variable.
+        enter = _lowest_variable(eligible, nonbasic)
 
+        # Leaving rows: a basic variable falling to 0, then (with bounds) one
+        # rising to its upper bound, whose ratio is inf when it has none.
         col = tableau[:m, enter]
+        rows = (col > tol).nonzero()[0]
+        ratios = rhs[rows] / col[rows]
+        falling = rows.size
+        width = np.inf
         if bounded:
-            ub = upper[basis]
-            pos = col > tol
-            # a basic variable falling to 0, or rising to its upper bound
-            rising = (col < -tol) & (ub < np.inf)
-            ratios = np.full(m, np.inf)
-            ratios[pos] = rhs[pos] / col[pos]
-            ratios[rising] = (ub[rising] - rhs[rising]) / -col[rising]
-            best = ratios.min()
+            rising = (col < below).nonzero()[0]
+            rows = np.concatenate((rows, rising))
+            ratios = np.concatenate((ratios, (ub[rising] - rhs[rising]) / -col[rising]))
             width = upper[nonbasic[enter]]
-            if width <= best:
-                if width == np.inf:
-                    return STATUS_UNBOUNDED, pivots
-                # the entering variable reaches its own bound first
-                flip_column(tableau, enter, width)
-                flipped[nonbasic[enter]] ^= 1
-                degenerate = degenerate + 1 if width <= tol else 0
-                pivots += 1
-                continue
-        else:
-            pos = col > tol
-            if not pos.any():
-                return STATUS_UNBOUNDED, pivots
-            ratios = np.full(m, np.inf)
-            ratios[pos] = rhs[pos] / col[pos]
-            best = ratios.min()
-        ties = np.nonzero(ratios == best)[0]
-        # Bland's leaving rule: among minimum ratios, lowest basis index.
-        leave = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
-        above = bounded and rising[leave]
+        at = int(ratios.argmin()) if rows.size else -1
+        best = ratios[at] if rows.size else np.inf
+        if width <= best:
+            if width == np.inf:
+                return STATUS_UNBOUNDED, pivots, dual
+            # the entering variable reaches its own bound first
+            flip_column(tableau, enter, width)
+            flipped[nonbasic[enter]] ^= 1
+            degenerate = degenerate + 1 if width <= tol else 0
+            pivots += 1
+            continue
+        ties = (ratios == best).nonzero()[0]
+        if ties.size > 1:
+            # Bland's leaving rule: among minimum ratios, lowest basis index.
+            at = int(ties[basis[rows[ties]].argmin()])
+        leave = int(rows[at])
+        above = at >= falling
         if above:
             complement_row(tableau, leave, ub[leave])
         degenerate = degenerate + 1 if best <= tol else 0
@@ -244,59 +258,76 @@ def run_simplex(
 
 def _dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, tol):
     """Entering column of the dual pivot on the infeasible row ``leave``, and
-    its ratio, among the ``candidates`` columns (a mask).
+    its ratio, among the ``candidates`` columns (an index array).
 
-    The ratios are computed on the candidate columns only.  ``bland`` takes
-    the lowest variable index among the minimum ratios.  Otherwise, with
-    ``upper`` (None when no variable is bounded), the bound-flipping ratio
-    test runs first; when it flips nothing, the column with the largest
-    pivot element among the ratios within ``tol`` of the minimum enters.
+    The dual feasible candidates go first when there are any.  ``bland``
+    takes the lowest variable index among the minimum ratios.  Otherwise,
+    with ``upper`` (None when no variable is bounded), the bound-flipping
+    ratio test runs first; when it flips nothing, the column with the
+    largest pivot element among the ratios within ``tol`` of the minimum
+    enters.
     """
-    cols = np.flatnonzero(candidates)
-    row = tableau[leave, cols]
+    costs = tableau[-1, candidates]
+    if costs[costs.argmin()] < -tol:
+        feasible = (costs >= -tol).nonzero()[0]
+        if feasible.size:
+            candidates, costs = candidates[feasible], costs[feasible]
+    size = -tableau[leave, candidates]  # the pivot elements, negated
     # Clip negative reduced costs to zero so that no ratio is negative.
-    ratios = np.maximum(tableau[-1, cols], 0.0) / -row
-    best = ratios.min()
+    ratios = np.maximum(costs, 0.0) / size
+    at = ratios.argmin()
+    best = ratios[at]
+    near = (ratios <= best + tol).nonzero()[0]
+    # the lowest variable index among the minimum ratios, which are all near
+    if near.size == 1:
+        first = int(candidates[at])
+    else:
+        first = _lowest_variable(candidates[near[ratios[near] == best]], nonbasic)
     if bland:
-        # Dual Bland's entering rule: lowest variable index among minimum ratios.
-        return _lowest_variable(cols[ratios == best], nonbasic), best
+        return first, best  # dual Bland's entering rule
     if upper is not None:
-        at = _flip_breakpoints(tableau, leave, cols, ratios, best, nonbasic, upper, flipped)
-        if at >= 0:
-            return int(cols[at]), ratios[at]
-    near = np.flatnonzero(ratios <= best + tol)
-    if near.size > 1:
-        size = -row[near]
-        near = near[size == size.max()]
-    return _lowest_variable(cols[near], nonbasic), best
+        rhs = tableau[leave, -1]
+        if rhs - tableau[leave, first] * upper[nonbasic[first]] < 0.0:
+            closing = _flip_breakpoints(
+                tableau, leave, candidates, ratios, nonbasic, upper, flipped
+            )
+            if closing >= 0:
+                return int(candidates[closing]), ratios[closing]
+    if near.size == 1:
+        return first, best
+    size = size[near]
+    near = near[size == size[size.argmax()]]
+    return _lowest_variable(candidates[near], nonbasic), best
 
 
-def _flip_breakpoints(tableau, leave, cols, ratios, best, nonbasic, upper, flipped):
-    """Bound-flipping ratio test on the infeasible row ``leave``.
+def _flip_breakpoints(tableau, leave, cols, ratios, nonbasic, upper, flipped):
+    """Bound-flipping ratio test on the infeasible row ``leave``, whose first
+    breakpoint does not close the row.
 
-    Walks the candidate columns ``cols`` in order of their ``ratios`` (the
-    lowest is ``best``; ties by variable index) and flips each leading
-    breakpoint whose flip leaves the row's right-hand side below zero.
-    Returns the position in ``cols`` of the first breakpoint that would
-    close the row, or has no finite bound, once at least one breakpoint has
-    flipped, and -1 (nothing flipped) otherwise.  When flipping every
-    breakpoint would still leave the row infeasible, the last one enters.
-    The first breakpoint alone decides the common case: when it closes the
-    row, nothing is sorted or summed.
+    Walks the candidate columns ``cols`` in order of their ``ratios`` (ties
+    by variable index), one at a time, and flips each leading breakpoint
+    whose flip leaves the row's right-hand side below zero.  Returns the
+    position in ``cols`` of the first breakpoint that would close the row,
+    or has no finite bound, once at least one breakpoint has flipped, and
+    -1 (nothing flipped) otherwise.  When flipping every breakpoint would
+    still leave the row infeasible, the last one enters.  The running sum
+    adds the ``entry * bound`` products left to right, as ``np.cumsum``
+    does, so every prefix sum, and with it every decision, is the same.
     """
-    rhs = tableau[leave, -1]
-    first = _lowest_variable(cols[ratios == best], nonbasic)
-    if rhs - tableau[leave, first] * upper[nonbasic[first]] >= 0.0:
-        return -1
     order = np.lexsort((nonbasic[cols], ratios))
     walk = cols[order]
-    # the row's right-hand side after flipping each prefix of breakpoints
-    after = rhs - np.cumsum(tableau[leave, walk] * upper[nonbasic[walk]])
-    closes = np.flatnonzero(after >= 0.0)
-    closing = int(closes[0]) if closes.size else len(walk) - 1
+    products = (tableau[leave, walk] * upper[nonbasic[walk]]).tolist()
+    rhs = float(tableau[leave, -1])
+    closing = len(products) - 1
+    total = products[0]
+    for k in range(1, len(products)):
+        total += products[k]
+        if rhs - total >= 0.0:
+            closing = k
+            break
     if closing == 0:
         return -1
-    for col in walk[:closing]:
+    for col in walk[:closing].tolist():
         flip_column(tableau, col, upper[nonbasic[col]])
         flipped[nonbasic[col]] ^= 1
     return int(order[closing])
@@ -313,8 +344,10 @@ def pivot_inplace(tableau, basis, nonbasic, row, col):
     piv = tableau[row, col]
     column = tableau[:, col].copy()
     column[row] = 0.0
-    tableau[row] /= piv
-    tableau -= column[:, None] * tableau[row]
-    tableau[:, col] = -column / piv
-    tableau[row, col] = 1.0 / piv
+    pivot_row = tableau[row]
+    pivot_row /= piv
+    tableau -= column[:, None] * pivot_row
+    column /= -piv
+    column[row] = 1.0 / piv
+    tableau[:, col] = column
     basis[row], nonbasic[col] = nonbasic[col], basis[row]

@@ -24,6 +24,8 @@ from minregret.lp import (
 from minregret.nominal import SpanningTreeOracle, build_oracle
 from minregret.regret import extreme_cost_vector
 
+import reference_kernel
+
 
 def make_lp(c, A, rels, b, lower=None, upper=None, sense="min"):
     return LinearProgram(
@@ -83,6 +85,41 @@ class TestSolveLpExamples:
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [2.0, 3.0])
 
+    def test_bounded_without_rows(self):
+        # no row for the primal ratio test: both variables flip to their bound
+        sol = solve_lp(LinearProgram([1, 2], np.empty((0, 2)), (), [], upper=[1, 1], sense="max"))
+        assert (sol.status, sol.objective) == ("optimal", 3.0)
+        assert np.array_equal(sol.x, [1.0, 1.0])
+        assert (sol.dual_pivots, sol.primal_pivots) == (0, 2)
+
+    def test_warm_bounded_without_rows(self):
+        sol = WarmLP([1, 1], np.empty((0, 2)), [], upper=1.0).solve()
+        assert (sol.status, sol.objective) == ("optimal", 2.0)
+        assert np.array_equal(sol.x, [1.0, 1.0])
+        assert (sol.dual_pivots, sol.primal_pivots) == (0, 2)
+
+
+class TestPivotCounts:
+    """``LpSolution`` splits its pivots by the kernel pass that made them."""
+
+    def test_appended_row_is_repaired_by_dual_pivots(self):
+        lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0])
+        first = lp.solve()
+        assert (first.dual_pivots, first.primal_pivots) == (0, 2)
+        lp.add_rows([[1.0, 1.0]], [1.5])  # cuts off the optimum (1, 1)
+        sol = lp.solve()
+        assert sol.objective == pytest.approx(1.5)
+        assert (sol.dual_pivots, sol.primal_pivots) == (1, 0)
+
+    def test_appended_column_enters_by_primal_pivots(self):
+        lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0])
+        lp.solve()
+        lp.add_columns([[1.0], [0.0]], [3.0])  # an improving column
+        sol = lp.solve()
+        assert sol.objective == pytest.approx(4.0)
+        assert (sol.dual_pivots, sol.primal_pivots) == (0, sol.pivots)
+        assert sol.primal_pivots > 0
+
 
 class TestMatrixGameExamples:
     def test_matching_pennies(self):
@@ -134,7 +171,9 @@ class TestMatrixGameExamples:
             sol = solve_lp(lp, max_pivots)
             duals = sol.duals.copy()
             duals[0] += 1.0
-            return LpSolution(sol.status, sol.x, duals, sol.objective, sol.pivots)
+            return LpSolution(
+                sol.status, sol.x, duals, sol.objective, sol.dual_pivots, sol.primal_pivots
+            )
 
         monkeypatch.setattr(lpmod, "solve_lp", skewed)
         with pytest.raises(SolverError, match="bracket"):
@@ -334,7 +373,7 @@ def _recorded_run(monkeypatch, T, basis, nonbasic, locked, **options):
         _REAL_PIVOT(tableau, basis, nonbasic, row, col)
 
     monkeypatch.setattr(_kernel, "pivot_inplace", recording)
-    status, used = _kernel.run_simplex(T, basis, nonbasic, locked, 100, 1e-9, **options)
+    status, used, _ = _kernel.run_simplex(T, basis, nonbasic, locked, 100, 1e-9, **options)
     return status, used, exchanges
 
 
@@ -869,10 +908,12 @@ def _kernel_fault(reason):
         return lambda T, basis, nonbasic, locked, max_pivots, tol, **bounds: (
             _kernel.STATUS_PIVOT_LIMIT,
             max_pivots,
+            0,
         )
     if reason == "dual-infeasible":
         return lambda T, basis, nonbasic, locked, max_pivots, tol, **bounds: (
             _kernel.STATUS_INFEASIBLE,
+            0,
             0,
         )
     raise ValueError(reason)
@@ -918,7 +959,7 @@ class TestBreakdownReasons:
 
     def test_phase_1_unbounded(self, monkeypatch):
         monkeypatch.setattr(
-            _kernel, "run_simplex", lambda *args, **bounds: (_kernel.STATUS_UNBOUNDED, 0)
+            _kernel, "run_simplex", lambda *args, **bounds: (_kernel.STATUS_UNBOUNDED, 0, 0)
         )
         sol = solve_lp(make_lp([1.0], [[1.0]], [">="], [1.0]))
         assert (sol.status, sol.reason) == ("breakdown", "phase-1-unbounded")
@@ -928,57 +969,40 @@ class TestBreakdownReasons:
         assert solve_lp(make_lp([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0])).reason is None
 
 
-def _reference_dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, tol):
-    """The dual pass's entering rule written over the full row: ratios in a
-    full-width array with ``inf`` off the candidates, and a bound-flipping
-    ratio test that always sorts and sums every breakpoint.  The kernel's
-    ``_dual_entering`` must agree with it exactly."""
-    row = tableau[leave, :-1]
-    obj = tableau[-1, :-1]
-    ratios = np.full(row.shape, np.inf)
-    ratios[candidates] = np.maximum(obj[candidates], 0.0) / -row[candidates]
-    best = ratios.min()
-
-    def lowest(cols):
-        return int(cols[np.argmin(nonbasic[cols])])
-
-    if bland:
-        return lowest(np.nonzero(ratios == best)[0]), best
-    if upper is not None:
-        cols = np.nonzero(candidates)[0]
-        cols = cols[np.lexsort((nonbasic[cols], ratios[cols]))]
-        after = tableau[leave, -1] - np.cumsum(tableau[leave, cols] * upper[nonbasic[cols]])
-        closes = np.flatnonzero(after >= 0.0)
-        closing = int(closes[0]) if closes.size else len(cols) - 1
-        if closing > 0:
-            for col in cols[:closing]:
-                _kernel.flip_column(tableau, col, upper[nonbasic[col]])
-                flipped[nonbasic[col]] ^= 1
-            return int(cols[closing]), ratios[cols[closing]]
-    near = np.nonzero(ratios <= best + tol)[0]
-    if near.size > 1:
-        size = -row[near]
-        near = near[size == size.max()]
-    return lowest(near), best
-
-
-def _kernel_runs(monkeypatch, fixture):
-    """Every kernel run ``fixture(monkeypatch)`` makes: its status and pivot
-    count, and the basis, nonbasic and flipped arrays it leaves."""
-    runs = []
+def _side_by_side(patch, runs):
+    """Replace ``_kernel.run_simplex`` by a run of the frozen reference
+    kernel on copies of its arguments next to the kernel itself, which must
+    agree with it exactly: the same status and pivot count, the same basis,
+    nonbasic and flipped arrays, and a bitwise-equal tableau.  Appends
+    ``(status, pivots, dual pivots, bounded, locked)`` to ``runs`` per call."""
     real = _kernel.run_simplex
 
-    def recording(*args, **options):
-        result = real(*args, **options)
-        flipped = options.get("flipped")
-        runs.append((result, args[1].tolist(), args[2].tolist(),
-                     None if flipped is None else flipped.tolist()))
-        return result
+    def both(T, basis, nonbasic, locked, max_pivots, tol, upper=None, flipped=None, **options):
+        # the reference stalls into dual Bland's rule when the kernel does
+        patch.setattr(reference_kernel, "DUAL_STALL_PIVOTS", _kernel.DUAL_STALL_PIVOTS)
+        T_ref, basis_ref, nonbasic_ref = T.copy(), basis.copy(), nonbasic.copy()
+        flipped_ref = None if flipped is None else flipped.copy()
+        locked_ref = locked if locked is not None else np.zeros(
+            len(basis) + len(nonbasic), dtype=np.uint8
+        )
+        expected = reference_kernel.run_simplex(
+            T_ref, basis_ref, nonbasic_ref, locked_ref, max_pivots, tol,
+            upper=upper, flipped=flipped_ref, **options,
+        )
+        status, used, dual = real(
+            T, basis, nonbasic, locked, max_pivots, tol, upper=upper, flipped=flipped, **options
+        )
+        assert (status, used) == expected
+        assert 0 <= dual <= used
+        assert np.array_equal(basis, basis_ref) and np.array_equal(nonbasic, nonbasic_ref)
+        assert (flipped is None) == (flipped_ref is None)
+        assert flipped is None or np.array_equal(flipped, flipped_ref)
+        assert T.tobytes() == T_ref.tobytes()
+        bounded = upper is not None and bool(np.isfinite(upper).any())
+        runs.append((status, used, dual, bounded, locked is not None and bool(locked.any())))
+        return status, used, dual
 
-    with monkeypatch.context() as patch:
-        patch.setattr(_kernel, "run_simplex", recording)
-        fixture(patch)
-    return runs
+    patch.setattr(_kernel, "run_simplex", both)
 
 
 def _dual_pass_fixtures():
@@ -1014,56 +1038,107 @@ _DUAL_PASS_FIXTURES = _dual_pass_fixtures()
 
 
 class TestDualEnteringAgainstReference:
-    """The kernel takes the dual ratios over the candidate columns only and
-    lets the first breakpoint decide the bound-flipping ratio test when it
-    closes the row; both must leave every choice of the full-row rule
-    (``_reference_dual_entering``) unchanged."""
+    """The whole kernel, run side by side with the frozen reference copy in
+    ``reference_kernel`` (candidate masks, a fresh bound gather per dual
+    iteration, ``lexsort`` and ``cumsum`` over every breakpoint), must make
+    every choice the reference makes, to the bit.  The class keeps the name
+    it had when it compared only the dual entering rule, so its fixtures
+    keep their ids."""
 
-    def test_random_rows(self):
+    def test_random_rows(self, monkeypatch):
+        # one dual pivot on a random infeasible row; the others are feasible
         rng = np.random.default_rng(2024)
+        runs, flips = [], []
         paths = {"bland": 0, "flips": 0, "no-flip": 0}
+        real_flip = reference_kernel.flip_column
+        monkeypatch.setattr(
+            reference_kernel, "flip_column", lambda *args: flips.append(1) or real_flip(*args)
+        )
+        _side_by_side(monkeypatch, runs)
         for case in range(600):
             m, k = int(rng.integers(1, 5)), int(rng.integers(1, 12))
             # halves, so that ratios and pivot elements often tie
             T = rng.integers(-4, 5, size=(m + 1, k + 1)) / 2.0
             leave = int(rng.integers(m))
+            T[:m, -1] = np.abs(T[:m, -1])
             T[leave, -1] = -float(rng.integers(1, 12)) / 2.0
             T[leave, 0] = min(T[leave, 0], -0.5)
-            candidates = (T[leave, :-1] < -1e-9) & (rng.random(k) < 0.8)
-            candidates[0] = True
             if case % 3:  # dual feasible candidates, as the kernel prefers
                 T[m, :-1] = np.abs(T[m, :-1])
-            nonbasic = rng.permutation(k + m)[:k].astype(np.intp)
+            variables = rng.permutation(k + m).astype(np.intp)
+            nonbasic, basis = variables[:k].copy(), variables[k:].copy()
+            # about one column in five locked, never column 0
+            locked = (rng.random(k + m) < 0.2).astype(np.uint8)
+            locked[nonbasic[0]] = 0
             bland = case % 7 == 0
-            upper = flipped = None
+            bounds = {}
             if case % 4:
                 upper = rng.choice([0.5, 1.0, 2.0, np.inf], size=k + m)
-                flipped = rng.integers(0, 2, size=k + m).astype(np.uint8)
-            results = []
-            for rule in (_kernel._dual_entering, _reference_dual_entering):
-                T_run = np.ascontiguousarray(T.copy())
-                f_run = None if flipped is None else flipped.copy()
-                enter, step = rule(T_run, leave, candidates, nonbasic, upper, f_run, bland, 1e-9)
-                results.append((enter, step, T_run, f_run))
-            (enter, step, T_kernel, f_kernel), (ref_enter, ref_step, T_ref, f_ref) = results
-            assert (enter, step) == (ref_enter, ref_step)
-            assert np.array_equal(T_kernel, T_ref)
-            assert (f_kernel is None and f_ref is None) or np.array_equal(f_kernel, f_ref)
+                flipped = np.zeros(k + m, dtype=np.uint8)
+                flipped[nonbasic] = rng.integers(0, 2, size=k) * np.isfinite(upper[nonbasic])
+                rest = np.arange(m) != leave
+                T[:m, -1][rest] = np.minimum(T[:m, -1][rest], upper[basis[rest]])
+                bounds = {"upper": upper, "flipped": flipped}
+            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", 0 if bland else 50)
+            flips.clear()
+            _kernel.run_simplex(np.ascontiguousarray(T), basis, nonbasic, locked, 1, 1e-9, **bounds)
             if bland:
                 paths["bland"] += 1
-            elif upper is not None:
-                paths["flips" if not np.array_equal(T, T_ref) else "no-flip"] += 1
+            elif bounds:
+                paths["flips" if flips else "no-flip"] += 1
+        assert len(runs) == 600 and sum(run[2] for run in runs) >= 500
         assert min(paths.values()) >= 50
 
     @pytest.mark.parametrize("fixture", _DUAL_PASS_FIXTURES)
     def test_fixture_pivots_unchanged(self, monkeypatch, fixture):
-        kernel = _kernel_runs(monkeypatch, _DUAL_PASS_FIXTURES[fixture])
-        calls = []
+        runs = []
+        with monkeypatch.context() as patch:
+            _side_by_side(patch, runs)
+            _DUAL_PASS_FIXTURES[fixture](patch)
+        assert any(dual for _, _, dual, _, _ in runs)  # the dual pass ran
 
-        def reference(*args):
-            calls.append(args[1])
-            return _reference_dual_entering(*args)
-
-        monkeypatch.setattr(_kernel, "_dual_entering", reference)
-        assert _kernel_runs(monkeypatch, _DUAL_PASS_FIXTURES[fixture]) == kernel
-        assert calls  # the dual pass ran
+    def test_random_lp_corpus(self, monkeypatch):
+        """Cold two-phase solves (Dantzig pricing, artificials locked in
+        phase 2) and warm solves (Bland pricing, rows and columns appended),
+        with and without finite bounds, some with dual Bland's rule from
+        the first degenerate pivot."""
+        rng = np.random.default_rng(11)
+        runs = []
+        _side_by_side(monkeypatch, runs)
+        statuses = set()
+        for case in range(240):
+            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", (0, 1, 50, 50, 50)[case % 5])
+            bounded = case % 2 == 0
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            # small integers, so that ratios tie and pivots are degenerate
+            A = rng.integers(-3, 4, size=(m, n)).astype(float)
+            c = rng.integers(-3, 4, size=n).astype(float)
+            if case % 3:
+                b = rng.integers(-3, 5, size=m).astype(float)
+                rels = tuple(rng.choice([LESS, "=", ">="], size=m))
+                lower = upper = None
+                if bounded:
+                    upper = rng.choice([0.0, 1.0, 2.0, np.inf], size=n)
+                    lower = np.where(rng.random(n) < 0.2, -np.inf, 0.0)
+                    lower = np.minimum(lower, upper)
+                sense = "max" if case % 4 == 1 else "min"
+                statuses.add(solve_lp(LinearProgram(c, A, rels, b, lower, upper, sense)).status)
+                continue
+            # a warm LP grown by rows (dual pass) and columns (primal pass)
+            u = rng.choice([1.0, 2.0, np.inf], size=n) if bounded else None
+            b = rng.integers(0, 5, size=m).astype(float)
+            lp = WarmLP(c, A, b, upper=u)
+            statuses.add(lp.solve().status)
+            for step in range(6):
+                rows, cols = lp.shape
+                if step % 2 == 0:
+                    lp.add_rows(rng.integers(-1, 4, size=(3, cols)), rng.integers(0, 3, size=3))
+                else:
+                    lp.add_columns(rng.integers(0, 4, size=(rows, 2)), rng.integers(-1, 4, size=2))
+                statuses.add(lp.solve().status)
+        assert {"optimal", "infeasible", "unbounded"} <= statuses
+        for bounded in (False, True):
+            mine = [run for run in runs if run[3] == bounded]
+            assert any(dual for _, _, dual, _, _ in mine)  # dual pivots
+            assert any(used > dual for _, used, dual, _, _ in mine)  # primal pivots
+        assert any(locked and used for _, used, _, _, locked in runs)
