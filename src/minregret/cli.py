@@ -86,9 +86,27 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines) + ("\n" if indent == 0 else "")
 
 
+def _json_text(value, indent: int = 0) -> str:
+    """JSON laid out like ``indent=2``, except that a list of scalars stays
+    on one line.  Those lists go through the C encoder, which ``indent``
+    turns off; report lists hold either scalars or containers, never both."""
+    pad = "  " * (indent + 1)
+    if isinstance(value, dict) and value:
+        items = (
+            f"{pad}{json.dumps(key)}: {_json_text(item, indent + 1)}"
+            for key, item in value.items()
+        )
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        items = (pad + _json_text(v, indent + 1) for v in value)
+    else:
+        return json.dumps(value)
+    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
+    return opening + "\n" + ",\n".join(items) + "\n" + "  " * indent + closing
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     else:
         text = _render_text(report)
     if getattr(args, "out", None):

@@ -329,7 +329,7 @@ class FeasibleSet:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.indicator)[0])
+        return tuple(np.flatnonzero(self.indicator).tolist())
 
     @property
     def size(self) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -91,6 +92,13 @@ class KSelectionOracle(NominalOracle):
 
     def is_feasible(self, T):
         return len(T) == self.n and T.size == self.k
+
+    def enumerate_feasible(self, cap: int | None = None) -> list[FeasibleSet]:
+        # the family has C(n, k) sets, so an oversized one is refused at once
+        cap = enumeration_cap() if cap is None else cap
+        if comb(self.n, self.k) > cap:
+            raise EnumerationCapError(f"feasible family exceeds enumeration cap {cap}")
+        return super().enumerate_feasible(cap)
 
     def _enumerate(self):
         for idx in combinations(range(self.n), self.k):

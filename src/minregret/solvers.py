@@ -2,19 +2,27 @@
 
 ``solve_randomized`` dispatches on the nominal oracle.  For k-selection,
 whose hull conv(X) is the box [0, 1]^n cut by the row ``sum(p) = k``, LP
-duality on the adversary's inner minimum turns the game into one compact LP
-over the marginal p, solved once by ``lp.solve_lp``:
+duality on the adversary's inner minimum (the sum of the k smallest costs,
+``max over alpha of k*alpha - sum(max(0, alpha - c_i))``) collapses the game
+to a problem over the marginal p:
 
-* intervals: minimize ``u.p - k*alpha - sum(beta)`` subject to
-  ``alpha + beta_i - (u_i - l_i) p_i <= l_i`` for every item, ``sum(p) = k``,
-  ``0 <= p <= 1``, alpha free and ``beta <= 0``;
-* scenarios: minimize t subject to ``c^s.p - t <= opt_s`` for every
-  scenario, ``sum(p) = k`` and ``0 <= p <= 1``.
+* intervals: one scalar threshold alpha.  With ``d = u - l``,
+  ``Z_R = min over alpha of h(alpha)``, where
+  ``h(alpha) = -k*alpha + sum(max(0, alpha - l_i)) + F(alpha)`` and F is the
+  cheapest fill of k units when item i offers
+  ``s_i = clip((alpha - l_i) / d_i, 0, 1)`` units at price l_i and the rest
+  of its unit at u_i.  h is convex and piecewise linear, so a search over
+  its breakpoints finds the optimal alpha, and the fill there is an optimal
+  p.  The adversary's point mu of conv(X) is read off complementary
+  slackness, and no LP is solved;
+* scenarios: the compact LP ``minimize t`` subject to
+  ``c^s.p - t <= opt_s`` for every scenario, ``sum(p) = k`` and
+  ``0 <= p <= 1``, solved once by ``lp.solve_lp``.
 
-The player's strategy is the exact decomposition of p.  The adversary's mix
-comes from the duals of the item or scenario rows: under intervals they are a
-point mu of conv(X), decomposed the same way, each set A played as its
-extreme cost vector c^A; under scenarios they are the scenario weights.
+The player's strategy is the exact decomposition of p.  Under intervals the
+adversary plays mu, decomposed the same way, each set A played as its
+extreme cost vector c^A; under scenarios it plays the LP duals of the
+scenario rows as scenario weights.
 
 Every other family (spanning trees, DAG paths, explicit families) runs the
 double-oracle loop over the finite zero-sum game whose rows are feasible
@@ -24,14 +32,16 @@ game exactly, then let each side best-respond to the other's current mix,
 and stop once the two best-response values bracket the restricted value
 within tolerance.  The restricted game is one ``MatrixGame`` that grows by
 at most a row and a column per iteration, so each solve starts from the
-previous optimal basis.  Both paths certify the same bracket: the
+previous optimal basis.  Every path certifies the same bracket: the
 adversary's best response to the returned marginal against the player's best
 response to the returned adversary mix.
 
-Deterministic minmax regret is solved by enumeration of the feasible family;
-the mean-cost and midpoint-cost approximations and the adversary's
-cutting-plane LP complete the suite, with ``bruteforce_game_value`` as the
-exhaustive cross-check oracle.
+Deterministic minmax regret is solved by enumeration of the feasible family,
+except for interval k-selection, where the same duality makes it a minimum
+over the 2n interval endpoints (``solve_deterministic_exact``).  The
+mean-cost and midpoint-cost approximations and the adversary's cutting-plane
+LP complete the suite, with ``bruteforce_game_value`` as the exhaustive
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .core import (
     IterationLimitError,
     MarginalVector,
     NotInHullError,
+    PROB_DROP,
     PlayerMixedStrategy,
     SolverError,
     marginal_of_strategy,
@@ -154,9 +165,10 @@ def solve_randomized(
 ) -> GameSolution:
     """Optimal randomized minmax regret.
 
-    k-selection instances are solved by the compact LP of the module
-    docstring, with ``iterations = 1``; every other family by the double
-    oracle, with its iteration count.  Either way the returned
+    k-selection instances are solved directly, with ``iterations = 1``: by
+    the threshold search of the module docstring under intervals, by the
+    compact LP under scenarios.  Every other family runs the double oracle,
+    with its iteration count.  Either way the returned
     :class:`GameSolution`'s ``certified_gap`` (the distance between the
     adversary's best response to the marginal and the player's best response
     to the adversary mix) is at most ``tol``, else :class:`SolverError`
@@ -165,82 +177,283 @@ def solve_randomized(
     """
     oracle = build_oracle(instance) if oracle is None else oracle
     if isinstance(oracle, KSelectionOracle):
+        if instance.is_interval:
+            return _threshold_k_selection(instance, tol, oracle)
         return _compact_k_selection(instance, tol, oracle)
     return _double_oracle(instance, tol, max_iter, oracle)
+
+
+def _convex_bracket(f, xs: np.ndarray, gap: float, width: int = 32):
+    """Two points of sorted ``xs`` between which the convex ``f`` is least.
+
+    ``f`` maps an array of points to their values.  Each round evaluates it
+    at ``width`` evenly spread points and keeps the range between the least
+    one's neighbours.  Comparing values says nothing where points are closer
+    than round-off can resolve, so the search runs over the points at least
+    ``gap`` after their predecessor, and returns the winner's two neighbours
+    among them (infinite past either end).
+    """
+    coarse = xs[np.concatenate([[True], np.diff(xs) > gap])]
+    lo, hi = 0, len(coarse) - 1
+    while hi - lo >= width:
+        idx = np.unique(np.linspace(lo, hi, width).round().astype(int))
+        j = int(np.argmin(f(coarse[idx])))
+        lo, hi = idx[max(j - 1, 0)], idx[min(j + 1, len(idx) - 1)]
+    best = lo + int(np.argmin(f(coarse[lo : hi + 1])))
+    left = coarse[best - 1] if best > 0 else -np.inf
+    right = coarse[best + 1] if best + 1 < len(coarse) else np.inf
+    return left, right
+
+
+class _ThresholdFill:
+    """The price segments of interval k-selection, sorted once.
+
+    Item i is one unit: a low segment at price l_i, ``s_i(alpha)`` long, and a
+    high segment at u_i, ``1 - s_i(alpha)`` long.  The segments sort stably by
+    price (each item's low segment first), and that order does not depend on
+    alpha, so the cheapest k-unit fill at any alpha is one prefix sum.
+    ``shares``, ``takes`` and ``h`` take a batch of alphas, one per row.
+    """
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, k: int):
+        self.lower, self.upper, self.k = lower, upper, k
+        self.n = n = len(lower)
+        prices = np.concatenate([lower, upper])
+        order = np.argsort(prices, kind="stable")
+        self.price = prices[order]
+        self.item = order % n
+        self.is_low = order < n
+        # each segment's item: its lower bound and width (1 if zero-width)
+        width = (upper - lower)[self.item]
+        self._open = width > 0
+        self._width = np.where(self._open, width, 1.0)
+        self._lower = lower[self.item]
+
+    def shares(self, alphas: np.ndarray) -> np.ndarray:
+        """s(alpha) of each segment's item; a zero-width item is all low at
+        and above its price."""
+        gap = alphas[:, None] - self._lower
+        return np.where(self._open, np.clip(gap / self._width, 0.0, 1.0), gap >= 0.0)
+
+    def takes(self, alphas: np.ndarray) -> np.ndarray:
+        """How much of each sorted segment the cheapest k-unit fill takes."""
+        s = self.shares(alphas)
+        lengths = np.where(self.is_low, s, 1.0 - s)
+        before = np.cumsum(lengths, axis=1) - lengths
+        return np.clip(self.k - before, 0.0, lengths)
+
+    def h(self, alphas) -> np.ndarray:
+        alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+        over = np.maximum(alphas[:, None] - self.lower, 0.0).sum(axis=1)
+        return -self.k * alphas + over + self.takes(alphas) @ self.price
+
+    def marginal(self, alpha: float) -> np.ndarray:
+        """The cheapest fill at alpha as a marginal: both segments of each item."""
+        takes = self.takes(np.array([alpha]))[0]
+        return np.clip(np.bincount(self.item, takes, self.n), 0.0, 1.0)
+
+    def crossings(self, a: float, b: float) -> np.ndarray:
+        """The alphas in (a, b) where a prefix of the segments fills exactly k.
+
+        No endpoint lies inside (a, b), so each share is linear there, and so
+        is every prefix sum of the segment lengths.
+        """
+        mid = 0.5 * (a + b)
+        inside = self._open & (self._lower < mid) & (mid < self._lower + self._width)
+        slope = np.where(inside, 1.0 / self._width, 0.0)
+        base = np.where(inside, -self._lower * slope, self.shares(np.array([mid]))[0])
+        run = np.cumsum(np.where(self.is_low, slope, -slope))
+        at_zero = np.cumsum(np.where(self.is_low, base, 1.0 - base))
+        moving = run != 0.0
+        alphas = (self.k - at_zero[moving]) / run[moving]
+        return alphas[(alphas > a) & (alphas < b)]
+
+    def best_alpha(self) -> float:
+        """An alpha minimizing h.
+
+        h is convex and piecewise linear.  Its breakpoints are the endpoints
+        and the prefix crossings, and it falls to the left of every endpoint
+        and rises to the right of them all.  So a search over the endpoints
+        brackets the optimum, and a second one over the endpoints and
+        crossings inside that bracket finds it.
+        """
+        ends = np.unique(np.concatenate([self.lower, self.upper]))
+        gap = 1e-9 * (1.0 + np.abs(ends).max())
+        left, right = _convex_bracket(self.h, ends, gap)
+        inner = ends[(ends >= left) & (ends <= right)]
+        points = np.unique(
+            np.concatenate([inner, *map(self.crossings, inner[:-1], inner[1:])])
+        )
+        left, right = _convex_bracket(self.h, points, gap)
+        points = points[(points >= left) & (points <= right)]
+        return float(points[np.argmin(self.h(points))])
+
+
+def _first_below(f, xs: np.ndarray, target: float) -> float:
+    """The least x in [xs[0], xs[-1]] with ``f(x) <= target``, for a
+    nonincreasing f that is linear between the sorted points ``xs``."""
+    if f(xs[0]) <= target:
+        return float(xs[0])
+    if f(xs[-1]) > target:
+        return float(xs[-1])
+    lo, hi = 0, len(xs) - 1  # f(xs[lo]) > target >= f(xs[hi])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(xs[mid]) <= target:
+            hi = mid
+        else:
+            lo = mid
+    (x0, x1), (v0, v1) = xs[lo : hi + 1], (f(xs[lo]), f(xs[hi]))
+    return float(x0 + (v0 - target) / (v0 - v1) * (x1 - x0))
+
+
+def _threshold_adversary(
+    lower: np.ndarray, upper: np.ndarray, k: int, p: np.ndarray, alpha: float
+) -> np.ndarray:
+    """The adversary's point mu of conv(X), from complementary slackness.
+
+    At the optimal threshold alpha, item i is worth ``c_i = l_i + d_i p_i`` to
+    the adversary: mu_i = 1 where c_i < alpha, 0 where c_i > alpha, and the
+    tied items split the rest of ``sum(mu) = k``.  The split must make p a
+    cheapest k-fill at ``cbar = u - d * mu``: for some cardinality price lam,
+    ``cbar_i = lam`` where p_i is fractional, ``<= lam`` where it is 1 and
+    ``>= lam`` where it is 0.  Each of these confines mu_i to an interval
+    whose ends fall as lam grows, so lam is found by a monotone search over
+    the endpoints, and mu interpolates within the intervals to sum to k.
+    """
+    width = upper - lower
+    scale = 1.0 + max(np.abs(lower).max(), np.abs(upper).max())
+    value = lower + width * p
+    # class bounds on mu: [1, 1] below alpha, [0, 0] above, [0, 1] if tied
+    floor = (value < alpha - 1e-10 * scale).astype(float)
+    ceil = (value <= alpha + 1e-10 * scale).astype(float)
+    at_zero = p <= PROB_DROP
+    at_one = p >= 1.0 - PROB_DROP
+    cap_below = ~at_zero  # mu_i >= (u_i - lam) / d_i, i.e. cbar_i <= lam
+    cap_above = ~at_one  # mu_i <= (u_i - lam) / d_i, i.e. cbar_i >= lam
+    # the lam for which every item's interval is nonempty
+    lam_lo = np.max(upper - ceil * width, where=cap_below, initial=-np.inf)
+    lam_hi = np.min(upper - floor * width, where=cap_above, initial=np.inf)
+    open_ = width > 0
+    safe_width = np.where(open_, width, 1.0)
+
+    def bounds(lam):
+        # a zero-width item's cbar is fixed; inside [lam_lo, lam_hi] it
+        # already satisfies its condition, so only its class bounds it
+        q = (upper - lam) / safe_width
+        lo = np.where(cap_below & open_, np.maximum(floor, q), floor)
+        hi = np.where(cap_above & open_, np.minimum(ceil, q), ceil)
+        return lo, hi
+
+    ends = np.unique(np.concatenate([lower, upper, [lam_lo, lam_hi]]))
+    ends = ends[np.isfinite(ends)]
+    if lam_lo <= lam_hi:
+        ends = ends[(ends >= lam_lo) & (ends <= lam_hi)]
+    # sum(lo) <= k from lam1 on, sum(hi) >= k up to lam2 (the same search,
+    # mirrored); any lam between them admits a mu summing to k
+    lam1 = _first_below(lambda lam: bounds(lam)[0].sum(), ends, k)
+    lam2 = -_first_below(lambda lam: -bounds(-lam)[1].sum(), -ends[::-1], -k)
+    lo, hi = bounds(0.5 * (lam1 + lam2))
+    room = hi.sum() - lo.sum()
+    t = float(np.clip((k - lo.sum()) / room, 0.0, 1.0)) if room > 0 else 0.0
+    return np.clip(lo + t * (hi - lo), 0.0, 1.0)
+
+
+def _threshold_k_selection(
+    instance: Instance, tol: float, oracle: KSelectionOracle
+) -> GameSolution:
+    """Interval k-selection by the threshold search of the module docstring.
+
+    Any cheapest fill p at an optimal alpha is an optimal marginal, since
+    ``max regret(p) = min over alpha of phi(p, alpha) <= phi(p, alpha*) = Z_R``.
+    """
+    unc = instance.uncertainty
+    fill = _ThresholdFill(unc.lower, unc.upper, oracle.k)
+    alpha = fill.best_alpha()
+    p = fill.marginal(alpha)
+    mu = _threshold_adversary(unc.lower, unc.upper, oracle.k, p, alpha)
+    return _certified_game(
+        instance,
+        tol,
+        oracle,
+        fill.h(alpha)[0],
+        p,
+        lambda: _interval_adversary(mu, oracle, unc, tol),
+        "threshold k-selection",
+    )
+
+
+def _interval_adversary(mu, oracle, unc, tol) -> AdversaryMixedStrategy:
+    """The decomposition of mu in conv(X), each set A played as c^A."""
+    mix = decompose_marginal(MarginalVector(mu), oracle, tol=tol)
+    return AdversaryMixedStrategy.cleaned(
+        tuple(extreme_cost_vector(A, unc) for A in mix.support),
+        mix.probs,
+        generators=mix.support,
+    )
+
+
+def _certified_game(
+    instance: Instance, tol: float, oracle, value: float, p, adversary, label: str
+) -> GameSolution:
+    """Decompose p, build the adversary mix and certify the bracket."""
+    try:
+        player = decompose_marginal(MarginalVector(p), oracle, tol=tol)
+        mix = adversary()
+    except NotInHullError as exc:
+        raise SolverError(f"{label} answer outside the hull: {exc}") from exc
+
+    marginal = marginal_of_strategy(player)
+    upper_value = max_expected_regret(marginal, instance, oracle).value
+    lower_value = player_best_response(mix, instance, oracle).value
+    gap = upper_value - lower_value
+    if gap > tol:
+        raise SolverError(f"{label} left a best-response gap {gap:.3g} > tol {tol:.3g}")
+    return GameSolution(
+        value=float(value),
+        player=player,
+        marginal=marginal,
+        adversary=mix,
+        iterations=1,
+        certified_gap=float(max(gap, 0.0)),
+    )
 
 
 def _compact_k_selection(
     instance: Instance, tol: float, oracle: KSelectionOracle
 ) -> GameSolution:
-    """The compact marginal-space LP of the module docstring, solved once."""
+    """The compact scenario LP of the module docstring, solved once."""
     n, k = oracle.n, oracle.k
     unc = instance.uncertainty
-    if instance.is_interval:
-        # variables p (n), alpha, beta (n); one row per item
-        objective = np.concatenate([unc.upper, [-k], -np.ones(n)])
-        rows = np.hstack([-np.diag(unc.upper - unc.lower), np.ones((n, 1)), np.eye(n)])
-        rhs = unc.lower
-        lower = np.concatenate([np.zeros(n), np.full(n + 1, -np.inf)])
-        upper = np.concatenate([np.ones(n), [np.inf], np.zeros(n)])
-    else:
-        # variables p (n), t; one row per scenario
-        optima = scenario_optima(instance, oracle)
-        objective = np.concatenate([np.zeros(n), [1.0]])
-        rows = np.hstack([unc.costs, -np.ones((unc.k, 1))])
-        rhs = optima
-        lower = np.concatenate([np.zeros(n), [-np.inf]])
-        upper = np.concatenate([np.ones(n), [np.inf]])
-    m = len(rhs)
-    cardinality = np.concatenate([np.ones(n), np.zeros(rows.shape[1] - n)])
+    m = unc.k
+    # variables p (n), t; one row per scenario, then the cardinality row
     sol = solve_lp(
         LinearProgram(
-            objective,
-            np.vstack([rows, cardinality]),
+            np.concatenate([np.zeros(n), [1.0]]),
+            np.vstack(
+                [np.hstack([unc.costs, -np.ones((m, 1))]), np.append(np.ones(n), 0.0)]
+            ),
             ("<=",) * m + ("=",),
-            np.append(rhs, k),
-            lower,
-            upper,
+            np.append(scenario_optima(instance, oracle), k),
+            np.concatenate([np.zeros(n), [-np.inf]]),
+            np.concatenate([np.ones(n), [np.inf]]),
         )
     )
     if not sol.is_optimal:
         raise SolverError(f"compact k-selection LP ended with status {sol.status_text}")
     weights = -sol.duals[:m]  # nonnegative multipliers of the min LP's <= rows
-
-    try:
-        player = decompose_marginal(MarginalVector(sol.x[:n]), oracle, tol=tol)
-        if instance.is_interval:
-            # sum(mu) = k and 0 <= mu <= 1 are the alpha and beta columns'
-            # dual rows, so mu lies in conv(X)
-            mix = decompose_marginal(MarginalVector(weights), oracle, tol=tol)
-            adversary = AdversaryMixedStrategy.cleaned(
-                tuple(extreme_cost_vector(A, unc) for A in mix.support),
-                mix.probs,
-                generators=mix.support,
-            )
-        else:
-            adversary = AdversaryMixedStrategy.cleaned(
-                tuple(CostVector(c) for c in unc.costs),
-                weights,
-                scenario_indices=tuple(range(m)),
-            )
-    except NotInHullError as exc:
-        raise SolverError(f"compact k-selection LP answer outside the hull: {exc}") from exc
-
-    marginal = marginal_of_strategy(player)
-    upper_value = max_expected_regret(marginal, instance, oracle).value
-    lower_value = player_best_response(adversary, instance, oracle).value
-    gap = upper_value - lower_value
-    if gap > tol:
-        raise SolverError(
-            f"compact k-selection LP left a best-response gap {gap:.3g} > tol {tol:.3g}"
-        )
-    return GameSolution(
-        value=float(sol.objective),
-        player=player,
-        marginal=marginal,
-        adversary=adversary,
-        iterations=1,
-        certified_gap=float(max(gap, 0.0)),
+    return _certified_game(
+        instance,
+        tol,
+        oracle,
+        sol.objective,
+        sol.x[:n],
+        lambda: AdversaryMixedStrategy.cleaned(
+            tuple(CostVector(c) for c in unc.costs),
+            weights,
+            scenario_indices=tuple(range(m)),
+        ),
+        "compact k-selection LP",
     )
 
 
@@ -319,12 +532,19 @@ def solve_deterministic_exact(
     oracle: NominalOracle | None = None,
     cap: int | None = None,
 ) -> tuple[FeasibleSet, float]:
-    """Deterministic minmax regret by enumerating the feasible family.
+    """Deterministic minmax regret.
 
-    Ties between equal-regret sets go to the lexicographically smallest
+    Interval k-selection is solved by the endpoint scan of
+    ``_endpoint_scan``, in O(n^2) time at any n; ``cap`` does not apply to
+    it.  Every other instance is solved by enumerating the feasible family,
+    which raises :class:`EnumerationCapError` past ``cap`` sets.  Either way,
+    ties between equal-regret sets go to the lexicographically smallest
     index tuple.
     """
     oracle = build_oracle(instance) if oracle is None else oracle
+    if instance.is_interval and isinstance(oracle, KSelectionOracle):
+        best_set = _endpoint_scan(instance.uncertainty, oracle.k)
+        return best_set, max_regret_det_interval(best_set, instance, oracle)[0]
     family = _sorted_family(oracle, cap)
     optima = None if instance.is_interval else scenario_optima(instance, oracle)
     best_set = None
@@ -337,6 +557,39 @@ def solve_deterministic_exact(
         if val < best_val:
             best_set, best_val = T, val
     return best_set, float(best_val)
+
+
+def _endpoint_scan(unc, k: int) -> FeasibleSet:
+    """The lexicographically smallest minmax-regret set of interval k-selection.
+
+    A set T's worst case puts u on T and l elsewhere, and the adversary's
+    optimum there is ``max over alpha of k*alpha - sum(max(0, alpha - c_i))``.
+    So ``max regret(T) = min over alpha of [-k*alpha + sum(max(0, alpha - l_i))
+    + sum over T of delta_i(alpha)]`` with
+    ``delta_i(alpha) = max(u_i, alpha) - max(0, alpha - l_i)``, and the best
+    alpha for T is the k-th smallest of its worst-case costs, an endpoint.
+    Minimizing over T first, Z_D is the least over the endpoints alpha of the
+    bracket with the k smallest delta_i(alpha).  The lexicographically
+    smallest optimal set minimizes the bracket at its own alpha, where a
+    stable sort's first k items are the lexicographically smallest choice;
+    every minimizer at another alpha is optimal too, so the least of these
+    per-alpha sets is the answer.
+    """
+    lower, upper = unc.lower, unc.upper
+    alphas = np.unique(np.concatenate([lower, upper]))
+    values = np.empty(len(alphas))
+    for j, alpha in enumerate(alphas):
+        over = np.maximum(alpha - lower, 0.0)
+        delta = np.maximum(upper, alpha) - over
+        values[j] = -k * alpha + over.sum() + np.partition(delta, k - 1)[:k].sum()
+    # round-off apart, equal brackets are ties
+    scale = 1.0 + np.abs(values).max()
+    best = None
+    for alpha in alphas[values <= values.min() + 1e-12 * scale]:
+        delta = np.maximum(upper, alpha) - np.maximum(alpha - lower, 0.0)
+        chosen = tuple(np.sort(np.argsort(delta, kind="stable")[:k]).tolist())
+        best = chosen if best is None else min(best, chosen)
+    return FeasibleSet.from_indices(len(lower), best)
 
 
 def approx_mean_cost(

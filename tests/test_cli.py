@@ -72,8 +72,9 @@ class TestSolveCommand:
 
     def test_iteration_budget_exit_3_with_bracket_report(self, tmp_path):
         # The tight-discrete k=10 game with its family listed explicitly:
-        # k-selection takes the compact LP, which has no iteration budget,
-        # while explicit families run the double oracle.
+        # k-selection is solved directly (this scenario game by the compact
+        # LP), with no iteration budget, while explicit families run the
+        # double oracle.
         inst = tmp_path / "t10.json"
         tight = describe_instance(generate_instance("tight-discrete", k=10))
         tight["nominal"] = {"type": "explicit", "sets": [[e] for e in range(10)]}

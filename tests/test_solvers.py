@@ -14,7 +14,13 @@ from minregret.core import (
 )
 from minregret.gen import generate_instance
 from minregret.nominal import build_oracle
-from minregret.regret import extreme_cost_vector, max_expected_regret, player_best_response
+from minregret.regret import (
+    extreme_cost_vector,
+    max_expected_regret,
+    max_regret_det_interval,
+    player_best_response,
+)
+import minregret.solvers as solvers_mod
 from minregret.solvers import (
     approx_dual_weighted,
     approx_mean_cost,
@@ -78,7 +84,7 @@ class TestSolveRandomized:
 
     def test_iteration_limit_reports_bracket(self):
         # the budget applies to the double oracle; k-selection's public path
-        # is the compact LP
+        # solves scenario games by the compact LP, without iterations
         inst = tight_discrete(5)
         with pytest.raises(IterationLimitError) as info:
             _double_oracle(inst, 1e-7, 2, build_oracle(inst))
@@ -89,7 +95,7 @@ class TestSolveRandomized:
     # k-selection interval cases that used to fail in the restricted game
     # LP's phase 1 (n=80/100 seed 2 broke down) or took 26 s (n=100 seed 3).
     # The double-oracle arm keeps those regressions on the game LP; the
-    # public path is the compact LP.
+    # public path is the threshold search.
     @pytest.mark.parametrize("n,seed", [(80, 2), (100, 2), (100, 3)])
     def test_interval_k_selection_at_scale(self, n, seed):
         inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=seed)
@@ -157,7 +163,8 @@ def _assert_sound_game(game, inst, oracle):
 
 
 class TestCompactKSelection:
-    """The compact marginal-space LP against the double oracle."""
+    """The direct k-selection solvers against the double oracle: the
+    threshold search under intervals, the compact LP under scenarios."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("n", [10, 25, 40, 80])
@@ -214,7 +221,7 @@ class TestCompactKSelection:
         _assert_sound_game(game, inst, oracle)
 
     @staticmethod
-    def _check_at_scale(inst, reference):
+    def _check_at_scale(inst, reference, tol=1e-6):
         oracle = build_oracle(inst)
         game = solve_randomized(inst, oracle=oracle)
         assert game.iterations == 1
@@ -222,27 +229,145 @@ class TestCompactKSelection:
         upper = max_expected_regret(game.marginal, inst, oracle).value
         lower = player_best_response(game.adversary, inst, oracle).value
         assert lower - 1e-9 <= game.value <= upper + 1e-9
-        assert game.value == pytest.approx(reference(inst, oracle), abs=1e-6)
+        assert game.value == pytest.approx(reference(inst, oracle), abs=tol)
 
     # Beyond desk scale: the double oracle takes 9 s on seed 1 and had not
-    # finished seed 2 after 60 s.
+    # finished seed 2 after 60 s.  HiGHS solves the compact interval LP.
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_interval_n200(self, seed):
         inst = generate_instance("k-selection", n=200, uncertainty="interval", seed=seed)
-        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst))
+        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst), 1e-9)
 
-    # With the box 0 <= p <= 1 as n explicit rows the LP took about 2 s per
-    # case on a 2-vCPU machine; as native bounds, about 0.25 s.
+    # The compact interval LP that the threshold search replaced took about
+    # 0.25 s per case here on a 2-vCPU machine.
     @pytest.mark.parametrize("seed", [1, 2])
     def test_interval_n300(self, seed):
         inst = generate_instance("k-selection", n=300, uncertainty="interval", seed=seed)
-        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst))
+        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst), 1e-9)
 
     def test_16_scenarios_n400(self):
         inst = generate_instance(
             "k-selection", n=400, uncertainty="scenarios", n_scenarios=16, seed=1
         )
         self._check_at_scale(inst, _highs_scenario_k_selection)
+
+
+class TestThresholdKSelection:
+    """Interval k-selection by the scalar threshold search."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            k_selection_instance(6, 3, lower=[2, 2, 2, 2, 2, 2], upper=[3, 7, 4, 2, 6, 5]),
+            k_selection_instance(
+                7, 3, lower=[1, 1, 0, 0, 2, 2, 1], upper=[4, 4, 3, 3, 5, 5, 4]
+            ),
+            k_selection_instance(6, 2, lower=[1, 0, 2, 3, 1, 0], upper=[1, 4, 2, 3, 5, 0]),
+            k_selection_instance(6, 1, lower=[3, 1, 4, 1, 5, 9], upper=[6, 2, 7, 8, 5, 9]),
+            k_selection_instance(6, 6, lower=[3, 1, 4, 1, 5, 9], upper=[6, 2, 7, 8, 5, 9]),
+            k_selection_instance(5, 2, lower=[1, 1, 1, 1, 1], upper=[2, 2, 2, 2, 2]),
+            k_selection_instance(1, 1, lower=[2.5], upper=[4.0]),
+            # no fractional item pins the cardinality price: a range of
+            # prices makes p a cheapest fill, and mu must use one inside it
+            k_selection_instance(3, 1, lower=[2, 3, 3], upper=[2, 6, 6]),
+            k_selection_instance(4, 2, lower=[0, 3, 0, 1], upper=[1, 4, 0, 4]),
+        ],
+        ids=[
+            "equal-lower",
+            "duplicated-pairs",
+            "zero-width-items",
+            "k1",
+            "kn",
+            "all-identical",
+            "single-item",
+            "free-price",
+            "free-price-k2",
+        ],
+    )
+    def test_degenerate_instances(self, inst):
+        oracle = build_oracle(inst)
+        game = solve_randomized(inst, oracle=oracle)
+        brute, _, _ = bruteforce_game_value(inst, oracle=oracle)
+        assert game.iterations == 1
+        assert game.value == pytest.approx(brute, abs=1e-9)
+        assert game.value == pytest.approx(_highs_interval_k_selection(inst), abs=1e-9)
+        assert game.value == pytest.approx(
+            _double_oracle(inst, 1e-7, 10000, oracle).value, abs=1e-7
+        )
+        _assert_sound_game(game, inst, oracle)
+
+    def test_optimum_on_an_endpoint(self):
+        # h is least at alpha* = 4 = u_1 and strictly larger on either side
+        inst = k_selection_instance(3, 2, lower=[1, 0, 3], upper=[5, 4, 5])
+        unc = inst.uncertainty
+        fill = solvers_mod._ThresholdFill(unc.lower, unc.upper, 2)
+        assert fill.best_alpha() == 4.0
+        assert fill.h(4.0)[0] == pytest.approx(1.5, abs=1e-12)
+        assert fill.h([4.0 - 1e-3, 4.0 + 1e-3]).min() > 1.5 + 1e-6
+        game = solve_randomized(inst)
+        assert game.value == pytest.approx(1.5, abs=1e-12)
+        assert game.value == pytest.approx(_highs_interval_k_selection(inst), abs=1e-9)
+        _assert_sound_game(game, inst, build_oracle(inst))
+
+    def test_near_duplicate_endpoints(self):
+        # 3.3 and 3.3000000000000003 are one ulp apart: a bisection that
+        # compared h there went the wrong way and missed the optimum by 0.01
+        lower = [6.6, 0.3, 6.3, 1.8, 9.2, 6.9, 9.2, 9.9, 4.5, 3.1, 1.9, 4.2, 8.6, 7.6,
+                 5.6, 2.2, 3.3, 4.7, 9.6, 0.1, 1.4, 7.1, 9.8, 1.7, 1.8, 8.7, 1.0, 6.4,
+                 6.8, 2.4, 6.2, 7.6, 1.2, 0.7, 8.1, 5.4, 6.5]
+        width = [0.0, 2.7, 0.0, 4.4, 4.4, 0.0, 0.0, 0.8, 3.6, 3.7, 2.6, 2.4, 4.5, 0.2,
+                 0.0, 2.1, 0.0, 0.0, 4.4, 3.2, 0.0, 3.7, 0.0, 0.0, 0.0, 2.8, 2.3, 0.0,
+                 0.0, 0.0, 0.0, 0.6, 4.1, 2.3, 4.6, 0.8, 0.0]
+        inst = k_selection_instance(
+            37, 11, lower=lower, upper=np.add(lower, width)
+        )
+        game = solve_randomized(inst)
+        assert game.value == pytest.approx(_highs_interval_k_selection(inst), abs=1e-9)
+        _assert_sound_game(game, inst, build_oracle(inst))
+
+    def test_wrong_adversary_point_raises(self, monkeypatch):
+        real = solvers_mod._threshold_adversary
+
+        def shifted(lower, upper, k, p, alpha):
+            # still in conv(X): a third of a unit moves between two items
+            mu = real(lower, upper, k, p, alpha).copy()
+            give, take = int(np.argmax(mu)), int(np.argmin(mu))
+            mu[give] -= 1.0 / 3.0
+            mu[take] += 1.0 / 3.0
+            return mu
+
+        monkeypatch.setattr(solvers_mod, "_threshold_adversary", shifted)
+        inst = generate_instance("k-selection", n=20, uncertainty="interval", seed=1)
+        with pytest.raises(SolverError, match="best-response gap"):
+            solve_randomized(inst)
+
+    @pytest.mark.parametrize("n,z_r,z_d", [(200, None, None), (1000, 483.007625, 792.251071)])
+    def test_gap_bound_chain_at_scale(self, n, z_r, z_d):
+        """Z_R <= Z_D <= R_max(midpoint) <= 2 Z_R, the paper's interval bound."""
+        inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
+        oracle = build_oracle(inst)
+        game = solve_randomized(inst, oracle=oracle)
+        T, value = solve_deterministic_exact(inst, oracle=oracle)
+        _, rmax = approx_midpoint(inst, oracle=oracle)
+        assert game.certified_gap <= 1e-7
+        assert value == max_regret_det_interval(T, inst, oracle)[0]
+        assert game.value <= value + 1e-9
+        assert value <= rmax + 1e-9
+        assert rmax <= 2.0 * game.value + 1e-9
+        if z_r is not None:
+            assert game.value == pytest.approx(z_r, abs=1e-6)
+            assert value == pytest.approx(z_d, abs=1e-6)
+
+
+def _enumerated_deterministic(inst):
+    """Deterministic minmax regret by scanning the sorted family."""
+    oracle = build_oracle(inst)
+    best, best_val = None, np.inf
+    for T in sorted(oracle.enumerate_feasible(), key=lambda T: T.indices):
+        val, _ = max_regret_det_interval(T, inst, oracle)
+        if val < best_val:
+            best, best_val = T, val
+    return best, best_val
 
 
 class TestSolveDeterministic:
@@ -264,6 +389,56 @@ class TestSolveDeterministic:
         inst = tight_discrete(3)
         T, _ = solve_deterministic_exact(inst)
         assert T.indices == (0,)
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_endpoint_scan_matches_enumeration(self, n, seed):
+        inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=seed)
+        T, value = solve_deterministic_exact(inst)
+        ref_T, ref_value = _enumerated_deterministic(inst)
+        assert T.indices == ref_T.indices
+        assert value == ref_value
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            tight_interval(),
+            k_selection_instance(6, 1, lower=[0, 1, 2, 0, 1, 2], upper=[3, 2, 5, 1, 4, 2]),
+            k_selection_instance(6, 6, lower=[0, 1, 2, 0, 1, 2], upper=[3, 2, 5, 1, 4, 2]),
+            k_selection_instance(3, 1, lower=[2, 3, 4], upper=[2, 3, 4]),
+            k_selection_instance(5, 2, lower=[1, 1, 1, 1, 1], upper=[1, 1, 1, 1, 1]),
+            k_selection_instance(
+                4, 2, lower=[1.0, 1.0, 0.0, 0.5], upper=[1.0, 1.0, 2.0, 1.5]
+            ),
+            k_selection_instance(6, 3, lower=[1, 1, 1, 1, 1, 1], upper=[2, 3, 2, 3, 2, 3]),
+            k_selection_instance(5, 2, lower=[0, 1, 2, 3, 4], upper=[4, 4, 4, 4, 4]),
+            # two thresholds reach Z_D, and the later one holds the
+            # lexicographically smaller set
+            k_selection_instance(5, 2, lower=[1, 0, 2, 2, 3], upper=[3, 0, 2, 3, 6]),
+        ],
+        ids=[
+            "tight-interval",
+            "interval-k1",
+            "interval-kn",
+            "degenerate",
+            "degenerate-ties",
+            "partially-degenerate",
+            "equal-lower",
+            "equal-upper",
+            "ties-across-thresholds",
+        ],
+    )
+    def test_endpoint_scan_ties(self, inst):
+        T, value = solve_deterministic_exact(inst)
+        ref_T, ref_value = _enumerated_deterministic(inst)
+        assert T.indices == ref_T.indices
+        assert value == ref_value
+
+    def test_endpoint_scan_ignores_the_cap(self):
+        inst = generate_instance("k-selection", n=30, uncertainty="interval", seed=1)
+        T, value = solve_deterministic_exact(inst, cap=10)
+        assert T.size == inst.nominal.k
+        assert value == max_regret_det_interval(T, inst)[0]
 
 
 class TestApproximations:
