@@ -30,7 +30,7 @@ from .core import (
     validate_instance,
 )
 from .nominal import build_oracle
-from .lp import LinearProgram, LpSolution, kernel_backend, solve_lp, solve_matrix_game
+from .lp import LpSolution, kernel_backend, solve_matrix_game
 from .regret import (
     extreme_cost_vector,
     max_expected_regret,
@@ -62,7 +62,6 @@ __all__ = [
     "InstanceError",
     "Intervals",
     "IterationLimitError",
-    "LinearProgram",
     "LpSolution",
     "MarginalVector",
     "MinregretError",
@@ -91,7 +90,6 @@ __all__ = [
     "solution_cost",
     "solve_adversary_lp_discrete",
     "solve_deterministic_exact",
-    "solve_lp",
     "solve_matrix_game",
     "solve_randomized",
     "validate_instance",

@@ -24,9 +24,8 @@ tableaux a call's fixed cost, not its arithmetic, is most of a pivot's
 time.  Candidates (infeasible rows, entering columns, leaving rows) are
 index arrays (``x.nonzero()[0]``), a minimum or maximum is read at
 ``x.argmin()`` or ``x.argmax()``, whose first hit is the lowest position,
-the bound of each basic variable is kept per row and updated at each pivot
-instead of gathered, and locked columns are filtered out only when some
-variable is locked.
+and the bound of each basic variable is kept per row and updated at each
+pivot instead of gathered.
 
 One call runs a dual pass, then a primal pass.
 
@@ -36,8 +35,8 @@ still dual feasible.  A basic variable above its upper bound is infeasible
 by ``rhs - u``; its row is complemented (:func:`complement_row`), which
 makes it the usual negative right-hand side, and it leaves at that bound.
 The leaving row is the most infeasible one, the first of ties.  The
-candidate columns are the unlocked ones with a negative entry in that row,
-and the dual feasible ones among them (reduced cost nonnegative within
+candidate columns are the ones with a negative entry in that row, and the
+dual feasible ones among them (reduced cost nonnegative within
 ``tol``) go first, so a column appended in the same step with a negative
 reduced cost waits for the primal pass; only when no such column can repair
 the row does any other candidate enter.  The ratios are computed on the
@@ -71,16 +70,17 @@ no longer monotone, and from then on only ``max_pivots`` (the caller's
 budget) bounds the pass.
 
 The primal pass enters, by default, with Bland's rule: the lowest eligible
-variable index.  With ``dantzig`` it enters the most negative reduced cost
-(ties by the lowest variable index) and falls back to Bland's rule after
-``DUAL_STALL_PIVOTS`` consecutive degenerate steps, until a step is
-nondegenerate.  The ratio test counts a basic variable reaching 0, a basic
-variable reaching its upper bound (its row is complemented and it leaves
-flipped) and the entering variable reaching its own bound, which flips its
-column without a basis change and wins ties; among rows, the lowest basis
-index wins.  An entering variable that was flipped has its row
-un-complemented after the pivot.  Every choice breaks its ties by index, so
-the pivot sequence, and with it every result, is deterministic.
+variable index.  With ``dantzig`` (a ``WarmLP``'s first solve, from the
+slack basis) it enters the most negative reduced cost (ties by the lowest
+variable index) and falls back to Bland's rule after ``DUAL_STALL_PIVOTS``
+consecutive degenerate steps, until a step is nondegenerate.  The ratio
+test counts a basic variable reaching 0, a basic variable reaching its
+upper bound (its row is complemented and it leaves flipped) and the
+entering variable reaching its own bound, which flips its column without a
+basis change and wins ties; among rows, the lowest basis index wins.  An
+entering variable that was flipped has its row un-complemented after the
+pivot.  Every choice breaks its ties by index, so the pivot sequence, and
+with it every result, is deterministic.
 
 The pivot counts returned cover basis exchanges and primal bound flips; the
 flips of a bound-flipping ratio test are part of their dual pivot.
@@ -93,7 +93,7 @@ import numpy as np
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_PIVOT_LIMIT = 2
-# The dual pass found a violated row that no unlocked column can repair.
+# The dual pass found a violated row that no column can repair.
 STATUS_INFEASIBLE = 3
 
 # Degenerate pivots in a row before the dual pass falls back to dual Bland's
@@ -123,8 +123,7 @@ def flip_column(tableau, col, bound):
 
 
 def run_simplex(
-    tableau, basis, nonbasic, locked, max_pivots, tol,
-    upper=None, flipped=None, dantzig=False,
+    tableau, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, dantzig=False,
 ):
     """Pivot ``tableau`` in place until it is primal and dual feasible.
 
@@ -135,8 +134,6 @@ def run_simplex(
         objective.
     basis : (m,) intp, basic variable of each row.
     nonbasic : (k,) intp, nonbasic variable of each column.
-    locked : uint8 per variable, the variables that may never enter, or
-        None when none is locked.
     upper : float64 per variable, the upper bounds (``inf`` for none), or
         None when no variable has one.
     flipped : uint8 per variable, the nonbasic variables at their upper
@@ -150,8 +147,6 @@ def run_simplex(
     rhs = tableau[:m, -1]
     below = -tol
     pivots = 0
-    # None when no variable is locked, so that no column ever is
-    unlocked = locked[nonbasic] == 0 if locked is not None and locked.any() else None
     bounded = upper is not None and bool(np.isfinite(upper).any())
     ub = upper[basis] if bounded else None  # the bound of each row's basic variable
 
@@ -159,8 +154,6 @@ def run_simplex(
         # ``at_upper``: row ``leave`` is complemented, its variable leaves flipped
         entering, leaving = nonbasic[enter], basis[leave]
         pivot_inplace(tableau, basis, nonbasic, leave, enter)
-        if unlocked is not None:
-            unlocked[enter] = locked[leaving] == 0
         if bounded:
             flipped[leaving] = at_upper
             ub[leave] = upper[entering]
@@ -190,8 +183,6 @@ def run_simplex(
         if above:
             complement_row(tableau, leave, ub[leave])
         candidates = (tableau[leave, :-1] < below).nonzero()[0]
-        if unlocked is not None:
-            candidates = candidates[unlocked[candidates]]
         if not candidates.size:
             if above:
                 complement_row(tableau, leave, ub[leave])  # back to rest
@@ -207,8 +198,6 @@ def run_simplex(
     degenerate = 0  # consecutive degenerate primal steps
     while True:
         eligible = (obj < below).nonzero()[0]
-        if unlocked is not None:
-            eligible = eligible[unlocked[eligible]]
         if not eligible.size:
             return STATUS_OPTIMAL, pivots, dual
         if pivots >= max_pivots:

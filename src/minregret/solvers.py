@@ -17,7 +17,14 @@ to a problem over the marginal p:
   slackness, and no LP is solved;
 * scenarios: the compact LP ``minimize t`` subject to
   ``c^s.p - t <= opt_s`` for every scenario, ``sum(p) = k`` and
-  ``0 <= p <= 1``, solved once by ``lp.solve_lp``.
+  ``0 <= p <= 1``, solved once as a ``lp.WarmLP``.  The LP is written around
+  the anchor set A the double oracle starts from (its indicator a, a set of
+  k items): ``p = a + sigma*z`` with ``sigma = 1 - 2a`` and ``z`` in
+  [0, 1]^n, and ``t = t0 - theta`` with ``t0`` the largest regret of A.
+  Then ``max theta`` subject to ``(c^s*sigma).z + theta <= t0 - R_s``
+  (``R_s = c^s.a - opt_s``, so every right-hand side is nonnegative) and
+  ``sigma.z = 0`` as two ``<=`` rows is an LP whose origin, the set A, is
+  feasible: no phase 1, and the box on z is native bounds.
 
 The player's strategy is the exact decomposition of p.  Under intervals the
 adversary plays mu, decomposed the same way, each set A played as its
@@ -65,7 +72,7 @@ from .core import (
     marginal_of_strategy,
 )
 from .decompose import decompose_marginal
-from .lp import LinearProgram, MatrixGame, solve_lp, solve_matrix_game
+from .lp import MatrixGame, WarmLP, solve_matrix_game
 from .nominal import KSelectionOracle, NominalOracle, build_oracle, enumeration_cap
 from .regret import (
     extreme_cost_vector,
@@ -167,8 +174,9 @@ def solve_randomized(
 
     k-selection instances are solved directly, with ``iterations = 1``: by
     the threshold search of the module docstring under intervals, by the
-    compact LP under scenarios.  Every other family runs the double oracle,
-    with its iteration count.  Either way the returned
+    compact LP under scenarios, one ``WarmLP`` solve from the mean-cost set
+    the double oracle would start from.  Every other family runs the double
+    oracle, with its iteration count.  Either way the returned
     :class:`GameSolution`'s ``certified_gap`` (the distance between the
     adversary's best response to the marginal and the player's best response
     to the adversary mix) is at most ``tol``, else :class:`SolverError`
@@ -422,35 +430,41 @@ def _certified_game(
 def _compact_k_selection(
     instance: Instance, tol: float, oracle: KSelectionOracle
 ) -> GameSolution:
-    """The compact scenario LP of the module docstring, solved once."""
-    n, k = oracle.n, oracle.k
+    """The compact scenario LP of the module docstring, solved once.
+
+    theta stays unbounded above: bounding it by t0 would fix it at 0 when
+    A is already optimal with t0 = 0, and the scenario rows would lose
+    their duals, the adversary's weights.
+    """
+    n = oracle.n
     unc = instance.uncertainty
     m = unc.k
-    # variables p (n), t; one row per scenario, then the cardinality row
-    sol = solve_lp(
-        LinearProgram(
-            np.concatenate([np.zeros(n), [1.0]]),
-            np.vstack(
-                [np.hstack([unc.costs, -np.ones((m, 1))]), np.append(np.ones(n), 0.0)]
-            ),
-            ("<=",) * m + ("=",),
-            np.append(scenario_optima(instance, oracle), k),
-            np.concatenate([np.zeros(n), [-np.inf]]),
-            np.concatenate([np.ones(n), [np.inf]]),
-        )
-    )
+    a = _initial_player_set(instance, oracle).indicator.astype(float)
+    sigma = 1.0 - 2.0 * a
+    regrets = unc.costs @ a - scenario_optima(instance, oracle)
+    t0 = float(regrets.max())
+    # variables z (n), theta; one row per scenario, then sum(p) = k as two rows
+    sol = WarmLP(
+        np.append(np.zeros(n), 1.0),
+        np.vstack([
+            np.hstack([unc.costs * sigma, np.ones((m, 1))]),
+            np.append(sigma, 0.0),
+            np.append(-sigma, 0.0),
+        ]),
+        np.append(t0 - regrets, [0.0, 0.0]),
+        upper=np.append(np.ones(n), np.inf),
+    ).solve()
     if not sol.is_optimal:
         raise SolverError(f"compact k-selection LP ended with status {sol.status_text}")
-    weights = -sol.duals[:m]  # nonnegative multipliers of the min LP's <= rows
     return _certified_game(
         instance,
         tol,
         oracle,
-        sol.objective,
-        sol.x[:n],
+        t0 - sol.objective,
+        a + sigma * sol.x[:n],
         lambda: AdversaryMixedStrategy.cleaned(
             tuple(CostVector(c) for c in unc.costs),
-            weights,
+            sol.duals[:m],
             scenario_indices=tuple(range(m)),
         ),
         "compact k-selection LP",
