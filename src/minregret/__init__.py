@@ -46,7 +46,7 @@ from .solvers import (
     solve_deterministic_exact,
     solve_randomized,
 )
-from .decompose import certify_in_hull, decompose_marginal
+from .decompose import decompose_marginal
 from .sim import simulate
 from .gen import generate_instance
 
@@ -74,7 +74,6 @@ __all__ = [
     "approx_midpoint",
     "bruteforce_game_value",
     "build_oracle",
-    "certify_in_hull",
     "decompose_marginal",
     "describe_instance",
     "expected_regret",

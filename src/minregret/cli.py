@@ -66,24 +66,28 @@ def _round6(value):
     return value
 
 
-def _render_text(report: dict, indent: int = 0) -> str:
+def _render_text(report: dict) -> str:
+    return _render_rounded(_round6(report)) + "\n"
+
+
+def _render_rounded(report: dict, indent: int = 0) -> str:
+    """The text layout of a report whose floats are already rounded."""
     lines = []
     pad = "  " * indent
     for key, value in report.items():
-        value = _round6(value)
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
-            lines.append(_render_text(value, indent + 1))
+            lines.append(_render_rounded(value, indent + 1))
         elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
             lines.append(f"{pad}{key}:")
             for item in value:
                 if isinstance(item, dict):
-                    lines.append(_render_text(item, indent + 1).rstrip())
+                    lines.append(_render_rounded(item, indent + 1).rstrip())
                 else:
                     lines.append(f"{pad}  {item}")
         else:
             lines.append(f"{pad}{key}: {value}")
-    return "\n".join(lines) + ("\n" if indent == 0 else "")
+    return "\n".join(lines)
 
 
 def _json_text(value, indent: int = 0) -> str:
@@ -169,6 +173,7 @@ def cmd_approx(args) -> int:
     if method == "auto":
         method = "midpoint" if instance.is_interval else "mean"
     started = time.perf_counter()
+    game = None
     if method == "midpoint":
         chosen, rmax = approx_midpoint(instance)
         bound = 2.0
@@ -190,7 +195,8 @@ def cmd_approx(args) -> int:
         "guarantee_factor": bound,
     }
     if args.certify:
-        game = solve_randomized(instance, tol=args.tol)
+        if game is None:
+            game = solve_randomized(instance, tol=args.tol)
         report["value_randomized"] = game.value
         report["ratio"] = rmax / game.value if game.value > 1e-12 else None
     report["wall_time_seconds"] = time.perf_counter() - started

@@ -25,6 +25,10 @@ PROB_SUM_TOL = 1e-9
 # Probabilities below this are dropped and the remainder renormalized; they
 # are round-off ghosts from LP basic solutions, not genuine support.
 PROB_DROP = 1e-12
+# A cost vector within this of the uncertainty set counts as inside it.
+COST_TOL = 1e-9
+# Rows a cutting-plane loop may generate before it gives up.
+MAX_CUTS = 10_000
 
 
 class MinregretError(Exception):
@@ -158,9 +162,10 @@ class Intervals:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, costs: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, costs: np.ndarray) -> bool:
         return bool(
-            np.all(costs >= self.lower - tol) and np.all(costs <= self.upper + tol)
+            np.all(costs >= self.lower - COST_TOL)
+            and np.all(costs <= self.upper + COST_TOL)
         )
 
 
@@ -186,8 +191,8 @@ class Scenarios:
     def n(self) -> int:
         return self.costs.shape[1]
 
-    def contains(self, costs: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.any(np.all(np.abs(self.costs - costs) <= tol, axis=1)))
+    def contains(self, costs: np.ndarray) -> bool:
+        return bool(np.any(np.all(np.abs(self.costs - costs) <= COST_TOL, axis=1)))
 
 
 UncertaintySpec = Union[Intervals, Scenarios]
@@ -240,7 +245,7 @@ def _check_nominal(spec: NominalSpec, n: int) -> None:
         for u, v in spec.arcs:
             if not (0 <= u < spec.vertices and 0 <= v < spec.vertices) or u == v:
                 raise InstanceError(f"bad arc ({u},{v})")
-        _check_acyclic(spec)
+        topological_order(spec.vertices, spec.arcs)
     elif isinstance(spec, Explicit):
         if not spec.sets:
             raise InstanceError("explicit feasible family is empty")
@@ -253,24 +258,26 @@ def _check_nominal(spec: NominalSpec, n: int) -> None:
         raise InstanceError(f"unknown nominal spec {type(spec).__name__}")
 
 
-def _check_acyclic(spec: DagPath) -> None:
+def topological_order(vertices: int, arcs) -> list[int]:
+    """The vertices in topological order; raises if the graph has a cycle."""
     # Kahn's algorithm; leftover vertices with unconsumed in-degree mean a cycle.
-    indeg = [0] * spec.vertices
-    out = [[] for _ in range(spec.vertices)]
-    for u, v in spec.arcs:
+    indeg = [0] * vertices
+    out = [[] for _ in range(vertices)]
+    for u, v in arcs:
         out[u].append(v)
         indeg[v] += 1
-    queue = [v for v in range(spec.vertices) if indeg[v] == 0]
-    seen = 0
+    queue = [v for v in range(vertices) if indeg[v] == 0]
+    order = []
     while queue:
         u = queue.pop()
-        seen += 1
+        order.append(u)
         for v in out[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
-    if seen != spec.vertices:
+    if len(order) != vertices:
         raise InstanceError("dag-path graph is not acyclic")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +292,7 @@ class CostVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise InstanceError("cost vector must be one-dimensional")
-        if not np.all(np.isfinite(values)):
-            raise InstanceError("cost vector entries must be finite")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", _freeze(as_costs(self.values)))
 
     def __eq__(self, other):
         return isinstance(other, CostVector) and np.array_equal(
@@ -445,12 +447,12 @@ class AdversaryMixedStrategy:
         gens = tuple(rec[2] for _, rec in kept) if generators is not None else None
         return cls(costs, weights / weights.sum(), scen, gens)
 
-    def validate_for(self, instance: Instance, tol: float = 1e-9) -> None:
+    def validate_for(self, instance: Instance) -> None:
         """Check every support vector lies in the instance's uncertainty set."""
         for c in self.support:
             if len(c) != instance.n:
                 raise InstanceError("cost vector length differs from instance n")
-            if not instance.uncertainty.contains(c.values, tol):
+            if not instance.uncertainty.contains(c.values):
                 raise InstanceError(
                     "adversary support vector outside the uncertainty set"
                 )

@@ -77,11 +77,10 @@ p within ``tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
+    MAX_CUTS,
     PROB_DROP,
     FeasibleSet,
     IterationLimitError,
@@ -100,20 +99,8 @@ from .nominal import DagPathOracle, KSelectionOracle, NominalOracle
 _FULL_MARGIN = 4 * PROB_DROP
 
 
-@dataclass(frozen=True, eq=False)
-class HullCertificate:
-    """Separating prices: w - sum(u[e] for e in T) <= 0 for all feasible T,
-    while w - p @ u > 0."""
-
-    u: np.ndarray
-    w: float
-
-
 def decompose_marginal(
-    p: MarginalVector,
-    oracle: NominalOracle,
-    tol: float = 1e-7,
-    max_cuts: int = 10000,
+    p: MarginalVector, oracle: NominalOracle, tol: float = 1e-7
 ) -> PlayerMixedStrategy:
     """Mixed strategy whose marginal reproduces ``p`` within ``tol``.
 
@@ -121,8 +108,8 @@ def decompose_marginal(
     strategy exists.  The support never exceeds n + 1 sets: at most n for
     k-selection (one per interval of [0, 1)) and for DAG paths (one per
     zeroed arc), and at most n + 1 on the LP path (one per basic u or w
-    variable at a basic optimum).  ``max_cuts`` bounds the rows the LP path
-    generates.
+    variable at a basic optimum).  The LP path generates at most
+    ``MAX_CUTS`` rows, else raises :class:`IterationLimitError`.
     """
     if oracle.n != len(p):
         raise SolverError("marginal length differs from the oracle's item count")
@@ -130,7 +117,7 @@ def decompose_marginal(
         return _systematic_sampling(p, oracle, tol)
     if isinstance(oracle, DagPathOracle):
         return _peel_paths(p, oracle, tol)
-    return _decompose_by_rows(p, oracle, tol, max_cuts)
+    return _decompose_by_rows(p, oracle, tol)
 
 
 def _reconstructed(
@@ -265,10 +252,7 @@ def _peel_paths(
 
 
 def _decompose_by_rows(
-    p: MarginalVector,
-    oracle: NominalOracle,
-    tol: float = 1e-7,
-    max_cuts: int = 10000,
+    p: MarginalVector, oracle: NominalOracle, tol: float = 1e-7
 ) -> PlayerMixedStrategy:
     """The cutting-plane LP of the module docstring, for any family."""
     p_arr = p.p
@@ -304,7 +288,7 @@ def _decompose_by_rows(
         lp.add_rows(row[None, :], [rhs])
 
     generate(oracle.solve(-u)[0])  # the best set at the fixed prices, F at 0
-    for _ in range(max_cuts):
+    for _ in range(MAX_CUTS):
         sol = lp.solve()
         if not sol.is_optimal:
             raise SolverError(f"decomposition LP ended with status {sol.status_text}")
@@ -336,18 +320,5 @@ def _decompose_by_rows(
         return _reconstructed(columns, sol.duals, p_arr, tol)
 
     raise IterationLimitError(
-        f"decomposition exceeded {max_cuts} generated columns", iterations=max_cuts
+        f"decomposition exceeded {MAX_CUTS} generated columns", iterations=MAX_CUTS
     )
-
-
-def certify_in_hull(
-    p: MarginalVector, oracle: NominalOracle, tol: float = 1e-7
-) -> tuple[bool, PlayerMixedStrategy | HullCertificate]:
-    """Membership verdict for p in the hull of feasible indicators.
-
-    Returns ``(True, strategy)`` or ``(False, certificate)``.
-    """
-    try:
-        return True, decompose_marginal(p, oracle, tol=tol)
-    except NotInHullError as exc:
-        return False, HullCertificate(u=exc.u, w=exc.w)

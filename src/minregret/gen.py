@@ -21,10 +21,6 @@ _STRUCT_STREAM = 101
 _COST_STREAM = 202
 
 
-def _uniforms(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:
-    return stream_uniform(seed, stream, count, start)
-
-
 def _smallest_complete(n: int, minimum: int) -> int:
     v = minimum
     while v * (v - 1) // 2 < n:
@@ -34,7 +30,7 @@ def _smallest_complete(n: int, minimum: int) -> int:
 
 def _uncertainty_dict(kind: str, n: int, n_scenarios: int, seed: int) -> dict:
     if kind == "interval":
-        draws = _uniforms(seed, _COST_STREAM, 2 * n) * 10.0
+        draws = stream_uniform(seed, _COST_STREAM, 2 * n) * 10.0
         pairs = np.sort(draws.reshape(n, 2), axis=1)
         return {
             "type": "interval",
@@ -44,7 +40,7 @@ def _uncertainty_dict(kind: str, n: int, n_scenarios: int, seed: int) -> dict:
     if kind == "scenarios":
         if n_scenarios < 1:
             raise InstanceError("scenario count must be at least 1")
-        draws = _uniforms(seed, _COST_STREAM, n_scenarios * n) * 10.0
+        draws = stream_uniform(seed, _COST_STREAM, n_scenarios * n) * 10.0
         return {"type": "scenarios", "costs": draws.reshape(n_scenarios, n).tolist()}
     raise InstanceError(f"unknown uncertainty kind {kind!r}")
 
@@ -53,7 +49,7 @@ def _spanning_tree_edges(n: int, seed: int) -> tuple[int, list]:
     vertices = _smallest_complete(n, 3)
     if n < vertices - 1:
         raise InstanceError(f"spanning-tree family needs n >= {vertices - 1}")
-    u = _uniforms(seed, _STRUCT_STREAM, vertices - 1 + n)
+    u = stream_uniform(seed, _STRUCT_STREAM, vertices - 1 + n)
     edges = []
     present = set()
     for v in range(1, vertices):  # random attachment tree keeps it connected
@@ -84,7 +80,7 @@ def _dag_arcs(n: int, seed: int) -> tuple[int, list]:
         for b in range(a + 1, vertices)
         if (a, b) not in present
     ]
-    u = _uniforms(seed, _STRUCT_STREAM, len(spare))
+    u = stream_uniform(seed, _STRUCT_STREAM, len(spare))
     order = np.argsort(u, kind="stable")
     for idx in order[: n - len(arcs)]:
         arcs.append(spare[int(idx)])

@@ -12,9 +12,9 @@ oracles.
 
 from __future__ import annotations
 
+import math
 import os
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     KSelection,
     SpanningTree,
     as_costs,
+    topological_order,
 )
 
 DEFAULT_ENUM_CAP = 100_000
@@ -63,8 +64,19 @@ class NominalOracle:
         """Yield every feasible set once, in lexicographic index order."""
         raise NotImplementedError
 
-    def enumerate_feasible(self, cap: int | None = None) -> list[FeasibleSet]:
-        cap = enumeration_cap() if cap is None else cap
+    def _family_size(self) -> float | None:
+        """The number of feasible sets, where it is cheap to count."""
+        return None
+
+    def enumerate_feasible(self) -> list[FeasibleSet]:
+        """Every feasible set, or :class:`EnumerationCapError` past the cap.
+
+        A family whose size is known is refused before any set is built.
+        """
+        cap = enumeration_cap()
+        size = self._family_size()
+        if size is not None and size > cap:
+            raise EnumerationCapError(f"feasible family exceeds enumeration cap {cap}")
         out = []
         for T in self._enumerate():
             out.append(T)
@@ -93,12 +105,8 @@ class KSelectionOracle(NominalOracle):
     def is_feasible(self, T):
         return len(T) == self.n and T.size == self.k
 
-    def enumerate_feasible(self, cap: int | None = None) -> list[FeasibleSet]:
-        # the family has C(n, k) sets, so an oversized one is refused at once
-        cap = enumeration_cap() if cap is None else cap
-        if comb(self.n, self.k) > cap:
-            raise EnumerationCapError(f"feasible family exceeds enumeration cap {cap}")
-        return super().enumerate_feasible(cap)
+    def _family_size(self):
+        return math.comb(self.n, self.k)
 
     def _enumerate(self):
         for idx in combinations(range(self.n), self.k):
@@ -164,6 +172,19 @@ class SpanningTreeOracle(NominalOracle):
                 return False
         return True
 
+    def _family_size(self):
+        # Kirchhoff's matrix-tree theorem: the tree count is the determinant
+        # of the Laplacian with one vertex's row and column removed.
+        laplacian = np.zeros((self.vertices, self.vertices))
+        for u, v in self.edges:
+            laplacian[u, u] += 1.0
+            laplacian[v, v] += 1.0
+            laplacian[u, v] -= 1.0
+            laplacian[v, u] -= 1.0
+        _, logdet = np.linalg.slogdet(laplacian[1:, 1:])
+        # past e^700 the float overflows; such a family is past any cap
+        return round(math.exp(logdet)) if logdet < 700.0 else math.inf
+
     def _enumerate(self):
         for idx in combinations(range(self.n), self.vertices - 1):
             cand = FeasibleSet.from_indices(self.n, idx)
@@ -178,31 +199,12 @@ class DagPathOracle(NominalOracle):
         self.n = len(self.arcs)
         self.source = source
         self.target = target
-        self.topo = self._topo_order()
+        self.topo = topological_order(vertices, self.arcs)
         self.out = [[] for _ in range(vertices)]
         for idx, (u, v) in enumerate(self.arcs):
             self.out[u].append((idx, v))
         if not self._reachable():
             raise InstanceError("target is unreachable from source")
-
-    def _topo_order(self):
-        indeg = [0] * self.vertices
-        out = [[] for _ in range(self.vertices)]
-        for u, v in self.arcs:
-            out[u].append(v)
-            indeg[v] += 1
-        queue = [v for v in range(self.vertices) if indeg[v] == 0]
-        order = []
-        while queue:
-            u = queue.pop()
-            order.append(u)
-            for v in out[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != self.vertices:
-            raise InstanceError("dag-path graph is not acyclic")
-        return order
 
     def _reachable(self):
         seen = {self.source}
@@ -252,6 +254,15 @@ class DagPathOracle(NominalOracle):
             idx, node = nxt[0]
             used.add(idx)
         return used == chosen
+
+    def _family_size(self):
+        # paths from the source, counted in topological order
+        count = [0] * self.vertices
+        count[self.source] = 1
+        for u in self.topo:
+            for _, v in self.out[u]:
+                count[v] += count[u]
+        return count[self.target]
 
     def _enumerate(self):
         paths = []

@@ -169,19 +169,16 @@ def player_best_response(
     w: AdversaryMixedStrategy,
     instance: Instance,
     oracle: NominalOracle | None = None,
-    optima: np.ndarray | None = None,
 ) -> BestResponse:
     """Feasible set minimizing expected regret against a cost distribution.
 
     Solving the nominal problem at the probability-weighted average costs
     gives the minimizer; subtracting the averaged per-support optima gives
-    its expected regret.  ``optima`` may carry precomputed nominal optima
-    aligned with ``w.support``.
+    its expected regret.
     """
     oracle = _oracle_for(instance, oracle)
     costs = np.stack([c.values for c in w.support])
-    if optima is None:
-        optima = np.array([oracle.solve(c.values)[1] for c in w.support])
+    optima = np.array([oracle.solve(c.values)[1] for c in w.support])
     return weighted_player_response(w.probs, costs, optima, oracle)
 
 

@@ -55,11 +55,6 @@ def stream_uniform(seed: int, stream: int, count: int, start: int = 0) -> np.nda
     return (z >> np.uint64(11)) * (2.0 ** -53)
 
 
-def split_seed(seed: int, index: int = 1) -> int:
-    """Derive an independent seed (used for nested-run consistency checks)."""
-    return mix64((seed + index * GAMMA) & MASK64)
-
-
 class SimEstimate(NamedTuple):
     mean: float
     stderr: float

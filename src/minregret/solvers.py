@@ -64,6 +64,7 @@ from .core import (
     Instance,
     InstanceError,
     IterationLimitError,
+    MAX_CUTS,
     MarginalVector,
     NotInHullError,
     PROB_DROP,
@@ -89,11 +90,12 @@ from .regret import (
 # Dense payoff matrices above this size are refused; the exhaustive solver is
 # a desk-scale testing oracle, not a production path.
 MAX_PAYOFF_ENTRIES = 4_000_000
+# Points per round of the convex bracket search.
+_BRACKET_WIDTH = 32
 
 
-def _sorted_family(oracle: NominalOracle, cap=None) -> list[FeasibleSet]:
-    family = oracle.enumerate_feasible(cap)
-    return sorted(family, key=lambda T: T.indices)
+def _sorted_family(oracle: NominalOracle) -> list[FeasibleSet]:
+    return sorted(oracle.enumerate_feasible(), key=lambda T: T.indices)
 
 
 class _Columns:
@@ -191,11 +193,11 @@ def solve_randomized(
     return _double_oracle(instance, tol, max_iter, oracle)
 
 
-def _convex_bracket(f, xs: np.ndarray, gap: float, width: int = 32):
+def _convex_bracket(f, xs: np.ndarray, gap: float):
     """Two points of sorted ``xs`` between which the convex ``f`` is least.
 
     ``f`` maps an array of points to their values.  Each round evaluates it
-    at ``width`` evenly spread points and keeps the range between the least
+    at ``_BRACKET_WIDTH`` evenly spread points and keeps the range between the least
     one's neighbours.  Comparing values says nothing where points are closer
     than round-off can resolve, so the search runs over the points at least
     ``gap`` after their predecessor, and returns the winner's two neighbours
@@ -203,8 +205,8 @@ def _convex_bracket(f, xs: np.ndarray, gap: float, width: int = 32):
     """
     coarse = xs[np.concatenate([[True], np.diff(xs) > gap])]
     lo, hi = 0, len(coarse) - 1
-    while hi - lo >= width:
-        idx = np.unique(np.linspace(lo, hi, width).round().astype(int))
+    while hi - lo >= _BRACKET_WIDTH:
+        idx = np.unique(np.linspace(lo, hi, _BRACKET_WIDTH).round().astype(int))
         j = int(np.argmin(f(coarse[idx])))
         lo, hi = idx[max(j - 1, 0)], idx[min(j + 1, len(idx) - 1)]
     best = lo + int(np.argmin(f(coarse[lo : hi + 1])))
@@ -542,16 +544,14 @@ def _double_oracle(
 
 
 def solve_deterministic_exact(
-    instance: Instance,
-    oracle: NominalOracle | None = None,
-    cap: int | None = None,
+    instance: Instance, oracle: NominalOracle | None = None
 ) -> tuple[FeasibleSet, float]:
     """Deterministic minmax regret.
 
     Interval k-selection is solved by the endpoint scan of
-    ``_endpoint_scan``, in O(n^2) time at any n; ``cap`` does not apply to
-    it.  Every other instance is solved by enumerating the feasible family,
-    which raises :class:`EnumerationCapError` past ``cap`` sets.  Either way,
+    ``_endpoint_scan``, in O(n^2) time at any n; the enumeration cap does not
+    apply to it.  Every other instance is solved by enumerating the feasible
+    family, which raises :class:`EnumerationCapError` past the cap.  Either way,
     ties between equal-regret sets go to the lexicographically smallest
     index tuple.
     """
@@ -559,7 +559,7 @@ def solve_deterministic_exact(
     if instance.is_interval and isinstance(oracle, KSelectionOracle):
         best_set = _endpoint_scan(instance.uncertainty, oracle.k)
         return best_set, max_regret_det_interval(best_set, instance, oracle)[0]
-    family = _sorted_family(oracle, cap)
+    family = _sorted_family(oracle)
     optima = None if instance.is_interval else scenario_optima(instance, oracle)
     best_set = None
     best_val = np.inf
@@ -673,10 +673,7 @@ def approx_dual_weighted(
 
 
 def solve_adversary_lp_discrete(
-    instance: Instance,
-    tol: float = 1e-7,
-    max_cuts: int = 10000,
-    oracle: NominalOracle | None = None,
+    instance: Instance, tol: float = 1e-7, oracle: NominalOracle | None = None
 ) -> tuple[AdversaryMixedStrategy, float, PlayerMixedStrategy]:
     """Adversary's maxmin expected regret by cutting planes, plus both mixes.
 
@@ -689,7 +686,8 @@ def solve_adversary_lp_discrete(
     the nominal problem at the mix-averaged costs.  Each cut appends one
     variable to the game's LP (over player-set weights, one constraint per
     scenario), so every re-solve starts from the previous optimal basis and
-    runs only the primal pass.
+    runs only the primal pass.  Past ``MAX_CUTS`` cuts it raises
+    :class:`IterationLimitError`.
     """
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
@@ -706,7 +704,7 @@ def solve_adversary_lp_discrete(
 
     game = MatrixGame(regrets(rows[0]))
     z_cur = 0.0
-    for _ in range(max_cuts):
+    for _ in range(MAX_CUTS):
         y_mix, w_cur, z_cur = game.solve()
 
         d = w_cur @ unc.costs
@@ -727,32 +725,28 @@ def solve_adversary_lp_discrete(
         game.add_rows(regrets(T_new))
 
     raise IterationLimitError(
-        f"adversary LP exceeded {max_cuts} cuts",
+        f"adversary LP exceeded {MAX_CUTS} cuts",
         lower=None,
         upper=z_cur,
-        iterations=max_cuts,
+        iterations=MAX_CUTS,
     )
 
 
 def bruteforce_game_value(
-    instance: Instance,
-    cap: int | None = None,
-    oracle: NominalOracle | None = None,
+    instance: Instance, oracle: NominalOracle | None = None
 ) -> tuple[float, PlayerMixedStrategy, AdversaryMixedStrategy]:
     """Exact game value from the full payoff matrix (testing oracle).
 
     Rows are all feasible sets; columns are all scenarios, or all extreme
-    vectors c^A with A feasible under intervals.
+    vectors c^A with A feasible under intervals.  Both are held to the
+    enumeration cap.
     """
     oracle = build_oracle(instance) if oracle is None else oracle
-    family = _sorted_family(oracle, cap)
-    limit = enumeration_cap() if cap is None else cap
+    family = _sorted_family(oracle)
 
     X = np.stack([T.indicator for T in family]).astype(float)
     if instance.is_interval:
         unc = instance.uncertainty
-        if len(family) > limit:
-            raise EnumerationCapError("interval column count exceeds the cap")
         C = np.stack(
             [np.where(A.indicator.astype(bool), unc.lower, unc.upper) for A in family]
         )
@@ -760,7 +754,7 @@ def bruteforce_game_value(
         labels = {"generators": tuple(family)}
     else:
         unc = instance.uncertainty
-        if unc.k > limit:
+        if unc.k > enumeration_cap():
             raise EnumerationCapError("scenario count exceeds the cap")
         C = np.asarray(unc.costs)
         optima = scenario_optima(instance, oracle)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import minregret.cli as cli_mod
 from minregret.cli import main
 from minregret.core import describe_instance, validate_instance
 from minregret.gen import generate_instance
@@ -161,6 +162,23 @@ class TestApproxCommand:
         )
         assert code == 0
         assert report["max_regret"] == pytest.approx(1.0)
+
+    def test_dual_weighted_certify_solves_the_game_once(self, tight3, tmp_path, monkeypatch):
+        calls = []
+        real = cli_mod.solve_randomized
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "solve_randomized", counted)
+        code, report = run_json(
+            ["approx", "--instance", str(tight3), "--method", "dual-weighted", "--certify"],
+            tmp_path,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert report["ratio"] == pytest.approx(3.0, abs=1e-6)
 
 
 class TestDecomposeCommand:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import minregret.decompose as decompose_mod
 from minregret.core import (
     PROB_DROP,
+    IterationLimitError,
     MarginalVector,
     NotInHullError,
     PlayerMixedStrategy,
@@ -13,10 +15,8 @@ from minregret.core import (
     marginal_of_strategy,
 )
 from minregret.decompose import (
-    HullCertificate,
     _decompose_by_rows,
     _offset_intervals,
-    certify_in_hull,
     decompose_marginal,
 )
 from minregret.gen import generate_instance
@@ -59,15 +59,18 @@ class TestDecomposeExamples:
 
 
 class TestCertifyInHull:
+    """A membership verdict is a decomposition or a separating certificate."""
+
     def test_membership(self):
         oracle = KSelectionOracle(2, 1)
-        ok, strategy = certify_in_hull(MarginalVector(np.array([0.5, 0.5])), oracle)
-        assert ok and isinstance(strategy, PlayerMixedStrategy)
+        strategy = decompose_marginal(MarginalVector(np.array([0.5, 0.5])), oracle)
+        assert isinstance(strategy, PlayerMixedStrategy)
 
     def test_rejection_with_certificate(self):
         oracle = KSelectionOracle(2, 1)
-        ok, cert = certify_in_hull(MarginalVector(np.array([0.0, 0.0])), oracle)
-        assert not ok and isinstance(cert, HullCertificate)
+        with pytest.raises(NotInHullError) as info:
+            decompose_marginal(MarginalVector(np.array([0.0, 0.0])), oracle)
+        cert = info.value
         # soundness: w - u.T <= 0 on every feasible set, w - p@u > 0
         best = min(cert.u[0], cert.u[1])
         assert cert.w - best <= 1e-9
@@ -81,15 +84,15 @@ class TestCertifyInHull:
             probs = rng.dirichlet(np.ones(4))
             y0 = PlayerMixedStrategy.cleaned([family[i] for i in idx], probs)
             p = marginal_of_strategy(y0)
-            ok, strategy = certify_in_hull(p, oracle)
-            assert ok
+            strategy = decompose_marginal(p, oracle)
             assert np.max(np.abs(marginal_of_strategy(strategy).p - p.p)) <= 1e-7
 
     def test_mass_mismatch_rejected(self):
         # every feasible set has one item, so the marginal mass must be 1
         oracle = KSelectionOracle(2, 1)
-        ok, cert = certify_in_hull(MarginalVector(np.array([0.9, 0.9])), oracle)
-        assert not ok
+        with pytest.raises(NotInHullError) as info:
+            decompose_marginal(MarginalVector(np.array([0.9, 0.9])), oracle)
+        cert = info.value
         violation = cert.w - float(np.array([0.9, 0.9]) @ cert.u)
         assert violation > 0.0
 
@@ -370,6 +373,20 @@ def test_regenerated_violated_row_raises():
     assert decompose_marginal(p, oracle).support_size > 1
     with pytest.raises(SolverError, match="re-generated a set it already holds, violated by"):
         _decompose_by_rows(p, _RepeatingOracle(oracle))
+
+
+def test_cut_budget_raises_iteration_limit(monkeypatch):
+    oracle = build_oracle(generate_instance("spanning-tree", n=12, seed=1))
+    rng = np.random.default_rng(3)
+    y = PlayerMixedStrategy.cleaned(
+        [oracle.solve(rng.random(12))[0] for _ in range(4)], rng.dirichlet(np.ones(4))
+    )
+    p = marginal_of_strategy(y)
+    assert _decompose_by_rows(p, oracle).support_size > 1
+    monkeypatch.setattr(decompose_mod, "MAX_CUTS", 1)
+    with pytest.raises(IterationLimitError) as info:
+        _decompose_by_rows(p, oracle)
+    assert info.value.iterations == 1
 
 
 def _forced_mix(oracle, rng, sets=6):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from minregret.core import EnumerationCapError, FeasibleSet, InstanceError
+from minregret.gen import generate_instance
 from minregret.nominal import (
     DagPathOracle,
     ExplicitOracle,
     KSelectionOracle,
     SpanningTreeOracle,
+    build_oracle,
     enumeration_cap,
 )
 
@@ -128,9 +130,10 @@ class TestExplicit:
 
 
 class TestEnumerationCap:
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setenv("REGRET_ENUM_CAP", "5")
         with pytest.raises(EnumerationCapError):
-            KSelectionOracle(5, 2).enumerate_feasible(cap=5)
+            KSelectionOracle(5, 2).enumerate_feasible()
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REGRET_ENUM_CAP", "3")
@@ -142,6 +145,30 @@ class TestEnumerationCap:
         monkeypatch.setenv("REGRET_ENUM_CAP", "many")
         with pytest.raises(InstanceError):
             enumeration_cap()
+
+
+class TestFamilyCount:
+    @pytest.mark.parametrize("n", [8, 10, 12, 15, 18])
+    def test_matrix_tree_count_matches_enumeration(self, n):
+        oracle = build_oracle(generate_instance("spanning-tree", n=n, seed=1))
+        assert oracle._family_size() == len(oracle.enumerate_feasible())
+
+    @pytest.mark.parametrize("n", [10, 30, 60])
+    def test_dag_path_count_matches_enumeration(self, n):
+        oracle = build_oracle(generate_instance("dag-path", n=n, seed=1))
+        assert oracle._family_size() == len(oracle.enumerate_feasible())
+
+    def test_oversized_family_refused_before_enumerating(self, monkeypatch):
+        # n=40 has 30,600,000 spanning trees, far past the default cap
+        oracle = build_oracle(generate_instance("spanning-tree", n=40, seed=1))
+        assert oracle._family_size() > enumeration_cap()
+
+        def never(self):
+            raise AssertionError("enumerated a family past the cap")
+
+        monkeypatch.setattr(SpanningTreeOracle, "_enumerate", never)
+        with pytest.raises(EnumerationCapError):
+            oracle.enumerate_feasible()
 
 
 def _oracles_for_properties():

@@ -509,11 +509,23 @@ class TestSolveDeterministic:
         assert T.indices == ref_T.indices
         assert value == ref_value
 
-    def test_endpoint_scan_ignores_the_cap(self):
+    def test_endpoint_scan_ignores_the_cap(self, monkeypatch):
+        monkeypatch.setenv("REGRET_ENUM_CAP", "10")
         inst = generate_instance("k-selection", n=30, uncertainty="interval", seed=1)
-        T, value = solve_deterministic_exact(inst, cap=10)
+        T, value = solve_deterministic_exact(inst)
         assert T.size == inst.nominal.k
         assert value == max_regret_det_interval(T, inst)[0]
+
+
+def test_adversary_lp_cut_budget_raises_iteration_limit(monkeypatch):
+    inst = generate_instance(
+        "spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1
+    )
+    assert len(solve_adversary_lp_discrete(inst)[2].support) > 1
+    monkeypatch.setattr(solvers_mod, "MAX_CUTS", 1)
+    with pytest.raises(IterationLimitError) as info:
+        solve_adversary_lp_discrete(inst)
+    assert info.value.iterations == 1
 
 
 class TestApproximations:

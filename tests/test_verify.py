@@ -1,6 +1,7 @@
 import pytest
 
 from minregret.gen import generate_instance
+from minregret.nominal import SpanningTreeOracle
 from minregret.verify import DOUBLE_ORACLE_MAX_N, run_instance_checks
 
 
@@ -24,6 +25,21 @@ class TestBeyondDeskScale:
         inst = generate_instance(
             "k-selection", n=40, uncertainty="scenarios", n_scenarios=3, seed=1
         )
+        results = run_instance_checks(inst)
+        assert all(r.passed for r in results)
+        skipped = {r.name.split(" ")[0] for r in results if r.skipped}
+        assert skipped == {"value_order", "gap_bound", "bruteforce_equivalence"}
+        assert all("enumeration cap" in r.detail for r in results if r.skipped)
+
+    def test_spanning_tree_n40_skips_the_capped_checks_without_enumerating(
+        self, monkeypatch
+    ):
+        # 30,600,000 spanning trees: the matrix-tree count refuses the family
+        def never(self):
+            raise AssertionError("enumerated a family past the cap")
+
+        monkeypatch.setattr(SpanningTreeOracle, "_enumerate", never)
+        inst = generate_instance("spanning-tree", n=40, seed=1)
         results = run_instance_checks(inst)
         assert all(r.passed for r in results)
         skipped = {r.name.split(" ")[0] for r in results if r.skipped}
