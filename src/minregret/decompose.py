@@ -52,7 +52,12 @@ solve at costs -u over all n items, fixed ones included, and the loop stops
 only when no feasible set violates the LP optimum by more than a tenth of
 ``tol``.  Each generated T appends one row, whose slack joins the kept
 optimal basis; the dual pass restores feasibility from there instead of
-re-solving the grown LP cold.
+re-solving the grown LP cold.  The LP is solved as an iterate (see
+:meth:`~minregret.lp.WarmLP.solve`), refreshed exactly only every
+``BURST_PIVOTS`` pivots, while its answers only add rows.  A verdict (the
+strategy, a certificate or an error) is decided at a confirmed solve: when
+an iterate would stop the loop or raise, the LP is solved again, confirmed,
+usually without a pivot, and the oracle runs again at that optimum.
 
 Fixing is sound on both sides of the hull.  The stopping test runs at the
 full ``(u, w)``, so that pair is dual feasible for every feasible set, and
@@ -289,16 +294,21 @@ def _decompose_by_rows(
 
     generate(oracle.solve(-u)[0])  # the best set at the fixed prices, F at 0
     for _ in range(MAX_CUTS):
-        sol = lp.solve()
-        if not sol.is_optimal:
-            raise SolverError(f"decomposition LP ended with status {sol.status_text}")
+        # An iterate may only add a row; a verdict or an error is decided
+        # at a confirmed solve of the same LP.
+        for iterate in (True, False):
+            sol = lp.solve(iterate=iterate)
+            if not sol.is_optimal:
+                raise SolverError(f"decomposition LP ended with status {sol.status_text}")
+            u[frac] = sol.x[:-2] - 1.0
+            w = float(sol.x[-2] - sol.x[-1]) - shift
+            # Most violated row over all feasible sets, at the full u: maximize
+            # sum(u over T), i.e. one nominal solve at costs -u.
+            T_new, neg_val = oracle.solve(-u)
+            violation = (-neg_val) + w  # = max_T sum(u over T) + w
+            if sol.confirmed or (violation > sep_tol and T_new not in seen):
+                break
 
-        u[frac] = sol.x[:-2] - 1.0
-        w = float(sol.x[-2] - sol.x[-1]) - shift
-        # Most violated row over all feasible sets, at the full u: maximize
-        # sum(u over T), i.e. one nominal solve at costs -u.
-        T_new, neg_val = oracle.solve(-u)
-        violation = (-neg_val) + w  # = max_T sum(u over T) + w
         if violation > sep_tol:
             if T_new in seen:
                 raise SolverError(

@@ -12,26 +12,30 @@ exchange per pivot: a dual pass while some basic variable is out of its
 bounds (dual feasible columns first, largest infeasibility first, a
 bound-flipping ratio test, dual Bland's rule once it stalls), then a primal
 pass whose ratio test includes the entering variable's own bound flip; both
-break ties by variable index.  The LP here runs it in bursts and accepts a
-claim only after an exact refresh (``_refresh``) and a kernel run that
-confirms it without pivoting.  Every row has one slack; the refresh drops
-the basic ones and factors only the square block of the basis that is left.
+break ties by variable index.  The LP here runs it in bursts of at most
+``BURST_PIVOTS`` pivots between exact refreshes (``_refresh``).  A solve
+accepts a claim only after a refresh and a kernel run that confirms it
+without pivoting; an iterate solve, which the growth loops use between
+their answers, returns the kernel's optimal claim unrefreshed until the
+pivots since the last refresh reach the burst limit.  Every row has one
+slack; the refresh drops the basic ones and factors only the square block of
+the basis that is left.
 
 :class:`WarmLP` is the package's only LP solver: ``max c·x s.t. A x <= b,
 0 <= x <= u`` with ``b >= 0``.  Its first solve starts from the feasible
 slack basis, whose tableau is the data itself, so no LP has a phase 1.  It
-keeps each confirmed tableau and re-optimises from it after ``add_rows``
-(the new slacks join the basis, which stays dual feasible, so the dual pass
-restores primal feasibility) or ``add_columns`` (the new variables start at
-zero, the basis stays primal feasible, and the primal pass lets them
-enter); both extend the kept tableau in place of a refresh, so a warm solve
-that ends within one burst refreshes once.  :class:`MatrixGame` is a
-zero-sum game that grows by strategies, solved on one WarmLP; the double
-oracle and the adversary cutting-plane LP each keep one, ``decompose``
-keeps a WarmLP, with ``t <= 2`` as bounds, for its dual deviation LP
-(spanning trees and explicit families), and ``solvers`` solves the compact
-scenario k-selection LP as one WarmLP, written around an anchor set so that
-its origin is feasible.  ``solve_matrix_game`` is a MatrixGame solved once.
+keeps the tableau of each optimal solve and re-optimises from it after
+``add_rows`` (the new slacks join the basis, which stays dual feasible, so
+the dual pass restores primal feasibility) or ``add_columns`` (the new
+variables start at zero, the basis stays primal feasible, and the primal
+pass lets them enter); both extend the kept tableau in place of a refresh,
+so a warm solve that ends within one burst refreshes once, and an iterate
+within the burst limit not at all.  :class:`MatrixGame` is a zero-sum game
+that grows by strategies, solved on one WarmLP; the double oracle and the
+adversary cutting-plane LP each keep one, ``decompose`` keeps a WarmLP, with
+``t <= 2`` as bounds, for its dual deviation LP (spanning trees and explicit
+families), and ``solvers`` solves the compact scenario k-selection LP as one
+WarmLP, written around an anchor set so that its origin is feasible.  ``solve_matrix_game`` is a MatrixGame solved once.
 
 Row duals are the multipliers of the ``<=`` rows of the ``max`` LP, so they
 are nonnegative, and the dual objective (rhs times duals plus the bound
@@ -72,7 +76,8 @@ class LpSolution:
     exchange or a primal bound flip (a nonbasic variable moving to its other
     bound without a basis change); the flips of a bound-flipping dual ratio
     test are part of their dual pivot.  ``refreshes`` counts the exact
-    tableau refreshes the solve ran, on every outcome.
+    tableau refreshes the solve ran, on every outcome; an optimal solution
+    with none is an unconfirmed iterate (see :meth:`WarmLP.solve`).
     """
 
     status: str  # optimal | unbounded | breakdown
@@ -91,6 +96,11 @@ class LpSolution:
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def confirmed(self) -> bool:
+        """Whether an exact refresh and a pivot-free kernel run confirmed it."""
+        return self.refreshes > 0
 
     @property
     def status_text(self) -> str:
@@ -168,18 +178,23 @@ _CLAIMS = {
 }
 
 
-def _run_bursts(T, basis, nonbasic, problem, budget, flipped=None, dantzig=False):
+def _run_bursts(
+    T, basis, nonbasic, problem, budget, flipped=None, dantzig=False, since=0, iterate=False
+):
     """Kernel bursts interleaved with exact refreshes until a claim survives.
 
     ``problem`` is ``(A, b, costs, upper)`` as :func:`_refresh` takes it,
     and ``flipped`` the nonbasic variables at their upper bound; ``T`` is
-    only a starting point.  The kernel runs at most ``BURST_PIVOTS`` pivots
-    at a time and the tableau is refreshed after every burst; a claim is
-    accepted only when the kernel confirms it on a refreshed tableau without
-    pivoting.  So a solve that ends within one burst refreshes once.
-    ``dantzig`` selects the kernel's primal pricing.  Returns ``(status,
-    reason, dual_pivots, primal_pivots, refreshes)``; see
-    :class:`LpSolution` for the breakdown reasons.
+    only a starting point, ``since`` pivots past its last exact refresh.
+    The kernel runs at most ``BURST_PIVOTS`` pivots between refreshes (the
+    first burst is ``since`` shorter) and the tableau is refreshed after
+    every burst; a claim is accepted only when the kernel confirms it on a
+    refreshed tableau without pivoting.  So a solve that ends within one
+    burst refreshes once.  With ``iterate``, an optimal claim of the first
+    burst is returned as it stands, unrefreshed; any other outcome of that
+    burst goes on as above.  ``dantzig`` selects the kernel's primal
+    pricing.  Returns ``(status, reason, dual_pivots, primal_pivots,
+    refreshes)``; see :class:`LpSolution` for the breakdown reasons.
     """
     upper = problem[3]
     dual = primal = refreshes = 0
@@ -189,17 +204,21 @@ def _run_bursts(T, basis, nonbasic, problem, budget, flipped=None, dantzig=False
         if remaining <= 0:
             return "breakdown", "budget", dual, primal, refreshes
         status, used, dual_used = _kernel.run_simplex(
-            T, basis, nonbasic, min(remaining, BURST_PIVOTS), PIVOT_TOL,
+            T, basis, nonbasic, min(remaining, BURST_PIVOTS - since), PIVOT_TOL,
             upper=upper, flipped=flipped, dantzig=dantzig,
         )
         dual += dual_used
         primal += used - dual_used
         if fresh and used == 0 and status != _kernel.STATUS_PIVOT_LIMIT:
             return _CLAIMS[status] + (dual, primal, refreshes)
+        if iterate and status == _kernel.STATUS_OPTIMAL:
+            return "optimal", None, dual, primal, refreshes
+        iterate = False
         refreshes += 1
         if not _refresh(T, basis, nonbasic, *problem, flipped=flipped):
             return "breakdown", "singular-basis", dual, primal, refreshes
         fresh = True
+        since = 0
 
 
 def _finite(*arrays):
@@ -218,8 +237,10 @@ class WarmLP:
     The LP keeps a condensed tableau, ``B⁻¹[A_N | b - A_U u_U]`` over its
     ``nonbasic`` variables with their reduced costs, for its ``basis``.  At
     creation that is the slack-basis tableau, built straight from the data;
-    after every optimal solve it is the refreshed tableau that solve
-    confirmed.  The next solve starts from it:
+    after every optimal solve it is the tableau that solve ended at: the
+    refreshed one it confirmed, or an iterate's, which has taken at most
+    ``BURST_PIVOTS`` pivots since its last exact refresh.  The next solve
+    starts from it:
 
     * ``add_rows`` appends constraints whose slacks join the basis; their
       tableau rows are ``[a_N | b - a_U u_U] - a_B·T``.  The basis stays
@@ -230,18 +251,20 @@ class WarmLP:
       and the primal pass lets them enter; the dual pass, which prefers dual
       feasible columns, leaves them out until then.
 
-    The kept tableau is only a starting point: each answer is accepted only
-    after an exact refresh at its final basis and a kernel run that confirms
-    it without pivoting, so a solve that ends within one burst of pivots
-    refreshes once.  The first solve, which starts from the slack basis,
-    prices the primal pass by Dantzig's rule (with Bland's as its
-    anti-stall fallback): from that basis, far from the optimum, Bland's
-    rule took 7 to 28 times as many pivots on the scenario k-selection LP
-    (n = 300 to 2000).  Every re-solve keeps Bland's rule: on these warm,
-    degenerate LPs Dantzig pricing took more time.
-    ``basis``, ``nonbasic``
-    and ``flipped`` index the layout ``[variables | slacks]``, one slack per
-    row.
+    The kept tableau is only a starting point: a confirmed answer is
+    accepted only after an exact refresh at its final basis and a kernel run
+    that confirms it without pivoting, so a solve that ends within one burst
+    of pivots refreshes once.  An iterate (``solve(iterate=True)``) is the
+    kernel's optimal claim from the kept tableau, unrefreshed, while the
+    pivots since the last refresh stay within the burst; a loop moves on
+    from it but answers only from a confirmed solve.  The first solve, which
+    starts from the slack basis, prices the primal pass by Dantzig's rule
+    (with Bland's as its anti-stall fallback): from that basis, far from the
+    optimum, Bland's rule took 7 to 28 times as many pivots on the scenario
+    k-selection LP (n = 300 to 2000).  Every re-solve keeps Bland's rule:
+    on these warm, degenerate LPs Dantzig pricing took more time.
+    ``basis``, ``nonbasic`` and ``flipped`` index the layout
+    ``[variables | slacks]``, one slack per row.
     """
 
     def __init__(self, objective, lhs, rhs, upper=None):
@@ -261,6 +284,7 @@ class WarmLP:
         self.nonbasic = np.arange(n, dtype=np.intp)
         self._T = np.append(-self._c, 0.0)[None, :]  # the kernel minimizes
         self._cold = True  # no solve has kept a tableau yet
+        self._since = 0  # pivots the kept tableau took since its last refresh
         self.add_rows(lhs, rhs)  # the slack basis
 
     @property
@@ -328,19 +352,31 @@ class WarmLP:
         self._A = np.concatenate([self._A, A], axis=1)
         self._c = np.concatenate([self._c, c])
 
-    def solve(self) -> LpSolution:
-        """Re-optimise from the kept tableau; row duals are nonnegative."""
+    def solve(self, iterate: bool = False) -> LpSolution:
+        """Re-optimise from the kept tableau; row duals are nonnegative.
+
+        The answer is confirmed: an exact refresh at its final basis and a
+        kernel run without pivots accepted it.  With ``iterate``, the kernel
+        runs once from the kept tableau, and its optimal claim is returned
+        unrefreshed (``refreshes == 0``) as long as the pivots since the
+        tableau's last exact refresh stay within ``BURST_PIVOTS``; reaching
+        that limit, or any other status, takes the confirmed path from
+        where the kernel stopped.  A loop that grows the LP may move on from
+        an iterate, but takes its answer only from a confirmed solve.
+        """
         m, n = self._A.shape
         T, basis, nonbasic = self._T.copy(), self.basis.copy(), self.nonbasic.copy()
         flipped = None if self.flipped is None else self.flipped.copy()
         budget = 10 * (2 * m + n) ** 2
         status, reason, dual, primal, refreshes = _run_bursts(
-            T, basis, nonbasic, self._problem(), budget, flipped=flipped, dantzig=self._cold
+            T, basis, nonbasic, self._problem(), budget, flipped=flipped, dantzig=self._cold,
+            since=self._since, iterate=iterate,
         )
         if status != "optimal":
             return LpSolution(status, None, None, None, dual, primal, reason, refreshes)
         self._T, self.basis, self.nonbasic, self.flipped = T, basis, nonbasic, flipped
         self._cold = False
+        self._since = self._since + dual + primal if refreshes == 0 else 0
         x = np.zeros(n + m)
         x[basis] = T[:m, -1]
         if flipped is not None:
@@ -416,6 +452,7 @@ class MatrixGame:
         top = float(P.max())
         self.scale = top if top > 0.0 else 1.0
         self.payoff = P
+        self.confirmed = False  # whether the last solve was confirmed
         r, s = P.shape
         self._lp = WarmLP(np.ones(r), _shifted(P, self.scale).T, np.ones(s))
 
@@ -431,8 +468,23 @@ class MatrixGame:
         self._lp.add_rows(_shifted(columns, self.scale).T, np.ones(columns.shape[1]))
         self.payoff = np.hstack([self.payoff, columns])
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(row_mix, col_mix, value)``, as :func:`solve_matrix_game` returns."""
+    def solve(self, iterate: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(row_mix, col_mix, value)``, as :func:`solve_matrix_game` returns.
+
+        ``iterate`` solves the LP as an iterate (:meth:`WarmLP.solve`), and
+        ``confirmed`` tells afterwards whether the answer is confirmed.  An
+        iterate whose mixes miss the bracket is solved again, confirmed, so
+        the error, if any, comes from a confirmed solve.
+        """
+        if iterate:
+            sol = self._lp.solve(iterate=True)
+            self.confirmed = sol.confirmed
+            try:
+                return _equilibrium(self.payoff, self.scale, sol)
+            except SolverError:
+                if self.confirmed:
+                    raise
+        self.confirmed = True
         return _equilibrium(self.payoff, self.scale, self._lp.solve())
 
 

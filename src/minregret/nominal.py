@@ -57,6 +57,10 @@ class NominalOracle:
     def solve(self, c) -> tuple[FeasibleSet, float]:
         raise NotImplementedError
 
+    def optima(self, costs) -> np.ndarray:
+        """The optimum ``solve(c)[1]`` of every row ``c`` of ``costs``."""
+        return np.array([self.solve(c)[1] for c in costs], dtype=float)
+
     def is_feasible(self, T: FeasibleSet) -> bool:
         raise NotImplementedError
 
@@ -101,6 +105,16 @@ class KSelectionOracle(NominalOracle):
         ind = np.zeros(self.n, dtype=np.int8)
         ind[chosen] = 1
         return FeasibleSet(ind), float(costs[chosen].sum())
+
+    def optima(self, costs):
+        # solve's sets, by one row-wise stable sort, summed in index order
+        rows = np.asarray(costs, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise InstanceError(f"cost rows must have {self.n} columns")
+        if not np.all(np.isfinite(rows)):
+            raise InstanceError("cost vector entries must be finite")
+        chosen = np.sort(np.argsort(rows, axis=1, kind="stable")[:, : self.k], axis=1)
+        return np.take_along_axis(rows, chosen, axis=1).sum(axis=1)
 
     def is_feasible(self, T):
         return len(T) == self.n and T.size == self.k

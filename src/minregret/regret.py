@@ -178,8 +178,7 @@ def player_best_response(
     """
     oracle = _oracle_for(instance, oracle)
     costs = np.stack([c.values for c in w.support])
-    optima = np.array([oracle.solve(c.values)[1] for c in w.support])
-    return weighted_player_response(w.probs, costs, optima, oracle)
+    return weighted_player_response(w.probs, costs, oracle.optima(costs), oracle)
 
 
 def weighted_player_response(

@@ -39,9 +39,13 @@ game exactly, then let each side best-respond to the other's current mix,
 and stop once the two best-response values bracket the restricted value
 within tolerance.  The restricted game is one ``MatrixGame`` that grows by
 at most a row and a column per iteration, so each solve starts from the
-previous optimal basis.  Every path certifies the same bracket: the
-adversary's best response to the returned marginal against the player's best
-response to the returned adversary mix.
+previous optimal basis.  Each iteration solves the game as an iterate
+(refreshed exactly only every ``BURST_PIVOTS`` pivots); when its best
+responses would close the bracket or stall, the game is solved again,
+confirmed, and the loop decides from the best responses there, so an answer
+or an error always comes from a confirmed solve.  Every path certifies the
+same bracket: the adversary's best response to the returned marginal
+against the player's best response to the returned adversary mix.
 
 Deterministic minmax regret is solved by enumeration of the feasible family,
 except for interval k-selection, where the same duality makes it a minimum
@@ -98,6 +102,30 @@ def _sorted_family(oracle: NominalOracle) -> list[FeasibleSet]:
     return sorted(oracle.enumerate_feasible(), key=lambda T: T.indices)
 
 
+class _GrowingRows:
+    """An array grown one row at a time, in a buffer that doubles when full.
+
+    ``rows`` is the filled part: a C-contiguous view with the strides of a
+    freshly stacked array, so a product with it sees the same operand.
+    """
+
+    def __init__(self, *row_shape: int):
+        self._buffer = np.empty((4, *row_shape))
+        self._count = 0
+
+    def append(self, row) -> None:
+        if self._count == len(self._buffer):
+            grown = np.empty((2 * self._count,) + self._buffer.shape[1:])
+            grown[: self._count] = self._buffer
+            self._buffer = grown
+        self._buffer[self._count] = row
+        self._count += 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buffer[: self._count]
+
+
 class _Columns:
     """Active adversary pure strategies with their nominal optima."""
 
@@ -105,34 +133,22 @@ class _Columns:
         self.instance = instance
         self.oracle = oracle
         self.interval = instance.is_interval
-        self.costs: list[np.ndarray] = []
-        self.optima: list[float] = []
+        # one row per column, grown in place
+        self.costs = _GrowingRows(instance.n)
+        self.optima = _GrowingRows()
         self.labels: list = []  # scenario index or generating FeasibleSet
         self._seen = set()
         if not self.interval:
             self.scenario_optima = scenario_optima(instance, oracle)
 
-    def add_scenario(self, s: int) -> bool:
-        if s in self._seen:
-            return False
-        self._seen.add(s)
-        self.costs.append(np.asarray(self.instance.uncertainty.costs[s]))
-        self.optima.append(float(self.scenario_optima[s]))
-        self.labels.append(s)
-        return True
+    def _key(self, br):
+        # an interval column is keyed by its realized cost vector: distinct
+        # generating sets can coincide wherever interval bounds are degenerate
+        return br.cost.values.tobytes() if self.interval else br.scenario
 
-    def add_generator(self, A: FeasibleSet) -> bool:
-        # keyed by the realized cost vector: distinct generating sets can
-        # coincide wherever interval bounds are degenerate
-        cost = extreme_cost_vector(A, self.instance.uncertainty).values
-        key = cost.tobytes()
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self.costs.append(cost)
-        self.optima.append(float(self.oracle.solve(cost)[1]))
-        self.labels.append(A)
-        return True
+    def holds(self, br) -> bool:
+        """Whether the adversary's best response ``br`` is already a column."""
+        return self._key(br) in self._seen
 
     def adversary_response(self, marginal: MarginalVector):
         if self.interval:
@@ -142,12 +158,23 @@ class _Columns:
         )
 
     def add_best_response(self, br) -> bool:
+        """Add ``br`` as a column; False if it already is one."""
+        key = self._key(br)
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        cost = br.cost.values
+        self.costs.append(cost)
         if self.interval:
-            return self.add_generator(br.chosen_set)
-        return self.add_scenario(br.scenario)
+            self.optima.append(self.oracle.solve(cost)[1])
+            self.labels.append(br.chosen_set)
+        else:
+            self.optima.append(self.scenario_optima[br.scenario])
+            self.labels.append(br.scenario)
+        return True
 
     def cleaned_strategy(self, probs) -> AdversaryMixedStrategy:
-        support = tuple(CostVector(c) for c in self.costs)
+        support = tuple(CostVector(c) for c in self.costs.rows)
         if self.interval:
             return AdversaryMixedStrategy.cleaned(support, probs, generators=tuple(self.labels))
         return AdversaryMixedStrategy.cleaned(
@@ -476,35 +503,41 @@ def _compact_k_selection(
 def _double_oracle(
     instance: Instance, tol: float, max_iter: int, oracle: NominalOracle
 ) -> GameSolution:
-    """The double-oracle loop of the module docstring, for any family."""
+    """The double-oracle loop of the module docstring, for any family.
+
+    An iteration is one growth step; the confirmed re-solve that decides an
+    answer or a stall is not counted as one.
+    """
     columns = _Columns(instance, oracle)
 
     rows: list[FeasibleSet] = [_initial_player_set(instance, oracle)]
     row_seen = {rows[0]}
 
-    X = rows[0].indicator[None, :].astype(float)
-    columns.add_best_response(columns.adversary_response(MarginalVector(X[0])))
-    C = np.stack(columns.costs)
-    optima = np.asarray(columns.optima)
-    game = MatrixGame(X @ C.T - optima)
+    X = _GrowingRows(instance.n)  # the player sets' indicators, grown in place
+    X.append(rows[0].indicator)
+    C, optima = columns.costs, columns.optima
+    columns.add_best_response(columns.adversary_response(MarginalVector(X.rows[0])))
+    game = MatrixGame(X.rows @ C.rows.T - optima.rows)
 
     best_lower = -np.inf
     best_upper = np.inf
     for iteration in range(1, max_iter + 1):
-        y_mix, w_mix, value = game.solve()
+        # An iterate may only grow the game; the answer, or a stall, is
+        # decided at a confirmed solve of the same game.
+        for iterate in (True, False):
+            y_mix, w_mix, value = game.solve(iterate=iterate)
+            marginal = MarginalVector(y_mix @ X.rows)
+            adv_br = columns.adversary_response(marginal)
+            # raw column weights: the active support may not be distinct-as-
+            # strategies yet, so no AdversaryMixedStrategy is built here
+            play_br = weighted_player_response(w_mix, C.rows, optima.rows, oracle)
+            gap = adv_br.value - play_br.value
+            stalled = columns.holds(adv_br) and play_br.chosen_set in row_seen
+            if game.confirmed or not (gap <= tol or stalled):
+                break
 
-        marginal = MarginalVector(y_mix @ X)
-        adv_br = columns.adversary_response(marginal)
-        # raw column weights: the active support may not be distinct-as-
-        # strategies yet, so no AdversaryMixedStrategy is built here
-        play_br = weighted_player_response(w_mix, C, optima, oracle)
-
-        upper = adv_br.value
-        lower = play_br.value
-        best_upper = min(best_upper, upper)
-        best_lower = max(best_lower, lower)
-        gap = upper - lower
-
+        best_upper = min(best_upper, adv_br.value)
+        best_lower = max(best_lower, play_br.value)
         if gap <= tol:
             player = PlayerMixedStrategy.cleaned(rows, y_mix)
             return GameSolution(
@@ -515,25 +548,20 @@ def _double_oracle(
                 iterations=iteration,
                 certified_gap=float(max(gap, 0.0)),
             )
-
-        # The restricted game grows by one column (an LP row) and one row
-        # (an LP column); the next solve starts from the current basis.
-        progressed = columns.add_best_response(adv_br)
-        if progressed:
-            C = np.stack(columns.costs)
-            optima = np.asarray(columns.optima)
-            game.add_columns(X @ C[-1:].T - optima[-1])
-        if play_br.chosen_set not in row_seen:
-            row_seen.add(play_br.chosen_set)
-            rows.append(play_br.chosen_set)
-            x_new = play_br.chosen_set.indicator.astype(float)
-            X = np.vstack([X, x_new])
-            game.add_rows((C @ x_new - optima)[None, :])
-            progressed = True
-        if not progressed:
+        if stalled:
             raise SolverError(
                 f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}"
             )
+
+        # The restricted game grows by one column (an LP row) and one row
+        # (an LP column); the next solve starts from the current basis.
+        if columns.add_best_response(adv_br):
+            game.add_columns(X.rows @ C.rows[-1:].T - optima.rows[-1])
+        if play_br.chosen_set not in row_seen:
+            row_seen.add(play_br.chosen_set)
+            rows.append(play_br.chosen_set)
+            X.append(play_br.chosen_set.indicator)
+            game.add_rows((C.rows @ X.rows[-1] - optima.rows)[None, :])
 
     raise IterationLimitError(
         f"double oracle exceeded {max_iter} iterations",
@@ -686,8 +714,12 @@ def solve_adversary_lp_discrete(
     the nominal problem at the mix-averaged costs.  Each cut appends one
     variable to the game's LP (over player-set weights, one constraint per
     scenario), so every re-solve starts from the previous optimal basis and
-    runs only the primal pass.  Past ``MAX_CUTS`` cuts it raises
-    :class:`IterationLimitError`.
+    runs only the primal pass.  The game is solved as an iterate (see
+    :meth:`~minregret.lp.MatrixGame.solve`) while its cuts only add rows;
+    when an iterate would pass the stop test or re-generate a row, it is
+    solved again, confirmed, and the oracle runs again there, so the answer
+    and the stall error come from a confirmed solve.  Past ``MAX_CUTS`` cuts
+    it raises :class:`IterationLimitError`.
     """
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
@@ -705,12 +737,17 @@ def solve_adversary_lp_discrete(
     game = MatrixGame(regrets(rows[0]))
     z_cur = 0.0
     for _ in range(MAX_CUTS):
-        y_mix, w_cur, z_cur = game.solve()
+        # An iterate may only add a cut; the answer, or a stall, is decided
+        # at a confirmed solve of the same game.
+        for iterate in (True, False):
+            y_mix, w_cur, z_cur = game.solve(iterate=iterate)
+            T_new, val = oracle.solve(w_cur @ unc.costs)
+            lowest = val - float(w_cur @ optima)
+            done = lowest >= z_cur - tol
+            if game.confirmed or not (done or T_new in row_seen):
+                break
 
-        d = w_cur @ unc.costs
-        T_new, val = oracle.solve(d)
-        lowest = val - float(w_cur @ optima)
-        if lowest >= z_cur - tol:
+        if done:
             adversary = AdversaryMixedStrategy.cleaned(
                 tuple(CostVector(unc.costs[s]) for s in range(k)),
                 w_cur,
@@ -750,7 +787,7 @@ def bruteforce_game_value(
         C = np.stack(
             [np.where(A.indicator.astype(bool), unc.lower, unc.upper) for A in family]
         )
-        optima = np.array([oracle.solve(c)[1] for c in C])
+        optima = oracle.optima(C)
         labels = {"generators": tuple(family)}
     else:
         unc = instance.uncertainty

@@ -36,6 +36,27 @@ class TestKSelection:
         with pytest.raises(InstanceError):
             KSelectionOracle(3, 4)
 
+    @pytest.mark.parametrize("n,k", [(12, 9), (40, 13), (60, 31), (9, 9), (20, 1)])
+    def test_batched_optima_equal_per_row_solves(self, n, k):
+        # == and not approx: the batch sums solve's sets in solve's order
+        rng = np.random.default_rng(n * 100 + k)
+        costs = np.vstack([
+            rng.integers(-4, 5, size=(30, n)).astype(float),  # many ties
+            rng.normal(scale=50.0, size=(30, n)),
+            np.full((1, n), -2.5),
+        ])
+        costs[30:40, -1] = costs[30:40, 0]  # ties among the normal draws too
+        oracle = KSelectionOracle(n, k)
+        per_row = np.array([oracle.solve(c)[1] for c in costs])
+        assert np.array_equal(oracle.optima(costs), per_row)
+
+    def test_batched_optima_reject_bad_rows(self):
+        oracle = KSelectionOracle(3, 2)
+        with pytest.raises(InstanceError):
+            oracle.optima(np.ones((2, 4)))
+        with pytest.raises(InstanceError):
+            oracle.optima(np.array([[1.0, np.inf, 0.0]]))
+
     def test_enumeration_counts(self):
         assert len(KSelectionOracle(3, 1).enumerate_feasible()) == 3
         assert len(KSelectionOracle(5, 2).enumerate_feasible()) == 10
@@ -198,6 +219,12 @@ class TestSolverProperties:
                 assert val == values.min()
             else:
                 assert val == pytest.approx(values.min(), abs=1e-9)
+
+    @pytest.mark.parametrize("oracle", _oracles_for_properties(), ids=lambda o: type(o).__name__)
+    def test_batched_optima_match_solve(self, oracle):
+        rng = np.random.default_rng(3)
+        costs = rng.integers(-5, 6, size=(25, oracle.n)).astype(float)
+        assert np.array_equal(oracle.optima(costs), [oracle.solve(c)[1] for c in costs])
 
     @pytest.mark.parametrize("oracle", _oracles_for_properties(), ids=lambda o: type(o).__name__)
     def test_argmin_stable_under_positive_scaling(self, oracle):

@@ -720,12 +720,12 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
     real_solve = lp_mod.WarmLP.solve
     real_run = lp_mod._kernel.run_simplex
 
-    def recording(self):
+    def recording(self, *args, **kwargs):
         if id(self) not in history:
             engines.append(self)
             history[id(self)] = []
         started.clear()
-        sol = real_solve(self)
+        sol = real_solve(self, *args, **kwargs)
         assert sol.is_optimal
         # a solve's first kernel run starts from the tableau it kept
         history[id(self)].append((self.shape, started[0], self.basis.copy()))
@@ -773,3 +773,155 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
             (m0, n0), (m1, n1) = prev_shape, shape
             kept = np.where(prev_end >= n0, prev_end + (n1 - n0), prev_end)
             assert np.array_equal(start, np.concatenate([kept, n1 + m0 + np.arange(m1 - m0)]))
+
+
+# The three growth loops solve their LP as iterates and decide at confirmed
+# solves: these tests run each loop on every generated family.
+LOOP_FAMILIES = ("k-selection", "spanning-tree", "dag-path")
+
+
+def _loop_runs(family):
+    """``(label, run)`` for each growth loop on ``family``: the double oracle
+    under both uncertainty types, the adversary LP, and the decomposition LP
+    on an in-hull marginal and on one shifted out of the hull.  Each run
+    asserts that the loop's answer, or its certificate, holds."""
+    import minregret.decompose as decompose_mod
+
+    interval = generate_instance(family, n=12, uncertainty="interval", seed=2)
+    scenarios = generate_instance(family, n=12, uncertainty="scenarios", n_scenarios=4, seed=2)
+    oracle = build_oracle(interval)
+    inside = _double_oracle(interval, 1e-7, 10000, oracle).marginal
+    outside = inside.p.copy()
+    outside[int(np.argmax(outside))] -= 0.3
+
+    def game(instance):
+        sol = _double_oracle(instance, 1e-7, 10000, build_oracle(instance))
+        upper = max_expected_regret(sol.marginal, instance).value
+        lower = player_best_response(sol.adversary, instance).value
+        assert sol.certified_gap <= 1e-7 and upper - lower <= 1e-7
+
+    def adversary():
+        _, value, player = solve_adversary_lp_discrete(scenarios)
+        regret = max_expected_regret(marginal_of_strategy(player), scenarios).value
+        assert regret == pytest.approx(value, abs=1e-7)
+
+    def in_hull():
+        strategy = decompose_mod._decompose_by_rows(inside, oracle)
+        assert np.abs(marginal_of_strategy(strategy).p - inside.p).max() <= 1e-7
+
+    def out_of_hull():
+        with pytest.raises(NotInHullError) as err:
+            decompose_mod._decompose_by_rows(MarginalVector(outside), oracle)
+        u, w = err.value.u, err.value.w
+        # separating: w - u(T) <= 0 for every feasible T, yet w - p.u > 0
+        assert w - oracle.solve(u)[1] <= 1e-7
+        assert w - float(outside @ u) > 1e-7
+
+    return [
+        ("double-oracle-interval", lambda: game(interval)),
+        ("double-oracle-scenarios", lambda: game(scenarios)),
+        ("adversary-lp", adversary),
+        ("decompose-in-hull", in_hull),
+        ("decompose-out-of-hull", out_of_hull),
+    ]
+
+
+def _record_solves(monkeypatch):
+    """Patch ``WarmLP.solve`` to log ``(refreshes, pivots of its last kernel
+    run)`` for every solve; returns the log."""
+    import minregret.lp as lp_mod
+
+    log, last_run = [], []
+    real_solve = lp_mod.WarmLP.solve
+    real_run = lp_mod._kernel.run_simplex
+
+    def run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        last_run[:] = [result[1]]
+        return result
+
+    def recording(self, *args, **kwargs):
+        sol = real_solve(self, *args, **kwargs)
+        log.append((sol.refreshes, last_run[0]))
+        return sol
+
+    monkeypatch.setattr(lp_mod.WarmLP, "solve", recording)
+    monkeypatch.setattr(lp_mod._kernel, "run_simplex", run)
+    return log
+
+
+@pytest.mark.parametrize("family", LOOP_FAMILIES)
+def test_loops_exit_from_confirmed_solves(monkeypatch, family):
+    """Every answer and certificate comes from a solve that refreshed and
+    whose last kernel run confirmed it without pivoting; the solves before
+    it may be unrefreshed iterates."""
+    log = _record_solves(monkeypatch)
+    iterates = 0
+    for label, run in _loop_runs(family):
+        log.clear()
+        run()
+        refreshes, last_pivots = log[-1]
+        assert refreshes >= 1 and last_pivots == 0, label
+        iterates += sum(r == 0 for r, _ in log)
+    assert iterates > 0  # the loops do solve as iterates
+
+
+@pytest.mark.parametrize("family", LOOP_FAMILIES)
+def test_iterates_refresh_within_burst_pivots(monkeypatch, family):
+    """However the iterates and confirmed solves interleave, a tableau never
+    takes more than ``BURST_PIVOTS`` pivots between two exact refreshes."""
+    import minregret.lp as lp_mod
+
+    monkeypatch.setattr(lp_mod, "BURST_PIVOTS", 3)
+    since = [0]
+    statuses = []
+    real_run = lp_mod._kernel.run_simplex
+    real_refresh = lp_mod._refresh
+
+    def run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        statuses.append(result[0])
+        since[0] += result[1]
+        assert since[0] <= 3
+        return result
+
+    def refresh(*args, **kwargs):
+        since[0] = 0
+        return real_refresh(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod._kernel, "run_simplex", run)
+    monkeypatch.setattr(lp_mod, "_refresh", refresh)
+    for _, loop in _loop_runs(family):
+        since[0] = 0  # each loop starts a new LP from its data
+        loop()
+    assert lp_mod._kernel.STATUS_PIVOT_LIMIT in statuses  # the limit did bind
+
+
+@pytest.mark.parametrize("family", LOOP_FAMILIES)
+def test_iterate_at_pivot_limit_falls_back_to_confirmed(monkeypatch, family):
+    """An iterate whose kernel run stops at the pivot limit takes the
+    confirmed path, and the loops still return certified answers."""
+    import minregret.lp as lp_mod
+
+    pending = [False]
+    log = []
+    real_solve = lp_mod.WarmLP.solve
+    real_run = lp_mod._kernel.run_simplex
+
+    def solve(self, iterate=False):
+        pending[0] = iterate
+        sol = real_solve(self, iterate=iterate)
+        log.append(sol.refreshes)
+        return sol
+
+    def run(*args, **kwargs):
+        if pending[0]:  # the iterate's one kernel run
+            pending[0] = False
+            return lp_mod._kernel.STATUS_PIVOT_LIMIT, 0, 0
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod.WarmLP, "solve", solve)
+    monkeypatch.setattr(lp_mod._kernel, "run_simplex", run)
+    for _, loop in _loop_runs(family):
+        loop()
+    assert log and min(log) >= 1  # every solve was confirmed
