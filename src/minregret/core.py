@@ -323,10 +323,14 @@ class FeasibleSet:
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "FeasibleSet":
         ind = np.zeros(n, dtype=np.int8)
-        for e in indices:
-            if not 0 <= e < n:
-                raise InstanceError(f"item index {e} out of range 0..{n - 1}")
-            ind[e] = 1
+        idx = np.asarray(list(indices))
+        if idx.ndim != 1:
+            raise TypeError("item indices must be a flat sequence")
+        if idx.size:
+            bad = (idx < 0) | (idx >= n)
+            if bad.any():
+                raise InstanceError(f"item index {idx[bad][0]} out of range 0..{n - 1}")
+            ind[idx] = 1
         return cls(ind)
 
     @property

@@ -47,17 +47,36 @@ is fixed at ``u = -1`` (``t = 0``) and one with ``p >= 1 - PROB_DROP`` at
 ``t_F <= 2`` is a native upper bound of the engine, not rows, so the LP has
 one row per generated set.  Every right-hand side is nonnegative, so the
 first solve starts from the feasible slack basis and no solve runs phase 1.
-Rows are generated on demand: the most violated one is found by one nominal
-solve at costs -u over all n items, fixed ones included, and the loop stops
-only when no feasible set violates the LP optimum by more than a tenth of
-``tol``.  Each generated T appends one row, whose slack joins the kept
-optimal basis; the dual pass restores feasibility from there instead of
-re-solving the grown LP cold.  The LP is solved as an iterate (see
-:meth:`~minregret.lp.WarmLP.solve`), refreshed exactly only every
+
+The LP starts from seed rows peeled greedily off p (a primal heuristic, as
+column generation seeds its restricted master; Lübbecke & Desrosiers 2005):
+from r = p, take the set T of most mass under r, one nominal solve at costs
+-r, and its lightest item's mass lam = min of r over T, subtract lam from r
+on T, and repeat, at most n times, until lam is at most ``PROB_DROP``.  Every
+distinct T becomes a row, all in one ``add_rows``.  On a p in the hull these
+sets carry most of its mass, so the cut loop starts from a mix that nearly
+reproduces p instead of from one set.  Further rows are generated on
+demand, one per solve:
+
+* At an iterate (see :meth:`~minregret.lp.WarmLP.solve`), a leaning
+  separation at costs ``-u - LEAN * p`` proposes, among the most violated
+  sets, the one with the most marginal mass, which is likelier to end in
+  the support.  It is a cut only if it is new and its own violation
+  ``u(T) + w`` exceeds a tenth of ``tol``.
+* Otherwise, and always at a confirmed solve, the exact separation decides:
+  the most violated set, one nominal solve at costs -u over all n items,
+  fixed ones included.  A new set violated by more than a tenth of ``tol``
+  is the cut; else the loop stops.
+
+Each cut appends one row, whose slack joins the kept optimal basis; the
+dual pass restores feasibility from there instead of re-solving the grown
+LP cold.  The LP is solved as an iterate, refreshed exactly only every
 ``BURST_PIVOTS`` pivots, while its answers only add rows.  A verdict (the
-strategy, a certificate or an error) is decided at a confirmed solve: when
-an iterate would stop the loop or raise, the LP is solved again, confirmed,
-usually without a pivot, and the oracle runs again at that optimum.
+strategy, a certificate or an error) is decided at a confirmed solve by the
+exact separation: when an iterate's exact separation would stop the loop or
+raise, the LP is solved again, confirmed, usually without a pivot, and the
+oracle runs again at that optimum.  So the proposal only picks cuts; the
+stopping test, the certificate and the errors never depend on it.
 
 Fixing is sound on both sides of the hull.  The stopping test runs at the
 full ``(u, w)``, so that pair is dual feasible for every feasible set, and
@@ -103,6 +122,10 @@ from .nominal import DagPathOracle, KSelectionOracle, NominalOracle
 # the largest shift (2 * PROB_DROP) that cut merging applies to an item.
 _FULL_MARGIN = 4 * PROB_DROP
 
+# Weight of p in the decomposition LP's proposed cuts (costs -u - LEAN * p):
+# small enough that it only breaks ties among the most violated sets.
+LEAN = 1e-6
+
 
 def decompose_marginal(
     p: MarginalVector, oracle: NominalOracle, tol: float = 1e-7
@@ -113,8 +136,9 @@ def decompose_marginal(
     strategy exists.  The support never exceeds n + 1 sets: at most n for
     k-selection (one per interval of [0, 1)) and for DAG paths (one per
     zeroed arc), and at most n + 1 on the LP path (one per basic u or w
-    variable at a basic optimum).  The LP path generates at most
-    ``MAX_CUTS`` rows, else raises :class:`IterationLimitError`.
+    variable at a basic optimum).  The LP path cuts at most ``MAX_CUTS``
+    rows beyond its at most n seed rows, else raises
+    :class:`IterationLimitError`.
     """
     if oracle.n != len(p):
         raise SolverError("marginal length differs from the oracle's item count")
@@ -259,7 +283,9 @@ def _peel_paths(
 def _decompose_by_rows(
     p: MarginalVector, oracle: NominalOracle, tol: float = 1e-7
 ) -> PlayerMixedStrategy:
-    """The cutting-plane LP of the module docstring, for any family."""
+    """The cutting-plane LP of the module docstring, for any family: seed
+    rows peeled off p, leaning proposals at iterates, and every verdict from
+    the exact separation at a confirmed solve."""
     p_arr = p.p
     sep_tol = tol / 10.0  # inner column-pricing margin, decoupled from tol
 
@@ -268,8 +294,7 @@ def _decompose_by_rows(
     # columns, and w' = w + 2|O| over the items O at 1 keeps every rhs >= 0.
     one = p_arr >= 1.0 - PROB_DROP
     frac = np.flatnonzero(~one & (p_arr > PROB_DROP))
-    u = np.where(one, 1.0, -1.0)
-    u[frac] = 0.0
+    u = np.where(one, 1.0, -1.0)  # the LP sets u on F
     shift = 2.0 * float(one.sum())
 
     # variables t_F in [0, 2], w'+, w'-; one row per generated T
@@ -282,17 +307,32 @@ def _decompose_by_rows(
     columns: list[FeasibleSet] = []
     seen: set[FeasibleSet] = set()
 
-    def generate(T: FeasibleSet) -> None:
-        """Append the row ``t_F(T) + w'+ - w'- <= |T| + 2|O minus T|``."""
-        seen.add(T)
-        columns.append(T)
-        row = np.ones(len(frac) + 2)
-        row[:-2] = T.indicator[frac]
-        row[-1] = -1.0
-        rhs = T.size + 2 * np.count_nonzero(one & (T.indicator == 0))
-        lp.add_rows(row[None, :], [rhs])
+    def generate(sets: list[FeasibleSet]) -> None:
+        """Append the row ``t_F(T) + w'+ - w'- <= |T| + 2|O minus T|`` of
+        every T in ``sets``."""
+        seen.update(sets)
+        columns.extend(sets)
+        X = np.array([T.indicator for T in sets])
+        rows = np.ones((len(sets), len(frac) + 2))
+        rows[:, :-2] = X[:, frac]
+        rows[:, -1] = -1.0
+        rhs = X.sum(axis=1) + 2 * np.count_nonzero(one & (X == 0), axis=1)
+        lp.add_rows(rows, rhs)
 
-    generate(oracle.solve(-u)[0])  # the best set at the fixed prices, F at 0
+    # Seed rows: sets peeled greedily off p, each the heaviest set under
+    # what is left of p and taken out at its lightest item.
+    peeled: dict[FeasibleSet, None] = {}  # distinct sets, in peeling order
+    rest = p_arr.copy()
+    for _ in range(oracle.n):
+        T = oracle.solve(-rest)[0]
+        peeled[T] = None
+        members = T.indicator.astype(bool)
+        lam = float(rest[members].min()) if members.any() else 0.0
+        if lam <= PROB_DROP:
+            break
+        rest[members] -= lam
+    generate(list(peeled))
+
     for _ in range(MAX_CUTS):
         # An iterate may only add a row; a verdict or an error is decided
         # at a confirmed solve of the same LP.
@@ -302,6 +342,14 @@ def _decompose_by_rows(
                 raise SolverError(f"decomposition LP ended with status {sol.status_text}")
             u[frac] = sol.x[:-2] - 1.0
             w = float(sol.x[-2] - sol.x[-1]) - shift
+            if not sol.confirmed:
+                # A proposal: among the most violated sets, the one with the
+                # most marginal mass.  It is a cut only if it is new and its
+                # own violation u(T) + w clears sep_tol.
+                T_new = oracle.solve(-u - LEAN * p_arr)[0]
+                violation = float(u @ T_new.indicator) + w
+                if violation > sep_tol and T_new not in seen:
+                    break
             # Most violated row over all feasible sets, at the full u: maximize
             # sum(u over T), i.e. one nominal solve at costs -u.
             T_new, neg_val = oracle.solve(-u)
@@ -315,7 +363,7 @@ def _decompose_by_rows(
                     f"decomposition LP re-generated a set it already holds, "
                     f"violated by {violation:.3g}"
                 )
-            generate(T_new)
+            generate([T_new])
             continue
 
         deviation = float(p_arr @ u + w)

@@ -164,17 +164,25 @@ class SpanningTreeOracle(NominalOracle):
     def solve(self, c):
         costs = as_costs(c, self.n)
         # Kruskal; negative weights are fine for the greedy matroid argument.
-        order = np.argsort(costs, kind="stable")
-        ds = _DisjointSet(self.vertices)
+        # The union-find is _DisjointSet's, inlined over plain lists.
+        edges, parent = self.edges, list(range(self.vertices))
         picked = []
-        for e in order:
-            u, v = self.edges[e]
-            if ds.union(u, v):
-                picked.append(int(e))
+        for e in np.argsort(costs, kind="stable").tolist():
+            u, v = edges[e]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                parent[v] = u
+                picked.append(e)
                 if len(picked) == self.vertices - 1:
                     break
-        T = FeasibleSet.from_indices(self.n, picked)
-        return T, float(costs[picked].sum())
+        ind = np.zeros(self.n, dtype=np.int8)
+        ind[picked] = 1
+        return FeasibleSet(ind), float(costs[picked].sum())
 
     def is_feasible(self, T):
         if len(T) != self.n or T.size != self.vertices - 1:

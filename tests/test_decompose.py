@@ -215,30 +215,38 @@ def _verdict(decompose, oracle, p, max_support):
     return True
 
 
+EXACT_FAMILIES = ["k-selection", "dag-path"]
+EXACT_SIZES = [(10, 1), (25, 2), (40, 3)]  # (n, seed)
+
+
+def _check_exact_against_lp(family, n, seed):
+    oracle = build_oracle(generate_instance(family, n=n, seed=seed))
+    exact_support = n + 1 if family == "k-selection" else n
+    rng = np.random.default_rng([seed, n])
+    for _ in range(3):
+        sets = [oracle.solve(rng.random(n))[0] for _ in range(6)]
+        y0 = PlayerMixedStrategy.cleaned(sets, rng.dirichlet(np.ones(len(sets))))
+        p = marginal_of_strategy(y0).p
+        nudged = p.copy()
+        e = int(rng.integers(n))
+        nudged[e] += 0.1 if nudged[e] <= 0.5 else -0.1
+        lowered = p.copy()
+        e = int(np.argmax(p))
+        lowered[e] -= min(0.3, lowered[e])
+        for marginal, in_hull in ((p, True), (nudged, False), (lowered, False)):
+            assert _verdict(decompose_marginal, oracle, marginal, exact_support) is in_hull
+            assert _verdict(_decompose_by_rows, oracle, marginal, n + 1) is in_hull
+
+
 class TestExactAgainstLP:
     """Systematic sampling (k-selection) and flow peeling (DAG paths) against
     the cutting-plane LP on mixes of random optima, their +-0.1 shifted twins
     (the benchmark's out-of-hull marginals) and their -0.3 shifted twins."""
 
-    @pytest.mark.parametrize("family", ["k-selection", "dag-path"])
-    @pytest.mark.parametrize("n,seed", [(10, 1), (25, 2), (40, 3)])
+    @pytest.mark.parametrize("family", EXACT_FAMILIES)
+    @pytest.mark.parametrize("n,seed", EXACT_SIZES)
     def test_same_verdicts(self, family, n, seed):
-        oracle = build_oracle(generate_instance(family, n=n, seed=seed))
-        exact_support = n + 1 if family == "k-selection" else n
-        rng = np.random.default_rng([seed, n])
-        for _ in range(3):
-            sets = [oracle.solve(rng.random(n))[0] for _ in range(6)]
-            y0 = PlayerMixedStrategy.cleaned(sets, rng.dirichlet(np.ones(len(sets))))
-            p = marginal_of_strategy(y0).p
-            nudged = p.copy()
-            e = int(rng.integers(n))
-            nudged[e] += 0.1 if nudged[e] <= 0.5 else -0.1
-            lowered = p.copy()
-            e = int(np.argmax(p))
-            lowered[e] -= min(0.3, lowered[e])
-            for marginal, in_hull in ((p, True), (nudged, False), (lowered, False)):
-                assert _verdict(decompose_marginal, oracle, marginal, exact_support) is in_hull
-                assert _verdict(_decompose_by_rows, oracle, marginal, n + 1) is in_hull
+        _check_exact_against_lp(family, n, seed)
 
 
 class TestExactPathEdgeCases:
@@ -488,6 +496,10 @@ def _highs_member(X, p):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_explicit_families_agree_with_highs(seed):
+    _check_explicit_against_highs(seed)
+
+
+def _check_explicit_against_highs(seed):
     rng = np.random.default_rng([seed, 8])
     n = 8
     sets = [rng.choice(n, size=int(rng.integers(2, 6)), replace=False) for _ in range(12)]
@@ -509,6 +521,27 @@ def test_explicit_families_agree_with_highs(seed):
     assert {(True, True), (False, True)} <= verdicts
 
 
+def test_leaning_proposal_never_decides(monkeypatch):
+    """At ``LEAN = 1e6`` the LP path's proposed cut is about the set with the
+    most marginal mass, whatever the LP's prices are.  It is still only a
+    proposal: the verdicts, strategies and certificates of the exact
+    separation stand."""
+    monkeypatch.setattr(decompose_mod, "LEAN", 1e6)
+    proposals = [0]
+    for cls in (KSelectionOracle, DagPathOracle, ExplicitOracle):
+
+        def solve(self, c, real=cls.solve):
+            proposals[0] += np.max(np.abs(c)) > 1e3  # prices are within [-1, 1]
+            return real(self, c)
+
+        monkeypatch.setattr(cls, "solve", solve)
+    for family, (n, seed) in itertools.product(EXACT_FAMILIES, EXACT_SIZES):
+        _check_exact_against_lp(family, n, seed)
+    for seed in range(4):
+        _check_explicit_against_highs(seed)
+    assert proposals[0] > 0
+
+
 def test_k_selection_n200_optimal_marginal_on_the_lp_path():
     """The k-selection interval n=200 seed 1 optimal marginal (54 items at 0
     and 64 at 1), which the LP path with a column per item gave up on after
@@ -520,6 +553,26 @@ def test_k_selection_n200_optimal_marginal_on_the_lp_path():
     p = solve_randomized(instance).marginal.p
     y = _decompose_by_rows(MarginalVector(p), oracle)
     _assert_decomposes(oracle, p, y, n + 1)
+
+
+@pytest.mark.xfail(raises=SolverError, strict=True)
+def test_epsilon_mix_of_k_selection_n85_optimal_marginal():
+    """The k-selection interval n=85 seed 1 optimal marginal mixed with the
+    uniform point, ``(1 - 1e-9) p + 1e-9 k/n``, which leaves no item at 0
+    or 1, ends the LP path in ``breakdown (singular-basis)`` on a
+    well-posed LP.  n=85 is the smallest n from 80 to 100 that breaks down;
+    it does so after about 210 solves."""
+    n = 85
+    instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
+    oracle = build_oracle(instance)
+    p = solve_randomized(instance).marginal.p
+    mixed = (1.0 - 1e-9) * p + 1e-9 * oracle.k / n
+    try:
+        y = _decompose_by_rows(MarginalVector(mixed), oracle)
+    except SolverError as exc:
+        assert "breakdown (singular-basis)" in str(exc)
+        raise
+    _assert_decomposes(oracle, mixed, y, n + 1)
 
 
 def test_spanning_tree_n300_optimal_marginal():

@@ -780,15 +780,15 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
 LOOP_FAMILIES = ("k-selection", "spanning-tree", "dag-path")
 
 
-def _loop_runs(family):
+def _loop_runs(family, n=12, seed=2):
     """``(label, run)`` for each growth loop on ``family``: the double oracle
     under both uncertainty types, the adversary LP, and the decomposition LP
     on an in-hull marginal and on one shifted out of the hull.  Each run
     asserts that the loop's answer, or its certificate, holds."""
     import minregret.decompose as decompose_mod
 
-    interval = generate_instance(family, n=12, uncertainty="interval", seed=2)
-    scenarios = generate_instance(family, n=12, uncertainty="scenarios", n_scenarios=4, seed=2)
+    interval = generate_instance(family, n=n, uncertainty="interval", seed=seed)
+    scenarios = generate_instance(family, n=n, uncertainty="scenarios", n_scenarios=4, seed=seed)
     oracle = build_oracle(interval)
     inside = _double_oracle(interval, 1e-7, 10000, oracle).marginal
     outside = inside.p.copy()
@@ -891,7 +891,10 @@ def test_iterates_refresh_within_burst_pivots(monkeypatch, family):
 
     monkeypatch.setattr(lp_mod._kernel, "run_simplex", run)
     monkeypatch.setattr(lp_mod, "_refresh", refresh)
-    for _, loop in _loop_runs(family):
+    # At n=12 seed 2 no dag-path loop reaches 3 pivots between refreshes
+    # once the decomposition LP starts from its seed rows; at n=16 seed 1
+    # the double oracle and the out-of-hull decomposition both do.
+    for _, loop in _loop_runs(family, n=16, seed=1):
         since[0] = 0  # each loop starts a new LP from its data
         loop()
     assert lp_mod._kernel.STATUS_PIVOT_LIMIT in statuses  # the limit did bind
