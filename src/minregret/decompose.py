@@ -70,13 +70,9 @@ demand, one per solve:
 
 Each cut appends one row, whose slack joins the kept optimal basis; the
 dual pass restores feasibility from there instead of re-solving the grown
-LP cold.  The LP is solved as an iterate, refreshed exactly only every
-``BURST_PIVOTS`` pivots, while its answers only add rows.  A verdict (the
-strategy, a certificate or an error) is decided at a confirmed solve by the
-exact separation: when an iterate's exact separation would stop the loop or
-raise, the LP is solved again, confirmed, usually without a pivot, and the
-oracle runs again at that optimum.  So the proposal only picks cuts; the
-stopping test, the certificate and the errors never depend on it.
+LP cold.  The loop runs on :func:`minregret.lp._generate`, which decides at
+confirmed solves only, so the proposal only picks cuts; the stopping test,
+the certificate and the errors never depend on it.
 
 Fixing is sound on both sides of the hull.  The stopping test runs at the
 full ``(u, w)``, so that pair is dual feasible for every feasible set, and
@@ -107,14 +103,13 @@ from .core import (
     MAX_CUTS,
     PROB_DROP,
     FeasibleSet,
-    IterationLimitError,
     MarginalVector,
     NotInHullError,
     PlayerMixedStrategy,
     SolverError,
     marginal_of_strategy,
 )
-from .lp import WarmLP
+from .lp import WarmLP, _generate
 from .nominal import DagPathOracle, KSelectionOracle, NominalOracle
 
 
@@ -305,12 +300,10 @@ def _decompose_by_rows(
         upper=np.concatenate([np.full(len(frac), 2.0), [np.inf, np.inf]]),
     )
     columns: list[FeasibleSet] = []
-    seen: set[FeasibleSet] = set()
 
-    def generate(sets: list[FeasibleSet]) -> None:
+    def extend(sets: list[FeasibleSet]) -> None:
         """Append the row ``t_F(T) + w'+ - w'- <= |T| + 2|O minus T|`` of
         every T in ``sets``."""
-        seen.update(sets)
         columns.extend(sets)
         X = np.array([T.indicator for T in sets])
         rows = np.ones((len(sets), len(frac) + 2))
@@ -331,52 +324,42 @@ def _decompose_by_rows(
         if lam <= PROB_DROP:
             break
         rest[members] -= lam
-    generate(list(peeled))
+    extend(list(peeled))
 
-    for _ in range(MAX_CUTS):
-        # An iterate may only add a row; a verdict or an error is decided
-        # at a confirmed solve of the same LP.
-        for iterate in (True, False):
-            sol = lp.solve(iterate=iterate)
-            if not sol.is_optimal:
-                raise SolverError(f"decomposition LP ended with status {sol.status_text}")
-            u[frac] = sol.x[:-2] - 1.0
-            w = float(sol.x[-2] - sol.x[-1]) - shift
-            if not sol.confirmed:
-                # A proposal: among the most violated sets, the one with the
-                # most marginal mass.  It is a cut only if it is new and its
-                # own violation u(T) + w clears sep_tol.
-                T_new = oracle.solve(-u - LEAN * p_arr)[0]
-                violation = float(u @ T_new.indicator) + w
-                if violation > sep_tol and T_new not in seen:
-                    break
-            # Most violated row over all feasible sets, at the full u: maximize
-            # sum(u over T), i.e. one nominal solve at costs -u.
-            T_new, neg_val = oracle.solve(-u)
-            violation = (-neg_val) + w  # = max_T sum(u over T) + w
-            if sol.confirmed or (violation > sep_tol and T_new not in seen):
-                break
-
+    def step(iterate, seen):
+        sol = lp.solve(iterate=iterate)
+        if not sol.is_optimal:
+            raise SolverError(f"decomposition LP ended with status {sol.status_text}")
+        u[frac] = sol.x[:-2] - 1.0
+        w = float(sol.x[-2] - sol.x[-1]) - shift
+        if not sol.confirmed:
+            # A proposal: among the most violated sets, the one with the most
+            # marginal mass.  It is a cut only if it is new and its own
+            # violation u(T) + w clears sep_tol.
+            T_new = oracle.solve(-u - LEAN * p_arr)[0]
+            if float(u @ T_new.indicator) + w > sep_tol and T_new not in seen:
+                return False, [(T_new, T_new)], None, None, None
+        # Most violated row over all feasible sets, at the full u: maximize
+        # sum(u over T), i.e. one nominal solve at costs -u.
+        T_new, neg_val = oracle.solve(-u)
+        violation = (-neg_val) + w  # = max_T sum(u over T) + w
         if violation > sep_tol:
-            if T_new in seen:
-                raise SolverError(
-                    f"decomposition LP re-generated a set it already holds, "
-                    f"violated by {violation:.3g}"
-                )
-            generate([T_new])
-            continue
-
-        deviation = float(p_arr @ u + w)
-        if deviation > tol:
-            # Certificate in the standard orientation (see module docstring).
-            raise NotInHullError(
-                f"marginal is outside the feasible hull (L1 deviation {deviation:.3g})",
-                u=-u,
-                w=w,
+            stall = (
+                f"decomposition LP re-generated a set it already holds, "
+                f"violated by {violation:.3g}"
             )
-        # the row duals are the weights
-        return _reconstructed(columns, sol.duals, p_arr, tol)
+            return sol.confirmed, [(T_new, T_new)], None, stall, None
+        return sol.confirmed, [], (w, sol.duals), None, None
 
-    raise IterationLimitError(
-        f"decomposition exceeded {MAX_CUTS} generated columns", iterations=MAX_CUTS
-    )
+    exceeded = f"decomposition exceeded {MAX_CUTS} generated columns"
+    (w, duals), _ = _generate(step, extend, set(columns), MAX_CUTS, exceeded)
+    deviation = float(p_arr @ u + w)
+    if deviation > tol:
+        # Certificate in the standard orientation (see module docstring).
+        raise NotInHullError(
+            f"marginal is outside the feasible hull (L1 deviation {deviation:.3g})",
+            u=-u,
+            w=w,
+        )
+    # the row duals are the weights
+    return _reconstructed(columns, duals, p_arr, tol)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import SolverError
+from ..core import IterationLimitError, SolverError
 
 from . import _kernel
 
@@ -362,7 +362,8 @@ class WarmLP:
         tableau's last exact refresh stay within ``BURST_PIVOTS``; reaching
         that limit, or any other status, takes the confirmed path from
         where the kernel stopped.  A loop that grows the LP may move on from
-        an iterate, but takes its answer only from a confirmed solve.
+        an iterate, but takes its answer only from a confirmed solve, as
+        :func:`_generate` does.
         """
         m, n = self._A.shape
         T, basis, nonbasic = self._T.copy(), self.basis.copy(), self.nonbasic.copy()
@@ -389,6 +390,49 @@ class WarmLP:
         return LpSolution(
             "optimal", x[:n], duals, float(self._c @ x[:n]), dual, primal, refreshes=refreshes
         )
+
+
+def _generate(step, extend, seen: set, limit: int, exceeded: str):
+    """The growth loop of the double oracle, the adversary LP and the
+    decomposition LP: solve the LP, generate cuts, append them, repeat.
+
+    An iteration calls ``step(iterate, seen)``, which solves the loop's LP
+    (as an iterate when ``iterate``, see :meth:`WarmLP.solve`) and returns
+    ``(confirmed, cuts, finish, stall, bracket)``: whether that solve was
+    confirmed; the cuts it generated as ``(key, cut)`` pairs, a cut being
+    new unless its key is in ``seen``; the answer if the loop is done, else
+    None; the error text for a step neither done nor with a new cut; and the
+    ``(lower, upper)`` bounds the solve proves, or None.
+
+    An iterate may only grow the LP: when an iterate's step would finish or
+    has no new cut, the step runs again on a confirmed solve of the same LP
+    (usually without a pivot) and the iteration is decided there.  So an
+    answer or an error always comes from a confirmed solve.  A finish is
+    returned as ``(finish, iteration)``, counting from 1; no new cut raises
+    :class:`SolverError` with the ``stall`` text; else the new keys join
+    ``seen`` and ``extend`` gets the new cuts, in order.  After ``limit``
+    iterations, :class:`IterationLimitError` carries the text ``exceeded``
+    and the greatest lower and least upper bound (None without brackets).
+    """
+    lowers, uppers = [], []
+    for iteration in range(1, limit + 1):
+        for iterate in (True, False):
+            confirmed, cuts, finish, stall, bracket = step(iterate, seen)
+            new = {key: cut for key, cut in cuts if key not in seen}
+            if confirmed or (finish is None and new):
+                break
+        if bracket is not None:
+            lowers.append(float(bracket[0]))
+            uppers.append(float(bracket[1]))
+        if finish is not None:
+            return finish, iteration
+        if not new:
+            raise SolverError(stall)
+        seen.update(new)
+        extend(list(new.values()))
+    raise IterationLimitError(
+        exceeded, max(lowers, default=None), min(uppers, default=None), iterations=limit
+    )
 
 
 def _payoff(payoff) -> np.ndarray:

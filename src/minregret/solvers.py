@@ -39,11 +39,8 @@ game exactly, then let each side best-respond to the other's current mix,
 and stop once the two best-response values bracket the restricted value
 within tolerance.  The restricted game is one ``MatrixGame`` that grows by
 at most a row and a column per iteration, so each solve starts from the
-previous optimal basis.  Each iteration solves the game as an iterate
-(refreshed exactly only every ``BURST_PIVOTS`` pivots); when its best
-responses would close the bracket or stall, the game is solved again,
-confirmed, and the loop decides from the best responses there, so an answer
-or an error always comes from a confirmed solve.  Every path certifies the
+previous optimal basis.  The loop runs on :func:`minregret.lp._generate`,
+which decides at confirmed solves only.  Every path certifies the
 same bracket: the adversary's best response to the returned marginal
 against the player's best response to the returned adversary mix.
 
@@ -67,7 +64,6 @@ from .core import (
     GameSolution,
     Instance,
     InstanceError,
-    IterationLimitError,
     MAX_CUTS,
     MarginalVector,
     NotInHullError,
@@ -77,7 +73,7 @@ from .core import (
     marginal_of_strategy,
 )
 from .decompose import decompose_marginal
-from .lp import MatrixGame, WarmLP, solve_matrix_game
+from .lp import MatrixGame, WarmLP, _generate, solve_matrix_game
 from .nominal import KSelectionOracle, NominalOracle, build_oracle, enumeration_cap
 from .regret import (
     extreme_cost_vector,
@@ -137,18 +133,13 @@ class _Columns:
         self.costs = _GrowingRows(instance.n)
         self.optima = _GrowingRows()
         self.labels: list = []  # scenario index or generating FeasibleSet
-        self._seen = set()
         if not self.interval:
             self.scenario_optima = scenario_optima(instance, oracle)
 
-    def _key(self, br):
+    def key(self, br):
         # an interval column is keyed by its realized cost vector: distinct
         # generating sets can coincide wherever interval bounds are degenerate
         return br.cost.values.tobytes() if self.interval else br.scenario
-
-    def holds(self, br) -> bool:
-        """Whether the adversary's best response ``br`` is already a column."""
-        return self._key(br) in self._seen
 
     def adversary_response(self, marginal: MarginalVector):
         if self.interval:
@@ -157,12 +148,7 @@ class _Columns:
             marginal, self.instance, self.oracle, optima=self.scenario_optima
         )
 
-    def add_best_response(self, br) -> bool:
-        """Add ``br`` as a column; False if it already is one."""
-        key = self._key(br)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
+    def add_best_response(self, br) -> None:
         cost = br.cost.values
         self.costs.append(cost)
         if self.interval:
@@ -171,7 +157,6 @@ class _Columns:
         else:
             self.optima.append(self.scenario_optima[br.scenario])
             self.labels.append(br.scenario)
-        return True
 
     def cleaned_strategy(self, probs) -> AdversaryMixedStrategy:
         support = tuple(CostVector(c) for c in self.costs.rows)
@@ -511,63 +496,49 @@ def _double_oracle(
     columns = _Columns(instance, oracle)
 
     rows: list[FeasibleSet] = [_initial_player_set(instance, oracle)]
-    row_seen = {rows[0]}
-
     X = _GrowingRows(instance.n)  # the player sets' indicators, grown in place
     X.append(rows[0].indicator)
     C, optima = columns.costs, columns.optima
-    columns.add_best_response(columns.adversary_response(MarginalVector(X.rows[0])))
+    first = columns.adversary_response(MarginalVector(X.rows[0]))
+    columns.add_best_response(first)
     game = MatrixGame(X.rows @ C.rows.T - optima.rows)
 
-    best_lower = -np.inf
-    best_upper = np.inf
-    for iteration in range(1, max_iter + 1):
-        # An iterate may only grow the game; the answer, or a stall, is
-        # decided at a confirmed solve of the same game.
-        for iterate in (True, False):
-            y_mix, w_mix, value = game.solve(iterate=iterate)
-            marginal = MarginalVector(y_mix @ X.rows)
-            adv_br = columns.adversary_response(marginal)
-            # raw column weights: the active support may not be distinct-as-
-            # strategies yet, so no AdversaryMixedStrategy is built here
-            play_br = weighted_player_response(w_mix, C.rows, optima.rows, oracle)
-            gap = adv_br.value - play_br.value
-            stalled = columns.holds(adv_br) and play_br.chosen_set in row_seen
-            if game.confirmed or not (gap <= tol or stalled):
-                break
+    def step(iterate, seen):
+        y_mix, w_mix, value = game.solve(iterate=iterate)
+        adv_br = columns.adversary_response(MarginalVector(y_mix @ X.rows))
+        # raw column weights: the active support may not be distinct-as-
+        # strategies yet, so no AdversaryMixedStrategy is built here
+        play_br = weighted_player_response(w_mix, C.rows, optima.rows, oracle)
+        gap = adv_br.value - play_br.value
+        # a column's key (bytes or a scenario index) never equals a row's set
+        cuts = [(columns.key(adv_br), adv_br), (play_br.chosen_set, play_br.chosen_set)]
+        done = (value, y_mix, w_mix, gap) if gap <= tol else None
+        stall = f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}"
+        return game.confirmed, cuts, done, stall, (play_br.value, adv_br.value)
 
-        best_upper = min(best_upper, adv_br.value)
-        best_lower = max(best_lower, play_br.value)
-        if gap <= tol:
-            player = PlayerMixedStrategy.cleaned(rows, y_mix)
-            return GameSolution(
-                value=float(value),
-                player=player,
-                marginal=marginal_of_strategy(player),
-                adversary=columns.cleaned_strategy(w_mix),
-                iterations=iteration,
-                certified_gap=float(max(gap, 0.0)),
-            )
-        if stalled:
-            raise SolverError(
-                f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}"
-            )
+    def extend(cuts):
+        # The restricted game grows by a column (an LP row) before a row (an
+        # LP column); the next solve starts from the current basis.
+        for cut in cuts:
+            if isinstance(cut, FeasibleSet):
+                rows.append(cut)
+                X.append(cut.indicator)
+                game.add_rows((C.rows @ X.rows[-1] - optima.rows)[None, :])
+            else:
+                columns.add_best_response(cut)
+                game.add_columns(X.rows @ C.rows[-1:].T - optima.rows[-1])
 
-        # The restricted game grows by one column (an LP row) and one row
-        # (an LP column); the next solve starts from the current basis.
-        if columns.add_best_response(adv_br):
-            game.add_columns(X.rows @ C.rows[-1:].T - optima.rows[-1])
-        if play_br.chosen_set not in row_seen:
-            row_seen.add(play_br.chosen_set)
-            rows.append(play_br.chosen_set)
-            X.append(play_br.chosen_set.indicator)
-            game.add_rows((C.rows @ X.rows[-1] - optima.rows)[None, :])
-
-    raise IterationLimitError(
-        f"double oracle exceeded {max_iter} iterations",
-        lower=float(best_lower),
-        upper=float(best_upper),
-        iterations=max_iter,
+    seen = {rows[0], columns.key(first)}
+    exceeded = f"double oracle exceeded {max_iter} iterations"
+    (value, y_mix, w_mix, gap), iterations = _generate(step, extend, seen, max_iter, exceeded)
+    player = PlayerMixedStrategy.cleaned(rows, y_mix)
+    return GameSolution(
+        value=float(value),
+        player=player,
+        marginal=marginal_of_strategy(player),
+        adversary=columns.cleaned_strategy(w_mix),
+        iterations=iterations,
+        certified_gap=float(max(gap, 0.0)),
     )
 
 
@@ -714,12 +685,11 @@ def solve_adversary_lp_discrete(
     the nominal problem at the mix-averaged costs.  Each cut appends one
     variable to the game's LP (over player-set weights, one constraint per
     scenario), so every re-solve starts from the previous optimal basis and
-    runs only the primal pass.  The game is solved as an iterate (see
-    :meth:`~minregret.lp.MatrixGame.solve`) while its cuts only add rows;
-    when an iterate would pass the stop test or re-generate a row, it is
-    solved again, confirmed, and the oracle runs again there, so the answer
-    and the stall error come from a confirmed solve.  Past ``MAX_CUTS`` cuts
-    it raises :class:`IterationLimitError`.
+    runs only the primal pass.  The loop runs on
+    :func:`minregret.lp._generate`, which decides at confirmed solves only;
+    past ``MAX_CUTS`` cuts it raises :class:`IterationLimitError` with the
+    best bracket of the cuts: ``z`` above, and below the least regret of
+    any set under the adversary's mix.
     """
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
@@ -729,44 +699,34 @@ def solve_adversary_lp_discrete(
     optima = scenario_optima(instance, oracle)
 
     rows: list[FeasibleSet] = [oracle.solve(unc.costs.mean(axis=0))[0]]
-    row_seen = {rows[0]}
 
     def regrets(T: FeasibleSet) -> np.ndarray:
         return (unc.costs @ T.indicator.astype(float) - optima)[None, :]
 
     game = MatrixGame(regrets(rows[0]))
-    z_cur = 0.0
-    for _ in range(MAX_CUTS):
-        # An iterate may only add a cut; the answer, or a stall, is decided
-        # at a confirmed solve of the same game.
-        for iterate in (True, False):
-            y_mix, w_cur, z_cur = game.solve(iterate=iterate)
-            T_new, val = oracle.solve(w_cur @ unc.costs)
-            lowest = val - float(w_cur @ optima)
-            done = lowest >= z_cur - tol
-            if game.confirmed or not (done or T_new in row_seen):
-                break
 
-        if done:
-            adversary = AdversaryMixedStrategy.cleaned(
-                tuple(CostVector(unc.costs[s]) for s in range(k)),
-                w_cur,
-                scenario_indices=tuple(range(k)),
-            )
-            player = PlayerMixedStrategy.cleaned(rows, y_mix)
-            return adversary, z_cur, player
-        if T_new in row_seen:
-            raise SolverError("adversary LP stalled: separating row already present")
-        row_seen.add(T_new)
-        rows.append(T_new)
-        game.add_rows(regrets(T_new))
+    def step(iterate, seen):
+        y_mix, w_cur, z_cur = game.solve(iterate=iterate)
+        T_new, val = oracle.solve(w_cur @ unc.costs)
+        lowest = val - float(w_cur @ optima)  # min over all T of regret(T, w_cur)
+        done = (y_mix, w_cur, z_cur) if lowest >= z_cur - tol else None
+        stall = "adversary LP stalled: separating row already present"
+        return game.confirmed, [(T_new, T_new)], done, stall, (lowest, z_cur)
 
-    raise IterationLimitError(
-        f"adversary LP exceeded {MAX_CUTS} cuts",
-        lower=None,
-        upper=z_cur,
-        iterations=MAX_CUTS,
+    def extend(cuts):
+        for T in cuts:
+            rows.append(T)
+            game.add_rows(regrets(T))
+
+    (y_mix, w_cur, z_cur), _ = _generate(
+        step, extend, {rows[0]}, MAX_CUTS, f"adversary LP exceeded {MAX_CUTS} cuts"
     )
+    adversary = AdversaryMixedStrategy.cleaned(
+        tuple(CostVector(unc.costs[s]) for s in range(k)),
+        w_cur,
+        scenario_indices=tuple(range(k)),
+    )
+    return adversary, z_cur, PlayerMixedStrategy.cleaned(rows, y_mix)
 
 
 def bruteforce_game_value(

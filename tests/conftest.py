@@ -66,6 +66,19 @@ def brute_max_regret_interval(T, instance):
     return best
 
 
+class RepeatingOracle:
+    """Solves with ``oracle``, but reports the first set it ever found in
+    place of every later one: a growth loop fed by it stalls."""
+
+    def __init__(self, oracle):
+        self.oracle, self.n, self.first = oracle, oracle.n, None
+
+    def solve(self, costs):
+        T, value = self.oracle.solve(costs)
+        self.first = self.first or T
+        return self.first, value
+
+
 def random_support_strategy(oracle, rng, max_support=4):
     from minregret.core import PlayerMixedStrategy
 

@@ -29,7 +29,7 @@ from minregret.nominal import (
 )
 from minregret.solvers import solve_randomized
 
-from conftest import random_support_strategy
+from conftest import RepeatingOracle, random_support_strategy
 
 
 class TestDecomposeExamples:
@@ -362,25 +362,12 @@ class TestExactPathsAtScale:
         _assert_sound_certificate(oracle, q, info.value)
 
 
-class _RepeatingOracle:
-    """Finds the most violated set with ``oracle``, but reports the first
-    set it ever returned in its place."""
-
-    def __init__(self, oracle):
-        self.oracle, self.n, self.first = oracle, oracle.n, None
-
-    def solve(self, costs):
-        T, value = self.oracle.solve(costs)
-        self.first = self.first or T
-        return self.first, value
-
-
 def test_regenerated_violated_row_raises():
     oracle = KSelectionOracle(6, 3)
     p = MarginalVector(np.full(6, 0.5))
     assert decompose_marginal(p, oracle).support_size > 1
     with pytest.raises(SolverError, match="re-generated a set it already holds, violated by"):
-        _decompose_by_rows(p, _RepeatingOracle(oracle))
+        _decompose_by_rows(p, RepeatingOracle(oracle))
 
 
 def test_cut_budget_raises_iteration_limit(monkeypatch):

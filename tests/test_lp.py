@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import minregret.lp as lpmod
-from minregret.core import MarginalVector, SolverError
+from minregret.core import IterationLimitError, MarginalVector, SolverError
 from minregret.decompose import decompose_marginal
 from minregret.gen import generate_instance
 from minregret.lp import (
     LpSolution,
     MatrixGame,
     WarmLP,
+    _generate,
     _kernel,
     kernel_backend,
     solve_matrix_game,
@@ -1032,3 +1033,59 @@ class TestDualEnteringAgainstReference:
             assert any(used > dual for _, used, dual, _, _ in mine)  # primal pivots
         for dantzig in (False, True):  # both pricing rules pivoted
             assert any(used > dual for _, used, dual, _, rule in runs if rule == dantzig)
+
+
+class TestGenerate:
+    """The growth loop's policy on scripted steps, with no LP behind them.
+
+    A step is ``(confirmed, cuts, finish, stall, bracket)``; each test lists
+    the steps in the order the loop asks for them.
+    """
+
+    @staticmethod
+    def _run(steps, seen=(), limit=10):
+        calls, extended = [], []
+
+        def step(iterate, seen):
+            calls.append(iterate)
+            return steps.pop(0)
+
+        result = _generate(step, extended.append, set(seen), limit, "over the limit")
+        assert not steps
+        return result, calls, extended
+
+    def test_iterate_finish_is_confirmed(self):
+        steps = [(False, [], "iterate", None, None), (True, [], "confirmed", None, None)]
+        assert self._run(steps)[:2] == (("confirmed", 1), [True, False])
+
+    def test_iterate_stall_is_confirmed_before_raising(self):
+        steps = [
+            (False, [("a", 1)], None, "iterate stalled", None),
+            (True, [("a", 1)], None, "confirmed stalled", None),
+        ]
+        with pytest.raises(SolverError, match="^confirmed stalled$"):
+            self._run(steps, seen={"a"})
+        assert not steps
+
+    def test_new_cuts_extend_in_order(self):
+        steps = [
+            (False, [("column", "C"), ("known", "K"), ("row", "R")], None, None, None),
+            (False, [("row", "R")], "iterate", None, None),
+            (True, [("row", "R")], "done", None, None),
+        ]
+        result, calls, extended = self._run(steps, seen={"known"})
+        assert result == ("done", 2)
+        assert calls == [True, True, False]
+        assert extended == [["C", "R"]]
+
+    def test_limit_reports_the_best_bracket(self):
+        steps = [
+            (True, [(i, i)], None, None, bracket)
+            for i, bracket in enumerate([(1.0, 9.0), (3.0, 8.0), (2.0, 7.0)])
+        ]
+        with pytest.raises(IterationLimitError, match="^over the limit$") as info:
+            self._run(steps, limit=3)
+        assert (info.value.lower, info.value.upper, info.value.iterations) == (3.0, 7.0, 3)
+        with pytest.raises(IterationLimitError) as info:
+            self._run([(True, [(0, 0)], None, None, None)], limit=1)
+        assert (info.value.lower, info.value.upper, info.value.iterations) == (None, None, 1)

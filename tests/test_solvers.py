@@ -33,6 +33,7 @@ from minregret.solvers import (
 )
 
 from conftest import (
+    RepeatingOracle,
     k_selection_instance,
     suite_instances,
     tight_discrete,
@@ -521,11 +522,32 @@ def test_adversary_lp_cut_budget_raises_iteration_limit(monkeypatch):
     inst = generate_instance(
         "spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1
     )
-    assert len(solve_adversary_lp_discrete(inst)[2].support) > 1
-    monkeypatch.setattr(solvers_mod, "MAX_CUTS", 1)
-    with pytest.raises(IterationLimitError) as info:
-        solve_adversary_lp_discrete(inst)
-    assert info.value.iterations == 1
+    _, value, player = solve_adversary_lp_discrete(inst)
+    assert len(player.support) > 1
+    for cuts in (1, 2, 3):
+        monkeypatch.setattr(solvers_mod, "MAX_CUTS", cuts)
+        with pytest.raises(IterationLimitError) as info:
+            solve_adversary_lp_discrete(inst)
+        assert info.value.iterations == cuts
+        # every cut proves a lower bound as well as an upper one
+        assert info.value.lower <= value <= info.value.upper
+
+
+# A loop whose oracle keeps reporting the set it found first generates
+# nothing new, and must stall with its own error.
+@pytest.mark.parametrize("family", ["spanning-tree", "k-selection"])
+@pytest.mark.parametrize("uncertainty", ["interval", "scenarios"])
+def test_double_oracle_stall_raises(family, uncertainty):
+    inst = generate_instance(family, n=12, uncertainty=uncertainty, n_scenarios=4, seed=1)
+    with pytest.raises(SolverError, match="double oracle stalled with residual gap"):
+        _double_oracle(inst, 1e-7, 10000, RepeatingOracle(build_oracle(inst)))
+
+
+@pytest.mark.parametrize("family", ["spanning-tree", "k-selection"])
+def test_adversary_lp_stall_raises(family):
+    inst = generate_instance(family, n=12, uncertainty="scenarios", n_scenarios=4, seed=1)
+    with pytest.raises(SolverError, match="adversary LP stalled: separating row already present"):
+        solve_adversary_lp_discrete(inst, oracle=RepeatingOracle(build_oracle(inst)))
 
 
 class TestApproximations:
