@@ -23,73 +23,32 @@ off that row: ``u = +-1`` and ``w = +-k`` for the cardinality row, and for a
 flow row a node potential pi of +-1 on the violated node, with
 ``u[a] = pi(head) - pi(tail)`` and ``w = pi(t) - pi(s)``.
 
-Every other family (spanning trees, explicit families) goes through a
-cutting-plane LP.  The marginal p lies in the hull iff the deviation LP
+Every other family (spanning trees, explicit families) goes through Wolfe's
+minimum-norm-point algorithm (Wolfe 1976, "Finding the nearest point in a
+polytope") over ``conv(X) - p``, with the nominal oracle as its only access
+to the family X: p is in the hull iff that polytope's point nearest the
+origin is the origin.  A corral of affinely independent sets T, with
+positive weights lam_T summing to 1, stands for ``x = sum_T lam_T (T - p)``.
+A major step makes one nominal solve at costs x, and the set it returns
+joins the corral.  Minor steps then move the weights toward the corral's
+affine minimizer, read off the Gram matrix of the rows ``(1, T - p)``, and a
+set whose weight reaches 0 on the way leaves.  ``max |x| <= tol`` ends the
+run with the corral as the strategy, at most n + 1 sets.
 
-    minimize  sum_e (lam_plus_e + lam_minus_e)
-    subject to  sum over generated T containing e of y_T
-                  + lam_plus_e - lam_minus_e = p_e          for every item e,
-                sum_T y_T = 1,   y, lam >= 0
-
-reaches zero.  It is solved in its dual form
-
-    maximize  p @ u + w
-    subject to  sum(u over T) + w <= 0     for every generated T,
-                -1 <= u <= 1,   w free,
-
-written for a :class:`~minregret.lp.WarmLP` with ``t = u + 1`` in [0, 2].
-Only the fractional items F get a column.  An item with ``p <= PROB_DROP``
-is fixed at ``u = -1`` (``t = 0``) and one with ``p >= 1 - PROB_DROP`` at
-``u = +1`` (``t = 2``); O is the set of the items at 1.  With
-``w' = w + 2|O| = w_plus - w_minus`` the LP is: maximize
-``p_F @ t_F + w_plus - w_minus`` (the deviation plus a constant) subject to
-``t_F(T) + w_plus - w_minus <= |T| + 2|O minus T|`` per generated T.  The box
-``t_F <= 2`` is a native upper bound of the engine, not rows, so the LP has
-one row per generated set.  Every right-hand side is nonnegative, so the
-first solve starts from the feasible slack basis and no solve runs phase 1.
-
-The LP starts from seed rows peeled greedily off p (a primal heuristic, as
-column generation seeds its restricted master; Lübbecke & Desrosiers 2005):
-from r = p, take the set T of most mass under r, one nominal solve at costs
--r, and its lightest item's mass lam = min of r over T, subtract lam from r
-on T, and repeat, at most n times, until lam is at most ``PROB_DROP``.  Every
-distinct T becomes a row, all in one ``add_rows``.  On a p in the hull these
-sets carry most of its mass, so the cut loop starts from a mix that nearly
-reproduces p instead of from one set.  Further rows are generated on
-demand, one per solve:
-
-* At an iterate (see :meth:`~minregret.lp.WarmLP.solve`), a leaning
-  separation at costs ``-u - LEAN * p`` proposes, among the most violated
-  sets, the one with the most marginal mass, which is likelier to end in
-  the support.  It is a cut only if it is new and its own violation
-  ``u(T) + w`` exceeds a tenth of ``tol``.
-* Otherwise, and always at a confirmed solve, the exact separation decides:
-  the most violated set, one nominal solve at costs -u over all n items,
-  fixed ones included.  A new set violated by more than a tenth of ``tol``
-  is the cut; else the loop stops.
-
-Each cut appends one row, whose slack joins the kept optimal basis; the
-dual pass restores feasibility from there instead of re-solving the grown
-LP cold.  The loop runs on :func:`minregret.lp._generate`, which decides at
-confirmed solves only, so the proposal only picks cuts; the stopping test,
-the certificate and the errors never depend on it.
-
-Fixing is sound on both sides of the hull.  The stopping test runs at the
-full ``(u, w)``, so that pair is dual feasible for every feasible set, and
-a ``p @ u + w`` above ``tol`` is a separating certificate in the normalized
-form ``w - sum(u' over T) <= 0`` for all feasible T yet ``w - p @ u' > 0``,
-with ``u' = -u``.  In the other direction, fixing u only restricts the dual.
-Its primal keeps the rows of the fractional items and relaxes those of the
-fixed ones: weight on a set that holds an item at 0, or misses an item at
-1, costs 1 per unit instead of being ruled out.  A decomposition of p puts
-at most PROB_DROP of weight per fixed item on such sets, so for a p in the
-hull the restricted optimum is at most zero and p is never rejected.  The
-duals of the set rows are the weights y_T of the strategy (at most n+1 of
-them are nonzero at a basic optimum), and an in-hull verdict stands only
-once they reproduce p within ``tol``.  The box on u keeps the LP bounded,
-so an out-of-hull p degrades to a certified rejection.  A most violated set
-that is already a row means the LP optimum disagrees with its own rows;
-that raises :class:`SolverError` instead of a verdict.
+A solve at costs u gives ``w = min_T u(T)``.  Where ``w - p @ u`` exceeds
+the round-off of its dot products, ``(u, w)`` is the certificate; near the
+nearest point x* of a p outside the hull one exists, since ``x* @ (T - p)
+>= |x*|^2 > 0`` for every T.  Items with ``p <= PROB_DROP`` get ``2n + 1``
+added to the costs, and items with ``p >= 1 - PROB_DROP`` get ``-(2n + 1)``.
+As ``|x @ (T - T')| <= n``, the oracle then returns sets of p's face (off
+the items at 0, on those at 1) while the face has one, which keeps the
+corral small on sparse marginals; u is x plus that penalty.  A
+decomposition of p puts at most PROB_DROP per such item off the face.  When
+the face can neither decompose nor certify p, the run goes on over the
+whole family.  A corral that re-generates a set it holds, without a
+verdict, raises :class:`SolverError` (in exact arithmetic each new set
+lowers ``|x|``); more than ``MAX_CUTS`` major steps raise
+:class:`IterationLimitError`.
 
 Whatever the path, the strategy is accepted only if its marginal reproduces
 p within ``tol``.
@@ -103,13 +62,13 @@ from .core import (
     MAX_CUTS,
     PROB_DROP,
     FeasibleSet,
+    IterationLimitError,
     MarginalVector,
     NotInHullError,
     PlayerMixedStrategy,
     SolverError,
     marginal_of_strategy,
 )
-from .lp import WarmLP, _generate
 from .nominal import DagPathOracle, KSelectionOracle, NominalOracle
 
 
@@ -117,9 +76,8 @@ from .nominal import DagPathOracle, KSelectionOracle, NominalOracle
 # the largest shift (2 * PROB_DROP) that cut merging applies to an item.
 _FULL_MARGIN = 4 * PROB_DROP
 
-# Weight of p in the decomposition LP's proposed cuts (costs -u - LEAN * p):
-# small enough that it only breaks ties among the most violated sets.
-LEAN = 1e-6
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def decompose_marginal(
@@ -130,9 +88,9 @@ def decompose_marginal(
     Raises :class:`NotInHullError` with a separating certificate when no such
     strategy exists.  The support never exceeds n + 1 sets: at most n for
     k-selection (one per interval of [0, 1)) and for DAG paths (one per
-    zeroed arc), and at most n + 1 on the LP path (one per basic u or w
-    variable at a basic optimum).  The LP path cuts at most ``MAX_CUTS``
-    rows beyond its at most n seed rows, else raises
+    zeroed arc), and at most n + 1 on the minimum-norm-point path (spanning
+    trees and explicit families), whose sets are affinely independent.  That
+    path makes at most ``MAX_CUTS`` major steps, else raises
     :class:`IterationLimitError`.
     """
     if oracle.n != len(p):
@@ -141,7 +99,7 @@ def decompose_marginal(
         return _systematic_sampling(p, oracle, tol)
     if isinstance(oracle, DagPathOracle):
         return _peel_paths(p, oracle, tol)
-    return _decompose_by_rows(p, oracle, tol)
+    return _decompose_by_min_norm(p, oracle, tol)
 
 
 def _reconstructed(
@@ -275,91 +233,115 @@ def _peel_paths(
     return _reconstructed(paths, weights, p_arr, tol)
 
 
-def _decompose_by_rows(
+def _decompose_by_min_norm(
     p: MarginalVector, oracle: NominalOracle, tol: float = 1e-7
 ) -> PlayerMixedStrategy:
-    """The cutting-plane LP of the module docstring, for any family: seed
-    rows peeled off p, leaning proposals at iterates, and every verdict from
-    the exact separation at a confirmed solve."""
+    """Wolfe's minimum-norm-point algorithm over ``conv(X) - p``, for any
+    family (see the module docstring)."""
     p_arr = p.p
-    sep_tol = tol / 10.0  # inner column-pricing margin, decoupled from tol
+    n = len(p_arr)
+    # Costs that keep the oracle on p's face while the face has a set.
+    penalty = np.zeros(n)
+    penalty[p_arr <= PROB_DROP] = 2 * n + 1
+    penalty[p_arr >= 1.0 - PROB_DROP] = -(2 * n + 1)
+    restricted = bool(penalty.any())
 
-    # Items within PROB_DROP of 0 keep u = -1 (t = 0) and those within
-    # PROB_DROP of 1 keep u = +1 (t = 2); only the fractional items F are LP
-    # columns, and w' = w + 2|O| over the items O at 1 keeps every rhs >= 0.
-    one = p_arr >= 1.0 - PROB_DROP
-    frac = np.flatnonzero(~one & (p_arr > PROB_DROP))
-    u = np.where(one, 1.0, -1.0)  # the LP sets u on F
-    shift = 2.0 * float(one.sum())
-
-    # variables t_F in [0, 2], w'+, w'-; one row per generated T
-    lp = WarmLP(
-        np.concatenate([p_arr[frac], [1.0, -1.0]]),
-        np.empty((0, len(frac) + 2)),
-        [],
-        upper=np.concatenate([np.full(len(frac), 2.0), [np.inf, np.inf]]),
-    )
-    columns: list[FeasibleSet] = []
-
-    def extend(sets: list[FeasibleSet]) -> None:
-        """Append the row ``t_F(T) + w'+ - w'- <= |T| + 2|O minus T|`` of
-        every T in ``sets``."""
-        columns.extend(sets)
-        X = np.array([T.indicator for T in sets])
-        rows = np.ones((len(sets), len(frac) + 2))
-        rows[:, :-2] = X[:, frac]
-        rows[:, -1] = -1.0
-        rhs = X.sum(axis=1) + 2 * np.count_nonzero(one & (X == 0), axis=1)
-        lp.add_rows(rows, rhs)
-
-    # Seed rows: sets peeled greedily off p, each the heaviest set under
-    # what is left of p and taken out at its lightest item.
-    peeled: dict[FeasibleSet, None] = {}  # distinct sets, in peeling order
-    rest = p_arr.copy()
-    for _ in range(oracle.n):
-        T = oracle.solve(-rest)[0]
-        peeled[T] = None
-        members = T.indicator.astype(bool)
-        lam = float(rest[members].min()) if members.any() else 0.0
-        if lam <= PROB_DROP:
-            break
-        rest[members] -= lam
-    extend(list(peeled))
-
-    def step(iterate, seen):
-        sol = lp.solve(iterate=iterate)
-        if not sol.is_optimal:
-            raise SolverError(f"decomposition LP ended with status {sol.status_text}")
-        u[frac] = sol.x[:-2] - 1.0
-        w = float(sol.x[-2] - sol.x[-1]) - shift
-        if not sol.confirmed:
-            # A proposal: among the most violated sets, the one with the most
-            # marginal mass.  It is a cut only if it is new and its own
-            # violation u(T) + w clears sep_tol.
-            T_new = oracle.solve(-u - LEAN * p_arr)[0]
-            if float(u @ T_new.indicator) + w > sep_tol and T_new not in seen:
-                return False, [(T_new, T_new)], None, None, None
-        # Most violated row over all feasible sets, at the full u: maximize
-        # sum(u over T), i.e. one nominal solve at costs -u.
-        T_new, neg_val = oracle.solve(-u)
-        violation = (-neg_val) + w  # = max_T sum(u over T) + w
-        if violation > sep_tol:
-            stall = (
-                f"decomposition LP re-generated a set it already holds, "
-                f"violated by {violation:.3g}"
+    corral = _Corral(p_arr)
+    corral.add(oracle.solve(penalty - p_arr)[0])
+    for _ in range(MAX_CUTS):
+        x = corral.weights @ corral.V[: len(corral.sets)]
+        if np.max(np.abs(x)) <= tol:
+            return _reconstructed(list(corral.sets), corral.weights, p_arr, tol)
+        u = x + penalty if restricted else x
+        T, w = oracle.solve(u)
+        # w - p @ u > 0 separates p once it clears the round-off of both
+        # dot products
+        gap = w - float(p_arr @ u)
+        if gap > n * _EPS * float(np.abs(u) @ (p_arr + T.indicator)):
+            raise NotInHullError(
+                f"marginal is outside the feasible hull (separated by {gap:.3g})",
+                u=u,
+                w=w,
             )
-            return sol.confirmed, [(T_new, T_new)], None, stall, None
-        return sol.confirmed, [], (w, sol.duals), None, None
+        if corral.add(T):
+            continue
+        if not restricted:
+            raise SolverError(
+                f"decomposition stalled: the minimum-norm point re-generated a "
+                f"set its corral holds or spans, at distance "
+                f"{np.max(np.abs(x)):.3g} from p"
+            )
+        restricted = False  # p's face neither holds p nor certifies it
+    raise IterationLimitError(
+        f"decomposition exceeded {MAX_CUTS} major steps", iterations=MAX_CUTS
+    )
 
-    exceeded = f"decomposition exceeded {MAX_CUTS} generated columns"
-    (w, duals), _ = _generate(step, extend, set(columns), MAX_CUTS, exceeded)
-    deviation = float(p_arr @ u + w)
-    if deviation > tol:
-        # Certificate in the standard orientation (see module docstring).
-        raise NotInHullError(
-            f"marginal is outside the feasible hull (L1 deviation {deviation:.3g})",
-            u=-u,
-            w=w,
-        )
-    # the row duals are the weights
-    return _reconstructed(columns, duals, p_arr, tol)
+
+class _Corral:
+    """Wolfe's corral: affinely independent sets T, in ``sets``, with
+    weights, and the rows ``V`` of ``T - p``.  ``G`` is the Gram matrix of
+    the lifted rows ``(1, T - p)`` and ``H`` its inverse; a joining set
+    borders both and a leaving one takes a Schur complement, so neither is
+    ever rebuilt.  The corral's affine minimizer is ``H @ 1``, scaled to sum
+    1."""
+
+    def __init__(self, p: np.ndarray):
+        cap = len(p) + 2  # n + 1 affinely independent sets, and one joining
+        self.p, self.sets, self.weights = p, {}, np.empty(0)
+        self.V = np.empty((cap, len(p)))
+        self.G, self.H = np.empty((cap, cap)), np.empty((cap, cap))
+
+    def add(self, T: FeasibleSet) -> bool:
+        """Let ``T`` join and run the minor cycles.  False when it cannot:
+        the corral holds T or, within round-off, spans it affinely, or the
+        minor cycles drop T again."""
+        if T in self.sets:
+            return False
+        k = len(self.sets)
+        v = T.indicator - self.p
+        V, H = self.V[:k], self.H[:k, :k]
+        g = 1.0 + V @ v
+        h = H @ g  # the lifted T's coefficients over the corral's rows
+        # squared distance of the lifted T from their span
+        s = (1.0 - h.sum()) ** 2 + float(np.sum((v - h @ V) ** 2))
+        if not s > _EPS * (1.0 + float(v @ v)):
+            return False
+        H += np.outer(h, h) / s
+        self.H[:k, k] = self.H[k, :k] = -h / s
+        self.H[k, k] = 1.0 / s
+        self.G[:k, k] = self.G[k, :k] = g
+        self.G[k, k] = 1.0 + float(v @ v)
+        self.V[k] = v
+        self.sets[T] = None
+        self.weights = np.append(self.weights, 0.0)
+        self._minor_cycles()
+        return T in self.sets  # in exact arithmetic, a joining set stays
+
+    def _minor_cycles(self) -> None:
+        """Move the weights to the corral's affine minimizer, dropping each
+        set whose weight reaches 0 on the way."""
+        while True:
+            k = len(self.sets)
+            G, H = self.G[:k, :k], self.H[:k, :k]
+            beta = H.sum(axis=1)
+            beta += H @ (1.0 - G @ beta)  # one step of refinement
+            alpha = beta / beta.sum()
+            if alpha.min() > 0.0:
+                self.weights = alpha
+                return
+            lam = self.weights
+            down = np.flatnonzero(alpha <= 0.0)
+            ratios = lam[down] / np.maximum(lam[down] - alpha[down], _TINY)
+            lam = lam + float(ratios.min()) * (alpha - lam)
+            lam[down[np.argmin(ratios)]] = 0.0
+            for j in np.flatnonzero(lam <= 0.0)[::-1]:
+                c = H[:, j].copy()
+                H -= np.outer(c, c) / c[j]
+                for M in (self.H, self.G):
+                    M[j : k - 1, :k] = M[j + 1 : k, :k]
+                    M[: k - 1, j : k - 1] = M[: k - 1, j + 1 : k]
+                self.V[j : k - 1] = self.V[j + 1 : k]
+                del self.sets[list(self.sets)[j]]
+                k -= 1
+                H = self.H[:k, :k]
+            self.weights = lam[lam > 0.0]

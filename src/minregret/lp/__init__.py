@@ -32,10 +32,9 @@ pass lets them enter); both extend the kept tableau in place of a refresh,
 so a warm solve that ends within one burst refreshes once, and an iterate
 within the burst limit not at all.  :class:`MatrixGame` is a zero-sum game
 that grows by strategies, solved on one WarmLP; the double oracle and the
-adversary cutting-plane LP each keep one, ``decompose`` keeps a WarmLP, with
-``t <= 2`` as bounds, for its dual deviation LP (spanning trees and explicit
-families), and ``solvers`` solves the compact scenario k-selection LP as one
-WarmLP, written around an anchor set so that its origin is feasible.  ``solve_matrix_game`` is a MatrixGame solved once.
+adversary cutting-plane LP each keep one, and ``solvers`` solves the compact
+scenario k-selection LP as one WarmLP, written around an anchor set so that
+its origin is feasible.  ``solve_matrix_game`` is a MatrixGame solved once.
 
 Row duals are the multipliers of the ``<=`` rows of the ``max`` LP, so they
 are nonnegative, and the dual objective (rhs times duals plus the bound
@@ -393,8 +392,8 @@ class WarmLP:
 
 
 def _generate(step, extend, seen: set, limit: int, exceeded: str):
-    """The growth loop of the double oracle, the adversary LP and the
-    decomposition LP: solve the LP, generate cuts, append them, repeat.
+    """The growth loop of the double oracle and the adversary LP: solve the
+    LP, generate cuts, append them, repeat.
 
     An iteration calls ``step(iterate, seen)``, which solves the loop's LP
     (as an iterate when ``iterate``, see :meth:`WarmLP.solve`) and returns

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import minregret.decompose as decompose_mod
@@ -15,7 +17,7 @@ from minregret.core import (
     marginal_of_strategy,
 )
 from minregret.decompose import (
-    _decompose_by_rows,
+    _decompose_by_min_norm,
     _offset_intervals,
     decompose_marginal,
 )
@@ -185,9 +187,9 @@ def _assert_sound_certificate(oracle, p, exc):
 
 def test_k_selection_n120_in_hull_marginal():
     """The in-hull k-selection n=120 marginal of the decompose benchmark, on
-    the LP path.  Solved cold at every cut it ended in ``decomposition LP
-    ended with status breakdown`` after about 290 s; warm-started it solves.
-    The public path samples it exactly."""
+    the general path.  The cutting-plane LP that path used to run, solved
+    cold at every cut, ended in ``status breakdown`` after about 290 s.  The
+    public path samples it exactly."""
     n = 120
     oracle = build_oracle(generate_instance("k-selection", n=n, uncertainty="interval", seed=1))
     rng = np.random.default_rng([1, 14])
@@ -195,7 +197,7 @@ def test_k_selection_n120_in_hull_marginal():
     w = rng.random(6)
     p = (w / w.sum()) @ X.astype(float)
 
-    y = _decompose_by_rows(MarginalVector(p), oracle)
+    y = _decompose_by_min_norm(MarginalVector(p), oracle)
     assert np.max(np.abs(marginal_of_strategy(y).p - p)) <= 1e-7
     assert y.support_size <= n + 1
     for T in y.support:
@@ -235,13 +237,14 @@ def _check_exact_against_lp(family, n, seed):
         lowered[e] -= min(0.3, lowered[e])
         for marginal, in_hull in ((p, True), (nudged, False), (lowered, False)):
             assert _verdict(decompose_marginal, oracle, marginal, exact_support) is in_hull
-            assert _verdict(_decompose_by_rows, oracle, marginal, n + 1) is in_hull
+            assert _verdict(_decompose_by_min_norm, oracle, marginal, n + 1) is in_hull
 
 
 class TestExactAgainstLP:
     """Systematic sampling (k-selection) and flow peeling (DAG paths) against
-    the cutting-plane LP on mixes of random optima, their +-0.1 shifted twins
-    (the benchmark's out-of-hull marginals) and their -0.3 shifted twins."""
+    the general minimum-norm-point path on mixes of random optima, their
+    +-0.1 shifted twins (the benchmark's out-of-hull marginals) and their
+    -0.3 shifted twins."""
 
     @pytest.mark.parametrize("family", EXACT_FAMILIES)
     @pytest.mark.parametrize("n,seed", EXACT_SIZES)
@@ -333,7 +336,7 @@ class TestExactPathEdgeCases:
 
 
 class TestExactPathsAtScale:
-    """Far beyond the LP path's reach; each takes well under a second."""
+    """Large marginals on the exact paths; each takes well under a second."""
 
     def test_k_selection_n2000(self):
         n, k = 2000, 500
@@ -366,8 +369,8 @@ def test_regenerated_violated_row_raises():
     oracle = KSelectionOracle(6, 3)
     p = MarginalVector(np.full(6, 0.5))
     assert decompose_marginal(p, oracle).support_size > 1
-    with pytest.raises(SolverError, match="re-generated a set it already holds, violated by"):
-        _decompose_by_rows(p, RepeatingOracle(oracle))
+    with pytest.raises(SolverError, match="stalled: the minimum-norm point re-generated a set"):
+        _decompose_by_min_norm(p, RepeatingOracle(oracle))
 
 
 def test_cut_budget_raises_iteration_limit(monkeypatch):
@@ -377,10 +380,10 @@ def test_cut_budget_raises_iteration_limit(monkeypatch):
         [oracle.solve(rng.random(12))[0] for _ in range(4)], rng.dirichlet(np.ones(4))
     )
     p = marginal_of_strategy(y)
-    assert _decompose_by_rows(p, oracle).support_size > 1
+    assert _decompose_by_min_norm(p, oracle).support_size > 1
     monkeypatch.setattr(decompose_mod, "MAX_CUTS", 1)
     with pytest.raises(IterationLimitError) as info:
-        _decompose_by_rows(p, oracle)
+        _decompose_by_min_norm(p, oracle)
     assert info.value.iterations == 1
 
 
@@ -403,8 +406,9 @@ def _forced_mix(oracle, rng, sets=6):
 
 
 class TestFixedItems:
-    """The LP path fixes the items within PROB_DROP of 0 and of 1 and keeps
-    LP columns only for the fractional ones."""
+    """The general path keeps its oracle on p's face, the sets that avoid
+    the items within PROB_DROP of 0 and hold those within PROB_DROP of 1,
+    and falls back to the whole family when that face cannot decide."""
 
     @pytest.mark.parametrize("family", ["k-selection", "dag-path"])
     @pytest.mark.parametrize("n,seed", [(12, 1), (30, 2)])
@@ -425,7 +429,7 @@ class TestFixedItems:
                 cases.append((nudged, False))
             for marginal, in_hull in cases:
                 assert _verdict(decompose_marginal, oracle, marginal, n + 1) is in_hull
-                assert _verdict(_decompose_by_rows, oracle, marginal, n + 1) is in_hull
+                assert _verdict(_decompose_by_min_norm, oracle, marginal, n + 1) is in_hull
 
     def test_zero_edges_that_disconnect_the_graph(self):
         # K5 with every edge at vertex 4 at 0, and K4 on the rest at 1/2
@@ -434,7 +438,7 @@ class TestFixedItems:
         oracle = SpanningTreeOracle(5, edges)
         p = np.array([0.0 if 4 in e else 0.5 for e in edges])
         with pytest.raises(NotInHullError) as info:
-            _decompose_by_rows(MarginalVector(p), oracle)
+            _decompose_by_min_norm(MarginalVector(p), oracle)
         _assert_sound_certificate(oracle, p, info.value)
 
     def test_edges_at_one_that_form_a_cycle(self):
@@ -445,7 +449,7 @@ class TestFixedItems:
         p = np.array([1.0 if max(e) <= 2 else 1.0 / 7.0 for e in edges])
         assert p.sum() == pytest.approx(4.0)
         with pytest.raises(NotInHullError) as info:
-            _decompose_by_rows(MarginalVector(p), oracle)
+            _decompose_by_min_norm(MarginalVector(p), oracle)
         _assert_sound_certificate(oracle, p, info.value)
 
     def test_zero_edges_at_a_vertex_of_a_generated_graph(self):
@@ -456,7 +460,7 @@ class TestFixedItems:
         q[[e for e, edge in enumerate(oracle.edges) if 0 in edge]] = 0.0
         assert q.sum() < p.sum()
         with pytest.raises(NotInHullError) as info:
-            _decompose_by_rows(MarginalVector(q), oracle)
+            _decompose_by_min_norm(MarginalVector(q), oracle)
         _assert_sound_certificate(oracle, q, info.value)
 
     @pytest.mark.parametrize(
@@ -468,7 +472,27 @@ class TestFixedItems:
         p = _forced_mix(oracle, rng)
         p[p == 0.0] = 0.5 * PROB_DROP
         p[p >= 1.0 - PROB_DROP] = 1.0 - 0.5 * PROB_DROP
-        _assert_decomposes(oracle, p, _decompose_by_rows(MarginalVector(p), oracle), n + 1)
+        _assert_decomposes(oracle, p, _decompose_by_min_norm(MarginalVector(p), oracle), n + 1)
+
+
+@pytest.mark.parametrize(
+    "family,n", [("spanning-tree", 30), ("k-selection", 20), ("dag-path", 30)]
+)
+def test_face_run_that_cannot_certify_falls_back_to_the_whole_family(family, n):
+    """With items within PROB_DROP of 0 and 1 but not on them, the face
+    penalty costs a certificate up to (2n + 1) * PROB_DROP per such item,
+    more than a marginal shifted 1e-5 off the hull can clear.  The run goes
+    on over the whole family, which rejects p with unpenalized costs."""
+    oracle = build_oracle(generate_instance(family, n=n, seed=3))
+    rng = np.random.default_rng([n, 3])
+    p = _forced_mix(oracle, rng)
+    p[p == 0.0] = 0.9 * PROB_DROP
+    p[p >= 1.0 - PROB_DROP] = 1.0 - 0.9 * PROB_DROP
+    p[np.flatnonzero((p > PROB_DROP) & (p < 1.0 - PROB_DROP))[0]] += 1e-5
+    with pytest.raises(NotInHullError) as info:
+        _decompose_by_min_norm(MarginalVector(p), oracle)
+    _assert_sound_certificate(oracle, p, info.value)
+    assert np.max(np.abs(info.value.u)) <= 1.0  # |x_e| <= 1: no penalty
 
 
 def _highs_member(X, p):
@@ -481,90 +505,85 @@ def _highs_member(X, p):
     return res.status == 0
 
 
-@pytest.mark.parametrize("seed", range(4))
+def _explicit_family(rng, n):
+    """An explicit family of up to 12 random sets of 2-5 of ``n`` items, and
+    its indicator rows."""
+    sets = [rng.choice(n, size=int(rng.integers(2, 6)), replace=False) for _ in range(12)]
+    oracle = ExplicitOracle(n, [sorted(s) for s in sets])
+    return oracle, np.stack([T.indicator for T in oracle.family]).astype(float)
+
+
+@pytest.mark.parametrize("seed", range(20))
 def test_explicit_families_agree_with_highs(seed):
     _check_explicit_against_highs(seed)
 
 
 def _check_explicit_against_highs(seed):
-    rng = np.random.default_rng([seed, 8])
-    n = 8
-    sets = [rng.choice(n, size=int(rng.integers(2, 6)), replace=False) for _ in range(12)]
-    oracle = ExplicitOracle(n, [sorted(s) for s in sets])
-    X = np.stack([T.indicator for T in oracle.family]).astype(float)
+    n = 6 + seed % 7
+    rng = np.random.default_rng([seed, n])
+    oracle, X = _explicit_family(rng, n)
     marginals = []
     for size in (1, 2, 4, 6):  # one set: every item at 0 or 1
-        idx = rng.choice(len(X), size=size, replace=False)
-        p = rng.dirichlet(np.ones(size)) @ X[idx]
+        idx = rng.choice(len(X), size=min(size, len(X)), replace=False)
+        p = rng.dirichlet(np.ones(len(idx))) @ X[idx]
         marginals += [p, np.clip(p + rng.choice([-0.1, 0.1], n), 0.0, 1.0)]
     marginals += [rng.random(n) for _ in range(4)]
     verdicts = set()
     for p in marginals:
         in_hull = _highs_member(X, p)
         verdicts.add((in_hull, bool(np.any((p <= PROB_DROP) | (p >= 1.0 - PROB_DROP)))))
-        assert _verdict(_decompose_by_rows, oracle, p, n + 1) is in_hull
+        assert _verdict(_decompose_by_min_norm, oracle, p, n + 1) is in_hull
         assert _verdict(decompose_marginal, oracle, p, n + 1) is in_hull
     # both verdicts, each on a marginal with an item at 0 or 1
     assert {(True, True), (False, True)} <= verdicts
 
 
-def test_leaning_proposal_never_decides(monkeypatch):
-    """At ``LEAN = 1e6`` the LP path's proposed cut is about the set with the
-    most marginal mass, whatever the LP's prices are.  It is still only a
-    proposal: the verdicts, strategies and certificates of the exact
-    separation stand."""
-    monkeypatch.setattr(decompose_mod, "LEAN", 1e6)
-    proposals = [0]
-    for cls in (KSelectionOracle, DagPathOracle, ExplicitOracle):
-
-        def solve(self, c, real=cls.solve):
-            proposals[0] += np.max(np.abs(c)) > 1e3  # prices are within [-1, 1]
-            return real(self, c)
-
-        monkeypatch.setattr(cls, "solve", solve)
-    for family, (n, seed) in itertools.product(EXACT_FAMILIES, EXACT_SIZES):
-        _check_exact_against_lp(family, n, seed)
-    for seed in range(4):
-        _check_explicit_against_highs(seed)
-    assert proposals[0] > 0
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 12), size=st.integers(1, 6))
+def test_explicit_mixes_and_their_shifted_twins(seed, n, size):
+    """A random mix of an explicit family decomposes into at most n + 1 sets.
+    Its +-0.1 shifted twin decomposes where HiGHS finds it in the hull, and
+    is rejected elsewhere with a certificate that one oracle solve over the
+    whole family checks."""
+    rng = np.random.default_rng(seed)
+    oracle, X = _explicit_family(rng, n)
+    idx = rng.choice(len(X), size=min(size, len(X)), replace=False)
+    p = rng.dirichlet(np.ones(len(idx))) @ X[idx]
+    _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), n + 1)
+    twin = np.clip(p + rng.choice([-0.1, 0.1], n), 0.0, 1.0)
+    assert _verdict(decompose_marginal, oracle, twin, n + 1) is _highs_member(X, twin)
 
 
 def test_k_selection_n200_optimal_marginal_on_the_lp_path():
     """The k-selection interval n=200 seed 1 optimal marginal (54 items at 0
-    and 64 at 1), which the LP path with a column per item gave up on after
-    61-95 s with ``breakdown (singular-basis)``; over its 82 fractional items
-    it takes well under a second."""
+    and 64 at 1) on the general path, which as a cutting-plane LP with a
+    column per item gave up on it after 61-95 s with ``breakdown
+    (singular-basis)``; it takes well under a second."""
     n = 200
     instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
     oracle = build_oracle(instance)
     p = solve_randomized(instance).marginal.p
-    y = _decompose_by_rows(MarginalVector(p), oracle)
+    y = _decompose_by_min_norm(MarginalVector(p), oracle)
     _assert_decomposes(oracle, p, y, n + 1)
 
 
-@pytest.mark.xfail(raises=SolverError, strict=True)
 def test_epsilon_mix_of_k_selection_n85_optimal_marginal():
-    """The k-selection interval n=85 seed 1 optimal marginal mixed with the
-    uniform point, ``(1 - 1e-9) p + 1e-9 k/n``, which leaves no item at 0
-    or 1, ends the LP path in ``breakdown (singular-basis)`` on a
-    well-posed LP.  n=85 is the smallest n from 80 to 100 that breaks down;
-    it does so after about 210 solves."""
-    n = 85
-    instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
-    oracle = build_oracle(instance)
-    p = solve_randomized(instance).marginal.p
-    mixed = (1.0 - 1e-9) * p + 1e-9 * oracle.k / n
-    try:
-        y = _decompose_by_rows(MarginalVector(mixed), oracle)
-    except SolverError as exc:
-        assert "breakdown (singular-basis)" in str(exc)
-        raise
-    _assert_decomposes(oracle, mixed, y, n + 1)
+    """The k-selection interval n=85 and n=200 seed 1 optimal marginals mixed
+    with the uniform point, ``(1 - 1e-9) p + 1e-9 k/n``, which leaves no
+    item at 0 or 1, decompose on the general path.  As a cutting-plane LP
+    that path ended both in ``breakdown (singular-basis)``; the LP layout
+    is still pinned in ``test_lp.py``."""
+    for n in (85, 200):
+        instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
+        oracle = build_oracle(instance)
+        p = solve_randomized(instance).marginal.p
+        mixed = (1.0 - 1e-9) * p + 1e-9 * oracle.k / n
+        y = _decompose_by_min_norm(MarginalVector(mixed), oracle)
+        _assert_decomposes(oracle, mixed, y, n + 1)
 
 
 def test_spanning_tree_n300_optimal_marginal():
     """``solve_randomized``'s optimal marginal of spanning-tree interval n=300
-    seed 1 (243 edges at 0, 13 at 1) decomposes through the LP path."""
+    seed 1 (243 edges at 0, 13 at 1) decomposes through the general path."""
     n = 300
     instance = generate_instance("spanning-tree", n=n, uncertainty="interval", seed=1)
     oracle = build_oracle(instance)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import minregret.lp as lpmod
-from minregret.core import IterationLimitError, MarginalVector, SolverError
-from minregret.decompose import decompose_marginal
+from minregret.core import IterationLimitError, SolverError
 from minregret.gen import generate_instance
 from minregret.lp import (
     LpSolution,
@@ -19,8 +18,9 @@ from minregret.lp import (
     kernel_backend,
     solve_matrix_game,
 )
-from minregret.nominal import SpanningTreeOracle, build_oracle
+from minregret.nominal import build_oracle
 from minregret.regret import extreme_cost_vector
+from minregret.solvers import solve_randomized
 
 import reference_kernel
 
@@ -762,34 +762,10 @@ class TestWarmAgainstCold:
         sets = [oracle.solve(rng.random(n))[0] for _ in range(6)]
         p = rng.dirichlet(np.ones(6)) @ np.stack([T.indicator for T in sets])
 
-        def set_row(T):
-            row = np.ones(n + 2)
-            row[:n] = T.indicator
-            row[n + 1] = -1.0
-            return row
+        def check(lp, c, A, b, upper):
+            return self._check(lp, c, A, b, unique_duals=False, upper=upper)
 
-        c = np.concatenate([p, [1.0, -1.0]])
-        T0 = oracle.solve(np.zeros(n))[0]
-        if bounded:
-            upper = np.concatenate([np.full(n, 2.0), [np.inf, np.inf]])
-            A, b = set_row(T0)[None, :], np.array([float(T0.size)])
-            lp = WarmLP(c, A, b, upper=upper)
-        else:
-            upper = None
-            A = np.vstack([np.eye(n, n + 2), set_row(T0)])
-            b = np.concatenate([np.full(n, 2.0), [T0.size]])
-            lp = WarmLP(c, A, b)
-        cuts = 0
-        while True:
-            sol = self._check(lp, c, A, b, unique_duals=False, upper=upper)
-            u = sol.x[:n] - 1.0
-            T, value = oracle.solve(-u)
-            if -value + sol.x[n] - sol.x[n + 1] <= 1e-8:
-                break
-            lp.add_rows(set_row(T)[None, :], [T.size])
-            A = np.vstack([A, set_row(T)])
-            b = np.append(b, T.size)
-            cuts += 1
+        lp, cuts = _cut_loop(oracle, p, bounded, check)
         assert cuts >= 5
         if bounded:  # the kept tableaux held complemented columns
             assert lp.flipped.any()
@@ -817,6 +793,73 @@ class TestWarmAgainstCold:
         game = MatrixGame([[2.0, 3.0]])  # scale 3
         with pytest.raises(SolverError, match="not positive"):
             game.add_rows([[1.0, -3.0]])
+
+
+def _cut_loop(oracle, p, bounded, solve):
+    """The dual deviation LP of the marginal ``p``: ``max p.t + w+ - w-``
+    with ``t`` in [0, 2] (``u = t - 1``) and one row ``t(T) + w+ - w- <=
+    |T|`` per generated set T, the box as native upper bounds when
+    ``bounded``, else as n rows.  It starts from the set at zero costs and
+    appends the most violated set, one oracle solve at ``-u``, until none is
+    violated by more than 1e-8.  ``solve(lp, c, A, b, upper)`` solves each
+    LP on the data so far; returns the LP and the number of cuts."""
+    n = oracle.n
+
+    def set_row(T):
+        row = np.ones(n + 2)
+        row[:n] = T.indicator
+        row[n + 1] = -1.0
+        return row
+
+    c = np.concatenate([p, [1.0, -1.0]])
+    T0 = oracle.solve(np.zeros(n))[0]
+    if bounded:
+        upper = np.concatenate([np.full(n, 2.0), [np.inf, np.inf]])
+        A, b = set_row(T0)[None, :], np.array([float(T0.size)])
+        lp = WarmLP(c, A, b, upper=upper)
+    else:
+        upper = None
+        A = np.vstack([np.eye(n, n + 2), set_row(T0)])
+        b = np.concatenate([np.full(n, 2.0), [T0.size]])
+        lp = WarmLP(c, A, b)
+    cuts = 0
+    while True:
+        sol = solve(lp, c, A, b, upper)
+        u = sol.x[:n] - 1.0
+        T, value = oracle.solve(-u)
+        if -value + sol.x[n] - sol.x[n + 1] <= 1e-8:
+            return lp, cuts
+        lp.add_rows(set_row(T)[None, :], [T.size])
+        A = np.vstack([A, set_row(T)])
+        b = np.append(b, T.size)
+        cuts += 1
+
+
+@pytest.mark.xfail(raises=SolverError, strict=True)
+def test_epsilon_mix_cut_rows_break_down():
+    """The k-selection interval n=85 seed 1 optimal marginal mixed with the
+    uniform point, ``(1 - 1e-9) p + 1e-9 k/n``, on the bounded cut-row
+    layout with plain warm solves ends in ``breakdown (singular-basis)``
+    after 336 cuts, on a well-posed LP.  n=90, 95 and 99 break down too;
+    n=80, 93 and 100 solve.  The package's decomposition runs no LP, so
+    this pin keeps the kernel's breakdown visible."""
+    n = 85
+    instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
+    oracle = build_oracle(instance)
+    p = solve_randomized(instance).marginal.p
+    mixed = (1.0 - 1e-9) * p + 1e-9 * oracle.k / n
+
+    def solve(lp, *data):
+        sol = lp.solve()
+        if not sol.is_optimal:
+            raise SolverError(f"cut-row LP ended with status {sol.status_text}")
+        return sol
+
+    try:
+        _cut_loop(oracle, mixed, True, solve)
+    except SolverError as exc:
+        assert "breakdown (singular-basis)" in str(exc)
+        raise
 
 
 def _kernel_fault(reason):
@@ -856,10 +899,6 @@ class TestBreakdownReasons:
             MatrixGame([[1.0, 2.0]]).solve()
         with pytest.raises(SolverError, match="matrix-game LP ended with " + expected):
             solve_matrix_game([[1.0, 2.0]])
-        # spanning trees take the LP path; k-selection and DAG paths do not
-        triangle = SpanningTreeOracle(3, [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(SolverError, match="decomposition LP ended with " + expected):
-            decompose_marginal(MarginalVector(np.full(3, 2.0 / 3.0)), triangle)
 
     def test_budget_without_a_fault(self, monkeypatch):
         # max x1 + x2 s.t. x1 <= 1, x2 <= 1 takes two pivots; allow one

@@ -6,8 +6,6 @@ from minregret.core import (
     AdversaryMixedStrategy,
     CostVector,
     IterationLimitError,
-    MarginalVector,
-    NotInHullError,
     SolverError,
     expected_regret,
     marginal_of_strategy,
@@ -733,7 +731,6 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
     and every later solve starts from the basis the previous solve ended at
     plus the slacks of the rows appended since.  A generator that rebuilt
     its LP cold would show up as extra engines."""
-    import minregret.decompose as decompose_mod
     import minregret.lp as lp_mod
 
     engines = []  # kept alive so that ids stay unique
@@ -778,14 +775,8 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
         solve_adversary_lp_discrete,
         generate_instance("spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1),
     )
-    # the private entry, since k-selection marginals skip the LP
-    one_engine(decompose_mod._decompose_by_rows, game.marginal, oracle)
-    outside = game.marginal.p.copy()
-    outside[int(np.argmax(outside))] -= 0.3  # breaks the set-size equality
-    with pytest.raises(NotInHullError):
-        one_engine(decompose_mod._decompose_by_rows, MarginalVector(outside), oracle)
 
-    assert [len(run) for run in runs] == [1, 1, 1, 1]
+    assert [len(run) for run in runs] == [1, 1]
     for (engine,) in runs:
         solves = history[id(engine)]
         assert len(solves) >= 2
@@ -797,24 +788,17 @@ def test_solver_lps_start_from_slack_basis(monkeypatch):
             assert np.array_equal(start, np.concatenate([kept, n1 + m0 + np.arange(m1 - m0)]))
 
 
-# The three growth loops solve their LP as iterates and decide at confirmed
+# The two growth loops solve their LP as iterates and decide at confirmed
 # solves: these tests run each loop on every generated family.
 LOOP_FAMILIES = ("k-selection", "spanning-tree", "dag-path")
 
 
 def _loop_runs(family, n=12, seed=2):
     """``(label, run)`` for each growth loop on ``family``: the double oracle
-    under both uncertainty types, the adversary LP, and the decomposition LP
-    on an in-hull marginal and on one shifted out of the hull.  Each run
-    asserts that the loop's answer, or its certificate, holds."""
-    import minregret.decompose as decompose_mod
-
+    under both uncertainty types and the adversary LP.  Each run asserts
+    that the loop's answer holds."""
     interval = generate_instance(family, n=n, uncertainty="interval", seed=seed)
     scenarios = generate_instance(family, n=n, uncertainty="scenarios", n_scenarios=4, seed=seed)
-    oracle = build_oracle(interval)
-    inside = _double_oracle(interval, 1e-7, 10000, oracle).marginal
-    outside = inside.p.copy()
-    outside[int(np.argmax(outside))] -= 0.3
 
     def game(instance):
         sol = _double_oracle(instance, 1e-7, 10000, build_oracle(instance))
@@ -827,24 +811,10 @@ def _loop_runs(family, n=12, seed=2):
         regret = max_expected_regret(marginal_of_strategy(player), scenarios).value
         assert regret == pytest.approx(value, abs=1e-7)
 
-    def in_hull():
-        strategy = decompose_mod._decompose_by_rows(inside, oracle)
-        assert np.abs(marginal_of_strategy(strategy).p - inside.p).max() <= 1e-7
-
-    def out_of_hull():
-        with pytest.raises(NotInHullError) as err:
-            decompose_mod._decompose_by_rows(MarginalVector(outside), oracle)
-        u, w = err.value.u, err.value.w
-        # separating: w - u(T) <= 0 for every feasible T, yet w - p.u > 0
-        assert w - oracle.solve(u)[1] <= 1e-7
-        assert w - float(outside @ u) > 1e-7
-
     return [
         ("double-oracle-interval", lambda: game(interval)),
         ("double-oracle-scenarios", lambda: game(scenarios)),
         ("adversary-lp", adversary),
-        ("decompose-in-hull", in_hull),
-        ("decompose-out-of-hull", out_of_hull),
     ]
 
 
@@ -913,9 +883,8 @@ def test_iterates_refresh_within_burst_pivots(monkeypatch, family):
 
     monkeypatch.setattr(lp_mod._kernel, "run_simplex", run)
     monkeypatch.setattr(lp_mod, "_refresh", refresh)
-    # At n=12 seed 2 no dag-path loop reaches 3 pivots between refreshes
-    # once the decomposition LP starts from its seed rows; at n=16 seed 1
-    # the double oracle and the out-of-hull decomposition both do.
+    # At n=12 seed 2 no dag-path loop reaches 3 pivots between refreshes;
+    # at n=16 seed 1 the double oracle does.
     for _, loop in _loop_runs(family, n=16, seed=1):
         since[0] = 0  # each loop starts a new LP from its data
         loop()
