@@ -6,35 +6,37 @@ pivot tolerance is 1e-9 and infinities are explicit bound markers.  Upper
 bounds ``0 <= x <= u`` are native: a nonbasic variable sits at 0 or at its
 bound, where it is stored complemented (``x' = u - x``: its column and
 reduced cost negated, the bound folded into the right-hand side, flagged in
-a per-variable ``flipped`` array), so no bound is a row.  The pivot loop is
-the package's hot kernel and lives in ``_kernel``, a dense numpy basis
-exchange per pivot: a dual pass while some basic variable is out of its
-bounds (dual feasible columns first, largest infeasibility first, a
-bound-flipping ratio test, dual Bland's rule once it stalls), then a primal
-pass whose ratio test includes the entering variable's own bound flip; both
-break ties by variable index.  The LP here runs it in bursts of at most
-``BURST_PIVOTS`` pivots between exact refreshes (``_refresh``).  A solve
-accepts a claim only after a refresh and a kernel run that confirms it
-without pivoting; an iterate solve, which the growth loops use between
-their answers, returns the kernel's optimal claim unrefreshed until the
-pivots since the last refresh reach the burst limit.  Every row has one
+a per-variable ``flipped`` array), so no bound is a row.  Bounds serve an LP
+solved once from the slack basis (the compact scenario k-selection LP's box
+``0 <= z <= 1``), and a bounded LP does not grow.  The pivot loop is the
+package's hot kernel and lives in ``_kernel``, a dense numpy basis exchange
+per pivot: a dual pass while some basic variable is out of its bounds (dual
+feasible columns first, largest infeasibility first, dual Bland's rule once
+it stalls), then a primal pass whose ratio test includes the entering
+variable's own bound flip; both break ties by variable index.  The LP here
+runs it in bursts of at most ``BURST_PIVOTS`` pivots between exact
+refreshes (``_refresh``).  A solve accepts a claim only after a refresh and
+a kernel run that confirms it without pivoting; an iterate solve, which the
+growth loops use between their answers, returns the kernel's optimal claim
+unrefreshed until the pivots since the last refresh reach the burst limit.  Every row has one
 slack; the refresh drops the basic ones and factors only the square block of
 the basis that is left.
 
 :class:`WarmLP` is the package's only LP solver: ``max c·x s.t. A x <= b,
 0 <= x <= u`` with ``b >= 0``.  Its first solve starts from the feasible
 slack basis, whose tableau is the data itself, so no LP has a phase 1.  It
-keeps the tableau of each optimal solve and re-optimises from it after
-``add_rows`` (the new slacks join the basis, which stays dual feasible, so
-the dual pass restores primal feasibility) or ``add_columns`` (the new
-variables start at zero, the basis stays primal feasible, and the primal
-pass lets them enter); both extend the kept tableau in place of a refresh,
-so a warm solve that ends within one burst refreshes once, and an iterate
-within the burst limit not at all.  :class:`MatrixGame` is a zero-sum game
-that grows by strategies, solved on one WarmLP; the double oracle and the
-adversary cutting-plane LP each keep one, and ``solvers`` solves the compact
-scenario k-selection LP as one WarmLP, written around an anchor set so that
-its origin is feasible.  ``solve_matrix_game`` is a MatrixGame solved once.
+keeps the tableau of each optimal solve and, when it has no finite bound,
+re-optimises from it after ``add_rows`` (the new slacks join the basis,
+which stays dual feasible, so the dual pass restores primal feasibility) or
+``add_columns`` (the new variables start at zero, the basis stays primal
+feasible, and the primal pass lets them enter); both extend the kept
+tableau in place of a refresh, so a warm solve that ends within one burst
+refreshes once, and an iterate within the burst limit not at all.
+:class:`MatrixGame` is a zero-sum game that grows by strategies, solved on
+one WarmLP; the double oracle and the adversary cutting-plane LP each keep
+one, and ``solvers`` solves the compact scenario k-selection LP as one
+bounded WarmLP, written around an anchor set so that its origin is
+feasible.  ``solve_matrix_game`` is a MatrixGame solved once.
 
 Row duals are the multipliers of the ``<=`` rows of the ``max`` LP, so they
 are nonnegative, and the dual objective (rhs times duals plus the bound
@@ -73,8 +75,7 @@ class LpSolution:
     counts the pivots of the kernel's dual passes and ``primal_pivots``
     those of its primal passes; their sum is ``pivots``.  A pivot is a basis
     exchange or a primal bound flip (a nonbasic variable moving to its other
-    bound without a basis change); the flips of a bound-flipping dual ratio
-    test are part of their dual pivot.  ``refreshes`` counts the exact
+    bound without a basis change).  ``refreshes`` counts the exact
     tableau refreshes the solve ran, on every outcome; an optimal solution
     with none is an unconfirmed iterate (see :meth:`WarmLP.solve`).
     """
@@ -140,7 +141,7 @@ def _refresh(T, basis, nonbasic, A, b, costs, upper=None, flipped=None):
     columns = (~general).nonzero()[0]
     data[nonbasic[columns] - g, columns] = 1.0
     data[:, -1] = b
-    at_upper = _at_upper(nonbasic, flipped)
+    at_upper = np.empty(0, np.intp) if flipped is None else flipped[nonbasic].nonzero()[0]
     if at_upper.size:
         data[:, -1] -= data[:, at_upper] @ upper[nonbasic[at_upper]]
         data[:, at_upper] *= -1.0
@@ -160,13 +161,6 @@ def _refresh(T, basis, nonbasic, A, b, costs, upper=None, flipped=None):
     if at_upper.size:
         T[m, -1] -= costs[nonbasic[at_upper]] @ upper[nonbasic[at_upper]]
     return True
-
-
-def _at_upper(nonbasic, flipped):
-    """Columns of the nonbasic variables at their upper bound."""
-    if flipped is None:
-        return np.empty(0, dtype=np.intp)
-    return flipped[nonbasic].nonzero()[0]
 
 
 # Kernel status -> (status, reason) of a claim confirmed on fresh data.
@@ -233,22 +227,24 @@ class WarmLP:
     are native: a nonbasic variable sits at 0 or, complemented, at its bound
     (``flipped``), and no bound is a row.  An LP without a finite bound
     keeps neither array (both are None), so its solves do no bound work.
-    The LP keeps a condensed tableau, ``B⁻¹[A_N | b - A_U u_U]`` over its
-    ``nonbasic`` variables with their reduced costs, for its ``basis``.  At
-    creation that is the slack-basis tableau, built straight from the data;
-    after every optimal solve it is the tableau that solve ended at: the
-    refreshed one it confirmed, or an iterate's, which has taken at most
-    ``BURST_PIVOTS`` pivots since its last exact refresh.  The next solve
-    starts from it:
+    Bounds are fixed at construction: a bounded LP is solved from its slack
+    basis and does not grow, so ``add_rows`` and ``add_columns`` raise
+    ``ValueError`` on it.  The LP keeps a condensed tableau, ``B⁻¹[A_N | b -
+    A_U u_U]`` over its ``nonbasic`` variables with their reduced costs, for
+    its ``basis``.  At creation that is the slack-basis tableau, built
+    straight from the data; after every optimal solve it is the tableau
+    that solve ended at: the refreshed one it confirmed, or an iterate's,
+    which has taken at most ``BURST_PIVOTS`` pivots since its last exact
+    refresh.  The next solve starts from it:
 
     * ``add_rows`` appends constraints whose slacks join the basis; their
-      tableau rows are ``[a_N | b - a_U u_U] - a_B·T``.  The basis stays
-      dual feasible, so the kernel's dual pass restores primal feasibility.
-    * ``add_columns`` appends variables at zero, with no upper bound, with
-      tableau column ``B⁻¹a`` and reduced cost ``-c - y·a``, both read off
-      the columns of the nonbasic slacks.  The basis stays primal feasible
-      and the primal pass lets them enter; the dual pass, which prefers dual
-      feasible columns, leaves them out until then.
+      tableau rows are ``[a_N | b] - a_B·T``.  The basis stays dual
+      feasible, so the kernel's dual pass restores primal feasibility.
+    * ``add_columns`` appends variables at zero, with tableau column
+      ``B⁻¹a`` and reduced cost ``-c - y·a``, both read off the columns of
+      the nonbasic slacks.  The basis stays primal feasible and the primal
+      pass lets them enter; the dual pass, which prefers dual feasible
+      columns, leaves them out until then.
 
     The kept tableau is only a starting point: a confirmed answer is
     accepted only after an exact refresh at its final basis and a kernel run
@@ -270,13 +266,11 @@ class WarmLP:
         self._c = np.asarray(objective, dtype=float)
         _finite(self._c)
         n = len(self._c)
-        self._upper = self.flipped = None
         if upper is not None:
-            u = np.array(np.broadcast_to(np.asarray(upper, dtype=float), (n,)))
-            if np.any(np.isnan(u)) or np.any(u < 0.0):
+            upper = np.array(np.broadcast_to(np.asarray(upper, dtype=float), (n,)))
+            if np.any(np.isnan(upper)) or np.any(upper < 0.0):
                 raise ValueError("WarmLP upper bounds must be nonnegative")
-            if np.isfinite(u).any():
-                self._upper, self.flipped = u, np.zeros(n, dtype=np.uint8)
+        self._upper = self.flipped = None
         self._A = np.empty((0, n))
         self._b = np.empty(0)
         self.basis = np.empty(0, dtype=np.intp)
@@ -285,6 +279,9 @@ class WarmLP:
         self._cold = True  # no solve has kept a tableau yet
         self._since = 0  # pivots the kept tableau took since its last refresh
         self.add_rows(lhs, rhs)  # the slack basis
+        if upper is not None and np.isfinite(upper).any():  # the slacks are unbounded
+            self._upper = np.append(upper, np.full(len(self._b), np.inf))
+            self.flipped = np.zeros(len(self._upper), dtype=np.uint8)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -298,6 +295,8 @@ class WarmLP:
 
     def add_rows(self, lhs, rhs) -> None:
         """Append constraints ``lhs @ x <= rhs``; their slacks enter the basis."""
+        if self._upper is not None:
+            raise ValueError("a WarmLP with upper bounds does not grow")
         m, n = self._A.shape
         b = np.asarray(rhs, dtype=float)
         A = np.asarray(lhs, dtype=float).reshape(len(b), n)
@@ -307,28 +306,22 @@ class WarmLP:
         a = np.zeros((len(b), n + m))  # the old slacks are absent
         a[:, :n] = A
         rows = np.concatenate([a[:, self.nonbasic], b[:, None]], axis=1)
-        at_upper = _at_upper(self.nonbasic, self.flipped)
-        if at_upper.size:  # as _refresh lays out the flipped columns
-            rows[:, -1] -= rows[:, at_upper] @ self._upper[self.nonbasic[at_upper]]
-            rows[:, at_upper] *= -1.0
         rows -= a[:, self.basis] @ self._T[:m]
         self._T = np.concatenate([self._T[:m], rows, self._T[m:]])
         self._A = np.concatenate([self._A, A])
         self._b = np.concatenate([self._b, b])
         self.basis = np.concatenate([self.basis, n + m + np.arange(len(b))])
-        if self._upper is not None:  # the new slacks are unbounded
-            self._upper = np.concatenate([self._upper, np.full(len(b), np.inf)])
-            self.flipped = np.concatenate([self.flipped, np.zeros(len(b), dtype=np.uint8)])
 
     def add_columns(self, lhs, objective) -> None:
         """Append variables with constraint columns ``lhs``, starting at zero."""
+        if self._upper is not None:
+            raise ValueError("a WarmLP with upper bounds does not grow")
         m, n = self._A.shape
         c = np.asarray(objective, dtype=float)
         A = np.asarray(lhs, dtype=float).reshape(m, len(c))
         _finite(A, c)
         # The slack columns of the full tableau are B⁻¹ over -y (a basic
-        # slack's column is e of its row, and no slack is flipped): B⁻¹a and
-        # -y·a read off them.
+        # slack's column is e of its row): B⁻¹a and -y·a read off them.
         full = np.zeros((m + 1, n + m))
         full[:, self.nonbasic] = self._T[:, :-1]
         full[np.arange(m), self.basis] = 1.0
@@ -340,13 +333,6 @@ class WarmLP:
             np.where(self.nonbasic >= n, self.nonbasic + shift, self.nonbasic),
             n + np.arange(shift),
         ])
-        if self._upper is not None:  # the new variables are unbounded
-            self._upper = np.concatenate(
-                [self._upper[:n], np.full(shift, np.inf), self._upper[n:]]
-            )
-            self.flipped = np.concatenate(
-                [self.flipped[:n], np.zeros(shift, dtype=np.uint8), self.flipped[n:]]
-            )
         self._T = np.concatenate([self._T[:, :-1], cols, self._T[:, -1:]], axis=1)
         self._A = np.concatenate([self._A, A], axis=1)
         self._c = np.concatenate([self._c, c])

@@ -31,35 +31,25 @@ One call runs a dual pass, then a primal pass.
 
 The dual pass runs while some basic variable is out of its bounds, which
 happens when a row is appended to an optimal tableau: the basis is then
-still dual feasible.  A basic variable above its upper bound is infeasible
-by ``rhs - u``; its row is complemented (:func:`complement_row`), which
-makes it the usual negative right-hand side, and it leaves at that bound.
-The leaving row is the most infeasible one, the first of ties.  The
-candidate columns are the ones with a negative entry in that row, and the
-dual feasible ones among them (reduced cost nonnegative within
-``tol``) go first, so a column appended in the same step with a negative
-reduced cost waits for the primal pass; only when no such column can repair
-the row does any other candidate enter.  The ratios are computed on the
-candidates only (:func:`_dual_entering`), never over the full row.
-
-With finite bounds the entering column comes from a bound-flipping ratio
-test (Fourer 1994; Koberstein 2005, ch. 3): the breakpoints are walked in
-ratio order, ties by variable index, and each boxed one whose flip leaves
-the row still infeasible is flipped; the first breakpoint that would close
-the row, or has no finite bound, enters.  The flips are part of that dual
-pivot.  The first breakpoint is tested on its own, and when it closes the
-row nothing is sorted and nothing flips.  Otherwise the breakpoints are
-sorted once and walked one at a time with a running sum of their
-``entry * bound`` products, which is ``np.cumsum``'s prefix sum to the bit,
-until one closes the row (:func:`_flip_breakpoints`).  When the first
-breakpoint does not flip, the entering column has the largest pivot element
-among the columns whose ratio is within ``tol`` of the minimum ratio, which
-keeps reduced costs nonnegative within ``tol``.  After
-``DUAL_STALL_PIVOTS`` consecutive degenerate pivots the pass switches to
-dual Bland's rule (leaving row: the lowest basis index among infeasible
-rows; entering column: the lowest variable index among minimum ratios, no
-flips) until a pivot moves the dual objective again.  Pure dual Bland took
-about ten times as many pivots on the double oracle's restricted games.
+still dual feasible.  A basic variable above its upper bound (round-off
+after a refresh can put one there) is infeasible by ``rhs - u``; its row is
+complemented (:func:`complement_row`), which makes it the usual negative
+right-hand side, and it leaves at that bound.  The leaving row is the most
+infeasible one, the first of ties.  The candidate columns are the ones with
+a negative entry in that row, and the dual feasible ones among them
+(reduced cost nonnegative within ``tol``) go first, so a column appended in
+the same step with a negative reduced cost waits for the primal pass; only
+when no such column can repair the row does any other candidate enter.
+The ratios are computed on the candidates only (:func:`_dual_entering`),
+never over the full row, and one entering rule serves every LP, bounded or
+not: the column with the largest pivot element among the columns whose
+ratio is within ``tol`` of the minimum ratio, which keeps reduced costs
+nonnegative within ``tol``.  After ``DUAL_STALL_PIVOTS`` consecutive
+degenerate pivots the pass switches to dual Bland's rule (leaving row: the
+lowest basis index among infeasible rows; entering column: the lowest
+variable index among minimum ratios) until a pivot moves the dual objective
+again.  Pure dual Bland took about ten times as many pivots on the double
+oracle's restricted games.
 
 That makes the dual pass finite only while every entering column is dual
 feasible.  When no such column can repair the row, a column with a
@@ -82,8 +72,7 @@ entering variable that was flipped has its row un-complemented after the
 pivot.  Every choice breaks its ties by index, so the pivot sequence, and
 with it every result, is deterministic.
 
-The pivot counts returned cover basis exchanges and primal bound flips; the
-flips of a bound-flipping ratio test are part of their dual pivot.
+The pivot counts returned cover basis exchanges and primal bound flips.
 """
 
 from __future__ import annotations
@@ -187,9 +176,7 @@ def run_simplex(
             if above:
                 complement_row(tableau, leave, ub[leave])  # back to rest
             return STATUS_INFEASIBLE, pivots, pivots
-        enter, step = _dual_entering(
-            tableau, leave, candidates, nonbasic, upper if bounded else None, flipped, bland, tol
-        )
+        enter, step = _dual_entering(tableau, leave, candidates, nonbasic, bland, tol)
         stalled = stalled + 1 if step <= tol else 0
         pivot(leave, enter, above)
         pivots += 1
@@ -245,16 +232,14 @@ def run_simplex(
         pivots += 1
 
 
-def _dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, tol):
+def _dual_entering(tableau, leave, candidates, nonbasic, bland, tol):
     """Entering column of the dual pivot on the infeasible row ``leave``, and
     its ratio, among the ``candidates`` columns (an index array).
 
     The dual feasible candidates go first when there are any.  ``bland``
-    takes the lowest variable index among the minimum ratios.  Otherwise,
-    with ``upper`` (None when no variable is bounded), the bound-flipping
-    ratio test runs first; when it flips nothing, the column with the
-    largest pivot element among the ratios within ``tol`` of the minimum
-    enters.
+    takes the lowest variable index among the minimum ratios; otherwise the
+    column with the largest pivot element among the ratios within ``tol``
+    of the minimum enters, ties by variable index.
     """
     costs = tableau[-1, candidates]
     if costs[costs.argmin()] < -tol:
@@ -264,62 +249,14 @@ def _dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, 
     size = -tableau[leave, candidates]  # the pivot elements, negated
     # Clip negative reduced costs to zero so that no ratio is negative.
     ratios = np.maximum(costs, 0.0) / size
-    at = ratios.argmin()
-    best = ratios[at]
+    best = ratios[ratios.argmin()]
+    if bland:  # dual Bland's entering rule
+        return _lowest_variable(candidates[(ratios == best).nonzero()[0]], nonbasic), best
     near = (ratios <= best + tol).nonzero()[0]
-    # the lowest variable index among the minimum ratios, which are all near
-    if near.size == 1:
-        first = int(candidates[at])
-    else:
-        first = _lowest_variable(candidates[near[ratios[near] == best]], nonbasic)
-    if bland:
-        return first, best  # dual Bland's entering rule
-    if upper is not None:
-        rhs = tableau[leave, -1]
-        if rhs - tableau[leave, first] * upper[nonbasic[first]] < 0.0:
-            closing = _flip_breakpoints(
-                tableau, leave, candidates, ratios, nonbasic, upper, flipped
-            )
-            if closing >= 0:
-                return int(candidates[closing]), ratios[closing]
-    if near.size == 1:
-        return first, best
-    size = size[near]
-    near = near[size == size[size.argmax()]]
+    if near.size > 1:
+        size = size[near]
+        near = near[size == size[size.argmax()]]
     return _lowest_variable(candidates[near], nonbasic), best
-
-
-def _flip_breakpoints(tableau, leave, cols, ratios, nonbasic, upper, flipped):
-    """Bound-flipping ratio test on the infeasible row ``leave``, whose first
-    breakpoint does not close the row.
-
-    Walks the candidate columns ``cols`` in order of their ``ratios`` (ties
-    by variable index), one at a time, and flips each leading breakpoint
-    whose flip leaves the row's right-hand side below zero.  Returns the
-    position in ``cols`` of the first breakpoint that would close the row,
-    or has no finite bound, once at least one breakpoint has flipped, and
-    -1 (nothing flipped) otherwise.  When flipping every breakpoint would
-    still leave the row infeasible, the last one enters.  The running sum
-    adds the ``entry * bound`` products left to right, as ``np.cumsum``
-    does, so every prefix sum, and with it every decision, is the same.
-    """
-    order = np.lexsort((nonbasic[cols], ratios))
-    walk = cols[order]
-    products = (tableau[leave, walk] * upper[nonbasic[walk]]).tolist()
-    rhs = float(tableau[leave, -1])
-    closing = len(products) - 1
-    total = products[0]
-    for k in range(1, len(products)):
-        total += products[k]
-        if rhs - total >= 0.0:
-            closing = k
-            break
-    if closing == 0:
-        return -1
-    for col in walk[:closing].tolist():
-        flip_column(tableau, col, upper[nonbasic[col]])
-        flipped[nonbasic[col]] ^= 1
-    return int(order[closing])
 
 
 def pivot_inplace(tableau, basis, nonbasic, row, col):

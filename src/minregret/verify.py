@@ -10,9 +10,12 @@ certificates, and the marginal decomposition round trip.
 
 Checks that would need an enumeration past its cap, or a double oracle
 beyond ``DOUBLE_ORACLE_MAX_N`` items, are reported as skipped under their
-usual names, so a report keeps its shape at any n.  Interval k-selection
-needs no enumeration for Z_D, so its value-order and gap-bound checks run at
-any n.
+usual names, so a report keeps its shape at any n.  A cross-check solver
+(the exhaustive game, the double oracle, the adversary LP, the
+decomposition) that raises :class:`SolverError` fails its checks, with the
+error as their detail; a ``SolverError`` of ``solve_randomized``, whose
+answer every check needs, propagates.  Interval k-selection needs no
+enumeration for Z_D, so its value-order and gap-bound checks run at any n.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .core import (
     EnumerationCapError,
     Instance,
+    SolverError,
     expected_regret,
     marginal_of_strategy,
 )
@@ -67,6 +71,10 @@ def _skipped(name, reason) -> CheckResult:
     return CheckResult(name, True, 0.0, reason, skipped=True)
 
 
+def _failed(name, exc: SolverError) -> CheckResult:
+    return CheckResult(name, False, -np.inf, f"SolverError: {exc}")
+
+
 def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResult]:
     """All invariant checks on one instance."""
     oracle = build_oracle(instance)
@@ -98,6 +106,11 @@ def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResu
 
     try:
         brute, _, _ = bruteforce_game_value(instance, oracle=oracle)
+    except EnumerationCapError as exc:
+        results.append(_skipped("bruteforce_equivalence", str(exc)))
+    except SolverError as exc:
+        results.append(_failed("bruteforce_equivalence", exc))
+    else:
         results.append(
             _check(
                 "bruteforce_equivalence",
@@ -105,8 +118,6 @@ def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResu
                 f"randomized={z_r:.9g} exhaustive={brute:.9g}",
             )
         )
-    except EnumerationCapError as exc:
-        results.append(_skipped("bruteforce_equivalence", str(exc)))
 
     if isinstance(oracle, KSelectionOracle):
         if instance.n > DOUBLE_ORACLE_MAX_N:
@@ -117,24 +128,32 @@ def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResu
                 )
             )
         else:
-            z_do = _double_oracle(instance, tol, 10000, oracle).value
-            results.append(
-                _check(
-                    "compact_vs_double_oracle",
-                    VALUE_TOL - abs(z_r - z_do),
-                    f"direct={z_r:.9g} double-oracle={z_do:.9g}",
+            try:
+                z_do = _double_oracle(instance, tol, 10000, oracle).value
+            except SolverError as exc:
+                results.append(_failed("compact_vs_double_oracle", exc))
+            else:
+                results.append(
+                    _check(
+                        "compact_vs_double_oracle",
+                        VALUE_TOL - abs(z_r - z_do),
+                        f"direct={z_r:.9g} double-oracle={z_do:.9g}",
+                    )
                 )
-            )
 
     if not instance.is_interval:
-        _, z_ar, _ = solve_adversary_lp_discrete(instance, tol=tol, oracle=oracle)
-        results.append(
-            _check(
-                "strong_duality Z_AR == Z_R",
-                VALUE_TOL - abs(z_ar - z_r),
-                f"Z_AR={z_ar:.9g}",
+        try:
+            _, z_ar, _ = solve_adversary_lp_discrete(instance, tol=tol, oracle=oracle)
+        except SolverError as exc:
+            results.append(_failed("strong_duality Z_AR == Z_R", exc))
+        else:
+            results.append(
+                _check(
+                    "strong_duality Z_AR == Z_R",
+                    VALUE_TOL - abs(z_ar - z_r),
+                    f"Z_AR={z_ar:.9g}",
+                )
             )
-        )
         _, rmax = approx_mean_cost(instance, oracle=oracle)
         results.append(
             _check(
@@ -179,7 +198,11 @@ def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResu
         )
     )
 
-    rebuilt = decompose_marginal(game.marginal, oracle, tol=RECONSTRUCT_TOL)
+    try:
+        rebuilt = decompose_marginal(game.marginal, oracle, tol=RECONSTRUCT_TOL)
+    except SolverError as exc:
+        results += [_failed("decompose_roundtrip", exc), _failed("decompose_support <= n+1", exc)]
+        return results
     err = float(np.max(np.abs(marginal_of_strategy(rebuilt).p - game.marginal.p)))
     results.append(
         _check("decompose_roundtrip", RECONSTRUCT_TOL - err, f"error={err:.3g}")

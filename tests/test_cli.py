@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import minregret.cli as cli_mod
+import minregret.verify as verify_mod
 from minregret.cli import main
-from minregret.core import describe_instance, validate_instance
+from minregret.core import SolverError, describe_instance, validate_instance
 from minregret.gen import generate_instance
 from minregret.io import save_instance
 
@@ -333,6 +334,26 @@ class TestVerifyCommand:
 
     def test_requires_a_target(self, capsys):
         assert main(["verify"]) == 2
+
+    def test_cross_check_solver_error_is_a_failed_check(self, tight3, capsys, monkeypatch):
+        def fails(*args, **kwargs):
+            raise SolverError("matrix-game mixes do not bracket the value")
+
+        monkeypatch.setattr(verify_mod, "solve_adversary_lp_discrete", fails)
+        assert main(["verify", "--instance", str(tight3)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL strong_duality")
+        assert "SolverError: matrix-game mixes do not bracket" in failed[0]
+        assert lines[-1].endswith("checks passed") and len(lines) > 5
+
+    def test_primary_solver_error_propagates(self, tight3, capsys, monkeypatch):
+        def fails(*args, **kwargs):
+            raise SolverError("no answer")
+
+        monkeypatch.setattr(verify_mod, "solve_randomized", fails)
+        assert main(["verify", "--instance", str(tight3)]) == 2
+        assert "error: no answer" in capsys.readouterr().err
 
 
 def test_reports_are_self_contained(tight3, tmp_path):

@@ -326,6 +326,22 @@ def test_double_oracle_scenario_k_selection_n2000():
     _double_oracle(inst, 1e-7, 10000, build_oracle(inst))
 
 
+@pytest.mark.xfail(raises=SolverError, strict=True)
+def test_adversary_lp_scenario_k_selection_n2000():
+    # The public adversary LP fails on the same instance after about 0.3 s:
+    # the confirmed game's column mix secures 1903.95043215 against a value
+    # of 1903.95043495, a miss of 2.8e-6 against a bracket tol of 2.7e-6.
+    # Seeds 2 and 3 solve.
+    inst = generate_instance(
+        "k-selection", n=2000, uncertainty="scenarios", n_scenarios=16, seed=1
+    )
+    try:
+        solve_adversary_lp_discrete(inst, oracle=build_oracle(inst))
+    except SolverError as exc:
+        assert "do not bracket" in str(exc)
+        raise
+
+
 class TestThresholdKSelection:
     """Interval k-selection by the scalar threshold search."""
 

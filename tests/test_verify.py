@@ -1,5 +1,7 @@
 import pytest
 
+import minregret.verify as verify_mod
+from minregret.core import SolverError
 from minregret.gen import generate_instance
 from minregret.nominal import SpanningTreeOracle
 from minregret.verify import DOUBLE_ORACLE_MAX_N, run_instance_checks
@@ -54,3 +56,16 @@ class TestBeyondDeskScale:
         assert all(r.passed for r in results)
         check = _by_name(results)["compact_vs_double_oracle"]
         assert check.skipped and f"n={n}" in check.detail
+
+
+def test_decomposition_solver_error_fails_both_of_its_checks(monkeypatch):
+    def fails(*args, **kwargs):
+        raise SolverError("corral stalled")
+
+    monkeypatch.setattr(verify_mod, "decompose_marginal", fails)
+    inst = generate_instance("spanning-tree", n=6, seed=1)
+    results = run_instance_checks(inst)
+    failed = [r for r in results if not r.passed]
+    assert [r.name.split(" ")[0] for r in failed] == ["decompose_roundtrip", "decompose_support"]
+    assert all(r.detail == "SolverError: corral stalled" for r in failed)
+    assert len(results) > len(failed)
