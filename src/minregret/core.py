@@ -528,13 +528,16 @@ def regret(T: FeasibleSet, c, nominal) -> float:
 def expected_regret(
     y: PlayerMixedStrategy, w: AdversaryMixedStrategy, nominal
 ) -> float:
-    """Expected regret when sets and costs are drawn independently from y, w."""
-    optima = [nominal.solve(c.values)[1] for c in w.support]
-    total = 0.0
-    for T, py in zip(y.support, y.probs):
-        for c, pw, best in zip(w.support, w.probs, optima):
-            total += float(py) * float(pw) * (solution_cost(T, c) - best)
-    return total
+    """Expected regret when sets and costs are drawn independently from y, w.
+
+    Regret is linear in the set and in the cost vector apart from the
+    optimum, so ``E = p·c̄ - sum over c of w_c·opt(c)``, with p the marginal
+    of y, c̄ the mean cost of w, and one batched nominal solve per support
+    vector of w (``nominal.optima``).
+    """
+    costs = np.stack([c.values for c in w.support])
+    p = marginal_of_strategy(y).p
+    return float(p @ (w.probs @ costs) - w.probs @ nominal.optima(costs))
 
 
 def marginal_of_strategy(y: PlayerMixedStrategy) -> MarginalVector:

@@ -17,7 +17,7 @@ variable's own bound flip; both break ties by variable index.  The LP here
 runs it in bursts of at most ``BURST_PIVOTS`` pivots between exact
 refreshes (``_refresh``).  A solve accepts a claim only after a refresh and
 a kernel run that confirms it without pivoting; an iterate solve, which the
-growth loops use between their answers, returns the kernel's optimal claim
+double oracle uses between its answers, returns the kernel's optimal claim
 unrefreshed until the pivots since the last refresh reach the burst limit.  Every row has one
 slack; the refresh drops the basic ones and factors only the square block of
 the basis that is left.
@@ -33,10 +33,12 @@ feasible, and the primal pass lets them enter); both extend the kept
 tableau in place of a refresh, so a warm solve that ends within one burst
 refreshes once, and an iterate within the burst limit not at all.
 :class:`MatrixGame` is a zero-sum game that grows by strategies, solved on
-one WarmLP; the double oracle and the adversary cutting-plane LP each keep
-one, and ``solvers`` solves the compact scenario k-selection LP as one
-bounded WarmLP, written around an anchor set so that its origin is
-feasible.  ``solve_matrix_game`` is a MatrixGame solved once.
+one WarmLP; the double oracle's loop in ``solvers`` (which is also the
+adversary cutting-plane LP) keeps one, and ``solvers`` solves the compact
+scenario k-selection LP as one bounded WarmLP, written around an anchor set
+so that its origin is feasible.  ``solve_matrix_game`` is a MatrixGame
+solved once.  This module holds the LP and the matrix game only; the loop
+that grows a game lives in ``solvers``.
 
 Row duals are the multipliers of the ``<=`` rows of the ``max`` LP, so they
 are nonnegative, and the dual objective (rhs times duals plus the bound
@@ -49,11 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import IterationLimitError, SolverError
+from ..core import SolverError
 
 from . import _kernel
 
 PIVOT_TOL = 1e-9
+# The optimality test of a re-priced solve (see MatrixGame.solve): reduced
+# costs down to round-off, while pivot elements keep PIVOT_TOL.
+REPRICE_TOL = 1e-12
 # Pivots per kernel burst between exact tableau refreshes; bounds how far
 # round-off can compound before being wiped.
 BURST_PIVOTS = 1024
@@ -172,7 +177,8 @@ _CLAIMS = {
 
 
 def _run_bursts(
-    T, basis, nonbasic, problem, budget, flipped=None, dantzig=False, since=0, iterate=False
+    T, basis, nonbasic, problem, budget, flipped=None, dantzig=False, since=0, iterate=False,
+    optimal_tol=None,
 ):
     """Kernel bursts interleaved with exact refreshes until a claim survives.
 
@@ -186,8 +192,9 @@ def _run_bursts(
     burst refreshes once.  With ``iterate``, an optimal claim of the first
     burst is returned as it stands, unrefreshed; any other outcome of that
     burst goes on as above.  ``dantzig`` selects the kernel's primal
-    pricing.  Returns ``(status, reason, dual_pivots, primal_pivots,
-    refreshes)``; see :class:`LpSolution` for the breakdown reasons.
+    pricing and ``optimal_tol`` its optimality test.  Returns ``(status,
+    reason, dual_pivots, primal_pivots, refreshes)``; see
+    :class:`LpSolution` for the breakdown reasons.
     """
     upper = problem[3]
     dual = primal = refreshes = 0
@@ -198,7 +205,7 @@ def _run_bursts(
             return "breakdown", "budget", dual, primal, refreshes
         status, used, dual_used = _kernel.run_simplex(
             T, basis, nonbasic, min(remaining, BURST_PIVOTS - since), PIVOT_TOL,
-            upper=upper, flipped=flipped, dantzig=dantzig,
+            upper=upper, flipped=flipped, dantzig=dantzig, optimal_tol=optimal_tol,
         )
         dual += dual_used
         primal += used - dual_used
@@ -348,15 +355,23 @@ class WarmLP:
         that limit, or any other status, takes the confirmed path from
         where the kernel stopped.  A loop that grows the LP may move on from
         an iterate, but takes its answer only from a confirmed solve, as
-        :func:`_generate` does.
+        the double oracle (``solvers._restricted_game``) does.
         """
+        return self._solve(iterate, None)
+
+    def _reprice(self) -> LpSolution:
+        """A confirmed solve whose optimality test admits reduced costs only
+        down to ``-REPRICE_TOL``; the pivot elements keep ``PIVOT_TOL``."""
+        return self._solve(False, REPRICE_TOL)
+
+    def _solve(self, iterate: bool, optimal_tol) -> LpSolution:
         m, n = self._A.shape
         T, basis, nonbasic = self._T.copy(), self.basis.copy(), self.nonbasic.copy()
         flipped = None if self.flipped is None else self.flipped.copy()
         budget = 10 * (2 * m + n) ** 2
         status, reason, dual, primal, refreshes = _run_bursts(
             T, basis, nonbasic, self._problem(), budget, flipped=flipped, dantzig=self._cold,
-            since=self._since, iterate=iterate,
+            since=self._since, iterate=iterate, optimal_tol=optimal_tol,
         )
         if status != "optimal":
             return LpSolution(status, None, None, None, dual, primal, reason, refreshes)
@@ -375,49 +390,6 @@ class WarmLP:
         return LpSolution(
             "optimal", x[:n], duals, float(self._c @ x[:n]), dual, primal, refreshes=refreshes
         )
-
-
-def _generate(step, extend, seen: set, limit: int, exceeded: str):
-    """The growth loop of the double oracle and the adversary LP: solve the
-    LP, generate cuts, append them, repeat.
-
-    An iteration calls ``step(iterate, seen)``, which solves the loop's LP
-    (as an iterate when ``iterate``, see :meth:`WarmLP.solve`) and returns
-    ``(confirmed, cuts, finish, stall, bracket)``: whether that solve was
-    confirmed; the cuts it generated as ``(key, cut)`` pairs, a cut being
-    new unless its key is in ``seen``; the answer if the loop is done, else
-    None; the error text for a step neither done nor with a new cut; and the
-    ``(lower, upper)`` bounds the solve proves, or None.
-
-    An iterate may only grow the LP: when an iterate's step would finish or
-    has no new cut, the step runs again on a confirmed solve of the same LP
-    (usually without a pivot) and the iteration is decided there.  So an
-    answer or an error always comes from a confirmed solve.  A finish is
-    returned as ``(finish, iteration)``, counting from 1; no new cut raises
-    :class:`SolverError` with the ``stall`` text; else the new keys join
-    ``seen`` and ``extend`` gets the new cuts, in order.  After ``limit``
-    iterations, :class:`IterationLimitError` carries the text ``exceeded``
-    and the greatest lower and least upper bound (None without brackets).
-    """
-    lowers, uppers = [], []
-    for iteration in range(1, limit + 1):
-        for iterate in (True, False):
-            confirmed, cuts, finish, stall, bracket = step(iterate, seen)
-            new = {key: cut for key, cut in cuts if key not in seen}
-            if confirmed or (finish is None and new):
-                break
-        if bracket is not None:
-            lowers.append(float(bracket[0]))
-            uppers.append(float(bracket[1]))
-        if finish is not None:
-            return finish, iteration
-        if not new:
-            raise SolverError(stall)
-        seen.update(new)
-        extend(list(new.values()))
-    raise IterationLimitError(
-        exceeded, max(lowers, default=None), min(uppers, default=None), iterations=limit
-    )
 
 
 def _payoff(payoff) -> np.ndarray:
@@ -441,7 +413,8 @@ def _shifted(P, scale) -> np.ndarray:
 
 
 def _equilibrium(P, scale, sol: LpSolution):
-    """``(row_mix, col_mix, value)`` from the game LP, checked to bracket."""
+    """``(row_mix, col_mix, value, conceded)`` from the game LP, checked to
+    bracket; ``conceded`` is the row mix's worst column."""
     if not sol.is_optimal:
         raise SolverError(f"matrix-game LP ended with status {sol.status_text}")
     # sum(t) = sum(duals) = 1 / value(Q) at the optimum
@@ -458,7 +431,7 @@ def _equilibrium(P, scale, sol: LpSolution):
             f"matrix-game mixes do not bracket the value {value:.12g}: "
             f"row mix concedes {row_worst:.12g}, column mix secures {col_worst:.12g}"
         )
-    return row_mix, col_mix, float(value)
+    return row_mix, col_mix, float(value), row_worst
 
 
 class MatrixGame:
@@ -473,7 +446,8 @@ class MatrixGame:
     payoffs are regrets, which are nonnegative, so Q stays positive;
     ``scale`` is the largest initial payoff (1 if none is positive), fixed
     here, and an appended entry at or below ``-scale`` raises
-    :class:`SolverError`.
+    :class:`SolverError`.  After a solve, ``conceded`` is the payoff its
+    row mix concedes (its worst column), within the bracket of the value.
     """
 
     def __init__(self, payoff):
@@ -482,6 +456,7 @@ class MatrixGame:
         self.scale = top if top > 0.0 else 1.0
         self.payoff = P
         self.confirmed = False  # whether the last solve was confirmed
+        self.conceded = None
         r, s = P.shape
         self._lp = WarmLP(np.ones(r), _shifted(P, self.scale).T, np.ones(s))
 
@@ -504,17 +479,33 @@ class MatrixGame:
         ``confirmed`` tells afterwards whether the answer is confirmed.  An
         iterate whose mixes miss the bracket is solved again, confirmed, so
         the error, if any, comes from a confirmed solve.
+
+        A confirmed optimum may still miss: the kernel accepts reduced costs
+        down to ``-PIVOT_TOL``, and a player row whose ``(Q z)_i - 1`` sits
+        there concedes ``PIVOT_TOL * (scale + value)`` in payoff units, more
+        than the bracket's ``1e-9 * span`` whenever the span is below
+        ``scale + value``.  Such an optimum is re-priced to round-off
+        (:meth:`WarmLP._reprice`) and checked again; only a miss that
+        remains raises.
         """
-        if iterate:
-            sol = self._lp.solve(iterate=True)
-            self.confirmed = sol.confirmed
+        sol = self._lp.solve(iterate=iterate)
+        self.confirmed = sol.confirmed
+        if not self.confirmed:
             try:
-                return _equilibrium(self.payoff, self.scale, sol)
+                return self._answer(sol)
             except SolverError:
-                if self.confirmed:
-                    raise
-        self.confirmed = True
-        return _equilibrium(self.payoff, self.scale, self._lp.solve())
+                self.confirmed = True
+                sol = self._lp.solve()
+        try:
+            return self._answer(sol)
+        except SolverError:
+            if not sol.is_optimal:
+                raise
+        return self._answer(self._lp._reprice())
+
+    def _answer(self, sol: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
+        row_mix, col_mix, value, self.conceded = _equilibrium(self.payoff, self.scale, sol)
+        return row_mix, col_mix, value
 
 
 def solve_matrix_game(payoff) -> tuple[np.ndarray, np.ndarray, float]:

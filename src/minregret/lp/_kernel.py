@@ -113,6 +113,7 @@ def flip_column(tableau, col, bound):
 
 def run_simplex(
     tableau, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, dantzig=False,
+    optimal_tol=None,
 ):
     """Pivot ``tableau`` in place until it is primal and dual feasible.
 
@@ -128,6 +129,9 @@ def run_simplex(
     flipped : uint8 per variable, the nonbasic variables at their upper
         bound; updated in place.  Needed only with a finite bound.
     dantzig : enter the primal pass by the most negative reduced cost.
+    optimal_tol : how far below zero a reduced cost may sit at an optimum,
+        ``tol`` if None; every other test, the pivot elements' among them,
+        reads ``tol``.
     Returns ``(status, pivots, dual_pivots)``: the pivots of both passes,
     and how many of them the dual pass made.
     """
@@ -135,6 +139,7 @@ def run_simplex(
     obj = tableau[m, :-1]
     rhs = tableau[:m, -1]
     below = -tol
+    priced = below if optimal_tol is None else -optimal_tol
     pivots = 0
     bounded = upper is not None and bool(np.isfinite(upper).any())
     ub = upper[basis] if bounded else None  # the bound of each row's basic variable
@@ -184,7 +189,7 @@ def run_simplex(
 
     degenerate = 0  # consecutive degenerate primal steps
     while True:
-        eligible = (obj < below).nonzero()[0]
+        eligible = (obj < priced).nonzero()[0]
         if not eligible.size:
             return STATUS_OPTIMAL, pivots, dual
         if pivots >= max_pivots:

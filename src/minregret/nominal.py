@@ -127,24 +127,6 @@ class KSelectionOracle(NominalOracle):
             yield FeasibleSet.from_indices(self.n, idx)
 
 
-class _DisjointSet:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 class SpanningTreeOracle(NominalOracle):
     def __init__(self, vertices: int, edges):
         self.vertices = vertices
@@ -153,21 +135,12 @@ class SpanningTreeOracle(NominalOracle):
         if not self._connected():
             raise InstanceError("spanning-tree graph is disconnected")
 
-    def _connected(self):
-        ds = _DisjointSet(self.vertices)
-        parts = self.vertices
-        for u, v in self.edges:
-            if ds.union(u, v):
-                parts -= 1
-        return parts == 1
-
-    def solve(self, c):
-        costs = as_costs(c, self.n)
-        # Kruskal; negative weights are fine for the greedy matroid argument.
-        # The union-find is _DisjointSet's, inlined over plain lists.
+    def _forest(self, order) -> list[int]:
+        """The edges of ``order`` that Kruskal's rule picks: each one that
+        joins two components, until ``vertices - 1`` are picked."""
         edges, parent = self.edges, list(range(self.vertices))
         picked = []
-        for e in np.argsort(costs, kind="stable").tolist():
+        for e in order:
             u, v = edges[e]
             while parent[u] != u:
                 parent[u] = parent[parent[u]]
@@ -180,19 +153,24 @@ class SpanningTreeOracle(NominalOracle):
                 picked.append(e)
                 if len(picked) == self.vertices - 1:
                     break
+        return picked
+
+    def _connected(self):
+        return len(self._forest(range(self.n))) == self.vertices - 1
+
+    def solve(self, c):
+        costs = as_costs(c, self.n)
+        # Kruskal; negative weights are fine for the greedy matroid argument.
+        picked = self._forest(np.argsort(costs, kind="stable").tolist())
         ind = np.zeros(self.n, dtype=np.int8)
         ind[picked] = 1
         return FeasibleSet(ind), float(costs[picked].sum())
 
     def is_feasible(self, T):
+        # V - 1 edges form a tree exactly when none of them closes a cycle
         if len(T) != self.n or T.size != self.vertices - 1:
             return False
-        ds = _DisjointSet(self.vertices)
-        for e in T.indices:
-            u, v = self.edges[e]
-            if not ds.union(u, v):
-                return False
-        return True
+        return len(self._forest(T.indices)) == self.vertices - 1
 
     def _family_size(self):
         # Kirchhoff's matrix-tree theorem: the tree count is the determinant

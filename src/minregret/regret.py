@@ -70,7 +70,7 @@ def scenario_optima(instance: Instance, oracle: NominalOracle | None = None) -> 
     """Nominal optimum of every scenario cost vector, in scenario order."""
     unc = _scenarios(instance)
     oracle = _oracle_for(instance, oracle)
-    return np.array([oracle.solve(unc.costs[s])[1] for s in range(unc.k)])
+    return oracle.optima(unc.costs)
 
 
 def max_regret_det_interval(
@@ -178,17 +178,18 @@ def player_best_response(
     """
     oracle = _oracle_for(instance, oracle)
     costs = np.stack([c.values for c in w.support])
-    return weighted_player_response(w.probs, costs, oracle.optima(costs), oracle)
+    T, value = weighted_player_response(w.probs, costs, oracle.optima(costs), oracle)
+    return BestResponse(responder="player", value=value, chosen_set=T)
 
 
 def weighted_player_response(
     weights: np.ndarray, costs: np.ndarray, optima: np.ndarray, oracle: NominalOracle
-) -> BestResponse:
-    """Player best response to raw weights over the rows of ``costs``.
+) -> tuple[FeasibleSet, float]:
+    """Player best response to raw weights over the rows of ``costs``, and
+    its expected regret.
 
     One nominal solve at ``weights @ costs``; ``optima`` holds each row's
     nominal optimum.  The rows need not be distinct cost vectors.
     """
     T, value_at_d = oracle.solve(weights @ costs)
-    expected = value_at_d - float(weights @ optima)
-    return BestResponse(responder="player", value=expected, chosen_set=T)
+    return T, value_at_d - float(weights @ optima)

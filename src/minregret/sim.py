@@ -82,7 +82,7 @@ def simulate(
 
     X = np.stack([T.indicator for T in y.support]).astype(float)
     C = np.stack([c.values for c in w.support])
-    optima = np.array([oracle.solve(c)[1] for c in C])
+    optima = oracle.optima(C)
     regrets = X @ C.T - optima  # (mu, eta) regret of every support pair
 
     cum_y = np.cumsum(y.probs)

@@ -39,17 +39,21 @@ game exactly, then let each side best-respond to the other's current mix,
 and stop once the two best-response values bracket the restricted value
 within tolerance.  The restricted game is one ``MatrixGame`` that grows by
 at most a row and a column per iteration, so each solve starts from the
-previous optimal basis.  The loop runs on :func:`minregret.lp._generate`,
-which decides at confirmed solves only.  Every path certifies the
-same bracket: the adversary's best response to the returned marginal
-against the player's best response to the returned adversary mix.
+previous optimal basis; the loop (``_restricted_game``) decides at
+confirmed solves only.  Every path certifies the same bracket: the
+adversary's best response to the returned marginal against the player's
+best response to the returned adversary mix.
+
+The adversary's cutting-plane LP (``solve_adversary_lp_discrete``) is the
+same loop started with every scenario on the board: it generates player
+sets only.  ``solve_randomized`` keeps column generation, so that the two
+reach the value through different restricted games.
 
 Deterministic minmax regret is solved by enumeration of the feasible family,
 except for interval k-selection, where the same duality makes it a minimum
 over the 2n interval endpoints (``solve_deterministic_exact``).  The
-mean-cost and midpoint-cost approximations and the adversary's cutting-plane
-LP complete the suite, with ``bruteforce_game_value`` as the exhaustive
-cross-check oracle.
+mean-cost and midpoint-cost approximations complete the suite, with
+``bruteforce_game_value`` as the exhaustive cross-check oracle.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .core import (
     GameSolution,
     Instance,
     InstanceError,
+    IterationLimitError,
     MAX_CUTS,
     MarginalVector,
     NotInHullError,
@@ -73,7 +78,7 @@ from .core import (
     marginal_of_strategy,
 )
 from .decompose import decompose_marginal
-from .lp import MatrixGame, WarmLP, _generate, solve_matrix_game
+from .lp import MatrixGame, WarmLP, solve_matrix_game
 from .nominal import KSelectionOracle, NominalOracle, build_oracle, enumeration_cap
 from .regret import (
     extreme_cost_vector,
@@ -149,14 +154,18 @@ class _Columns:
         )
 
     def add_best_response(self, br) -> None:
+        if not self.interval:
+            self.add_scenario(br.scenario)
+            return
         cost = br.cost.values
         self.costs.append(cost)
-        if self.interval:
-            self.optima.append(self.oracle.solve(cost)[1])
-            self.labels.append(br.chosen_set)
-        else:
-            self.optima.append(self.scenario_optima[br.scenario])
-            self.labels.append(br.scenario)
+        self.optima.append(self.oracle.solve(cost)[1])
+        self.labels.append(br.chosen_set)
+
+    def add_scenario(self, s: int) -> None:
+        self.costs.append(self.instance.uncertainty.costs[s])
+        self.optima.append(self.scenario_optima[s])
+        self.labels.append(s)
 
     def cleaned_strategy(self, probs) -> AdversaryMixedStrategy:
         support = tuple(CostVector(c) for c in self.costs.rows)
@@ -485,58 +494,89 @@ def _compact_k_selection(
     )
 
 
-def _double_oracle(
-    instance: Instance, tol: float, max_iter: int, oracle: NominalOracle
-) -> GameSolution:
+def _restricted_game(
+    instance: Instance, tol: float, limit: int, oracle: NominalOracle, every_scenario=False
+) -> tuple[PlayerMixedStrategy, AdversaryMixedStrategy, float, float, int]:
     """The double-oracle loop of the module docstring, for any family.
 
-    An iteration is one growth step; the confirmed re-solve that decides an
-    answer or a stall is not counted as one.
+    The game starts from the mean-cost (or midpoint) set against the
+    adversary's best response to it or, with ``every_scenario``, against
+    every scenario, so that only rows are generated.  An iteration grows the
+    game by the best responses not in it yet, a column (an LP row) before a
+    row (an LP column).  An iterate that would finish or has nothing new is
+    solved again, confirmed, and decided there; that re-solve is not counted.
+    Nothing new at a confirmed solve raises :class:`SolverError`; after
+    ``limit`` iterations :class:`IterationLimitError` carries the greatest
+    lower and least upper bound reached.  Returns the cleaned ``(player,
+    adversary, value, gap, iterations)``.
     """
     columns = _Columns(instance, oracle)
-
     rows: list[FeasibleSet] = [_initial_player_set(instance, oracle)]
     X = _GrowingRows(instance.n)  # the player sets' indicators, grown in place
     X.append(rows[0].indicator)
     C, optima = columns.costs, columns.optima
-    first = columns.adversary_response(MarginalVector(X.rows[0]))
-    columns.add_best_response(first)
+    if every_scenario:
+        for s in range(instance.uncertainty.k):
+            columns.add_scenario(s)
+        seen = {rows[0], *columns.labels}
+    else:
+        first = columns.adversary_response(MarginalVector(X.rows[0]))
+        columns.add_best_response(first)
+        seen = {rows[0], columns.key(first)}
     game = MatrixGame(X.rows @ C.rows.T - optima.rows)
-
-    def step(iterate, seen):
-        y_mix, w_mix, value = game.solve(iterate=iterate)
-        adv_br = columns.adversary_response(MarginalVector(y_mix @ X.rows))
-        # raw column weights: the active support may not be distinct-as-
-        # strategies yet, so no AdversaryMixedStrategy is built here
-        play_br = weighted_player_response(w_mix, C.rows, optima.rows, oracle)
-        gap = adv_br.value - play_br.value
-        # a column's key (bytes or a scenario index) never equals a row's set
-        cuts = [(columns.key(adv_br), adv_br), (play_br.chosen_set, play_br.chosen_set)]
-        done = (value, y_mix, w_mix, gap) if gap <= tol else None
-        stall = f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}"
-        return game.confirmed, cuts, done, stall, (play_br.value, adv_br.value)
-
-    def extend(cuts):
-        # The restricted game grows by a column (an LP row) before a row (an
-        # LP column); the next solve starts from the current basis.
-        for cut in cuts:
-            if isinstance(cut, FeasibleSet):
-                rows.append(cut)
-                X.append(cut.indicator)
-                game.add_rows((C.rows @ X.rows[-1] - optima.rows)[None, :])
+    lower = upper = None
+    for iteration in range(1, limit + 1):
+        iterate = True
+        while True:
+            y_mix, w_mix, value = game.solve(iterate=iterate)
+            if every_scenario:
+                adv_value, column = game.conceded, None
             else:
-                columns.add_best_response(cut)
-                game.add_columns(X.rows @ C.rows[-1:].T - optima.rows[-1])
+                column = columns.adversary_response(MarginalVector(y_mix @ X.rows))
+                adv_value = column.value
+                if columns.key(column) in seen:
+                    column = None
+            # raw column weights: the active support may not be distinct-as-
+            # strategies yet, so no AdversaryMixedStrategy is built here
+            row, play_value = weighted_player_response(w_mix, C.rows, optima.rows, oracle)
+            if row in seen:
+                row = None
+            gap = adv_value - play_value
+            new = column is not None or row is not None
+            if game.confirmed or (gap > tol and new):
+                break
+            iterate = False
+        lower = play_value if lower is None else max(lower, play_value)
+        upper = adv_value if upper is None else min(upper, adv_value)
+        if gap <= tol:
+            player = PlayerMixedStrategy.cleaned(rows, y_mix)
+            return player, columns.cleaned_strategy(w_mix), value, gap, iteration
+        if not new:
+            raise SolverError(f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}")
+        if column is not None:
+            seen.add(columns.key(column))
+            columns.add_best_response(column)
+            game.add_columns(X.rows @ C.rows[-1:].T - optima.rows[-1])
+        if row is not None:
+            seen.add(row)
+            rows.append(row)
+            X.append(row.indicator)
+            game.add_rows((C.rows @ X.rows[-1] - optima.rows)[None, :])
+    raise IterationLimitError(
+        f"double oracle exceeded {limit} iterations", lower, upper, iterations=limit
+    )
 
-    seen = {rows[0], columns.key(first)}
-    exceeded = f"double oracle exceeded {max_iter} iterations"
-    (value, y_mix, w_mix, gap), iterations = _generate(step, extend, seen, max_iter, exceeded)
-    player = PlayerMixedStrategy.cleaned(rows, y_mix)
+
+def _double_oracle(
+    instance: Instance, tol: float, max_iter: int, oracle: NominalOracle
+) -> GameSolution:
+    """The double oracle by column generation, as a :class:`GameSolution`."""
+    player, adversary, value, gap, iterations = _restricted_game(instance, tol, max_iter, oracle)
     return GameSolution(
         value=float(value),
         player=player,
         marginal=marginal_of_strategy(player),
-        adversary=columns.cleaned_strategy(w_mix),
+        adversary=adversary,
         iterations=iterations,
         certified_gap=float(max(gap, 0.0)),
     )
@@ -678,55 +718,23 @@ def solve_adversary_lp_discrete(
 
     Maximizes z subject to: for every feasible set T, the expected regret of
     T under the scenario mix w is at least z.  Over the generated rows this
-    LP is the matrix game "generated sets x all scenarios", held in one
-    :class:`~minregret.lp.MatrixGame`; its row mix is the player's
-    equilibrium strategy and its column mix the adversary's, so the returned
-    value equals the randomized minmax regret.  Rows are generated by solving
-    the nominal problem at the mix-averaged costs.  Each cut appends one
-    variable to the game's LP (over player-set weights, one constraint per
-    scenario), so every re-solve starts from the previous optimal basis and
-    runs only the primal pass.  The loop runs on
-    :func:`minregret.lp._generate`, which decides at confirmed solves only;
-    past ``MAX_CUTS`` cuts it raises :class:`IterationLimitError` with the
-    best bracket of the cuts: ``z`` above, and below the least regret of
-    any set under the adversary's mix.
+    LP is the matrix game "generated sets x all scenarios": the double
+    oracle's loop started with every scenario, so it generates rows only,
+    each the nominal solution at the mix-averaged costs, and each appends
+    one variable to the game's LP (over player-set weights, one constraint
+    per scenario), so every re-solve runs only the primal pass.  Its row mix
+    is the player's equilibrium strategy and its column mix the adversary's,
+    so the returned value equals the randomized minmax regret.  Past
+    ``MAX_CUTS`` cuts it raises :class:`IterationLimitError` with the best
+    bracket of the cuts: below, the least regret of any set under the
+    adversary's mix; above, the adversary's best response to the row mix,
+    which equals the restricted value within the bracket tolerance.
     """
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
     oracle = build_oracle(instance) if oracle is None else oracle
-    unc = instance.uncertainty
-    k = unc.k
-    optima = scenario_optima(instance, oracle)
-
-    rows: list[FeasibleSet] = [oracle.solve(unc.costs.mean(axis=0))[0]]
-
-    def regrets(T: FeasibleSet) -> np.ndarray:
-        return (unc.costs @ T.indicator.astype(float) - optima)[None, :]
-
-    game = MatrixGame(regrets(rows[0]))
-
-    def step(iterate, seen):
-        y_mix, w_cur, z_cur = game.solve(iterate=iterate)
-        T_new, val = oracle.solve(w_cur @ unc.costs)
-        lowest = val - float(w_cur @ optima)  # min over all T of regret(T, w_cur)
-        done = (y_mix, w_cur, z_cur) if lowest >= z_cur - tol else None
-        stall = "adversary LP stalled: separating row already present"
-        return game.confirmed, [(T_new, T_new)], done, stall, (lowest, z_cur)
-
-    def extend(cuts):
-        for T in cuts:
-            rows.append(T)
-            game.add_rows(regrets(T))
-
-    (y_mix, w_cur, z_cur), _ = _generate(
-        step, extend, {rows[0]}, MAX_CUTS, f"adversary LP exceeded {MAX_CUTS} cuts"
-    )
-    adversary = AdversaryMixedStrategy.cleaned(
-        tuple(CostVector(unc.costs[s]) for s in range(k)),
-        w_cur,
-        scenario_indices=tuple(range(k)),
-    )
-    return adversary, z_cur, PlayerMixedStrategy.cleaned(rows, y_mix)
+    player, adversary, value, _, _ = _restricted_game(instance, tol, MAX_CUTS, oracle, True)
+    return adversary, value, player
 
 
 def bruteforce_game_value(

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from minregret.core import validate_instance
 from minregret.gen import generate_instance
-from minregret.nominal import build_oracle
+from minregret.nominal import NominalOracle, build_oracle
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -66,9 +66,10 @@ def brute_max_regret_interval(T, instance):
     return best
 
 
-class RepeatingOracle:
+class RepeatingOracle(NominalOracle):
     """Solves with ``oracle``, but reports the first set it ever found in
-    place of every later one: a growth loop fed by it stalls."""
+    place of every later one: a growth loop fed by it stalls.  Its
+    ``optima`` is the base class's, one ``solve`` per row."""
 
     def __init__(self, oracle):
         self.oracle, self.n, self.first = oracle, oracle.n, None

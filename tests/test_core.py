@@ -19,6 +19,7 @@ from minregret.core import (
     solution_cost,
     validate_instance,
 )
+from minregret.gen import generate_instance
 from minregret.nominal import KSelectionOracle, build_oracle
 
 from conftest import k_selection_instance, tight_discrete
@@ -180,6 +181,24 @@ class TestExpectedRegret:
             for c, pw in zip(w.support, w.probs):
                 direct += py * pw * regret(T, c, oracle)
         assert expected_regret(y, w, oracle) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["k-selection", "spanning-tree", "dag-path"])
+    def test_bilinear_identity_matches_the_pair_loop(self, rng, family):
+        # The reference sums the regret of every support pair, solving the
+        # nominal problem once per adversary point.
+        oracle = build_oracle(generate_instance(family, n=30, seed=1))
+        sets = list(dict.fromkeys(oracle.solve(rng.normal(size=oracle.n))[0] for _ in range(40)))
+        y = PlayerMixedStrategy.cleaned(sets, rng.dirichlet(np.ones(len(sets))))
+        costs = [CostVector(rng.uniform(-5.0, 20.0, size=oracle.n)) for _ in range(40)]
+        w = AdversaryMixedStrategy.cleaned(costs, rng.dirichlet(np.ones(40)))
+        assert y.support_size > 5
+        optima = [oracle.solve(c.values)[1] for c in w.support]
+        reference = 0.0
+        for T, py in zip(y.support, y.probs):
+            for c, pw, best in zip(w.support, w.probs, optima):
+                reference += float(py) * float(pw) * (solution_cost(T, c) - best)
+        exact = expected_regret(y, w, oracle)
+        assert abs(exact - reference) <= 1e-9 * max(1.0, abs(reference))
 
     @given(lam=st.floats(0.0, 1.0))
     def test_linear_in_adversary_mixture(self, lam):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import minregret.lp as lpmod
-from minregret.core import IterationLimitError, SolverError
+import minregret.solvers as solvers_mod
+from minregret.core import SolverError
 from minregret.gen import generate_instance
 from minregret.lp import (
     LpSolution,
     MatrixGame,
     WarmLP,
-    _generate,
     _kernel,
     kernel_backend,
     solve_matrix_game,
@@ -23,6 +23,7 @@ from minregret.regret import extreme_cost_vector
 from minregret.solvers import solve_randomized
 
 import reference_kernel
+from conftest import RepeatingOracle
 
 
 def _with_budget(monkeypatch, budget):
@@ -167,18 +168,19 @@ class TestMatrixGameExamples:
 
 
     def test_unbracketed_answer_raises(self, monkeypatch):
-        # a solve whose row duals are off must not pass as an equilibrium
-        real_solve = WarmLP.solve
+        # a solve whose row duals are off must not pass as an equilibrium,
+        # nor its re-priced re-solve (both run WarmLP._solve)
+        real_solve = WarmLP._solve
 
-        def skewed(lp):
-            sol = real_solve(lp)
+        def skewed(lp, *args):
+            sol = real_solve(lp, *args)
             duals = sol.duals.copy()
             duals[0] += 1.0
             return LpSolution(
                 sol.status, sol.x, duals, sol.objective, sol.dual_pivots, sol.primal_pivots
             )
 
-        monkeypatch.setattr(WarmLP, "solve", skewed)
+        monkeypatch.setattr(WarmLP, "_solve", skewed)
         with pytest.raises(SolverError, match="bracket"):
             solve_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -331,6 +333,26 @@ def _recorded_run(monkeypatch, T, basis, nonbasic, **options):
     monkeypatch.setattr(_kernel, "pivot_inplace", recording)
     status, used, _ = _kernel.run_simplex(T, basis, nonbasic, 100, 1e-9, **options)
     return status, used, exchanges
+
+
+def test_optimal_tol_reprices_reduced_costs_but_not_pivot_elements():
+    # min over x1, x2 >= 0 from the slack basis of one row: x1 costs
+    # -5e-10 with a unit column, x2 costs -5e-10 with a column of 5e-10,
+    # below the pivot tolerance.  Columns: x1 x2 | rhs; basis: the slack (2).
+    def tableau(x2_entry):
+        T = np.array([[1.0, x2_entry, 1.0], [-5e-10, -5e-10, 0.0]])
+        return T, np.array([2], dtype=np.intp), np.array([0, 1], dtype=np.intp)
+
+    T, basis, nonbasic = tableau(1.0)
+    assert _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9)[:2] == (_kernel.STATUS_OPTIMAL, 0)
+    status, pivots, _ = _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9, optimal_tol=1e-12)
+    assert (status, pivots, list(basis)) == (_kernel.STATUS_OPTIMAL, 1, [0])
+    # with x1 at zero cost only x2 is eligible, and its column has no pivot
+    # element above 1e-9, so the re-priced pass finds no leaving row
+    T, basis, nonbasic = tableau(5e-10)
+    T[1, 0] = 0.0
+    status, pivots, _ = _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9, optimal_tol=1e-12)
+    assert (status, pivots) == (_kernel.STATUS_UNBOUNDED, 0)
 
 
 class TestKernelDualPass:
@@ -875,7 +897,11 @@ def _side_by_side(patch, runs):
     ``runs`` per call."""
     real = _kernel.run_simplex
 
-    def both(T, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, dantzig=False):
+    def both(
+        T, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, dantzig=False,
+        optimal_tol=None,
+    ):
+        assert optimal_tol is None  # the reference has no re-priced optimality test
         # the reference stalls into dual Bland's rule when the kernel does
         patch.setattr(reference_kernel, "DUAL_STALL_PIVOTS", _kernel.DUAL_STALL_PIVOTS)
         T_ref, basis_ref, nonbasic_ref = T.copy(), basis.copy(), nonbasic.copy()
@@ -1031,56 +1057,38 @@ class TestDualEnteringAgainstReference:
 
 
 class TestGenerate:
-    """The growth loop's policy on scripted steps, with no LP behind them.
-
-    A step is ``(confirmed, cuts, finish, stall, bracket)``; each test lists
-    the steps in the order the loop asks for them.
-    """
+    """The restricted-game loop's policy on the games it grows: it solves
+    ``MatrixGame``s, and ``MatrixGame.solve`` is logged here as ``(iterate,
+    confirmed)`` per call, in order."""
 
     @staticmethod
-    def _run(steps, seen=(), limit=10):
-        calls, extended = [], []
+    def _log(monkeypatch):
+        calls = []
+        real = MatrixGame.solve
 
-        def step(iterate, seen):
-            calls.append(iterate)
-            return steps.pop(0)
+        def logged(self, iterate=False):
+            answer = real(self, iterate=iterate)
+            calls.append((iterate, self.confirmed))
+            return answer
 
-        result = _generate(step, extended.append, set(seen), limit, "over the limit")
-        assert not steps
-        return result, calls, extended
+        monkeypatch.setattr(MatrixGame, "solve", logged)
+        return calls
 
-    def test_iterate_finish_is_confirmed(self):
-        steps = [(False, [], "iterate", None, None), (True, [], "confirmed", None, None)]
-        assert self._run(steps)[:2] == (("confirmed", 1), [True, False])
+    def test_iterate_finish_is_confirmed(self, monkeypatch):
+        inst = generate_instance("spanning-tree", n=12, uncertainty="interval", seed=1)
+        calls = self._log(monkeypatch)
+        _, _, _, gap, iterations = solvers_mod._restricted_game(inst, 1e-7, 10000, build_oracle(inst))
+        assert gap <= 1e-7
+        # the iterate that would finish is solved again, confirmed, and the
+        # loop finishes there; the re-solve is not counted as an iteration
+        assert calls[-2:] == [(True, False), (False, True)]
+        assert iterations == sum(iterate for iterate, _ in calls) == len(calls) - 1
 
-    def test_iterate_stall_is_confirmed_before_raising(self):
-        steps = [
-            (False, [("a", 1)], None, "iterate stalled", None),
-            (True, [("a", 1)], None, "confirmed stalled", None),
-        ]
-        with pytest.raises(SolverError, match="^confirmed stalled$"):
-            self._run(steps, seen={"a"})
-        assert not steps
-
-    def test_new_cuts_extend_in_order(self):
-        steps = [
-            (False, [("column", "C"), ("known", "K"), ("row", "R")], None, None, None),
-            (False, [("row", "R")], "iterate", None, None),
-            (True, [("row", "R")], "done", None, None),
-        ]
-        result, calls, extended = self._run(steps, seen={"known"})
-        assert result == ("done", 2)
-        assert calls == [True, True, False]
-        assert extended == [["C", "R"]]
-
-    def test_limit_reports_the_best_bracket(self):
-        steps = [
-            (True, [(i, i)], None, None, bracket)
-            for i, bracket in enumerate([(1.0, 9.0), (3.0, 8.0), (2.0, 7.0)])
-        ]
-        with pytest.raises(IterationLimitError, match="^over the limit$") as info:
-            self._run(steps, limit=3)
-        assert (info.value.lower, info.value.upper, info.value.iterations) == (3.0, 7.0, 3)
-        with pytest.raises(IterationLimitError) as info:
-            self._run([(True, [(0, 0)], None, None, None)], limit=1)
-        assert (info.value.lower, info.value.upper, info.value.iterations) == (None, None, 1)
+    def test_iterate_stall_is_confirmed_before_raising(self, monkeypatch):
+        inst = generate_instance("spanning-tree", n=12, uncertainty="interval", seed=1)
+        calls = self._log(monkeypatch)
+        with pytest.raises(SolverError, match="^double oracle stalled with residual gap"):
+            solvers_mod._restricted_game(inst, 1e-7, 10000, RepeatingOracle(build_oracle(inst)))
+        # the first iterate has nothing new; the stall is raised only from
+        # its confirmed re-solve, which has nothing new either
+        assert calls == [(True, False), (False, True)]
