@@ -15,6 +15,7 @@ the operations here are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -75,9 +76,24 @@ class NotInHullError(MinregretError):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _wrap(cls, field: str, value: np.ndarray):
+    """An instance of the frozen dataclass ``cls`` holding ``value``, which
+    its caller has already checked and frozen."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, value)
+    return obj
+
+
+def check_finite_costs(values: np.ndarray) -> None:
+    """Reject a cost array, of any shape, with a NaN or infinite entry."""
+    if not np.isfinite(values).all():
+        raise InstanceError("cost vector entries must be finite")
 
 
 def as_costs(c, n: int | None = None) -> np.ndarray:
@@ -85,8 +101,7 @@ def as_costs(c, n: int | None = None) -> np.ndarray:
     values = c.values if isinstance(c, CostVector) else np.asarray(c, dtype=float)
     if values.ndim != 1:
         raise InstanceError("cost vector must be one-dimensional")
-    if not np.all(np.isfinite(values)):
-        raise InstanceError("cost vector entries must be finite")
+    check_finite_costs(values)
     if n is not None and values.shape[0] != n:
         raise InstanceError(f"cost vector has length {values.shape[0]}, expected {n}")
     return values
@@ -294,6 +309,16 @@ class CostVector:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(as_costs(self.values)))
 
+    @classmethod
+    def from_rows(cls, rows) -> tuple["CostVector", ...]:
+        """One cost vector per row of ``rows``, whose entries are checked
+        once, as a matrix, by the rule of the constructor."""
+        values = np.asarray(rows, dtype=float)
+        if values.ndim != 2:
+            raise InstanceError("cost rows must form a matrix")
+        check_finite_costs(values)
+        return tuple(_wrap(cls, "values", row) for row in _freeze(values))
+
     def __eq__(self, other):
         return isinstance(other, CostVector) and np.array_equal(
             self.values, other.values
@@ -313,12 +338,13 @@ class FeasibleSet:
     indicator: np.ndarray
 
     def __post_init__(self):
-        ind = np.asarray(self.indicator)
-        if ind.ndim != 1:
-            raise InstanceError("indicator must be one-dimensional")
-        if not np.all((ind == 0) | (ind == 1)):
-            raise InstanceError("indicator entries must be 0 or 1")
-        object.__setattr__(self, "indicator", _freeze(ind.astype(np.int8)))
+        object.__setattr__(self, "indicator", _freeze(_indicators(self.indicator, 1)))
+
+    @classmethod
+    def from_rows(cls, rows) -> tuple["FeasibleSet", ...]:
+        """One set per row of the 0/1 matrix ``rows``, whose entries are
+        checked once, as a matrix, by the rule of the constructor."""
+        return tuple(_wrap(cls, "indicator", row) for row in _freeze(_indicators(rows, 2)))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "FeasibleSet":
@@ -356,14 +382,32 @@ class FeasibleSet:
         return self.indicator.shape[0]
 
 
+def _indicators(values, ndim: int) -> np.ndarray:
+    """``values`` as a new int8 array with ``ndim`` axes and 0/1 entries."""
+    ind = np.asarray(values)
+    if ind.ndim != ndim:
+        shape = "one-dimensional" if ndim == 1 else "a matrix of rows"
+        raise InstanceError(f"indicator must be {shape}")
+    if ind.dtype == np.int8:  # -1 reads as 255
+        zero_one = ind.view(np.uint8).max(initial=0) <= 1
+    else:
+        zero_one = ind.dtype == bool or ((ind == 0) | (ind == 1)).all()
+    if not zero_one:
+        raise InstanceError("indicator entries must be 0 or 1")
+    return ind.astype(np.int8)
+
+
 def _clean_distribution(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise InstanceError("a mixed strategy needs a nonempty probability vector")
-    if np.any(probs < -PROB_SUM_TOL):
+    least = probs.min()  # NaN if any entry is NaN
+    if not least >= -PROB_SUM_TOL:
+        if math.isnan(least):
+            raise InstanceError("probabilities must be finite")
         raise InstanceError("probabilities must be nonnegative")
     total = float(probs.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         raise InstanceError(f"probabilities sum to {total!r}, not 1")
     return probs
 
@@ -480,9 +524,15 @@ class MarginalVector:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1:
             raise InstanceError("marginal vector must be one-dimensional")
-        if np.any(p < -PROB_SUM_TOL) or np.any(p > 1.0 + PROB_SUM_TOL):
+        # the extremes are NaN if any entry is
+        lo, hi = float(p.min(initial=0.0)), float(p.max(initial=0.0))
+        if not (lo >= -PROB_SUM_TOL and hi <= 1.0 + PROB_SUM_TOL):
+            if not math.isfinite(lo + hi):
+                raise InstanceError("marginal entries must be finite")
             raise InstanceError("marginal entries must lie in [0, 1]")
-        object.__setattr__(self, "p", _freeze(np.clip(p, 0.0, 1.0)))
+        # np.clip leaves entries inside [0, 1] as they are, -0.0 included
+        p = p.copy() if lo >= 0.0 and hi <= 1.0 else np.clip(p, 0.0, 1.0)
+        object.__setattr__(self, "p", _freeze(p))
 
     def __len__(self):
         return self.p.shape[0]

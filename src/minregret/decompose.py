@@ -1,8 +1,12 @@
 """Recover an explicit mixed strategy from a marginal probability vector.
 
 A marginal p is a strategy once it is written as a convex combination of
-feasible indicator vectors.  Where the hull of the family has a compact
-description, membership is a check of that description and the
+feasible indicator vectors.  Where every feasible set has the same size k
+(the oracle's ``set_size``: k for k-selection, ``V - 1`` for spanning trees,
+where the hull is the graphic matroid's base polytope with ``x(E) = V - 1``,
+Edmonds 1971), the hull lies on the row ``sum(p) = k``, and that row is
+checked first, for every such family.  Where the hull of the family has a
+compact description, membership is a check of that description and the
 decomposition is exact and near-linear:
 
 * k-selection: the hull is the box [0, 1]^n (which every
@@ -19,11 +23,12 @@ decomposition is exact and near-linear:
   the support is at most n paths.
 
 A row violated by more than ``tol`` rejects p, and the certificate is read
-off that row: ``u = +-1`` and ``w = +-k`` for the cardinality row, and for a
+off that row: ``u = +-1`` and ``w = +-k`` for the set-size row, and for a
 flow row a node potential pi of +-1 on the violated node, with
 ``u[a] = pi(head) - pi(tail)`` and ``w = pi(t) - pi(s)``.
 
-Every other family (spanning trees, explicit families) goes through Wolfe's
+Every other marginal (spanning trees on the set-size row, explicit
+families) goes through Wolfe's
 minimum-norm-point algorithm (Wolfe 1976, "Finding the nearest point in a
 polytope") over ``conv(X) - p``, with the nominal oracle as its only access
 to the family X: p is in the hull iff that polytope's point nearest the
@@ -95,11 +100,26 @@ def decompose_marginal(
     """
     if oracle.n != len(p):
         raise SolverError("marginal length differs from the oracle's item count")
+    if oracle.set_size is not None:
+        _check_set_size(p.p, oracle.set_size, tol)
     if isinstance(oracle, KSelectionOracle):
         return _systematic_sampling(p, oracle, tol)
     if isinstance(oracle, DagPathOracle):
         return _peel_paths(p, oracle, tol)
     return _decompose_by_min_norm(p, oracle, tol)
+
+
+def _check_set_size(p: np.ndarray, k: int, tol: float) -> None:
+    """Reject p off the row ``sum(p) = k`` that every set of size k lies on."""
+    total = float(p.sum())
+    gap = k - total
+    if abs(gap) > tol:
+        sign = 1.0 if gap > 0 else -1.0
+        raise NotInHullError(
+            f"marginal is outside the feasible hull (sum {total:.9g} differs from k={k})",
+            u=np.full(len(p), sign),
+            w=sign * k,
+        )
 
 
 def _reconstructed(
@@ -109,7 +129,7 @@ def _reconstructed(
     # cleaning drops round-off below PROB_DROP and renormalizes
     strategy = PlayerMixedStrategy.cleaned(sets, weights)
     err = np.max(np.abs(marginal_of_strategy(strategy).p - p))
-    if err > tol:
+    if not err <= tol:
         raise SolverError(
             f"decomposition reconstruction error {err:.3g} exceeds tol {tol:.3g}"
         )
@@ -154,14 +174,7 @@ def _systematic_sampling(
 ) -> PlayerMixedStrategy:
     p_arr, k = p.p, oracle.k
     total = float(p_arr.sum())
-    gap = k - total
-    if abs(gap) > tol:
-        sign = 1.0 if gap > 0 else -1.0
-        raise NotInHullError(
-            f"marginal is outside the feasible hull (sum {total:.9g} differs from k={k})",
-            u=np.full(len(p_arr), sign),
-            w=sign * k,
-        )
+    gap = k - total  # at most tol: decompose_marginal checked the row
     # Raise a short sum onto k inside the box: every coordinate moves toward
     # 1 by at most gap <= tol.  Sampling scales a long sum down.
     q = p_arr
@@ -173,7 +186,7 @@ def _systematic_sampling(
     rest, lengths = _offset_intervals(q[~full], k - int(full.sum()))
     rows = np.ones((len(lengths), len(p_arr)), dtype=np.int8)
     rows[:, ~full] = rest
-    return _reconstructed([FeasibleSet(row) for row in rows], lengths, p_arr, tol)
+    return _reconstructed(FeasibleSet.from_rows(rows), lengths, p_arr, tol)
 
 
 def _peel_paths(
@@ -250,14 +263,14 @@ def _decompose_by_min_norm(
     corral.add(oracle.solve(penalty - p_arr)[0])
     for _ in range(MAX_CUTS):
         x = corral.weights @ corral.V[: len(corral.sets)]
-        if np.max(np.abs(x)) <= tol:
+        if np.abs(x).max() <= tol:
             return _reconstructed(list(corral.sets), corral.weights, p_arr, tol)
         u = x + penalty if restricted else x
         T, w = oracle.solve(u)
         # w - p @ u > 0 separates p once it clears the round-off of both
         # dot products
         gap = w - float(p_arr @ u)
-        if gap > n * _EPS * float(np.abs(u) @ (p_arr + T.indicator)):
+        if gap > 0.0 and gap > n * _EPS * float(np.abs(u) @ (p_arr + T.indicator)):
             raise NotInHullError(
                 f"marginal is outside the feasible hull (separated by {gap:.3g})",
                 u=u,
@@ -299,21 +312,22 @@ class _Corral:
             return False
         k = len(self.sets)
         v = T.indicator - self.p
+        vv = 1.0 + float(v @ v)
         V, H = self.V[:k], self.H[:k, :k]
         g = 1.0 + V @ v
         h = H @ g  # the lifted T's coefficients over the corral's rows
         # squared distance of the lifted T from their span
-        s = (1.0 - h.sum()) ** 2 + float(np.sum((v - h @ V) ** 2))
-        if not s > _EPS * (1.0 + float(v @ v)):
+        s = (1.0 - h.sum()) ** 2 + float(((v - h @ V) ** 2).sum())
+        if not s > _EPS * vv:
             return False
-        H += np.outer(h, h) / s
+        H += h[:, None] * h / s
         self.H[:k, k] = self.H[k, :k] = -h / s
         self.H[k, k] = 1.0 / s
         self.G[:k, k] = self.G[k, :k] = g
-        self.G[k, k] = 1.0 + float(v @ v)
+        self.G[k, k] = vv
         self.V[k] = v
         self.sets[T] = None
-        self.weights = np.append(self.weights, 0.0)
+        self.weights = np.concatenate((self.weights, [0.0]))
         self._minor_cycles()
         return T in self.sets  # in exact arithmetic, a joining set stays
 
@@ -336,7 +350,7 @@ class _Corral:
             lam[down[np.argmin(ratios)]] = 0.0
             for j in np.flatnonzero(lam <= 0.0)[::-1]:
                 c = H[:, j].copy()
-                H -= np.outer(c, c) / c[j]
+                H -= c[:, None] * c / c[j]
                 for M in (self.H, self.G):
                     M[j : k - 1, :k] = M[j + 1 : k, :k]
                     M[: k - 1, j : k - 1] = M[: k - 1, j + 1 : k]

@@ -28,6 +28,7 @@ from .core import (
     KSelection,
     SpanningTree,
     as_costs,
+    check_finite_costs,
     topological_order,
 )
 
@@ -50,9 +51,16 @@ def enumeration_cap() -> int:
 
 
 class NominalOracle:
-    """Interface shared by all nominal solvers."""
+    """Interface shared by all nominal solvers.
+
+    ``set_size`` is the number of items every feasible set holds, where the
+    family has one: ``k`` for k-selection and ``vertices - 1`` for spanning
+    trees.  The hull then lies on the row ``sum(p) = set_size``.  It is None
+    for DAG paths and explicit families.
+    """
 
     n: int
+    set_size: int | None = None
 
     def solve(self, c) -> tuple[FeasibleSet, float]:
         raise NotImplementedError
@@ -96,7 +104,7 @@ class KSelectionOracle(NominalOracle):
         if not 1 <= k <= n:
             raise InstanceError(f"k={k} out of range 1..{n}")
         self.n = n
-        self.k = k
+        self.k = self.set_size = k
 
     def solve(self, c):
         costs = as_costs(c, self.n)
@@ -111,8 +119,7 @@ class KSelectionOracle(NominalOracle):
         rows = np.asarray(costs, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise InstanceError(f"cost rows must have {self.n} columns")
-        if not np.all(np.isfinite(rows)):
-            raise InstanceError("cost vector entries must be finite")
+        check_finite_costs(rows)
         chosen = np.sort(np.argsort(rows, axis=1, kind="stable")[:, : self.k], axis=1)
         return np.take_along_axis(rows, chosen, axis=1).sum(axis=1)
 
@@ -132,6 +139,7 @@ class SpanningTreeOracle(NominalOracle):
         self.vertices = vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
         self.n = len(self.edges)
+        self.set_size = vertices - 1
         if not self._connected():
             raise InstanceError("spanning-tree graph is disconnected")
 

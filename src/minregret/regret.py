@@ -66,6 +66,12 @@ def extreme_cost_vector(A: FeasibleSet, intervals: Intervals) -> CostVector:
     return CostVector(np.where(inside, intervals.lower, intervals.upper))
 
 
+def extreme_costs(sets, intervals: Intervals) -> np.ndarray:
+    """The vectors c^A of the sets A in ``sets``, one row each."""
+    inside = np.stack([A.indicator for A in sets]).astype(bool)
+    return np.where(inside, intervals.lower, intervals.upper)
+
+
 def scenario_optima(instance: Instance, oracle: NominalOracle | None = None) -> np.ndarray:
     """Nominal optimum of every scenario cost vector, in scenario order."""
     unc = _scenarios(instance)

@@ -81,7 +81,7 @@ from .decompose import decompose_marginal
 from .lp import MatrixGame, WarmLP, solve_matrix_game
 from .nominal import KSelectionOracle, NominalOracle, build_oracle, enumeration_cap
 from .regret import (
-    extreme_cost_vector,
+    extreme_costs,
     max_expected_regret,
     max_expected_regret_discrete,
     max_expected_regret_interval,
@@ -154,13 +154,17 @@ class _Columns:
         )
 
     def add_best_response(self, br) -> None:
+        """Add a best response's column.  An interval best response A is the
+        nominal minimizer at ``l + d*p``, so no set beats A at c^A (one that
+        did would out-regret the best response): the column's optimum is
+        ``l(A)``, summed in ascending order as Kruskal's rule sums it."""
         if not self.interval:
             self.add_scenario(br.scenario)
             return
-        cost = br.cost.values
-        self.costs.append(cost)
-        self.optima.append(self.oracle.solve(cost)[1])
-        self.labels.append(br.chosen_set)
+        A = br.chosen_set
+        self.costs.append(br.cost.values)
+        self.optima.append(np.sort(self.instance.uncertainty.lower[A.indicator != 0]).sum())
+        self.labels.append(A)
 
     def add_scenario(self, s: int) -> None:
         self.costs.append(self.instance.uncertainty.costs[s])
@@ -168,7 +172,7 @@ class _Columns:
         self.labels.append(s)
 
     def cleaned_strategy(self, probs) -> AdversaryMixedStrategy:
-        support = tuple(CostVector(c) for c in self.costs.rows)
+        support = CostVector.from_rows(self.costs.rows)
         if self.interval:
             return AdversaryMixedStrategy.cleaned(support, probs, generators=tuple(self.labels))
         return AdversaryMixedStrategy.cleaned(
@@ -418,7 +422,7 @@ def _interval_adversary(mu, oracle, unc, tol) -> AdversaryMixedStrategy:
     """The decomposition of mu in conv(X), each set A played as c^A."""
     mix = decompose_marginal(MarginalVector(mu), oracle, tol=tol)
     return AdversaryMixedStrategy.cleaned(
-        tuple(extreme_cost_vector(A, unc) for A in mix.support),
+        CostVector.from_rows(extreme_costs(mix.support, unc)),
         mix.probs,
         generators=mix.support,
     )
@@ -486,7 +490,7 @@ def _compact_k_selection(
         t0 - sol.objective,
         a + sigma * sol.x[:n],
         lambda: AdversaryMixedStrategy.cleaned(
-            tuple(CostVector(c) for c in unc.costs),
+            CostVector.from_rows(unc.costs),
             sol.duals[:m],
             scenario_indices=tuple(range(m)),
         ),
@@ -751,10 +755,7 @@ def bruteforce_game_value(
 
     X = np.stack([T.indicator for T in family]).astype(float)
     if instance.is_interval:
-        unc = instance.uncertainty
-        C = np.stack(
-            [np.where(A.indicator.astype(bool), unc.lower, unc.upper) for A in family]
-        )
+        C = extreme_costs(family, instance.uncertainty)
         optima = oracle.optima(C)
         labels = {"generators": tuple(family)}
     else:
@@ -772,7 +773,5 @@ def bruteforce_game_value(
     payoff = X @ C.T - optima
     y_mix, w_mix, value = solve_matrix_game(payoff)
     player = PlayerMixedStrategy.cleaned(family, y_mix)
-    adversary = AdversaryMixedStrategy.cleaned(
-        tuple(CostVector(c) for c in C), w_mix, **labels
-    )
+    adversary = AdversaryMixedStrategy.cleaned(CostVector.from_rows(C), w_mix, **labels)
     return float(value), player, adversary

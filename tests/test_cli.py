@@ -205,6 +205,15 @@ class TestDecomposeCommand:
         assert report["status"] == "not-in-hull"
         assert "u" in report["certificate"] and "w" in report["certificate"]
 
+    def test_nan_marginal_exits_2(self, tmp_path):
+        # Python's json reads NaN; no range check may let it through
+        inst_path = tmp_path / "inst.json"
+        save_instance(generate_instance("k-selection", n=3, seed=1), inst_path)
+        marg = tmp_path / "m.json"
+        marg.write_text(json.dumps([float("nan"), 0.5, 0.5]), encoding="utf-8")
+        code = main(["decompose", "--instance", str(inst_path), "--marginal", str(marg)])
+        assert code == 2
+
     def test_random_mixture_round_trip(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst = generate_instance("k-selection", n=6, uncertainty="interval", seed=5)
@@ -282,6 +291,24 @@ class TestSimulateCommand:
                 "--strategies",
                 str(strat),
             ]
+        )
+        assert code == 2
+
+
+    def test_nan_player_probability_exits_2(self, tight3, tmp_path):
+        strat = tmp_path / "s.json"
+        strat.write_text(
+            json.dumps(
+                {
+                    "player": {"sets": [[0], [1]], "probs": [float("nan"), 1.0]},
+                    "adversary": {"costs": [[1.0, 0.0, 0.0]], "probs": [1.0]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "--instance", str(tight3), "--samples", "10", "--seed", "1",
+             "--strategies", str(strat)]
         )
         assert code == 2
 

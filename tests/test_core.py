@@ -290,6 +290,98 @@ class TestStrategyValidation:
             CostVector(np.array([np.inf, 0.0]))
 
 
+def _per_object_sets(rows):
+    return tuple(FeasibleSet(row) for row in rows)
+
+
+def _per_object_costs(rows):
+    return tuple(CostVector(row) for row in rows)
+
+
+class TestValuePredicates:
+    """The per-object constructors and the matrix constructors keep one rule
+    each: indicator entries are 0 or 1, cost entries are finite, marginal
+    entries are finite and in [0, 1] within 1e-9."""
+
+    @pytest.mark.parametrize("build", [_per_object_sets, FeasibleSet.from_rows])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_int8_indicator_entries_other_than_0_and_1_rejected(self, build, bad):
+        rows = np.array([[0, 1, 0], [1, 0, bad]], dtype=np.int8)
+        with pytest.raises(InstanceError, match="0 or 1"):
+            build(rows)
+
+    @pytest.mark.parametrize("build", [_per_object_sets, FeasibleSet.from_rows])
+    def test_bool_indicators_accepted_and_fractions_rejected(self, build):
+        sets = build(np.array([[True, False], [False, True]]))
+        assert [T.indices for T in sets] == [(0,), (1,)]
+        assert all(T.indicator.dtype == np.int8 for T in sets)
+        with pytest.raises(InstanceError, match="0 or 1"):
+            build(np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+    def test_indicator_axes(self):
+        with pytest.raises(InstanceError):
+            FeasibleSet(np.zeros((2, 2), dtype=np.int8))
+        with pytest.raises(InstanceError):
+            FeasibleSet.from_rows(np.zeros(2, dtype=np.int8))
+
+    def test_matrix_sets_equal_per_object_sets(self, rng):
+        rows = (rng.random((6, 9)) < 0.5).astype(np.int8)
+        by_row, at_once = _per_object_sets(rows), FeasibleSet.from_rows(rows)
+        assert by_row == at_once
+        assert [hash(T) for T in by_row] == [hash(T) for T in at_once]
+
+    @pytest.mark.parametrize("build", [_per_object_costs, CostVector.from_rows])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_costs_rejected(self, build, bad):
+        with pytest.raises(InstanceError, match="finite"):
+            build(np.array([[1.0, 2.0], [3.0, bad]]))
+
+    def test_matrix_costs_equal_per_object_costs(self, rng):
+        rows = rng.uniform(-5.0, 5.0, size=(4, 7))
+        assert _per_object_costs(rows) == CostVector.from_rows(rows)
+
+    @pytest.mark.parametrize("entry", [-1e-8, 1.0 + 1e-8])
+    def test_marginal_entries_past_a_bound_rejected(self, entry):
+        with pytest.raises(InstanceError, match=r"\[0, 1\]"):
+            MarginalVector(np.array([0.5, entry]))
+
+    def test_marginal_entries_within_round_off_are_clipped(self):
+        p = MarginalVector(np.array([-5e-10, 1.0 + 5e-10, 0.25])).p
+        assert p.tolist() == [0.0, 1.0, 0.25]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_marginal_rejected(self, bad):
+        with pytest.raises(InstanceError):
+            MarginalVector(np.array([bad, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        sets = (fs(3, 0), fs(3, 1))
+        with pytest.raises(InstanceError):
+            PlayerMixedStrategy(sets, np.array([bad, 1.0]))
+        costs = (CostVector(np.array([1.0, 0.0, 0.0])), CostVector(np.array([0.0, 1.0, 0.0])))
+        with pytest.raises(InstanceError):
+            AdversaryMixedStrategy(costs, np.array([bad, 1.0]))
+
+    def test_arrays_come_out_read_only(self):
+        rows = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        costs = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = [
+            FeasibleSet(rows[0]).indicator,
+            *(T.indicator for T in FeasibleSet.from_rows(rows)),
+            CostVector(np.array([1.0, 2.0])).values,
+            *(c.values for c in CostVector.from_rows(costs)),
+            MarginalVector(np.array([0.5, 0.5])).p,
+            MarginalVector(np.array([0.5, 1.0 + 5e-10])).p,
+        ]
+        for arr in out:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # the indicator matrix stays the caller's, and writable
+        rows[0, 0] = 1
+
+
 class TestImmutability:
     def test_arrays_are_read_only(self):
         inst = tight_discrete(2)

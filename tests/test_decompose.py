@@ -99,6 +99,71 @@ class TestCertifyInHull:
         assert violation > 0.0
 
 
+def _counted_solves(monkeypatch, oracle):
+    """A list that gains an entry at every ``oracle.solve`` call."""
+    calls, solve = [], oracle.solve
+    monkeypatch.setattr(oracle, "solve", lambda c: calls.append(None) or solve(c))
+    return calls
+
+
+class TestSetSizeRow:
+    """Every spanning tree has V - 1 edges, so the hull lies on the row
+    ``sum(p) = V - 1``, as the k-selection hull lies on ``sum(p) = k``.  A
+    marginal off that row is rejected by the row itself, before any solve."""
+
+    K5 = list(itertools.combinations(range(5), 2))
+
+    @pytest.mark.parametrize("shift", [0.1, -0.1])
+    def test_off_row_spanning_tree_marginal_gets_the_row(self, monkeypatch, shift):
+        oracle = SpanningTreeOracle(5, self.K5)
+        p = np.full(10, 0.4)  # sum 4 = V - 1; the uniform point of the hull
+        p[3] += shift
+        calls = _counted_solves(monkeypatch, oracle)
+        with pytest.raises(NotInHullError, match="sum") as info:
+            decompose_marginal(MarginalVector(p), oracle)
+        u, w = info.value.u, info.value.w
+        sign = 1.0 if shift < 0 else -1.0
+        assert np.array_equal(u, np.full(10, sign)) and w == sign * 4
+        assert calls == []
+        # its own check, over the whole family: min_T u(T) >= w > p @ u
+        trees = SpanningTreeOracle(5, self.K5).enumerate_feasible()
+        assert min(float(u @ T.indicator) for T in trees) >= w
+        assert w - float(p @ u) > 0.0
+
+    def test_row_missed_by_more_than_tol_is_rejected(self):
+        # 2e-7 spread over the fractional edges: each one moves by far less
+        # than tol, the sum by twice tol
+        oracle = build_oracle(generate_instance("spanning-tree", n=30, seed=1))
+        rng = np.random.default_rng(30)
+        sets = [oracle.solve(rng.random(oracle.n))[0] for _ in range(6)]
+        y0 = PlayerMixedStrategy.cleaned(sets, rng.dirichlet(np.ones(6)))
+        p = marginal_of_strategy(y0).p
+        inside = np.flatnonzero((p > 0.1) & (p < 0.9))
+        q = p.copy()
+        q[inside] += 2e-7 / len(inside)
+        with pytest.raises(NotInHullError, match="sum"):
+            decompose_marginal(MarginalVector(q), oracle, tol=1e-7)
+        _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), 31)
+
+    def test_on_row_marginal_outside_the_hull_reaches_wolfe(self, monkeypatch):
+        # K5 with the triangle 0-1-2 at 1: four units of edges, but a cycle
+        oracle = SpanningTreeOracle(5, self.K5)
+        p = np.array([1.0 if max(e) <= 2 else 1.0 / 7.0 for e in self.K5])
+        calls = _counted_solves(monkeypatch, oracle)
+        with pytest.raises(NotInHullError, match="separated") as info:
+            decompose_marginal(MarginalVector(p), oracle)
+        assert calls
+        monkeypatch.undo()
+        _assert_sound_certificate(oracle, p, info.value)
+
+    def test_set_size_of_each_family(self):
+        assert KSelectionOracle(6, 3).set_size == 3
+        assert SpanningTreeOracle(5, self.K5).set_size == 4
+        dag = DagPathOracle(3, [(0, 1), (1, 2), (0, 2)], 0, 2)
+        assert dag.set_size is None
+        assert ExplicitOracle(3, [(0,), (1, 2)]).set_size is None
+
+
 def _decomposition_oracles():
     return [
         KSelectionOracle(6, 3),

@@ -6,6 +6,7 @@ from minregret.core import (
     AdversaryMixedStrategy,
     CostVector,
     IterationLimitError,
+    MarginalVector,
     SolverError,
     expected_regret,
     marginal_of_strategy,
@@ -15,6 +16,7 @@ from minregret.nominal import build_oracle
 from minregret.regret import (
     extreme_cost_vector,
     max_expected_regret,
+    max_expected_regret_interval,
     max_regret_det_interval,
     player_best_response,
 )
@@ -528,6 +530,35 @@ class TestSolveDeterministic:
         T, value = solve_deterministic_exact(inst)
         assert T.size == inst.nominal.k
         assert value == max_regret_det_interval(T, inst)[0]
+
+
+@pytest.mark.parametrize("family", ["k-selection", "spanning-tree", "dag-path"])
+def test_interval_best_response_is_optimal_at_its_own_costs(family):
+    """The adversary's best response A to a marginal p minimizes l + d*p, so
+    no set beats A at c^A (it would out-regret A against p): the optimum at
+    c^A is l(A), the column optimum the double oracle stores unsolved."""
+    for n, seed in ((12, 1), (40, 2), (90, 3)):
+        inst = generate_instance(family, n=n, uncertainty="interval", seed=seed)
+        oracle, unc = build_oracle(inst), inst.uncertainty
+        rng = np.random.default_rng([n, seed])
+        for _ in range(20):
+            sets = [oracle.solve(rng.random(n))[0].indicator for _ in range(rng.integers(1, 6))]
+            p = rng.dirichlet(np.ones(len(sets))) @ np.array(sets, dtype=float)
+            br = max_expected_regret_interval(MarginalVector(p), inst, oracle)
+            opt = oracle.solve(br.cost.values)[1]
+            assert abs(unc.lower @ br.chosen_set.indicator - opt) <= 1e-12 * max(1.0, abs(opt))
+
+
+def test_interval_columns_store_their_optimum_without_a_solve(monkeypatch):
+    inst = generate_instance("spanning-tree", n=30, uncertainty="interval", seed=1)
+    oracle = build_oracle(inst)
+    columns = solvers_mod._Columns(inst, oracle)
+    br = max_expected_regret_interval(MarginalVector(np.full(30, 0.5)), inst, oracle)
+    monkeypatch.setattr(oracle, "solve", lambda c: pytest.fail("column solved"))
+    columns.add_best_response(br)
+    monkeypatch.undo()
+    assert columns.optima.rows[0] == oracle.solve(br.cost.values)[1]
+    assert columns.labels == [br.chosen_set]
 
 
 def test_adversary_lp_cut_budget_raises_iteration_limit(monkeypatch):
