@@ -431,6 +431,8 @@ class PlayerMixedStrategy:
     @classmethod
     def cleaned(cls, support, probs) -> "PlayerMixedStrategy":
         """Merge duplicates, drop sub-``PROB_DROP`` weights, renormalize."""
+        if not np.isfinite(probs).all():
+            raise InstanceError("probabilities must be finite")
         merged: dict[FeasibleSet, float] = {}
         for s, p in zip(support, probs):
             merged[s] = merged.get(s, 0.0) + float(p)
@@ -476,6 +478,8 @@ class AdversaryMixedStrategy:
     def cleaned(
         cls, support, probs, scenario_indices=None, generators=None
     ) -> "AdversaryMixedStrategy":
+        if not np.isfinite(probs).all():
+            raise InstanceError("probabilities must be finite")
         entries: dict[CostVector, list] = {}
         for i, (c, p) in enumerate(zip(support, probs)):
             if c in entries:

@@ -13,8 +13,12 @@ to a problem over the marginal p:
   ``s_i = clip((alpha - l_i) / d_i, 0, 1)`` units at price l_i and the rest
   of its unit at u_i.  h is convex and piecewise linear, so a search over
   its breakpoints finds the optimal alpha, and the fill there is an optimal
-  p.  The adversary's point mu of conv(X) is read off complementary
-  slackness, and no LP is solved;
+  p.  Against extreme vectors c^A with marginal mu the player's best
+  response is worth ``S_k(u - d*mu) - l.mu`` (S_k: the k smallest entries'
+  sum), so ``Z_R = -min over beta of h_adv(beta)``, where h_adv swaps l for
+  u in the sum and offers ``clip((u_i - beta) / d_i, 0, 1)`` units at l_i:
+  the same search, whose fill at the optimal beta is the adversary's point
+  mu.  No LP is solved;
 * scenarios: the compact LP ``minimize t`` subject to
   ``c^s.p - t <= opt_s`` for every scenario, ``sum(p) = k`` and
   ``0 <= p <= 1``, solved once as a ``lp.WarmLP``.  The LP is written around
@@ -58,6 +62,8 @@ mean-cost and midpoint-cost approximations complete the suite, with
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .core import (
@@ -72,7 +78,6 @@ from .core import (
     MAX_CUTS,
     MarginalVector,
     NotInHullError,
-    PROB_DROP,
     PlayerMixedStrategy,
     SolverError,
     marginal_of_strategy,
@@ -251,35 +256,47 @@ class _ThresholdFill:
     """
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray, k: int):
-        self.lower, self.upper, self.k = lower, upper, k
+        self.upper, self.k = upper, k
         self.n = n = len(lower)
+        self._item_anchor, self._sign = lower, 1.0
         prices = np.concatenate([lower, upper])
         order = np.argsort(prices, kind="stable")
         self.price = prices[order]
+        self.ends = np.unique(self.price)
         self.item = order % n
         self.is_low = order < n
-        # each segment's item: its lower bound and width (1 if zero-width)
+        # each segment's item: its lower bound, width (1 if zero-width), anchor
         width = (upper - lower)[self.item]
         self._open = width > 0
         self._width = np.where(self._open, width, 1.0)
-        self._lower = lower[self.item]
+        self._lower = self._anchor = lower[self.item]
+
+    def for_adversary(self) -> "_ThresholdFill":
+        """h_adv of the module docstring over the same segments and endpoints:
+        shares anchored at u and falling with alpha."""
+        mirror = copy.copy(self)
+        mirror._item_anchor, mirror._anchor = self.upper, self.upper[self.item]
+        mirror._sign = -1.0
+        return mirror
 
     def shares(self, alphas: np.ndarray) -> np.ndarray:
-        """s(alpha) of each segment's item; a zero-width item is all low at
-        and above its price."""
-        gap = alphas[:, None] - self._lower
-        return np.where(self._open, np.clip(gap / self._width, 0.0, 1.0), gap >= 0.0)
+        """The low share of each segment's item; a zero-width item is all low
+        from its price on (upward for the player, downward for the adversary)."""
+        gap = self._sign * (alphas[:, None] - self._anchor)
+        # np.minimum(np.maximum(...)) is np.clip without the wrapper's cost
+        share = np.minimum(np.maximum(gap / self._width, 0.0), 1.0)
+        return np.where(self._open, share, gap >= 0.0)
 
     def takes(self, alphas: np.ndarray) -> np.ndarray:
         """How much of each sorted segment the cheapest k-unit fill takes."""
         s = self.shares(alphas)
         lengths = np.where(self.is_low, s, 1.0 - s)
         before = np.cumsum(lengths, axis=1) - lengths
-        return np.clip(self.k - before, 0.0, lengths)
+        return np.minimum(np.maximum(self.k - before, 0.0), lengths)
 
     def h(self, alphas) -> np.ndarray:
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-        over = np.maximum(alphas[:, None] - self.lower, 0.0).sum(axis=1)
+        over = np.maximum(alphas[:, None] - self._item_anchor, 0.0).sum(axis=1)
         return -self.k * alphas + over + self.takes(alphas) @ self.price
 
     def marginal(self, alpha: float) -> np.ndarray:
@@ -287,21 +304,23 @@ class _ThresholdFill:
         takes = self.takes(np.array([alpha]))[0]
         return np.clip(np.bincount(self.item, takes, self.n), 0.0, 1.0)
 
-    def crossings(self, a: float, b: float) -> np.ndarray:
-        """The alphas in (a, b) where a prefix of the segments fills exactly k.
+    def crossings(self, ends: np.ndarray) -> np.ndarray:
+        """The alphas strictly between consecutive sorted ``ends`` where a
+        prefix of the segments fills exactly k, for all the gaps at once.
 
-        No endpoint lies inside (a, b), so each share is linear there, and so
+        No endpoint lies inside a gap, so each share is linear there, and so
         is every prefix sum of the segment lengths.
         """
-        mid = 0.5 * (a + b)
+        a, b = ends[:-1], ends[1:]
+        mid = 0.5 * (a + b)[:, None]
         inside = self._open & (self._lower < mid) & (mid < self._lower + self._width)
-        slope = np.where(inside, 1.0 / self._width, 0.0)
-        base = np.where(inside, -self._lower * slope, self.shares(np.array([mid]))[0])
-        run = np.cumsum(np.where(self.is_low, slope, -slope))
-        at_zero = np.cumsum(np.where(self.is_low, base, 1.0 - base))
-        moving = run != 0.0
-        alphas = (self.k - at_zero[moving]) / run[moving]
-        return alphas[(alphas > a) & (alphas < b)]
+        slope = np.where(inside, self._sign / self._width, 0.0)
+        base = np.where(inside, -self._anchor * slope, self.shares(mid[:, 0]))
+        run = np.cumsum(np.where(self.is_low, slope, -slope), axis=1)
+        at_zero = np.cumsum(np.where(self.is_low, base, 1.0 - base), axis=1)
+        row, col = np.nonzero(run)
+        alphas = (self.k - at_zero[row, col]) / run[row, col]
+        return alphas[(alphas > a[row]) & (alphas < b[row])]
 
     def best_alpha(self) -> float:
         """An alpha minimizing h.
@@ -312,107 +331,36 @@ class _ThresholdFill:
         brackets the optimum, and a second one over the endpoints and
         crossings inside that bracket finds it.
         """
-        ends = np.unique(np.concatenate([self.lower, self.upper]))
-        gap = 1e-9 * (1.0 + np.abs(ends).max())
-        left, right = _convex_bracket(self.h, ends, gap)
-        inner = ends[(ends >= left) & (ends <= right)]
-        points = np.unique(
-            np.concatenate([inner, *map(self.crossings, inner[:-1], inner[1:])])
-        )
+        gap = 1e-9 * (1.0 + np.abs(self.ends).max())
+        left, right = _convex_bracket(self.h, self.ends, gap)
+        inner = self.ends[(self.ends >= left) & (self.ends <= right)]
+        points = np.unique(np.concatenate([inner, self.crossings(inner)]))
         left, right = _convex_bracket(self.h, points, gap)
         points = points[(points >= left) & (points <= right)]
         return float(points[np.argmin(self.h(points))])
 
 
-def _first_below(f, xs: np.ndarray, target: float) -> float:
-    """The least x in [xs[0], xs[-1]] with ``f(x) <= target``, for a
-    nonincreasing f that is linear between the sorted points ``xs``."""
-    if f(xs[0]) <= target:
-        return float(xs[0])
-    if f(xs[-1]) > target:
-        return float(xs[-1])
-    lo, hi = 0, len(xs) - 1  # f(xs[lo]) > target >= f(xs[hi])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(xs[mid]) <= target:
-            hi = mid
-        else:
-            lo = mid
-    (x0, x1), (v0, v1) = xs[lo : hi + 1], (f(xs[lo]), f(xs[hi]))
-    return float(x0 + (v0 - target) / (v0 - v1) * (x1 - x0))
-
-
-def _threshold_adversary(
-    lower: np.ndarray, upper: np.ndarray, k: int, p: np.ndarray, alpha: float
-) -> np.ndarray:
-    """The adversary's point mu of conv(X), from complementary slackness.
-
-    At the optimal threshold alpha, item i is worth ``c_i = l_i + d_i p_i`` to
-    the adversary: mu_i = 1 where c_i < alpha, 0 where c_i > alpha, and the
-    tied items split the rest of ``sum(mu) = k``.  The split must make p a
-    cheapest k-fill at ``cbar = u - d * mu``: for some cardinality price lam,
-    ``cbar_i = lam`` where p_i is fractional, ``<= lam`` where it is 1 and
-    ``>= lam`` where it is 0.  Each of these confines mu_i to an interval
-    whose ends fall as lam grows, so lam is found by a monotone search over
-    the endpoints, and mu interpolates within the intervals to sum to k.
-    """
-    width = upper - lower
-    scale = 1.0 + max(np.abs(lower).max(), np.abs(upper).max())
-    value = lower + width * p
-    # class bounds on mu: [1, 1] below alpha, [0, 0] above, [0, 1] if tied
-    floor = (value < alpha - 1e-10 * scale).astype(float)
-    ceil = (value <= alpha + 1e-10 * scale).astype(float)
-    at_zero = p <= PROB_DROP
-    at_one = p >= 1.0 - PROB_DROP
-    cap_below = ~at_zero  # mu_i >= (u_i - lam) / d_i, i.e. cbar_i <= lam
-    cap_above = ~at_one  # mu_i <= (u_i - lam) / d_i, i.e. cbar_i >= lam
-    # the lam for which every item's interval is nonempty
-    lam_lo = np.max(upper - ceil * width, where=cap_below, initial=-np.inf)
-    lam_hi = np.min(upper - floor * width, where=cap_above, initial=np.inf)
-    open_ = width > 0
-    safe_width = np.where(open_, width, 1.0)
-
-    def bounds(lam):
-        # a zero-width item's cbar is fixed; inside [lam_lo, lam_hi] it
-        # already satisfies its condition, so only its class bounds it
-        q = (upper - lam) / safe_width
-        lo = np.where(cap_below & open_, np.maximum(floor, q), floor)
-        hi = np.where(cap_above & open_, np.minimum(ceil, q), ceil)
-        return lo, hi
-
-    ends = np.unique(np.concatenate([lower, upper, [lam_lo, lam_hi]]))
-    ends = ends[np.isfinite(ends)]
-    if lam_lo <= lam_hi:
-        ends = ends[(ends >= lam_lo) & (ends <= lam_hi)]
-    # sum(lo) <= k from lam1 on, sum(hi) >= k up to lam2 (the same search,
-    # mirrored); any lam between them admits a mu summing to k
-    lam1 = _first_below(lambda lam: bounds(lam)[0].sum(), ends, k)
-    lam2 = -_first_below(lambda lam: -bounds(-lam)[1].sum(), -ends[::-1], -k)
-    lo, hi = bounds(0.5 * (lam1 + lam2))
-    room = hi.sum() - lo.sum()
-    t = float(np.clip((k - lo.sum()) / room, 0.0, 1.0)) if room > 0 else 0.0
-    return np.clip(lo + t * (hi - lo), 0.0, 1.0)
-
-
 def _threshold_k_selection(
     instance: Instance, tol: float, oracle: KSelectionOracle
 ) -> GameSolution:
-    """Interval k-selection by the threshold search of the module docstring.
+    """Interval k-selection by the threshold search of the module docstring,
+    once for each player.
 
     Any cheapest fill p at an optimal alpha is an optimal marginal, since
-    ``max regret(p) = min over alpha of phi(p, alpha) <= phi(p, alpha*) = Z_R``.
+    ``max regret(p) = min over alpha of phi(p, alpha) <= phi(p, alpha*) = Z_R``,
+    and the fill mu at an optimal beta secures ``-h_adv(beta*) = Z_R``.
     """
     unc = instance.uncertainty
     fill = _ThresholdFill(unc.lower, unc.upper, oracle.k)
     alpha = fill.best_alpha()
-    p = fill.marginal(alpha)
-    mu = _threshold_adversary(unc.lower, unc.upper, oracle.k, p, alpha)
+    adversary = fill.for_adversary()
+    mu = adversary.marginal(adversary.best_alpha())
     return _certified_game(
         instance,
         tol,
         oracle,
         fill.h(alpha)[0],
-        p,
+        fill.marginal(alpha),
         lambda: _interval_adversary(mu, oracle, unc, tol),
         "threshold k-selection",
     )

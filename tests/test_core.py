@@ -265,6 +265,19 @@ class TestStrategyValidation:
         assert y.support_size == 1
         assert y.probs[0] == 1.0
 
+    # A NaN weight fails "p > PROB_DROP" and would vanish in the cleaning,
+    # leaving the other weights to be renormalized onto 1; an inf one would
+    # renormalize to NaN.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cleaned_rejects_non_finite_weights(self, bad):
+        with pytest.raises(InstanceError, match="probabilities must be finite"):
+            PlayerMixedStrategy.cleaned([fs(2, 0), fs(2, 1)], [bad, 1.0])
+        costs = [CostVector(np.array([1.0, 0.0])), CostVector(np.array([0.0, 1.0]))]
+        with pytest.raises(InstanceError, match="probabilities must be finite"):
+            AdversaryMixedStrategy.cleaned(costs, [bad, 1.0])
+        with pytest.raises(InstanceError, match="probabilities must be finite"):
+            AdversaryMixedStrategy.cleaned(costs, np.array([1.0, bad]), generators=(0, 1))
+
     def test_adversary_support_outside_bounds(self):
         inst = k_selection_instance(2, 1, lower=[0, 0], upper=[1, 1])
         w = AdversaryMixedStrategy((CostVector(np.array([2.0, 0.0])),), np.array([1.0]))

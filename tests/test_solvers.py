@@ -385,6 +385,29 @@ class TestThresholdKSelection:
             _double_oracle(inst, 1e-7, 10000, oracle).value, abs=1e-7
         )
         _assert_sound_game(game, inst, oracle)
+        # strong duality between the two threshold searches
+        unc, k = inst.uncertainty, oracle.k
+        fill = solvers_mod._ThresholdFill(unc.lower, unc.upper, k)
+        adv = fill.for_adversary()
+        beta = adv.best_alpha()
+        z = fill.h(fill.best_alpha())[0]
+        assert z == pytest.approx(-adv.h(beta)[0], abs=1e-9 * (1.0 + abs(z)))
+        assert adv.marginal(beta).sum() == pytest.approx(k, abs=1e-9)
+
+    # Zero-width items alternate with wide ones, and k leaves only a few
+    # items out: the player's marginal sits within round-off of 1 on items
+    # whose cost cannot move, and the adversary's point must still sum to k.
+    @pytest.mark.parametrize(
+        "n,k,upper",
+        [(300, 279, [3.0, 2.0] * 150), (182, 154, [2.3, 2.0] * 91)],
+        ids=["n300", "n182"],
+    )
+    def test_alternating_zero_widths(self, n, k, upper):
+        inst = k_selection_instance(n, k, lower=[2.0] * n, upper=upper)
+        oracle = build_oracle(inst)
+        game = solve_randomized(inst, oracle=oracle)
+        assert game.value == pytest.approx(_highs_interval_k_selection(inst), abs=1e-9)
+        _assert_sound_game(game, inst, oracle)
 
     def test_optimum_on_an_endpoint(self):
         # h is least at alpha* = 4 = u_1 and strictly larger on either side
@@ -416,17 +439,17 @@ class TestThresholdKSelection:
         _assert_sound_game(game, inst, build_oracle(inst))
 
     def test_wrong_adversary_point_raises(self, monkeypatch):
-        real = solvers_mod._threshold_adversary
+        real = solvers_mod._interval_adversary
 
-        def shifted(lower, upper, k, p, alpha):
+        def shifted(mu, oracle, unc, tol):
             # still in conv(X): a third of a unit moves between two items
-            mu = real(lower, upper, k, p, alpha).copy()
+            mu = mu.copy()
             give, take = int(np.argmax(mu)), int(np.argmin(mu))
             mu[give] -= 1.0 / 3.0
             mu[take] += 1.0 / 3.0
-            return mu
+            return real(mu, oracle, unc, tol)
 
-        monkeypatch.setattr(solvers_mod, "_threshold_adversary", shifted)
+        monkeypatch.setattr(solvers_mod, "_interval_adversary", shifted)
         inst = generate_instance("k-selection", n=20, uncertainty="interval", seed=1)
         with pytest.raises(SolverError, match="best-response gap"):
             solve_randomized(inst)
