@@ -355,7 +355,7 @@ class WarmLP:
         that limit, or any other status, takes the confirmed path from
         where the kernel stopped.  A loop that grows the LP may move on from
         an iterate, but takes its answer only from a confirmed solve, as
-        the double oracle (``solvers._restricted_game``) does.
+        the double oracle (``solvers._double_oracle``) does.
         """
         return self._solve(iterate, None)
 

@@ -73,12 +73,15 @@ def simulate(
     Returns the sample mean of ``regret(T_i, c_i)`` over ``samples`` pairs
     and its standard error.  Drawing uses inverse-CDF lookups on the two
     supports; substream 2c drives the player and 2c+1 the adversary within
-    chunk c.
+    chunk c.  A player set the oracle finds infeasible, or an adversary
+    vector outside the uncertainty set, raises :class:`InstanceError`.
     """
     if samples < 1:
         raise InstanceError("samples must be at least 1")
     oracle = build_oracle(instance) if oracle is None else oracle
     w.validate_for(instance)
+    if not all(oracle.is_feasible(T) for T in y.support):
+        raise InstanceError("regret is defined only for feasible sets")
 
     X = np.stack([T.indicator for T in y.support]).astype(float)
     C = np.stack([c.values for c in w.support])

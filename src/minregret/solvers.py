@@ -43,7 +43,7 @@ game exactly, then let each side best-respond to the other's current mix,
 and stop once the two best-response values bracket the restricted value
 within tolerance.  The restricted game is one ``MatrixGame`` that grows by
 at most a row and a column per iteration, so each solve starts from the
-previous optimal basis; the loop (``_restricted_game``) decides at
+previous optimal basis; the loop (``_double_oracle``) decides at
 confirmed solves only.  Every path certifies the same bracket: the
 adversary's best response to the returned marginal against the player's
 best response to the returned adversary mix.
@@ -130,59 +130,6 @@ class _GrowingRows:
     @property
     def rows(self) -> np.ndarray:
         return self._buffer[: self._count]
-
-
-class _Columns:
-    """Active adversary pure strategies with their nominal optima."""
-
-    def __init__(self, instance: Instance, oracle: NominalOracle):
-        self.instance = instance
-        self.oracle = oracle
-        self.interval = instance.is_interval
-        # one row per column, grown in place
-        self.costs = _GrowingRows(instance.n)
-        self.optima = _GrowingRows()
-        self.labels: list = []  # scenario index or generating FeasibleSet
-        if not self.interval:
-            self.scenario_optima = scenario_optima(instance, oracle)
-
-    def key(self, br):
-        # an interval column is keyed by its realized cost vector: distinct
-        # generating sets can coincide wherever interval bounds are degenerate
-        return br.cost.values.tobytes() if self.interval else br.scenario
-
-    def adversary_response(self, marginal: MarginalVector):
-        if self.interval:
-            return max_expected_regret_interval(marginal, self.instance, self.oracle)
-        return max_expected_regret_discrete(
-            marginal, self.instance, self.oracle, optima=self.scenario_optima
-        )
-
-    def add_best_response(self, br) -> None:
-        """Add a best response's column.  An interval best response A is the
-        nominal minimizer at ``l + d*p``, so no set beats A at c^A (one that
-        did would out-regret the best response): the column's optimum is
-        ``l(A)``, summed in ascending order as Kruskal's rule sums it."""
-        if not self.interval:
-            self.add_scenario(br.scenario)
-            return
-        A = br.chosen_set
-        self.costs.append(br.cost.values)
-        self.optima.append(np.sort(self.instance.uncertainty.lower[A.indicator != 0]).sum())
-        self.labels.append(A)
-
-    def add_scenario(self, s: int) -> None:
-        self.costs.append(self.instance.uncertainty.costs[s])
-        self.optima.append(self.scenario_optima[s])
-        self.labels.append(s)
-
-    def cleaned_strategy(self, probs) -> AdversaryMixedStrategy:
-        support = CostVector.from_rows(self.costs.rows)
-        if self.interval:
-            return AdversaryMixedStrategy.cleaned(support, probs, generators=tuple(self.labels))
-        return AdversaryMixedStrategy.cleaned(
-            support, probs, scenario_indices=tuple(self.labels)
-        )
 
 
 def _initial_player_set(instance: Instance, oracle: NominalOracle) -> FeasibleSet:
@@ -446,91 +393,133 @@ def _compact_k_selection(
     )
 
 
-def _restricted_game(
+class _RestrictedGame:
+    """The double oracle's restricted game, grown in place.
+
+    Rows are player sets (``sets``, indicators ``X``); columns are adversary
+    cost vectors with their nominal optima and labels (scenario indices or
+    generating sets); ``matrix`` is the game of their regrets, and ``seen``
+    holds every strategy generated.  The first row is the mean-cost (or
+    midpoint) set, against the adversary's best response to it or, with
+    ``every_scenario``, every scenario: a ``complete`` game, where the
+    adversary's best response to a row mix is the column it concedes most to.
+    """
+
+    def __init__(self, instance: Instance, oracle: NominalOracle, every_scenario: bool):
+        self.instance, self.oracle = instance, oracle
+        self.interval, self.complete = instance.is_interval, every_scenario
+        if not self.interval:
+            self.scenario_optima = scenario_optima(instance, oracle)
+        first = _initial_player_set(instance, oracle)
+        self.sets, self.seen = [first], {first}
+        self.X = _GrowingRows(instance.n)  # one row per strategy, grown in place
+        self.X.append(first.indicator)
+        self.costs, self.optima, self.labels = _GrowingRows(instance.n), _GrowingRows(), []
+        if every_scenario:
+            for s in range(instance.uncertainty.k):
+                self._add_column(*self._scenario_column(s))
+        else:
+            self._add_column(*self._adversary_response(self.X.rows[0])[1])
+        self.matrix = MatrixGame(self.X.rows @ self.costs.rows.T - self.optima.rows)
+
+    def responses(self, y: np.ndarray, w: np.ndarray):
+        """Each side's best response to the other's mix, as ``(adversary value,
+        column, player value, row)``; one the game holds already is None."""
+        if self.complete:
+            adv_value, column = self.matrix.conceded, None
+        else:
+            adv_value, column = self._adversary_response(y @ self.X.rows)
+            if column[0] in self.seen:
+                column = None
+        # raw column weights: the active support may not be distinct-as-
+        # strategies yet, so no AdversaryMixedStrategy is built here
+        C, optima = self.costs.rows, self.optima.rows
+        row, play_value = weighted_player_response(w, C, optima, self.oracle)
+        if row in self.seen:
+            row = None
+        return adv_value, column, play_value, row
+
+    def grow(self, column, row) -> None:
+        """Add a column (an LP row), then a row (an LP column), if not None."""
+        if column is not None:
+            self._add_column(*column)
+            self.matrix.add_columns(self.X.rows @ self.costs.rows[-1:].T - self.optima.rows[-1])
+        if row is not None:
+            self.seen.add(row)
+            self.sets.append(row)
+            self.X.append(row.indicator)
+            self.matrix.add_rows((self.costs.rows @ self.X.rows[-1] - self.optima.rows)[None, :])
+
+    def solution(self, y, w, value: float, gap: float, iterations: int) -> GameSolution:
+        """The cleaned mixes at ``value`` as a :class:`GameSolution`."""
+        player = PlayerMixedStrategy.cleaned(self.sets, y)
+        labels = {"generators" if self.interval else "scenario_indices": tuple(self.labels)}
+        support = CostVector.from_rows(self.costs.rows)
+        adversary = AdversaryMixedStrategy.cleaned(support, w, **labels)
+        marginal, gap = marginal_of_strategy(player), float(max(gap, 0.0))
+        return GameSolution(float(value), player, marginal, adversary, iterations, gap)
+
+    def _adversary_response(self, p: np.ndarray):
+        """The adversary's best response to the marginal p: its value, and
+        its column as ``(key, cost vector, optimum, label)``.  An interval
+        best response A is the nominal minimizer at ``l + d*p``, so no set
+        beats A at c^A (one that did would out-regret A): the column's
+        optimum is ``l(A)``, summed in ascending order as Kruskal's rule sums
+        it.  Its key is c^A itself: distinct generating sets can coincide
+        wherever interval bounds are degenerate.
+        """
+        marginal, inst, oracle = MarginalVector(p), self.instance, self.oracle
+        if not self.interval:
+            br = max_expected_regret_discrete(marginal, inst, oracle, optima=self.scenario_optima)
+            return br.value, self._scenario_column(br.scenario)
+        br = max_expected_regret_interval(marginal, inst, oracle)
+        A, cost = br.chosen_set, br.cost.values
+        optimum = np.sort(inst.uncertainty.lower[A.indicator != 0]).sum()
+        return br.value, (cost.tobytes(), cost, optimum, A)
+
+    def _scenario_column(self, s: int):
+        return s, self.instance.uncertainty.costs[s], self.scenario_optima[s], s
+
+    def _add_column(self, key, cost, optimum, label) -> None:
+        self.seen.add(key)
+        self.costs.append(cost)
+        self.optima.append(optimum)
+        self.labels.append(label)
+
+
+def _double_oracle(
     instance: Instance, tol: float, limit: int, oracle: NominalOracle, every_scenario=False
-) -> tuple[PlayerMixedStrategy, AdversaryMixedStrategy, float, float, int]:
+) -> GameSolution:
     """The double-oracle loop of the module docstring, for any family.
 
-    The game starts from the mean-cost (or midpoint) set against the
-    adversary's best response to it or, with ``every_scenario``, against
-    every scenario, so that only rows are generated.  An iteration grows the
-    game by the best responses not in it yet, a column (an LP row) before a
-    row (an LP column).  An iterate that would finish or has nothing new is
-    solved again, confirmed, and decided there; that re-solve is not counted.
+    Each iteration grows the :class:`_RestrictedGame` by the best responses
+    not in it yet.  An iterate that would finish or has nothing new is
+    solved again, confirmed, and decided there (an uncounted re-solve).
     Nothing new at a confirmed solve raises :class:`SolverError`; after
     ``limit`` iterations :class:`IterationLimitError` carries the greatest
-    lower and least upper bound reached.  Returns the cleaned ``(player,
-    adversary, value, gap, iterations)``.
+    lower and least upper bound reached.
     """
-    columns = _Columns(instance, oracle)
-    rows: list[FeasibleSet] = [_initial_player_set(instance, oracle)]
-    X = _GrowingRows(instance.n)  # the player sets' indicators, grown in place
-    X.append(rows[0].indicator)
-    C, optima = columns.costs, columns.optima
-    if every_scenario:
-        for s in range(instance.uncertainty.k):
-            columns.add_scenario(s)
-        seen = {rows[0], *columns.labels}
-    else:
-        first = columns.adversary_response(MarginalVector(X.rows[0]))
-        columns.add_best_response(first)
-        seen = {rows[0], columns.key(first)}
-    game = MatrixGame(X.rows @ C.rows.T - optima.rows)
+    game = _RestrictedGame(instance, oracle, every_scenario)
     lower = upper = None
     for iteration in range(1, limit + 1):
         iterate = True
         while True:
-            y_mix, w_mix, value = game.solve(iterate=iterate)
-            if every_scenario:
-                adv_value, column = game.conceded, None
-            else:
-                column = columns.adversary_response(MarginalVector(y_mix @ X.rows))
-                adv_value = column.value
-                if columns.key(column) in seen:
-                    column = None
-            # raw column weights: the active support may not be distinct-as-
-            # strategies yet, so no AdversaryMixedStrategy is built here
-            row, play_value = weighted_player_response(w_mix, C.rows, optima.rows, oracle)
-            if row in seen:
-                row = None
+            y_mix, w_mix, value = game.matrix.solve(iterate=iterate)
+            adv_value, column, play_value, row = game.responses(y_mix, w_mix)
             gap = adv_value - play_value
             new = column is not None or row is not None
-            if game.confirmed or (gap > tol and new):
+            if game.matrix.confirmed or (gap > tol and new):
                 break
             iterate = False
         lower = play_value if lower is None else max(lower, play_value)
         upper = adv_value if upper is None else min(upper, adv_value)
         if gap <= tol:
-            player = PlayerMixedStrategy.cleaned(rows, y_mix)
-            return player, columns.cleaned_strategy(w_mix), value, gap, iteration
+            return game.solution(y_mix, w_mix, value, gap, iteration)
         if not new:
             raise SolverError(f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}")
-        if column is not None:
-            seen.add(columns.key(column))
-            columns.add_best_response(column)
-            game.add_columns(X.rows @ C.rows[-1:].T - optima.rows[-1])
-        if row is not None:
-            seen.add(row)
-            rows.append(row)
-            X.append(row.indicator)
-            game.add_rows((C.rows @ X.rows[-1] - optima.rows)[None, :])
+        game.grow(column, row)
     raise IterationLimitError(
         f"double oracle exceeded {limit} iterations", lower, upper, iterations=limit
-    )
-
-
-def _double_oracle(
-    instance: Instance, tol: float, max_iter: int, oracle: NominalOracle
-) -> GameSolution:
-    """The double oracle by column generation, as a :class:`GameSolution`."""
-    player, adversary, value, gap, iterations = _restricted_game(instance, tol, max_iter, oracle)
-    return GameSolution(
-        value=float(value),
-        player=player,
-        marginal=marginal_of_strategy(player),
-        adversary=adversary,
-        iterations=iterations,
-        certified_gap=float(max(gap, 0.0)),
     )
 
 
@@ -685,8 +674,8 @@ def solve_adversary_lp_discrete(
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
     oracle = build_oracle(instance) if oracle is None else oracle
-    player, adversary, value, _, _ = _restricted_game(instance, tol, MAX_CUTS, oracle, True)
-    return adversary, value, player
+    game = _double_oracle(instance, tol, MAX_CUTS, oracle, every_scenario=True)
+    return game.adversary, game.value, game.player
 
 
 def bruteforce_game_value(

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     EnumerationCapError,
     Instance,
+    InstanceError,
     SolverError,
     expected_regret,
     marginal_of_strategy,
@@ -223,6 +224,8 @@ def run_random_suite(count: int, seed: int, tol: float = 1e-7):
     Cycles through the three generator families and both uncertainty types.
     Returns ``(results, instances_checked)``.
     """
+    if count < 1:
+        raise InstanceError("the random suite needs a count of at least 1")
     families = ("k-selection", "spanning-tree", "dag-path")
     results: list[CheckResult] = []
     for i in range(count):

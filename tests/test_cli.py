@@ -312,6 +312,30 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_infeasible_player_set_exits_2(self, tmp_path, capsys):
+        instance = tmp_path / "ks6.json"
+        save_instance(
+            generate_instance("k-selection", n=6, k=3, uncertainty="scenarios", seed=1),
+            instance,
+        )
+        costs = json.loads(instance.read_text(encoding="utf-8"))["uncertainty"]["costs"]
+        strat = tmp_path / "s.json"
+        strat.write_text(
+            json.dumps(
+                {
+                    "player": {"sets": [[0], [0, 1, 2, 3, 4, 5]], "probs": [0.5, 0.5]},
+                    "adversary": {"costs": [costs[0]], "probs": [1.0]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "--instance", str(instance), "--samples", "10", "--seed", "1",
+             "--strategies", str(strat)]
+        )
+        assert code == 2
+        assert "only for feasible sets" in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_tight_discrete_structure(self, tmp_path):
@@ -358,6 +382,13 @@ class TestVerifyCommand:
         assert main(["verify", "--random-suite", "--count", "6", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_random_suite_needs_a_positive_count(self, count, capsys):
+        assert main(["verify", "--random-suite", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert "checks passed" not in captured.out
+        assert "count of at least 1" in captured.err
 
     def test_requires_a_target(self, capsys):
         assert main(["verify"]) == 2

@@ -1077,18 +1077,18 @@ class TestGenerate:
     def test_iterate_finish_is_confirmed(self, monkeypatch):
         inst = generate_instance("spanning-tree", n=12, uncertainty="interval", seed=1)
         calls = self._log(monkeypatch)
-        _, _, _, gap, iterations = solvers_mod._restricted_game(inst, 1e-7, 10000, build_oracle(inst))
-        assert gap <= 1e-7
+        game = solvers_mod._double_oracle(inst, 1e-7, 10000, build_oracle(inst))
+        assert game.certified_gap <= 1e-7
         # the iterate that would finish is solved again, confirmed, and the
         # loop finishes there; the re-solve is not counted as an iteration
         assert calls[-2:] == [(True, False), (False, True)]
-        assert iterations == sum(iterate for iterate, _ in calls) == len(calls) - 1
+        assert game.iterations == sum(iterate for iterate, _ in calls) == len(calls) - 1
 
     def test_iterate_stall_is_confirmed_before_raising(self, monkeypatch):
         inst = generate_instance("spanning-tree", n=12, uncertainty="interval", seed=1)
         calls = self._log(monkeypatch)
         with pytest.raises(SolverError, match="^double oracle stalled with residual gap"):
-            solvers_mod._restricted_game(inst, 1e-7, 10000, RepeatingOracle(build_oracle(inst)))
+            solvers_mod._double_oracle(inst, 1e-7, 10000, RepeatingOracle(build_oracle(inst)))
         # the first iterate has nothing new; the stall is raised only from
         # its confirmed re-solve, which has nothing new either
         assert calls == [(True, False), (False, True)]

@@ -88,6 +88,17 @@ class TestSimulate:
         with pytest.raises(InstanceError):
             simulate(inst, game.player, game.adversary, 0, seed=1)
 
+    def test_infeasible_player_set_rejected(self):
+        # regret is defined only for feasible sets: k = 3 of 6 items here
+        inst = k_selection_instance(6, 3, scenarios=[[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1]])
+        y = PlayerMixedStrategy(
+            (FeasibleSet.from_indices(6, [0]), FeasibleSet.from_indices(6, range(6))),
+            np.array([0.5, 0.5]),
+        )
+        w = AdversaryMixedStrategy((CostVector(np.array([1.0, 2, 3, 4, 5, 6])),), np.array([1.0]))
+        with pytest.raises(InstanceError, match="only for feasible sets"):
+            simulate(inst, y, w, 100, seed=1)
+
     def test_nested_runs_agree_with_exact(self):
         # 100 seeds; N and 4N runs from split seeds should sit within
         # 4 standard errors of the exact value in at least 99 cases.

@@ -30,7 +30,6 @@ from minregret.solvers import (
     solve_deterministic_exact,
     solve_randomized,
     _double_oracle,
-    _restricted_game,
 )
 
 from conftest import (
@@ -112,6 +111,11 @@ class TestSolveRandomized:
             assert -1e-9 <= game.value - lower <= 1e-6
 
 
+# HiGHS's feasibility tolerances default to 1e-7; the references are compared
+# at 1e-9.
+_HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
 def _highs_interval_k_selection(inst) -> float:
     """The compact interval LP over (p, alpha, beta), solved by HiGHS."""
     n, k = inst.n, inst.nominal.k
@@ -124,6 +128,7 @@ def _highs_interval_k_selection(inst) -> float:
         b_eq=[k],
         bounds=[(0, 1)] * n + [(None, None)] + [(None, 0)] * n,
         method="highs",
+        options=_HIGHS_TIGHT,
     )
     assert res.status == 0
     return float(res.fun)
@@ -142,6 +147,7 @@ def _highs_scenario_k_selection(inst, oracle) -> float:
         b_eq=[k],
         bounds=[(0, 1)] * n + [(None, None)],
         method="highs",
+        options=_HIGHS_TIGHT,
     )
     assert res.status == 0
     return float(res.fun)
@@ -246,6 +252,24 @@ class TestCompactKSelection:
     def test_interval_n300(self, seed):
         inst = generate_instance("k-selection", n=300, uncertainty="interval", seed=seed)
         self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst), 1e-9)
+
+    # Every other item has a width of at most 1e-6 above a common lower bound
+    # of 2, so the values are below 1e-5.  HiGHS on these instances misses
+    # the value by up to 4e-8, whatever its tolerances.  Every set has k
+    # items, so the value scales with any affine map c -> a + b*c (b > 0) of
+    # the costs, and HiGHS solves the instance mapped onto widths of at most 1.
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_interval_tiny_widths(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        k = int(rng.integers(1, n + 1))
+        width = rng.uniform(0.0, 1e-6, n) * (np.arange(n) % 2 == 0)
+        inst = k_selection_instance(n, k, lower=np.full(n, 2.0), upper=2.0 + width)
+        scale = width.max()
+        mapped = k_selection_instance(n, k, lower=np.zeros(n), upper=width / scale)
+        self._check_at_scale(
+            inst, lambda inst, oracle: scale * _highs_interval_k_selection(mapped), 1e-9
+        )
 
     def test_16_scenarios_n400(self):
         inst = generate_instance(
@@ -575,13 +599,14 @@ def test_interval_best_response_is_optimal_at_its_own_costs(family):
 def test_interval_columns_store_their_optimum_without_a_solve(monkeypatch):
     inst = generate_instance("spanning-tree", n=30, uncertainty="interval", seed=1)
     oracle = build_oracle(inst)
-    columns = solvers_mod._Columns(inst, oracle)
+    game = solvers_mod._RestrictedGame(inst, oracle, every_scenario=False)
     br = max_expected_regret_interval(MarginalVector(np.full(30, 0.5)), inst, oracle)
+    monkeypatch.setattr(solvers_mod, "max_expected_regret_interval", lambda *args: br)
     monkeypatch.setattr(oracle, "solve", lambda c: pytest.fail("column solved"))
-    columns.add_best_response(br)
+    game.grow(game._adversary_response(np.full(30, 0.5))[1], None)
     monkeypatch.undo()
-    assert columns.optima.rows[0] == oracle.solve(br.cost.values)[1]
-    assert columns.labels == [br.chosen_set]
+    assert game.optima.rows[-1] == oracle.solve(br.cost.values)[1]
+    assert game.labels[-1] == br.chosen_set
 
 
 def test_adversary_lp_cut_budget_raises_iteration_limit(monkeypatch):
@@ -978,7 +1003,7 @@ def test_loop_grows_by_a_new_column_before_a_new_row(monkeypatch, family):
         (scenarios, True, {"", "r"}),
     ):
         events.clear()
-        _restricted_game(instance, 1e-7, 10000, build_oracle(instance), every_scenario)
+        _double_oracle(instance, 1e-7, 10000, build_oracle(instance), every_scenario)
         growth = "".join(events).split("|")[1:]
         assert set(growth) <= allowed and "r" in growth
         if "cr" in growth:
