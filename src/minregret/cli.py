@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -181,6 +182,8 @@ def cmd_approx(args) -> int:
         chosen, rmax = approx_mean_cost(instance)
         bound = float(instance.uncertainty.k)
     elif method == "dual-weighted":
+        if instance.is_interval:
+            raise InstanceError("dual-weighted approximation requires scenario uncertainty")
         game = solve_randomized(instance, tol=args.tol)
         chosen, rmax = approx_dual_weighted(instance, game.adversary)
         bound = float(instance.uncertainty.k)
@@ -305,6 +308,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
 
 
+# argparse exits 2 on a value these reject, before any instance is loaded
+def tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return tol
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minregret",
@@ -315,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
+        p.add_argument("--tol", type=tolerance, default=1e-7, help="solver tolerance")
 
     p = sub.add_parser("solve", help="optimal randomized or deterministic solution")
     p.add_argument("--instance", required=True)
     p.add_argument("--model", choices=("randomized", "deterministic"), required=True)
     p.add_argument(
         "--max-iter",
-        type=int,
+        type=positive_int,
         default=10000,
         help="iteration budget of the double oracle (spanning trees, DAG paths, explicit families)",
     )
@@ -369,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-suite", action="store_true")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=tolerance, default=1e-7)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,9 +1,10 @@
 """Domain model for minmax-regret games over combinatorial ground sets.
 
-An :class:`Instance` couples a ground set of ``n`` items with (a) a nominal
-combinatorial family describing which subsets may be selected and (b) a cost
-uncertainty description, either per-item intervals or a finite list of cost
-scenarios.  The selecting player commits to a distribution over feasible
+An :class:`Instance` couples a ground set of ``n`` items with (a) the nominal
+oracle of a combinatorial family, which says which subsets may be selected
+and is the family's only description (see :mod:`minregret.nominal`), and (b)
+a cost uncertainty description, either per-item intervals or a finite list
+of cost scenarios.  The selecting player commits to a distribution over feasible
 sets; the adversary answers with a distribution over cost vectors drawn from
 the uncertainty set.  This module holds the value types shared by every
 solver plus the elementary regret arithmetic; oracles, LPs and game solvers
@@ -17,9 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .nominal import NominalOracle
 
 # Mixed-strategy probabilities must sum to one within this tolerance.
 PROB_SUM_TOL = 1e-9
@@ -108,47 +112,6 @@ def as_costs(c, n: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Nominal-problem descriptions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KSelection:
-    """Select exactly k of n items."""
-
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """Select a spanning tree of an undirected graph; items are edges."""
-
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class DagPath:
-    """Select a source-to-target path in a DAG; items are arcs."""
-
-    vertices: int
-    arcs: tuple[tuple[int, int], ...]
-    source: int
-    target: int
-
-
-@dataclass(frozen=True)
-class Explicit:
-    """Feasible family given as an explicit list of index sets."""
-
-    sets: tuple[tuple[int, ...], ...]
-
-
-NominalSpec = Union[KSelection, SpanningTree, DagPath, Explicit]
-
-
-# ---------------------------------------------------------------------------
 # Uncertainty descriptions
 # ---------------------------------------------------------------------------
 
@@ -215,11 +178,14 @@ UncertaintySpec = Union[Intervals, Scenarios]
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A named robust-selection problem: items, feasible family, uncertainty."""
+    """A named robust-selection problem: items, feasible family, uncertainty.
+
+    ``nominal`` is the family's oracle, which checked the family when built.
+    """
 
     name: str
     n: int
-    nominal: NominalSpec
+    nominal: NominalOracle
     uncertainty: UncertaintySpec
 
     def __post_init__(self):
@@ -229,70 +195,14 @@ class Instance:
             raise InstanceError(
                 f"uncertainty describes {self.uncertainty.n} items, instance has {self.n}"
             )
-        _check_nominal(self.nominal, self.n)
+        if self.nominal.n != self.n:
+            raise InstanceError(
+                f"nominal family describes {self.nominal.n} items, instance has {self.n}"
+            )
 
     @property
     def is_interval(self) -> bool:
         return isinstance(self.uncertainty, Intervals)
-
-
-def _check_nominal(spec: NominalSpec, n: int) -> None:
-    if isinstance(spec, KSelection):
-        if spec.n != n:
-            raise InstanceError("k-selection item count differs from instance n")
-        if not 1 <= spec.k <= spec.n:
-            raise InstanceError(f"k={spec.k} out of range 1..{spec.n}")
-    elif isinstance(spec, SpanningTree):
-        if len(spec.edges) != n:
-            raise InstanceError("edge count must equal item count")
-        if spec.vertices < 2:
-            raise InstanceError("spanning-tree graph needs at least two vertices")
-        for u, v in spec.edges:
-            if not (0 <= u < spec.vertices and 0 <= v < spec.vertices) or u == v:
-                raise InstanceError(f"bad edge ({u},{v})")
-    elif isinstance(spec, DagPath):
-        if len(spec.arcs) != n:
-            raise InstanceError("arc count must equal item count")
-        if not (0 <= spec.source < spec.vertices and 0 <= spec.target < spec.vertices):
-            raise InstanceError("source/target out of range")
-        if spec.source == spec.target:
-            raise InstanceError("source and target must differ")
-        for u, v in spec.arcs:
-            if not (0 <= u < spec.vertices and 0 <= v < spec.vertices) or u == v:
-                raise InstanceError(f"bad arc ({u},{v})")
-        topological_order(spec.vertices, spec.arcs)
-    elif isinstance(spec, Explicit):
-        if not spec.sets:
-            raise InstanceError("explicit feasible family is empty")
-        for s in spec.sets:
-            if any(not 0 <= e < n for e in s):
-                raise InstanceError(f"set {s} not a subset of 0..{n - 1}")
-            if len(set(s)) != len(s):
-                raise InstanceError(f"set {s} repeats an item")
-    else:  # pragma: no cover - guarded by type checks upstream
-        raise InstanceError(f"unknown nominal spec {type(spec).__name__}")
-
-
-def topological_order(vertices: int, arcs) -> list[int]:
-    """The vertices in topological order; raises if the graph has a cycle."""
-    # Kahn's algorithm; leftover vertices with unconsumed in-degree mean a cycle.
-    indeg = [0] * vertices
-    out = [[] for _ in range(vertices)]
-    for u, v in arcs:
-        out[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in range(vertices) if indeg[v] == 0]
-    order = []
-    while queue:
-        u = queue.pop()
-        order.append(u)
-        for v in out[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if len(order) != vertices:
-        raise InstanceError("dag-path graph is not acyclic")
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +537,13 @@ def validate_instance(description: dict) -> Instance:
     """Build a validated :class:`Instance` from a plain-dict description.
 
     The description uses the documented JSON schema; unknown fields are
-    rejected rather than ignored so that typos fail loudly.
+    rejected rather than ignored so that typos fail loudly.  The family's
+    oracle is built here and checks the family's structure, so a cyclic or
+    disconnected graph, or an unreachable target, is rejected here too.
     """
+    # the oracles import this module, so it imports them only when called
+    from .nominal import DagPathOracle, ExplicitOracle, KSelectionOracle, SpanningTreeOracle
+
     if not isinstance(description, dict):
         raise InstanceError("instance description must be an object")
     _reject_unknown(description, {"name", "n", "nominal", "uncertainty"}, "instance")
@@ -646,23 +561,18 @@ def validate_instance(description: dict) -> Instance:
     _reject_unknown(nom_d, _NOMINAL_FIELDS[kind], f"nominal/{kind}")
     try:
         if kind == "k-selection":
-            nominal: NominalSpec = KSelection(n=int(nom_d["n"]), k=int(nom_d["k"]))
+            nominal = KSelectionOracle(int(nom_d["n"]), int(nom_d["k"]))
         elif kind == "spanning-tree":
-            nominal = SpanningTree(
-                vertices=int(nom_d["vertices"]),
-                edges=tuple((int(u), int(v)) for u, v in nom_d["edges"]),
-            )
+            nominal = SpanningTreeOracle(int(nom_d["vertices"]), nom_d["edges"])
         elif kind == "dag-path":
-            nominal = DagPath(
-                vertices=int(nom_d["vertices"]),
-                arcs=tuple((int(u), int(v)) for u, v in nom_d["arcs"]),
-                source=int(nom_d["source"]),
-                target=int(nom_d["target"]),
+            nominal = DagPathOracle(
+                int(nom_d["vertices"]),
+                nom_d["arcs"],
+                int(nom_d["source"]),
+                int(nom_d["target"]),
             )
         else:
-            nominal = Explicit(
-                sets=tuple(tuple(sorted(int(e) for e in s)) for s in nom_d["sets"])
-            )
+            nominal = ExplicitOracle(n, nom_d["sets"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed nominal spec: {exc}") from exc
 
@@ -686,16 +596,19 @@ def validate_instance(description: dict) -> Instance:
 
 def describe_instance(instance: Instance) -> dict:
     """Inverse of :func:`validate_instance`: emit the JSON-schema dict."""
+    # the oracles import this module, so it imports them only when called
+    from .nominal import DagPathOracle, KSelectionOracle, SpanningTreeOracle
+
     nom = instance.nominal
-    if isinstance(nom, KSelection):
+    if isinstance(nom, KSelectionOracle):
         nominal = {"type": "k-selection", "n": nom.n, "k": nom.k}
-    elif isinstance(nom, SpanningTree):
+    elif isinstance(nom, SpanningTreeOracle):
         nominal = {
             "type": "spanning-tree",
             "vertices": nom.vertices,
             "edges": [list(e) for e in nom.edges],
         }
-    elif isinstance(nom, DagPath):
+    elif isinstance(nom, DagPathOracle):
         nominal = {
             "type": "dag-path",
             "vertices": nom.vertices,

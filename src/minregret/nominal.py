@@ -8,6 +8,10 @@ lowest item index first, lexicographic where whole sequences compete.
 Only families whose greedy/DP solvers stay correct under negative costs are
 shipped, because decomposition duals feed arbitrary-sign costs back into the
 oracles.
+
+An oracle is its family's only description (``Instance.nominal``); its
+constructor checks the family's structure once and raises
+:class:`InstanceError` on a fault.
 """
 
 from __future__ import annotations
@@ -19,17 +23,12 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
-    DagPath,
     EnumerationCapError,
-    Explicit,
     FeasibleSet,
     Instance,
     InstanceError,
-    KSelection,
-    SpanningTree,
     as_costs,
     check_finite_costs,
-    topological_order,
 )
 
 DEFAULT_ENUM_CAP = 100_000
@@ -134,13 +133,46 @@ class KSelectionOracle(NominalOracle):
             yield FeasibleSet.from_indices(self.n, idx)
 
 
+def _check_pairs(pairs, vertices: int, what: str) -> tuple[tuple[int, int], ...]:
+    """``pairs`` as int pairs of distinct vertices below ``vertices``."""
+    pairs = tuple((int(u), int(v)) for u, v in pairs)
+    for u, v in pairs:
+        if not (0 <= u < vertices and 0 <= v < vertices) or u == v:
+            raise InstanceError(f"bad {what} ({u},{v})")
+    return pairs
+
+
+def topological_order(out) -> list[int]:
+    """The vertices of the graph whose vertex ``u`` has the ``(arc, head)``
+    pairs ``out[u]``, in topological order; raises if it has a cycle."""
+    # Kahn's algorithm; leftover vertices with unconsumed in-degree mean a cycle.
+    indeg = [0] * len(out)
+    for arcs in out:
+        for _, v in arcs:
+            indeg[v] += 1
+    queue = [v for v, d in enumerate(indeg) if d == 0]
+    order = []
+    while queue:
+        u = queue.pop()
+        order.append(u)
+        for _, v in out[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if len(order) != len(out):
+        raise InstanceError("dag-path graph is not acyclic")
+    return order
+
+
 class SpanningTreeOracle(NominalOracle):
     def __init__(self, vertices: int, edges):
+        if vertices < 2:
+            raise InstanceError("spanning-tree graph needs at least two vertices")
         self.vertices = vertices
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
+        self.edges = _check_pairs(edges, vertices, "edge")
         self.n = len(self.edges)
         self.set_size = vertices - 1
-        if not self._connected():
+        if len(self._forest(range(self.n))) != vertices - 1:
             raise InstanceError("spanning-tree graph is disconnected")
 
     def _forest(self, order) -> list[int]:
@@ -162,9 +194,6 @@ class SpanningTreeOracle(NominalOracle):
                 if len(picked) == self.vertices - 1:
                     break
         return picked
-
-    def _connected(self):
-        return len(self._forest(range(self.n))) == self.vertices - 1
 
     def solve(self, c):
         costs = as_costs(c, self.n)
@@ -202,28 +231,21 @@ class SpanningTreeOracle(NominalOracle):
 
 class DagPathOracle(NominalOracle):
     def __init__(self, vertices: int, arcs, source: int, target: int):
+        if not (0 <= source < vertices and 0 <= target < vertices):
+            raise InstanceError("source/target out of range")
+        if source == target:
+            raise InstanceError("source and target must differ")
         self.vertices = vertices
-        self.arcs = tuple((int(u), int(v)) for u, v in arcs)
+        self.arcs = _check_pairs(arcs, vertices, "arc")
         self.n = len(self.arcs)
         self.source = source
         self.target = target
-        self.topo = topological_order(vertices, self.arcs)
         self.out = [[] for _ in range(vertices)]
         for idx, (u, v) in enumerate(self.arcs):
             self.out[u].append((idx, v))
-        if not self._reachable():
+        self.topo = topological_order(self.out)
+        if not self._family_size():
             raise InstanceError("target is unreachable from source")
-
-    def _reachable(self):
-        seen = {self.source}
-        stack = [self.source]
-        while stack:
-            u = stack.pop()
-            for _, v in self.out[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return self.target in seen
 
     def solve(self, c):
         costs = as_costs(c, self.n)
@@ -291,18 +313,18 @@ class DagPathOracle(NominalOracle):
 
 class ExplicitOracle(NominalOracle):
     def __init__(self, n: int, sets):
-        seen = set()
-        family = []
-        for s in sets:
-            T = FeasibleSet.from_indices(n, s)
-            if T not in seen:
-                seen.add(T)
-                family.append(T)
-        if not family:
+        self.sets = tuple(tuple(sorted(int(e) for e in s)) for s in sets)
+        if not self.sets:
             raise InstanceError("explicit feasible family is empty")
+        for s in self.sets:
+            if any(not 0 <= e < n for e in s):
+                raise InstanceError(f"set {s} not a subset of 0..{n - 1}")
+            if len(set(s)) != len(s):
+                raise InstanceError(f"set {s} repeats an item")
         self.n = n
-        self.family = tuple(family)
-        self._members = seen
+        # each distinct set once, where it is first listed
+        self.family = tuple(FeasibleSet.from_indices(n, s) for s in dict.fromkeys(self.sets))
+        self._members = set(self.family)
 
     def solve(self, c):
         costs = as_costs(c, self.n)
@@ -322,14 +344,6 @@ class ExplicitOracle(NominalOracle):
 
 
 def build_oracle(instance: Instance) -> NominalOracle:
-    """Construct the oracle matching an instance's nominal spec."""
-    spec = instance.nominal
-    if isinstance(spec, KSelection):
-        return KSelectionOracle(spec.n, spec.k)
-    if isinstance(spec, SpanningTree):
-        return SpanningTreeOracle(spec.vertices, spec.edges)
-    if isinstance(spec, DagPath):
-        return DagPathOracle(spec.vertices, spec.arcs, spec.source, spec.target)
-    if isinstance(spec, Explicit):
-        return ExplicitOracle(instance.n, spec.sets)
-    raise InstanceError(f"unknown nominal spec {type(spec).__name__}")
+    """The instance's nominal oracle, ``instance.nominal``, which was built
+    and checked with the instance."""
+    return instance.nominal

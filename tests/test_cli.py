@@ -72,6 +72,21 @@ class TestSolveCommand:
         assert code == 2
         assert "item 0" in capsys.readouterr().err
 
+    # A NaN or negative tolerance used to stall the solver, an infinite one
+    # ended it at a wrong value, and a zero budget exited 3 with no bracket.
+    @pytest.mark.parametrize(
+        "option, value", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--max-iter", "0")]
+    )
+    def test_unusable_tolerance_or_budget_exits_2_at_parse_time(
+        self, option, value, tmp_path, capsys
+    ):
+        path = tmp_path / "st12.json"
+        save_instance(generate_instance("spanning-tree", n=12, seed=1), path)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--instance", str(path), "--model", "randomized", option, value])
+        assert info.value.code == 2
+        assert f"argument {option}: must be" in capsys.readouterr().err
+
     def test_iteration_budget_exit_3_with_bracket_report(self, tmp_path):
         # The tight-discrete k=10 game with its family listed explicitly:
         # k-selection is solved directly (this scenario game by the compact
@@ -155,6 +170,17 @@ class TestApproxCommand:
 
     def test_method_mismatch_exits_2(self, tight_pair):
         assert main(["approx", "--instance", str(tight_pair), "--method", "mean"]) == 2
+
+    def test_dual_weighted_on_intervals_exits_2_before_solving(
+        self, tight_pair, capsys, monkeypatch
+    ):
+        def solves(*args, **kwargs):
+            raise AssertionError("the game was solved")
+
+        monkeypatch.setattr(cli_mod, "solve_randomized", solves)
+        code = main(["approx", "--instance", str(tight_pair), "--method", "dual-weighted"])
+        assert code == 2
+        assert "requires scenario uncertainty" in capsys.readouterr().err
 
     def test_dual_weighted(self, tight3, tmp_path):
         code, report = run_json(
@@ -389,6 +415,12 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "checks passed" not in captured.out
         assert "count of at least 1" in captured.err
+
+    def test_negative_tolerance_exits_2_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--random-suite", "--count", "1", "--tol", "-0.1"])
+        assert info.value.code == 2
+        assert "argument --tol: must be" in capsys.readouterr().err
 
     def test_requires_a_target(self, capsys):
         assert main(["verify"]) == 2

@@ -92,6 +92,57 @@ class TestValidateInstance:
                 }
             )
 
+    # The family's oracle is built with the instance, so a graph it refuses
+    # is rejected here rather than at the first solve.
+    @pytest.mark.parametrize(
+        "nominal, text",
+        [
+            ({"type": "spanning-tree", "vertices": 4, "edges": [[0, 1], [2, 3]]}, "disconnected"),
+            (
+                {"type": "dag-path", "vertices": 3, "arcs": [[1, 2], [0, 1]], "source": 1, "target": 0},
+                "unreachable",
+            ),
+        ],
+    )
+    def test_oracle_rejects_the_graph(self, nominal, text):
+        with pytest.raises(InstanceError, match=text):
+            validate_instance(
+                {
+                    "name": "x",
+                    "n": 2,
+                    "nominal": nominal,
+                    "uncertainty": {"type": "interval", "lower": [0, 0], "upper": [1, 1]},
+                }
+            )
+
+    def test_family_item_count_must_match(self):
+        with pytest.raises(InstanceError, match="nominal family describes 3 items, instance has 2"):
+            validate_instance(
+                {
+                    "name": "x",
+                    "n": 2,
+                    "nominal": {"type": "k-selection", "n": 3, "k": 1},
+                    "uncertainty": {"type": "interval", "lower": [0, 0], "upper": [1, 1]},
+                }
+            )
+
+    def test_instance_holds_its_oracle(self, monkeypatch):
+        import minregret.nominal as nominal_mod
+
+        orders = []
+        real = nominal_mod.topological_order
+
+        def counted(*args):
+            orders.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nominal_mod, "topological_order", counted)
+        inst = generate_instance("dag-path", n=12, seed=1)
+        assert build_oracle(inst) is inst.nominal
+        assert isinstance(inst.nominal, nominal_mod.DagPathOracle)
+        build_oracle(inst).solve(np.ones(inst.n))
+        assert len(orders) == 1  # the DAG is ordered once, when it is checked
+
     def test_describe_round_trip(self):
         inst = tight_discrete(3)
         again = validate_instance(describe_instance(inst))

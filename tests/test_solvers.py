@@ -8,11 +8,13 @@ from minregret.core import (
     IterationLimitError,
     MarginalVector,
     SolverError,
+    describe_instance,
     expected_regret,
     marginal_of_strategy,
+    validate_instance,
 )
 from minregret.gen import generate_instance
-from minregret.nominal import build_oracle
+from minregret.nominal import NominalOracle, build_oracle
 from minregret.regret import (
     extreme_cost_vector,
     max_expected_regret,
@@ -665,6 +667,34 @@ def test_double_oracle_iteration_limit_reports_the_best_bracket():
         assert next_lower >= lower and next_upper <= upper
 
 
+def _scaled(instance, factor):
+    """``instance`` with every interval bound multiplied by ``factor``."""
+    description = describe_instance(instance)
+    for side in ("lower", "upper"):
+        description["uncertainty"][side] = [factor * x for x in description["uncertainty"][side]]
+    return validate_instance(description)
+
+
+class _ShiftedOptimum(NominalOracle):
+    """The sets of ``oracle``, each reported with its optimum plus ``shift``."""
+
+    def __init__(self, oracle, shift):
+        self.oracle, self.n, self.shift = oracle, oracle.n, shift
+
+    def solve(self, costs):
+        T, value = self.oracle.solve(costs)
+        return T, value + self.shift
+
+
+# The gaps are tested against the absolute tol = 1e-7 while their round-off
+# grows with the costs, so both solves fail at bounds x1e6.
+@pytest.mark.xfail(strict=True, raises=SolverError, reason="absolute tol at large cost scales")
+@pytest.mark.parametrize("family, n, seed", [("k-selection", 300, 1), ("spanning-tree", 30, 2)])
+def test_randomized_at_large_cost_scale(family, n, seed):
+    inst = _scaled(generate_instance(family, n=n, seed=seed), 1e6)
+    _assert_sound_game(solve_randomized(inst), inst, build_oracle(inst))
+
+
 class TestApproximations:
     def test_mean_cost_on_tight_instance(self):
         inst = tight_discrete(3)
@@ -729,6 +759,20 @@ class TestApproximations:
         assert f_low == pytest.approx(float(lo @ M.indicator), abs=1e-9)
         det, _ = max_regret_det_interval(M, inst, oracle)
         assert det == pytest.approx(rmax)
+
+    def test_midpoint_at_large_cost_scale(self):
+        # an absolute 1e-9 on the optimum at M's lower bounds rejected this
+        # instance; the check is now relative to the midpoint costs
+        inst = _scaled(generate_instance("spanning-tree", n=60, seed=1), 1e6)
+        M, rmax = approx_midpoint(inst)
+        assert rmax == max_regret_det_interval(M, inst)[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_midpoint_rejects_a_wrong_optimum(self, scale):
+        inst = _scaled(generate_instance("spanning-tree", n=60, seed=1), scale)
+        oracle = _ShiftedOptimum(build_oracle(inst), -1e-6 * scale)
+        with pytest.raises(SolverError, match="not optimal at its own lower-bound costs"):
+            approx_midpoint(inst, oracle)
 
     def test_dual_weighted_uniform_equals_mean(self):
         inst = tight_discrete(4)
