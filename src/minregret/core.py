@@ -17,6 +17,7 @@ the operations here are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Union
 
@@ -98,6 +99,16 @@ def check_finite_costs(values: np.ndarray) -> None:
     """Reject a cost array, of any shape, with a NaN or infinite entry."""
     if not np.isfinite(values).all():
         raise InstanceError("cost vector entries must be finite")
+
+
+def as_integer(value, field: str) -> int:
+    """An integer field of a description as an int.  Integral numbers pass,
+    numpy integers and floats such as 4.0 among them; a fraction, a boolean
+    or a non-number raises :class:`InstanceError` naming ``field``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InstanceError(f"{field} must be an integer, got {value!r}")
 
 
 def as_costs(c, n: int | None = None) -> np.ndarray:
@@ -410,7 +421,9 @@ class AdversaryMixedStrategy:
         return cls(costs, weights / weights.sum(), scen, gens)
 
     def validate_for(self, instance: Instance) -> None:
-        """Check every support vector lies in the instance's uncertainty set."""
+        """Check every support vector lies in the instance's uncertainty set,
+        and that each scenario label is the index of a scenario whose row
+        equals its vector within ``COST_TOL``."""
         for c in self.support:
             if len(c) != instance.n:
                 raise InstanceError("cost vector length differs from instance n")
@@ -418,6 +431,15 @@ class AdversaryMixedStrategy:
                 raise InstanceError(
                     "adversary support vector outside the uncertainty set"
                 )
+        if self.scenario_indices is None:
+            return
+        if instance.is_interval:
+            raise InstanceError("scenario labels on an interval instance")
+        costs = instance.uncertainty.costs
+        for label, c in zip(self.scenario_indices, self.support):
+            s = as_integer(label, "scenario label")
+            if not (0 <= s < len(costs) and np.all(np.abs(costs[s] - c.values) <= COST_TOL)):
+                raise InstanceError(f"support vector labelled {s} is not scenario row {s}")
 
     @property
     def support_size(self) -> int:
@@ -549,7 +571,7 @@ def validate_instance(description: dict) -> Instance:
     _reject_unknown(description, {"name", "n", "nominal", "uncertainty"}, "instance")
     try:
         name = str(description.get("name", "unnamed"))
-        n = int(description["n"])
+        n = as_integer(description["n"], "n")
         nom_d = dict(description["nominal"])
         unc_d = dict(description["uncertainty"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -560,16 +582,16 @@ def validate_instance(description: dict) -> Instance:
         raise InstanceError(f"unknown nominal type {kind!r}")
     _reject_unknown(nom_d, _NOMINAL_FIELDS[kind], f"nominal/{kind}")
     try:
+        def integer(field):
+            return as_integer(nom_d[field], f"nominal {field}")
+
         if kind == "k-selection":
-            nominal = KSelectionOracle(int(nom_d["n"]), int(nom_d["k"]))
+            nominal = KSelectionOracle(integer("n"), integer("k"))
         elif kind == "spanning-tree":
-            nominal = SpanningTreeOracle(int(nom_d["vertices"]), nom_d["edges"])
+            nominal = SpanningTreeOracle(integer("vertices"), nom_d["edges"])
         elif kind == "dag-path":
             nominal = DagPathOracle(
-                int(nom_d["vertices"]),
-                nom_d["arcs"],
-                int(nom_d["source"]),
-                int(nom_d["target"]),
+                integer("vertices"), nom_d["arcs"], integer("source"), integer("target")
             )
         else:
             nominal = ExplicitOracle(n, nom_d["sets"])

@@ -80,14 +80,13 @@ def adversary_strategy_from_dict(d: dict, n: int) -> AdversaryMixedStrategy:
         costs = tuple(CostVector(np.asarray(c, dtype=float)) for c in d["costs"])
         probs = np.asarray(d["probs"], dtype=float)
         scen = d.get("scenarios")
+        scen = None if scen is None else tuple(scen)
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed adversary strategy: {exc}") from exc
     for c in costs:
         if len(c) != n:
             raise InstanceError("adversary cost vector length differs from n")
-    return AdversaryMixedStrategy(
-        costs, probs, scenario_indices=None if scen is None else tuple(scen)
-    )
+    return AdversaryMixedStrategy(costs, probs, scenario_indices=scen)
 
 
 def load_strategies(path, instance: Instance):
@@ -103,7 +102,10 @@ def load_strategies(path, instance: Instance):
 
 def load_marginal(path, n: int) -> MarginalVector:
     raw = _read_json(path)
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"marginal file must hold {n} reals") from exc
     if arr.ndim != 1 or arr.shape[0] != n:
         raise InstanceError(f"marginal file must hold {n} reals")
     return MarginalVector(arr)

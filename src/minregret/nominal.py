@@ -28,6 +28,7 @@ from .core import (
     Instance,
     InstanceError,
     as_costs,
+    as_integer,
     check_finite_costs,
 )
 
@@ -135,7 +136,9 @@ class KSelectionOracle(NominalOracle):
 
 def _check_pairs(pairs, vertices: int, what: str) -> tuple[tuple[int, int], ...]:
     """``pairs`` as int pairs of distinct vertices below ``vertices``."""
-    pairs = tuple((int(u), int(v)) for u, v in pairs)
+    pairs = tuple(
+        (as_integer(u, f"{what} endpoint"), as_integer(v, f"{what} endpoint")) for u, v in pairs
+    )
     for u, v in pairs:
         if not (0 <= u < vertices and 0 <= v < vertices) or u == v:
             raise InstanceError(f"bad {what} ({u},{v})")
@@ -313,7 +316,7 @@ class DagPathOracle(NominalOracle):
 
 class ExplicitOracle(NominalOracle):
     def __init__(self, n: int, sets):
-        self.sets = tuple(tuple(sorted(int(e) for e in s)) for s in sets)
+        self.sets = tuple(tuple(sorted(as_integer(e, "set item") for e in s)) for s in sets)
         if not self.sets:
             raise InstanceError("explicit feasible family is empty")
         for s in self.sets:

@@ -1,11 +1,16 @@
-"""Regret evaluations and best-response oracles.
+"""Regret evaluations and best responses: the adversary's side of the game.
 
-Under interval uncertainty the adversary never needs more than the extreme
-cost vectors c^A (lower bound on the items of A, upper bound elsewhere):
-the worst case for any fixed set, and the separating vector for any marginal,
-always has this form.  Under scenarios the adversary picks from the given
-finite list.  Both best responses reduce to one nominal solve on a suitably
-averaged cost vector.
+Each uncertainty type owns one side, built by :func:`adversary_side` from the
+instance and its oracle.  Under intervals the adversary's pure strategies are
+the extreme cost vectors c^A (lower bound on the items of A, upper bound
+elsewhere), labelled by A: the worst case of a fixed set and the best
+response to a marginal both have this form.  Under scenarios they are the
+scenario rows, labelled by index, whose optima the side solves once.  Either
+way a best response is one nominal solve at most.
+
+:func:`player_best_response` solves the optimum of every support vector, so
+it is exact for any mix; the solvers' own certificates take the optima from
+the side instead, and this function stays their outside check.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .core import (
     CostVector,
     FeasibleSet,
     Instance,
-    InstanceError,
     Intervals,
     MarginalVector,
     Scenarios,
@@ -32,9 +36,8 @@ class BestResponse:
     """One player's exact best response to the opponent's current object.
 
     For the adversary, ``chosen_set`` is the generating set of the extreme
-    cost vector (interval case) or the argmax set behind a scenario row, and
-    ``cost``/``scenario`` identify the pure strategy itself.  For the player,
-    ``chosen_set`` is the responding feasible set.
+    cost vector (interval case), and ``cost``/``scenario`` identify the pure
+    strategy itself.  For the player, ``chosen_set`` is the responding set.
     """
 
     responder: str  # "player" | "adversary"
@@ -42,22 +45,6 @@ class BestResponse:
     chosen_set: FeasibleSet | None = None
     cost: CostVector | None = None
     scenario: int | None = None
-
-
-def _oracle_for(instance: Instance, oracle: NominalOracle | None) -> NominalOracle:
-    return build_oracle(instance) if oracle is None else oracle
-
-
-def _intervals(instance: Instance) -> Intervals:
-    if not isinstance(instance.uncertainty, Intervals):
-        raise InstanceError("operation requires interval uncertainty")
-    return instance.uncertainty
-
-
-def _scenarios(instance: Instance) -> Scenarios:
-    if not isinstance(instance.uncertainty, Scenarios):
-        raise InstanceError("operation requires scenario uncertainty")
-    return instance.uncertainty
 
 
 def extreme_cost_vector(A: FeasibleSet, intervals: Intervals) -> CostVector:
@@ -72,103 +59,96 @@ def extreme_costs(sets, intervals: Intervals) -> np.ndarray:
     return np.where(inside, intervals.lower, intervals.upper)
 
 
-def scenario_optima(instance: Instance, oracle: NominalOracle | None = None) -> np.ndarray:
-    """Nominal optimum of every scenario cost vector, in scenario order."""
-    unc = _scenarios(instance)
-    oracle = _oracle_for(instance, oracle)
-    return oracle.optima(unc.costs)
+class IntervalSide:
+    """The adversary's side under intervals."""
+
+    labels = "generators"
+    response_field = "chosen_set"
+
+    def __init__(self, intervals: Intervals, oracle: NominalOracle):
+        self.lower, self.upper, self.oracle = intervals.lower, intervals.upper, oracle
+        self.seed_costs = (self.lower + self.upper) / 2.0
+
+    def worst_case(self, T: FeasibleSet) -> tuple[float, CostVector]:
+        """The max regret of T and its worst costs: upper bounds on T, lower
+        bounds elsewhere."""
+        worst = np.where(T.indicator.astype(bool), self.upper, self.lower)
+        _, best = self.oracle.solve(worst)
+        return float(worst @ T.indicator) - best, CostVector(worst)
+
+    def respond(self, p: np.ndarray):
+        """The best response to the marginal p, ``u.p`` minus the optimum at
+        ``l + d*p``, and the column of the minimizer A there."""
+        p = MarginalVector(p).p
+        A, z = self.oracle.solve(self.lower + p * (self.upper - self.lower))
+        return float(self.upper @ p) - z, self.column(A)
+
+    def column(self, A: FeasibleSet):
+        """c^A as ``(key, cost, optimum, A)``.  For a best response A no set
+        beats A at c^A (it would out-regret A), so the optimum is ``l(A)``,
+        summed in ascending order as Kruskal's rule sums it.  The key is c^A
+        itself: distinct sets give one c^A where bounds are degenerate."""
+        inside = A.indicator.astype(bool)
+        cost = np.where(inside, self.lower, self.upper)
+        return cost.tobytes(), cost, np.sort(self.lower[inside]).sum(), A
+
+    def optima(self, mix: AdversaryMixedStrategy) -> np.ndarray:
+        """``l(A)`` for each generator A: at least the optimum at c^A, since
+        c^A(A) = l(A), and equal to it for a best response."""
+        return np.stack([A.indicator for A in mix.generators]) @ self.lower
 
 
-def max_regret_det_interval(
-    T: FeasibleSet, instance: Instance, oracle: NominalOracle | None = None
-) -> tuple[float, CostVector]:
-    """Worst-case regret of a fixed set under interval uncertainty.
+class ScenarioSide:
+    """The adversary's side under scenarios."""
 
-    The maximizing cost vector puts every item of T at its upper bound and
-    every other item at its lower bound.
-    """
-    unc = _intervals(instance)
-    oracle = _oracle_for(instance, oracle)
-    inside = T.indicator.astype(bool)
-    worst = np.where(inside, unc.upper, unc.lower)
-    _, best = oracle.solve(worst)
-    own = float(worst @ T.indicator)
-    return own - best, CostVector(worst)
+    labels = "scenario_indices"
+    response_field = "scenario"
 
+    def __init__(self, scenarios: Scenarios, oracle: NominalOracle):
+        self.costs, self.oracle = scenarios.costs, oracle
+        self.seed_costs = self.costs.mean(axis=0)
+        self.opt = oracle.optima(self.costs)  # opt_s, in scenario order
 
-def max_regret_det_discrete(
-    T: FeasibleSet,
-    instance: Instance,
-    oracle: NominalOracle | None = None,
-    optima: np.ndarray | None = None,
-) -> tuple[float, int]:
-    """Worst-case regret of a fixed set over the scenario list.
+    def worst_case(self, T: FeasibleSet) -> tuple[float, int]:
+        """The max regret of T and its scenario, the lowest index of a tie."""
+        regrets = self.costs @ T.indicator - self.opt
+        s = int(np.argmax(regrets))
+        return float(regrets[s]), s
 
-    Ties go to the lowest scenario index.  ``optima`` may carry precomputed
-    per-scenario nominal optima.
-    """
-    unc = _scenarios(instance)
-    if optima is None:
-        optima = scenario_optima(instance, oracle)
-    regrets = unc.costs @ T.indicator - optima
-    s = int(np.argmax(regrets))
-    return float(regrets[s]), s
+    def respond(self, p: np.ndarray):
+        """The best response to the marginal p and its column; ties go to
+        the lowest index."""
+        values = self.costs @ MarginalVector(p).p - self.opt
+        s = int(np.argmax(values))
+        return float(values[s]), self.column(s)
+
+    def column(self, s: int):
+        return s, self.costs[s], self.opt[s], s
+
+    def optima(self, mix: AdversaryMixedStrategy) -> np.ndarray:
+        return self.opt[list(mix.scenario_indices)]
 
 
-def max_regret_det(T, instance, oracle=None):
-    """Dispatch on the instance's uncertainty type; returns the value only."""
+def adversary_side(instance: Instance, oracle: NominalOracle | None = None):
+    """The adversary's side of ``instance``, answered with ``oracle``."""
+    oracle = build_oracle(instance) if oracle is None else oracle
     if instance.is_interval:
-        return max_regret_det_interval(T, instance, oracle)[0]
-    return max_regret_det_discrete(T, instance, oracle)[0]
+        return IntervalSide(instance.uncertainty, oracle)
+    return ScenarioSide(instance.uncertainty, oracle)
 
 
-def max_expected_regret_interval(
-    p: MarginalVector, instance: Instance, oracle: NominalOracle | None = None
-) -> BestResponse:
-    """Adversary best response to a marginal vector under intervals.
+def max_regret_det(T, instance, oracle=None) -> float:
+    """Worst-case regret of a fixed set T."""
+    return adversary_side(instance, oracle).worst_case(T)[0]
 
-    One nominal solve at d_e = lower_e + p_e (upper_e - lower_e) produces the
-    maximizing set T; the best-response cost vector is c^T and the value is
-    sum(upper * p) - min-cost at d.
-    """
-    unc = _intervals(instance)
-    oracle = _oracle_for(instance, oracle)
-    p_arr = p.p
-    d = unc.lower + p_arr * (unc.upper - unc.lower)
-    T_d, z_d = oracle.solve(d)
-    value = float(unc.upper @ p_arr) - z_d
+
+def max_expected_regret(p, instance, oracle=None) -> BestResponse:
+    """The adversary's best response to a marginal vector p."""
+    side = adversary_side(instance, oracle)
+    value, (_, cost, _, label) = side.respond(p.p)
     return BestResponse(
-        responder="adversary",
-        value=value,
-        chosen_set=T_d,
-        cost=extreme_cost_vector(T_d, unc),
+        "adversary", value, cost=CostVector(cost), **{side.response_field: label}
     )
-
-
-def max_expected_regret_discrete(
-    p: MarginalVector,
-    instance: Instance,
-    oracle: NominalOracle | None = None,
-    optima: np.ndarray | None = None,
-) -> BestResponse:
-    """Adversary best response to a marginal vector over scenarios."""
-    unc = _scenarios(instance)
-    if optima is None:
-        optima = scenario_optima(instance, oracle)
-    values = unc.costs @ p.p - optima
-    s = int(np.argmax(values))
-    return BestResponse(
-        responder="adversary",
-        value=float(values[s]),
-        cost=CostVector(unc.costs[s]),
-        scenario=s,
-    )
-
-
-def max_expected_regret(p, instance, oracle=None):
-    if instance.is_interval:
-        return max_expected_regret_interval(p, instance, oracle)
-    return max_expected_regret_discrete(p, instance, oracle)
 
 
 def player_best_response(
@@ -179,10 +159,10 @@ def player_best_response(
     """Feasible set minimizing expected regret against a cost distribution.
 
     Solving the nominal problem at the probability-weighted average costs
-    gives the minimizer; subtracting the averaged per-support optima gives
-    its expected regret.
+    gives the minimizer; subtracting the averaged per-support optima, each
+    solved here, gives its expected regret.
     """
-    oracle = _oracle_for(instance, oracle)
+    oracle = build_oracle(instance) if oracle is None else oracle
     costs = np.stack([c.values for c in w.support])
     T, value = weighted_player_response(w.probs, costs, oracle.optima(costs), oracle)
     return BestResponse(responder="player", value=value, chosen_set=T)

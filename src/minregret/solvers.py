@@ -46,7 +46,13 @@ at most a row and a column per iteration, so each solve starts from the
 previous optimal basis; the loop (``_double_oracle``) decides at
 confirmed solves only.  Every path certifies the same bracket: the
 adversary's best response to the returned marginal against the player's
-best response to the returned adversary mix.
+best response to the returned adversary mix.  Each solve builds the
+instance's adversary side (``regret.adversary_side``) once, and takes from
+it the seed costs, the adversary's columns and best responses, and the
+optima of the mix's support: ``l(A)`` for a generator A, a valid bound that
+is tight at an equilibrium.  ``regret.player_best_response`` solves every
+support optimum instead, so it stays exact for any mix, and ``verify``
+uses it to check these answers from outside.
 
 The adversary's cutting-plane LP (``solve_adversary_lp_discrete``) is the
 same loop started with every scenario on the board: it generates player
@@ -85,17 +91,7 @@ from .core import (
 from .decompose import decompose_marginal
 from .lp import MatrixGame, WarmLP, solve_matrix_game
 from .nominal import KSelectionOracle, NominalOracle, build_oracle, enumeration_cap
-from .regret import (
-    extreme_costs,
-    max_expected_regret,
-    max_expected_regret_discrete,
-    max_expected_regret_interval,
-    max_regret_det_discrete,
-    max_regret_det_interval,
-    player_best_response,
-    scenario_optima,
-    weighted_player_response,
-)
+from .regret import adversary_side, extreme_costs, max_regret_det, weighted_player_response
 
 # Dense payoff matrices above this size are refused; the exhaustive solver is
 # a desk-scale testing oracle, not a production path.
@@ -130,17 +126,6 @@ class _GrowingRows:
     @property
     def rows(self) -> np.ndarray:
         return self._buffer[: self._count]
-
-
-def _initial_player_set(instance: Instance, oracle: NominalOracle) -> FeasibleSet:
-    # Warm start from the approximation solution: midpoint costs under
-    # intervals, mean scenario costs otherwise.
-    if instance.is_interval:
-        unc = instance.uncertainty
-        seed_costs = (unc.lower + unc.upper) / 2.0
-    else:
-        seed_costs = instance.uncertainty.costs.mean(axis=0)
-    return oracle.solve(seed_costs)[0]
 
 
 def solve_randomized(
@@ -303,9 +288,8 @@ def _threshold_k_selection(
     adversary = fill.for_adversary()
     mu = adversary.marginal(adversary.best_alpha())
     return _certified_game(
-        instance,
+        adversary_side(instance, oracle),
         tol,
-        oracle,
         fill.h(alpha)[0],
         fill.marginal(alpha),
         lambda: _interval_adversary(mu, oracle, unc, tol),
@@ -323,10 +307,10 @@ def _interval_adversary(mu, oracle, unc, tol) -> AdversaryMixedStrategy:
     )
 
 
-def _certified_game(
-    instance: Instance, tol: float, oracle, value: float, p, adversary, label: str
-) -> GameSolution:
-    """Decompose p, build the adversary mix and certify the bracket."""
+def _certified_game(side, tol: float, value: float, p, adversary, label: str) -> GameSolution:
+    """Decompose p, build the adversary mix and certify the bracket; the
+    player's response to the mix takes its support optima from ``side``."""
+    oracle = side.oracle
     try:
         player = decompose_marginal(MarginalVector(p), oracle, tol=tol)
         mix = adversary()
@@ -334,8 +318,9 @@ def _certified_game(
         raise SolverError(f"{label} answer outside the hull: {exc}") from exc
 
     marginal = marginal_of_strategy(player)
-    upper_value = max_expected_regret(marginal, instance, oracle).value
-    lower_value = player_best_response(mix, instance, oracle).value
+    upper_value = side.respond(marginal.p)[0]
+    costs = np.stack([c.values for c in mix.support])
+    lower_value = weighted_player_response(mix.probs, costs, side.optima(mix), oracle)[1]
     gap = upper_value - lower_value
     if gap > tol:
         raise SolverError(f"{label} left a best-response gap {gap:.3g} > tol {tol:.3g}")
@@ -361,9 +346,10 @@ def _compact_k_selection(
     n = oracle.n
     unc = instance.uncertainty
     m = unc.k
-    a = _initial_player_set(instance, oracle).indicator.astype(float)
+    side = adversary_side(instance, oracle)
+    a = oracle.solve(side.seed_costs)[0].indicator.astype(float)
     sigma = 1.0 - 2.0 * a
-    regrets = unc.costs @ a - scenario_optima(instance, oracle)
+    regrets = unc.costs @ a - side.opt
     t0 = float(regrets.max())
     # variables z (n), theta; one row per scenario, then sum(p) = k as two rows
     sol = WarmLP(
@@ -379,9 +365,8 @@ def _compact_k_selection(
     if not sol.is_optimal:
         raise SolverError(f"compact k-selection LP ended with status {sol.status_text}")
     return _certified_game(
-        instance,
+        side,
         tol,
-        oracle,
         t0 - sol.objective,
         a + sigma * sol.x[:n],
         lambda: AdversaryMixedStrategy.cleaned(
@@ -396,30 +381,28 @@ def _compact_k_selection(
 class _RestrictedGame:
     """The double oracle's restricted game, grown in place.
 
-    Rows are player sets (``sets``, indicators ``X``); columns are adversary
-    cost vectors with their nominal optima and labels (scenario indices or
-    generating sets); ``matrix`` is the game of their regrets, and ``seen``
-    holds every strategy generated.  The first row is the mean-cost (or
-    midpoint) set, against the adversary's best response to it or, with
+    Rows are player sets (``sets``, indicators ``X``); columns are the
+    adversary ``side``'s columns: cost vectors with their nominal optima and
+    labels (scenario indices or generating sets).  ``matrix`` is the game of
+    their regrets, and ``seen`` holds every strategy generated.  The first
+    row is the player's set at the side's seed costs (the mean-cost or
+    midpoint set), against the adversary's best response to it or, with
     ``every_scenario``, every scenario: a ``complete`` game, where the
     adversary's best response to a row mix is the column it concedes most to.
     """
 
-    def __init__(self, instance: Instance, oracle: NominalOracle, every_scenario: bool):
-        self.instance, self.oracle = instance, oracle
-        self.interval, self.complete = instance.is_interval, every_scenario
-        if not self.interval:
-            self.scenario_optima = scenario_optima(instance, oracle)
-        first = _initial_player_set(instance, oracle)
+    def __init__(self, n: int, side, every_scenario: bool):
+        self.side, self.oracle, self.complete = side, side.oracle, every_scenario
+        first = self.oracle.solve(side.seed_costs)[0]
         self.sets, self.seen = [first], {first}
-        self.X = _GrowingRows(instance.n)  # one row per strategy, grown in place
+        self.X = _GrowingRows(n)  # one row per strategy, grown in place
         self.X.append(first.indicator)
-        self.costs, self.optima, self.labels = _GrowingRows(instance.n), _GrowingRows(), []
+        self.costs, self.optima, self.labels = _GrowingRows(n), _GrowingRows(), []
         if every_scenario:
-            for s in range(instance.uncertainty.k):
-                self._add_column(*self._scenario_column(s))
+            for s in range(len(side.costs)):
+                self._add_column(*side.column(s))
         else:
-            self._add_column(*self._adversary_response(self.X.rows[0])[1])
+            self._add_column(*side.respond(self.X.rows[0])[1])
         self.matrix = MatrixGame(self.X.rows @ self.costs.rows.T - self.optima.rows)
 
     def responses(self, y: np.ndarray, w: np.ndarray):
@@ -428,7 +411,7 @@ class _RestrictedGame:
         if self.complete:
             adv_value, column = self.matrix.conceded, None
         else:
-            adv_value, column = self._adversary_response(y @ self.X.rows)
+            adv_value, column = self.side.respond(y @ self.X.rows)
             if column[0] in self.seen:
                 column = None
         # raw column weights: the active support may not be distinct-as-
@@ -453,32 +436,11 @@ class _RestrictedGame:
     def solution(self, y, w, value: float, gap: float, iterations: int) -> GameSolution:
         """The cleaned mixes at ``value`` as a :class:`GameSolution`."""
         player = PlayerMixedStrategy.cleaned(self.sets, y)
-        labels = {"generators" if self.interval else "scenario_indices": tuple(self.labels)}
+        labels = {self.side.labels: tuple(self.labels)}
         support = CostVector.from_rows(self.costs.rows)
         adversary = AdversaryMixedStrategy.cleaned(support, w, **labels)
         marginal, gap = marginal_of_strategy(player), float(max(gap, 0.0))
         return GameSolution(float(value), player, marginal, adversary, iterations, gap)
-
-    def _adversary_response(self, p: np.ndarray):
-        """The adversary's best response to the marginal p: its value, and
-        its column as ``(key, cost vector, optimum, label)``.  An interval
-        best response A is the nominal minimizer at ``l + d*p``, so no set
-        beats A at c^A (one that did would out-regret A): the column's
-        optimum is ``l(A)``, summed in ascending order as Kruskal's rule sums
-        it.  Its key is c^A itself: distinct generating sets can coincide
-        wherever interval bounds are degenerate.
-        """
-        marginal, inst, oracle = MarginalVector(p), self.instance, self.oracle
-        if not self.interval:
-            br = max_expected_regret_discrete(marginal, inst, oracle, optima=self.scenario_optima)
-            return br.value, self._scenario_column(br.scenario)
-        br = max_expected_regret_interval(marginal, inst, oracle)
-        A, cost = br.chosen_set, br.cost.values
-        optimum = np.sort(inst.uncertainty.lower[A.indicator != 0]).sum()
-        return br.value, (cost.tobytes(), cost, optimum, A)
-
-    def _scenario_column(self, s: int):
-        return s, self.instance.uncertainty.costs[s], self.scenario_optima[s], s
 
     def _add_column(self, key, cost, optimum, label) -> None:
         self.seen.add(key)
@@ -499,7 +461,7 @@ def _double_oracle(
     ``limit`` iterations :class:`IterationLimitError` carries the greatest
     lower and least upper bound reached.
     """
-    game = _RestrictedGame(instance, oracle, every_scenario)
+    game = _RestrictedGame(instance.n, adversary_side(instance, oracle), every_scenario)
     lower = upper = None
     for iteration in range(1, limit + 1):
         iterate = True
@@ -538,16 +500,13 @@ def solve_deterministic_exact(
     oracle = build_oracle(instance) if oracle is None else oracle
     if instance.is_interval and isinstance(oracle, KSelectionOracle):
         best_set = _endpoint_scan(instance.uncertainty, oracle.k)
-        return best_set, max_regret_det_interval(best_set, instance, oracle)[0]
+        return best_set, max_regret_det(best_set, instance, oracle)
     family = _sorted_family(oracle)
-    optima = None if instance.is_interval else scenario_optima(instance, oracle)
+    side = adversary_side(instance, oracle)
     best_set = None
     best_val = np.inf
     for T in family:
-        if instance.is_interval:
-            val, _ = max_regret_det_interval(T, instance, oracle)
-        else:
-            val, _ = max_regret_det_discrete(T, instance, oracle, optima=optima)
+        val, _ = side.worst_case(T)
         if val < best_val:
             best_set, best_val = T, val
     return best_set, float(best_val)
@@ -596,11 +555,9 @@ def approx_mean_cost(
     """
     if instance.is_interval:
         raise InstanceError("mean-cost approximation requires scenario uncertainty")
-    oracle = build_oracle(instance) if oracle is None else oracle
-    mean = instance.uncertainty.costs.mean(axis=0)
-    M = oracle.solve(mean)[0]
-    value, _ = max_regret_det_discrete(M, instance, oracle)
-    return M, value
+    side = adversary_side(instance, oracle)
+    M = side.oracle.solve(side.seed_costs)[0]
+    return M, side.worst_case(M)[0]
 
 
 def approx_midpoint(
@@ -617,11 +574,10 @@ def approx_midpoint(
     """
     if not instance.is_interval:
         raise InstanceError("midpoint approximation requires interval uncertainty")
-    oracle = build_oracle(instance) if oracle is None else oracle
-    unc = instance.uncertainty
-    midpoint = (unc.lower + unc.upper) / 2.0
+    side = adversary_side(instance, oracle)
+    unc, midpoint, oracle = instance.uncertainty, side.seed_costs, side.oracle
     M = oracle.solve(midpoint)[0]
-    value, _ = max_regret_det_interval(M, instance, oracle)
+    value, _ = side.worst_case(M)
 
     f_low = oracle.solve(np.where(M.indicator.astype(bool), unc.lower, unc.upper))[1]
     lower_total = float(unc.lower @ M.indicator)
@@ -642,11 +598,10 @@ def approx_dual_weighted(
     """
     if instance.is_interval:
         raise InstanceError("dual-weighted approximation requires scenario uncertainty")
-    oracle = build_oracle(instance) if oracle is None else oracle
     w.validate_for(instance)
-    M = oracle.solve(w.mean_costs())[0]
-    value, _ = max_regret_det_discrete(M, instance, oracle)
-    return M, value
+    side = adversary_side(instance, oracle)
+    M = side.oracle.solve(w.mean_costs())[0]
+    return M, side.worst_case(M)[0]
 
 
 def solve_adversary_lp_discrete(
@@ -690,21 +645,19 @@ def bruteforce_game_value(
     X = np.stack([T.indicator for T in family]).astype(float)
     if instance.is_interval:
         C = extreme_costs(family, instance.uncertainty)
-        optima = oracle.optima(C)
         labels = {"generators": tuple(family)}
     else:
         unc = instance.uncertainty
         if unc.k > enumeration_cap():
             raise EnumerationCapError("scenario count exceeds the cap")
         C = np.asarray(unc.costs)
-        optima = scenario_optima(instance, oracle)
         labels = {"scenario_indices": tuple(range(unc.k))}
 
     if X.shape[0] * C.shape[0] > MAX_PAYOFF_ENTRIES:
         raise EnumerationCapError(
             "full payoff matrix would exceed the desk-scale size guard"
         )
-    payoff = X @ C.T - optima
+    payoff = X @ C.T - oracle.optima(C)
     y_mix, w_mix, value = solve_matrix_game(payoff)
     player = PlayerMixedStrategy.cleaned(family, y_mix)
     adversary = AdversaryMixedStrategy.cleaned(CostVector.from_rows(C), w_mix, **labels)

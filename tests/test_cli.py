@@ -72,6 +72,38 @@ class TestSolveCommand:
         assert code == 2
         assert "item 0" in capsys.readouterr().err
 
+    # Each was truncated to an integer and solved: n to 3, k to 2 or 1, the
+    # edge to (0, 1), the set item to 0.
+    @pytest.mark.parametrize(
+        "n, nominal, message",
+        [
+            (3.9, {"type": "k-selection", "n": 3, "k": 2}, "n must be an integer, got 3.9"),
+            (3, {"type": "k-selection", "n": 3, "k": 2.5}, "nominal k must be an integer, got 2.5"),
+            (3, {"type": "k-selection", "n": 3, "k": True}, "nominal k must be an integer, got True"),
+            (
+                3,
+                {"type": "spanning-tree", "vertices": 3, "edges": [[0, 1.7], [1, 2], [0, 2]]},
+                "edge endpoint must be an integer, got 1.7",
+            ),
+            (
+                3,
+                {"type": "explicit", "sets": [[0.9, 1], [1, 2]]},
+                "set item must be an integer, got 0.9",
+            ),
+        ],
+        ids=["n", "k-fraction", "k-boolean", "edge", "set-item"],
+    )
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, n, nominal, message):
+        interval = {"type": "interval", "lower": [0.0] * 3, "upper": [1.0] * 3}
+        path = tmp_path / "ints.json"
+        path.write_text(
+            json.dumps({"name": "ints", "n": n, "nominal": nominal, "uncertainty": interval}),
+            encoding="utf-8",
+        )
+        code = main(["solve", "--instance", str(path), "--model", "randomized"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     # A NaN or negative tolerance used to stall the solver, an infinite one
     # ended it at a wrong value, and a zero budget exited 3 with no bracket.
     @pytest.mark.parametrize(
@@ -240,6 +272,17 @@ class TestDecomposeCommand:
         code = main(["decompose", "--instance", str(inst_path), "--marginal", str(marg)])
         assert code == 2
 
+    # numpy's float conversion raised ValueError / TypeError: exit 1
+    @pytest.mark.parametrize("content", [["a", 0.5, 0.5, 0.5], {"p": 1}], ids=["string", "object"])
+    def test_non_numeric_marginal_exits_2(self, tmp_path, capsys, content):
+        inst_path = tmp_path / "inst.json"
+        save_instance(generate_instance("k-selection", n=4, seed=1), inst_path)
+        marg = tmp_path / "m.json"
+        marg.write_text(json.dumps(content), encoding="utf-8")
+        code = main(["decompose", "--instance", str(inst_path), "--marginal", str(marg)])
+        assert code == 2
+        assert "marginal file must hold 4 reals" in capsys.readouterr().err
+
     def test_random_mixture_round_trip(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst = generate_instance("k-selection", n=6, uncertainty="interval", seed=5)
@@ -337,6 +380,65 @@ class TestSimulateCommand:
              "--strategies", str(strat)]
         )
         assert code == 2
+
+    # Labels were read unchecked: 3 crashed with a TypeError (exit 1), and the
+    # rest were accepted, the swapped pair with each row under the other's index.
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (3, "malformed adversary strategy"),
+            ([0, 7], "support vector labelled 7 is not scenario row 7"),
+            ("ab", "scenario label must be an integer, got 'a'"),
+            ([0.5, 1], "scenario label must be an integer, got 0.5"),
+            ([1, 0], "support vector labelled 1 is not scenario row 1"),
+        ],
+        ids=["number", "out-of-range", "string", "fraction", "swapped"],
+    )
+    def test_scenario_labels_must_name_their_rows(self, tmp_path, capsys, labels, message):
+        instance = tmp_path / "ks4.json"
+        save_instance(
+            generate_instance("k-selection", n=4, uncertainty="scenarios", n_scenarios=2, seed=1),
+            instance,
+        )
+        d = json.loads(instance.read_text(encoding="utf-8"))
+        strat = tmp_path / "s.json"
+        strat.write_text(
+            json.dumps(
+                {
+                    "player": {"sets": [list(range(d["nominal"]["k"]))], "probs": [1.0]},
+                    "adversary": {
+                        "costs": d["uncertainty"]["costs"],
+                        "probs": [0.5, 0.5],
+                        "scenarios": labels,
+                    },
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "--instance", str(instance), "--samples", "10", "--seed", "1",
+             "--strategies", str(strat)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_scenario_labels_on_an_interval_instance_exit_2(self, tight_pair, tmp_path, capsys):
+        strat = tmp_path / "s.json"
+        strat.write_text(
+            json.dumps(
+                {
+                    "player": {"sets": [[0]], "probs": [1.0]},
+                    "adversary": {"costs": [[1.0, 0.0]], "probs": [1.0], "scenarios": [0]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "--instance", str(tight_pair), "--samples", "10", "--seed", "1",
+             "--strategies", str(strat)]
+        )
+        assert code == 2
+        assert "scenario labels on an interval instance" in capsys.readouterr().err
 
     def test_infeasible_player_set_exits_2(self, tmp_path, capsys):
         instance = tmp_path / "ks6.json"

@@ -5,18 +5,17 @@ from minregret.core import (
     AdversaryMixedStrategy,
     CostVector,
     FeasibleSet,
-    InstanceError,
     Intervals,
     MarginalVector,
     marginal_of_strategy,
 )
 from minregret.nominal import build_oracle
 from minregret.regret import (
+    IntervalSide,
+    ScenarioSide,
+    adversary_side,
     extreme_cost_vector,
-    max_expected_regret_discrete,
-    max_expected_regret_interval,
-    max_regret_det_discrete,
-    max_regret_det_interval,
+    max_expected_regret,
     player_best_response,
 )
 
@@ -31,6 +30,16 @@ from conftest import (
 
 def fs(n, *indices):
     return FeasibleSet.from_indices(n, indices)
+
+
+def worst_case(T, inst, oracle=None):
+    return adversary_side(inst, oracle).worst_case(T)
+
+
+def respond(p, inst, oracle=None):
+    """The adversary side's best response to p: value, cost, label."""
+    value, (_, cost, _, label) = adversary_side(inst, oracle).respond(p.p)
+    return value, cost, label
 
 
 class TestExtremeCostVector:
@@ -51,7 +60,7 @@ class TestExtremeCostVector:
 class TestMaxRegretInterval:
     def test_tight_pair(self):
         inst = tight_interval()
-        value, worst = max_regret_det_interval(fs(2, 0), inst)
+        value, worst = worst_case(fs(2, 0), inst)
         assert value == pytest.approx(1.0)
         assert np.array_equal(worst.values, [1.0, 0.0])
 
@@ -61,13 +70,13 @@ class TestMaxRegretInterval:
 
         oracle = build_oracle(inst)
         T = fs(3, 0, 2)
-        value, worst = max_regret_det_interval(T, inst, oracle)
+        value, worst = worst_case(T, inst, oracle)
         assert value == pytest.approx(regret(T, np.array([1.0, 2.0, 4.0]), oracle))
         assert np.array_equal(worst.values, [1.0, 2.0, 4.0])
 
     def test_matches_corner_bruteforce(self):
         inst = k_selection_instance(3, 2, lower=[0, 1, 0], upper=[2, 1, 3])
-        value, _ = max_regret_det_interval(fs(3, 0, 1), inst)
+        value, _ = worst_case(fs(3, 0, 1), inst)
         assert value == pytest.approx(brute_max_regret_interval(fs(3, 0, 1), inst), abs=1e-9)
 
     def test_corner_bruteforce_on_random_instances(self, rng):
@@ -77,7 +86,7 @@ class TestMaxRegretInterval:
             inst = k_selection_instance(4, 2, lower=lo, upper=hi)
             oracle = build_oracle(inst)
             for T in oracle.enumerate_feasible():
-                value, _ = max_regret_det_interval(T, inst, oracle)
+                value, _ = worst_case(T, inst, oracle)
                 assert value == pytest.approx(
                     brute_max_regret_interval(T, inst), abs=1e-9
                 )
@@ -87,12 +96,12 @@ class TestMaxRegretInterval:
 class TestMaxRegretDiscrete:
     def test_single_scenario(self):
         inst = k_selection_instance(2, 1, scenarios=[[3.0, 5.0]])
-        value, idx = max_regret_det_discrete(fs(2, 1), inst)
+        value, idx = worst_case(fs(2, 1), inst)
         assert value == pytest.approx(2.0) and idx == 0
 
     def test_tight_three(self):
         inst = tight_discrete(3)
-        value, idx = max_regret_det_discrete(fs(3, 0), inst)
+        value, idx = worst_case(fs(3, 0), inst)
         assert value == pytest.approx(1.0) and idx == 0
 
     def test_matches_scan(self, rng):
@@ -102,7 +111,7 @@ class TestMaxRegretDiscrete:
         from conftest import brute_min
 
         for T in oracle.enumerate_feasible():
-            value, idx = max_regret_det_discrete(T, inst, oracle)
+            value, idx = worst_case(T, inst, oracle)
             scans = [
                 float(costs[s] @ T.indicator) - brute_min(oracle, costs[s])[1]
                 for s in range(3)
@@ -114,8 +123,8 @@ class TestMaxRegretDiscrete:
 class TestMaxExpectedRegretInterval:
     def test_tight_half_half(self):
         inst = tight_interval()
-        br = max_expected_regret_interval(MarginalVector(np.array([0.5, 0.5])), inst)
-        assert br.value == pytest.approx(0.5)
+        value, _, _ = respond(MarginalVector(np.array([0.5, 0.5])), inst)
+        assert value == pytest.approx(0.5)
 
     def test_indicator_reduces_to_deterministic(self, rng):
         lo = rng.uniform(0, 5, size=4)
@@ -124,16 +133,16 @@ class TestMaxExpectedRegretInterval:
         oracle = build_oracle(inst)
         for T in oracle.enumerate_feasible():
             p = MarginalVector(T.indicator.astype(float))
-            br = max_expected_regret_interval(p, inst, oracle)
-            det, _ = max_regret_det_interval(T, inst, oracle)
-            assert br.value == pytest.approx(det, abs=1e-9)
+            value, _, _ = respond(p, inst, oracle)
+            det, _ = worst_case(T, inst, oracle)
+            assert value == pytest.approx(det, abs=1e-9)
 
     def test_uneven_marginal_by_hand(self):
         inst = tight_interval()
-        br = max_expected_regret_interval(MarginalVector(np.array([0.3, 0.7])), inst)
+        value, _, A = respond(MarginalVector(np.array([0.3, 0.7])), inst)
         # candidate sets: {e0} scores upper[1]*0.7 = 0.7, {e1} scores 0.3
-        assert br.value == pytest.approx(0.7)
-        assert br.chosen_set.indices == (0,)
+        assert value == pytest.approx(0.7)
+        assert A.indices == (0,)
 
     def test_value_matches_formula_at_returned_set(self, rng):
         lo = rng.uniform(0, 4, size=5)
@@ -143,14 +152,16 @@ class TestMaxExpectedRegretInterval:
         for _ in range(20):
             y = random_support_strategy(oracle, rng)
             p = marginal_of_strategy(y)
-            br = max_expected_regret_interval(p, inst, oracle)
-            T = br.chosen_set.indicator.astype(bool)
+            value, c, A = respond(p, inst, oracle)
+            T = A.indicator.astype(bool)
             formula = float(hi[~T] @ p.p[~T]) - float(lo[T] @ (1.0 - p.p[T]))
-            assert br.value == pytest.approx(formula, abs=1e-9)
+            assert value == pytest.approx(formula, abs=1e-9)
             # the best-response cost vector realizes that expected regret
-            c = br.cost.values
+            assert np.array_equal(c, extreme_cost_vector(A, inst.uncertainty).values)
             _, opt = oracle.solve(c)
-            assert br.value == pytest.approx(float(c @ p.p) - opt, abs=1e-9)
+            assert value == pytest.approx(float(c @ p.p) - opt, abs=1e-9)
+            br = max_expected_regret(p, inst, oracle)
+            assert (br.value, br.chosen_set, br.cost, br.scenario) == (value, A, CostVector(c), None)
 
     def test_convex_along_segments(self, rng):
         lo = rng.uniform(0, 4, size=4)
@@ -162,9 +173,9 @@ class TestMaxExpectedRegretInterval:
             p2 = marginal_of_strategy(random_support_strategy(oracle, rng)).p
             lam = rng.random()
             mid = MarginalVector(lam * p1 + (1 - lam) * p2)
-            v_mid = max_expected_regret_interval(mid, inst, oracle).value
-            v1 = max_expected_regret_interval(MarginalVector(p1), inst, oracle).value
-            v2 = max_expected_regret_interval(MarginalVector(p2), inst, oracle).value
+            v_mid = respond(mid, inst, oracle)[0]
+            v1 = respond(MarginalVector(p1), inst, oracle)[0]
+            v2 = respond(MarginalVector(p2), inst, oracle)[0]
             assert v_mid <= lam * v1 + (1 - lam) * v2 + 1e-9
             assert v_mid >= -1e-12
 
@@ -172,16 +183,14 @@ class TestMaxExpectedRegretInterval:
 class TestMaxExpectedRegretDiscrete:
     def test_single_scenario_optimal_marginal(self):
         inst = k_selection_instance(2, 1, scenarios=[[3.0, 5.0]])
-        br = max_expected_regret_discrete(MarginalVector(np.array([1.0, 0.0])), inst)
-        assert br.value == pytest.approx(0.0) and br.scenario == 0
+        value, _, s = respond(MarginalVector(np.array([1.0, 0.0])), inst)
+        assert value == pytest.approx(0.0) and s == 0
 
     def test_tight_uniform_ties_to_first_scenario(self):
         inst = tight_discrete(3)
-        br = max_expected_regret_discrete(
-            MarginalVector(np.full(3, 1.0 / 3.0)), inst
-        )
-        assert br.value == pytest.approx(1.0 / 3.0)
-        assert br.scenario == 0
+        value, _, s = respond(MarginalVector(np.full(3, 1.0 / 3.0)), inst)
+        assert value == pytest.approx(1.0 / 3.0)
+        assert s == 0
 
     def test_matches_direct_scan(self, rng):
         costs = rng.uniform(0, 9, size=(2, 3))
@@ -190,12 +199,15 @@ class TestMaxExpectedRegretDiscrete:
         from conftest import brute_min
 
         p = MarginalVector(np.array([0.2, 0.5, 0.3]))
-        br = max_expected_regret_discrete(p, inst, oracle)
+        value, c, s = respond(p, inst, oracle)
         scans = [
             float(costs[s] @ p.p) - brute_min(oracle, costs[s])[1] for s in range(2)
         ]
-        assert br.value == pytest.approx(max(scans), abs=1e-9)
-        assert br.scenario == int(np.argmax(scans))
+        assert value == pytest.approx(max(scans), abs=1e-9)
+        assert s == int(np.argmax(scans))
+        assert np.array_equal(c, costs[s])
+        br = max_expected_regret(p, inst, oracle)
+        assert (br.value, br.chosen_set, br.cost, br.scenario) == (value, None, CostVector(c), s)
 
 
 class TestPlayerBestResponse:
@@ -252,13 +264,35 @@ class TestPlayerBestResponse:
             assert br.value <= other + 1e-9
 
 
-class TestUncertaintyTypeGuards:
-    def test_interval_ops_reject_scenarios(self):
-        inst = tight_discrete(2)
-        with pytest.raises(InstanceError):
-            max_regret_det_interval(fs(2, 0), inst)
-
-    def test_discrete_ops_reject_intervals(self):
+class TestAdversarySide:
+    def test_interval_instance_gets_the_interval_side(self):
         inst = tight_interval()
-        with pytest.raises(InstanceError):
-            max_regret_det_discrete(fs(2, 0), inst)
+        oracle = build_oracle(inst)
+        side = adversary_side(inst, oracle)
+        assert type(side) is IntervalSide and side.oracle is oracle
+        assert side.labels == "generators"
+        assert np.array_equal(side.seed_costs, [0.5, 0.5])
+
+    def test_scenario_instance_gets_the_scenario_side(self):
+        inst = tight_discrete(2)
+        side = adversary_side(inst)
+        assert type(side) is ScenarioSide and side.oracle is inst.nominal
+        assert side.labels == "scenario_indices"
+        assert np.array_equal(side.seed_costs, inst.uncertainty.costs.mean(axis=0))
+        assert np.array_equal(side.opt, [0.0, 0.0])
+
+    @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
+    def test_generator_optima_bound_the_solved_ones(self, family):
+        # l(A) is c^A(A), so never below the optimum at c^A; at an
+        # equilibrium mix the two agree to round-off
+        from minregret.gen import generate_instance
+        from minregret.solvers import solve_randomized
+
+        for seed in (1, 2, 3):
+            inst = generate_instance(family, n=40, uncertainty="interval", seed=seed)
+            oracle = build_oracle(inst)
+            mix = solve_randomized(inst, oracle=oracle).adversary
+            solved = oracle.optima(np.stack([c.values for c in mix.support]))
+            bound = adversary_side(inst, oracle).optima(mix)
+            assert np.all(bound >= solved - 1e-12 * (1.0 + np.abs(solved)))
+            assert np.allclose(bound, solved, rtol=0.0, atol=1e-9)

@@ -16,10 +16,10 @@ from minregret.core import (
 from minregret.gen import generate_instance
 from minregret.nominal import NominalOracle, build_oracle
 from minregret.regret import (
+    adversary_side,
     extreme_cost_vector,
     max_expected_regret,
-    max_expected_regret_interval,
-    max_regret_det_interval,
+    max_regret_det,
     player_best_response,
 )
 import minregret.solvers as solvers_mod
@@ -321,7 +321,7 @@ class TestCompactKSelection:
         # weight moved to item 1 or 2 costs 5 in one scenario and saves 1
         inst = k_selection_instance(3, 1, scenarios=[[1, 0, 5], [1, 5, 0]])
         oracle = build_oracle(inst)
-        assert solvers_mod._initial_player_set(inst, oracle).indices == (0,)
+        assert oracle.solve(adversary_side(inst, oracle).seed_costs)[0].indices == (0,)
         game = solve_randomized(inst, oracle=oracle)
         assert game.value == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(game.marginal.p, [1.0, 0.0, 0.0])
@@ -489,7 +489,7 @@ class TestThresholdKSelection:
         T, value = solve_deterministic_exact(inst, oracle=oracle)
         _, rmax = approx_midpoint(inst, oracle=oracle)
         assert game.certified_gap <= 1e-7
-        assert value == max_regret_det_interval(T, inst, oracle)[0]
+        assert value == max_regret_det(T, inst, oracle)
         assert game.value <= value + 1e-9
         assert value <= rmax + 1e-9
         assert rmax <= 2.0 * game.value + 1e-9
@@ -503,7 +503,7 @@ def _enumerated_deterministic(inst):
     oracle = build_oracle(inst)
     best, best_val = None, np.inf
     for T in sorted(oracle.enumerate_feasible(), key=lambda T: T.indices):
-        val, _ = max_regret_det_interval(T, inst, oracle)
+        val = max_regret_det(T, inst, oracle)
         if val < best_val:
             best, best_val = T, val
     return best, best_val
@@ -578,7 +578,7 @@ class TestSolveDeterministic:
         inst = generate_instance("k-selection", n=30, uncertainty="interval", seed=1)
         T, value = solve_deterministic_exact(inst)
         assert T.size == inst.nominal.k
-        assert value == max_regret_det_interval(T, inst)[0]
+        assert value == max_regret_det(T, inst)
 
 
 @pytest.mark.parametrize("family", ["k-selection", "spanning-tree", "dag-path"])
@@ -593,7 +593,7 @@ def test_interval_best_response_is_optimal_at_its_own_costs(family):
         for _ in range(20):
             sets = [oracle.solve(rng.random(n))[0].indicator for _ in range(rng.integers(1, 6))]
             p = rng.dirichlet(np.ones(len(sets))) @ np.array(sets, dtype=float)
-            br = max_expected_regret_interval(MarginalVector(p), inst, oracle)
+            br = max_expected_regret(MarginalVector(p), inst, oracle)
             opt = oracle.solve(br.cost.values)[1]
             assert abs(unc.lower @ br.chosen_set.indicator - opt) <= 1e-12 * max(1.0, abs(opt))
 
@@ -601,14 +601,46 @@ def test_interval_best_response_is_optimal_at_its_own_costs(family):
 def test_interval_columns_store_their_optimum_without_a_solve(monkeypatch):
     inst = generate_instance("spanning-tree", n=30, uncertainty="interval", seed=1)
     oracle = build_oracle(inst)
-    game = solvers_mod._RestrictedGame(inst, oracle, every_scenario=False)
-    br = max_expected_regret_interval(MarginalVector(np.full(30, 0.5)), inst, oracle)
-    monkeypatch.setattr(solvers_mod, "max_expected_regret_interval", lambda *args: br)
-    monkeypatch.setattr(oracle, "solve", lambda c: pytest.fail("column solved"))
-    game.grow(game._adversary_response(np.full(30, 0.5))[1], None)
+    side = adversary_side(inst, oracle)
+    game = solvers_mod._RestrictedGame(inst.n, side, every_scenario=False)
+    br = max_expected_regret(MarginalVector(np.full(30, 0.5)), inst, oracle)
+    solves = []
+    solve = oracle.solve
+    monkeypatch.setattr(oracle, "solve", lambda c: solves.append(c) or solve(c))
+    game.grow(side.respond(np.full(30, 0.5))[1], None)
+    assert len(solves) == 1  # the response's own solve; none for the column
     monkeypatch.undo()
     assert game.optima.rows[-1] == oracle.solve(br.cost.values)[1]
     assert game.labels[-1] == br.chosen_set
+
+
+def _optima_rows(monkeypatch, oracle) -> list[int]:
+    """The row count of each later ``oracle.optima`` call, in call order."""
+    calls, optima = [], oracle.optima
+    monkeypatch.setattr(oracle, "optima", lambda costs: calls.append(len(costs)) or optima(costs))
+    return calls
+
+
+def test_threshold_certificate_solves_no_generator_optimum(monkeypatch):
+    # each generator A's optimum is l(A); solving them one by one took 129 rows
+    inst = generate_instance("k-selection", n=300, uncertainty="interval", seed=1)
+    oracle = build_oracle(inst)
+    calls = _optima_rows(monkeypatch, oracle)
+    game = solve_randomized(inst, oracle=oracle)
+    assert calls == []
+    assert game.certified_gap <= 1e-7
+
+
+def test_compact_lp_solves_the_scenario_optima_once(monkeypatch):
+    # the LP, the marginal's best response and the mix's response share them
+    inst = generate_instance(
+        "k-selection", n=400, uncertainty="scenarios", n_scenarios=16, seed=1
+    )
+    oracle = build_oracle(inst)
+    calls = _optima_rows(monkeypatch, oracle)
+    game = solve_randomized(inst, oracle=oracle)
+    assert calls == [16]
+    assert game.certified_gap <= 1e-7
 
 
 def test_adversary_lp_cut_budget_raises_iteration_limit(monkeypatch):
@@ -729,7 +761,6 @@ class TestApproximations:
 
     def test_midpoint_identity_on_spanning_tree(self, rng):
         from minregret.core import validate_instance
-        from minregret.regret import max_regret_det_interval
 
         lo = rng.uniform(0, 5, size=6)
         hi = lo + rng.uniform(0, 5, size=6)
@@ -757,7 +788,7 @@ class TestApproximations:
         lhs = float((lo + hi) @ M.indicator) - f_low - f_flip
         assert lhs == pytest.approx(rmax, abs=1e-9)
         assert f_low == pytest.approx(float(lo @ M.indicator), abs=1e-9)
-        det, _ = max_regret_det_interval(M, inst, oracle)
+        det, _ = adversary_side(inst, oracle).worst_case(M)
         assert det == pytest.approx(rmax)
 
     def test_midpoint_at_large_cost_scale(self):
@@ -765,7 +796,7 @@ class TestApproximations:
         # instance; the check is now relative to the midpoint costs
         inst = _scaled(generate_instance("spanning-tree", n=60, seed=1), 1e6)
         M, rmax = approx_midpoint(inst)
-        assert rmax == max_regret_det_interval(M, inst)[0]
+        assert rmax == max_regret_det(M, inst)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_midpoint_rejects_a_wrong_optimum(self, scale):
