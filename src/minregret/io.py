@@ -22,6 +22,7 @@ from .core import (
     InstanceError,
     MarginalVector,
     PlayerMixedStrategy,
+    as_integer,
     describe_instance,
     validate_instance,
 )
@@ -58,7 +59,10 @@ def player_strategy_to_dict(y: PlayerMixedStrategy) -> dict:
 
 def player_strategy_from_dict(d: dict, n: int) -> PlayerMixedStrategy:
     try:
-        sets = [FeasibleSet.from_indices(n, s) for s in d["sets"]]
+        sets = [
+            FeasibleSet.from_indices(n, [as_integer(e, "player set item") for e in s])
+            for s in d["sets"]
+        ]
         probs = np.asarray(d["probs"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed player strategy: {exc}") from exc

@@ -457,9 +457,10 @@ def _double_oracle(
     Each iteration grows the :class:`_RestrictedGame` by the best responses
     not in it yet.  An iterate that would finish or has nothing new is
     solved again, confirmed, and decided there (an uncounted re-solve).
-    Nothing new at a confirmed solve raises :class:`SolverError`; after
-    ``limit`` iterations :class:`IterationLimitError` carries the greatest
-    lower and least upper bound reached.
+    Nothing new at a confirmed solve raises :class:`SolverError`, whose
+    text names the iteration and the bracket reached; after ``limit``
+    iterations :class:`IterationLimitError` carries the greatest lower and
+    least upper bound reached.
     """
     game = _RestrictedGame(instance.n, adversary_side(instance, oracle), every_scenario)
     lower = upper = None
@@ -478,7 +479,10 @@ def _double_oracle(
         if gap <= tol:
             return game.solution(y_mix, w_mix, value, gap, iteration)
         if not new:
-            raise SolverError(f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}")
+            raise SolverError(
+                f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}"
+                f" at iteration {iteration}, bracket [{lower:.17g}, {upper:.17g}]"
+            )
         game.grow(column, row)
     raise IterationLimitError(
         f"double oracle exceeded {limit} iterations", lower, upper, iterations=limit
@@ -630,6 +634,11 @@ def solve_adversary_lp_discrete(
     return game.adversary, game.value, game.player
 
 
+def _check_payoff_size(rows: int, columns: int) -> None:
+    if rows * columns > MAX_PAYOFF_ENTRIES:
+        raise EnumerationCapError("full payoff matrix would exceed the desk-scale size guard")
+
+
 def bruteforce_game_value(
     instance: Instance, oracle: NominalOracle | None = None
 ) -> tuple[float, PlayerMixedStrategy, AdversaryMixedStrategy]:
@@ -637,9 +646,16 @@ def bruteforce_game_value(
 
     Rows are all feasible sets; columns are all scenarios, or all extreme
     vectors c^A with A feasible under intervals.  Both are held to the
-    enumeration cap.
+    enumeration cap.  A family whose size is known is held to the payoff
+    size guard before any set is built.
     """
     oracle = build_oracle(instance) if oracle is None else oracle
+    rows = oracle._family_size()
+    if rows is not None:
+        columns = rows if instance.is_interval else instance.uncertainty.k
+        # past the cap, the enumeration or the scenario count refuses first
+        if max(rows, columns) <= enumeration_cap():
+            _check_payoff_size(rows, columns)
     family = _sorted_family(oracle)
 
     X = np.stack([T.indicator for T in family]).astype(float)
@@ -653,10 +669,7 @@ def bruteforce_game_value(
         C = np.asarray(unc.costs)
         labels = {"scenario_indices": tuple(range(unc.k))}
 
-    if X.shape[0] * C.shape[0] > MAX_PAYOFF_ENTRIES:
-        raise EnumerationCapError(
-            "full payoff matrix would exceed the desk-scale size guard"
-        )
+    _check_payoff_size(X.shape[0], C.shape[0])
     payoff = X @ C.T - oracle.optima(C)
     y_mix, w_mix, value = solve_matrix_game(payoff)
     player = PlayerMixedStrategy.cleaned(family, y_mix)

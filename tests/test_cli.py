@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from minregret.cli import main
 from minregret.core import SolverError, describe_instance, validate_instance
 from minregret.gen import generate_instance
 from minregret.io import save_instance
+from minregret.nominal import SpanningTreeOracle
 
 
 @pytest.fixture
@@ -144,6 +146,24 @@ class TestSolveCommand:
         assert report["status"] == "iteration-limit"
         assert report["lower_bound"] <= 0.1 <= report["upper_bound"]
 
+    # Interval k-selection n=1000 seed 1, through the threshold search and
+    # the endpoint scan.  The randomized JSON report holds 490 cost vectors
+    # of 1000 floats (10.7 MB); writing it is about half of the command.
+    @pytest.mark.parametrize(
+        "model, value",
+        [("randomized", 483.007625), ("deterministic", 792.251071)],
+        ids=["randomized", "deterministic"],
+    )
+    def test_k_selection_n1000_within_10_seconds(self, tmp_path, model, value):
+        path = tmp_path / "ks1000.json"
+        save_instance(generate_instance("k-selection", n=1000, seed=1), path)
+        started = time.perf_counter()
+        code, report = run_json(["solve", "--instance", str(path), "--model", model], tmp_path)
+        assert time.perf_counter() - started < 10.0
+        assert code == 0
+        assert report["value"] == pytest.approx(value, abs=1e-6)
+        assert report["certified_gap"] <= 1e-7
+
     def test_text_report_rounds(self, tight3, tmp_path):
         out = tmp_path / "report.txt"
         code = main(
@@ -262,6 +282,43 @@ class TestDecomposeCommand:
         assert code == 4
         assert report["status"] == "not-in-hull"
         assert "u" in report["certificate"] and "w" in report["certificate"]
+
+    def test_spanning_tree_n300_solution_round_trip(self, tmp_path, monkeypatch):
+        """The optimal marginal of spanning-tree interval n=300 seed 1, read
+        back from its solve report, decomposes.  Its twin with edge 0 moved
+        by 0.1 is off the row sum(p) = V - 1 that every spanning tree lies
+        on: decompose rejects it from that row, without a nominal solve, and
+        exits 4.  Each command finishes within its cap."""
+        inst = tmp_path / "st300.json"
+        save_instance(generate_instance("spanning-tree", n=300, seed=1), inst)
+        started = time.perf_counter()
+        code, solution = run_json(
+            ["solve", "--instance", str(inst), "--model", "randomized"], tmp_path, "solution.json"
+        )
+        assert time.perf_counter() - started < 60.0
+        assert code == 0
+        p = solution["marginal"]
+        marg = tmp_path / "marginal.json"
+        marg.write_text(json.dumps(p), encoding="utf-8")
+        decompose = ["decompose", "--instance", str(inst), "--marginal", str(marg)]
+        started = time.perf_counter()
+        code, report = run_json(decompose, tmp_path)
+        assert time.perf_counter() - started < 60.0
+        assert code == 0
+        assert report["reconstruction_error"] <= 1e-7 and report["support_size"] <= 301
+
+        def never(self, costs):
+            raise AssertionError("solved a nominal problem")
+
+        monkeypatch.setattr(SpanningTreeOracle, "solve", never)
+        p[0] += 0.1 if p[0] <= 0.5 else -0.1
+        marg.write_text(json.dumps(p), encoding="utf-8")
+        started = time.perf_counter()
+        code, report = run_json(decompose, tmp_path)
+        assert time.perf_counter() - started < 10.0
+        assert code == 4
+        assert report["status"] == "not-in-hull"
+        assert len(set(report["certificate"]["u"])) == 1  # the set-size row
 
     def test_nan_marginal_exits_2(self, tmp_path):
         # Python's json reads NaN; no range check may let it through
@@ -395,17 +452,47 @@ class TestSimulateCommand:
         ids=["number", "out-of-range", "string", "fraction", "swapped"],
     )
     def test_scenario_labels_must_name_their_rows(self, tmp_path, capsys, labels, message):
+        assert self._simulate_ks4(tmp_path, [0, 1], labels) == 2
+        assert message in capsys.readouterr().err
+
+    # A fraction or an integral float crashed with an IndexError (exit 1),
+    # and a boolean was read as item 1.  An integral float is an item, as it is
+    # in an instance file.
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ([0.5, 1], "player set item must be an integer, got 0.5"),
+            ([True, 1], "player set item must be an integer, got True"),
+            (["0", 1], "player set item must be an integer, got '0'"),
+            ([0.0, 1.0], None),
+        ],
+        ids=["fraction", "boolean", "string", "integral-float"],
+    )
+    def test_player_set_items_must_be_integers(self, tmp_path, capsys, items, message):
+        code = self._simulate_ks4(tmp_path, items, [0, 1])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert message in capsys.readouterr().err
+
+    @staticmethod
+    def _simulate_ks4(tmp_path, items, labels):
+        """``simulate`` on k-selection n=4, k=2 with 2 scenarios, the player
+        on the one set ``items`` and the adversary on the scenarios labelled
+        ``labels``; returns the exit code."""
         instance = tmp_path / "ks4.json"
         save_instance(
             generate_instance("k-selection", n=4, uncertainty="scenarios", n_scenarios=2, seed=1),
             instance,
         )
         d = json.loads(instance.read_text(encoding="utf-8"))
+        assert d["nominal"]["k"] == 2
         strat = tmp_path / "s.json"
         strat.write_text(
             json.dumps(
                 {
-                    "player": {"sets": [list(range(d["nominal"]["k"]))], "probs": [1.0]},
+                    "player": {"sets": [items], "probs": [1.0]},
                     "adversary": {
                         "costs": d["uncertainty"]["costs"],
                         "probs": [0.5, 0.5],
@@ -415,12 +502,10 @@ class TestSimulateCommand:
             ),
             encoding="utf-8",
         )
-        code = main(
+        return main(
             ["simulate", "--instance", str(instance), "--samples", "10", "--seed", "1",
              "--strategies", str(strat)]
         )
-        assert code == 2
-        assert message in capsys.readouterr().err
 
     def test_scenario_labels_on_an_interval_instance_exit_2(self, tight_pair, tmp_path, capsys):
         strat = tmp_path / "s.json"

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -654,3 +655,20 @@ def test_spanning_tree_n300_optimal_marginal():
     oracle = build_oracle(instance)
     p = solve_randomized(instance).marginal.p
     _assert_decomposes(oracle, p, decompose_marginal(MarginalVector(p), oracle), n + 1)
+
+
+@pytest.mark.parametrize("n, cap", [(200, 30.0), (400, 10.0)])
+def test_dense_spanning_tree_mixes(n, cap):
+    """Mixes of 2n random trees on n edges leave no edge at 0 or 1, so the
+    minimum-norm-point decomposition runs on every edge; it finishes within
+    ``cap`` seconds."""
+    oracle = build_oracle(generate_instance("spanning-tree", n=n, seed=1))
+    rng = np.random.default_rng(1)
+    X = np.array([oracle.solve(rng.random(n))[0].indicator for _ in range(2 * n)])
+    w = rng.random(len(X))
+    p = w / w.sum() @ X
+    assert np.all((p > 0.0) & (p < 1.0))
+    started = time.perf_counter()
+    y = decompose_marginal(MarginalVector(p), oracle)
+    assert time.perf_counter() - started < cap
+    _assert_decomposes(oracle, p, y, n + 1)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -1087,8 +1088,25 @@ class TestGenerate:
     def test_iterate_stall_is_confirmed_before_raising(self, monkeypatch):
         inst = generate_instance("spanning-tree", n=12, uncertainty="interval", seed=1)
         calls = self._log(monkeypatch)
-        with pytest.raises(SolverError, match="^double oracle stalled with residual gap"):
+        responses = []
+        real = solvers_mod._RestrictedGame.responses
+
+        def logged(self, y, w):
+            answer = real(self, y, w)
+            responses.append(answer)
+            return answer
+
+        monkeypatch.setattr(solvers_mod._RestrictedGame, "responses", logged)
+        with pytest.raises(SolverError, match="^double oracle stalled with residual gap") as info:
             solvers_mod._double_oracle(inst, 1e-7, 10000, RepeatingOracle(build_oracle(inst)))
         # the first iterate has nothing new; the stall is raised only from
         # its confirmed re-solve, which has nothing new either
         assert calls == [(True, False), (False, True)]
+        # the message carries the bracket of that re-solve, to the last bit
+        found = re.search(
+            r"gap (\S+) > .* at iteration 1, bracket \[(\S+), (\S+)\]$", str(info.value)
+        )
+        gap, lower, upper = map(float, found.groups())
+        adv_value, _, play_value, _ = responses[-1]
+        assert (lower, upper) == (play_value, adv_value)
+        assert upper - lower == pytest.approx(gap, rel=1e-2) and gap > 1e-7

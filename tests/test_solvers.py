@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -5,6 +7,7 @@ from scipy.optimize import linprog
 from minregret.core import (
     AdversaryMixedStrategy,
     CostVector,
+    EnumerationCapError,
     IterationLimitError,
     MarginalVector,
     SolverError,
@@ -14,7 +17,7 @@ from minregret.core import (
     validate_instance,
 )
 from minregret.gen import generate_instance
-from minregret.nominal import NominalOracle, build_oracle
+from minregret.nominal import DagPathOracle, NominalOracle, build_oracle
 from minregret.regret import (
     adversary_side,
     extreme_cost_vector,
@@ -232,28 +235,38 @@ class TestCompactKSelection:
 
     @staticmethod
     def _check_at_scale(inst, reference, tol=1e-6):
+        """Checks the direct solve; returns its wall time in seconds."""
         oracle = build_oracle(inst)
+        started = time.perf_counter()
         game = solve_randomized(inst, oracle=oracle)
+        elapsed = time.perf_counter() - started
         assert game.iterations == 1
         _assert_sound_game(game, inst, oracle)
         upper = max_expected_regret(game.marginal, inst, oracle).value
         lower = player_best_response(game.adversary, inst, oracle).value
         assert lower - 1e-9 <= game.value <= upper + 1e-9
         assert game.value == pytest.approx(reference(inst, oracle), abs=tol)
+        return elapsed
 
     # Beyond desk scale: the double oracle takes 9 s on seed 1 and had not
     # finished seed 2 after 60 s.  HiGHS solves the compact interval LP.
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_interval_n200(self, seed):
         inst = generate_instance("k-selection", n=200, uncertainty="interval", seed=seed)
-        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst), 1e-9)
+        elapsed = self._check_at_scale(
+            inst, lambda inst, oracle: _highs_interval_k_selection(inst), 1e-9
+        )
+        assert elapsed < 120.0
 
     # The compact interval LP that the threshold search replaced took about
     # 0.25 s per case here on a 2-vCPU machine.
     @pytest.mark.parametrize("seed", [1, 2])
     def test_interval_n300(self, seed):
         inst = generate_instance("k-selection", n=300, uncertainty="interval", seed=seed)
-        self._check_at_scale(inst, lambda inst, oracle: _highs_interval_k_selection(inst), 1e-9)
+        elapsed = self._check_at_scale(
+            inst, lambda inst, oracle: _highs_interval_k_selection(inst), 1e-9
+        )
+        assert elapsed < 60.0
 
     # Every other item has a width of at most 1e-6 above a common lower bound
     # of 2, so the values are below 1e-5.  HiGHS on these instances misses
@@ -285,7 +298,7 @@ class TestCompactKSelection:
         inst = generate_instance(
             "k-selection", n=1000, uncertainty="scenarios", n_scenarios=16, seed=1
         )
-        self._check_at_scale(inst, _highs_scenario_k_selection)
+        assert self._check_at_scale(inst, _highs_scenario_k_selection) < 10.0
 
     # The scenario LP is anchored at the mean-cost set A: t0, the largest
     # regret of A, is 0 for a single scenario and for identical ones.
@@ -485,8 +498,12 @@ class TestThresholdKSelection:
         """Z_R <= Z_D <= R_max(midpoint) <= 2 Z_R, the paper's interval bound."""
         inst = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
         oracle = build_oracle(inst)
+        started = time.perf_counter()
         game = solve_randomized(inst, oracle=oracle)
+        randomized = time.perf_counter() - started
         T, value = solve_deterministic_exact(inst, oracle=oracle)
+        deterministic = time.perf_counter() - started - randomized
+        assert randomized < 10.0 and deterministic < 10.0
         _, rmax = approx_midpoint(inst, oracle=oracle)
         assert game.certified_gap <= 1e-7
         assert value == max_regret_det(T, inst, oracle)
@@ -909,6 +926,22 @@ class TestBruteforceAndInvariants:
                 assert z_ar == pytest.approx(z_r, abs=1e-6)
                 _, rmax = approx_mean_cost(inst, oracle)
                 assert rmax <= factor * z_r + 1e-6
+
+    # DAG paths n=80 have 2,357 paths: under intervals the payoff would be
+    # 2,357 x 2,357, and 2,000 scenarios give 2,357 x 2,000; both are past
+    # the guard's 4e6 entries.  The path count refuses them before any path
+    # is built, with the guard's own error.
+    @pytest.mark.parametrize("uncertainty", ["interval", "scenarios"])
+    def test_payoff_guard_refuses_before_enumerating(self, monkeypatch, uncertainty):
+        def never(self):
+            raise AssertionError("enumerated a family past the payoff guard")
+
+        monkeypatch.setattr(DagPathOracle, "_enumerate", never)
+        inst = generate_instance(
+            "dag-path", n=80, uncertainty=uncertainty, n_scenarios=2000, seed=1
+        )
+        with pytest.raises(EnumerationCapError, match="^full payoff matrix would exceed"):
+            bruteforce_game_value(inst)
 
     def test_adversary_strategy_members_of_uncertainty(self):
         game = solve_randomized(tight_interval())
