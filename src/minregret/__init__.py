@@ -22,12 +22,10 @@ from .core import (
     PlayerMixedStrategy,
     Scenarios,
     SolverError,
-    describe_instance,
     expected_regret,
     marginal_of_strategy,
     regret,
     solution_cost,
-    validate_instance,
 )
 from .nominal import build_oracle
 from .lp import LpSolution, kernel_backend, solve_matrix_game
@@ -51,6 +49,18 @@ from .sim import simulate
 from .gen import generate_instance
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The file formats load on first use, so that `import minregret` loads
+    # neither `io` nor `json`: solving reads no file, and the package's
+    # import time is part of every benchmark run's setup.
+    if name in ("describe_instance", "validate_instance"):
+        from . import io
+
+        return getattr(io, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdversaryMixedStrategy",

@@ -7,8 +7,8 @@ a cost uncertainty description, either per-item intervals or a finite list
 of cost scenarios.  The selecting player commits to a distribution over feasible
 sets; the adversary answers with a distribution over cost vectors drawn from
 the uncertainty set.  This module holds the value types shared by every
-solver plus the elementary regret arithmetic; oracles, LPs and game solvers
-live in the sibling modules.
+solver plus the elementary regret arithmetic; oracles, LPs, game solvers
+and the file formats (:mod:`minregret.io`) live in the sibling modules.
 
 All types are immutable after construction and safe to share across threads;
 the operations here are pure functions.
@@ -531,129 +531,3 @@ def marginal_of_strategy(y: PlayerMixedStrategy) -> MarginalVector:
     stacked = np.stack([T.indicator for T in y.support]).astype(float)
     return MarginalVector(y.probs @ stacked)
 
-
-# ---------------------------------------------------------------------------
-# Instance descriptions (external JSON schema -> Instance)
-# ---------------------------------------------------------------------------
-
-_NOMINAL_FIELDS = {
-    "k-selection": {"type", "n", "k"},
-    "spanning-tree": {"type", "vertices", "edges"},
-    "dag-path": {"type", "vertices", "arcs", "source", "target"},
-    "explicit": {"type", "sets"},
-}
-
-_UNCERTAINTY_FIELDS = {
-    "interval": {"type", "lower", "upper"},
-    "scenarios": {"type", "costs"},
-}
-
-
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise InstanceError(f"unknown field(s) {sorted(unknown)} in {where}")
-
-
-def validate_instance(description: dict) -> Instance:
-    """Build a validated :class:`Instance` from a plain-dict description.
-
-    The description uses the documented JSON schema; unknown fields are
-    rejected rather than ignored so that typos fail loudly.  The family's
-    oracle is built here and checks the family's structure, so a cyclic or
-    disconnected graph, or an unreachable target, is rejected here too.
-    """
-    # the oracles import this module, so it imports them only when called
-    from .nominal import DagPathOracle, ExplicitOracle, KSelectionOracle, SpanningTreeOracle
-
-    if not isinstance(description, dict):
-        raise InstanceError("instance description must be an object")
-    _reject_unknown(description, {"name", "n", "nominal", "uncertainty"}, "instance")
-    try:
-        name = str(description.get("name", "unnamed"))
-        n = as_integer(description["n"], "n")
-        nom_d = dict(description["nominal"])
-        unc_d = dict(description["uncertainty"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"malformed instance description: {exc}") from exc
-
-    kind = nom_d.get("type")
-    if kind not in _NOMINAL_FIELDS:
-        raise InstanceError(f"unknown nominal type {kind!r}")
-    _reject_unknown(nom_d, _NOMINAL_FIELDS[kind], f"nominal/{kind}")
-    try:
-        def integer(field):
-            return as_integer(nom_d[field], f"nominal {field}")
-
-        if kind == "k-selection":
-            nominal = KSelectionOracle(integer("n"), integer("k"))
-        elif kind == "spanning-tree":
-            nominal = SpanningTreeOracle(integer("vertices"), nom_d["edges"])
-        elif kind == "dag-path":
-            nominal = DagPathOracle(
-                integer("vertices"), nom_d["arcs"], integer("source"), integer("target")
-            )
-        else:
-            nominal = ExplicitOracle(n, nom_d["sets"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"malformed nominal spec: {exc}") from exc
-
-    ukind = unc_d.get("type")
-    if ukind not in _UNCERTAINTY_FIELDS:
-        raise InstanceError(f"unknown uncertainty type {ukind!r}")
-    _reject_unknown(unc_d, _UNCERTAINTY_FIELDS[ukind], f"uncertainty/{ukind}")
-    try:
-        if ukind == "interval":
-            uncertainty: UncertaintySpec = Intervals(
-                lower=np.asarray(unc_d["lower"], dtype=float),
-                upper=np.asarray(unc_d["upper"], dtype=float),
-            )
-        else:
-            uncertainty = Scenarios(costs=np.asarray(unc_d["costs"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"malformed uncertainty spec: {exc}") from exc
-
-    return Instance(name=name, n=n, nominal=nominal, uncertainty=uncertainty)
-
-
-def describe_instance(instance: Instance) -> dict:
-    """Inverse of :func:`validate_instance`: emit the JSON-schema dict."""
-    # the oracles import this module, so it imports them only when called
-    from .nominal import DagPathOracle, KSelectionOracle, SpanningTreeOracle
-
-    nom = instance.nominal
-    if isinstance(nom, KSelectionOracle):
-        nominal = {"type": "k-selection", "n": nom.n, "k": nom.k}
-    elif isinstance(nom, SpanningTreeOracle):
-        nominal = {
-            "type": "spanning-tree",
-            "vertices": nom.vertices,
-            "edges": [list(e) for e in nom.edges],
-        }
-    elif isinstance(nom, DagPathOracle):
-        nominal = {
-            "type": "dag-path",
-            "vertices": nom.vertices,
-            "arcs": [list(a) for a in nom.arcs],
-            "source": nom.source,
-            "target": nom.target,
-        }
-    else:
-        nominal = {"type": "explicit", "sets": [list(s) for s in nom.sets]}
-
-    unc = instance.uncertainty
-    if isinstance(unc, Intervals):
-        uncertainty = {
-            "type": "interval",
-            "lower": unc.lower.tolist(),
-            "upper": unc.upper.tolist(),
-        }
-    else:
-        uncertainty = {"type": "scenarios", "costs": unc.costs.tolist()}
-
-    return {
-        "name": instance.name,
-        "n": instance.n,
-        "nominal": nominal,
-        "uncertainty": uncertainty,
-    }

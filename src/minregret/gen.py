@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance, InstanceError, validate_instance
+from .core import Instance, InstanceError, Intervals, Scenarios, UncertaintySpec
+from .nominal import DagPathOracle, KSelectionOracle, SpanningTreeOracle
 from .sim import stream_uniform
 
 FAMILIES = ("k-selection", "spanning-tree", "dag-path", "tight-discrete", "tight-interval")
@@ -28,24 +29,20 @@ def _smallest_complete(n: int, minimum: int) -> int:
     return v
 
 
-def _uncertainty_dict(kind: str, n: int, n_scenarios: int, seed: int) -> dict:
+def _uncertainty(kind: str, n: int, n_scenarios: int, seed: int) -> UncertaintySpec:
     if kind == "interval":
         draws = stream_uniform(seed, _COST_STREAM, 2 * n) * 10.0
         pairs = np.sort(draws.reshape(n, 2), axis=1)
-        return {
-            "type": "interval",
-            "lower": pairs[:, 0].tolist(),
-            "upper": pairs[:, 1].tolist(),
-        }
+        return Intervals(pairs[:, 0], pairs[:, 1])
     if kind == "scenarios":
         if n_scenarios < 1:
             raise InstanceError("scenario count must be at least 1")
         draws = stream_uniform(seed, _COST_STREAM, n_scenarios * n) * 10.0
-        return {"type": "scenarios", "costs": draws.reshape(n_scenarios, n).tolist()}
+        return Scenarios(draws.reshape(n_scenarios, n))
     raise InstanceError(f"unknown uncertainty kind {kind!r}")
 
 
-def _spanning_tree_edges(n: int, seed: int) -> tuple[int, list]:
+def _spanning_tree_edges(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
     vertices = _smallest_complete(n, 3)
     if n < vertices - 1:
         raise InstanceError(f"spanning-tree family needs n >= {vertices - 1}")
@@ -65,10 +62,10 @@ def _spanning_tree_edges(n: int, seed: int) -> tuple[int, list]:
     order = np.argsort(u[vertices - 1 : vertices - 1 + len(spare)], kind="stable")
     for idx in order[: n - len(edges)]:
         edges.append(spare[int(idx)])
-    return vertices, [list(e) for e in edges]
+    return vertices, edges
 
 
-def _dag_arcs(n: int, seed: int) -> tuple[int, list]:
+def _dag_arcs(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
     vertices = _smallest_complete(n, 2)
     if n < vertices - 1:
         raise InstanceError(f"dag-path family needs n >= {vertices - 1}")
@@ -84,7 +81,7 @@ def _dag_arcs(n: int, seed: int) -> tuple[int, list]:
     order = np.argsort(u, kind="stable")
     for idx in order[: n - len(arcs)]:
         arcs.append(spare[int(idx)])
-    return vertices, [list(a) for a in arcs]
+    return vertices, arcs
 
 
 def generate_instance(
@@ -99,55 +96,22 @@ def generate_instance(
     if family == "tight-discrete":
         if k is None or k < 2:
             raise InstanceError("tight-discrete needs --k at least 2")
-        costs = np.eye(k).tolist()
-        return validate_instance(
-            {
-                "name": f"tight-discrete-k{k}",
-                "n": k,
-                "nominal": {"type": "k-selection", "n": k, "k": 1},
-                "uncertainty": {"type": "scenarios", "costs": costs},
-            }
-        )
+        return Instance(f"tight-discrete-k{k}", k, KSelectionOracle(k, 1), Scenarios(np.eye(k)))
     if family == "tight-interval":
-        return validate_instance(
-            {
-                "name": "tight-interval",
-                "n": 2,
-                "nominal": {"type": "k-selection", "n": 2, "k": 1},
-                "uncertainty": {
-                    "type": "interval",
-                    "lower": [0.0, 0.0],
-                    "upper": [1.0, 1.0],
-                },
-            }
+        return Instance(
+            "tight-interval", 2, KSelectionOracle(2, 1), Intervals(np.zeros(2), np.ones(2))
         )
 
     if n is None or n < 1:
         raise InstanceError("random families need --n at least 1")
     name = f"{family}-n{n}-{uncertainty}-seed{seed}"
     if family == "k-selection":
-        kk = max(1, n // 2) if k is None else k
-        nominal = {"type": "k-selection", "n": n, "k": kk}
+        nominal = KSelectionOracle(n, max(1, n // 2) if k is None else k)
     elif family == "spanning-tree":
-        vertices, edges = _spanning_tree_edges(n, seed)
-        nominal = {"type": "spanning-tree", "vertices": vertices, "edges": edges}
+        nominal = SpanningTreeOracle(*_spanning_tree_edges(n, seed))
     elif family == "dag-path":
         vertices, arcs = _dag_arcs(n, seed)
-        nominal = {
-            "type": "dag-path",
-            "vertices": vertices,
-            "arcs": arcs,
-            "source": 0,
-            "target": vertices - 1,
-        }
+        nominal = DagPathOracle(vertices, arcs, 0, vertices - 1)
     else:
         raise InstanceError(f"unknown family {family!r}")
-
-    return validate_instance(
-        {
-            "name": name,
-            "n": n,
-            "nominal": nominal,
-            "uncertainty": _uncertainty_dict(uncertainty, n, n_scenarios, seed),
-        }
-    )
+    return Instance(name, n, nominal, _uncertainty(uncertainty, n, n_scenarios, seed))

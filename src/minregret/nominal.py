@@ -10,7 +10,7 @@ shipped, because decomposition duals feed arbitrary-sign costs back into the
 oracles.
 
 An oracle is its family's only description (``Instance.nominal``); its
-constructor checks the family's structure once and raises
+constructor checks the family's integers and structure once and raises
 :class:`InstanceError` on a fault.
 """
 
@@ -73,7 +73,7 @@ class NominalOracle:
         raise NotImplementedError
 
     def _enumerate(self):
-        """Yield every feasible set once, in lexicographic index order."""
+        """Yield each feasible set once."""
         raise NotImplementedError
 
     def _family_size(self) -> float | None:
@@ -81,7 +81,8 @@ class NominalOracle:
         return None
 
     def enumerate_feasible(self) -> list[FeasibleSet]:
-        """Every feasible set, or :class:`EnumerationCapError` past the cap.
+        """Every feasible set in lexicographic order of its item indices, or
+        :class:`EnumerationCapError` past the cap.
 
         A family whose size is known is refused before any set is built.
         """
@@ -96,11 +97,13 @@ class NominalOracle:
                 raise EnumerationCapError(
                     f"feasible family exceeds enumeration cap {cap}"
                 )
+        out.sort(key=lambda T: T.indices)
         return out
 
 
 class KSelectionOracle(NominalOracle):
     def __init__(self, n: int, k: int):
+        n, k = as_integer(n, "nominal n"), as_integer(k, "nominal k")
         if not 1 <= k <= n:
             raise InstanceError(f"k={k} out of range 1..{n}")
         self.n = n
@@ -169,6 +172,7 @@ def topological_order(out) -> list[int]:
 
 class SpanningTreeOracle(NominalOracle):
     def __init__(self, vertices: int, edges):
+        vertices = as_integer(vertices, "nominal vertices")
         if vertices < 2:
             raise InstanceError("spanning-tree graph needs at least two vertices")
         self.vertices = vertices
@@ -234,6 +238,8 @@ class SpanningTreeOracle(NominalOracle):
 
 class DagPathOracle(NominalOracle):
     def __init__(self, vertices: int, arcs, source: int, target: int):
+        vertices = as_integer(vertices, "nominal vertices")
+        source, target = as_integer(source, "nominal source"), as_integer(target, "nominal target")
         if not (0 <= source < vertices and 0 <= target < vertices):
             raise InstanceError("source/target out of range")
         if source == target:
@@ -298,20 +304,14 @@ class DagPathOracle(NominalOracle):
         return count[self.target]
 
     def _enumerate(self):
-        paths = []
-
-        def dfs(u, arcs):
+        def paths(u, arcs):
             if u == self.target:
-                paths.append(tuple(arcs))
+                yield FeasibleSet.from_indices(self.n, arcs)
                 return
             for idx, v in self.out[u]:
-                arcs.append(idx)
-                dfs(v, arcs)
-                arcs.pop()
+                yield from paths(v, arcs + (idx,))
 
-        dfs(self.source, [])
-        for arcs in sorted(paths):
-            yield FeasibleSet.from_indices(self.n, arcs)
+        yield from paths(self.source, ())
 
 
 class ExplicitOracle(NominalOracle):

@@ -100,10 +100,6 @@ MAX_PAYOFF_ENTRIES = 4_000_000
 _BRACKET_WIDTH = 32
 
 
-def _sorted_family(oracle: NominalOracle) -> list[FeasibleSet]:
-    return sorted(oracle.enumerate_feasible(), key=lambda T: T.indices)
-
-
 class _GrowingRows:
     """An array grown one row at a time, in a buffer that doubles when full.
 
@@ -505,7 +501,7 @@ def solve_deterministic_exact(
     if instance.is_interval and isinstance(oracle, KSelectionOracle):
         best_set = _endpoint_scan(instance.uncertainty, oracle.k)
         return best_set, max_regret_det(best_set, instance, oracle)
-    family = _sorted_family(oracle)
+    family = oracle.enumerate_feasible()
     side = adversary_side(instance, oracle)
     best_set = None
     best_val = np.inf
@@ -656,7 +652,7 @@ def bruteforce_game_value(
         # past the cap, the enumeration or the scenario count refuses first
         if max(rows, columns) <= enumeration_cap():
             _check_payoff_size(rows, columns)
-    family = _sorted_family(oracle)
+    family = oracle.enumerate_feasible()
 
     X = np.stack([T.indicator for T in family]).astype(float)
     if instance.is_interval:

@@ -48,7 +48,6 @@ from .solvers import (
 
 VALUE_TOL = 1e-6
 ORDER_TOL = 1e-9
-IDENTITY_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-7
 # The double oracle never finished k-selection n=200 seed 2; past this many
 # items its cross-check is skipped.

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from minregret.core import validate_instance
 from minregret.gen import generate_instance
+from minregret.io import validate_instance
 from minregret.nominal import NominalOracle, build_oracle
 
 settings.register_profile("suite", deadline=None, max_examples=60)

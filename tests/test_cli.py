@@ -10,9 +10,9 @@ import pytest
 import minregret.cli as cli_mod
 import minregret.verify as verify_mod
 from minregret.cli import main
-from minregret.core import SolverError, describe_instance, validate_instance
+from minregret.core import SolverError
 from minregret.gen import generate_instance
-from minregret.io import save_instance
+from minregret.io import describe_instance, save_instance, validate_instance
 from minregret.nominal import SpanningTreeOracle
 
 
@@ -73,6 +73,41 @@ class TestSolveCommand:
         code = main(["solve", "--instance", str(bad), "--model", "randomized"])
         assert code == 2
         assert "item 0" in capsys.readouterr().err
+
+    # numpy read each as a number and the instance was solved: true as 1.0,
+    # "0" as 0.0.
+    @pytest.mark.parametrize(
+        "uncertainty, message",
+        [
+            (
+                {"type": "interval", "lower": ["0", 0.0, 0.0], "upper": [1.0] * 3},
+                "interval lower must hold numbers, got '0'",
+            ),
+            (
+                {"type": "interval", "lower": [0.0] * 3, "upper": [1.0, True, 1.0]},
+                "interval upper must hold numbers, got True",
+            ),
+            (
+                {"type": "scenarios", "costs": [[1.0, 0.0, 0.0], [0.0, "1", 0.0]]},
+                "scenario costs must hold numbers, got '1'",
+            ),
+            (
+                {"type": "scenarios", "costs": [[1.0, False, 0.0]]},
+                "scenario costs must hold numbers, got False",
+            ),
+        ],
+        ids=["lower-string", "upper-boolean", "costs-string", "costs-boolean"],
+    )
+    def test_non_numeric_real_field_exits_2(self, tmp_path, capsys, uncertainty, message):
+        path = tmp_path / "reals.json"
+        nominal = {"type": "k-selection", "n": 3, "k": 1}
+        path.write_text(
+            json.dumps({"name": "reals", "n": 3, "nominal": nominal, "uncertainty": uncertainty}),
+            encoding="utf-8",
+        )
+        code = main(["solve", "--instance", str(path), "--model", "randomized"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     # Each was truncated to an integer and solved: n to 3, k to 2 or 1, the
     # edge to (0, 1), the set item to 0.
@@ -329,8 +364,18 @@ class TestDecomposeCommand:
         code = main(["decompose", "--instance", str(inst_path), "--marginal", str(marg)])
         assert code == 2
 
-    # numpy's float conversion raised ValueError / TypeError: exit 1
-    @pytest.mark.parametrize("content", [["a", 0.5, 0.5, 0.5], {"p": 1}], ids=["string", "object"])
+    # numpy's float conversion raised ValueError / TypeError: exit 1.  It read
+    # a boolean or a numeric string as a number: exit 0.
+    @pytest.mark.parametrize(
+        "content",
+        [
+            ["a", 0.5, 0.5, 0.5],
+            {"p": 1},
+            [True, False, True, False],
+            ["0.5", "0.5", "0.5", "0.5"],
+        ],
+        ids=["string", "object", "boolean", "numeric-string"],
+    )
     def test_non_numeric_marginal_exits_2(self, tmp_path, capsys, content):
         inst_path = tmp_path / "inst.json"
         save_instance(generate_instance("k-selection", n=4, seed=1), inst_path)
@@ -419,6 +464,45 @@ class TestSimulateCommand:
             ]
         )
         assert code == 2
+
+    # numpy read each as a number and the play was simulated: true as 1.0,
+    # "1" as 1.0.
+    @pytest.mark.parametrize(
+        "player_probs, costs, adversary_probs, message",
+        [
+            ([True], [1.0, 0.0, 0.0], [1.0], "player probs must hold numbers, got True"),
+            ([1.0], [1.0, 0.0, 0.0], ["1"], "adversary probs must hold numbers, got '1'"),
+            ([1.0], [1.0, 0.0, 0.0], [True], "adversary probs must hold numbers, got True"),
+            ([1.0], [True, 0.0, 0.0], [1.0], "adversary costs must hold numbers, got True"),
+            ([1.0], ["1", 0.0, 0.0], [1.0], "adversary costs must hold numbers, got '1'"),
+        ],
+        ids=[
+            "player-probs-boolean",
+            "adversary-probs-string",
+            "adversary-probs-boolean",
+            "adversary-costs-boolean",
+            "adversary-costs-string",
+        ],
+    )
+    def test_non_numeric_real_field_exits_2(
+        self, tight3, tmp_path, capsys, player_probs, costs, adversary_probs, message
+    ):
+        strat = tmp_path / "s.json"
+        strat.write_text(
+            json.dumps(
+                {
+                    "player": {"sets": [[0]], "probs": player_probs},
+                    "adversary": {"costs": [costs], "probs": adversary_probs},
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "--instance", str(tight3), "--samples", "10", "--seed", "1",
+             "--strategies", str(strat)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
     def test_nan_player_probability_exits_2(self, tight3, tmp_path):

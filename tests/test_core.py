@@ -12,14 +12,13 @@ from minregret.core import (
     MarginalVector,
     PlayerMixedStrategy,
     Scenarios,
-    describe_instance,
     expected_regret,
     marginal_of_strategy,
     regret,
     solution_cost,
-    validate_instance,
 )
 from minregret.gen import generate_instance
+from minregret.io import describe_instance, validate_instance
 from minregret.nominal import KSelectionOracle, build_oracle
 
 from conftest import k_selection_instance, tight_discrete

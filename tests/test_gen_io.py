@@ -1,12 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from minregret.core import Instance, InstanceError, describe_instance
+from minregret.core import Instance, InstanceError
 from minregret.gen import generate_instance
 from minregret.io import (
     adversary_strategy_from_dict,
+    describe_instance,
     adversary_strategy_to_dict,
     instance_text,
     load_instance,
@@ -26,6 +28,14 @@ class TestGenerator:
         assert inst.n == 5
         assert inst.nominal.k == 1
         assert np.array_equal(inst.uncertainty.costs, np.eye(5))
+
+    # The oracle reads k as an integer, as the instance file does.
+    def test_integral_k_of_any_type_gives_the_same_instance(self):
+        text = instance_text(generate_instance("k-selection", n=6, k=2, seed=1))
+        for k in (2.0, np.int64(2)):
+            assert instance_text(generate_instance("k-selection", n=6, k=k, seed=1)) == text
+        with pytest.raises(InstanceError, match="nominal k must be an integer, got 2.5"):
+            generate_instance("k-selection", n=6, k=2.5, seed=1)
 
     def test_tight_discrete_needs_k_at_least_two(self):
         with pytest.raises(InstanceError):
@@ -67,8 +77,38 @@ class TestGenerator:
         with pytest.raises(InstanceError):
             generate_instance("matchings", n=4)
 
+    # Instance files and benchmark inputs are named by (family, parameters,
+    # seed), so the generator's output is pinned across versions, not only
+    # between two calls.
+    def test_generated_instances_are_pinned(self):
+        h = hashlib.sha256()
+        for family in ("k-selection", "spanning-tree", "dag-path"):
+            for kind in ("interval", "scenarios"):
+                for n in (3, 5, 10, 20, 45, 60, 100, 300):
+                    for seed in range(4):
+                        for k in (None, 2) if family == "k-selection" else (None,):
+                            inst = generate_instance(
+                                family, n=n, k=k, uncertainty=kind, n_scenarios=1 + seed, seed=seed
+                            )
+                            h.update(instance_text(inst).encode())
+        for inst in (
+            *(generate_instance("tight-discrete", k=k) for k in (2, 3, 10)),
+            generate_instance("tight-interval"),
+        ):
+            h.update(instance_text(inst).encode())
+        assert h.hexdigest() == (
+            "55f0f8206a2fa7673a667c1b8e145e9efd8cebb66889858e2293e6e55a65e7e6"
+        )
+
 
 class TestInstanceIo:
+    def test_package_exports_the_schema_functions(self):
+        import minregret
+        import minregret.io
+
+        assert minregret.validate_instance is minregret.io.validate_instance
+        assert minregret.describe_instance is minregret.io.describe_instance
+
     def test_save_load_round_trip(self, tmp_path):
         inst = generate_instance("dag-path", n=6, uncertainty="interval", seed=3)
         path = tmp_path / "inst.json"

@@ -819,7 +819,19 @@ def test_epsilon_mix_cut_rows_break_down():
     break down too; n=80, 93 and 100 solve.  The package's decomposition
     runs no LP, so this pin keeps the breakdown of the unbounded dual and
     refresh path, which the double oracle and the adversary LP run,
-    visible."""
+    visible.
+
+    Where it goes wrong, measured by wrapping the kernel's pivots: cut-loop
+    solve 356 (an LP of 446 rows and 92 columns) runs 35 dual and 989
+    primal pivots in one burst.  Its primal ratio test pivots on elements
+    down to 1.013e-9, just above ``PIVOT_TOL = 1e-9``; 15 of them are below
+    1e-6.  Tableau entries reach 1.1e21 before the exact refresh finds the
+    79 x 79 basis block singular.  At n=85 the failing solve (284) runs
+    3,868 dual and 18,660 primal pivots, with elements down to 1.014e-9
+    and entries up to 1.5e23.  No dual pivot enters a dual-infeasible
+    column: 0 of the 9,229 at n=90, counting the solve that makes p.  So a fix starts at the primal leaving rule: an
+    absolute 1e-9 test on the pivot element, with ties broken by basis
+    index (Bland)."""
     n = 90
     instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
     oracle = build_oracle(instance)

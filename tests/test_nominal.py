@@ -150,6 +150,28 @@ class TestExplicit:
         assert len(oracle.enumerate_feasible()) == 2
 
 
+# The constructors read these fields unchecked: k=2.5 was accepted and
+# failed later in a slice, a boolean passed as 0 or 1.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KSelectionOracle(4, 2.5), "nominal k must be an integer, got 2.5"),
+        (
+            lambda: SpanningTreeOracle(3.5, [(0, 1), (1, 2)]),
+            "nominal vertices must be an integer, got 3.5",
+        ),
+        (
+            lambda: DagPathOracle(3, [(0, 1), (1, 2)], 0, True),
+            "nominal target must be an integer, got True",
+        ),
+    ],
+    ids=["k-selection", "spanning-tree", "dag-path"],
+)
+def test_constructor_checks_integer_fields(build, message):
+    with pytest.raises(InstanceError, match=message):
+        build()
+
+
 class TestEnumerationCap:
     def test_cap_exceeded(self, monkeypatch):
         monkeypatch.setenv("REGRET_ENUM_CAP", "5")
@@ -251,3 +273,20 @@ class TestSolverProperties:
     def test_enumeration_is_lexicographic_for_combinatorial_families(self):
         fam = KSelectionOracle(5, 2).enumerate_feasible()
         assert [T.indices for T in fam] == sorted(T.indices for T in fam)
+
+
+# DAG paths came in arc-sequence order and an explicit family in listing
+# order, so enumerate_feasible's order depended on the family.
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        KSelectionOracle(6, 3),
+        build_oracle(generate_instance("spanning-tree", n=10, seed=1)),
+        *(build_oracle(generate_instance("dag-path", n=n, seed=1)) for n in (10, 20, 40)),
+        ExplicitOracle(3, [(2,), (0, 1), (0,)]),
+    ],
+    ids=["k-selection", "spanning-tree", "dag-path-10", "dag-path-20", "dag-path-40", "explicit"],
+)
+def test_enumeration_is_in_index_order(oracle):
+    indices = [T.indices for T in oracle.enumerate_feasible()]
+    assert indices == sorted(set(indices))

@@ -11,12 +11,11 @@ from minregret.core import (
     IterationLimitError,
     MarginalVector,
     SolverError,
-    describe_instance,
     expected_regret,
     marginal_of_strategy,
-    validate_instance,
 )
 from minregret.gen import generate_instance
+from minregret.io import describe_instance, validate_instance
 from minregret.nominal import DagPathOracle, NominalOracle, build_oracle
 from minregret.regret import (
     adversary_side,
@@ -777,8 +776,6 @@ class TestApproximations:
         assert rmax == pytest.approx(0.0)
 
     def test_midpoint_identity_on_spanning_tree(self, rng):
-        from minregret.core import validate_instance
-
         lo = rng.uniform(0, 5, size=6)
         hi = lo + rng.uniform(0, 5, size=6)
         inst = validate_instance(
