@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance, InstanceError, Intervals, Scenarios, UncertaintySpec
+from .core import Instance, InstanceError, Intervals, Scenarios, UncertaintySpec, as_integer
 from .nominal import DagPathOracle, KSelectionOracle, SpanningTreeOracle
 from .sim import stream_uniform
 
@@ -35,6 +35,7 @@ def _uncertainty(kind: str, n: int, n_scenarios: int, seed: int) -> UncertaintyS
         pairs = np.sort(draws.reshape(n, 2), axis=1)
         return Intervals(pairs[:, 0], pairs[:, 1])
     if kind == "scenarios":
+        n_scenarios = as_integer(n_scenarios, "n_scenarios")
         if n_scenarios < 1:
             raise InstanceError("scenario count must be at least 1")
         draws = stream_uniform(seed, _COST_STREAM, n_scenarios * n) * 10.0
@@ -92,9 +93,13 @@ def generate_instance(
     n_scenarios: int = 2,
     seed: int = 0,
 ) -> Instance:
-    """Build a random (or tight) instance; deterministic per seed."""
+    """Build a random (or tight) instance; deterministic per seed.  Integer
+    arguments may be any integral number; anything else raises
+    :class:`InstanceError` naming the argument."""
+    seed = as_integer(seed, "seed")
     if family == "tight-discrete":
-        if k is None or k < 2:
+        k = 0 if k is None else as_integer(k, "k")
+        if k < 2:
             raise InstanceError("tight-discrete needs --k at least 2")
         return Instance(f"tight-discrete-k{k}", k, KSelectionOracle(k, 1), Scenarios(np.eye(k)))
     if family == "tight-interval":
@@ -102,7 +107,8 @@ def generate_instance(
             "tight-interval", 2, KSelectionOracle(2, 1), Intervals(np.zeros(2), np.ones(2))
         )
 
-    if n is None or n < 1:
+    n = 0 if n is None else as_integer(n, "n")
+    if n < 1:
         raise InstanceError("random families need --n at least 1")
     name = f"{family}-n{n}-{uncertainty}-seed{seed}"
     if family == "k-selection":

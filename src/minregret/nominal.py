@@ -316,6 +316,7 @@ class DagPathOracle(NominalOracle):
 
 class ExplicitOracle(NominalOracle):
     def __init__(self, n: int, sets):
+        n = as_integer(n, "nominal n")
         self.sets = tuple(tuple(sorted(as_integer(e, "set item") for e in s)) for s in sets)
         if not self.sets:
             raise InstanceError("explicit feasible family is empty")
@@ -325,8 +326,9 @@ class ExplicitOracle(NominalOracle):
             if len(set(s)) != len(s):
                 raise InstanceError(f"set {s} repeats an item")
         self.n = n
-        # each distinct set once, where it is first listed
-        self.family = tuple(FeasibleSet.from_indices(n, s) for s in dict.fromkeys(self.sets))
+        # each distinct set once, in index order, so that ``solve`` keeps
+        # the lowest of tied sets
+        self.family = tuple(FeasibleSet.from_indices(n, s) for s in sorted(set(self.sets)))
         self._members = set(self.family)
 
     def solve(self, c):

@@ -1,13 +1,14 @@
 """Frozen reference copy of the simplex pivot kernel, before it cut its numpy
 calls per pivot.
 
-This version carries candidate columns as boolean masks, gathers the bounds
-of the basic variables at every dual iteration, and runs the bound-flipping
-ratio test through ``np.lexsort`` and ``np.cumsum`` over every breakpoint.
-``tests/test_lp.py`` runs it side by side with ``minregret.lp._kernel`` and
-requires the same statuses, pivot counts, bases, flips and bitwise-equal
-tableaux.  Do not edit it to follow the kernel: it is the fixed point the
-kernel is compared with.  ``run_simplex`` returns ``(status, pivots)``.
+This version carries candidate columns as boolean masks and gathers the
+bounds of the basic variables at every dual iteration.  It holds exactly the
+kernel's pivot rules, no more and no fewer.  ``tests/test_lp.py`` runs it
+side by side with ``minregret.lp._kernel`` and requires the same statuses,
+pivot counts, bases, flips and bitwise-equal tableaux.  Do not edit it to
+follow the kernel: it is the fixed point the kernel is compared with, and a
+change of pivot rule lands in both files.  ``run_simplex`` returns
+``(status, pivots)``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ def flip_column(tableau, col, bound):
 
 
 def run_simplex(
-    tableau, basis, nonbasic, locked, max_pivots, tol,
-    upper=None, flipped=None, dantzig=False,
+    tableau, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, dantzig=False,
 ):
     """Pivot ``tableau`` in place until it is primal and dual feasible.
 
@@ -55,7 +55,6 @@ def run_simplex(
         objective.
     basis : (m,) intp, basic variable of each row.
     nonbasic : (k,) intp, nonbasic variable of each column.
-    locked : uint8 per variable, the variables that may never enter.
     upper : float64 per variable, the upper bounds (``inf`` for none), or
         None when no variable has one.
     flipped : uint8 per variable, the nonbasic variables at their upper
@@ -67,14 +66,12 @@ def run_simplex(
     obj = tableau[m, :-1]
     rhs = tableau[:m, -1]
     pivots = 0
-    unlocked = locked[nonbasic] == 0
     bounded = upper is not None and bool(np.isfinite(upper).any())
 
     def pivot(leave, enter, at_upper=False):
         # ``at_upper``: row ``leave`` is complemented, its variable leaves flipped
         entering, leaving = nonbasic[enter], basis[leave]
         pivot_inplace(tableau, basis, nonbasic, leave, enter)
-        unlocked[enter] = locked[leaving] == 0
         if bounded:
             flipped[leaving] = at_upper
             if flipped[entering]:
@@ -105,7 +102,7 @@ def run_simplex(
         if above:
             complement_row(tableau, leave, ub[leave])
         row = tableau[leave, :-1]
-        neg = unlocked & (row < -tol)
+        neg = row < -tol
         if not neg.any():
             if above:
                 complement_row(tableau, leave, ub[leave])  # back to rest
@@ -115,17 +112,15 @@ def run_simplex(
         feasible = neg & (obj >= -tol)
         if feasible.any():
             neg = feasible
-        enter, step = _dual_entering(
-            tableau, leave, neg, nonbasic, upper if bounded else None, flipped, bland, tol
-        )
+        enter, step = _dual_entering(tableau, leave, neg, nonbasic, bland, tol)
         stalled = stalled + 1 if step <= tol else 0
         pivot(leave, enter, above)
         pivots += 1
 
-    top = len(locked)  # above every variable index
+    top = len(basis) + len(nonbasic)  # above every variable index
     degenerate = 0  # consecutive degenerate primal steps
     while True:
-        eligible = unlocked & (obj < -tol)
+        eligible = obj < -tol
         if not eligible.any():
             return STATUS_OPTIMAL, pivots
         if pivots >= max_pivots:
@@ -176,15 +171,14 @@ def run_simplex(
         pivots += 1
 
 
-def _dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, tol):
+def _dual_entering(tableau, leave, candidates, nonbasic, bland, tol):
     """Entering column of the dual pivot on the infeasible row ``leave``, and
     its ratio, among the ``candidates`` columns (a mask).
 
     The ratios are computed on the candidate columns only.  ``bland`` takes
-    the lowest variable index among the minimum ratios.  Otherwise, with
-    ``upper`` (None when no variable is bounded), the bound-flipping ratio
-    test runs first; when it flips nothing, the column with the largest
-    pivot element among the ratios within ``tol`` of the minimum enters.
+    the lowest variable index among the minimum ratios.  Otherwise the
+    column with the largest pivot element among the ratios within ``tol``
+    of the minimum enters.
     """
     cols = np.flatnonzero(candidates)
     row = tableau[leave, cols]
@@ -194,46 +188,11 @@ def _dual_entering(tableau, leave, candidates, nonbasic, upper, flipped, bland, 
     if bland:
         # Dual Bland's entering rule: lowest variable index among minimum ratios.
         return _lowest_variable(cols[ratios == best], nonbasic), best
-    if upper is not None:
-        at = _flip_breakpoints(tableau, leave, cols, ratios, best, nonbasic, upper, flipped)
-        if at >= 0:
-            return int(cols[at]), ratios[at]
     near = np.flatnonzero(ratios <= best + tol)
     if near.size > 1:
         size = -row[near]
         near = near[size == size.max()]
     return _lowest_variable(cols[near], nonbasic), best
-
-
-def _flip_breakpoints(tableau, leave, cols, ratios, best, nonbasic, upper, flipped):
-    """Bound-flipping ratio test on the infeasible row ``leave``.
-
-    Walks the candidate columns ``cols`` in order of their ``ratios`` (the
-    lowest is ``best``; ties by variable index) and flips each leading
-    breakpoint whose flip leaves the row's right-hand side below zero.
-    Returns the position in ``cols`` of the first breakpoint that would
-    close the row, or has no finite bound, once at least one breakpoint has
-    flipped, and -1 (nothing flipped) otherwise.  When flipping every
-    breakpoint would still leave the row infeasible, the last one enters.
-    The first breakpoint alone decides the common case: when it closes the
-    row, nothing is sorted or summed.
-    """
-    rhs = tableau[leave, -1]
-    first = _lowest_variable(cols[ratios == best], nonbasic)
-    if rhs - tableau[leave, first] * upper[nonbasic[first]] >= 0.0:
-        return -1
-    order = np.lexsort((nonbasic[cols], ratios))
-    walk = cols[order]
-    # the row's right-hand side after flipping each prefix of breakpoints
-    after = rhs - np.cumsum(tableau[leave, walk] * upper[nonbasic[walk]])
-    closes = np.flatnonzero(after >= 0.0)
-    closing = int(closes[0]) if closes.size else len(walk) - 1
-    if closing == 0:
-        return -1
-    for col in walk[:closing]:
-        flip_column(tableau, col, upper[nonbasic[col]])
-        flipped[nonbasic[col]] ^= 1
-    return int(order[closing])
 
 
 def pivot_inplace(tableau, basis, nonbasic, row, col):

@@ -30,6 +30,83 @@ def tight_pair(tmp_path):
     return path
 
 
+def _text(items=3, drop=None, **parts):
+    """JSON text of an instance file on ``items`` items, k-selection with
+    k = 1 under unit intervals, with ``parts`` replaced and ``drop`` left out."""
+    description = {
+        "name": "case",
+        "n": items,
+        "nominal": {"type": "k-selection", "n": items, "k": 1},
+        "uncertainty": {"type": "interval", "lower": [0.0] * items, "upper": [1.0] * items},
+    }
+    description.update(parts)
+    description.pop(drop, None)
+    return json.dumps(description)
+
+
+def _solve_file(tmp_path, capsys, text):
+    """Exit code and error output of ``solve`` on a file holding ``text``
+    (None: no file at the path)."""
+    path = tmp_path / "instance.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code = main(["solve", "--instance", str(path), "--model", "randomized"])
+    return code, capsys.readouterr().err
+
+
+def _box(lower, upper):
+    return {"type": "interval", "lower": lower, "upper": upper}
+
+
+def _scenarios(*costs):
+    return {"type": "scenarios", "costs": list(costs)}
+
+
+def _graph(kind, vertices, arcs, **ends):
+    field = "edges" if kind == "spanning-tree" else "arcs"
+    return {"type": kind, "vertices": vertices, field: arcs, **ends}
+
+
+_ARCS = [[0, 1], [1, 2], [0, 2]]
+# Each structural rejection of an instance file, by id: the file text (None
+# for no file at the path) and a part of its error message.
+_MALFORMED = {
+    "inverted-interval": (_text(1, uncertainty=_box([1.0], [0.0])), "item 0"),
+    "not-an-object": ("[1, 2]", "instance description must be an object"),
+    "unknown-nominal": (_text(nominal={"type": "matroid"}), "unknown nominal type 'matroid'"),
+    "unknown-uncertainty": (_text(uncertainty={"type": "box"}), "unknown uncertainty type 'box'"),
+    "missing-n": (_text(drop="n"), "malformed instance description: 'n'"),
+    "missing-k": (_text(nominal={"type": "k-selection", "n": 3}), "malformed nominal spec: 'k'"),
+    "item-count": (_text(uncertainty=_box([0.0] * 2, [1.0] * 2)),
+        "uncertainty describes 2 items, instance has 3"),
+    "unequal-bounds": (_text(uncertainty=_box([0.0] * 3, [1.0] * 2)),
+        "interval bounds must be equal-length vectors"),
+    "infinite-bound": (_text().replace("1.0]", "1e999]"), "interval bounds must be finite"),
+    "scenarios-1d": (_text(uncertainty=_scenarios(1.0, 2.0, 3.0)),
+        "scenario costs must be a nonempty k x n matrix"),
+    "scenarios-empty": (_text(uncertainty=_scenarios()),
+        "scenario costs must be a nonempty k x n matrix"),
+    "no-items": (_text(0, nominal={"type": "explicit", "sets": [[]]}),
+        "instance needs at least one item"),
+    "k-too-large": (
+        _text(nominal={"type": "k-selection", "n": 3, "k": 4}), "k=4 out of range 1..3"
+    ),
+    "one-vertex-tree": (_text(nominal=_graph("spanning-tree", 1, [[0, 0]] * 3)),
+        "spanning-tree graph needs at least two vertices"),
+    "self-loop": (_text(nominal=_graph("spanning-tree", 3, [[0, 1], [1, 1], [0, 2]])),
+        "bad edge (1,1)"),
+    "dag-source-is-target": (_text(nominal=_graph("dag-path", 3, _ARCS, source=1, target=1)),
+        "source and target must differ"),
+    "dag-target-out-of-range": (_text(nominal=_graph("dag-path", 3, _ARCS, source=0, target=3)),
+        "source/target out of range"),
+    "explicit-out-of-range": (_text(nominal={"type": "explicit", "sets": [[0], [3]]}),
+        "set (3,) not a subset of 0..2"),
+    "explicit-repeat": (_text(nominal={"type": "explicit", "sets": [[0], [1, 1]]}),
+        "set (1, 1) repeats an item"),
+    "unreadable": (None, "cannot read"),
+}
+
+
 def run_json(args, tmp_path, name="report.json"):
     out = tmp_path / name
     code = main(args + ["--format", "json", "--out", str(out)])
@@ -57,57 +134,29 @@ class TestSolveCommand:
         assert report["value"] == 1.0
         assert report["chosen_set"] == [0]
 
-    def test_malformed_instance_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "name": "bad",
-                    "n": 1,
-                    "nominal": {"type": "k-selection", "n": 1, "k": 1},
-                    "uncertainty": {"type": "interval", "lower": [1.0], "upper": [0.0]},
-                }
-            ),
-            encoding="utf-8",
-        )
-        code = main(["solve", "--instance", str(bad), "--model", "randomized"])
-        assert code == 2
-        assert "item 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("text, message", _MALFORMED.values(), ids=_MALFORMED)
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, text, message):
+        code, err = _solve_file(tmp_path, capsys, text)
+        assert code == 2 and message in err
 
     # numpy read each as a number and the instance was solved: true as 1.0,
     # "0" as 0.0.
     @pytest.mark.parametrize(
         "uncertainty, message",
         [
+            (_box(["0", 0.0, 0.0], [1.0] * 3), "interval lower must hold numbers, got '0'"),
+            (_box([0.0] * 3, [1.0, True, 1.0]), "interval upper must hold numbers, got True"),
             (
-                {"type": "interval", "lower": ["0", 0.0, 0.0], "upper": [1.0] * 3},
-                "interval lower must hold numbers, got '0'",
-            ),
-            (
-                {"type": "interval", "lower": [0.0] * 3, "upper": [1.0, True, 1.0]},
-                "interval upper must hold numbers, got True",
-            ),
-            (
-                {"type": "scenarios", "costs": [[1.0, 0.0, 0.0], [0.0, "1", 0.0]]},
+                _scenarios([1.0, 0.0, 0.0], [0.0, "1", 0.0]),
                 "scenario costs must hold numbers, got '1'",
             ),
-            (
-                {"type": "scenarios", "costs": [[1.0, False, 0.0]]},
-                "scenario costs must hold numbers, got False",
-            ),
+            (_scenarios([1.0, False, 0.0]), "scenario costs must hold numbers, got False"),
         ],
         ids=["lower-string", "upper-boolean", "costs-string", "costs-boolean"],
     )
     def test_non_numeric_real_field_exits_2(self, tmp_path, capsys, uncertainty, message):
-        path = tmp_path / "reals.json"
-        nominal = {"type": "k-selection", "n": 3, "k": 1}
-        path.write_text(
-            json.dumps({"name": "reals", "n": 3, "nominal": nominal, "uncertainty": uncertainty}),
-            encoding="utf-8",
-        )
-        code = main(["solve", "--instance", str(path), "--model", "randomized"])
-        assert code == 2
-        assert message in capsys.readouterr().err
+        code, err = _solve_file(tmp_path, capsys, _text(uncertainty=uncertainty))
+        assert code == 2 and message in err
 
     # Each was truncated to an integer and solved: n to 3, k to 2 or 1, the
     # edge to (0, 1), the set item to 0.
@@ -119,7 +168,7 @@ class TestSolveCommand:
             (3, {"type": "k-selection", "n": 3, "k": True}, "nominal k must be an integer, got True"),
             (
                 3,
-                {"type": "spanning-tree", "vertices": 3, "edges": [[0, 1.7], [1, 2], [0, 2]]},
+                _graph("spanning-tree", 3, [[0, 1.7], [1, 2], [0, 2]]),
                 "edge endpoint must be an integer, got 1.7",
             ),
             (
@@ -131,15 +180,8 @@ class TestSolveCommand:
         ids=["n", "k-fraction", "k-boolean", "edge", "set-item"],
     )
     def test_non_integer_field_exits_2(self, tmp_path, capsys, n, nominal, message):
-        interval = {"type": "interval", "lower": [0.0] * 3, "upper": [1.0] * 3}
-        path = tmp_path / "ints.json"
-        path.write_text(
-            json.dumps({"name": "ints", "n": n, "nominal": nominal, "uncertainty": interval}),
-            encoding="utf-8",
-        )
-        code = main(["solve", "--instance", str(path), "--model", "randomized"])
-        assert code == 2
-        assert message in capsys.readouterr().err
+        code, err = _solve_file(tmp_path, capsys, _text(n=n, nominal=nominal))
+        assert code == 2 and message in err
 
     # A NaN or negative tolerance used to stall the solver, an infinite one
     # ended it at a wrong value, and a zero budget exited 3 with no bracket.
@@ -238,17 +280,7 @@ class TestApproxCommand:
 
     def test_single_scenario_mean_is_exact(self, tmp_path):
         inst = tmp_path / "one.json"
-        inst.write_text(
-            json.dumps(
-                {
-                    "name": "one",
-                    "n": 3,
-                    "nominal": {"type": "k-selection", "n": 3, "k": 1},
-                    "uncertainty": {"type": "scenarios", "costs": [[4.0, 2.0, 3.0]]},
-                }
-            ),
-            encoding="utf-8",
-        )
+        inst.write_text(_text(uncertainty=_scenarios([4.0, 2.0, 3.0])), encoding="utf-8")
         code, report = run_json(
             ["approx", "--instance", str(inst), "--method", "mean"], tmp_path
         )
@@ -676,9 +708,9 @@ class TestVerifyCommand:
         assert main(["verify", "--instance", str(tight_pair)]) == 0
 
     def test_random_suite(self, capsys):
-        assert main(["verify", "--random-suite", "--count", "6", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
+        for count, seed, checks in (("6", "7", 59), ("30", "1", 295)):
+            assert main(["verify", "--random-suite", "--count", count, "--seed", seed]) == 0
+            assert f"\n{checks}/{checks} checks passed\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_suite_needs_a_positive_count(self, count, capsys):

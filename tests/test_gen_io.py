@@ -29,13 +29,25 @@ class TestGenerator:
         assert inst.nominal.k == 1
         assert np.array_equal(inst.uncertainty.costs, np.eye(5))
 
-    # The oracle reads k as an integer, as the instance file does.
+    # The oracle reads k as an integer, as the instance file does, and the
+    # generator reads its own integer arguments the same way: n=5.0 raised a
+    # bare TypeError and n=True was read as 1.
     def test_integral_k_of_any_type_gives_the_same_instance(self):
-        text = instance_text(generate_instance("k-selection", n=6, k=2, seed=1))
-        for k in (2.0, np.int64(2)):
-            assert instance_text(generate_instance("k-selection", n=6, k=k, seed=1)) == text
-        with pytest.raises(InstanceError, match="nominal k must be an integer, got 2.5"):
-            generate_instance("k-selection", n=6, k=2.5, seed=1)
+        random = {"n": 6, "k": 2, "uncertainty": "scenarios", "n_scenarios": 3, "seed": 1}
+        for family, given, field, what in (
+            ("k-selection", random, "k", "nominal k"),
+            ("k-selection", random, "n", "n"),
+            ("k-selection", random, "n_scenarios", "n_scenarios"),
+            ("k-selection", random, "seed", "seed"),
+            ("tight-discrete", {"k": 3}, "k", "k"),
+        ):
+            text = instance_text(generate_instance(family, **given))
+            for same in (float(given[field]), np.int64(given[field])):
+                assert instance_text(generate_instance(family, **{**given, field: same})) == text
+            for bad in (given[field] + 0.5, True):
+                message = f"^{what} must be an integer, got {bad!r}$"
+                with pytest.raises(InstanceError, match=message):
+                    generate_instance(family, **{**given, field: bad})
 
     def test_tight_discrete_needs_k_at_least_two(self):
         with pytest.raises(InstanceError):

@@ -904,10 +904,9 @@ def _side_by_side(patch, runs):
     """Replace ``_kernel.run_simplex`` by a run of the frozen reference
     kernel on copies of its arguments next to the kernel itself, which must
     agree with it exactly: the same status and pivot count, the same basis,
-    nonbasic and flipped arrays, and a bitwise-equal tableau.  The reference
-    still takes a per-variable ``locked`` mask; it gets one with nothing
-    locked.  Appends ``(status, pivots, dual pivots, bounded, dantzig)`` to
-    ``runs`` per call."""
+    nonbasic and flipped arrays, and a bitwise-equal tableau.  Appends
+    ``(status, pivots, dual pivots, bounded, dantzig)`` to ``runs`` per
+    call."""
     real = _kernel.run_simplex
 
     def both(
@@ -920,8 +919,8 @@ def _side_by_side(patch, runs):
         T_ref, basis_ref, nonbasic_ref = T.copy(), basis.copy(), nonbasic.copy()
         flipped_ref = None if flipped is None else flipped.copy()
         expected = reference_kernel.run_simplex(
-            T_ref, basis_ref, nonbasic_ref, np.zeros(len(basis) + len(nonbasic), dtype=np.uint8),
-            max_pivots, tol, upper=upper, flipped=flipped_ref, dantzig=dantzig,
+            T_ref, basis_ref, nonbasic_ref, max_pivots, tol,
+            upper=upper, flipped=flipped_ref, dantzig=dantzig,
         )
         status, used, dual = real(
             T, basis, nonbasic, max_pivots, tol, upper=upper, flipped=flipped, dantzig=dantzig
@@ -968,21 +967,14 @@ class TestDualEnteringAgainstReference:
     """The whole kernel, run side by side with the frozen reference copy in
     ``reference_kernel`` (candidate masks, a fresh bound gather per dual
     iteration), must make every choice the reference makes, to the bit.
-    The reference still has the bound-flipping ratio test that the kernel
-    dropped, so a bounded dual pivot is compared only where the reference
-    flips nothing; there both take the same textbook bounded step.  The
-    class keeps the name it had when it compared only the dual entering
+    The class keeps the name it had when it compared only the dual entering
     rule, so its fixtures keep their ids."""
 
     def test_random_rows(self, monkeypatch):
         # one dual pivot on a random infeasible row; the others are feasible
         rng = np.random.default_rng(2024)
-        runs, flips = [], []
-        paths = {"bland": 0, "bounded": 0, "unbounded": 0, "reference-flips": 0}
-        real_flip = reference_kernel.flip_column
-        monkeypatch.setattr(
-            reference_kernel, "flip_column", lambda *args: flips.append(1) or real_flip(*args)
-        )
+        runs = []
+        paths = {"bland": 0, "bounded": 0, "unbounded": 0}
         _side_by_side(monkeypatch, runs)
         for case in range(600):
             m, k = int(rng.integers(1, 5)), int(rng.integers(1, 12))
@@ -1006,19 +998,9 @@ class TestDualEnteringAgainstReference:
                 T[:m, -1][rest] = np.minimum(T[:m, -1][rest], upper[basis[rest]])
                 bounds = {"upper": upper, "flipped": flipped}
             monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", 0 if bland else 50)
-            monkeypatch.setattr(reference_kernel, "DUAL_STALL_PIVOTS", 0 if bland else 50)
-            if bounds:
-                flips.clear()
-                reference_kernel.run_simplex(
-                    T.copy(), basis.copy(), nonbasic.copy(), np.zeros(k + m, dtype=np.uint8),
-                    1, 1e-9, upper=upper, flipped=flipped.copy(),
-                )
-                if flips:
-                    paths["reference-flips"] += 1
-                    continue
             _kernel.run_simplex(np.ascontiguousarray(T), basis, nonbasic, 1, 1e-9, **bounds)
             paths["bland" if bland else "bounded" if bounds else "unbounded"] += 1
-        assert len(runs) == 600 - paths["reference-flips"]
+        assert len(runs) == 600
         assert all(run[2] == 1 for run in runs)  # the one dual pivot
         assert min(paths.values()) >= 50
 

@@ -149,6 +149,13 @@ class TestExplicit:
         oracle = ExplicitOracle(2, [(0,), (0,), (1,)])
         assert len(oracle.enumerate_feasible()) == 2
 
+    def test_ties_go_to_the_lowest_set_whatever_the_listing_order(self):
+        # the scan kept the first listed of tied sets, (2,) at zero costs
+        oracle = ExplicitOracle(3, [(2,), (0, 1), (0,)])
+        for costs, lowest in (([0.0, 0.0, 0.0], (0,)), ([1.0, -1.0, 0.0], (0, 1))):
+            T, val = oracle.solve(np.array(costs))
+            assert T.indices == lowest and (T, val) == brute_min(oracle, costs)
+
 
 # The constructors read these fields unchecked: k=2.5 was accepted and
 # failed later in a slice, a boolean passed as 0 or 1.
@@ -164,8 +171,9 @@ class TestExplicit:
             lambda: DagPathOracle(3, [(0, 1), (1, 2)], 0, True),
             "nominal target must be an integer, got True",
         ),
+        (lambda: ExplicitOracle(2.5, [(0,), (1,)]), "nominal n must be an integer, got 2.5"),
     ],
-    ids=["k-selection", "spanning-tree", "dag-path"],
+    ids=["k-selection", "spanning-tree", "dag-path", "explicit"],
 )
 def test_constructor_checks_integer_fields(build, message):
     with pytest.raises(InstanceError, match=message):
