@@ -67,6 +67,7 @@ from .core import (
     MAX_CUTS,
     PROB_DROP,
     FeasibleSet,
+    InstanceError,
     IterationLimitError,
     MarginalVector,
     NotInHullError,
@@ -99,7 +100,7 @@ def decompose_marginal(
     :class:`IterationLimitError`.
     """
     if oracle.n != len(p):
-        raise SolverError("marginal length differs from the oracle's item count")
+        raise InstanceError("marginal length differs from the oracle's item count")
     if oracle.set_size is not None:
         _check_set_size(p.p, oracle.set_size, tol)
     if isinstance(oracle, KSelectionOracle):

@@ -196,14 +196,14 @@ def player_strategy_to_dict(y: PlayerMixedStrategy) -> dict:
 
 def player_strategy_from_dict(d: dict, n: int) -> PlayerMixedStrategy:
     try:
-        sets = [
-            FeasibleSet.from_indices(n, [as_integer(e, "player set item") for e in s])
-            for s in d["sets"]
-        ]
+        sets = [[as_integer(e, "player set item") for e in s] for s in d["sets"]]
         probs = _reals(d["probs"], "player probs")
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed player strategy: {exc}") from exc
-    return PlayerMixedStrategy(tuple(sets), probs)
+    for items in sets:
+        if len(set(items)) != len(items):
+            raise InstanceError(f"player set {items} repeats an item")
+    return PlayerMixedStrategy(tuple(FeasibleSet.from_indices(n, s) for s in sets), probs)
 
 
 def adversary_strategy_to_dict(w: AdversaryMixedStrategy) -> dict:

@@ -6,7 +6,9 @@ the extreme cost vectors c^A (lower bound on the items of A, upper bound
 elsewhere), labelled by A: the worst case of a fixed set and the best
 response to a marginal both have this form.  Under scenarios they are the
 scenario rows, labelled by index, whose optima the side solves once.  Either
-way a best response is one nominal solve at most.
+way a best response is one nominal solve at most.  The side alone turns
+labels into the adversary's cost rows (``costs_of``) and mixes (``mix``):
+every solver builds its adversary mix there.
 
 :func:`player_best_response` solves the optimum of every support vector, so
 it is exact for any mix; the solvers' own certificates take the optima from
@@ -40,7 +42,6 @@ class BestResponse:
     strategy itself.  For the player, ``chosen_set`` is the responding set.
     """
 
-    responder: str  # "player" | "adversary"
     value: float
     chosen_set: FeasibleSet | None = None
     cost: CostVector | None = None
@@ -53,16 +54,9 @@ def extreme_cost_vector(A: FeasibleSet, intervals: Intervals) -> CostVector:
     return CostVector(np.where(inside, intervals.lower, intervals.upper))
 
 
-def extreme_costs(sets, intervals: Intervals) -> np.ndarray:
-    """The vectors c^A of the sets A in ``sets``, one row each."""
-    inside = np.stack([A.indicator for A in sets]).astype(bool)
-    return np.where(inside, intervals.lower, intervals.upper)
-
-
 class IntervalSide:
     """The adversary's side under intervals."""
 
-    labels = "generators"
     response_field = "chosen_set"
 
     def __init__(self, intervals: Intervals, oracle: NominalOracle):
@@ -92,6 +86,17 @@ class IntervalSide:
         cost = np.where(inside, self.lower, self.upper)
         return cost.tobytes(), cost, np.sort(self.lower[inside]).sum(), A
 
+    def costs_of(self, sets) -> np.ndarray:
+        """The vectors c^A of the sets A in ``sets``, one row each."""
+        inside = np.stack([A.indicator for A in sets]).astype(bool)
+        return np.where(inside, self.lower, self.upper)
+
+    def mix(self, sets, weights) -> AdversaryMixedStrategy:
+        """The adversary mix playing each c^A with its weight, cleaned."""
+        sets = tuple(sets)
+        support = CostVector.from_rows(self.costs_of(sets))
+        return AdversaryMixedStrategy.cleaned(support, weights, generators=sets)
+
     def optima(self, mix: AdversaryMixedStrategy) -> np.ndarray:
         """``l(A)`` for each generator A: at least the optimum at c^A, since
         c^A(A) = l(A), and equal to it for a best response."""
@@ -101,7 +106,6 @@ class IntervalSide:
 class ScenarioSide:
     """The adversary's side under scenarios."""
 
-    labels = "scenario_indices"
     response_field = "scenario"
 
     def __init__(self, scenarios: Scenarios, oracle: NominalOracle):
@@ -125,6 +129,16 @@ class ScenarioSide:
     def column(self, s: int):
         return s, self.costs[s], self.opt[s], s
 
+    def costs_of(self, indices) -> np.ndarray:
+        """The scenario rows at ``indices``, one row each."""
+        return self.costs[list(indices)]
+
+    def mix(self, indices, weights) -> AdversaryMixedStrategy:
+        """The adversary mix playing each scenario with its weight, cleaned."""
+        indices = tuple(indices)
+        support = CostVector.from_rows(self.costs_of(indices))
+        return AdversaryMixedStrategy.cleaned(support, weights, scenario_indices=indices)
+
     def optima(self, mix: AdversaryMixedStrategy) -> np.ndarray:
         return self.opt[list(mix.scenario_indices)]
 
@@ -146,9 +160,7 @@ def max_expected_regret(p, instance, oracle=None) -> BestResponse:
     """The adversary's best response to a marginal vector p."""
     side = adversary_side(instance, oracle)
     value, (_, cost, _, label) = side.respond(p.p)
-    return BestResponse(
-        "adversary", value, cost=CostVector(cost), **{side.response_field: label}
-    )
+    return BestResponse(value, cost=CostVector(cost), **{side.response_field: label})
 
 
 def player_best_response(
@@ -165,7 +177,7 @@ def player_best_response(
     oracle = build_oracle(instance) if oracle is None else oracle
     costs = np.stack([c.values for c in w.support])
     T, value = weighted_player_response(w.probs, costs, oracle.optima(costs), oracle)
-    return BestResponse(responder="player", value=value, chosen_set=T)
+    return BestResponse(value=value, chosen_set=T)
 
 
 def weighted_player_response(

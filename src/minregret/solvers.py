@@ -48,11 +48,13 @@ confirmed solves only.  Every path certifies the same bracket: the
 adversary's best response to the returned marginal against the player's
 best response to the returned adversary mix.  Each solve builds the
 instance's adversary side (``regret.adversary_side``) once, and takes from
-it the seed costs, the adversary's columns and best responses, and the
-optima of the mix's support: ``l(A)`` for a generator A, a valid bound that
-is tight at an equilibrium.  ``regret.player_best_response`` solves every
-support optimum instead, so it stays exact for any mix, and ``verify``
-uses it to check these answers from outside.
+it the seed costs, the adversary's columns and best responses, the
+adversary mix itself (``side.mix`` over generators or scenario indices,
+the only place a mix is built), and the optima of the mix's support:
+``l(A)`` for a generator A, a valid bound that is tight at an equilibrium.
+``regret.player_best_response`` solves every support optimum instead, so it
+stays exact for any mix, and ``verify`` uses it to check these answers from
+outside.
 
 The adversary's cutting-plane LP (``solve_adversary_lp_discrete``) is the
 same loop started with every scenario on the board: it generates player
@@ -74,7 +76,6 @@ import numpy as np
 
 from .core import (
     AdversaryMixedStrategy,
-    CostVector,
     EnumerationCapError,
     FeasibleSet,
     GameSolution,
@@ -91,7 +92,7 @@ from .core import (
 from .decompose import decompose_marginal
 from .lp import MatrixGame, WarmLP, solve_matrix_game
 from .nominal import KSelectionOracle, NominalOracle, build_oracle, enumeration_cap
-from .regret import adversary_side, extreme_costs, max_regret_det, weighted_player_response
+from .regret import adversary_side, max_regret_det, weighted_player_response
 
 # Dense payoff matrices above this size are refused; the exhaustive solver is
 # a desk-scale testing oracle, not a production path.
@@ -279,27 +280,19 @@ def _threshold_k_selection(
     and the fill mu at an optimal beta secures ``-h_adv(beta*) = Z_R``.
     """
     unc = instance.uncertainty
+    side = adversary_side(instance, oracle)
     fill = _ThresholdFill(unc.lower, unc.upper, oracle.k)
     alpha = fill.best_alpha()
     adversary = fill.for_adversary()
     mu = adversary.marginal(adversary.best_alpha())
+
+    def adversary_mix():
+        # the decomposition of mu in conv(X), each set A played as c^A
+        mix = decompose_marginal(MarginalVector(mu), oracle, tol=tol)
+        return side.mix(mix.support, mix.probs)
+
     return _certified_game(
-        adversary_side(instance, oracle),
-        tol,
-        fill.h(alpha)[0],
-        fill.marginal(alpha),
-        lambda: _interval_adversary(mu, oracle, unc, tol),
-        "threshold k-selection",
-    )
-
-
-def _interval_adversary(mu, oracle, unc, tol) -> AdversaryMixedStrategy:
-    """The decomposition of mu in conv(X), each set A played as c^A."""
-    mix = decompose_marginal(MarginalVector(mu), oracle, tol=tol)
-    return AdversaryMixedStrategy.cleaned(
-        CostVector.from_rows(extreme_costs(mix.support, unc)),
-        mix.probs,
-        generators=mix.support,
+        side, tol, fill.h(alpha)[0], fill.marginal(alpha), adversary_mix, "threshold k-selection"
     )
 
 
@@ -365,11 +358,7 @@ def _compact_k_selection(
         tol,
         t0 - sol.objective,
         a + sigma * sol.x[:n],
-        lambda: AdversaryMixedStrategy.cleaned(
-            CostVector.from_rows(unc.costs),
-            sol.duals[:m],
-            scenario_indices=tuple(range(m)),
-        ),
+        lambda: side.mix(range(m), sol.duals[:m]),
         "compact k-selection LP",
     )
 
@@ -432,9 +421,7 @@ class _RestrictedGame:
     def solution(self, y, w, value: float, gap: float, iterations: int) -> GameSolution:
         """The cleaned mixes at ``value`` as a :class:`GameSolution`."""
         player = PlayerMixedStrategy.cleaned(self.sets, y)
-        labels = {self.side.labels: tuple(self.labels)}
-        support = CostVector.from_rows(self.costs.rows)
-        adversary = AdversaryMixedStrategy.cleaned(support, w, **labels)
+        adversary = self.side.mix(self.labels, w)
         marginal, gap = marginal_of_strategy(player), float(max(gap, 0.0))
         return GameSolution(float(value), player, marginal, adversary, iterations, gap)
 
@@ -575,12 +562,12 @@ def approx_midpoint(
     if not instance.is_interval:
         raise InstanceError("midpoint approximation requires interval uncertainty")
     side = adversary_side(instance, oracle)
-    unc, midpoint, oracle = instance.uncertainty, side.seed_costs, side.oracle
+    midpoint, oracle = side.seed_costs, side.oracle
     M = oracle.solve(midpoint)[0]
     value, _ = side.worst_case(M)
 
-    f_low = oracle.solve(np.where(M.indicator.astype(bool), unc.lower, unc.upper))[1]
-    lower_total = float(unc.lower @ M.indicator)
+    f_low = oracle.solve(side.costs_of([M])[0])[1]
+    lower_total = float(side.lower @ M.indicator)
     if abs(f_low - lower_total) > 1e-9 * (1.0 + np.abs(midpoint).sum()):
         raise SolverError("midpoint set is not optimal at its own lower-bound costs")
     return M, value
@@ -656,18 +643,17 @@ def bruteforce_game_value(
 
     X = np.stack([T.indicator for T in family]).astype(float)
     if instance.is_interval:
-        C = extreme_costs(family, instance.uncertainty)
-        labels = {"generators": tuple(family)}
+        labels = family
     else:
-        unc = instance.uncertainty
-        if unc.k > enumeration_cap():
+        k = instance.uncertainty.k
+        if k > enumeration_cap():
             raise EnumerationCapError("scenario count exceeds the cap")
-        C = np.asarray(unc.costs)
-        labels = {"scenario_indices": tuple(range(unc.k))}
+        labels = range(k)
+    side = adversary_side(instance, oracle)
+    C = side.costs_of(labels)
 
     _check_payoff_size(X.shape[0], C.shape[0])
     payoff = X @ C.T - oracle.optima(C)
     y_mix, w_mix, value = solve_matrix_game(payoff)
     player = PlayerMixedStrategy.cleaned(family, y_mix)
-    adversary = AdversaryMixedStrategy.cleaned(CostVector.from_rows(C), w_mix, **labels)
-    return float(value), player, adversary
+    return float(value), player, side.mix(labels, w_mix)

@@ -573,7 +573,7 @@ class TestSimulateCommand:
 
     # A fraction or an integral float crashed with an IndexError (exit 1),
     # and a boolean was read as item 1.  An integral float is an item, as it is
-    # in an instance file.
+    # in an instance file.  A repeated item was dropped without a word (exit 0).
     @pytest.mark.parametrize(
         "items, message",
         [
@@ -581,8 +581,9 @@ class TestSimulateCommand:
             ([True, 1], "player set item must be an integer, got True"),
             (["0", 1], "player set item must be an integer, got '0'"),
             ([0.0, 1.0], None),
+            ([0, 1, 1], "player set [0, 1, 1] repeats an item"),
         ],
-        ids=["fraction", "boolean", "string", "integral-float"],
+        ids=["fraction", "boolean", "string", "integral-float", "repeated-item"],
     )
     def test_player_set_items_must_be_integers(self, tmp_path, capsys, items, message):
         code = self._simulate_ks4(tmp_path, items, [0, 1])

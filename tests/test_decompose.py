@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 import minregret.decompose as decompose_mod
 from minregret.core import (
     PROB_DROP,
+    InstanceError,
     IterationLimitError,
     MarginalVector,
     NotInHullError,
@@ -59,6 +60,13 @@ class TestDecomposeExamples:
         assert y.support_size <= 4
         for T in y.support:
             assert oracle.is_feasible(T)
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_length_mismatch_is_an_input_fault(self, length):
+        # a marginal of the wrong length is the caller's fault, not a
+        # numerical breakdown
+        with pytest.raises(InstanceError, match="marginal length differs"):
+            decompose_marginal(MarginalVector(np.full(length, 0.5)), KSelectionOracle(4, 2))
 
 
 class TestCertifyInHull:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,21 @@ class TestInstanceIo:
 
         assert minregret.validate_instance is minregret.io.validate_instance
         assert minregret.describe_instance is minregret.io.describe_instance
+
+    def test_package_import_loads_no_file_format(self):
+        # solving reads no file, and every benchmark run's setup time
+        # includes this import: the file formats and the CLI load on use
+        src = Path(__file__).resolve().parents[1] / "src"
+        heavy = ["minregret.io", "minregret.cli", "minregret.verify", "json", "argparse"]
+        script = f"import sys, minregret; print([m for m in {heavy!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_save_load_round_trip(self, tmp_path):
         inst = generate_instance("dag-path", n=6, uncertainty="interval", seed=3)

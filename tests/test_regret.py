@@ -270,14 +270,15 @@ class TestAdversarySide:
         oracle = build_oracle(inst)
         side = adversary_side(inst, oracle)
         assert type(side) is IntervalSide and side.oracle is oracle
-        assert side.labels == "generators"
+        A = fs(2, 0)
+        assert side.mix([A], [1.0]).generators == (A,)
         assert np.array_equal(side.seed_costs, [0.5, 0.5])
 
     def test_scenario_instance_gets_the_scenario_side(self):
         inst = tight_discrete(2)
         side = adversary_side(inst)
         assert type(side) is ScenarioSide and side.oracle is inst.nominal
-        assert side.labels == "scenario_indices"
+        assert side.mix([1], [1.0]).scenario_indices == (1,)
         assert np.array_equal(side.seed_costs, inst.uncertainty.costs.mean(axis=0))
         assert np.array_equal(side.opt, [0.0, 0.0])
 

@@ -477,17 +477,19 @@ class TestThresholdKSelection:
         _assert_sound_game(game, inst, build_oracle(inst))
 
     def test_wrong_adversary_point_raises(self, monkeypatch):
-        real = solvers_mod._interval_adversary
+        real = solvers_mod._ThresholdFill.marginal
 
-        def shifted(mu, oracle, unc, tol):
+        def shifted(fill, alpha):
+            mu = real(fill, alpha)
+            if fill._sign > 0:  # the player's fill stays as it is
+                return mu
             # still in conv(X): a third of a unit moves between two items
-            mu = mu.copy()
             give, take = int(np.argmax(mu)), int(np.argmin(mu))
             mu[give] -= 1.0 / 3.0
             mu[take] += 1.0 / 3.0
-            return real(mu, oracle, unc, tol)
+            return mu
 
-        monkeypatch.setattr(solvers_mod, "_interval_adversary", shifted)
+        monkeypatch.setattr(solvers_mod._ThresholdFill, "marginal", shifted)
         inst = generate_instance("k-selection", n=20, uncertainty="interval", seed=1)
         with pytest.raises(SolverError, match="best-response gap"):
             solve_randomized(inst)
