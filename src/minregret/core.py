@@ -111,6 +111,16 @@ def as_integer(value, field: str) -> int:
     raise InstanceError(f"{field} must be an integer, got {value!r}")
 
 
+def as_tolerance(tol) -> float:
+    """A solver's ``tol`` as a float: a finite real number at least 0, 0
+    included, as the CLI's ``--tol`` requires; anything else raises
+    :class:`InstanceError` naming ``tol``."""
+    if isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_)):
+        if math.isfinite(tol) and tol >= 0.0:
+            return float(tol)
+    raise InstanceError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def as_costs(c, n: int | None = None) -> np.ndarray:
     """Coerce a cost argument (CostVector or array-like) to a float64 array."""
     values = c.values if isinstance(c, CostVector) else np.asarray(c, dtype=float)

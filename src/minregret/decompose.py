@@ -73,6 +73,7 @@ from .core import (
     NotInHullError,
     PlayerMixedStrategy,
     SolverError,
+    as_tolerance,
     marginal_of_strategy,
 )
 from .nominal import DagPathOracle, KSelectionOracle, NominalOracle
@@ -97,8 +98,10 @@ def decompose_marginal(
     zeroed arc), and at most n + 1 on the minimum-norm-point path (spanning
     trees and explicit families), whose sets are affinely independent.  That
     path makes at most ``MAX_CUTS`` major steps, else raises
-    :class:`IterationLimitError`.
+    :class:`IterationLimitError`.  A ``tol`` that is not a finite number at
+    least 0 raises :class:`InstanceError`.
     """
+    tol = as_tolerance(tol)
     if oracle.n != len(p):
         raise InstanceError("marginal length differs from the oracle's item count")
     if oracle.set_size is not None:

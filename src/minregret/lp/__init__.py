@@ -26,13 +26,14 @@ the basis that is left.
 0 <= x <= u`` with ``b >= 0``.  Its first solve starts from the feasible
 slack basis, whose tableau is the data itself, so no LP has a phase 1.  It
 keeps the tableau of each optimal solve and, when it has no finite bound,
-re-optimises from it after ``add_rows`` (the new slacks join the basis,
-which stays dual feasible, so the dual pass restores primal feasibility) or
-``add_columns`` (the new variables start at zero, the basis stays primal
-feasible, and the primal pass lets them enter); both extend the kept
-tableau in place of a refresh, so a warm solve that ends within one burst
-refreshes once, and an iterate within the burst limit not at all.
-:class:`MatrixGame` is a zero-sum game that grows by strategies, solved on
+re-optimises from it after ``grow``, its one growth step: new rows first
+(their slacks join the basis, which stays dual feasible, so the dual pass
+restores primal feasibility), then new columns over every row (the new
+variables start at zero, the basis stays primal feasible, and the primal
+pass lets them enter).  Growth extends the kept tableau in place of a
+refresh, so a warm solve that ends within one burst refreshes once, and an
+iterate within the burst limit not at all.  :class:`MatrixGame` is a
+zero-sum game that grows by strategies in one ``grow`` as well, solved on
 one WarmLP; the double oracle's loop in ``solvers`` (which is also the
 adversary cutting-plane LP) keeps one, and ``solvers`` solves the compact
 scenario k-selection LP as one bounded WarmLP, written around an anchor set
@@ -226,6 +227,21 @@ def _finite(*arrays):
         raise ValueError("LP coefficients must be finite")
 
 
+def _block(block, shape, name, vector):
+    """``(lhs, vector)`` of :meth:`WarmLP.grow` as checked float arrays, with
+    ``lhs`` of ``shape(len(vector))``; None is an empty block."""
+    if block is None:
+        return np.empty(shape(0)), np.empty(0)
+    lhs, v = block
+    v, lhs = np.asarray(v, dtype=float), np.asarray(lhs, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"WarmLP {name}: the {vector} must be 1-D, got shape {v.shape}")
+    if lhs.shape != shape(len(v)):
+        raise ValueError(f"WarmLP {name}: lhs has shape {lhs.shape}, expected {shape(len(v))}")
+    _finite(lhs, v)
+    return lhs, v
+
+
 class WarmLP:
     """``max c·x s.t. A x <= b, 0 <= x <= u`` with ``b >= 0``, re-solved warm.
 
@@ -235,23 +251,24 @@ class WarmLP:
     (``flipped``), and no bound is a row.  An LP without a finite bound
     keeps neither array (both are None), so its solves do no bound work.
     Bounds are fixed at construction: a bounded LP is solved from its slack
-    basis and does not grow, so ``add_rows`` and ``add_columns`` raise
-    ``ValueError`` on it.  The LP keeps a condensed tableau, ``B⁻¹[A_N | b -
-    A_U u_U]`` over its ``nonbasic`` variables with their reduced costs, for
-    its ``basis``.  At creation that is the slack-basis tableau, built
-    straight from the data; after every optimal solve it is the tableau
-    that solve ended at: the refreshed one it confirmed, or an iterate's,
-    which has taken at most ``BURST_PIVOTS`` pivots since its last exact
-    refresh.  The next solve starts from it:
+    basis and does not grow, so ``grow`` raises ``ValueError`` on it.  The
+    LP keeps a condensed tableau, ``B⁻¹[A_N | b - A_U u_U]`` over its
+    ``nonbasic`` variables with their reduced costs, for its ``basis``.  At
+    creation that is the slack-basis tableau, built straight from the data
+    by growing an empty LP by its rows; after every optimal solve it is the
+    tableau that solve ended at: the refreshed one it confirmed, or an
+    iterate's, which has taken at most ``BURST_PIVOTS`` pivots since its
+    last exact refresh.  The next solve starts from it, after ``grow``:
 
-    * ``add_rows`` appends constraints whose slacks join the basis; their
+    * its ``rows`` are constraints whose slacks join the basis; their
       tableau rows are ``[a_N | b] - a_B·T``.  The basis stays dual
       feasible, so the kernel's dual pass restores primal feasibility.
-    * ``add_columns`` appends variables at zero, with tableau column
-      ``B⁻¹a`` and reduced cost ``-c - y·a``, both read off the columns of
-      the nonbasic slacks.  The basis stays primal feasible and the primal
-      pass lets them enter; the dual pass, which prefers dual feasible
-      columns, leaves them out until then.
+    * its ``columns`` are variables at zero, with tableau column ``B⁻¹a``
+      and reduced cost ``-c - y·a``, both read off the columns of the
+      nonbasic slacks of the tableau that already holds the new rows.  The
+      basis stays primal feasible and the primal pass lets them enter; the
+      dual pass, which prefers dual feasible columns, leaves them out
+      until then.
 
     The kept tableau is only a starting point: a confirmed answer is
     accepted only after an exact refresh at its final basis and a kernel run
@@ -280,12 +297,13 @@ class WarmLP:
         self._upper = self.flipped = None
         self._A = np.empty((0, n))
         self._b = np.empty(0)
+        self._costs = -self._c  # [-c | 0] over [variables | slacks]: the kernel minimizes
         self.basis = np.empty(0, dtype=np.intp)
         self.nonbasic = np.arange(n, dtype=np.intp)
-        self._T = np.append(-self._c, 0.0)[None, :]  # the kernel minimizes
+        self._T = np.append(-self._c, 0.0)[None, :]
         self._cold = True  # no solve has kept a tableau yet
         self._since = 0  # pivots the kept tableau took since its last refresh
-        self.add_rows(lhs, rhs)  # the slack basis
+        self.grow(rows=(lhs, rhs))  # the slack basis
         if upper is not None and np.isfinite(upper).any():  # the slacks are unbounded
             self._upper = np.append(upper, np.full(len(self._b), np.inf))
             self.flipped = np.zeros(len(self._upper), dtype=np.uint8)
@@ -298,51 +316,59 @@ class WarmLP:
     def _problem(self):
         """``(A, b, costs, upper)`` for :func:`_refresh`; ``upper`` is None
         without a finite bound."""
-        return self._A, self._b, np.concatenate([-self._c, np.zeros(len(self._b))]), self._upper
+        return self._A, self._b, self._costs, self._upper
 
-    def add_rows(self, lhs, rhs) -> None:
-        """Append constraints ``lhs @ x <= rhs``; their slacks enter the basis."""
+    def grow(self, rows=None, columns=None) -> None:
+        """Append constraints ``rows = (lhs, rhs)``, whose slacks join the
+        basis, then variables ``columns = (lhs, objective)`` at zero, whose
+        ``lhs`` covers the old rows and the new ones.
+
+        Everything is checked before the LP changes, so a rejected call
+        leaves it as it was.  The tableau is allocated once: the new rows
+        are ``[a_N | b] - a_B·T`` and the new columns are read off the slack
+        columns of the tableau that holds them, so one call gives the bits
+        of ``grow(rows)`` followed by ``grow(columns=...)``.
+        """
         if self._upper is not None:
             raise ValueError("a WarmLP with upper bounds does not grow")
         m, n = self._A.shape
-        b = np.asarray(rhs, dtype=float)
-        A = np.asarray(lhs, dtype=float).reshape(len(b), n)
-        _finite(A, b)
+        A_rows, b = _block(rows, lambda k: (k, n), "rows", "rhs")
         if np.any(b < 0.0):
             raise ValueError("WarmLP right-hand sides must be nonnegative")
-        a = np.zeros((len(b), n + m))  # the old slacks are absent
-        a[:, :n] = A
-        rows = np.concatenate([a[:, self.nonbasic], b[:, None]], axis=1)
-        rows -= a[:, self.basis] @ self._T[:m]
-        self._T = np.concatenate([self._T[:m], rows, self._T[m:]])
-        self._A = np.concatenate([self._A, A])
+        k = len(b)
+        A_cols, c = _block(columns, lambda j: (m + k, j), "columns", "objective")
+        j, N = len(c), len(self.nonbasic)
+        # the old rows, the new ones, then the cost row; the new columns go
+        # before the right-hand side
+        old, T = self._T, np.empty((m + k + 1, N + j + 1))
+        T[:m, :N], T[:m, -1] = old[:m, :-1], old[:m, -1]
+        T[-1, :N], T[-1, -1] = old[m, :-1], old[m, -1]
+        basis, nonbasic = self.basis, self.nonbasic
+        if k:
+            a = np.zeros((k, n + m))  # the old slacks are absent
+            a[:, :n] = A_rows
+            a_BT = a[:, basis] @ old[:m]
+            T[m:-1, :N], T[m:-1, -1] = a[:, nonbasic] - a_BT[:, :-1], b - a_BT[:, -1]
+            basis = np.concatenate([basis, n + m + np.arange(k)])
+        if j:
+            # The slack columns of the full tableau are B⁻¹ over -y (a basic
+            # slack's column is e of its row): B⁻¹a and -y·a read off them.
+            full = np.zeros((m + k + 1, n + m + k))
+            full[:, nonbasic] = T[:, :N]
+            full[np.arange(m + k), basis] = 1.0
+            cols = full[:, n:] @ A_cols
+            cols[m + k] -= c
+            T[:, N : N + j] = cols
+            basis = np.where(basis >= n, basis + j, basis)
+            nonbasic = np.concatenate([
+                np.where(nonbasic >= n, nonbasic + j, nonbasic),
+                n + np.arange(j),
+            ])
+        self._T, self.basis, self.nonbasic = T, basis, nonbasic
+        self._A = np.concatenate([np.concatenate([self._A, A_rows]), A_cols], axis=1)
         self._b = np.concatenate([self._b, b])
-        self.basis = np.concatenate([self.basis, n + m + np.arange(len(b))])
-
-    def add_columns(self, lhs, objective) -> None:
-        """Append variables with constraint columns ``lhs``, starting at zero."""
-        if self._upper is not None:
-            raise ValueError("a WarmLP with upper bounds does not grow")
-        m, n = self._A.shape
-        c = np.asarray(objective, dtype=float)
-        A = np.asarray(lhs, dtype=float).reshape(m, len(c))
-        _finite(A, c)
-        # The slack columns of the full tableau are B⁻¹ over -y (a basic
-        # slack's column is e of its row): B⁻¹a and -y·a read off them.
-        full = np.zeros((m + 1, n + m))
-        full[:, self.nonbasic] = self._T[:, :-1]
-        full[np.arange(m), self.basis] = 1.0
-        cols = full[:, n:] @ A
-        cols[m] -= c
-        shift = len(c)
-        self.basis = np.where(self.basis >= n, self.basis + shift, self.basis)
-        self.nonbasic = np.concatenate([
-            np.where(self.nonbasic >= n, self.nonbasic + shift, self.nonbasic),
-            n + np.arange(shift),
-        ])
-        self._T = np.concatenate([self._T[:, :-1], cols, self._T[:, -1:]], axis=1)
-        self._A = np.concatenate([self._A, A], axis=1)
         self._c = np.concatenate([self._c, c])
+        self._costs = np.concatenate([self._costs[:n], -c, np.zeros(m + k)])
 
     def solve(self, iterate: bool = False) -> LpSolution:
         """Re-optimise from the kept tableau; row duals are nonnegative.
@@ -392,10 +418,15 @@ class WarmLP:
         )
 
 
-def _payoff(payoff) -> np.ndarray:
+def _payoff(payoff, rows=None, columns=None) -> np.ndarray:
+    """A nonempty finite payoff matrix, of ``rows`` or ``columns`` if given."""
     P = np.asarray(payoff, dtype=float)
     if P.ndim != 2 or P.size == 0:
         raise ValueError("payoff must be a nonempty 2-D matrix")
+    if (rows or P.shape[0], columns or P.shape[1]) != P.shape:
+        raise ValueError(
+            f"payoff block has shape {P.shape}, expected ({rows or '*'}, {columns or '*'})"
+        )
     if not np.all(np.isfinite(P)):
         raise ValueError("payoff entries must be finite")
     return P
@@ -412,9 +443,10 @@ def _shifted(P, scale) -> np.ndarray:
     return Q
 
 
-def _equilibrium(P, scale, sol: LpSolution):
+def _equilibrium(P, scale, span, sol: LpSolution):
     """``(row_mix, col_mix, value, conceded)`` from the game LP, checked to
-    bracket; ``conceded`` is the row mix's worst column."""
+    bracket within ``1e-9 * max(span, 1)``, ``span`` the payoff's range;
+    ``conceded`` is the row mix's worst column."""
     if not sol.is_optimal:
         raise SolverError(f"matrix-game LP ended with status {sol.status_text}")
     # sum(t) = sum(duals) = 1 / value(Q) at the optimum
@@ -423,7 +455,7 @@ def _equilibrium(P, scale, sol: LpSolution):
     row_mix = t / t.sum()
     col_mix = z / z.sum()
     value = scale * (1.0 / t.sum() - 1.0)
-    tol = 1e-9 * max(float(P.max() - P.min()), 1.0)
+    tol = 1e-9 * max(span, 1.0)
     row_worst = float((row_mix @ P).max())
     col_worst = float((P @ col_mix).min())
     if not (abs(row_worst - value) <= tol and abs(col_worst - value) <= tol):  # NaN fails
@@ -441,36 +473,49 @@ class MatrixGame:
     picks a column to maximize it.  The game is the row player's LP
     ``max 1·t s.t. Qᵀ t <= 1, t >= 0`` over the positive matrix
     ``Q = 1 + P / scale``, held in one :class:`WarmLP` with a variable per
-    row and a constraint per column.  So ``add_rows`` appends LP columns
-    (primal pass) and ``add_columns`` appends LP rows (dual pass).  The
-    payoffs are regrets, which are nonnegative, so Q stays positive;
-    ``scale`` is the largest initial payoff (1 if none is positive), fixed
-    here, and an appended entry at or below ``-scale`` raises
-    :class:`SolverError`.  After a solve, ``conceded`` is the payoff its
-    row mix concedes (its worst column), within the bracket of the value.
+    row and a constraint per column.  So ``grow``'s new columns are LP rows
+    (dual pass) and its new rows LP columns (primal pass), in the order the
+    LP grows.  The payoffs are regrets, which are nonnegative, so Q stays
+    positive; ``scale`` is the largest initial payoff (1 if none is
+    positive), fixed here, and an appended entry at or below ``-scale``
+    raises :class:`SolverError`.  The game keeps its payoff's least and
+    greatest entries, so the bracket tolerance ``1e-9 * span`` needs no pass
+    over the payoff.  After a solve, ``conceded`` is the payoff its row mix
+    concedes (its worst column), within the bracket of the value.
     """
 
     def __init__(self, payoff):
         P = _payoff(payoff)
-        top = float(P.max())
-        self.scale = top if top > 0.0 else 1.0
+        self._low, self._high = float(P.min()), float(P.max())
+        self.scale = self._high if self._high > 0.0 else 1.0
         self.payoff = P
         self.confirmed = False  # whether the last solve was confirmed
         self.conceded = None
         r, s = P.shape
         self._lp = WarmLP(np.ones(r), _shifted(P, self.scale).T, np.ones(s))
 
-    def add_rows(self, rows) -> None:
-        """Append row strategies, one payoff row each over the current columns."""
-        rows = _payoff(rows)
-        self._lp.add_columns(_shifted(rows, self.scale).T, np.ones(len(rows)))
-        self.payoff = np.vstack([self.payoff, rows])
+    def grow(self, columns=None, rows=None) -> None:
+        """Append column strategies, one payoff column each over the current
+        rows, then row strategies, one payoff row each over every column.
 
-    def add_columns(self, columns) -> None:
-        """Append column strategies, one payoff column each over the current rows."""
-        columns = _payoff(columns)
-        self._lp.add_rows(_shifted(columns, self.scale).T, np.ones(columns.shape[1]))
-        self.payoff = np.hstack([self.payoff, columns])
+        Both blocks are checked and shifted before the game changes, so a
+        rejected call leaves it as it was.
+        """
+        r, s = self.payoff.shape
+        columns = np.empty((r, 0)) if columns is None else _payoff(columns, rows=r)
+        width = s + columns.shape[1]
+        rows = np.empty((0, width)) if rows is None else _payoff(rows, columns=width)
+        self._lp.grow(
+            (_shifted(columns, self.scale).T, np.ones(width - s)) if width > s else None,
+            (_shifted(rows, self.scale).T, np.ones(len(rows))) if len(rows) else None,
+        )
+        P = np.empty((r + len(rows), width))
+        P[:r, :s], P[:r, s:], P[r:] = self.payoff, columns, rows
+        self.payoff = P
+        for block in (columns, rows):
+            if block.size:
+                self._low = min(self._low, float(block.min()))
+                self._high = max(self._high, float(block.max()))
 
     def solve(self, iterate: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
         """``(row_mix, col_mix, value)``, as :func:`solve_matrix_game` returns.
@@ -504,7 +549,9 @@ class MatrixGame:
         return self._answer(self._lp._reprice())
 
     def _answer(self, sol: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
-        row_mix, col_mix, value, self.conceded = _equilibrium(self.payoff, self.scale, sol)
+        row_mix, col_mix, value, self.conceded = _equilibrium(
+            self.payoff, self.scale, self._high - self._low, sol
+        )
         return row_mix, col_mix, value
 
 

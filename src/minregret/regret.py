@@ -5,10 +5,10 @@ instance and its oracle.  Under intervals the adversary's pure strategies are
 the extreme cost vectors c^A (lower bound on the items of A, upper bound
 elsewhere), labelled by A: the worst case of a fixed set and the best
 response to a marginal both have this form.  Under scenarios they are the
-scenario rows, labelled by index, whose optima the side solves once.  Either
-way a best response is one nominal solve at most.  The side alone turns
-labels into the adversary's cost rows (``costs_of``) and mixes (``mix``):
-every solver builds its adversary mix there.
+scenario rows, labelled by index, whose optima the side solves once, on
+first use.  Either way a best response is one nominal solve at most.  The
+side alone turns labels into the adversary's cost rows (``costs_of``) and
+mixes (``mix``): every solver builds its adversary mix there.
 
 :func:`player_best_response` solves the optimum of every support vector, so
 it is exact for any mix; the solvers' own certificates take the optima from
@@ -18,6 +18,7 @@ the side instead, and this function stays their outside check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +112,11 @@ class ScenarioSide:
     def __init__(self, scenarios: Scenarios, oracle: NominalOracle):
         self.costs, self.oracle = scenarios.costs, oracle
         self.seed_costs = self.costs.mean(axis=0)
-        self.opt = oracle.optima(self.costs)  # opt_s, in scenario order
+
+    @cached_property
+    def opt(self) -> np.ndarray:
+        """opt_s, in scenario order, solved on first use."""
+        return self.oracle.optima(self.costs)
 
     def worst_case(self, T: FeasibleSet) -> tuple[float, int]:
         """The max regret of T and its scenario, the lowest index of a tie."""

@@ -87,6 +87,8 @@ from .core import (
     NotInHullError,
     PlayerMixedStrategy,
     SolverError,
+    as_integer,
+    as_tolerance,
     marginal_of_strategy,
 )
 from .decompose import decompose_marginal
@@ -143,7 +145,13 @@ def solve_randomized(
     to the adversary mix) is at most ``tol``, else :class:`SolverError`
     names the gap.  ``max_iter`` bounds the double oracle only; when it is
     exhausted, :class:`IterationLimitError` carries the bracketing interval.
+    A ``tol`` that is not a finite number at least 0, or a ``max_iter``
+    that is not an integer at least 1, raises :class:`InstanceError`.
     """
+    tol = as_tolerance(tol)
+    max_iter = as_integer(max_iter, "max_iter")
+    if max_iter < 1:
+        raise InstanceError(f"max_iter must be at least 1, got {max_iter}")
     oracle = build_oracle(instance) if oracle is None else oracle
     if isinstance(oracle, KSelectionOracle):
         if instance.is_interval:
@@ -408,15 +416,18 @@ class _RestrictedGame:
         return adv_value, column, play_value, row
 
     def grow(self, column, row) -> None:
-        """Add a column (an LP row), then a row (an LP column), if not None."""
+        """Add a column, a row, or both, in one growth of the game: the new
+        row's payoffs cover the new column.  None adds nothing."""
+        columns = rows = None
         if column is not None:
             self._add_column(*column)
-            self.matrix.add_columns(self.X.rows @ self.costs.rows[-1:].T - self.optima.rows[-1])
+            columns = self.X.rows @ self.costs.rows[-1:].T - self.optima.rows[-1]
         if row is not None:
             self.seen.add(row)
             self.sets.append(row)
             self.X.append(row.indicator)
-            self.matrix.add_rows((self.costs.rows @ self.X.rows[-1] - self.optima.rows)[None, :])
+            rows = (self.costs.rows @ self.X.rows[-1] - self.optima.rows)[None, :]
+        self.matrix.grow(columns, rows)
 
     def solution(self, y, w, value: float, gap: float, iterations: int) -> GameSolution:
         """The cleaned mixes at ``value`` as a :class:`GameSolution`."""
@@ -608,8 +619,11 @@ def solve_adversary_lp_discrete(
     ``MAX_CUTS`` cuts it raises :class:`IterationLimitError` with the best
     bracket of the cuts: below, the least regret of any set under the
     adversary's mix; above, the adversary's best response to the row mix,
-    which equals the restricted value within the bracket tolerance.
+    which equals the restricted value within the bracket tolerance.  A
+    ``tol`` that is not a finite number at least 0 raises
+    :class:`InstanceError`.
     """
+    tol = as_tolerance(tol)
     if instance.is_interval:
         raise InstanceError("the cutting-plane adversary LP requires scenarios")
     oracle = build_oracle(instance) if oracle is None else oracle

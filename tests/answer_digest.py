@@ -1,0 +1,138 @@
+"""One SHA-256 over the answers of every solver on a fixed instance set.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tests/answer_digest.py
+
+It prints one hex digest.  Two source trees whose solvers give the same
+answers to the last bit print the same digest, so a change that claims bit
+identity is checked by running this script on both trees.  It uses the
+public solvers and ``solvers._double_oracle`` only.
+
+The set: k-selection, spanning trees and DAG paths, each under intervals and
+under 4 scenarios, at n = 6, 9, 30 and 60 with seeds 1-3.  Each instance
+records ``solve_randomized`` (value, certified gap, iterations, marginal and
+both mixes), the decomposition of its marginal, both best responses to its
+answer, the approximations of its uncertainty type and, under scenarios,
+the adversary LP.  At n <= 9 it also records the brute force, the double
+oracle run directly and the deterministic solver.  A raised error is
+recorded as its type and message.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import sys
+
+import numpy as np
+
+FAMILIES = ("k-selection", "spanning-tree", "dag-path")
+KINDS = ("interval", "scenarios")
+SIZES = (6, 9, 30, 60)
+SEEDS = (1, 2, 3)
+TOL = 1e-7
+SMALL = 9  # the exhaustive solvers run up to this n
+
+
+def _encode(value) -> bytes:
+    """Bytes that tell apart any two different answers, floats by their bits."""
+    import minregret as mr
+
+    if isinstance(value, mr.MarginalVector):
+        value = value.p
+    elif isinstance(value, mr.CostVector):
+        value = value.values
+    elif isinstance(value, mr.FeasibleSet):
+        value = ("set", value.indices)
+    elif isinstance(value, mr.AdversaryMixedStrategy):
+        value = (
+            "adversary", [c.values for c in value.support], value.probs,
+            value.scenario_indices, value.generators,
+        )
+    elif hasattr(value, "__dataclass_fields__"):  # solutions, mixes, best responses
+        value = [getattr(value, name) for name in value.__dataclass_fields__]
+    if value is None or isinstance(value, (bool, str)):
+        return repr(value).encode()
+    if isinstance(value, (int, np.integer)):
+        return b"i" + repr(int(value)).encode()
+    if isinstance(value, (float, np.floating)):
+        return b"f" + np.float64(value).tobytes()
+    if isinstance(value, np.ndarray):
+        return b"a" + repr(value.shape).encode() + value.astype(float).tobytes()
+    if isinstance(value, (tuple, list)):
+        return b"(" + b",".join(_encode(v) for v in value) + b")"
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _outcome(run):
+    """``run()``, or the type and message of the error it raised."""
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 -- a raised error is an answer too
+        return ("error", type(exc).__name__, str(exc))
+
+
+def instance_records(family: str, kind: str, n: int, seed: int):
+    """The named answers of every solver on one instance, in a fixed order."""
+    import minregret as mr
+    from minregret.solvers import _double_oracle
+
+    scenarios = kind == "scenarios"
+    instance = mr.generate_instance(
+        family, n=n, uncertainty=kind, n_scenarios=4, seed=seed
+    )
+    oracle = mr.build_oracle(instance)
+    label = f"{family}/{kind}/n={n}/seed={seed}"
+    game = _outcome(lambda: mr.solve_randomized(instance, tol=TOL, oracle=oracle))
+    yield label + " randomized", game
+    if isinstance(game, mr.GameSolution):
+        yield label + " decompose", _outcome(
+            lambda: mr.decompose_marginal(game.marginal, oracle, tol=TOL)
+        )
+        yield label + " adversary response", _outcome(
+            lambda: mr.max_expected_regret(game.marginal, instance, oracle)
+        )
+        yield label + " player response", _outcome(
+            lambda: mr.player_best_response(game.adversary, instance, oracle)
+        )
+        if scenarios:
+            yield label + " dual weighted", _outcome(
+                lambda: mr.approx_dual_weighted(instance, game.adversary, oracle)
+            )
+    if scenarios:
+        yield label + " adversary LP", _outcome(
+            lambda: mr.solve_adversary_lp_discrete(instance, tol=TOL, oracle=oracle)
+        )
+        yield label + " mean cost", _outcome(lambda: mr.approx_mean_cost(instance, oracle))
+    else:
+        yield label + " midpoint", _outcome(lambda: mr.approx_midpoint(instance, oracle))
+    if n <= SMALL:
+        yield label + " brute force", _outcome(
+            lambda: mr.bruteforce_game_value(instance, oracle)
+        )
+        yield label + " double oracle", _outcome(
+            lambda: _double_oracle(instance, TOL, 10000, oracle)
+        )
+        yield label + " deterministic", _outcome(
+            lambda: mr.solve_deterministic_exact(instance, oracle)
+        )
+
+
+def records(families=FAMILIES, kinds=KINDS, sizes=SIZES, seeds=SEEDS):
+    """Every ``(name, answer)`` record of the set, in a fixed order."""
+    for family, kind, n, seed in itertools.product(families, kinds, sizes, seeds):
+        yield from instance_records(family, kind, n, seed)
+
+
+def digest(named_answers) -> str:
+    """SHA-256 over ``(name, answer)`` records, in their order."""
+    h = hashlib.sha256()
+    for name, answer in named_answers:
+        h.update(_encode((name, answer)))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(digest(records()) + "\n")

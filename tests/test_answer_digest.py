@@ -1,0 +1,22 @@
+import dataclasses
+
+import numpy as np
+
+import answer_digest
+
+
+def test_digest_is_repeatable_and_sees_one_ulp():
+    subset = dict(families=("spanning-tree",), sizes=(6,), seeds=(1,))
+    first = list(answer_digest.records(**subset))
+    names = {name.split(" ", 1)[1] for name, _ in first}
+    assert {"randomized", "adversary LP", "brute force", "double oracle"} <= names
+    digest = answer_digest.digest(first)
+    assert answer_digest.digest(answer_digest.records(**subset)) == digest
+    # one ulp in the value, then in one marginal entry, moves the digest
+    name, game = first[0]
+    bumped = dataclasses.replace(game, value=np.nextafter(game.value, np.inf))
+    assert answer_digest.digest([(name, bumped)] + first[1:]) != digest
+    p = game.marginal.p.copy()
+    p[-1] = np.nextafter(p[-1], -np.inf)
+    bumped = dataclasses.replace(game, marginal=dataclasses.replace(game.marginal, p=p))
+    assert answer_digest.digest([(name, bumped)] + first[1:]) != digest

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 
@@ -92,13 +93,13 @@ class TestSolveLpExamples:
         lp = WarmLP([1, 1], np.empty((0, 2)), [], upper=1.0)
         assert (lp.solve().objective, lp.solve().pivots) == (2.0, 0)
         with pytest.raises(ValueError, match="does not grow"):
-            lp.add_columns(np.empty((0, 1)), [-1.0])
+            lp.grow(columns=(np.empty((0, 1)), [-1.0]))
         with pytest.raises(ValueError, match="does not grow"):
-            lp.add_rows([[1.0, 1.0]], [1.0])
+            lp.grow(rows=([[1.0, 1.0]], [1.0]))
         assert lp.shape == (0, 2)
         # inf is no bound, so this LP grows
         lp = WarmLP([1, 1], np.empty((0, 2)), [], upper=np.inf)
-        lp.add_rows([[1.0, 1.0]], [1.0])
+        lp.grow(rows=([[1.0, 1.0]], [1.0]))
         assert lp.solve().objective == 1.0
 
 
@@ -109,7 +110,7 @@ class TestPivotCounts:
         lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0])
         first = lp.solve()
         assert (first.dual_pivots, first.primal_pivots) == (0, 2)
-        lp.add_rows([[1.0, 1.0]], [1.5])  # cuts off the optimum (1, 1)
+        lp.grow(rows=([[1.0, 1.0]], [1.5]))  # cuts off the optimum (1, 1)
         sol = lp.solve()
         assert sol.objective == pytest.approx(1.5)
         assert (sol.dual_pivots, sol.primal_pivots) == (1, 0)
@@ -117,7 +118,7 @@ class TestPivotCounts:
     def test_appended_column_enters_by_primal_pivots(self):
         lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0])
         lp.solve()
-        lp.add_columns([[1.0], [0.0]], [3.0])  # an improving column
+        lp.grow(columns=([[1.0], [0.0]], [3.0]))  # an improving column
         sol = lp.solve()
         assert sol.objective == pytest.approx(4.0)
         assert (sol.dual_pivots, sol.primal_pivots) == (0, sol.pivots)
@@ -673,11 +674,11 @@ def _assert_kept_tableau(lp):
 
 class TestWarmAgainstCold:
     """Every warm solve starts from a kept tableau equal to a refresh at its
-    basis within 1e-9 (after ``add_rows``, after ``add_columns`` and after
-    both), matches a cold solve (a fresh ``WarmLP`` on the same data, priced
-    by Dantzig's rule from the slack basis) within 1e-9 and HiGHS within
-    1e-7, and, when it takes fewer than ``BURST_PIVOTS`` pivots, runs
-    exactly one refresh: the confirmation."""
+    basis within 1e-9 (after growing by rows, by columns and by both),
+    matches a cold solve (a fresh ``WarmLP`` on the same data, priced by
+    Dantzig's rule from the slack basis) within 1e-9 and HiGHS within 1e-7,
+    and, when it takes fewer than ``BURST_PIVOTS`` pivots, runs exactly one
+    refresh: the confirmation."""
 
     def _check(self, warm_lp, c, A, b, unique_duals=True):
         _assert_kept_tableau(warm_lp)
@@ -724,10 +725,10 @@ class TestWarmAgainstCold:
             j = max(spare_cols, key=lambda j: y @ P[rows, j], default=None)
             i = min(spare_rows, key=lambda i: P[i, cols] @ z, default=None)
             if j is not None and step % 3 != 1:
-                lp.add_rows(Q[rows, j][None, :], [1.0])
+                lp.grow(rows=(Q[rows, j][None, :], [1.0]))
                 cols.append(j)
             if i is not None and step % 3 != 2:
-                lp.add_columns(Q[i, cols][:, None], [1.0])
+                lp.grow(columns=(Q[i, cols][:, None], [1.0]))
                 rows.append(i)
             sub = Q[np.ix_(rows, cols)]
             sol = self._check(lp, np.ones(len(rows)), sub.T, np.ones(len(cols)))
@@ -761,10 +762,10 @@ class TestWarmAgainstCold:
             if r == P.shape[0] and s == P.shape[1]:
                 break
             if s < P.shape[1] and step % 3 != 1:
-                game.add_columns(P[:r, s : s + 1])
+                game.grow(columns=P[:r, s : s + 1])
                 s += 1
             if r < P.shape[0] and step % 3 != 2:
-                game.add_rows(P[r : r + 1, :s])
+                game.grow(rows=P[r : r + 1, :s])
                 r += 1
             row, col, value = game.solve()
             assert value == pytest.approx(solve_matrix_game(P[:r, :s])[2], abs=1e-9)
@@ -774,7 +775,135 @@ class TestWarmAgainstCold:
     def test_payoff_below_the_positive_range_raises(self):
         game = MatrixGame([[2.0, 3.0]])  # scale 3
         with pytest.raises(SolverError, match="not positive"):
-            game.add_rows([[1.0, -3.0]])
+            game.grow(rows=[[1.0, -3.0]])
+
+
+_LP_STATE = ("_T", "basis", "nonbasic", "_A", "_b", "_c", "_costs")
+
+
+def _lp_state(lp):
+    return {name: getattr(lp, name).copy() for name in _LP_STATE}
+
+
+def _assert_same_bytes(state, lp):
+    for name in _LP_STATE:
+        mine = getattr(lp, name)
+        assert mine.shape == state[name].shape and mine.tobytes() == state[name].tobytes(), name
+
+
+class TestGrowth:
+    """``WarmLP.grow`` appends rows, then columns over every row, in one
+    step; ``MatrixGame.grow`` grows the game once.  A rejected growth leaves
+    both as they were."""
+
+    @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_one_growth_equals_rows_then_columns(self, family, n):
+        # the double oracle's growth on a random game, grown two ways at once
+        P = _restricted_game(family, n, seed=n)
+        Q = 1.0 + P / max(float(P[0, 0]), 1.0)
+        rows, cols = [0], [0]
+        fused, split = WarmLP(np.ones(1), Q[:1, :1].T, np.ones(1)), None
+        rng = np.random.default_rng(n)
+        while len(rows) + 2 <= P.shape[0] and len(cols) + 2 <= P.shape[1]:
+            sol = fused.solve(iterate=True)
+            split = copy.deepcopy(fused)
+            new_cols = [len(cols) + t for t in range(int(rng.integers(1, 3)))]
+            new_rows = [len(rows) + t for t in range(int(rng.integers(1, 3)))]
+            grown_rows = (Q[np.ix_(rows, new_cols)].T, np.ones(len(new_cols)))
+            cols += new_cols
+            grown_columns = (Q[np.ix_(new_rows, cols)].T, np.ones(len(new_rows)))
+            rows += new_rows
+            fused.grow(grown_rows, grown_columns)
+            split.grow(rows=grown_rows)
+            split.grow(columns=grown_columns)
+            _assert_same_bytes(_lp_state(split), fused)
+            assert sol.is_optimal
+        assert len(rows) > 10
+
+    def test_game_growth_in_one_step(self):
+        P = _restricted_game("spanning-tree", 20, seed=4)
+        one, two = MatrixGame(P[:2, :2]), MatrixGame(P[:2, :2])
+        one.grow(columns=P[:2, 2:4], rows=P[2:3, :4])
+        two.grow(columns=P[:2, 2:4])
+        two.grow(rows=P[2:3, :4])
+        assert one.payoff.tobytes() == two.payoff.tobytes() == P[:3, :4].tobytes()
+        _assert_same_bytes(_lp_state(two._lp), one._lp)
+        row, col, value = one.solve()
+        assert value == pytest.approx(solve_matrix_game(P[:3, :4])[2], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rows,columns,match",
+        [
+            (([[1.0, np.nan]], [1.0]), None, "finite"),
+            (([[1.0, 1.0]], [np.inf]), None, "finite"),
+            (([[1.0, 1.0, 1.0]], [1.0]), None, r"expected \(1, 2\)"),
+            (([[1.0, 1.0]], [[1.0]]), None, "1-D"),
+            (([[1.0, 1.0]], [-1.0]), None, "nonnegative"),
+            # columns must cover the old rows and the new one
+            (([[1.0, 1.0]], [1.0]), ([[1.0], [1.0]], [1.0]), r"expected \(3, 1\)"),
+            (([[1.0, 1.0]], [1.0]), ([[1.0], [1.0], [np.nan]], [1.0]), "finite"),
+            (None, ([[1.0], [1.0]], [1.0, 2.0]), r"expected \(2, 2\)"),
+        ],
+    )
+    def test_rejected_growth_leaves_the_lp_unchanged(self, rows, columns, match):
+        lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0])
+        lp.solve()
+        before = _lp_state(lp)
+        with pytest.raises(ValueError, match=match):
+            lp.grow(rows, columns)
+        _assert_same_bytes(before, lp)
+        assert lp.solve().objective == 2.0
+
+    def test_bounded_lp_does_not_grow(self):
+        lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0], upper=[1.0, np.inf])
+        before = _lp_state(lp)
+        for rows, columns in ((([[1.0, 1.0]], [1.0]), None), (None, ([[1.0], [1.0]], [1.0]))):
+            with pytest.raises(ValueError, match="does not grow"):
+                lp.grow(rows, columns)
+        _assert_same_bytes(before, lp)
+
+    @pytest.mark.parametrize(
+        "columns,rows,error,match",
+        [
+            ([[1.0], [np.inf]], None, ValueError, "finite"),
+            ([[1.0]], None, ValueError, r"expected \(2, \*\)"),
+            (None, [[1.0, 2.0, 3.0]], ValueError, r"expected \(\*, 2\)"),
+            # the row must cover the new column too
+            ([[1.0], [2.0]], [[1.0, 2.0]], ValueError, r"expected \(\*, 3\)"),
+            ([[1.0], [2.0]], [[1.0, 2.0, np.nan]], ValueError, "finite"),
+            ([[1.0], [-5.0]], [[1.0, 2.0, 3.0]], SolverError, "not positive"),
+            ([[1.0], [2.0]], [[1.0, 2.0, -5.0]], SolverError, "not positive"),
+        ],
+    )
+    def test_rejected_growth_leaves_the_game_unchanged(self, columns, rows, error, match):
+        game = MatrixGame([[1.0, 2.0], [2.0, 1.0]])  # scale 2
+        game.solve()
+        payoff, lp = game.payoff.copy(), _lp_state(game._lp)
+        with pytest.raises(error, match=match):
+            game.grow(columns, rows)
+        assert game.payoff.tobytes() == payoff.tobytes()
+        _assert_same_bytes(lp, game._lp)
+        assert game.solve()[2] == pytest.approx(1.5)
+
+    def test_wrong_row_length_names_the_expected_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(1, 3\), expected \(\*, 2\)"):
+            MatrixGame([[1, 2]]).grow(rows=[[1, 2, 3]])
+
+    def test_bracket_span_follows_growth(self, monkeypatch):
+        # the game keeps its payoff's range instead of reducing the payoff
+        spans = []
+        equilibrium = lpmod._equilibrium
+        monkeypatch.setattr(
+            lpmod,
+            "_equilibrium",
+            lambda P, scale, span, sol: spans.append(span) or equilibrium(P, scale, span, sol),
+        )
+        game = MatrixGame([[1.0, 2.0]])
+        game.solve()
+        game.grow(columns=[[7.0]], rows=[[0.5, 3.0, 4.0]])
+        game.solve()
+        assert spans == [1.0, 6.5]
 
 
 def _cut_loop(oracle, p, solve):
@@ -804,7 +933,7 @@ def _cut_loop(oracle, p, solve):
         T, value = oracle.solve(-u)
         if -value + sol.x[n] - sol.x[n + 1] <= 1e-8:
             return cuts
-        lp.add_rows(set_row(T)[None, :], [T.size])
+        lp.grow(rows=(set_row(T)[None, :], [T.size]))
         A = np.vstack([A, set_row(T)])
         b = np.append(b, T.size)
         cuts += 1
@@ -1038,9 +1167,10 @@ class TestDualEnteringAgainstReference:
             for step in range(6):
                 rows, cols = lp.shape
                 if step % 2 == 0:
-                    lp.add_rows(rng.integers(-1, 4, size=(3, cols)), rng.integers(0, 3, size=3))
+                    lp.grow(rows=(rng.integers(-1, 4, size=(3, cols)), rng.integers(0, 3, size=3)))
                 else:
-                    lp.add_columns(rng.integers(0, 4, size=(rows, 2)), rng.integers(-1, 4, size=2))
+                    lhs = rng.integers(0, 4, size=(rows, 2))
+                    lp.grow(columns=(lhs, rng.integers(-1, 4, size=2)))
                 statuses.add(lp.solve().status)
         assert {"optimal", "unbounded"} <= statuses
         for bounded in (False, True):

@@ -8,12 +8,14 @@ from minregret.core import (
     AdversaryMixedStrategy,
     CostVector,
     EnumerationCapError,
+    InstanceError,
     IterationLimitError,
     MarginalVector,
     SolverError,
     expected_regret,
     marginal_of_strategy,
 )
+from minregret.decompose import decompose_marginal
 from minregret.gen import generate_instance
 from minregret.io import describe_instance, validate_instance
 from minregret.nominal import DagPathOracle, NominalOracle, build_oracle
@@ -661,6 +663,53 @@ def test_compact_lp_solves_the_scenario_optima_once(monkeypatch):
     assert game.certified_gap <= 1e-7
 
 
+def test_bruteforce_solves_the_scenario_optima_once(monkeypatch):
+    # the payoff's exhaustive optima; the side solves its own only when used
+    inst = generate_instance(
+        "spanning-tree", n=9, uncertainty="scenarios", n_scenarios=8, seed=1
+    )
+    oracle = build_oracle(inst)
+    calls = _optima_rows(monkeypatch, oracle)
+    value, _, _ = bruteforce_game_value(inst, oracle=oracle)
+    assert calls == [8]
+    monkeypatch.undo()
+    assert value == pytest.approx(solve_randomized(inst).value, abs=1e-7)
+
+
+# A tolerance is a finite number at least 0 and an iteration limit an
+# integer at least 1, as the CLI requires; anything else names its parameter.
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -1e-300, "1e-7", True, None])
+def test_solvers_reject_an_unusable_tol(tol):
+    inst = generate_instance("spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1)
+    oracle = build_oracle(inst)
+    for run in (
+        lambda: solve_randomized(inst, tol=tol),
+        lambda: solve_adversary_lp_discrete(inst, tol=tol),
+        lambda: decompose_marginal(MarginalVector(np.full(12, 0.5)), oracle, tol=tol),
+    ):
+        with pytest.raises(InstanceError, match="^tol must be a finite number >= 0"):
+            run()
+
+
+@pytest.mark.parametrize("max_iter", [0, -3, 1.5, np.nan, True, "10"])
+def test_solve_randomized_rejects_an_unusable_max_iter(max_iter):
+    inst = generate_instance("spanning-tree", n=12, uncertainty="interval", seed=1)
+    with pytest.raises(InstanceError, match="^max_iter must be"):
+        solve_randomized(inst, max_iter=max_iter)
+
+
+def test_zero_tol_and_integral_max_iter_are_accepted():
+    inst = generate_instance("spanning-tree", n=12, uncertainty="interval", seed=1)
+    game = solve_randomized(inst, max_iter=np.int64(100))
+    assert solve_randomized(inst, max_iter=100.0).value == game.value
+    T = game.player.support[0]
+    p = MarginalVector(T.indicator.astype(float))
+    strategy = decompose_marginal(p, build_oracle(inst), tol=0)
+    assert strategy.support == (T,)
+    with pytest.raises(IterationLimitError):
+        solve_randomized(inst, max_iter=1)
+
+
 def test_adversary_lp_cut_budget_raises_iteration_limit(monkeypatch):
     inst = generate_instance(
         "spanning-tree", n=12, uncertainty="scenarios", n_scenarios=4, seed=1
@@ -1092,15 +1141,20 @@ def test_loop_grows_by_a_new_column_before_a_new_row(monkeypatch, family):
     import minregret.lp as lp_mod
 
     events, games = [], []
-    for name, mark in (("solve", "|"), ("add_columns", "c"), ("add_rows", "r")):
-        real = getattr(lp_mod.MatrixGame, name)
+    solve, grow = lp_mod.MatrixGame.solve, lp_mod.MatrixGame.grow
 
-        def logged(self, *args, _real=real, _mark=mark, **kwargs):
-            events.append(_mark)
-            games.append(self)
-            return _real(self, *args, **kwargs)
+    def logged_solve(self, *args, **kwargs):
+        events.append("|")
+        games.append(self)
+        return solve(self, *args, **kwargs)
 
-        monkeypatch.setattr(lp_mod.MatrixGame, name, logged)
+    def logged_grow(self, columns=None, rows=None):
+        # one growth: "c" if it carries columns, then "r" if it carries rows
+        events.append("c" * (columns is not None) + "r" * (rows is not None))
+        return grow(self, columns, rows)
+
+    monkeypatch.setattr(lp_mod.MatrixGame, "solve", logged_solve)
+    monkeypatch.setattr(lp_mod.MatrixGame, "grow", logged_grow)
     interval = generate_instance(family, n=12, uncertainty="interval", seed=2)
     scenarios = generate_instance(family, n=12, uncertainty="scenarios", n_scenarios=4, seed=2)
     both = set()  # where an iteration grew the game by a column and a row
