@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -26,6 +25,8 @@ from .core import (
     IterationLimitError,
     MinregretError,
     NotInHullError,
+    as_count,
+    as_tolerance,
     expected_regret,
     marginal_of_strategy,
 )
@@ -310,17 +311,21 @@ def cmd_verify(args) -> int:
 
 # argparse exits 2 on a value these reject, before any instance is loaded
 def tolerance(text: str) -> float:
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return tol
+    return _argument(as_tolerance, float(text))
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+    return _argument(as_count, int(text), "max_iter")
+
+
+def _argument(read, value, *field):
+    """``value`` read by the core reader ``read``, whose rule the API
+    shares; its fault's text, less the field's name, follows the option's
+    (``argument --tol: must be a finite number >= 0, got nan``)."""
+    try:
+        return read(value, *field)
+    except InstanceError as exc:
+        raise argparse.ArgumentTypeError(str(exc).partition(" ")[2]) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -111,6 +111,15 @@ def as_integer(value, field: str) -> int:
     raise InstanceError(f"{field} must be an integer, got {value!r}")
 
 
+def as_count(value, field: str) -> int:
+    """A count or budget as an int at least 1; anything else raises
+    :class:`InstanceError` naming ``field``."""
+    count = as_integer(value, field)
+    if count < 1:
+        raise InstanceError(f"{field} must be at least 1, got {count}")
+    return count
+
+
 def as_tolerance(tol) -> float:
     """A solver's ``tol`` as a float: a finite real number at least 0, 0
     included, as the CLI's ``--tol`` requires; anything else raises
@@ -343,6 +352,33 @@ def _clean_distribution(probs) -> np.ndarray:
     return probs
 
 
+def _merged(points, probs, *labels) -> tuple:
+    """``(points, weights, *labels)`` of a mix, each repeated support point
+    merged into its first occurrence and weights of ``PROB_DROP`` or less
+    dropped, the rest renormalized.  A weight that is not finite or is below
+    ``-PROB_SUM_TOL``, or ``probs`` or a label tuple (None for no labels) of
+    another length than the support, raises :class:`InstanceError`: only
+    round-off may vanish here."""
+    weights = np.asarray(probs, dtype=float)
+    if weights.shape != (len(points),):
+        raise InstanceError("support and probability lengths differ")
+    if any(tags is not None and len(tags) != len(points) for tags in labels):
+        raise InstanceError("support labels must match support length")
+    merged: dict = {}  # point -> [summed weight, index of its first occurrence]
+    for i, (point, p) in enumerate(zip(points, weights.tolist())):
+        if not -PROB_SUM_TOL <= p < math.inf:
+            what = "nonnegative" if math.isfinite(p) else "finite"
+            raise InstanceError(f"probabilities must be {what}")
+        merged.setdefault(point, [0.0, i])[0] += p
+    kept = [(point, p, i) for point, (p, i) in merged.items() if p > PROB_DROP]
+    if not kept:
+        raise InstanceError("strategy support vanished after cleaning")
+    points, weights, first = zip(*kept)
+    weights = np.asarray(weights, dtype=float)
+    labels = (None if tags is None else tuple(tags[i] for i in first) for tags in labels)
+    return points, weights / weights.sum(), *labels
+
+
 @dataclass(frozen=True, eq=False)
 class PlayerMixedStrategy:
     """Finite-support distribution over feasible sets."""
@@ -362,17 +398,7 @@ class PlayerMixedStrategy:
     @classmethod
     def cleaned(cls, support, probs) -> "PlayerMixedStrategy":
         """Merge duplicates, drop sub-``PROB_DROP`` weights, renormalize."""
-        if not np.isfinite(probs).all():
-            raise InstanceError("probabilities must be finite")
-        merged: dict[FeasibleSet, float] = {}
-        for s, p in zip(support, probs):
-            merged[s] = merged.get(s, 0.0) + float(p)
-        kept = [(s, p) for s, p in merged.items() if p > PROB_DROP]
-        if not kept:
-            raise InstanceError("strategy support vanished after cleaning")
-        sets, weights = zip(*kept)
-        weights = np.asarray(weights, dtype=float)
-        return cls(tuple(sets), weights / weights.sum())
+        return cls(*_merged(support, probs))
 
     @property
     def support_size(self) -> int:
@@ -409,26 +435,8 @@ class AdversaryMixedStrategy:
     def cleaned(
         cls, support, probs, scenario_indices=None, generators=None
     ) -> "AdversaryMixedStrategy":
-        if not np.isfinite(probs).all():
-            raise InstanceError("probabilities must be finite")
-        entries: dict[CostVector, list] = {}
-        for i, (c, p) in enumerate(zip(support, probs)):
-            if c in entries:
-                entries[c][0] += float(p)
-            else:
-                entries[c] = [
-                    float(p),
-                    None if scenario_indices is None else scenario_indices[i],
-                    None if generators is None else generators[i],
-                ]
-        kept = [(c, rec) for c, rec in entries.items() if rec[0] > PROB_DROP]
-        if not kept:
-            raise InstanceError("strategy support vanished after cleaning")
-        costs = tuple(c for c, _ in kept)
-        weights = np.asarray([rec[0] for _, rec in kept], dtype=float)
-        scen = tuple(rec[1] for _, rec in kept) if scenario_indices is not None else None
-        gens = tuple(rec[2] for _, rec in kept) if generators is not None else None
-        return cls(costs, weights / weights.sum(), scen, gens)
+        """As :meth:`PlayerMixedStrategy.cleaned`, each point keeping its first labels."""
+        return cls(*_merged(support, probs, scenario_indices, generators))
 
     def validate_for(self, instance: Instance) -> None:
         """Check every support vector lies in the instance's uncertainty set,

@@ -2,13 +2,15 @@
 
 This module alone knows them.  An instance file is a JSON object with the
 fields ``name``, ``n``, ``nominal`` and ``uncertainty``; the nominal family
-and the uncertainty each carry a ``type`` and that type's fields
-(``_NOMINAL_FIELDS``, ``_UNCERTAINTY_FIELDS``), and unknown fields are
-rejected.  Strategy files use ``{"sets": [[indices]], "probs": [...]}`` for
-the player and ``{"costs": [[...]], "probs": [...]}`` (optionally with
-``"scenarios"``) for the adversary.  A marginal file is a bare JSON array of
-n reals.  Every real field must hold JSON numbers: a boolean or a string,
-even a numeric one, is rejected, as it is in an integer field.
+and the uncertainty each carry a ``type`` and that type's fields.  One
+table per part, ``_NOMINAL`` and ``_UNCERTAINTY``, gives each type's class
+and fields, and both reading and writing go through it.  Strategy files use
+``{"sets": [[indices]], "probs": [...]}`` for the player and
+``{"costs": [[...]], "probs": [...]}`` (optionally with ``"scenarios"``)
+for the adversary.  Unknown fields of an instance and of either strategy
+are rejected.  A marginal file is a bare JSON array of n reals.  Every real
+field must hold JSON numbers: a boolean or a string, even a numeric one, is
+rejected, as it is in an integer field.
 """
 
 from __future__ import annotations
@@ -34,20 +36,26 @@ from .core import (
 )
 from .nominal import DagPathOracle, ExplicitOracle, KSelectionOracle, SpanningTreeOracle
 
-_NOMINAL_FIELDS = {
-    "k-selection": {"type", "n", "k"},
-    "spanning-tree": {"type", "vertices", "edges"},
-    "dag-path": {"type", "vertices", "arcs", "source", "target"},
-    "explicit": {"type", "sets"},
+# The instance file's two tables: each type's class and, in order, the
+# fields its constructor takes.  ``validate_instance`` reads a type through
+# its row and ``describe_instance`` writes one, so a field is named once.
+_NOMINAL = {
+    "k-selection": (KSelectionOracle, ("n", "k")),
+    "spanning-tree": (SpanningTreeOracle, ("vertices", "edges")),
+    "dag-path": (DagPathOracle, ("vertices", "arcs", "source", "target")),
+    "explicit": (ExplicitOracle, ("sets",)),  # its item count is the instance's n
 }
 
-_UNCERTAINTY_FIELDS = {
-    "interval": {"type", "lower", "upper"},
-    "scenarios": {"type", "costs"},
+# ... and the noun that names an uncertainty type's real fields in a message
+_UNCERTAINTY = {
+    "interval": (Intervals, ("lower", "upper"), "interval"),
+    "scenarios": (Scenarios, ("costs",), "scenario"),
 }
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise InstanceError(f"{where} must be an object")
     unknown = set(d) - allowed
     if unknown:
         raise InstanceError(f"unknown field(s) {sorted(unknown)} in {where}")
@@ -67,6 +75,16 @@ def _reals(value, field: str) -> np.ndarray:
 
     check(value if isinstance(value, (list, tuple, np.ndarray)) else [value])
     return np.asarray(value, dtype=float)
+
+
+def _row(table: dict, what: str, d: dict) -> tuple:
+    """The row of ``d``'s type in an instance-file table; ``d`` may hold no
+    field but the row's."""
+    kind = d.get("type")
+    if kind not in table:
+        raise InstanceError(f"unknown {what} type {kind!r}")
+    _reject_unknown(d, {"type", *table[kind][1]}, f"{what}/{kind}")
+    return table[kind]
 
 
 def validate_instance(description: dict) -> Instance:
@@ -89,79 +107,44 @@ def validate_instance(description: dict) -> Instance:
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance description: {exc}") from exc
 
-    kind = nom_d.get("type")
-    if kind not in _NOMINAL_FIELDS:
-        raise InstanceError(f"unknown nominal type {kind!r}")
-    _reject_unknown(nom_d, _NOMINAL_FIELDS[kind], f"nominal/{kind}")
+    cls, fields = _row(_NOMINAL, "nominal", nom_d)
     try:
-        if kind == "k-selection":
-            nominal = KSelectionOracle(nom_d["n"], nom_d["k"])
-        elif kind == "spanning-tree":
-            nominal = SpanningTreeOracle(nom_d["vertices"], nom_d["edges"])
-        elif kind == "dag-path":
-            nominal = DagPathOracle(
-                nom_d["vertices"], nom_d["arcs"], nom_d["source"], nom_d["target"]
-            )
-        else:
-            nominal = ExplicitOracle(n, nom_d["sets"])
+        values = [nom_d[f] for f in fields]
+        nominal = cls(n, *values) if cls is ExplicitOracle else cls(*values)
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed nominal spec: {exc}") from exc
 
-    ukind = unc_d.get("type")
-    if ukind not in _UNCERTAINTY_FIELDS:
-        raise InstanceError(f"unknown uncertainty type {ukind!r}")
-    _reject_unknown(unc_d, _UNCERTAINTY_FIELDS[ukind], f"uncertainty/{ukind}")
+    cls, fields, noun = _row(_UNCERTAINTY, "uncertainty", unc_d)
     try:
-        if ukind == "interval":
-            uncertainty: UncertaintySpec = Intervals(
-                lower=_reals(unc_d["lower"], "interval lower"),
-                upper=_reals(unc_d["upper"], "interval upper"),
-            )
-        else:
-            uncertainty = Scenarios(costs=_reals(unc_d["costs"], "scenario costs"))
+        uncertainty: UncertaintySpec = cls(*[_reals(unc_d[f], f"{noun} {f}") for f in fields])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed uncertainty spec: {exc}") from exc
 
     return Instance(name=name, n=n, nominal=nominal, uncertainty=uncertainty)
 
 
+def _plain(value):
+    """A field's value as JSON: tuples become lists, arrays nested lists."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _described(table: dict, what: str, obj) -> dict:
+    """``obj`` as the fields of its row of an instance-file table."""
+    for kind, (cls, fields, *_) in table.items():
+        if isinstance(obj, cls):
+            return {"type": kind, **{f: _plain(getattr(obj, f)) for f in fields}}
+    raise InstanceError(f"no instance-file type for the {what} {type(obj).__name__}")
+
+
 def describe_instance(instance: Instance) -> dict:
     """Inverse of :func:`validate_instance`: emit the JSON-schema dict."""
-    nom = instance.nominal
-    if isinstance(nom, KSelectionOracle):
-        nominal = {"type": "k-selection", "n": nom.n, "k": nom.k}
-    elif isinstance(nom, SpanningTreeOracle):
-        nominal = {
-            "type": "spanning-tree",
-            "vertices": nom.vertices,
-            "edges": [list(e) for e in nom.edges],
-        }
-    elif isinstance(nom, DagPathOracle):
-        nominal = {
-            "type": "dag-path",
-            "vertices": nom.vertices,
-            "arcs": [list(a) for a in nom.arcs],
-            "source": nom.source,
-            "target": nom.target,
-        }
-    else:
-        nominal = {"type": "explicit", "sets": [list(s) for s in nom.sets]}
-
-    unc = instance.uncertainty
-    if isinstance(unc, Intervals):
-        uncertainty = {
-            "type": "interval",
-            "lower": unc.lower.tolist(),
-            "upper": unc.upper.tolist(),
-        }
-    else:
-        uncertainty = {"type": "scenarios", "costs": unc.costs.tolist()}
-
     return {
         "name": instance.name,
         "n": instance.n,
-        "nominal": nominal,
-        "uncertainty": uncertainty,
+        "nominal": _described(_NOMINAL, "nominal", instance.nominal),
+        "uncertainty": _described(_UNCERTAINTY, "uncertainty", instance.uncertainty),
     }
 
 
@@ -196,6 +179,7 @@ def player_strategy_to_dict(y: PlayerMixedStrategy) -> dict:
 
 def player_strategy_from_dict(d: dict, n: int) -> PlayerMixedStrategy:
     try:
+        _reject_unknown(d, {"sets", "probs"}, "player strategy")
         sets = [[as_integer(e, "player set item") for e in s] for s in d["sets"]]
         probs = _reals(d["probs"], "player probs")
     except (KeyError, TypeError, ValueError) as exc:
@@ -218,6 +202,7 @@ def adversary_strategy_to_dict(w: AdversaryMixedStrategy) -> dict:
 
 def adversary_strategy_from_dict(d: dict, n: int) -> AdversaryMixedStrategy:
     try:
+        _reject_unknown(d, {"costs", "probs", "scenarios"}, "adversary strategy")
         costs = tuple(CostVector(_reals(c, "adversary costs")) for c in d["costs"])
         probs = _reals(d["probs"], "adversary probs")
         scen = d.get("scenarios")

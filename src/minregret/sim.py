@@ -21,6 +21,8 @@ from .core import (
     Instance,
     InstanceError,
     PlayerMixedStrategy,
+    as_count,
+    as_integer,
 )
 from .nominal import NominalOracle, build_oracle
 
@@ -76,8 +78,7 @@ def simulate(
     chunk c.  A player set the oracle finds infeasible, or an adversary
     vector outside the uncertainty set, raises :class:`InstanceError`.
     """
-    if samples < 1:
-        raise InstanceError("samples must be at least 1")
+    samples, seed = as_count(samples, "samples"), as_integer(seed, "seed")
     oracle = build_oracle(instance) if oracle is None else oracle
     w.validate_for(instance)
     if not all(oracle.is_feasible(T) for T in y.support):

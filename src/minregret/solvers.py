@@ -87,7 +87,7 @@ from .core import (
     NotInHullError,
     PlayerMixedStrategy,
     SolverError,
-    as_integer,
+    as_count,
     as_tolerance,
     marginal_of_strategy,
 )
@@ -149,9 +149,7 @@ def solve_randomized(
     that is not an integer at least 1, raises :class:`InstanceError`.
     """
     tol = as_tolerance(tol)
-    max_iter = as_integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise InstanceError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = as_count(max_iter, "max_iter")
     oracle = build_oracle(instance) if oracle is None else oracle
     if isinstance(oracle, KSelectionOracle):
         if instance.is_interval:

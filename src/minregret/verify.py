@@ -29,6 +29,7 @@ from .core import (
     Instance,
     InstanceError,
     SolverError,
+    as_integer,
     expected_regret,
     marginal_of_strategy,
 )
@@ -223,6 +224,7 @@ def run_random_suite(count: int, seed: int, tol: float = 1e-7):
     Cycles through the three generator families and both uncertainty types.
     Returns ``(results, instances_checked)``.
     """
+    count, seed = as_integer(count, "count"), as_integer(seed, "seed")
     if count < 1:
         raise InstanceError("the random suite needs a count of at least 1")
     families = ("k-selection", "spanning-tree", "dag-path")

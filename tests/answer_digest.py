@@ -7,12 +7,14 @@ Run from the repository root:
 It prints one hex digest.  Two source trees whose solvers give the same
 answers to the last bit print the same digest, so a change that claims bit
 identity is checked by running this script on both trees.  It uses the
-public solvers and ``solvers._double_oracle`` only.
+public solvers, ``solvers._double_oracle`` and the writers of
+``minregret.io`` only.
 
 The set: k-selection, spanning trees and DAG paths, each under intervals and
 under 4 scenarios, at n = 6, 9, 30 and 60 with seeds 1-3.  Each instance
-records ``solve_randomized`` (value, certified gap, iterations, marginal and
-both mixes), the decomposition of its marginal, both best responses to its
+records its instance file's text, ``solve_randomized`` (value, certified
+gap, iterations, marginal and both mixes) and both mixes' strategy-file
+objects, the decomposition of its marginal, both best responses to its
 answer, the approximations of its uncertainty type and, under scenarios,
 the adversary LP.  At n <= 9 it also records the brute force, the double
 oracle run directly and the deterministic solver.  A raised error is
@@ -50,6 +52,8 @@ def _encode(value) -> bytes:
             "adversary", [c.values for c in value.support], value.probs,
             value.scenario_indices, value.generators,
         )
+    elif isinstance(value, dict):  # a file's JSON object
+        value = sorted(value.items())
     elif hasattr(value, "__dataclass_fields__"):  # solutions, mixes, best responses
         value = [getattr(value, name) for name in value.__dataclass_fields__]
     if value is None or isinstance(value, (bool, str)):
@@ -76,6 +80,7 @@ def _outcome(run):
 def instance_records(family: str, kind: str, n: int, seed: int):
     """The named answers of every solver on one instance, in a fixed order."""
     import minregret as mr
+    from minregret.io import adversary_strategy_to_dict, instance_text, player_strategy_to_dict
     from minregret.solvers import _double_oracle
 
     scenarios = kind == "scenarios"
@@ -84,9 +89,12 @@ def instance_records(family: str, kind: str, n: int, seed: int):
     )
     oracle = mr.build_oracle(instance)
     label = f"{family}/{kind}/n={n}/seed={seed}"
+    yield label + " instance file", instance_text(instance)
     game = _outcome(lambda: mr.solve_randomized(instance, tol=TOL, oracle=oracle))
     yield label + " randomized", game
     if isinstance(game, mr.GameSolution):
+        yield label + " player file", player_strategy_to_dict(game.player)
+        yield label + " adversary file", adversary_strategy_to_dict(game.adversary)
         yield label + " decompose", _outcome(
             lambda: mr.decompose_marginal(game.marginal, oracle, tol=TOL)
         )

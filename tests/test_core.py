@@ -328,6 +328,39 @@ class TestStrategyValidation:
         with pytest.raises(InstanceError, match="probabilities must be finite"):
             AdversaryMixedStrategy.cleaned(costs, np.array([1.0, bad]), generators=(0, 1))
 
+    # zip truncated a short or long weight list, a negative weight was dropped
+    # like a round-off ghost, and a short label tuple raised IndexError
+    @pytest.mark.parametrize(
+        "sets, probs, message",
+        [
+            ([0, 1], [1.0], "support and probability lengths differ"),
+            ([0], [0.5, 0.5], "support and probability lengths differ"),
+            ([0, 1], [1.5, -0.5], "probabilities must be nonnegative"),
+        ],
+        ids=["short-probs", "long-probs", "negative"],
+    )
+    def test_cleaned_rejects_what_round_off_cannot_explain(self, sets, probs, message):
+        with pytest.raises(InstanceError, match=message):
+            PlayerMixedStrategy.cleaned([fs(2, i) for i in sets], probs)
+        costs = [CostVector(np.eye(2)[i]) for i in sets]
+        with pytest.raises(InstanceError, match=message):
+            AdversaryMixedStrategy.cleaned(costs, probs)
+
+    def test_cleaned_labels_need_one_per_support_point(self):
+        costs = [CostVector(np.array([1.0, 0.0])), CostVector(np.array([0.0, 1.0]))]
+        for labels in ({"scenario_indices": (0,)}, {"generators": (fs(2, 0),) * 3}):
+            with pytest.raises(InstanceError, match="support labels must match"):
+                AdversaryMixedStrategy.cleaned(costs, [0.5, 0.5], **labels)
+
+    def test_cleaned_keeps_the_first_label_and_drops_solver_round_off(self):
+        # an LP dual may sit at -PROB_SUM_TOL; it merges and drops like round-off
+        c1, c2 = CostVector(np.array([1.0, 0.0])), CostVector(np.array([0.0, 1.0]))
+        w = AdversaryMixedStrategy.cleaned(
+            [c1, c2, c1], [0.5, -1e-9, 0.5 + 1e-9], scenario_indices=(4, 5, 6)
+        )
+        assert w.support == (c1,) and w.scenario_indices == (4,)
+        assert w.probs.tolist() == [1.0]
+
     def test_adversary_support_outside_bounds(self):
         inst = k_selection_instance(2, 1, lower=[0, 0], upper=[1, 1])
         w = AdversaryMixedStrategy((CostVector(np.array([2.0, 0.0])),), np.array([1.0]))

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minregret.core import Instance, InstanceError
+from minregret import io
+from minregret.core import Instance, InstanceError, Intervals, Scenarios
 from minregret.gen import generate_instance
 from minregret.io import (
     adversary_strategy_from_dict,
@@ -21,8 +22,16 @@ from minregret.io import (
     player_strategy_from_dict,
     player_strategy_to_dict,
     save_instance,
+    validate_instance,
 )
-from minregret.nominal import build_oracle
+from minregret.nominal import (
+    DagPathOracle,
+    ExplicitOracle,
+    KSelectionOracle,
+    NominalOracle,
+    SpanningTreeOracle,
+    build_oracle,
+)
 from minregret.solvers import solve_randomized
 
 
@@ -147,6 +156,41 @@ class TestInstanceIo:
         again = load_instance(path)
         assert describe_instance(again) == describe_instance(inst)
 
+    # One instance per row of each table: a new type must join this list.
+    _NOMINALS = {
+        "k-selection": KSelectionOracle(3, 2),
+        "spanning-tree": SpanningTreeOracle(3, [(0, 1), (1, 2), (0, 2)]),
+        "dag-path": DagPathOracle(3, [(0, 1), (1, 2), (0, 2)], 0, 2),
+        "explicit": ExplicitOracle(3, [(2, 0), (1,)]),
+    }
+    _UNCERTAINTIES = {
+        "interval": Intervals(np.array([0.0, 1.0, 0.25]), np.array([1.0, 1.0, 2.5])),
+        "scenarios": Scenarios(np.array([[1.0, 0.0, 3.0], [0.5, 2.0, 0.0]])),
+    }
+
+    def test_every_table_row_round_trips(self):
+        assert set(self._NOMINALS) == set(io._NOMINAL)
+        assert set(self._UNCERTAINTIES) == set(io._UNCERTAINTY)
+        for kind, nominal in self._NOMINALS.items():
+            for ukind, uncertainty in self._UNCERTAINTIES.items():
+                inst = Instance("row", 3, nominal, uncertainty)
+                d = describe_instance(inst)
+                assert d["nominal"]["type"] == kind and d["uncertainty"]["type"] == ukind
+                again = validate_instance(json.loads(instance_text(inst)))
+                assert type(again.nominal) is type(nominal)
+                assert describe_instance(again) == d
+                assert instance_text(again) == instance_text(inst)
+
+    # A nominal oracle with no file type used to end in an AttributeError
+    # on ``sets``, the explicit family's field.
+    def test_describe_names_a_foreign_oracle(self):
+        class CircuitOracle(NominalOracle):
+            n = 3
+
+        inst = Instance("foreign", 3, CircuitOracle(), self._UNCERTAINTIES["interval"])
+        with pytest.raises(InstanceError, match="CircuitOracle"):
+            describe_instance(inst)
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -194,6 +238,32 @@ class TestStrategyIo:
         )
         y, w = load_strategies(path, inst)
         assert y.support_size == 2 and w.support_size == 2
+
+    # A typo'd "scenario" was ignored, so its labels were never checked.  The
+    # top level still takes a whole solve report, whose other fields are kept
+    # out of the strategies.
+    @pytest.mark.parametrize(
+        "side, typo", [("player", "prob"), ("adversary", "scenario")]
+    )
+    def test_strategies_reject_unknown_fields(self, tmp_path, side, typo):
+        inst = generate_instance("tight-discrete", k=2)
+        game = solve_randomized(inst)
+        report = {
+            "value": game.value,
+            "player": player_strategy_to_dict(game.player),
+            "adversary": adversary_strategy_to_dict(game.adversary),
+        }
+        path = tmp_path / "strat.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert load_strategies(path, inst)[1].scenario_indices == (0, 1)
+        report[side][typo] = [0]
+        path.write_text(json.dumps(report), encoding="utf-8")
+        with pytest.raises(InstanceError, match=rf"unknown field\(s\) \['{typo}'\] in {side}"):
+            load_strategies(path, inst)
+        report[side] = "ab"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        with pytest.raises(InstanceError, match=f"^{side} strategy must be an object$"):
+            load_strategies(path, inst)
 
     def test_strategies_file_needs_both_entries(self, tmp_path):
         inst = generate_instance("tight-discrete", k=2)

@@ -88,6 +88,32 @@ class TestSimulate:
         with pytest.raises(InstanceError):
             simulate(inst, game.player, game.adversary, 0, seed=1)
 
+    # 2.5 samples drew 3 pairs and divided by 2.5; an np.int64 seed raised
+    # OverflowError and 3.0 a TypeError
+    @pytest.mark.parametrize(
+        "samples, seed, message",
+        [
+            (2.5, 1, "samples must be an integer, got 2.5"),
+            (True, 1, "samples must be an integer, got True"),
+            (-4, 1, "samples must be at least 1"),
+            (10, 1.5, "seed must be an integer, got 1.5"),
+            (10, "1", "seed must be an integer, got '1'"),
+        ],
+    )
+    def test_counts_are_read_as_integers(self, samples, seed, message):
+        inst = tight_discrete(2)
+        game = solve_randomized(inst)
+        with pytest.raises(InstanceError, match=message):
+            simulate(inst, game.player, game.adversary, samples, seed=seed)
+
+    def test_integral_numbers_of_any_type_give_the_same_estimate(self):
+        inst = tight_discrete(3)
+        game = solve_randomized(inst)
+        y, w = game.player, game.adversary
+        est = simulate(inst, y, w, 1000, seed=3)
+        assert simulate(inst, y, w, np.int64(1000), seed=np.int64(3)) == est
+        assert simulate(inst, y, w, 1000.0, seed=3.0) == est
+
     def test_infeasible_player_set_rejected(self):
         # regret is defined only for feasible sets: k = 3 of 6 items here
         inst = k_selection_instance(6, 3, scenarios=[[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1]])

@@ -3,7 +3,7 @@ import time
 import pytest
 
 import minregret.verify as verify_mod
-from minregret.core import Instance, Intervals, SolverError
+from minregret.core import Instance, InstanceError, Intervals, SolverError
 from minregret.gen import generate_instance
 from minregret.nominal import SpanningTreeOracle
 from minregret.verify import DOUBLE_ORACLE_MAX_N, run_instance_checks
@@ -175,6 +175,20 @@ class TestBeyondDeskScale:
         assert all(r.passed for r in results)
         check = _by_name(results)["compact_vs_double_oracle"]
         assert check.skipped and f"n={n}" in check.detail
+
+
+# 1.5 raised a bare TypeError and True ran one instance
+@pytest.mark.parametrize(
+    "count, seed, message",
+    [
+        (1.5, 1, "count must be an integer, got 1.5"),
+        (True, 1, "count must be an integer, got True"),
+        (1, 0.5, "seed must be an integer, got 0.5"),
+    ],
+)
+def test_random_suite_reads_integer_counts(count, seed, message):
+    with pytest.raises(InstanceError, match=message):
+        verify_mod.run_random_suite(count, seed)
 
 
 def test_decomposition_solver_error_fails_both_of_its_checks(monkeypatch):
