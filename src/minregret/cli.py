@@ -315,7 +315,7 @@ def tolerance(text: str) -> float:
 
 
 def positive_int(text: str) -> int:
-    return _argument(as_count, int(text), "max_iter")
+    return _argument(as_count, int(text), "count")
 
 
 def _argument(read, value, *field):
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the expected regret")
     p.add_argument("--instance", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--strategies", help="JSON file with player and adversary strategies")
     add_common(p)

@@ -444,9 +444,8 @@ def _shifted(P, scale) -> np.ndarray:
 
 
 def _equilibrium(P, scale, span, sol: LpSolution):
-    """``(row_mix, col_mix, value, conceded)`` from the game LP, checked to
-    bracket within ``1e-9 * max(span, 1)``, ``span`` the payoff's range;
-    ``conceded`` is the row mix's worst column."""
+    """``(row_mix, col_mix, value)`` from the game LP, checked to bracket
+    within ``1e-9 * max(span, 1)``, ``span`` the payoff's range."""
     if not sol.is_optimal:
         raise SolverError(f"matrix-game LP ended with status {sol.status_text}")
     # sum(t) = sum(duals) = 1 / value(Q) at the optimum
@@ -463,7 +462,7 @@ def _equilibrium(P, scale, span, sol: LpSolution):
             f"matrix-game mixes do not bracket the value {value:.12g}: "
             f"row mix concedes {row_worst:.12g}, column mix secures {col_worst:.12g}"
         )
-    return row_mix, col_mix, float(value), row_worst
+    return row_mix, col_mix, float(value)
 
 
 class MatrixGame:
@@ -480,8 +479,7 @@ class MatrixGame:
     positive), fixed here, and an appended entry at or below ``-scale``
     raises :class:`SolverError`.  The game keeps its payoff's least and
     greatest entries, so the bracket tolerance ``1e-9 * span`` needs no pass
-    over the payoff.  After a solve, ``conceded`` is the payoff its row mix
-    concedes (its worst column), within the bracket of the value.
+    over the payoff.
     """
 
     def __init__(self, payoff):
@@ -490,7 +488,6 @@ class MatrixGame:
         self.scale = self._high if self._high > 0.0 else 1.0
         self.payoff = P
         self.confirmed = False  # whether the last solve was confirmed
-        self.conceded = None
         r, s = P.shape
         self._lp = WarmLP(np.ones(r), _shifted(P, self.scale).T, np.ones(s))
 
@@ -549,10 +546,7 @@ class MatrixGame:
         return self._answer(self._lp._reprice())
 
     def _answer(self, sol: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
-        row_mix, col_mix, value, self.conceded = _equilibrium(
-            self.payoff, self.scale, self._high - self._low, sol
-        )
-        return row_mix, col_mix, value
+        return _equilibrium(self.payoff, self.scale, self._high - self._low, sol)
 
 
 def solve_matrix_game(payoff) -> tuple[np.ndarray, np.ndarray, float]:

@@ -44,12 +44,13 @@ and stop once the two best-response values bracket the restricted value
 within tolerance.  The restricted game is one ``MatrixGame`` that grows by
 at most a row and a column per iteration, so each solve starts from the
 previous optimal basis; the loop (``_double_oracle``) decides at
-confirmed solves only.  Every path certifies the same bracket: the
-adversary's best response to the returned marginal against the player's
-best response to the returned adversary mix.  Each solve builds the
-instance's adversary side (``regret.adversary_side``) once, and takes from
-it the seed costs, the adversary's columns and best responses, the
-adversary mix itself (``side.mix`` over generators or scenario indices,
+confirmed solves only.  Every path certifies the same bracket, in one
+function (``_certified``) and on the strategies it returns, after their
+cleaning: the adversary's best response to the returned marginal against
+the player's best response to the returned adversary mix.  Each solve
+builds the instance's adversary side (``regret.adversary_side``) once, and
+takes from it the seed costs, the adversary's columns and best responses,
+the adversary mix itself (``side.mix`` over generators or scenario indices,
 the only place a mix is built), and the optima of the mix's support:
 ``l(A)`` for a generator A, a valid bound that is tight at an equilibrium.
 ``regret.player_best_response`` solves every support optimum instead, so it
@@ -303,30 +304,30 @@ def _threshold_k_selection(
 
 
 def _certified_game(side, tol: float, value: float, p, adversary, label: str) -> GameSolution:
-    """Decompose p, build the adversary mix and certify the bracket; the
-    player's response to the mix takes its support optima from ``side``."""
-    oracle = side.oracle
+    """Decompose p, build the adversary mix, and certify the pair."""
     try:
-        player = decompose_marginal(MarginalVector(p), oracle, tol=tol)
+        player = decompose_marginal(MarginalVector(p), side.oracle, tol=tol)
         mix = adversary()
     except NotInHullError as exc:
         raise SolverError(f"{label} answer outside the hull: {exc}") from exc
+    return _certified(side, tol, value, player, mix, 1, label)
 
+
+def _certified(
+    side, tol: float, value: float, player, mix, iterations: int, label: str
+) -> GameSolution:
+    """The returned pair as a :class:`GameSolution` whose ``certified_gap``
+    is its bracket: the adversary's best response to the player's marginal
+    less the player's best response to ``mix``, whose support optima come
+    from ``side``.  A bracket wider than ``tol`` raises :class:`SolverError`."""
     marginal = marginal_of_strategy(player)
     upper_value = side.respond(marginal.p)[0]
     costs = np.stack([c.values for c in mix.support])
-    lower_value = weighted_player_response(mix.probs, costs, side.optima(mix), oracle)[1]
+    lower_value = weighted_player_response(mix.probs, costs, side.optima(mix), side.oracle)[1]
     gap = upper_value - lower_value
     if gap > tol:
         raise SolverError(f"{label} left a best-response gap {gap:.3g} > tol {tol:.3g}")
-    return GameSolution(
-        value=float(value),
-        player=player,
-        marginal=marginal,
-        adversary=mix,
-        iterations=1,
-        certified_gap=float(max(gap, 0.0)),
-    )
+    return GameSolution(float(value), player, marginal, mix, iterations, float(max(gap, 0.0)))
 
 
 def _compact_k_selection(
@@ -378,12 +379,11 @@ class _RestrictedGame:
     their regrets, and ``seen`` holds every strategy generated.  The first
     row is the player's set at the side's seed costs (the mean-cost or
     midpoint set), against the adversary's best response to it or, with
-    ``every_scenario``, every scenario: a ``complete`` game, where the
-    adversary's best response to a row mix is the column it concedes most to.
+    ``every_scenario``, every scenario.
     """
 
     def __init__(self, n: int, side, every_scenario: bool):
-        self.side, self.oracle, self.complete = side, side.oracle, every_scenario
+        self.side, self.oracle = side, side.oracle
         first = self.oracle.solve(side.seed_costs)[0]
         self.sets, self.seen = [first], {first}
         self.X = _GrowingRows(n)  # one row per strategy, grown in place
@@ -399,12 +399,9 @@ class _RestrictedGame:
     def responses(self, y: np.ndarray, w: np.ndarray):
         """Each side's best response to the other's mix, as ``(adversary value,
         column, player value, row)``; one the game holds already is None."""
-        if self.complete:
-            adv_value, column = self.matrix.conceded, None
-        else:
-            adv_value, column = self.side.respond(y @ self.X.rows)
-            if column[0] in self.seen:
-                column = None
+        adv_value, column = self.side.respond(y @ self.X.rows)
+        if column[0] in self.seen:
+            column = None
         # raw column weights: the active support may not be distinct-as-
         # strategies yet, so no AdversaryMixedStrategy is built here
         C, optima = self.costs.rows, self.optima.rows
@@ -427,13 +424,6 @@ class _RestrictedGame:
             rows = (self.costs.rows @ self.X.rows[-1] - self.optima.rows)[None, :]
         self.matrix.grow(columns, rows)
 
-    def solution(self, y, w, value: float, gap: float, iterations: int) -> GameSolution:
-        """The cleaned mixes at ``value`` as a :class:`GameSolution`."""
-        player = PlayerMixedStrategy.cleaned(self.sets, y)
-        adversary = self.side.mix(self.labels, w)
-        marginal, gap = marginal_of_strategy(player), float(max(gap, 0.0))
-        return GameSolution(float(value), player, marginal, adversary, iterations, gap)
-
     def _add_column(self, key, cost, optimum, label) -> None:
         self.seen.add(key)
         self.costs.append(cost)
@@ -449,10 +439,13 @@ def _double_oracle(
     Each iteration grows the :class:`_RestrictedGame` by the best responses
     not in it yet.  An iterate that would finish or has nothing new is
     solved again, confirmed, and decided there (an uncounted re-solve).
-    Nothing new at a confirmed solve raises :class:`SolverError`, whose
-    text names the iteration and the bracket reached; after ``limit``
-    iterations :class:`IterationLimitError` carries the greatest lower and
-    least upper bound reached.
+    A loop gap within ``tol`` ends it: the mixes are cleaned, and
+    ``_certified`` takes the bracket again on the cleaned pair, which may
+    still raise :class:`SolverError`.  Nothing new at a confirmed solve
+    raises :class:`SolverError`, whose text names the iteration and the
+    bracket reached; after ``limit`` iterations
+    :class:`IterationLimitError` carries the greatest lower and least upper
+    bound reached.
     """
     game = _RestrictedGame(instance.n, adversary_side(instance, oracle), every_scenario)
     lower = upper = None
@@ -469,7 +462,9 @@ def _double_oracle(
         lower = play_value if lower is None else max(lower, play_value)
         upper = adv_value if upper is None else min(upper, adv_value)
         if gap <= tol:
-            return game.solution(y_mix, w_mix, value, gap, iteration)
+            player = PlayerMixedStrategy.cleaned(game.sets, y_mix)
+            mix = game.side.mix(game.labels, w_mix)
+            return _certified(game.side, tol, value, player, mix, iteration, "double oracle")
         if not new:
             raise SolverError(
                 f"double oracle stalled with residual gap {gap:.3g} > tol {tol:.3g}"
@@ -617,7 +612,9 @@ def solve_adversary_lp_discrete(
     ``MAX_CUTS`` cuts it raises :class:`IterationLimitError` with the best
     bracket of the cuts: below, the least regret of any set under the
     adversary's mix; above, the adversary's best response to the row mix,
-    which equals the restricted value within the bracket tolerance.  A
+    which equals the restricted value within the bracket tolerance.  The
+    returned pair is certified as ``solve_randomized``'s is: a bracket
+    wider than ``tol`` raises :class:`SolverError`.  A
     ``tol`` that is not a finite number at least 0 raises
     :class:`InstanceError`.
     """

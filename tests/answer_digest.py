@@ -6,9 +6,13 @@ Run from the repository root:
 
 It prints one hex digest.  Two source trees whose solvers give the same
 answers to the last bit print the same digest, so a change that claims bit
-identity is checked by running this script on both trees.  It uses the
-public solvers, ``solvers._double_oracle`` and the writers of
-``minregret.io`` only.
+identity is checked by running this script on both trees.  With
+``--fields`` it prints one line per record and field instead,
+``<record name> <field> <sha256>``, so a ``diff`` of two trees' output names
+what moved.  A solution's or mix's fields are its dataclass fields, a
+tuple's are its positions, a file object's are its keys, and any other
+answer is one field, ``-``.  It uses the public solvers,
+``solvers._double_oracle`` and the writers of ``minregret.io`` only.
 
 The set: k-selection, spanning trees and DAG paths, each under intervals and
 under 4 scenarios, at n = 6, 9, 30 and 60 with seeds 1-3.  Each instance
@@ -23,6 +27,7 @@ recorded as its type and message.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import sys
@@ -142,5 +147,31 @@ def digest(named_answers) -> str:
     return h.hexdigest()
 
 
+def _fields(answer):
+    """The ``(field, part)`` pairs of one answer, as the module docstring
+    splits them."""
+    if isinstance(answer, dict):
+        return sorted(answer.items())
+    if isinstance(answer, (tuple, list)):
+        return list(enumerate(answer))
+    if hasattr(answer, "__dataclass_fields__"):
+        return [(name, getattr(answer, name)) for name in answer.__dataclass_fields__]
+    return [("-", answer)]
+
+
+def field_lines(named_answers):
+    """One ``<name> <field> <sha256>`` line per record and field, in order."""
+    for name, answer in named_answers:
+        for field, part in _fields(answer):
+            yield f"{name} {field} {hashlib.sha256(_encode(part)).hexdigest()}"
+
+
 if __name__ == "__main__":
-    sys.stdout.write(digest(records()) + "\n")
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument(
+        "--fields", action="store_true", help="one line per record and field, not one digest"
+    )
+    if parser.parse_args().fields:
+        sys.stdout.writelines(line + "\n" for line in field_lines(records()))
+    else:
+        sys.stdout.write(digest(records()) + "\n")

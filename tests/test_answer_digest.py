@@ -26,3 +26,17 @@ def test_digest_is_repeatable_and_sees_one_ulp():
     p[-1] = np.nextafter(p[-1], -np.inf)
     bumped = dataclasses.replace(game, marginal=dataclasses.replace(game.marginal, p=p))
     assert digest_with(bumped) != digest
+
+
+def test_field_lines_name_the_field_that_moved():
+    subset = dict(families=("dag-path",), kinds=("scenarios",), sizes=(6,), seeds=(2,))
+    first = list(answer_digest.records(**subset))
+    lines = list(answer_digest.field_lines(first))
+    assert len(lines) == len(set(lines)) > len(first)
+    i = next(i for i, (name, _) in enumerate(first) if name.endswith(" randomized"))
+    name, game = first[i]
+    gap = np.nextafter(game.certified_gap, np.inf)
+    moved = first[:i] + [(name, dataclasses.replace(game, certified_gap=gap))] + first[i + 1 :]
+    changed = set(answer_digest.field_lines(moved)) ^ set(lines)
+    assert {line.rsplit(" ", 1)[0] for line in changed} == {f"{name} certified_gap"}
+    assert len(changed) == 2

@@ -442,6 +442,24 @@ class TestDecomposeCommand:
 
 
 class TestSimulateCommand:
+    # simulate used to reject the count only after loading strategies or
+    # solving the game, which takes tens of seconds on large instances
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_unusable_sample_count_exits_2_before_solving(
+        self, samples, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "st12.json"
+        save_instance(generate_instance("spanning-tree", n=12, seed=1), path)
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulate solved the game before reading --samples")
+
+        monkeypatch.setattr(cli_mod, "solve_randomized", never)
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--instance", str(path), "--samples", samples, "--seed", "1"])
+        assert info.value.code == 2
+        assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
     def test_degenerate_strategies_exact(self, tight3, tmp_path):
         strat = tmp_path / "s.json"
         strat.write_text(

@@ -20,6 +20,8 @@ from minregret.gen import generate_instance
 from minregret.io import describe_instance, validate_instance
 from minregret.nominal import DagPathOracle, NominalOracle, build_oracle
 from minregret.regret import (
+    IntervalSide,
+    ScenarioSide,
     adversary_side,
     extreme_cost_vector,
     max_expected_regret,
@@ -746,6 +748,56 @@ def test_adversary_lp_stall_raises(family):
     inst = generate_instance(family, n=12, uncertainty="scenarios", n_scenarios=4, seed=1)
     with pytest.raises(SolverError, match="double oracle stalled with residual gap"):
         solve_adversary_lp_discrete(inst, oracle=RepeatingOracle(build_oracle(inst)))
+
+
+# The instance set of tests/answer_digest.py.  The double oracle used to
+# report the gap of its raw LP weights, before they were merged, dropped and
+# renormalised, and so missed the returned pair's bracket on seven scenario
+# instances: spanning trees n=6 s2, n=30 s3, n=60 s2 and s3, DAG paths n=9
+# s2, n=30 s2 and n=60 s1.
+@pytest.mark.parametrize("uncertainty", ["scenarios", "interval"])
+@pytest.mark.parametrize("family", ["k-selection", "spanning-tree", "dag-path"])
+def test_certified_gap_is_the_bracket_of_the_returned_pair(family, uncertainty):
+    for n in (6, 9, 30, 60):
+        for seed in (1, 2, 3):
+            inst = generate_instance(
+                family, n=n, uncertainty=uncertainty, n_scenarios=4, seed=seed
+            )
+            oracle = build_oracle(inst)
+            games = [solve_randomized(inst, oracle=oracle)]
+            if n <= 9:
+                games.append(_double_oracle(inst, 1e-7, 10000, oracle))
+            for game in games:
+                upper = max_expected_regret(game.marginal, inst, oracle).value
+                lower = player_best_response(game.adversary, inst, oracle).value
+                bracket = max(0.0, upper - lower)
+                if uncertainty == "scenarios":
+                    assert game.certified_gap == bracket, (n, seed)
+                else:
+                    # the solvers take l(A) as the optimum at c^A, a bound on it
+                    scale = 1.0 + np.abs(inst.uncertainty.upper).sum()
+                    assert abs(game.certified_gap - bracket) <= 1e-12 * scale, (n, seed)
+
+
+# Only the certificate reads the side's optima, and it takes them on the
+# returned pair, so optima one too high leave a gap of about 1 there.
+@pytest.mark.parametrize(
+    "side, uncertainty, solve",
+    [
+        (ScenarioSide, "scenarios", solve_randomized),
+        (ScenarioSide, "scenarios", solve_adversary_lp_discrete),
+        (IntervalSide, "interval", solve_randomized),
+    ],
+    ids=["randomized-scenarios", "adversary-lp", "randomized-interval"],
+)
+def test_double_oracle_certifies_the_returned_pair(monkeypatch, side, uncertainty, solve):
+    inst = generate_instance(
+        "spanning-tree", n=12, uncertainty=uncertainty, n_scenarios=4, seed=1
+    )
+    optima = side.optima
+    monkeypatch.setattr(side, "optima", lambda self, mix: optima(self, mix) + 1.0)
+    with pytest.raises(SolverError, match="^double oracle left a best-response gap 1"):
+        solve(inst)
 
 
 def test_double_oracle_iteration_limit_reports_the_best_bracket():
