@@ -379,10 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=positive_int)
     p.add_argument("--k", type=int)
     p.add_argument("--uncertainty", choices=("interval", "scenarios"), default="interval")
-    p.add_argument("--scenarios", type=int, default=2, help="scenario count for scenario uncertainty")
+    p.add_argument(
+        "--scenarios", type=positive_int, default=2, help="scenario count for scenario uncertainty"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the instance to this path instead of stdout")
     p.set_defaults(func=cmd_gen)
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant check suite")
     p.add_argument("--instance")
     p.add_argument("--random-suite", action="store_true")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=tolerance, default=1e-7)
     p.set_defaults(func=cmd_verify)

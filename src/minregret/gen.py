@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance, InstanceError, Intervals, Scenarios, UncertaintySpec, as_integer
+from .core import (
+    Instance,
+    InstanceError,
+    Intervals,
+    Scenarios,
+    UncertaintySpec,
+    as_count,
+    as_integer,
+)
 from .nominal import DagPathOracle, KSelectionOracle, SpanningTreeOracle
 from .sim import stream_uniform
 
@@ -35,9 +43,7 @@ def _uncertainty(kind: str, n: int, n_scenarios: int, seed: int) -> UncertaintyS
         pairs = np.sort(draws.reshape(n, 2), axis=1)
         return Intervals(pairs[:, 0], pairs[:, 1])
     if kind == "scenarios":
-        n_scenarios = as_integer(n_scenarios, "n_scenarios")
-        if n_scenarios < 1:
-            raise InstanceError("scenario count must be at least 1")
+        n_scenarios = as_count(n_scenarios, "n_scenarios")
         draws = stream_uniform(seed, _COST_STREAM, n_scenarios * n) * 10.0
         return Scenarios(draws.reshape(n_scenarios, n))
     raise InstanceError(f"unknown uncertainty kind {kind!r}")
@@ -107,9 +113,9 @@ def generate_instance(
             "tight-interval", 2, KSelectionOracle(2, 1), Intervals(np.zeros(2), np.ones(2))
         )
 
-    n = 0 if n is None else as_integer(n, "n")
-    if n < 1:
+    if n is None:
         raise InstanceError("random families need --n at least 1")
+    n = as_count(n, "n")
     name = f"{family}-n{n}-{uncertainty}-seed{seed}"
     if family == "k-selection":
         nominal = KSelectionOracle(n, max(1, n // 2) if k is None else k)

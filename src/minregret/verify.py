@@ -8,27 +8,30 @@ k-selection solvers with the double oracle, duality of the adversary LP, the
 approximation guarantees, the midpoint identities, saddle-point
 certificates, and the marginal decomposition round trip.
 
-Checks that would need an enumeration past its cap, or a double oracle
-beyond ``DOUBLE_ORACLE_MAX_N`` items, are reported as skipped under their
-usual names, so a report keeps its shape at any n.  A cross-check solver
-(the exhaustive game, the double oracle, the adversary LP, the
-decomposition) that raises :class:`SolverError` fails its checks, with the
-error as their detail; a ``SolverError`` of ``solve_randomized``, whose
-answer every check needs, propagates.  Interval k-selection needs no
-enumeration for Z_D, so its value-order and gap-bound checks run at any n.
+One rule reads a cross-check solver's error.  An
+:class:`EnumerationCapError` skips the solver's checks, under their usual
+names and with the error as detail, so a report keeps its shape at any n.
+Any other solver error (:class:`SolverError`, :class:`IterationLimitError`,
+:class:`NotInHullError`) fails them, with detail ``"<type>: <error>"``.  The
+double oracle past ``DOUBLE_ORACLE_MAX_N`` items is skipped without running.
+An error of ``solve_randomized``, whose answer every check needs, and an
+:class:`InstanceError` propagate.  Interval k-selection needs no enumeration
+for Z_D, so its value-order and gap-bound checks run at any n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     EnumerationCapError,
     Instance,
-    InstanceError,
+    IterationLimitError,
+    NotInHullError,
     SolverError,
+    as_count,
     as_integer,
     expected_regret,
     marginal_of_strategy,
@@ -64,7 +67,7 @@ class CheckResult:
     skipped: bool = False
 
 
-def _check(name, slack, detail="") -> CheckResult:
+def _check(name, slack, detail) -> CheckResult:
     return CheckResult(name, bool(slack >= 0.0), float(slack), detail)
 
 
@@ -72,149 +75,95 @@ def _skipped(name, reason) -> CheckResult:
     return CheckResult(name, True, 0.0, reason, skipped=True)
 
 
-def _failed(name, exc: SolverError) -> CheckResult:
-    return CheckResult(name, False, -np.inf, f"SolverError: {exc}")
-
-
 def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResult]:
     """All invariant checks on one instance."""
     oracle = build_oracle(instance)
-    results: list[CheckResult] = []
-
     game = solve_randomized(instance, tol=tol, oracle=oracle)
     z_r = game.value
+    k = 2 if instance.is_interval else instance.uncertainty.k
+    factor = float(k)
+    results: list[CheckResult] = []
 
-    if instance.is_interval:
-        factor, bound_name = 2.0, "Z_D/2"
-    else:
-        factor, bound_name = float(instance.uncertainty.k), f"Z_D/{instance.uncertainty.k}"
-    order_name, bound_check = "value_order Z_R <= Z_D", f"gap_bound Z_R >= {bound_name}"
-    try:
+    def run(names, measure):
+        """One result per name from ``measure()``'s ``(slack, detail)`` pairs;
+        a capped enumeration skips every name, any other solver error fails
+        every name."""
+        try:
+            answers = measure()
+        except EnumerationCapError as exc:
+            results.extend(_skipped(name, str(exc)) for name in names)
+        except (SolverError, IterationLimitError, NotInHullError) as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            results.extend(CheckResult(name, False, -np.inf, detail) for name in names)
+        else:
+            results.extend(
+                _check(name, *answer) for name, answer in zip(names, answers, strict=True)
+            )
+
+    def value_order():
         _, z_d = solve_deterministic_exact(instance, oracle=oracle)
-    except EnumerationCapError as exc:
-        results += [_skipped(order_name, str(exc)), _skipped(bound_check, str(exc))]
-    else:
-        results.append(
-            _check(order_name, z_d - z_r + ORDER_TOL, f"Z_R={z_r:.9g} Z_D={z_d:.9g}")
-        )
-        results.append(
-            _check(
-                bound_check,
-                z_r - z_d / factor + ORDER_TOL,
-                f"Z_R={z_r:.9g} bound={z_d / factor:.9g}",
-            )
-        )
+        return [
+            (z_d - z_r + ORDER_TOL, f"Z_R={z_r:.9g} Z_D={z_d:.9g}"),
+            (z_r - z_d / factor + ORDER_TOL, f"Z_R={z_r:.9g} bound={z_d / factor:.9g}"),
+        ]
 
-    try:
+    def bruteforce():
         brute, _, _ = bruteforce_game_value(instance, oracle=oracle)
-    except EnumerationCapError as exc:
-        results.append(_skipped("bruteforce_equivalence", str(exc)))
-    except SolverError as exc:
-        results.append(_failed("bruteforce_equivalence", exc))
-    else:
-        results.append(
-            _check(
-                "bruteforce_equivalence",
-                VALUE_TOL - abs(z_r - brute),
-                f"randomized={z_r:.9g} exhaustive={brute:.9g}",
-            )
-        )
+        return [(VALUE_TOL - abs(z_r - brute), f"randomized={z_r:.9g} exhaustive={brute:.9g}")]
 
+    def double_oracle():
+        z_do = _double_oracle(instance, tol, 10000, oracle).value
+        return [(VALUE_TOL - abs(z_r - z_do), f"direct={z_r:.9g} double-oracle={z_do:.9g}")]
+
+    def strong_duality():
+        _, z_ar, _ = solve_adversary_lp_discrete(instance, tol=tol, oracle=oracle)
+        return [(VALUE_TOL - abs(z_ar - z_r), f"Z_AR={z_ar:.9g}")]
+
+    def approximation():
+        # approx_midpoint raises internally if its two identities fail.
+        approx, bound = (approx_midpoint, "2") if instance.is_interval else (approx_mean_cost, "k")
+        _, rmax = approx(instance, oracle=oracle)
+        limit = factor * z_r
+        return [(limit + VALUE_TOL - rmax, f"R_max={rmax:.9g} {bound}*Z_R={limit:.9g}")]
+
+    def saddle_player():
+        value = max_expected_regret(game.marginal, instance, oracle).value
+        return [(z_r + VALUE_TOL - value, f"best response {value:.9g}")]
+
+    def saddle_adversary():
+        value = player_best_response(game.adversary, instance, oracle).value
+        return [(value - z_r + VALUE_TOL, f"best response {value:.9g}")]
+
+    def equilibrium():
+        value = expected_regret(game.player, game.adversary, oracle)
+        return [(VALUE_TOL - abs(value - z_r), f"expected={value:.9g}")]
+
+    def round_trip():
+        rebuilt = decompose_marginal(game.marginal, oracle, tol=RECONSTRUCT_TOL)
+        err = float(np.max(np.abs(marginal_of_strategy(rebuilt).p - game.marginal.p)))
+        support = rebuilt.support_size
+        return [
+            (RECONSTRUCT_TOL - err, f"error={err:.3g}"),
+            (float(instance.n + 1 - support), f"support={support}"),
+        ]
+
+    run(("value_order Z_R <= Z_D", f"gap_bound Z_R >= Z_D/{k}"), value_order)
+    run(("bruteforce_equivalence",), bruteforce)
     if isinstance(oracle, KSelectionOracle):
         if instance.n > DOUBLE_ORACLE_MAX_N:
-            results.append(
-                _skipped(
-                    "compact_vs_double_oracle",
-                    f"n={instance.n} is past the double oracle's {DOUBLE_ORACLE_MAX_N}",
-                )
-            )
+            reason = f"n={instance.n} is past the double oracle's {DOUBLE_ORACLE_MAX_N}"
+            results.append(_skipped("compact_vs_double_oracle", reason))
         else:
-            try:
-                z_do = _double_oracle(instance, tol, 10000, oracle).value
-            except SolverError as exc:
-                results.append(_failed("compact_vs_double_oracle", exc))
-            else:
-                results.append(
-                    _check(
-                        "compact_vs_double_oracle",
-                        VALUE_TOL - abs(z_r - z_do),
-                        f"direct={z_r:.9g} double-oracle={z_do:.9g}",
-                    )
-                )
-
-    if not instance.is_interval:
-        try:
-            _, z_ar, _ = solve_adversary_lp_discrete(instance, tol=tol, oracle=oracle)
-        except SolverError as exc:
-            results.append(_failed("strong_duality Z_AR == Z_R", exc))
-        else:
-            results.append(
-                _check(
-                    "strong_duality Z_AR == Z_R",
-                    VALUE_TOL - abs(z_ar - z_r),
-                    f"Z_AR={z_ar:.9g}",
-                )
-            )
-        _, rmax = approx_mean_cost(instance, oracle=oracle)
-        results.append(
-            _check(
-                "approx_mean R_max <= k*Z_R",
-                factor * z_r + VALUE_TOL - rmax,
-                f"R_max={rmax:.9g} k*Z_R={factor * z_r:.9g}",
-            )
-        )
+            run(("compact_vs_double_oracle",), double_oracle)
+    if instance.is_interval:
+        run(("approx_midpoint R_max <= 2*Z_R",), approximation)
     else:
-        # approx_midpoint raises internally if its two identities fail.
-        _, rmax = approx_midpoint(instance, oracle=oracle)
-        results.append(
-            _check(
-                "approx_midpoint R_max <= 2*Z_R",
-                2.0 * z_r + VALUE_TOL - rmax,
-                f"R_max={rmax:.9g} 2*Z_R={2.0 * z_r:.9g}",
-            )
-        )
-
-    adv_value = max_expected_regret(game.marginal, instance, oracle).value
-    results.append(
-        _check(
-            "saddle_player max_exp_regret(marginal) <= Z_R",
-            z_r + VALUE_TOL - adv_value,
-            f"best response {adv_value:.9g}",
-        )
-    )
-    play_value = player_best_response(game.adversary, instance, oracle).value
-    results.append(
-        _check(
-            "saddle_adversary best_response(w) >= Z_R",
-            play_value - z_r + VALUE_TOL,
-            f"best response {play_value:.9g}",
-        )
-    )
-    exp = expected_regret(game.player, game.adversary, oracle)
-    results.append(
-        _check(
-            "equilibrium_value expected_regret(y,w) == Z_R",
-            VALUE_TOL - abs(exp - z_r),
-            f"expected={exp:.9g}",
-        )
-    )
-
-    try:
-        rebuilt = decompose_marginal(game.marginal, oracle, tol=RECONSTRUCT_TOL)
-    except SolverError as exc:
-        results += [_failed("decompose_roundtrip", exc), _failed("decompose_support <= n+1", exc)]
-        return results
-    err = float(np.max(np.abs(marginal_of_strategy(rebuilt).p - game.marginal.p)))
-    results.append(
-        _check("decompose_roundtrip", RECONSTRUCT_TOL - err, f"error={err:.3g}")
-    )
-    results.append(
-        _check(
-            "decompose_support <= n+1",
-            float(instance.n + 1 - rebuilt.support_size),
-            f"support={rebuilt.support_size}",
-        )
-    )
+        run(("strong_duality Z_AR == Z_R",), strong_duality)
+        run(("approx_mean R_max <= k*Z_R",), approximation)
+    run(("saddle_player max_exp_regret(marginal) <= Z_R",), saddle_player)
+    run(("saddle_adversary best_response(w) >= Z_R",), saddle_adversary)
+    run(("equilibrium_value expected_regret(y,w) == Z_R",), equilibrium)
+    run(("decompose_roundtrip", "decompose_support <= n+1"), round_trip)
     return results
 
 
@@ -224,9 +173,7 @@ def run_random_suite(count: int, seed: int, tol: float = 1e-7):
     Cycles through the three generator families and both uncertainty types.
     Returns ``(results, instances_checked)``.
     """
-    count, seed = as_integer(count, "count"), as_integer(seed, "seed")
-    if count < 1:
-        raise InstanceError("the random suite needs a count of at least 1")
+    count, seed = as_count(count, "count"), as_integer(seed, "seed")
     families = ("k-selection", "spanning-tree", "dag-path")
     results: list[CheckResult] = []
     for i in range(count):
@@ -241,14 +188,8 @@ def run_random_suite(count: int, seed: int, tol: float = 1e-7):
             n_scenarios=2 + sub_seed % 3,
             seed=sub_seed,
         )
-        for res in run_instance_checks(instance, tol=tol):
-            results.append(
-                CheckResult(
-                    f"{instance.name}: {res.name}",
-                    res.passed,
-                    res.slack,
-                    res.detail,
-                    res.skipped,
-                )
-            )
+        results += (
+            replace(res, name=f"{instance.name}: {res.name}")
+            for res in run_instance_checks(instance, tol=tol)
+        )
     return results, count

@@ -10,7 +10,7 @@ import pytest
 import minregret.cli as cli_mod
 import minregret.verify as verify_mod
 from minregret.cli import main
-from minregret.core import SolverError
+from minregret.core import IterationLimitError, NotInHullError, SolverError
 from minregret.gen import generate_instance
 from minregret.io import describe_instance, save_instance, validate_instance
 from minregret.nominal import SpanningTreeOracle
@@ -716,6 +716,13 @@ class TestGenCommand:
     def test_invalid_params_exit_2(self):
         assert main(["gen", "--family", "k-selection"]) == 2
 
+    @pytest.mark.parametrize("option", ["--n", "--scenarios"])
+    def test_unusable_count_exits_2_at_parse_time(self, option, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--family", "k-selection", "--n", "4", option, "0"])
+        assert info.value.code == 2
+        assert f"argument {option}: must be at least 1, got 0" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_tight_instance_passes(self, tight3, capsys):
@@ -733,10 +740,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_suite_needs_a_positive_count(self, count, capsys):
-        assert main(["verify", "--random-suite", "--count", count]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--random-suite", "--count", count])
+        assert info.value.code == 2
         captured = capsys.readouterr()
         assert "checks passed" not in captured.out
-        assert "count of at least 1" in captured.err
+        assert "argument --count: must be at least 1" in captured.err
 
     def test_negative_tolerance_exits_2_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -747,17 +756,48 @@ class TestVerifyCommand:
     def test_requires_a_target(self, capsys):
         assert main(["verify"]) == 2
 
-    def test_cross_check_solver_error_is_a_failed_check(self, tight3, capsys, monkeypatch):
+    # Each solver's typed error fails that solver's checks, and only those;
+    # the rest of the report is still printed.
+    @pytest.mark.parametrize(
+        "instance, solver, error, checks",
+        [
+            (
+                "tight3",
+                "solve_adversary_lp_discrete",
+                IterationLimitError("double oracle exceeded 1 iterations", 0.0, 1.0, 1),
+                ["strong_duality"],
+            ),
+            (
+                "tight3",
+                "decompose_marginal",
+                NotInHullError("marginal is outside the hull", np.ones(3), 1.0),
+                ["decompose_roundtrip", "decompose_support"],
+            ),
+            (
+                "tight_pair",
+                "approx_midpoint",
+                SolverError("midpoint identity failed"),
+                ["approx_midpoint"],
+            ),
+        ],
+        ids=["adversary-lp", "decompose", "approx-midpoint"],
+    )
+    def test_cross_check_solver_error_is_a_failed_check(
+        self, instance, solver, error, checks, request, capsys, monkeypatch
+    ):
         def fails(*args, **kwargs):
-            raise SolverError("matrix-game mixes do not bracket the value")
+            raise error
 
-        monkeypatch.setattr(verify_mod, "solve_adversary_lp_discrete", fails)
-        assert main(["verify", "--instance", str(tight3)]) == 1
+        monkeypatch.setattr(verify_mod, solver, fails)
+        path = request.getfixturevalue(instance)
+        assert main(["verify", "--instance", str(path)]) == 1
         lines = capsys.readouterr().out.splitlines()
-        failed = [line for line in lines if line.startswith("FAIL")]
-        assert len(failed) == 1 and failed[0].startswith("FAIL strong_duality")
-        assert "SolverError: matrix-game mixes do not bracket" in failed[0]
-        assert lines[-1].endswith("checks passed") and len(lines) > 5
+        failed = [line.split(" ") for line in lines if line.startswith("FAIL")]
+        assert [words[1] for words in failed] == checks
+        detail = f"[{type(error).__name__}: {error}]"
+        assert all(line.endswith(detail) for line in lines if line.startswith("FAIL"))
+        assert lines[-1] == f"{len(lines) - 1 - len(checks)}/{len(lines) - 1} checks passed"
+        assert len(lines) > 10
 
     def test_primary_solver_error_propagates(self, tight3, capsys, monkeypatch):
         def fails(*args, **kwargs):

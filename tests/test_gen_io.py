@@ -62,6 +62,22 @@ class TestGenerator:
                 with pytest.raises(InstanceError, match=message):
                     generate_instance(family, **{**given, field: bad})
 
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"n": 0}, "^n must be at least 1, got 0$"),
+            (
+                {"n": 4, "uncertainty": "scenarios", "n_scenarios": 0},
+                "^n_scenarios must be at least 1, got 0$",
+            ),
+            ({}, "--n"),
+        ],
+        ids=["n", "n_scenarios", "missing-n"],
+    )
+    def test_counts_must_be_at_least_one(self, given, message):
+        with pytest.raises(InstanceError, match=message):
+            generate_instance("spanning-tree", **given)
+
     def test_tight_discrete_needs_k_at_least_two(self):
         with pytest.raises(InstanceError):
             generate_instance("tight-discrete", k=1)

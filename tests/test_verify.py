@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+import minregret.solvers as solvers
 import minregret.verify as verify_mod
 from minregret.core import Instance, InstanceError, Intervals, SolverError
 from minregret.gen import generate_instance
@@ -184,6 +185,7 @@ class TestBeyondDeskScale:
         (1.5, 1, "count must be an integer, got 1.5"),
         (True, 1, "count must be an integer, got True"),
         (1, 0.5, "seed must be an integer, got 0.5"),
+        (0, 1, "count must be at least 1, got 0"),
     ],
 )
 def test_random_suite_reads_integer_counts(count, seed, message):
@@ -201,4 +203,16 @@ def test_decomposition_solver_error_fails_both_of_its_checks(monkeypatch):
     failed = [r for r in results if not r.passed]
     assert [r.name.split(" ")[0] for r in failed] == ["decompose_roundtrip", "decompose_support"]
     assert all(r.detail == "SolverError: corral stalled" for r in failed)
+    assert len(results) > len(failed)
+
+
+def test_adversary_lp_iteration_limit_fails_only_strong_duality(monkeypatch):
+    # The real adversary LP, held to one cut, raises IterationLimitError:
+    # its check fails and every other check still reports.
+    monkeypatch.setattr(solvers, "MAX_CUTS", 1)
+    inst = generate_instance("spanning-tree", n=6, uncertainty="scenarios", n_scenarios=3, seed=1)
+    results = run_instance_checks(inst)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["strong_duality Z_AR == Z_R"]
+    assert failed[0].detail.startswith("IterationLimitError: ")
     assert len(results) > len(failed)
