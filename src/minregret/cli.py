@@ -23,6 +23,7 @@ from .core import (
     EnumerationCapError,
     InstanceError,
     IterationLimitError,
+    MAX_CUTS,
     MinregretError,
     NotInHullError,
     as_count,
@@ -56,6 +57,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_NOT_IN_HULL = 4
+
+# The exit code of an error that reaches main; any other MinregretError
+# exits EXIT_INPUT.  cmd_decompose reports a NotInHullError itself.
+_ERROR_EXITS = (
+    ((EnumerationCapError, IterationLimitError), EXIT_RESOURCE),
+    (NotInHullError, EXIT_NOT_IN_HULL),
+)
 
 
 def _round6(value):
@@ -115,8 +123,13 @@ def _emit(report: dict, args) -> None:
         text = _json_text(report) + "\n"
     else:
         text = _render_text(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    _write(text, args.out)
+
+
+def _write(text: str, path: str | None) -> None:
+    """``text`` into the file at ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -279,12 +292,7 @@ def cmd_gen(args) -> int:
         n_scenarios=args.scenarios,
         seed=args.seed,
     )
-    text = instance_text(instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(instance_text(instance), args.out)
     return EXIT_OK
 
 
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-iter",
         type=positive_int,
-        default=10000,
+        default=MAX_CUTS,
         help="iteration budget of the double oracle (spanning trees, DAG paths, explicit families)",
     )
     add_common(p)
@@ -405,15 +413,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationCapError, IterationLimitError) as exc:
+    except MinregretError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOURCE
-    except NotInHullError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_IN_HULL
-    except (InstanceError, MinregretError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_INPUT)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -380,10 +380,12 @@ def _merged(points, probs, *labels) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class PlayerMixedStrategy:
-    """Finite-support distribution over feasible sets."""
+class _MixedStrategy:
+    """Finite-support distribution over pairwise-distinct points.  A subclass
+    names its points for the messages in ``_points``, a plain class
+    attribute: a ``ClassVar`` annotation would enter ``__dataclass_fields__``."""
 
-    support: tuple[FeasibleSet, ...]
+    support: tuple
     probs: np.ndarray
 
     def __post_init__(self):
@@ -391,14 +393,9 @@ class PlayerMixedStrategy:
         if len(self.support) != probs.size:
             raise InstanceError("support and probability lengths differ")
         if len(set(self.support)) != len(self.support):
-            raise InstanceError("support sets must be pairwise distinct")
+            raise InstanceError(f"support {self._points} must be pairwise distinct")
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "probs", _freeze(probs))
-
-    @classmethod
-    def cleaned(cls, support, probs) -> "PlayerMixedStrategy":
-        """Merge duplicates, drop sub-``PROB_DROP`` weights, renormalize."""
-        return cls(*_merged(support, probs))
 
     @property
     def support_size(self) -> int:
@@ -406,7 +403,20 @@ class PlayerMixedStrategy:
 
 
 @dataclass(frozen=True, eq=False)
-class AdversaryMixedStrategy:
+class PlayerMixedStrategy(_MixedStrategy):
+    """Finite-support distribution over feasible sets."""
+
+    support: tuple[FeasibleSet, ...]
+    _points = "sets"
+
+    @classmethod
+    def cleaned(cls, support, probs) -> "PlayerMixedStrategy":
+        """Merge duplicates, drop sub-``PROB_DROP`` weights, renormalize."""
+        return cls(*_merged(support, probs))
+
+
+@dataclass(frozen=True, eq=False)
+class AdversaryMixedStrategy(_MixedStrategy):
     """Finite-support distribution over cost vectors.
 
     ``scenario_indices`` labels support points with scenario numbers for
@@ -415,21 +425,15 @@ class AdversaryMixedStrategy:
     """
 
     support: tuple[CostVector, ...]
-    probs: np.ndarray
     scenario_indices: tuple[int, ...] | None = None
     generators: tuple[FeasibleSet, ...] | None = None
+    _points = "cost vectors"
 
     def __post_init__(self):
-        probs = _clean_distribution(self.probs)
-        if len(self.support) != probs.size:
-            raise InstanceError("support and probability lengths differ")
-        if len(set(self.support)) != len(self.support):
-            raise InstanceError("support cost vectors must be pairwise distinct")
+        super().__post_init__()
         for extra in (self.scenario_indices, self.generators):
             if extra is not None and len(extra) != len(self.support):
                 raise InstanceError("support labels must match support length")
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "probs", _freeze(probs))
 
     @classmethod
     def cleaned(
@@ -458,10 +462,6 @@ class AdversaryMixedStrategy:
             s = as_integer(label, "scenario label")
             if not (0 <= s < len(costs) and np.all(np.abs(costs[s] - c.values) <= COST_TOL)):
                 raise InstanceError(f"support vector labelled {s} is not scenario row {s}")
-
-    @property
-    def support_size(self) -> int:
-        return len(self.support)
 
     def mean_costs(self) -> np.ndarray:
         stacked = np.stack([c.values for c in self.support])

@@ -49,27 +49,34 @@ def _uncertainty(kind: str, n: int, n_scenarios: int, seed: int) -> UncertaintyS
     raise InstanceError(f"unknown uncertainty kind {kind!r}")
 
 
-def _spanning_tree_edges(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
-    vertices = _smallest_complete(n, 3)
-    if n < vertices - 1:
-        raise InstanceError(f"spanning-tree family needs n >= {vertices - 1}")
-    u = stream_uniform(seed, _STRUCT_STREAM, vertices - 1 + n)
-    edges = []
-    present = set()
-    for v in range(1, vertices):  # random attachment tree keeps it connected
-        parent = int(u[v - 1] * v)
-        edges.append((min(parent, v), max(parent, v)))
-        present.add(edges[-1])
+def _with_spare_pairs(
+    vertices: int, pairs: list[tuple[int, int]], u: np.ndarray, n: int
+) -> list[tuple[int, int]]:
+    """``pairs`` followed by the pairs ``(a, b)``, ``a < b``, not among
+    them, in the order that sorts their uniforms ``u``, until there are
+    ``n``.  The i-th spare pair in lexicographic order takes ``u[i]``; those
+    past the end of ``u`` are never taken."""
+    present = set(pairs)
     spare = [
         (a, b)
         for a in range(vertices)
         for b in range(a + 1, vertices)
         if (a, b) not in present
     ]
-    order = np.argsort(u[vertices - 1 : vertices - 1 + len(spare)], kind="stable")
-    for idx in order[: n - len(edges)]:
-        edges.append(spare[int(idx)])
-    return vertices, edges
+    order = np.argsort(u[: len(spare)], kind="stable")
+    return pairs + [spare[int(idx)] for idx in order[: n - len(pairs)]]
+
+
+def _spanning_tree_edges(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
+    vertices = _smallest_complete(n, 3)
+    if n < vertices - 1:
+        raise InstanceError(f"spanning-tree family needs n >= {vertices - 1}")
+    u = stream_uniform(seed, _STRUCT_STREAM, vertices - 1 + n)
+    edges = []
+    for v in range(1, vertices):  # random attachment tree keeps it connected
+        parent = int(u[v - 1] * v)
+        edges.append((min(parent, v), max(parent, v)))
+    return vertices, _with_spare_pairs(vertices, edges, u[vertices - 1 :], n)
 
 
 def _dag_arcs(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
@@ -77,18 +84,8 @@ def _dag_arcs(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
     if n < vertices - 1:
         raise InstanceError(f"dag-path family needs n >= {vertices - 1}")
     arcs = [(v, v + 1) for v in range(vertices - 1)]  # chain keeps t reachable
-    present = set(arcs)
-    spare = [
-        (a, b)
-        for a in range(vertices)
-        for b in range(a + 1, vertices)
-        if (a, b) not in present
-    ]
-    u = stream_uniform(seed, _STRUCT_STREAM, len(spare))
-    order = np.argsort(u, kind="stable")
-    for idx in order[: n - len(arcs)]:
-        arcs.append(spare[int(idx)])
-    return vertices, arcs
+    u = stream_uniform(seed, _STRUCT_STREAM, vertices * (vertices - 1) // 2 - len(arcs))
+    return vertices, _with_spare_pairs(vertices, arcs, u, n)
 
 
 def generate_instance(

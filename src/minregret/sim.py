@@ -1,12 +1,14 @@
 """Seeded Monte Carlo play of the regret game.
 
 The generator is a 64-bit mix-and-multiply (splitmix-style) counter stream:
-value ``i`` of substream ``s`` is ``mix64(root(seed, s) + (i+1) * GAMMA)``
-where ``mix64`` is the xor-shift/multiply finalizer and GAMMA is the golden
-64-bit increment.  Substreams are derived by index, so chunks of samples are
-independent and may run in parallel without changing any draw; the estimate
-itself is assembled from exact pair counts over the two strategy supports,
-which makes the reduction order-independent and degenerate cases exact.
+value ``i`` of substream ``s`` is
+``mix(mix(seed + s * GAMMA) + (i+1) * GAMMA)`` modulo 2**64, where ``mix``
+is the splitmix64 xor-shift/multiply finalizer ``_mix64_vec`` and GAMMA is
+the golden 64-bit increment.  Substreams are derived by index, so chunks of
+samples are independent and may run in parallel without changing any
+draw; the estimate itself is assembled from exact pair counts over the two
+strategy supports, which makes the reduction order-independent and
+degenerate cases exact.
 Fixed ``(seed, inputs)`` reproduce the estimate bit for bit.
 """
 
@@ -35,14 +37,6 @@ _MUL2 = 0x94D049BB133111EB
 CHUNK = 1 << 16
 
 
-def mix64(z: int) -> int:
-    """Scalar splitmix64 finalizer."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MUL1) & MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
@@ -51,9 +45,9 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
 
 def stream_uniform(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:
     """``count`` uniforms in [0, 1) from positions start.. of one substream."""
-    root = mix64((seed + stream * GAMMA) & MASK64)
+    root = _mix64_vec(np.array([(seed + stream * GAMMA) & MASK64], dtype=np.uint64))
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = _mix64_vec(np.uint64(root) + idx * np.uint64(GAMMA))
+    z = _mix64_vec(root + idx * np.uint64(GAMMA))
     return (z >> np.uint64(11)) * (2.0 ** -53)
 
 

@@ -131,7 +131,7 @@ class _GrowingRows:
 def solve_randomized(
     instance: Instance,
     tol: float = 1e-7,
-    max_iter: int = 10000,
+    max_iter: int = MAX_CUTS,
     oracle: NominalOracle | None = None,
 ) -> GameSolution:
     """Optimal randomized minmax regret.

@@ -29,6 +29,7 @@ from .core import (
     EnumerationCapError,
     Instance,
     IterationLimitError,
+    MAX_CUTS,
     NotInHullError,
     SolverError,
     as_count,
@@ -112,7 +113,7 @@ def run_instance_checks(instance: Instance, tol: float = 1e-7) -> list[CheckResu
         return [(VALUE_TOL - abs(z_r - brute), f"randomized={z_r:.9g} exhaustive={brute:.9g}")]
 
     def double_oracle():
-        z_do = _double_oracle(instance, tol, 10000, oracle).value
+        z_do = _double_oracle(instance, tol, MAX_CUTS, oracle).value
         return [(VALUE_TOL - abs(z_r - z_do), f"direct={z_r:.9g} double-oracle={z_do:.9g}")]
 
     def strong_duality():

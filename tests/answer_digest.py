@@ -28,6 +28,7 @@ recorded as its type and message.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import sys
@@ -59,8 +60,8 @@ def _encode(value) -> bytes:
         )
     elif isinstance(value, dict):  # a file's JSON object
         value = sorted(value.items())
-    elif hasattr(value, "__dataclass_fields__"):  # solutions, mixes, best responses
-        value = [getattr(value, name) for name in value.__dataclass_fields__]
+    elif dataclasses.is_dataclass(value):  # solutions, mixes, best responses
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
     if value is None or isinstance(value, (bool, str)):
         return repr(value).encode()
     if isinstance(value, (int, np.integer)):
@@ -85,6 +86,7 @@ def _outcome(run):
 def instance_records(family: str, kind: str, n: int, seed: int):
     """The named answers of every solver on one instance, in a fixed order."""
     import minregret as mr
+    from minregret.core import MAX_CUTS
     from minregret.io import adversary_strategy_to_dict, instance_text, player_strategy_to_dict
     from minregret.solvers import _double_oracle
 
@@ -125,7 +127,7 @@ def instance_records(family: str, kind: str, n: int, seed: int):
             lambda: mr.bruteforce_game_value(instance, oracle)
         )
         yield label + " double oracle", _outcome(
-            lambda: _double_oracle(instance, TOL, 10000, oracle)
+            lambda: _double_oracle(instance, TOL, MAX_CUTS, oracle)
         )
         yield label + " deterministic", _outcome(
             lambda: mr.solve_deterministic_exact(instance, oracle)
@@ -154,8 +156,8 @@ def _fields(answer):
         return sorted(answer.items())
     if isinstance(answer, (tuple, list)):
         return list(enumerate(answer))
-    if hasattr(answer, "__dataclass_fields__"):
-        return [(name, getattr(answer, name)) for name in answer.__dataclass_fields__]
+    if dataclasses.is_dataclass(answer):
+        return [(f.name, getattr(answer, f.name)) for f in dataclasses.fields(answer)]
     return [("-", answer)]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,3 +41,17 @@ def test_field_lines_name_the_field_that_moved():
     changed = set(answer_digest.field_lines(moved)) ^ set(lines)
     assert {line.rsplit(" ", 1)[0] for line in changed} == {f"{name} certified_gap"}
     assert len(changed) == 2
+
+
+def test_class_variables_are_not_fields():
+    @dataclasses.dataclass(frozen=True)
+    class Plain:
+        value: float
+
+    @dataclasses.dataclass(frozen=True)
+    class Annotated:
+        value: float
+        noun: ClassVar[str] = "points"
+
+    assert answer_digest._encode(Annotated(0.5)) == answer_digest._encode(Plain(0.5))
+    assert answer_digest._fields(Annotated(0.5)) == answer_digest._fields(Plain(0.5))

@@ -223,6 +223,17 @@ class TestSolveCommand:
         assert report["status"] == "iteration-limit"
         assert report["lower_bound"] <= 0.1 <= report["upper_bound"]
 
+    # the cap error is not caught by the command; main maps it to exit 3
+    def test_enumeration_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "st10.json"
+        save_instance(
+            generate_instance("spanning-tree", n=10, uncertainty="scenarios", n_scenarios=3, seed=7),
+            path,
+        )
+        monkeypatch.setenv("REGRET_ENUM_CAP", "5")
+        assert main(["solve", "--instance", str(path), "--model", "deterministic"]) == 3
+        assert capsys.readouterr().err == "error: feasible family exceeds enumeration cap 5\n"
+
     # Interval k-selection n=1000 seed 1, through the threshold search and
     # the endpoint scan.  The randomized JSON report holds 490 cost vectors
     # of 1000 floats (10.7 MB); writing it is about half of the command.
@@ -459,6 +470,15 @@ class TestSimulateCommand:
             main(["simulate", "--instance", str(path), "--samples", samples, "--seed", "1"])
         assert info.value.code == 2
         assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
+    def test_iteration_limit_of_the_solve_exits_3(self, tight3, capsys, monkeypatch):
+        def limited(*args, **kwargs):
+            raise IterationLimitError("budget spent", lower=0.0, upper=1.0, iterations=2)
+
+        monkeypatch.setattr(cli_mod, "solve_randomized", limited)
+        code = main(["simulate", "--instance", str(tight3), "--samples", "10", "--seed", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: budget spent\n"
 
     def test_degenerate_strategies_exact(self, tight3, tmp_path):
         strat = tmp_path / "s.json"

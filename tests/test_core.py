@@ -308,6 +308,25 @@ class TestStrategyValidation:
         with pytest.raises(InstanceError):
             PlayerMixedStrategy((fs(2, 0), fs(2, 0)), np.array([0.5, 0.5]))
 
+    def test_constructors_check_support_against_probs(self):
+        T = fs(2, 0)
+        c, d = CostVector(np.array([1.0, 0.0])), CostVector(np.array([0.0, 1.0]))
+        Player, Adversary = PlayerMixedStrategy, AdversaryMixedStrategy
+        cases = [
+            (lambda: Player((T,), [0.5, 0.5]), "support and probability lengths differ"),
+            (lambda: Player((), []), "a mixed strategy needs a nonempty probability vector"),
+            (lambda: Adversary((c,), [0.5, 0.5]), "support and probability lengths differ"),
+            (lambda: Adversary((c, c), [0.5, 0.5]), "support cost vectors must be pairwise distinct"),
+            (
+                lambda: Adversary((c, d), [0.5, 0.5], scenario_indices=(0,)),
+                "support labels must match support length",
+            ),
+            (lambda: Player.cleaned([T], [0.0]), "strategy support vanished after cleaning"),
+        ]
+        for build, message in cases:
+            with pytest.raises(InstanceError, match=f"^{message}$"):
+                build()
+
     def test_cleaned_drops_round_off_ghosts(self):
         y = PlayerMixedStrategy.cleaned(
             [fs(2, 0), fs(2, 1)], np.array([1.0 - 1e-13, 1e-13])

@@ -82,6 +82,10 @@ class TestGenerator:
         with pytest.raises(InstanceError):
             generate_instance("tight-discrete", k=1)
 
+    def test_spanning_tree_needs_n_at_least_two(self):
+        with pytest.raises(InstanceError, match="^spanning-tree family needs n >= 2$"):
+            generate_instance("spanning-tree", n=1)
+
     def test_tight_interval_structure(self):
         inst = generate_instance("tight-interval")
         assert inst.n == 2

@@ -197,6 +197,19 @@ class TestEnumerationCap:
         with pytest.raises(InstanceError):
             enumeration_cap()
 
+    def test_env_value_must_be_positive(self, monkeypatch):
+        monkeypatch.setenv("REGRET_ENUM_CAP", "0")
+        with pytest.raises(InstanceError, match="^REGRET_ENUM_CAP must be positive$"):
+            enumeration_cap()
+
+    # an explicit family has no cheap count, so the cap binds while listing
+    def test_cap_binds_inside_the_enumeration(self, monkeypatch):
+        monkeypatch.setenv("REGRET_ENUM_CAP", "5")
+        oracle = ExplicitOracle(6, [(e,) for e in range(6)])
+        assert oracle._family_size() is None
+        with pytest.raises(EnumerationCapError, match="^feasible family exceeds enumeration cap"):
+            oracle.enumerate_feasible()
+
 
 class TestFamilyCount:
     @pytest.mark.parametrize("n", [8, 10, 12, 15, 18])

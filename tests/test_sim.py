@@ -10,7 +10,7 @@ from minregret.core import (
     expected_regret,
 )
 from minregret.nominal import build_oracle
-from minregret.sim import GAMMA, MASK64, mix64, simulate, stream_uniform
+from minregret.sim import GAMMA, MASK64, _mix64_vec, simulate, stream_uniform
 from minregret.solvers import solve_randomized
 
 from conftest import k_selection_instance, tight_discrete, tight_interval
@@ -33,14 +33,15 @@ class TestStreamGenerator:
     def test_substreams_differ(self):
         assert not np.array_equal(stream_uniform(1, 0, 100), stream_uniform(1, 1, 100))
 
-    def test_mix64_scalar_matches_vector(self):
-        zs = np.array([1, 2, 2**63, 123456789], dtype=np.uint64)
-        from minregret.sim import _mix64_vec
-
-        assert [mix64(int(z)) for z in zs] == [int(v) for v in _mix64_vec(zs)]
-
 
 class TestSimulate:
+    def test_one_sample_has_zero_stderr(self):
+        inst = tight_discrete(3)
+        game = solve_randomized(inst)
+        est = simulate(inst, game.player, game.adversary, 1, seed=3)
+        assert est.stderr == 0.0
+        assert est.mean in (0.0, 1.0)  # the regret of the one pair drawn
+
     def test_degenerate_pair_is_exact(self):
         inst = tight_discrete(3)
         y = PlayerMixedStrategy((FeasibleSet.from_indices(3, [1]),), np.array([1.0]))
@@ -136,7 +137,8 @@ class TestSimulate:
         for trial_seed in range(100):
             ok = True
             # an independent second seed: the stream root one index along
-            split = mix64((trial_seed + GAMMA) & MASK64)
+            root = np.array([(trial_seed + GAMMA) & MASK64], dtype=np.uint64)
+            split = int(_mix64_vec(root)[0])
             for factor, seed in ((1, trial_seed), (4, split)):
                 est = simulate(
                     inst, game.player, game.adversary, 4000 * factor, seed=seed

@@ -665,6 +665,25 @@ def test_compact_lp_solves_the_scenario_optima_once(monkeypatch):
     assert game.certified_gap <= 1e-7
 
 
+def test_compact_lp_breakdown_is_a_solver_error(monkeypatch):
+    from minregret.lp import LpSolution
+
+    broken = LpSolution("breakdown", None, None, None, 0, 0, reason="budget")
+    monkeypatch.setattr(solvers_mod.WarmLP, "solve", lambda self, iterate=False: broken)
+    inst = k_selection_instance(3, 1, scenarios=np.eye(3))
+    with pytest.raises(
+        SolverError, match=r"^compact k-selection LP ended with status breakdown \(budget\)$"
+    ):
+        solve_randomized(inst)
+
+
+def test_certified_game_reports_a_marginal_outside_the_hull():
+    inst = tight_discrete(3)
+    side = adversary_side(inst, build_oracle(inst))
+    with pytest.raises(SolverError, match="^probe answer outside the hull: "):
+        solvers_mod._certified_game(side, 1e-7, 0.0, np.zeros(3), lambda: None, "probe")
+
+
 def test_bruteforce_solves_the_scenario_optima_once(monkeypatch):
     # the payoff's exhaustive optima; the side solves its own only when used
     inst = generate_instance(
@@ -951,6 +970,11 @@ class TestApproximations:
             approx_mean_cost(tight_interval())
         with pytest.raises(InstanceError):
             approx_midpoint(tight_discrete(2))
+        mix = AdversaryMixedStrategy((CostVector(np.zeros(2)),), [1.0])
+        with pytest.raises(InstanceError, match="^dual-weighted approximation requires scenario"):
+            approx_dual_weighted(tight_interval(), mix)
+        with pytest.raises(InstanceError, match="^the cutting-plane adversary LP requires"):
+            solve_adversary_lp_discrete(tight_interval())
 
 
 class TestAdversaryLp:
@@ -986,6 +1010,13 @@ class TestBruteforceAndInvariants:
         assert v_d == pytest.approx(1.0 / 3.0, abs=1e-9)
         v_i, _, _ = bruteforce_game_value(tight_interval())
         assert v_i == pytest.approx(0.5, abs=1e-9)
+
+    # three sets fit under the cap, five scenario columns do not
+    def test_scenario_count_past_the_cap_refused(self, monkeypatch):
+        monkeypatch.setenv("REGRET_ENUM_CAP", "4")
+        inst = k_selection_instance(3, 1, scenarios=np.arange(15.0).reshape(5, 3) % 4)
+        with pytest.raises(EnumerationCapError, match="^scenario count exceeds the cap$"):
+            bruteforce_game_value(inst)
 
     def test_random_interval_selection_instance(self, rng):
         lo = rng.uniform(0, 5, size=4)
