@@ -88,13 +88,9 @@ def _render_rounded(report: dict, indent: int = 0) -> str:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_rounded(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{pad}{key}:")
-            for item in value:
-                if isinstance(item, dict):
-                    lines.append(_render_rounded(item, indent + 1).rstrip())
-                else:
-                    lines.append(f"{pad}  {item}")
+            lines.extend(f"{pad}  {item}" for item in value)
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
@@ -195,14 +191,12 @@ def cmd_approx(args) -> int:
     elif method == "mean":
         chosen, rmax = approx_mean_cost(instance)
         bound = float(instance.uncertainty.k)
-    elif method == "dual-weighted":
+    else:  # dual-weighted: argparse restricts the choices
         if instance.is_interval:
             raise InstanceError("dual-weighted approximation requires scenario uncertainty")
         game = solve_randomized(instance, tol=args.tol)
         chosen, rmax = approx_dual_weighted(instance, game.adversary)
         bound = float(instance.uncertainty.k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InstanceError(f"unknown method {method}")
     report = {
         "command": "approx",
         "method": method,

@@ -81,8 +81,6 @@ def _spanning_tree_edges(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]
 
 def _dag_arcs(n: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
     vertices = _smallest_complete(n, 2)
-    if n < vertices - 1:
-        raise InstanceError(f"dag-path family needs n >= {vertices - 1}")
     arcs = [(v, v + 1) for v in range(vertices - 1)]  # chain keeps t reachable
     u = stream_uniform(seed, _STRUCT_STREAM, vertices * (vertices - 1) // 2 - len(arcs))
     return vertices, _with_spare_pairs(vertices, arcs, u, n)

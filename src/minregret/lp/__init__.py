@@ -297,7 +297,6 @@ class WarmLP:
         self._upper = self.flipped = None
         self._A = np.empty((0, n))
         self._b = np.empty(0)
-        self._costs = -self._c  # [-c | 0] over [variables | slacks]: the kernel minimizes
         self.basis = np.empty(0, dtype=np.intp)
         self.nonbasic = np.arange(n, dtype=np.intp)
         self._T = np.append(-self._c, 0.0)[None, :]
@@ -314,9 +313,11 @@ class WarmLP:
         return self._A.shape
 
     def _problem(self):
-        """``(A, b, costs, upper)`` for :func:`_refresh`; ``upper`` is None
-        without a finite bound."""
-        return self._A, self._b, self._costs, self._upper
+        """``(A, b, costs, upper)`` for :func:`_refresh`, with ``costs`` the
+        ``[-c | 0]`` over ``[variables | slacks]`` that the kernel minimizes;
+        ``upper`` is None without a finite bound."""
+        costs = np.concatenate([-self._c, np.zeros(len(self._b))])
+        return self._A, self._b, costs, self._upper
 
     def grow(self, rows=None, columns=None) -> None:
         """Append constraints ``rows = (lhs, rhs)``, whose slacks join the
@@ -368,7 +369,6 @@ class WarmLP:
         self._A = np.concatenate([np.concatenate([self._A, A_rows]), A_cols], axis=1)
         self._b = np.concatenate([self._b, b])
         self._c = np.concatenate([self._c, c])
-        self._costs = np.concatenate([self._costs[:n], -c, np.zeros(m + k)])
 
     def solve(self, iterate: bool = False) -> LpSolution:
         """Re-optimise from the kept tableau; row duals are nonnegative.
@@ -477,15 +477,14 @@ class MatrixGame:
     LP grows.  The payoffs are regrets, which are nonnegative, so Q stays
     positive; ``scale`` is the largest initial payoff (1 if none is
     positive), fixed here, and an appended entry at or below ``-scale``
-    raises :class:`SolverError`.  The game keeps its payoff's least and
-    greatest entries, so the bracket tolerance ``1e-9 * span`` needs no pass
-    over the payoff.
+    raises :class:`SolverError`.  Each answer reads the bracket tolerance
+    ``1e-9 * span`` off the payoff it holds.
     """
 
     def __init__(self, payoff):
         P = _payoff(payoff)
-        self._low, self._high = float(P.min()), float(P.max())
-        self.scale = self._high if self._high > 0.0 else 1.0
+        high = float(P.max())
+        self.scale = high if high > 0.0 else 1.0
         self.payoff = P
         self.confirmed = False  # whether the last solve was confirmed
         r, s = P.shape
@@ -509,10 +508,6 @@ class MatrixGame:
         P = np.empty((r + len(rows), width))
         P[:r, :s], P[:r, s:], P[r:] = self.payoff, columns, rows
         self.payoff = P
-        for block in (columns, rows):
-            if block.size:
-                self._low = min(self._low, float(block.min()))
-                self._high = max(self._high, float(block.max()))
 
     def solve(self, iterate: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
         """``(row_mix, col_mix, value)``, as :func:`solve_matrix_game` returns.
@@ -546,7 +541,8 @@ class MatrixGame:
         return self._answer(self._lp._reprice())
 
     def _answer(self, sol: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
-        return _equilibrium(self.payoff, self.scale, self._high - self._low, sol)
+        P = self.payoff
+        return _equilibrium(P, self.scale, float(P.max()) - float(P.min()), sol)
 
 
 def solve_matrix_game(payoff) -> tuple[np.ndarray, np.ndarray, float]:

@@ -28,6 +28,7 @@ from .core import (
     Instance,
     InstanceError,
     as_costs,
+    as_count,
     as_integer,
     check_finite_costs,
 )
@@ -42,12 +43,10 @@ def enumeration_cap() -> int:
     if raw is None:
         return DEFAULT_ENUM_CAP
     try:
-        cap = int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise InstanceError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InstanceError(f"{ENUM_CAP_ENV} must be positive")
-    return cap
+    return as_count(value, ENUM_CAP_ENV)
 
 
 class NominalOracle:

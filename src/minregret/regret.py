@@ -83,13 +83,13 @@ class IntervalSide:
         beats A at c^A (it would out-regret A), so the optimum is ``l(A)``,
         summed in ascending order as Kruskal's rule sums it.  The key is c^A
         itself: distinct sets give one c^A where bounds are degenerate."""
+        cost = self.costs_of([A])[0]
         inside = A.indicator.astype(bool)
-        cost = np.where(inside, self.lower, self.upper)
         return cost.tobytes(), cost, np.sort(self.lower[inside]).sum(), A
 
     def costs_of(self, sets) -> np.ndarray:
         """The vectors c^A of the sets A in ``sets``, one row each."""
-        inside = np.stack([A.indicator for A in sets]).astype(bool)
+        inside = np.array([A.indicator for A in sets], dtype=bool)
         return np.where(inside, self.lower, self.upper)
 
     def mix(self, sets, weights) -> AdversaryMixedStrategy:

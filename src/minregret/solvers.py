@@ -373,19 +373,19 @@ def _compact_k_selection(
 class _RestrictedGame:
     """The double oracle's restricted game, grown in place.
 
-    Rows are player sets (``sets``, indicators ``X``); columns are the
-    adversary ``side``'s columns: cost vectors with their nominal optima and
-    labels (scenario indices or generating sets).  ``matrix`` is the game of
-    their regrets, and ``seen`` holds every strategy generated.  The first
-    row is the player's set at the side's seed costs (the mean-cost or
+    Rows are player sets, held only as their indicators ``X``; columns are
+    the adversary ``side``'s columns: cost vectors with their nominal optima
+    and labels (scenario indices or generating sets).  ``matrix`` is the
+    game of their regrets, and ``seen`` holds every strategy generated.  The
+    first row is the player's set at the side's seed costs (the mean-cost or
     midpoint set), against the adversary's best response to it or, with
     ``every_scenario``, every scenario.
     """
 
     def __init__(self, n: int, side, every_scenario: bool):
-        self.side, self.oracle = side, side.oracle
-        first = self.oracle.solve(side.seed_costs)[0]
-        self.sets, self.seen = [first], {first}
+        self.side = side
+        first = side.oracle.solve(side.seed_costs)[0]
+        self.seen = {first}
         self.X = _GrowingRows(n)  # one row per strategy, grown in place
         self.X.append(first.indicator)
         self.costs, self.optima, self.labels = _GrowingRows(n), _GrowingRows(), []
@@ -405,7 +405,7 @@ class _RestrictedGame:
         # raw column weights: the active support may not be distinct-as-
         # strategies yet, so no AdversaryMixedStrategy is built here
         C, optima = self.costs.rows, self.optima.rows
-        row, play_value = weighted_player_response(w, C, optima, self.oracle)
+        row, play_value = weighted_player_response(w, C, optima, self.side.oracle)
         if row in self.seen:
             row = None
         return adv_value, column, play_value, row
@@ -419,7 +419,6 @@ class _RestrictedGame:
             columns = self.X.rows @ self.costs.rows[-1:].T - self.optima.rows[-1]
         if row is not None:
             self.seen.add(row)
-            self.sets.append(row)
             self.X.append(row.indicator)
             rows = (self.costs.rows @ self.X.rows[-1] - self.optima.rows)[None, :]
         self.matrix.grow(columns, rows)
@@ -462,7 +461,7 @@ def _double_oracle(
         lower = play_value if lower is None else max(lower, play_value)
         upper = adv_value if upper is None else min(upper, adv_value)
         if gap <= tol:
-            player = PlayerMixedStrategy.cleaned(game.sets, y_mix)
+            player = PlayerMixedStrategy.cleaned(FeasibleSet.from_rows(game.X.rows), y_mix)
             mix = game.side.mix(game.labels, w_mix)
             return _certified(game.side, tol, value, player, mix, iteration, "double oracle")
         if not new:

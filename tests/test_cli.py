@@ -12,7 +12,7 @@ import minregret.verify as verify_mod
 from minregret.cli import main
 from minregret.core import IterationLimitError, NotInHullError, SolverError
 from minregret.gen import generate_instance
-from minregret.io import describe_instance, save_instance, validate_instance
+from minregret.io import describe_instance, instance_text, save_instance, validate_instance
 from minregret.nominal import SpanningTreeOracle
 
 
@@ -82,6 +82,10 @@ _MALFORMED = {
     "unequal-bounds": (_text(uncertainty=_box([0.0] * 3, [1.0] * 2)),
         "interval bounds must be equal-length vectors"),
     "infinite-bound": (_text().replace("1.0]", "1e999]"), "interval bounds must be finite"),
+    "infinite-scenario-cost": (
+        _text(uncertainty=_scenarios([1.0, 0.0, 2.0])).replace("2.0", "1e999"),
+        "scenario costs must be finite",
+    ),
     "scenarios-1d": (_text(uncertainty=_scenarios(1.0, 2.0, 3.0)),
         "scenario costs must be a nonempty k x n matrix"),
     "scenarios-empty": (_text(uncertainty=_scenarios()),
@@ -704,6 +708,24 @@ class TestSimulateCommand:
         assert code == 2
         assert "only for feasible sets" in capsys.readouterr().err
 
+    def test_player_item_out_of_range_exits_2(self, tight3, tmp_path, capsys):
+        strat = tmp_path / "s.json"
+        strat.write_text(
+            json.dumps(
+                {
+                    "player": {"sets": [[3]], "probs": [1.0]},
+                    "adversary": {"costs": [[1.0, 0.0, 0.0]], "probs": [1.0]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "--instance", str(tight3), "--samples", "10", "--seed", "1",
+             "--strategies", str(strat)]
+        )
+        assert code == 2
+        assert "error: item index 3 out of range 0..2" in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_tight_discrete_structure(self, tmp_path):
@@ -861,23 +883,15 @@ def test_reports_are_self_contained(tight3, tmp_path):
     assert abs(sim_report["mean"] - report["value"]) <= 4 * sim_report["stderr"]
 
 
-def test_module_entry_point(tmp_path):
-    out = tmp_path / "inst.json"
+def test_module_entry_point():
+    """``python -m minregret`` runs the CLI: ``gen`` without ``--out``
+    writes the instance file's text to stdout."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "minregret",
-            "gen",
-            "--family",
-            "tight-interval",
-            "--out",
-            str(out),
-        ],
+        [sys.executable, "-m", "minregret", "gen", "--family", "tight-interval"],
         env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
-    assert out.exists()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == instance_text(generate_instance("tight-interval"))

@@ -386,6 +386,12 @@ class TestStrategyValidation:
         with pytest.raises(InstanceError):
             w.validate_for(inst)
 
+    def test_adversary_support_of_another_length(self):
+        inst = k_selection_instance(3, 1, scenarios=[[1.0, 0.0, 0.0]])
+        w = AdversaryMixedStrategy((CostVector(np.zeros(2)),), np.array([1.0]))
+        with pytest.raises(InstanceError, match="^cost vector length differs from instance n$"):
+            w.validate_for(inst)
+
     def test_adversary_scenario_membership(self):
         inst = k_selection_instance(2, 1, scenarios=[[1.0, 0.0], [0.0, 1.0]])
         ok = AdversaryMixedStrategy((CostVector(np.array([1.0, 0.0])),), np.array([1.0]))
@@ -403,6 +409,22 @@ class TestStrategyValidation:
     def test_cost_vector_must_be_finite(self):
         with pytest.raises(InstanceError):
             CostVector(np.array([np.inf, 0.0]))
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: MarginalVector(np.zeros((2, 2))), InstanceError,
+                "marginal vector must be one-dimensional"),
+            (lambda: CostVector.from_rows([1.0, 2.0]), InstanceError,
+                "cost rows must form a matrix"),
+            (lambda: FeasibleSet.from_indices(3, [[0]]), TypeError,
+                "item indices must be a flat sequence"),
+        ],
+        ids=["marginal-matrix", "cost-rows-vector", "nested-indices"],
+    )
+    def test_misshapen_input_rejected(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
 
 
 def _per_object_sets(rows):

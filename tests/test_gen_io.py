@@ -78,6 +78,10 @@ class TestGenerator:
         with pytest.raises(InstanceError, match=message):
             generate_instance("spanning-tree", **given)
 
+    def test_unknown_uncertainty_kind(self):
+        with pytest.raises(InstanceError, match="^unknown uncertainty kind 'box'$"):
+            generate_instance("k-selection", n=3, uncertainty="box")
+
     def test_tight_discrete_needs_k_at_least_two(self):
         with pytest.raises(InstanceError):
             generate_instance("tight-discrete", k=1)

@@ -132,6 +132,10 @@ class TestMatrixGameExamples:
         assert np.allclose(row, [0.5, 0.5])
         assert np.allclose(col, [0.5, 0.5])
 
+    def test_empty_payoff_rejected(self):
+        with pytest.raises(ValueError, match="^payoff must be a nonempty 2-D matrix$"):
+            solve_matrix_game([])
+
     def test_single_entry(self):
         row, col, value = solve_matrix_game([[5.0]])
         assert value == pytest.approx(5.0)
@@ -778,7 +782,7 @@ class TestWarmAgainstCold:
             game.grow(rows=[[1.0, -3.0]])
 
 
-_LP_STATE = ("_T", "basis", "nonbasic", "_A", "_b", "_c", "_costs")
+_LP_STATE = ("_T", "basis", "nonbasic", "_A", "_b", "_c")
 
 
 def _lp_state(lp):
@@ -891,7 +895,7 @@ class TestGrowth:
             MatrixGame([[1, 2]]).grow(rows=[[1, 2, 3]])
 
     def test_bracket_span_follows_growth(self, monkeypatch):
-        # the game keeps its payoff's range instead of reducing the payoff
+        # each answer takes the span off the payoff it holds, grown ones too
         spans = []
         equilibrium = lpmod._equilibrium
         monkeypatch.setattr(

@@ -36,6 +36,18 @@ class TestKSelection:
         with pytest.raises(InstanceError):
             KSelectionOracle(3, 4)
 
+    @pytest.mark.parametrize(
+        "costs, message",
+        [
+            (np.zeros((2, 3)), "^cost vector must be one-dimensional$"),
+            (np.zeros(2), "^cost vector has length 2, expected 3$"),
+        ],
+        ids=["matrix", "short"],
+    )
+    def test_solve_rejects_misshapen_costs(self, costs, message):
+        with pytest.raises(InstanceError, match=message):
+            KSelectionOracle(3, 1).solve(costs)
+
     @pytest.mark.parametrize("n,k", [(12, 9), (40, 13), (60, 31), (9, 9), (20, 1)])
     def test_batched_optima_equal_per_row_solves(self, n, k):
         # == and not approx: the batch sums solve's sets in solve's order
@@ -96,6 +108,11 @@ class TestSpanningTree:
         assert not oracle.is_feasible(fs(5, 0, 1, 4))  # 0-1, 1-2, 0-2 is a cycle
         assert oracle.is_feasible(fs(5, 0, 1, 2))
 
+    def test_is_feasible_rejects_other_item_counts(self):
+        oracle = SpanningTreeOracle(3, TRIANGLE)
+        assert oracle.is_feasible(fs(3, 0, 1))
+        assert not oracle.is_feasible(fs(4, 0, 1))
+
 
 class TestDagPath:
     def test_parallel_arcs(self):
@@ -126,6 +143,11 @@ class TestDagPath:
     def test_unreachable_target(self):
         with pytest.raises(InstanceError, match="unreachable"):
             DagPathOracle(3, [(1, 2)], 0, 2)
+
+    def test_is_feasible_rejects_other_item_counts(self):
+        oracle = DagPathOracle(3, [(0, 1), (1, 2), (0, 2)], 0, 2)
+        assert oracle.is_feasible(fs(3, 2))
+        assert not oracle.is_feasible(fs(4, 2))
 
 
 class TestExplicit:
@@ -194,12 +216,12 @@ class TestEnumerationCap:
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("REGRET_ENUM_CAP", "many")
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="^REGRET_ENUM_CAP must be an integer, got 'many'$"):
             enumeration_cap()
 
     def test_env_value_must_be_positive(self, monkeypatch):
         monkeypatch.setenv("REGRET_ENUM_CAP", "0")
-        with pytest.raises(InstanceError, match="^REGRET_ENUM_CAP must be positive$"):
+        with pytest.raises(InstanceError, match="^REGRET_ENUM_CAP must be at least 1, got 0$"):
             enumeration_cap()
 
     # an explicit family has no cheap count, so the cap binds while listing
