@@ -81,8 +81,11 @@ class IntervalSide:
     def column(self, A: FeasibleSet):
         """c^A as ``(key, cost, optimum, A)``.  For a best response A no set
         beats A at c^A (it would out-regret A), so the optimum is ``l(A)``,
-        summed in ascending order as Kruskal's rule sums it.  The key is c^A
-        itself: distinct sets give one c^A where bounds are degenerate."""
+        summed in ascending order.  That is the order in which Kruskal's rule
+        sums a spanning tree; the k-selection, DAG-path and explicit oracles
+        sum in index, path and set order, so theirs may differ from it by
+        round-off.  The key is c^A itself: distinct sets give one c^A where
+        bounds are degenerate."""
         cost = self.costs_of([A])[0]
         inside = A.indicator.astype(bool)
         return cost.tobytes(), cost, np.sort(self.lower[inside]).sum(), A

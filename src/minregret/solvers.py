@@ -159,6 +159,17 @@ def solve_randomized(
     return _double_oracle(instance, tol, max_iter, oracle)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` to the bit for values without NaNs: the same
+    default sort, then each value that differs from its predecessor.
+    ``np.unique`` asks ``np.ma.is_masked`` first, which imports ``numpy.ma``."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _convex_bracket(f, xs: np.ndarray, gap: float):
     """Two points of sorted ``xs`` between which the convex ``f`` is least.
 
@@ -172,7 +183,8 @@ def _convex_bracket(f, xs: np.ndarray, gap: float):
     coarse = xs[np.concatenate([[True], np.diff(xs) > gap])]
     lo, hi = 0, len(coarse) - 1
     while hi - lo >= _BRACKET_WIDTH:
-        idx = np.unique(np.linspace(lo, hi, _BRACKET_WIDTH).round().astype(int))
+        # points (hi - lo) / (_BRACKET_WIDTH - 1) > 1 apart round to increasing indices
+        idx = np.linspace(lo, hi, _BRACKET_WIDTH).round().astype(int)
         j = int(np.argmin(f(coarse[idx])))
         lo, hi = idx[max(j - 1, 0)], idx[min(j + 1, len(idx) - 1)]
     best = lo + int(np.argmin(f(coarse[lo : hi + 1])))
@@ -198,7 +210,7 @@ class _ThresholdFill:
         prices = np.concatenate([lower, upper])
         order = np.argsort(prices, kind="stable")
         self.price = prices[order]
-        self.ends = np.unique(self.price)
+        self.ends = _sorted_unique(self.price)
         self.item = order % n
         self.is_low = order < n
         # each segment's item: its lower bound, width (1 if zero-width), anchor
@@ -270,7 +282,7 @@ class _ThresholdFill:
         gap = 1e-9 * (1.0 + np.abs(self.ends).max())
         left, right = _convex_bracket(self.h, self.ends, gap)
         inner = self.ends[(self.ends >= left) & (self.ends <= right)]
-        points = np.unique(np.concatenate([inner, self.crossings(inner)]))
+        points = _sorted_unique(np.concatenate([inner, self.crossings(inner)]))
         left, right = _convex_bracket(self.h, points, gap)
         points = points[(points >= left) & (points <= right)]
         return float(points[np.argmin(self.h(points))])
@@ -519,7 +531,7 @@ def _endpoint_scan(unc, k: int) -> FeasibleSet:
     per-alpha sets is the answer.
     """
     lower, upper = unc.lower, unc.upper
-    alphas = np.unique(np.concatenate([lower, upper]))
+    alphas = _sorted_unique(np.concatenate([lower, upper]))
     values = np.empty(len(alphas))
     for j, alpha in enumerate(alphas):
         over = np.maximum(alpha - lower, 0.0)

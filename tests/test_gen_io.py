@@ -173,6 +173,62 @@ class TestInstanceIo:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    # Every solver path on every family and uncertainty type, in a fresh
+    # interpreter.  np.unique imports numpy.ma (np.ma.is_masked), about 10 ms
+    # and 1.3 MB of every process that solves interval k-selection.
+    _SOLVE_EVERY_PATH = """
+import sys
+import numpy as np
+import minregret
+
+def loaded():
+    return {m for m in sys.modules if m == "numpy" or m.startswith("numpy.")}
+
+before = loaded()
+from minregret import (
+    approx_dual_weighted, approx_mean_cost, approx_midpoint, decompose_marginal,
+    generate_instance, solve_adversary_lp_discrete, solve_deterministic_exact,
+    solve_randomized,
+)
+from minregret.core import Instance, Intervals, Scenarios
+from minregret.nominal import ExplicitOracle
+from minregret.verify import run_instance_checks
+
+explicit = ExplicitOracle(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+instances = [
+    generate_instance(family, n=6, uncertainty=kind, n_scenarios=3, seed=1)
+    for family in ("k-selection", "spanning-tree", "dag-path")
+    for kind in ("interval", "scenarios")
+] + [
+    Instance("explicit-interval", 4, explicit, Intervals(np.zeros(4), np.arange(1.0, 5.0))),
+    Instance(
+        "explicit-scenarios", 4, explicit, Scenarios(np.array([[1.0, 0, 2, 1], [0, 3, 1, 1]]))
+    ),
+]
+for inst in instances:
+    game = solve_randomized(inst)
+    solve_deterministic_exact(inst)
+    decompose_marginal(game.marginal, inst.nominal)
+    if inst.is_interval:
+        approx_midpoint(inst)
+    else:
+        approx_mean_cost(inst)
+        approx_dual_weighted(inst, solve_adversary_lp_discrete(inst)[0])
+    assert all(check.passed for check in run_instance_checks(inst)), inst.name
+print(sorted(loaded() - before))
+"""
+
+    def test_solvers_load_no_numpy_submodule(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", self._SOLVE_EVERY_PATH],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_save_load_round_trip(self, tmp_path):
         inst = generate_instance("dag-path", n=6, uncertainty="interval", seed=3)
         path = tmp_path / "inst.json"

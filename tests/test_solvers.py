@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from minregret.core import (
@@ -37,8 +39,12 @@ from minregret.solvers import (
     solve_adversary_lp_discrete,
     solve_deterministic_exact,
     solve_randomized,
+    _BRACKET_WIDTH,
+    _convex_bracket,
     _double_oracle,
+    _sorted_unique,
 )
+from minregret.verify import VALUE_TOL
 
 from conftest import (
     RepeatingOracle,
@@ -382,6 +388,60 @@ def test_adversary_lp_scenario_k_selection_n2000():
     inst, oracle, value = _ks2000s16()
     _, z_ar, _ = solve_adversary_lp_discrete(inst, oracle=oracle)
     assert z_ar == pytest.approx(value, abs=1e-9)
+
+
+# The scenario axis: the adversary LP's restricted game gets about 10x slower
+# per doubling of the scenario count on k-selection.  On a 2-vCPU machine it
+# took 3.4 s and the compact LP 0.016 s; both read 121.9824413834.
+def test_adversary_lp_k_selection_128_scenarios():
+    inst = generate_instance(
+        "k-selection", n=100, uncertainty="scenarios", n_scenarios=128, seed=1
+    )
+    oracle = build_oracle(inst)
+    compact = solve_randomized(inst, oracle=oracle).value
+    started = time.perf_counter()
+    _, z_ar, _ = solve_adversary_lp_discrete(inst, oracle=oracle)
+    elapsed = time.perf_counter() - started
+    assert abs(z_ar - compact) <= VALUE_TOL
+    assert elapsed < 120.0
+
+
+@given(
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=200)
+    )
+)
+def test_sorted_unique_is_np_unique_on_floats(values):
+    # signs of zero included: among equal zeros both keep the first one sorted
+    a = np.array(values, dtype=float)
+    got, want = _sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=200))
+def test_sorted_unique_is_np_unique_on_ints(values):
+    a = np.array(values, dtype=np.int64)
+    got, want = _sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(st.integers(_BRACKET_WIDTH, 5000), st.floats(0.0, 1.0))
+def test_convex_bracket_rounds_to_increasing_indices(size, at):
+    # with xs = 0, 1, 2, ... each point evaluated is its own index
+    xs = np.arange(float(size))
+    target = at * (size - 1)
+    rounds = []
+
+    def f(points):
+        if len(points) == _BRACKET_WIDTH:
+            rounds.append(points.astype(int))
+        return (points - target) ** 2
+
+    left, right = _convex_bracket(f, xs, 0.5)
+    assert rounds
+    for idx in rounds:
+        assert np.all(np.diff(idx) > 0)
+    assert left <= target <= right
 
 
 class TestThresholdKSelection:
