@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import re
 
@@ -24,7 +25,6 @@ from minregret.nominal import build_oracle
 from minregret.regret import extreme_cost_vector
 from minregret.solvers import solve_randomized
 
-import reference_kernel
 from conftest import RepeatingOracle
 
 
@@ -267,7 +267,10 @@ class TestMatrixGameAgainstHighs:
 
 class TestAgainstScipy:
     """Random ``max c·x s.t. A x <= b, 0 <= x <= u`` with ``b >= 0``, some
-    unbounded, solved cold by ``WarmLP`` and by HiGHS."""
+    unbounded, solved by ``WarmLP`` and by HiGHS: cold, and warm after
+    growth.  Every solve has HiGHS's status and, when optimal, its objective,
+    and certifies itself at its basis: primal and dual feasibility,
+    nonnegative duals, strong duality and complementary slackness."""
 
     @staticmethod
     def _reference(c, A, b, upper):
@@ -285,6 +288,29 @@ class TestAgainstScipy:
         status = {0: "optimal", 3: "unbounded"}.get(ref.status, "other")
         return status, (-ref.fun if ref.status == 0 else None)
 
+    def _check(self, sol, c, A, b, upper):
+        ref_status, ref_obj = self._reference(c, A, b, upper)
+        assert sol.status == ref_status
+        if sol.status != "optimal":
+            return
+        # the objective relative to the LP's scale
+        assert sol.objective == pytest.approx(ref_obj, abs=1e-9 * max(1.0, abs(ref_obj)))
+        # primal feasibility within 1e-7
+        slack = b - A @ sol.x
+        assert np.all(slack >= -1e-7)
+        assert np.all(sol.x >= -1e-7) and np.all(sol.x <= upper + 1e-7)
+        # dual feasibility within 1e-7: nonnegative row duals, and a
+        # positive reduced cost only where an upper bound can absorb it
+        assert np.all(sol.duals >= -1e-9)
+        rc = c - A.T @ sol.duals
+        assert np.all(rc[upper == np.inf] <= 1e-7)
+        # strong duality certificate: b·y plus the bound terms
+        bounded = upper < np.inf
+        dual_obj = float(b @ sol.duals + upper[bounded] @ np.maximum(rc[bounded], 0.0))
+        assert dual_obj == pytest.approx(sol.objective, abs=1e-6)
+        # complementary slackness per row
+        assert np.max(np.abs(sol.duals * slack)) <= 1e-6
+
     def test_random_lps(self):
         rng = np.random.default_rng(42)
         statuses = {"optimal": 0, "unbounded": 0}
@@ -294,51 +320,91 @@ class TestAgainstScipy:
             A = rng.normal(size=(m, n)).round(2)
             b = np.abs(rng.normal(size=m)).round(2)
             upper = np.where(rng.random(n) < 0.3, rng.uniform(0.5, 3.0, n), np.inf)
-            mine = WarmLP(c, A, b, upper=upper).solve()
-            ref_status, ref_obj = self._reference(c, A, b, upper)
-            assert mine.status == ref_status
-            statuses[mine.status] += 1
-            if mine.status != "optimal":
-                continue
-            assert mine.objective == pytest.approx(ref_obj, abs=1e-6)
-            # primal feasibility within 1e-7
-            slack = b - A @ mine.x
-            assert np.all(slack >= -1e-7)
-            assert np.all(mine.x >= -1e-7) and np.all(mine.x <= upper + 1e-7)
-            # dual feasibility within 1e-7: nonnegative row duals, and a
-            # positive reduced cost only where an upper bound can absorb it
-            assert np.all(mine.duals >= -1e-9)
-            rc = c - A.T @ mine.duals
-            assert np.all(rc[upper == np.inf] <= 1e-7)
-            # strong duality certificate: b·y plus the bound terms
-            bounded = upper < np.inf
-            dual_obj = float(b @ mine.duals + upper[bounded] @ np.maximum(rc[bounded], 0.0))
-            assert dual_obj == pytest.approx(mine.objective, abs=1e-6)
-            # complementary slackness per row
-            assert np.max(np.abs(mine.duals * slack)) <= 1e-6
+            sol = WarmLP(c, A, b, upper=upper).solve()
+            self._check(sol, c, A, b, upper)
+            statuses[sol.status] += 1
         # the draw must exercise both statuses
         assert min(statuses.values()) > 0
+
+    def test_random_lp_corpus(self, monkeypatch):
+        """First solves, with and without finite bounds, and warm solves of
+        the LPs without, grown by rows, columns or both in one ``grow``; some
+        under dual Bland's rule.  Small integers, so that ratios tie."""
+        runs = _kernel_runs(monkeypatch)
+        rng = np.random.default_rng(11)
+        statuses = set()
+        for case in range(240):
+            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", (0, 1, 50, 50, 50)[case % 5])
+            bounded = case % 2 == 0
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            A = rng.integers(-3, 4, size=(m, n)).astype(float)
+            c = rng.integers(-3, 4, size=n).astype(float)
+            u = rng.choice([0.0, 1.0, 2.0, np.inf], size=n) if bounded else None
+            b = rng.integers(0, 5, size=m).astype(float)
+            lp = WarmLP(c, A, b, upper=u)
+            sol = lp.solve()
+            self._check(sol, c, A, b, np.full(n, np.inf) if u is None else u)
+            statuses.add(sol.status)
+            if bounded or case % 3 == 2:
+                continue
+            for step in range(6):
+                rows = columns = None
+                if step % 3 != 1:
+                    lhs, rhs = rng.integers(-1, 4, size=(3, len(c))), rng.integers(0, 3, size=3)
+                    rows = (lhs, rhs)
+                    A, b = np.vstack([A, lhs]), np.append(b, rhs)
+                if step % 3 != 0:
+                    lhs, cost = rng.integers(0, 4, size=(len(b), 2)), rng.integers(-1, 4, size=2)
+                    columns = (lhs, cost)
+                    A, c = np.hstack([A, lhs]), np.append(c, cost)
+                lp.grow(rows, columns)
+                sol = lp.solve()
+                self._check(sol, c, A, b, np.full(len(c), np.inf))
+                statuses.add(sol.status)
+        assert {"optimal", "unbounded"} <= statuses
+        for bounded in (False, True):
+            assert any(used > dual for used, dual, finite, _, _ in runs if finite == bounded)
+        assert any(dual for _, dual, finite, _, _ in runs if not finite)  # grown: dual pivots
+        for dantzig in (False, True):  # both pricing rules made primal pivots
+            assert any(used > dual for used, dual, _, rule, _ in runs if rule == dantzig)
 
 
 def test_active_backend_reported():
     assert kernel_backend() == "python"
 
 
-_REAL_PIVOT = _kernel.pivot_inplace
+_REAL_PIVOT, _REAL_RUN = _kernel.pivot_inplace, _kernel.run_simplex
+
+
+def _kernel_runs(monkeypatch):
+    """A list that collects ``(pivots, dual pivots, bounded, dantzig,
+    exchanges)`` per later ``run_simplex`` call, each basis exchange as (row,
+    entering variable); the dual pass comes first and flips no bound."""
+    runs, exchanges = [], []
+
+    def pivot(tableau, basis, nonbasic, row, col):
+        exchanges.append((row, int(nonbasic[col])))
+        _REAL_PIVOT(tableau, basis, nonbasic, row, col)
+
+    def run(T, basis, nonbasic, max_pivots, tol, upper=None, dantzig=False, **options):
+        start = len(exchanges)
+        status, used, dual = _REAL_RUN(
+            T, basis, nonbasic, max_pivots, tol, upper=upper, dantzig=dantzig, **options
+        )
+        runs.append((used, dual, upper is not None, dantzig, exchanges[start:]))
+        return status, used, dual
+
+    monkeypatch.setattr(_kernel, "pivot_inplace", pivot)
+    monkeypatch.setattr(_kernel, "run_simplex", run)
+    return runs
 
 
 def _recorded_run(monkeypatch, T, basis, nonbasic, **options):
     """``run_simplex`` with every basis exchange recorded as (row, entering
     variable); returns ``(status, pivots used, exchanges)``."""
-    exchanges = []
-
-    def recording(tableau, basis, nonbasic, row, col):
-        exchanges.append((row, int(nonbasic[col])))
-        _REAL_PIVOT(tableau, basis, nonbasic, row, col)
-
-    monkeypatch.setattr(_kernel, "pivot_inplace", recording)
+    runs = _kernel_runs(monkeypatch)
     status, used, _ = _kernel.run_simplex(T, basis, nonbasic, 100, 1e-9, **options)
-    return status, used, exchanges
+    return status, used, runs[-1][4]
 
 
 def test_optimal_tol_reprices_reduced_costs_but_not_pivot_elements():
@@ -560,6 +626,145 @@ class TestKernelBounds:
             assert [var for _, var in exchanges] == entered
 
 
+class TestKernelRules:
+    """One hand-built tableau per pivot rule, built so that a kernel without
+    the rule makes another exchange, and one dual pivot on each of 600
+    random tableaux.  The kernel runs alone, with no refresh: elementwise
+    IEEE arithmetic, so the pinned exchanges hold on every numpy and BLAS
+    build.  The nonbasic variables come first, in column order; pivots are
+    recorded as (row, entering variable)."""
+
+    def _run(self, monkeypatch, rows, basis, stall=None, **options):
+        """Exchanges of a run to optimality from ``rows`` (constraints, then
+        reduced costs) at ``basis``, with ``DUAL_STALL_PIVOTS = stall``."""
+        if stall is not None:
+            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", stall)
+        T = np.array(rows, dtype=float)
+        basis = np.array(basis, dtype=np.intp)
+        nonbasic = np.setdiff1d(np.arange(len(basis) + T.shape[1] - 1), basis).astype(np.intp)
+        status, used, exchanges = _recorded_run(monkeypatch, T, basis, nonbasic, **options)
+        assert status == _kernel.STATUS_OPTIMAL and used == len(exchanges)
+        assert np.all(T[:-1, -1] >= 0.0) and np.all(T[-1, :-1] >= -1e-9)
+        return exchanges
+
+    def test_primal_ratio_ties_go_to_the_lowest_basis_index(self, monkeypatch):
+        # x0 empties both rows at once: x2's row (the second) leaves, not x3's
+        rows = [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]
+        assert self._run(monkeypatch, rows, [3, 2]) == [(1, 0)]
+
+    @pytest.mark.parametrize("gap,entering", [(0.0, 1), (5e-10, 1), (2e-9, 0)])
+    def test_dual_entering_takes_the_largest_pivot_element_near_the_least_ratio(
+        self, monkeypatch, gap, entering
+    ):
+        # x2's row: x0 at ratio 1/1, x1 with the larger pivot element at
+        # (2 + 2 gap)/2, which enters while its ratio is within tol
+        rows = [[-1.0, -2.0, -1.0], [1.0, 2.0 + 2.0 * gap, 0.0]]
+        assert self._run(monkeypatch, rows, [2]) == [(0, entering)]
+
+    @pytest.mark.parametrize("bound", [np.inf, 10.0])
+    def test_dual_pass_repairs_the_most_infeasible_row_first(self, monkeypatch, bound):
+        # x2 at -1 and x3 at -2, each with its own column; x0 <= 10 binds nothing
+        rows = [[-1.0, 0.0, -1.0], [0.0, -1.0, -2.0], [1.0, 1.0, 0.0]]
+        upper, flipped = np.array([bound, np.inf, np.inf, np.inf]), np.zeros(4, dtype=np.uint8)
+        exchanges = self._run(monkeypatch, rows, [2, 3], upper=upper, flipped=flipped)
+        assert exchanges == [(1, 1), (0, 0)]
+
+    def test_dual_bland_rule(self, monkeypatch):
+        # x2 at -1 and x3 at -2; on x2's row x0 and x1 tie at ratio 1.  The
+        # default rule repairs x3's row, the most infeasible; dual Bland's
+        # takes x2's (the lowest basis index) with x0 (the lowest variable
+        # index, not the larger pivot element)
+        rows = [[-1.0, -2.0, -1.0], [-1.0, 0.0, -2.0], [1.0, 2.0, 0.0]]
+        assert self._run(monkeypatch, rows, [2, 3]) == [(1, 0)]
+        assert self._run(monkeypatch, rows, [2, 3], stall=0) == [(0, 0), (1, 2)]
+
+    def test_dual_bland_rule_ends_at_a_nondegenerate_pivot(self, monkeypatch):
+        # Rows of x6 (at -3), x5 (-2) and x4 (-1), each with its own columns.
+        # With one stalled pivot allowed, x0 repairs x6's row at ratio 0, so
+        # dual Bland's rule takes x4's row next, at ratio 1; that moves the
+        # dual objective, so the default rule repairs x5's row with x2, the
+        # larger pivot element at ratio 1, not x1
+        rows = [[-1.0, 0.0, 0.0, 0.0, -3.0], [0.0, -1.0, -2.0, 0.0, -2.0],
+                [0.0, 0.0, 0.0, -1.0, -1.0], [0.0, 1.0, 2.0, 1.0, 0.0]]
+        assert self._run(monkeypatch, rows, [6, 5, 4]) == [(0, 0), (1, 2), (2, 3)]
+        assert self._run(monkeypatch, rows, [6, 5, 4], stall=1) == [(0, 0), (2, 3), (1, 2)]
+
+    def test_dantzig_falls_back_to_bland_until_a_step_moves(self, monkeypatch):
+        # Reduced costs -1, -3, -0.5, -2, each column with its own row, x1's
+        # degenerate: Dantzig's rule enters x1, x3, x0, x2.  With one stalled
+        # step allowed, x1's step hands the next to Bland's rule (x0), which
+        # moves, so Dantzig's rule takes x3 next, not x2
+        rows = [[0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0],
+                [0.0, 0.0, 1.0, 0.0, 1.0], [-1.0, -3.0, -0.5, -2.0, 0.0]]
+        run = functools.partial(self._run, monkeypatch, rows, [4, 5, 6, 7], dantzig=True)
+        assert run() == [(0, 1), (2, 3), (1, 0), (3, 2)]
+        assert run(stall=1) == [(0, 1), (1, 0), (2, 3), (3, 2)]
+
+    def test_random_dual_pivots_keep_the_rules(self, monkeypatch):
+        """One dual pivot per tableau, whose infeasible rows each have a
+        candidate column, checked against the leaving and entering rules read
+        off the tableau before it; no reduced cost at least -tol falls below."""
+        tol = 1e-9
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(("bland", "bounded", "unbounded", "rows", "sizes", "waits"), 0)
+        for case in range(600):
+            m, k = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+            # halves, so that ratios and pivot elements often tie
+            T = rng.integers(-4, 5, size=(m + 1, k + 1)) / 2.0
+            T[:m, -1] = np.abs(T[:m, -1])
+            violated = rng.random(m) < 0.3
+            violated[rng.integers(m)] = True
+            T[:m, -1][violated] = -rng.integers(1, 12, size=int(violated.sum())) / 2.0
+            T[:m, 0][violated] = np.minimum(T[:m, 0][violated], -0.5)
+            if case % 3:  # dual feasible candidates, as the kernel prefers
+                T[m, :-1] = np.abs(T[m, :-1])
+            variables = rng.permutation(k + m).astype(np.intp)
+            nonbasic, basis = variables[:k].copy(), variables[k:].copy()
+            bland = case % 7 == 0
+            bounds, ub = {}, np.full(m, np.inf)
+            if case % 4:
+                upper = rng.choice([0.5, 1.0, 2.0, np.inf], size=k + m)
+                flipped = np.zeros(k + m, dtype=np.uint8)
+                flipped[nonbasic] = rng.integers(0, 2, size=k) * np.isfinite(upper[nonbasic])
+                ub = upper[basis]
+                T[:m, -1][~violated] = np.minimum(T[:m, -1][~violated], ub[~violated])
+                bounds = {"upper": upper, "flipped": flipped}
+            before, basis0, nonbasic0 = T.copy(), basis.copy(), nonbasic.copy()
+            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", 0 if bland else 50)
+            assert _kernel.run_simplex(T, basis, nonbasic, 1, tol, **bounds)[1:] == (1, 1)
+            (leave,) = (basis != basis0).nonzero()[0]
+            (col,) = (nonbasic0 == basis[leave]).nonzero()[0]
+            rhs, costs = before[:m, -1], before[m, :-1]
+            violation = np.maximum(-rhs, rhs - ub)
+            infeasible = (violation > tol).nonzero()[0]
+            if bland:
+                assert basis0[leave] == basis0[infeasible].min()  # dual Bland's rule
+            else:
+                assert leave == violation.argmax()  # the first of ties
+            row = before[leave, :-1] * (-1.0 if rhs[leave] > ub[leave] else 1.0)
+            candidates = (row < -tol).nonzero()[0]
+            feasible = candidates[costs[candidates] >= -tol]
+            if feasible.size:
+                assert costs[col] >= -tol  # dual feasible first
+                seen["waits"] += feasible.size < candidates.size
+                candidates = feasible
+            ratios = np.maximum(costs[candidates], 0.0) / -row[candidates]
+            assert col in candidates and max(costs[col], 0.0) / -row[col] <= ratios.min() + tol
+            if bland:
+                ties = candidates[ratios == ratios.min()]
+            else:
+                near = candidates[ratios <= ratios.min() + tol]
+                assert row[col] == row[near].min()  # the largest pivot element
+                ties = near[row[near] == row[col]]
+                seen["sizes"] += len(set(row[near])) > 1
+            assert nonbasic0[col] == nonbasic0[ties].min()  # ties by variable index
+            if costs[col] >= -tol:
+                assert np.all(T[m, :-1][costs >= -tol] >= -tol)
+            seen["rows"] += infeasible.size > 1
+            seen["bland" if bland else "bounded" if bounds else "unbounded"] += 1
+        assert min(seen.values()) >= 50, seen
+
+
 def _full_matrix(A):
     """``A`` followed by the slack columns."""
     return np.hstack([A, np.eye(A.shape[0])])
@@ -738,9 +943,16 @@ class TestWarmAgainstCold:
             sol = self._check(lp, np.ones(len(rows)), sub.T, np.ones(len(cols)))
 
     def test_dual_bland_from_the_first_pivot(self, monkeypatch):
-        # the anti-cycling fallback, which these games never reach on their own
-        monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", 0)
-        self.test_restricted_game_growth("k-selection", 40)
+        # the anti-cycling fallback, which these games never reach on their
+        # own, makes other dual exchanges on the same growth, each solve still
+        # checked (on k-selection n=40 both rules make the same six)
+        sequences = []
+        for stall in (0, _kernel.DUAL_STALL_PIVOTS):
+            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", stall)
+            runs = _kernel_runs(monkeypatch)
+            self.test_restricted_game_growth("k-selection", 60)
+            sequences.append([pivot for run in runs for pivot in run[4][: run[1]]])
+        assert sequences[0] and sequences[0] != sequences[1]
 
     @pytest.mark.parametrize(
         "family,n", [("k-selection", 30), ("spanning-tree", 40), ("dag-path", 40)]
@@ -1031,158 +1243,6 @@ class TestBreakdownReasons:
     def test_genuine_statuses_carry_no_reason(self):
         assert WarmLP([1.0], [[-1.0]], [0.0]).solve().reason is None  # unbounded
         assert WarmLP([1.0], [[1.0]], [1.0]).solve().reason is None  # optimal
-
-
-def _side_by_side(patch, runs):
-    """Replace ``_kernel.run_simplex`` by a run of the frozen reference
-    kernel on copies of its arguments next to the kernel itself, which must
-    agree with it exactly: the same status and pivot count, the same basis,
-    nonbasic and flipped arrays, and a bitwise-equal tableau.  Appends
-    ``(status, pivots, dual pivots, bounded, dantzig)`` to ``runs`` per
-    call."""
-    real = _kernel.run_simplex
-
-    def both(
-        T, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, dantzig=False,
-        optimal_tol=None,
-    ):
-        assert optimal_tol is None  # the reference has no re-priced optimality test
-        # the reference stalls into dual Bland's rule when the kernel does
-        patch.setattr(reference_kernel, "DUAL_STALL_PIVOTS", _kernel.DUAL_STALL_PIVOTS)
-        T_ref, basis_ref, nonbasic_ref = T.copy(), basis.copy(), nonbasic.copy()
-        flipped_ref = None if flipped is None else flipped.copy()
-        expected = reference_kernel.run_simplex(
-            T_ref, basis_ref, nonbasic_ref, max_pivots, tol,
-            upper=upper, flipped=flipped_ref, dantzig=dantzig,
-        )
-        status, used, dual = real(
-            T, basis, nonbasic, max_pivots, tol, upper=upper, flipped=flipped, dantzig=dantzig
-        )
-        assert (status, used) == expected
-        assert 0 <= dual <= used
-        assert np.array_equal(basis, basis_ref) and np.array_equal(nonbasic, nonbasic_ref)
-        assert (flipped is None) == (flipped_ref is None)
-        assert flipped is None or np.array_equal(flipped, flipped_ref)
-        assert T.tobytes() == T_ref.tobytes()
-        bounded = upper is not None and bool(np.isfinite(upper).any())
-        runs.append((status, used, dual, bounded, dantzig))
-        return status, used, dual
-
-    patch.setattr(_kernel, "run_simplex", both)
-
-
-def _dual_pass_fixtures():
-    """Tests above whose kernel runs reach the dual pass, each a callable of
-    the monkeypatch fixture."""
-    dual, bounds, warm = TestKernelDualPass(), TestKernelBounds(), TestWarmAgainstCold()
-    fixtures = {
-        "smallest-ratio": dual.test_violated_row_repaired_by_the_smallest_ratio,
-        "column-waits": dual.test_dual_infeasible_column_waits_for_the_primal_pass,
-        "column-repairs": dual.test_dual_infeasible_column_repairs_when_nothing_else_can,
-        "permuted-ties": lambda mp: dual.test_ties_break_by_variable_not_column(
-            mp, (-1.0, -1.0, -2.0, -0.5), (0.0, 1.0, -2.0, -0.1)
-        ),
-        "above-bound": bounds.test_dual_pass_repairs_a_row_above_its_upper_bound,
-        "game-dual-bland": warm.test_dual_bland_from_the_first_pivot,
-        "cuts-spanning-tree": lambda mp: warm.test_decomposition_cut_rows("spanning-tree", 40),
-    }
-    for family in ("k-selection", "spanning-tree"):
-        fixtures[f"game-{family}"] = (
-            lambda mp, family=family: warm.test_restricted_game_growth(family, 40)
-        )
-    return fixtures
-
-
-_DUAL_PASS_FIXTURES = _dual_pass_fixtures()
-
-
-class TestDualEnteringAgainstReference:
-    """The whole kernel, run side by side with the frozen reference copy in
-    ``reference_kernel`` (candidate masks, a fresh bound gather per dual
-    iteration), must make every choice the reference makes, to the bit.
-    The class keeps the name it had when it compared only the dual entering
-    rule, so its fixtures keep their ids."""
-
-    def test_random_rows(self, monkeypatch):
-        # one dual pivot on a random infeasible row; the others are feasible
-        rng = np.random.default_rng(2024)
-        runs = []
-        paths = {"bland": 0, "bounded": 0, "unbounded": 0}
-        _side_by_side(monkeypatch, runs)
-        for case in range(600):
-            m, k = int(rng.integers(1, 5)), int(rng.integers(1, 12))
-            # halves, so that ratios and pivot elements often tie
-            T = rng.integers(-4, 5, size=(m + 1, k + 1)) / 2.0
-            leave = int(rng.integers(m))
-            T[:m, -1] = np.abs(T[:m, -1])
-            T[leave, -1] = -float(rng.integers(1, 12)) / 2.0
-            T[leave, 0] = min(T[leave, 0], -0.5)
-            if case % 3:  # dual feasible candidates, as the kernel prefers
-                T[m, :-1] = np.abs(T[m, :-1])
-            variables = rng.permutation(k + m).astype(np.intp)
-            nonbasic, basis = variables[:k].copy(), variables[k:].copy()
-            bland = case % 7 == 0
-            bounds = {}
-            if case % 4:
-                upper = rng.choice([0.5, 1.0, 2.0, np.inf], size=k + m)
-                flipped = np.zeros(k + m, dtype=np.uint8)
-                flipped[nonbasic] = rng.integers(0, 2, size=k) * np.isfinite(upper[nonbasic])
-                rest = np.arange(m) != leave
-                T[:m, -1][rest] = np.minimum(T[:m, -1][rest], upper[basis[rest]])
-                bounds = {"upper": upper, "flipped": flipped}
-            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", 0 if bland else 50)
-            _kernel.run_simplex(np.ascontiguousarray(T), basis, nonbasic, 1, 1e-9, **bounds)
-            paths["bland" if bland else "bounded" if bounds else "unbounded"] += 1
-        assert len(runs) == 600
-        assert all(run[2] == 1 for run in runs)  # the one dual pivot
-        assert min(paths.values()) >= 50
-
-    @pytest.mark.parametrize("fixture", _DUAL_PASS_FIXTURES)
-    def test_fixture_pivots_unchanged(self, monkeypatch, fixture):
-        runs = []
-        with monkeypatch.context() as patch:
-            _side_by_side(patch, runs)
-            _DUAL_PASS_FIXTURES[fixture](patch)
-        assert any(dual for _, _, dual, _, _ in runs)  # the dual pass ran
-
-    def test_random_lp_corpus(self, monkeypatch):
-        """First solves (Dantzig pricing from the slack basis), with and
-        without finite bounds, and warm solves of the LPs without (Bland
-        pricing, rows and columns appended; a bounded LP does not grow),
-        some with dual Bland's rule from the first degenerate pivot."""
-        rng = np.random.default_rng(11)
-        runs = []
-        _side_by_side(monkeypatch, runs)
-        statuses = set()
-        for case in range(240):
-            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", (0, 1, 50, 50, 50)[case % 5])
-            bounded = case % 2 == 0
-            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            # small integers, so that ratios tie and pivots are degenerate
-            A = rng.integers(-3, 4, size=(m, n)).astype(float)
-            c = rng.integers(-3, 4, size=n).astype(float)
-            u = rng.choice([0.0, 1.0, 2.0, np.inf], size=n) if bounded else None
-            b = rng.integers(0, 5, size=m).astype(float)
-            lp = WarmLP(c, A, b, upper=u)
-            statuses.add(lp.solve().status)
-            if bounded or case % 3 == 2:
-                continue
-            # grown by rows (dual pass) and columns (primal pass)
-            for step in range(6):
-                rows, cols = lp.shape
-                if step % 2 == 0:
-                    lp.grow(rows=(rng.integers(-1, 4, size=(3, cols)), rng.integers(0, 3, size=3)))
-                else:
-                    lhs = rng.integers(0, 4, size=(rows, 2))
-                    lp.grow(columns=(lhs, rng.integers(-1, 4, size=2)))
-                statuses.add(lp.solve().status)
-        assert {"optimal", "unbounded"} <= statuses
-        for bounded in (False, True):
-            mine = [run for run in runs if run[3] == bounded]
-            assert any(used > dual for _, used, dual, _, _ in mine)  # primal pivots
-        assert any(dual for _, _, dual, bounded, _ in runs if not bounded)  # grown: dual pivots
-        for dantzig in (False, True):  # both pricing rules pivoted
-            assert any(used > dual for _, used, dual, _, rule in runs if rule == dantzig)
 
 
 class TestGenerate:
