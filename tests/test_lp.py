@@ -373,22 +373,21 @@ def test_active_backend_reported():
     assert kernel_backend() == "python"
 
 
-_REAL_PIVOT, _REAL_RUN = _kernel.pivot_inplace, _kernel.run_simplex
-
-
 def _kernel_runs(monkeypatch):
     """A list that collects ``(pivots, dual pivots, bounded, dantzig,
     exchanges)`` per later ``run_simplex`` call, each basis exchange as (row,
-    entering variable); the dual pass comes first and flips no bound."""
+    entering variable); the dual pass comes first and flips no bound.  It
+    wraps the kernel functions in place, spies included."""
     runs, exchanges = [], []
+    real_pivot, real_run = _kernel.pivot_inplace, _kernel.run_simplex
 
     def pivot(tableau, basis, nonbasic, row, col):
         exchanges.append((row, int(nonbasic[col])))
-        _REAL_PIVOT(tableau, basis, nonbasic, row, col)
+        real_pivot(tableau, basis, nonbasic, row, col)
 
     def run(T, basis, nonbasic, max_pivots, tol, upper=None, dantzig=False, **options):
         start = len(exchanges)
-        status, used, dual = _REAL_RUN(
+        status, used, dual = real_run(
             T, basis, nonbasic, max_pivots, tol, upper=upper, dantzig=dantzig, **options
         )
         runs.append((used, dual, upper is not None, dantzig, exchanges[start:]))
@@ -626,6 +625,43 @@ class TestKernelBounds:
             assert [var for _, var in exchanges] == entered
 
 
+def _assert_dual_rules(T, leave, col, basis, nonbasic, ub, bland, tol):
+    """Check the dual pivot at (``leave``, ``col``) of ``T`` against the
+    leaving and entering rules, with the leaving row as the kernel pivots on
+    it: complemented when its variable is above its bound (``ub``, one per
+    row).  Returns which choices the pivot had: several infeasible rows
+    (``rows``), distinct pivot elements near the least ratio (``sizes``), a
+    dual infeasible candidate beside a feasible one (``waits``)."""
+    m = len(basis)
+    rhs, costs = T[:m, -1], T[m, :-1]
+    # a complemented row holds u - x < 0, so its violation still reads -rhs
+    violation = np.maximum(-rhs, rhs - ub)
+    infeasible = (violation > tol).nonzero()[0]
+    if bland:
+        assert basis[leave] == basis[infeasible].min()  # dual Bland's rule
+    else:
+        assert leave == violation.argmax()  # the first of ties
+    row = T[leave, :-1]
+    candidates = (row < -tol).nonzero()[0]
+    feasible = candidates[costs[candidates] >= -tol]
+    waits = 0 < feasible.size < candidates.size
+    if feasible.size:
+        assert costs[col] >= -tol  # dual feasible first
+        candidates = feasible
+    ratios = np.maximum(costs[candidates], 0.0) / -row[candidates]
+    assert col in candidates and max(costs[col], 0.0) / -row[col] <= ratios.min() + tol
+    sizes = False
+    if bland:
+        ties = candidates[ratios == ratios.min()]
+    else:
+        near = candidates[ratios <= ratios.min() + tol]
+        assert row[col] == row[near].min()  # the largest pivot element
+        ties = near[row[near] == row[col]]
+        sizes = len(set(row[near])) > 1
+    assert nonbasic[col] == nonbasic[ties].min()  # ties by variable index
+    return {"rows": infeasible.size > 1, "sizes": sizes, "waits": waits}
+
+
 class TestKernelRules:
     """One hand-built tableau per pivot rule, built so that a kernel without
     the rule makes another exchange, and one dual pivot on each of 600
@@ -734,33 +770,15 @@ class TestKernelRules:
             assert _kernel.run_simplex(T, basis, nonbasic, 1, tol, **bounds)[1:] == (1, 1)
             (leave,) = (basis != basis0).nonzero()[0]
             (col,) = (nonbasic0 == basis[leave]).nonzero()[0]
-            rhs, costs = before[:m, -1], before[m, :-1]
-            violation = np.maximum(-rhs, rhs - ub)
-            infeasible = (violation > tol).nonzero()[0]
-            if bland:
-                assert basis0[leave] == basis0[infeasible].min()  # dual Bland's rule
-            else:
-                assert leave == violation.argmax()  # the first of ties
-            row = before[leave, :-1] * (-1.0 if rhs[leave] > ub[leave] else 1.0)
-            candidates = (row < -tol).nonzero()[0]
-            feasible = candidates[costs[candidates] >= -tol]
-            if feasible.size:
-                assert costs[col] >= -tol  # dual feasible first
-                seen["waits"] += feasible.size < candidates.size
-                candidates = feasible
-            ratios = np.maximum(costs[candidates], 0.0) / -row[candidates]
-            assert col in candidates and max(costs[col], 0.0) / -row[col] <= ratios.min() + tol
-            if bland:
-                ties = candidates[ratios == ratios.min()]
-            else:
-                near = candidates[ratios <= ratios.min() + tol]
-                assert row[col] == row[near].min()  # the largest pivot element
-                ties = near[row[near] == row[col]]
-                seen["sizes"] += len(set(row[near])) > 1
-            assert nonbasic0[col] == nonbasic0[ties].min()  # ties by variable index
+            if before[leave, -1] > ub[leave]:  # the kernel pivots on x' = u - x
+                before[leave, :-1] *= -1.0
+                before[leave, -1] = ub[leave] - before[leave, -1]
+            choices = _assert_dual_rules(before, leave, col, basis0, nonbasic0, ub, bland, tol)
+            costs = before[m, :-1]
             if costs[col] >= -tol:
                 assert np.all(T[m, :-1][costs >= -tol] >= -tol)
-            seen["rows"] += infeasible.size > 1
+            for choice, had in choices.items():
+                seen[choice] += had
             seen["bland" if bland else "bounded" if bounds else "unbounded"] += 1
         assert min(seen.values()) >= 50, seen
 
@@ -1243,6 +1261,82 @@ class TestBreakdownReasons:
     def test_genuine_statuses_carry_no_reason(self):
         assert WarmLP([1.0], [[-1.0]], [0.0]).solve().reason is None  # unbounded
         assert WarmLP([1.0], [[1.0]], [1.0]).solve().reason is None  # optimal
+
+
+def _checked_dual_pivots(monkeypatch):
+    """A list that collects ``(bland, choices)`` per dual pivot of later
+    ``run_simplex`` calls, each pivot checked by ``_assert_dual_rules`` on
+    the tableau that ``_dual_entering`` reads; after a pivot that entered a
+    dual feasible column, no reduced cost at least -tol has fallen below."""
+    checked, state = [], {}
+    real_run, real_entering = _kernel.run_simplex, _kernel._dual_entering
+    real_pivot = _kernel.pivot_inplace
+
+    def run(T, basis, nonbasic, max_pivots, tol, upper=None, **options):
+        state.update(basis=basis, upper=upper)
+        return real_run(T, basis, nonbasic, max_pivots, tol, upper=upper, **options)
+
+    def entering(tableau, leave, candidates, nonbasic, bland, tol):
+        enter, step = real_entering(tableau, leave, candidates, nonbasic, bland, tol)
+        basis, upper = state["basis"], state["upper"]
+        ub = np.full(len(basis), np.inf) if upper is None else upper[basis]
+        choices = _assert_dual_rules(tableau, leave, enter, basis, nonbasic, ub, bland, tol)
+        checked.append((bland, choices))
+        costs = tableau[-1, :-1]
+        state["kept"] = (costs >= -tol, tol) if costs[enter] >= -tol else None
+        return enter, step
+
+    def pivot(tableau, basis, nonbasic, row, col):
+        real_pivot(tableau, basis, nonbasic, row, col)
+        kept = state.pop("kept", None)  # None after a primal pivot
+        if kept is not None:
+            assert np.all(tableau[-1, :-1][kept[0]] >= -kept[1])
+
+    monkeypatch.setattr(_kernel, "run_simplex", run)
+    monkeypatch.setattr(_kernel, "_dual_entering", entering)
+    monkeypatch.setattr(_kernel, "pivot_inplace", pivot)
+    return checked
+
+
+def _dual_pass_fixtures():
+    """Tests above whose kernel runs reach the dual pass, each a callable of
+    the monkeypatch fixture."""
+    dual, bounds, warm = TestKernelDualPass(), TestKernelBounds(), TestWarmAgainstCold()
+    fixtures = {
+        "smallest-ratio": dual.test_violated_row_repaired_by_the_smallest_ratio,
+        "column-waits": dual.test_dual_infeasible_column_waits_for_the_primal_pass,
+        "column-repairs": dual.test_dual_infeasible_column_repairs_when_nothing_else_can,
+        "permuted-ties": lambda mp: dual.test_ties_break_by_variable_not_column(
+            mp, (-1.0, -1.0, -2.0, -0.5), (0.0, 1.0, -2.0, -0.1)
+        ),
+        "above-bound": bounds.test_dual_pass_repairs_a_row_above_its_upper_bound,
+        "game-dual-bland": warm.test_dual_bland_from_the_first_pivot,
+        "cuts-spanning-tree": lambda mp: warm.test_decomposition_cut_rows("spanning-tree", 40),
+    }
+    for family in ("k-selection", "spanning-tree"):
+        fixtures[f"game-{family}"] = (
+            lambda mp, family=family: warm.test_restricted_game_growth(family, 40)
+        )
+    return fixtures
+
+
+_DUAL_PASS_FIXTURES = _dual_pass_fixtures()
+
+
+class TestDualEnteringAgainstReference:
+    """Every dual pivot of the fixtures above, checked against the rules as
+    read off the tableau it is made on, by ``_assert_dual_rules``: the rules
+    themselves are the reference, on tableaux that hand-built and random
+    ones do not reach (restricted games, cut rows, bounded rows).  The
+    fixtures keep their own pins, and their ids stay as they were."""
+
+    @pytest.mark.parametrize("fixture", _DUAL_PASS_FIXTURES)
+    def test_fixture_pivots_unchanged(self, monkeypatch, fixture):
+        checked = _checked_dual_pivots(monkeypatch)
+        _DUAL_PASS_FIXTURES[fixture](monkeypatch)
+        assert checked  # the dual pass ran
+        if fixture == "game-dual-bland":
+            assert {bland for bland, _ in checked} == {False, True}
 
 
 class TestGenerate:
