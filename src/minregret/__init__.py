@@ -45,20 +45,26 @@ from .solvers import (
     solve_randomized,
 )
 from .decompose import decompose_marginal
-from .sim import simulate
-from .gen import generate_instance
 
 __version__ = "0.1.0"
 
+# Names whose module loads on first use, so that `import minregret` loads
+# neither the file formats (`io`, and `json` with it) nor the simulator and
+# the generator (`sim`, `gen`): no solver reads a file or calls either, and
+# the package's import time is part of every benchmark run's setup.
+_LAZY = {
+    "describe_instance": "io",
+    "validate_instance": "io",
+    "simulate": "sim",
+    "generate_instance": "gen",
+}
+
 
 def __getattr__(name):
-    # The file formats load on first use, so that `import minregret` loads
-    # neither `io` nor `json`: solving reads no file, and the package's
-    # import time is part of every benchmark run's setup.
-    if name in ("describe_instance", "validate_instance"):
-        from . import io
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(io, name)
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

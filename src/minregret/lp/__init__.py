@@ -223,15 +223,15 @@ def _run_bursts(
 
 
 def _finite(*arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("LP coefficients must be finite")
 
 
 def _block(block, shape, name, vector):
     """``(lhs, vector)`` of :meth:`WarmLP.grow` as checked float arrays, with
-    ``lhs`` of ``shape(len(vector))``; None is an empty block."""
+    ``lhs`` of ``shape(len(vector))``; None stays None."""
     if block is None:
-        return np.empty(shape(0)), np.empty(0)
+        return None
     lhs, v = block
     v, lhs = np.asarray(v, dtype=float), np.asarray(lhs, dtype=float)
     if v.ndim != 1:
@@ -325,50 +325,70 @@ class WarmLP:
         ``lhs`` covers the old rows and the new ones.
 
         Everything is checked before the LP changes, so a rejected call
-        leaves it as it was.  The tableau is allocated once: the new rows
-        are ``[a_N | b] - a_B·T`` and the new columns are read off the slack
-        columns of the tableau that holds them, so one call gives the bits
-        of ``grow(rows)`` followed by ``grow(columns=...)``.
+        leaves it as it was: each block's shape, that it is finite, and that
+        ``rhs >= 0``.  :class:`MatrixGame` checks its own blocks (shape and
+        finite on the payoffs, positive once shifted) and grows its LP
+        through ``_grow``, which checks nothing, so each block is checked
+        once, by the class that made it.
+
+        The tableau is allocated once.  The new rows are ``[a_N | b] -
+        a_B·T``.  The new columns come from the slack block of the tableau
+        that holds the new rows, ``(m + k + 1) × (m + k)`` over every row
+        and every slack: a nonbasic slack's column is copied from ``T`` and
+        a basic slack's is e of its row, so the block is ``B⁻¹`` over
+        ``-y``, and one product with the new ``lhs`` gives their ``B⁻¹a``
+        and ``-y·a``; no scratch array spans the whole variable layout.
+        One call gives the bits of ``grow(rows)`` followed by
+        ``grow(columns=...)``.
         """
         if self._upper is not None:
             raise ValueError("a WarmLP with upper bounds does not grow")
         m, n = self._A.shape
-        A_rows, b = _block(rows, lambda k: (k, n), "rows", "rhs")
-        if np.any(b < 0.0):
+        rows = _block(rows, lambda k: (k, n), "rows", "rhs")
+        if rows is not None and (rows[1] < 0.0).any():
             raise ValueError("WarmLP right-hand sides must be nonnegative")
-        k = len(b)
-        A_cols, c = _block(columns, lambda j: (m + k, j), "columns", "objective")
-        j, N = len(c), len(self.nonbasic)
+        k = 0 if rows is None else len(rows[1])
+        self._grow(rows, _block(columns, lambda j: (m + k, j), "columns", "objective"))
+
+    def _grow(self, rows, columns) -> None:
+        """:meth:`grow` on checked blocks: ``(lhs, vector)`` float arrays of
+        the right shapes, or None."""
+        m, n = self._A.shape
+        k = 0 if rows is None else len(rows[1])
+        j = 0 if columns is None else len(columns[1])
+        old, basis, nonbasic, N = self._T, self.basis, self.nonbasic, len(self.nonbasic)
+        A, b, c = self._A, self._b, self._c
         # the old rows, the new ones, then the cost row; the new columns go
         # before the right-hand side
-        old, T = self._T, np.empty((m + k + 1, N + j + 1))
+        T = np.empty((m + k + 1, N + j + 1))
         T[:m, :N], T[:m, -1] = old[:m, :-1], old[:m, -1]
         T[-1, :N], T[-1, -1] = old[m, :-1], old[m, -1]
-        basis, nonbasic = self.basis, self.nonbasic
         if k:
+            A_rows, rhs = rows
             a = np.zeros((k, n + m))  # the old slacks are absent
             a[:, :n] = A_rows
             a_BT = a[:, basis] @ old[:m]
-            T[m:-1, :N], T[m:-1, -1] = a[:, nonbasic] - a_BT[:, :-1], b - a_BT[:, -1]
-            basis = np.concatenate([basis, n + m + np.arange(k)])
+            T[m:-1, :N], T[m:-1, -1] = a[:, nonbasic] - a_BT[:, :-1], rhs - a_BT[:, -1]
+            basis = np.concatenate([basis, np.arange(n + m, n + m + k)])
+            A, b = np.concatenate([A, A_rows]), np.concatenate([b, rhs])
         if j:
-            # The slack columns of the full tableau are B⁻¹ over -y (a basic
-            # slack's column is e of its row): B⁻¹a and -y·a read off them.
-            full = np.zeros((m + k + 1, n + m + k))
-            full[:, nonbasic] = T[:, :N]
-            full[np.arange(m + k), basis] = 1.0
-            cols = full[:, n:] @ A_cols
-            cols[m + k] -= c
-            T[:, N : N + j] = cols
-            basis = np.where(basis >= n, basis + j, basis)
-            nonbasic = np.concatenate([
-                np.where(nonbasic >= n, nonbasic + j, nonbasic),
-                n + np.arange(j),
-            ])
+            A_cols, cost = columns
+            slack = np.zeros((m + k + 1, m + k))
+            at = (nonbasic >= n).nonzero()[0]
+            slack[:, nonbasic[at] - n] = T[:, at]
+            unit = basis >= n
+            units = unit.nonzero()[0]
+            slack[units, basis[units] - n] = 1.0
+            cols = slack @ A_cols
+            cols[-1] -= cost
+            T[:, N:-1] = cols
+            basis = np.where(unit, basis + j, basis)
+            nonbasic = np.concatenate([nonbasic, np.arange(n, n + j)])
+            nonbasic[at] += j
+            A, c = np.concatenate([A, A_cols], axis=1), np.concatenate([c, cost])
+        # every field at once, so a block that raises leaves the LP as it was
+        self._A, self._b, self._c = A, b, c
         self._T, self.basis, self.nonbasic = T, basis, nonbasic
-        self._A = np.concatenate([np.concatenate([self._A, A_rows]), A_cols], axis=1)
-        self._b = np.concatenate([self._b, b])
-        self._c = np.concatenate([self._c, c])
 
     def solve(self, iterate: bool = False) -> LpSolution:
         """Re-optimise from the kept tableau; row duals are nonnegative.
@@ -427,19 +447,22 @@ def _payoff(payoff, rows=None, columns=None) -> np.ndarray:
         raise ValueError(
             f"payoff block has shape {P.shape}, expected ({rows or '*'}, {columns or '*'})"
         )
-    if not np.all(np.isfinite(P)):
+    if not np.isfinite(P).all():
         raise ValueError("payoff entries must be finite")
     return P
 
 
 def _shifted(P, scale) -> np.ndarray:
-    """``Q = 1 + P / scale``, which the game LP needs positive."""
+    """``Q = 1 + P / scale``, which the game LP needs positive and finite.
+    ``P`` is finite, so ``P / scale`` can overflow only when ``scale < 1``."""
     Q = 1.0 + P / scale
-    if not np.all(Q > 0.0):
+    if not (Q > 0.0).all():
         raise SolverError(
             f"matrix-game payoff {P.min():.12g} is at or below -scale = "
             f"{-scale:.12g}, so the shifted game 1 + P/scale is not positive"
         )
+    if scale < 1.0:
+        _finite(Q)
     return Q
 
 
@@ -449,8 +472,8 @@ def _equilibrium(P, scale, span, sol: LpSolution):
     if not sol.is_optimal:
         raise SolverError(f"matrix-game LP ended with status {sol.status_text}")
     # sum(t) = sum(duals) = 1 / value(Q) at the optimum
-    t = np.clip(sol.x, 0.0, None)
-    z = np.clip(sol.duals, 0.0, None)
+    t = np.maximum(sol.x, 0.0)
+    z = np.maximum(sol.duals, 0.0)
     row_mix = t / t.sum()
     col_mix = z / z.sum()
     value = scale * (1.0 / t.sum() - 1.0)
@@ -494,14 +517,16 @@ class MatrixGame:
         """Append column strategies, one payoff column each over the current
         rows, then row strategies, one payoff row each over every column.
 
-        Both blocks are checked and shifted before the game changes, so a
-        rejected call leaves it as it was.
+        Both blocks are checked (shape, finite) and shifted (positive) here,
+        before the game changes, so a rejected call leaves it as it was.
+        The LP grows by the shifted blocks through :meth:`WarmLP._grow`,
+        which does not check them again.
         """
         r, s = self.payoff.shape
         columns = np.empty((r, 0)) if columns is None else _payoff(columns, rows=r)
         width = s + columns.shape[1]
         rows = np.empty((0, width)) if rows is None else _payoff(rows, columns=width)
-        self._lp.grow(
+        self._lp._grow(
             (_shifted(columns, self.scale).T, np.ones(width - s)) if width > s else None,
             (_shifted(rows, self.scale).T, np.ones(len(rows))) if len(rows) else None,
         )

@@ -86,8 +86,8 @@ class IntervalSide:
         sum in index, path and set order, so theirs may differ from it by
         round-off.  The key is c^A itself: distinct sets give one c^A where
         bounds are degenerate."""
-        cost = self.costs_of([A])[0]
         inside = A.indicator.astype(bool)
+        cost = np.where(inside, self.lower, self.upper)
         return cost.tobytes(), cost, np.sort(self.lower[inside]).sum(), A
 
     def costs_of(self, sets) -> np.ndarray:

@@ -153,16 +153,26 @@ class TestGenerator:
 class TestInstanceIo:
     def test_package_exports_the_schema_functions(self):
         import minregret
+        import minregret.gen
         import minregret.io
+        import minregret.sim
 
         assert minregret.validate_instance is minregret.io.validate_instance
         assert minregret.describe_instance is minregret.io.describe_instance
+        assert minregret.generate_instance is minregret.gen.generate_instance
+        assert minregret.simulate is minregret.sim.simulate
+        with pytest.raises(AttributeError, match="no_such_name"):
+            minregret.no_such_name
 
     def test_package_import_loads_no_file_format(self):
-        # solving reads no file, and every benchmark run's setup time
-        # includes this import: the file formats and the CLI load on use
+        # solving reads no file and simulates or generates nothing, and every
+        # benchmark run's setup time includes this import: the file formats,
+        # the simulator, the generator and the CLI load on use
         src = Path(__file__).resolve().parents[1] / "src"
-        heavy = ["minregret.io", "minregret.cli", "minregret.verify", "json", "argparse"]
+        heavy = [
+            "minregret.io", "minregret.cli", "minregret.verify", "minregret.sim",
+            "minregret.gen", "json", "argparse",
+        ]
         script = f"import sys, minregret; print([m for m in {heavy!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-c", script],

@@ -1055,6 +1055,38 @@ class TestGrowth:
             assert sol.is_optimal
         assert len(rows) > 10
 
+    @pytest.mark.parametrize("grown", ["rows", "columns", "both"])
+    @pytest.mark.parametrize("family", ["k-selection", "spanning-tree"])
+    def test_grown_tableau_is_the_data_at_the_kept_basis(self, family, grown):
+        # the growth formulas against the LP's own data: after growing a
+        # confirmed optimum, the kept tableau is B⁻¹[A_N | b] with its
+        # reduced costs at the kept basis
+        P = _restricted_game(family, 20, seed=5)
+        Q = 1.0 + P / max(float(P[0, 0]), 1.0)
+        variables = constraints = 1  # the game's rows and columns in the LP
+        lp = WarmLP(np.ones(1), Q[:1, :1].T, np.ones(1))
+        rng = np.random.default_rng(5)
+        checked = 0
+        while variables + 2 <= Q.shape[0] and constraints + 2 <= Q.shape[1]:
+            assert lp.solve().confirmed
+            rows = columns = None
+            if grown != "columns":
+                k = int(rng.integers(1, 3))
+                new = slice(constraints, constraints + k)
+                rows = (Q[:variables, new].T, np.ones(k))
+                constraints += k
+            if grown != "rows":
+                j = int(rng.integers(1, 3))
+                new = slice(variables, variables + j)
+                columns = (Q[new, :constraints].T, np.ones(j))
+                variables += j
+            lp.grow(rows, columns)
+            assert lp.shape == (constraints, variables)
+            dense = _dense_refresh(lp.basis, lp.nonbasic, *lp._problem())
+            assert np.max(np.abs(lp._T - dense)) <= 1e-9 * np.max(np.abs(lp._T))
+            checked += 1
+        assert checked >= 9
+
     def test_game_growth_in_one_step(self):
         P = _restricted_game("spanning-tree", 20, seed=4)
         one, two = MatrixGame(P[:2, :2]), MatrixGame(P[:2, :2])
@@ -1089,6 +1121,18 @@ class TestGrowth:
         _assert_same_bytes(before, lp)
         assert lp.solve().objective == 2.0
 
+    def test_raising_column_block_leaves_the_lp_unchanged(self):
+        # _grow checks nothing, but takes the new rows only with the columns:
+        # a column block that raises after the rows are built changes nothing
+        lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0])
+        lp.solve()
+        before = _lp_state(lp)
+        rows = (np.ones((1, 2)), np.ones(1))
+        with pytest.raises(ValueError):
+            lp._grow(rows, (np.ones((2, 1)), np.ones(1)))  # misses the new row
+        _assert_same_bytes(before, lp)
+        assert lp.solve().objective == 2.0
+
     def test_bounded_lp_does_not_grow(self):
         lp = WarmLP([1.0, 1.0], np.eye(2), [1.0, 1.0], upper=[1.0, np.inf])
         before = _lp_state(lp)
@@ -1119,6 +1163,16 @@ class TestGrowth:
         assert game.payoff.tobytes() == payoff.tobytes()
         _assert_same_bytes(lp, game._lp)
         assert game.solve()[2] == pytest.approx(1.5)
+
+    def test_overflowing_shift_is_rejected_as_not_finite(self):
+        # a finite payoff over a scale below 1 can overflow: the game checks
+        # its shifted block, since the LP grows by it unchecked
+        game = MatrixGame([[5e-324]])  # scale 5e-324
+        lp = _lp_state(game._lp)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            game.grow(columns=[[1.0]])
+        assert game.payoff.shape == (1, 1)
+        _assert_same_bytes(lp, game._lp)
 
     def test_wrong_row_length_names_the_expected_shape(self):
         with pytest.raises(ValueError, match=r"shape \(1, 3\), expected \(\*, 2\)"):
