@@ -2,10 +2,10 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 bench/counts.py
+    PYTHONPATH=src python3 bench/counts.py [--tier {tiny,full}]
 
-It solves each rung and writes ``BENCH_counts_<rev>.json`` at
-the repository root (or ``--out``), where ``<rev>`` is ``git rev-parse
+It solves each rung of the tier and writes ``BENCH_counts_<rev>_<tier>.json``
+at the repository root (or ``--out``), where ``<rev>`` is ``git rev-parse
 --short HEAD``, followed by ``-dirty`` when ``src/`` differs from it.  Per
 rung it records the LP's solves, dual and primal pivots and refreshes,
 summed over every ``WarmLP`` solve, the largest LP solved (rows, variables),
@@ -16,10 +16,16 @@ after compare rung by rung; the seconds are for information only.  They do
 depend on floating-point bits, so compare two trees on one host with one
 numpy and BLAS build, as ``tests/answer_digest.py`` is compared.
 
-The rungs are the tiny tier: the double-oracle cases of perfbench's
+The tiny tier, the default, is the double-oracle cases of perfbench's
 ``do-interval`` workload (spanning trees and DAG paths under intervals, at
 their pinned seeds) and one adversary LP on the scenario axis, k-selection
-n=100 with 32 scenarios: under a second in all.
+n=100 with 32 scenarios: under a second in all.  The full tier is the
+slow rungs, about 15 to 40 seconds in all: ``solve_randomized`` on spanning
+trees under intervals (n=500 seeds 1 and 2, n=1000 seed 2) and with 64
+scenarios (n=200), the adversary LP with 64 scenarios (k-selection n=200,
+spanning trees n=500), and the double oracle on interval k-selection
+(n=150 seed 1, n=200 seeds 3 and 1), which ``solve_randomized`` leaves to
+the threshold search.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class Rung(NamedTuple):
     uncertainty: str  # interval | scenarios
     scenarios: int  # 0 under intervals
     seed: int
-    solver: str  # randomized | adversary-lp
+    solver: str  # randomized | adversary-lp | double-oracle
 
     @property
     def name(self) -> str:
@@ -59,6 +65,20 @@ RUNGS = tuple(
     + [Rung("dag-path", 60, "interval", 0, 1, "randomized"),
        Rung("k-selection", 100, "scenarios", 32, 1, "adversary-lp")]
 )
+
+FULL_RUNGS = (
+    Rung("spanning-tree", 500, "interval", 0, 1, "randomized"),
+    Rung("spanning-tree", 500, "interval", 0, 2, "randomized"),
+    Rung("spanning-tree", 1000, "interval", 0, 2, "randomized"),
+    Rung("k-selection", 200, "scenarios", 64, 1, "adversary-lp"),
+    Rung("spanning-tree", 500, "scenarios", 64, 1, "adversary-lp"),
+    Rung("spanning-tree", 200, "scenarios", 64, 1, "randomized"),
+    Rung("k-selection", 150, "interval", 0, 1, "double-oracle"),
+    Rung("k-selection", 200, "interval", 0, 3, "double-oracle"),
+    Rung("k-selection", 200, "interval", 0, 1, "double-oracle"),
+)
+
+TIERS = {"tiny": RUNGS, "full": FULL_RUNGS}
 
 COUNTS = ("solves", "dual_pivots", "primal_pivots", "refreshes")
 
@@ -105,8 +125,9 @@ def run_rung(rung: Rung) -> dict:
         start = time.perf_counter()
         if rung.solver == "randomized":
             game = mr.solve_randomized(instance, tol=TOL, oracle=oracle)
-        else:  # the loop solve_adversary_lp_discrete runs, with its iterations
-            game = _double_oracle(instance, TOL, MAX_CUTS, oracle, every_scenario=True)
+        else:  # the adversary LP is the loop solve_adversary_lp_discrete runs
+            every_scenario = rung.solver == "adversary-lp"
+            game = _double_oracle(instance, TOL, MAX_CUTS, oracle, every_scenario=every_scenario)
         seconds = time.perf_counter() - start
     return {
         "rung": rung.name, **rung._asdict(), **totals,
@@ -115,8 +136,8 @@ def run_rung(rung: Rung) -> dict:
     }
 
 
-def run_rungs() -> list[dict]:
-    return [run_rung(rung) for rung in RUNGS]
+def run_rungs(rungs=RUNGS) -> list[dict]:
+    return [run_rung(rung) for rung in rungs]
 
 
 def revision() -> str:
@@ -135,12 +156,15 @@ def revision() -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, help="output file (default: BENCH_counts_<rev>.json)")
+    parser.add_argument("--tier", choices=TIERS, default="tiny", help="rungs to run")
+    parser.add_argument(
+        "--out", type=Path, help="output file (default: BENCH_counts_<rev>_<tier>.json)"
+    )
     args = parser.parse_args(argv)
     rev = revision()
-    rungs = run_rungs()
-    report = {"revision": rev, "numpy": np.__version__, "rungs": rungs}
-    out = args.out or ROOT / f"BENCH_counts_{rev}.json"
+    rungs = run_rungs(TIERS[args.tier])
+    report = {"revision": rev, "tier": args.tier, "numpy": np.__version__, "rungs": rungs}
+    out = args.out or ROOT / f"BENCH_counts_{rev}_{args.tier}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for r in rungs:
         print(

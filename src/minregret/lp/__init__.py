@@ -12,10 +12,10 @@ solved once from the slack basis (the compact scenario k-selection LP's box
 package's hot kernel and lives in ``_kernel``, a dense numpy basis exchange
 per pivot: a dual pass while some basic variable is out of its bounds (dual
 feasible columns first, largest infeasibility first, dual Bland's rule once
-it stalls), then a primal pass whose ratio test includes the entering
-variable's own bound flip; both break ties by variable index.  The LP here
-runs it in bursts of at most ``BURST_PIVOTS`` pivots between exact
-refreshes (``_refresh``).  A solve accepts a claim only after a refresh and
+it stalls), then a primal pass priced by Dantzig's rule (Bland's once it
+stalls) whose ratio test includes the entering variable's own bound flip;
+both break ties by variable index.  The LP here runs it in bursts of at
+most ``BURST_PIVOTS`` pivots between exact refreshes (``_refresh``).  A solve accepts a claim only after a refresh and
 a kernel run that confirms it without pivoting; an iterate solve, which the
 double oracle uses between its answers, returns the kernel's optimal claim
 unrefreshed until the pivots since the last refresh reach the burst limit.  Every row has one
@@ -178,8 +178,7 @@ _CLAIMS = {
 
 
 def _run_bursts(
-    T, basis, nonbasic, problem, budget, flipped=None, dantzig=False, since=0, iterate=False,
-    optimal_tol=None,
+    T, basis, nonbasic, problem, budget, flipped=None, since=0, iterate=False, optimal_tol=None,
 ):
     """Kernel bursts interleaved with exact refreshes until a claim survives.
 
@@ -192,10 +191,9 @@ def _run_bursts(
     refreshed tableau without pivoting.  So a solve that ends within one
     burst refreshes once.  With ``iterate``, an optimal claim of the first
     burst is returned as it stands, unrefreshed; any other outcome of that
-    burst goes on as above.  ``dantzig`` selects the kernel's primal
-    pricing and ``optimal_tol`` its optimality test.  Returns ``(status,
-    reason, dual_pivots, primal_pivots, refreshes)``; see
-    :class:`LpSolution` for the breakdown reasons.
+    burst goes on as above.  ``optimal_tol`` is the kernel's optimality
+    test.  Returns ``(status, reason, dual_pivots, primal_pivots,
+    refreshes)``; see :class:`LpSolution` for the breakdown reasons.
     """
     upper = problem[3]
     dual = primal = refreshes = 0
@@ -206,7 +204,7 @@ def _run_bursts(
             return "breakdown", "budget", dual, primal, refreshes
         status, used, dual_used = _kernel.run_simplex(
             T, basis, nonbasic, min(remaining, BURST_PIVOTS - since), PIVOT_TOL,
-            upper=upper, flipped=flipped, dantzig=dantzig, optimal_tol=optimal_tol,
+            upper=upper, flipped=flipped, optimal_tol=optimal_tol,
         )
         dual += dual_used
         primal += used - dual_used
@@ -276,12 +274,12 @@ class WarmLP:
     of pivots refreshes once.  An iterate (``solve(iterate=True)``) is the
     kernel's optimal claim from the kept tableau, unrefreshed, while the
     pivots since the last refresh stay within the burst; a loop moves on
-    from it but answers only from a confirmed solve.  The first solve, which
-    starts from the slack basis, prices the primal pass by Dantzig's rule
-    (with Bland's as its anti-stall fallback): from that basis, far from the
-    optimum, Bland's rule took 7 to 28 times as many pivots on the scenario
-    k-selection LP (n = 300 to 2000).  Every re-solve keeps Bland's rule:
-    on these warm, degenerate LPs Dantzig pricing took more time.
+    from it but answers only from a confirmed solve.  Every solve, first or
+    warm, prices the primal pass by Dantzig's rule, with Bland's as its
+    anti-stall fallback: from the slack basis Bland's rule took 7 to 28
+    times as many pivots on the scenario k-selection LP (n = 300 to 2000),
+    and on warm re-solves 3 to 5 times as many on the 64-scenario adversary
+    LPs.
     ``basis``, ``nonbasic`` and ``flipped`` index the layout
     ``[variables | slacks]``, one slack per row.
     """
@@ -300,7 +298,6 @@ class WarmLP:
         self.basis = np.empty(0, dtype=np.intp)
         self.nonbasic = np.arange(n, dtype=np.intp)
         self._T = np.append(-self._c, 0.0)[None, :]
-        self._cold = True  # no solve has kept a tableau yet
         self._since = 0  # pivots the kept tableau took since its last refresh
         self.grow(rows=(lhs, rhs))  # the slack basis
         if upper is not None and np.isfinite(upper).any():  # the slacks are unbounded
@@ -416,13 +413,12 @@ class WarmLP:
         flipped = None if self.flipped is None else self.flipped.copy()
         budget = 10 * (2 * m + n) ** 2
         status, reason, dual, primal, refreshes = _run_bursts(
-            T, basis, nonbasic, self._problem(), budget, flipped=flipped, dantzig=self._cold,
-            since=self._since, iterate=iterate, optimal_tol=optimal_tol,
+            T, basis, nonbasic, self._problem(), budget, flipped=flipped, since=self._since,
+            iterate=iterate, optimal_tol=optimal_tol,
         )
         if status != "optimal":
             return LpSolution(status, None, None, None, dual, primal, reason, refreshes)
         self._T, self.basis, self.nonbasic, self.flipped = T, basis, nonbasic, flipped
-        self._cold = False
         self._since = self._since + dual + primal if refreshes == 0 else 0
         x = np.zeros(n + m)
         x[basis] = T[:m, -1]

@@ -59,13 +59,14 @@ leaving row, so the tableau loses dual feasibility, the dual objective is
 no longer monotone, and from then on only ``max_pivots`` (the caller's
 budget) bounds the pass.
 
-The primal pass enters, by default, with Bland's rule: the lowest eligible
-variable index.  With ``dantzig`` (a ``WarmLP``'s first solve, from the
-slack basis) it enters the most negative reduced cost (ties by the lowest
-variable index) and falls back to Bland's rule after ``DUAL_STALL_PIVOTS``
-consecutive degenerate steps, until a step is nondegenerate.  The ratio
-test counts a basic variable reaching 0, a basic variable reaching its
-upper bound (its row is complemented and it leaves flipped) and the
+The primal pass enters by Dantzig's rule on every solve, first or warm:
+the most negative reduced cost, ties by the lowest variable index.  After
+``DUAL_STALL_PIVOTS`` consecutive degenerate steps it falls back to Bland's
+rule (the lowest eligible variable index) until a step is nondegenerate.
+Pure Bland pricing on warm re-solves took 3.8 to 4.5 times as many pivots
+on the 64-scenario adversary LPs, whose re-solves are primal only.  The
+ratio test counts a basic variable reaching 0, a basic variable reaching
+its upper bound (its row is complemented and it leaves flipped) and the
 entering variable reaching its own bound, which flips its column without a
 basis change and wins ties; among rows, the lowest basis index wins.  An
 entering variable that was flipped has its row un-complemented after the
@@ -112,8 +113,7 @@ def flip_column(tableau, col, bound):
 
 
 def run_simplex(
-    tableau, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, dantzig=False,
-    optimal_tol=None,
+    tableau, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, optimal_tol=None,
 ):
     """Pivot ``tableau`` in place until it is primal and dual feasible.
 
@@ -128,7 +128,6 @@ def run_simplex(
         None when no variable has one.
     flipped : uint8 per variable, the nonbasic variables at their upper
         bound; updated in place.  Needed only with a finite bound.
-    dantzig : enter the primal pass by the most negative reduced cost.
     optimal_tol : how far below zero a reduced cost may sit at an optimum,
         ``tol`` if None; every other test, the pivot elements' among them,
         reads ``tol``.
@@ -194,7 +193,7 @@ def run_simplex(
             return STATUS_OPTIMAL, pivots, dual
         if pivots >= max_pivots:
             return STATUS_PIVOT_LIMIT, pivots, dual
-        if dantzig and degenerate < DUAL_STALL_PIVOTS and eligible.size > 1:
+        if degenerate < DUAL_STALL_PIVOTS and eligible.size > 1:
             # Dantzig's rule: most negative reduced cost, lowest index among ties.
             scores = obj[eligible]
             eligible = eligible[scores == scores[scores.argmin()]]

@@ -328,8 +328,10 @@ class TestAgainstScipy:
 
     def test_random_lp_corpus(self, monkeypatch):
         """First solves, with and without finite bounds, and warm solves of
-        the LPs without, grown by rows, columns or both in one ``grow``; some
-        under dual Bland's rule.  Small integers, so that ratios tie."""
+        the LPs without, grown by rows, columns or both in one ``grow``; one
+        case in five with ``DUAL_STALL_PIVOTS = 0``, under dual Bland's rule
+        and primal Bland pricing from the first pivot.  Small integers, so
+        that ratios tie."""
         runs = _kernel_runs(monkeypatch)
         rng = np.random.default_rng(11)
         statuses = set()
@@ -365,8 +367,8 @@ class TestAgainstScipy:
         for bounded in (False, True):
             assert any(used > dual for used, dual, finite, _, _ in runs if finite == bounded)
         assert any(dual for _, dual, finite, _, _ in runs if not finite)  # grown: dual pivots
-        for dantzig in (False, True):  # both pricing rules made primal pivots
-            assert any(used > dual for used, dual, _, rule, _ in runs if rule == dantzig)
+        for bland in (False, True):  # both pricing rules made primal pivots
+            assert any(used > dual for used, dual, _, stall, _ in runs if (stall == 0) == bland)
 
 
 def test_active_backend_reported():
@@ -374,10 +376,10 @@ def test_active_backend_reported():
 
 
 def _kernel_runs(monkeypatch):
-    """A list that collects ``(pivots, dual pivots, bounded, dantzig,
-    exchanges)`` per later ``run_simplex`` call, each basis exchange as (row,
-    entering variable); the dual pass comes first and flips no bound.  It
-    wraps the kernel functions in place, spies included."""
+    """A list that collects ``(pivots, dual pivots, bounded,
+    DUAL_STALL_PIVOTS, exchanges)`` per later ``run_simplex`` call, each basis
+    exchange as (row, entering variable); the dual pass comes first and flips
+    no bound.  It wraps the kernel functions in place, spies included."""
     runs, exchanges = [], []
     real_pivot, real_run = _kernel.pivot_inplace, _kernel.run_simplex
 
@@ -385,12 +387,10 @@ def _kernel_runs(monkeypatch):
         exchanges.append((row, int(nonbasic[col])))
         real_pivot(tableau, basis, nonbasic, row, col)
 
-    def run(T, basis, nonbasic, max_pivots, tol, upper=None, dantzig=False, **options):
+    def run(T, basis, nonbasic, max_pivots, tol, upper=None, **options):
         start = len(exchanges)
-        status, used, dual = real_run(
-            T, basis, nonbasic, max_pivots, tol, upper=upper, dantzig=dantzig, **options
-        )
-        runs.append((used, dual, upper is not None, dantzig, exchanges[start:]))
+        status, used, dual = real_run(T, basis, nonbasic, max_pivots, tol, upper=upper, **options)
+        runs.append((used, dual, upper is not None, _kernel.DUAL_STALL_PIVOTS, exchanges[start:]))
         return status, used, dual
 
     monkeypatch.setattr(_kernel, "pivot_inplace", pivot)
@@ -611,16 +611,17 @@ class TestKernelBounds:
         self, monkeypatch, dantzig, entered
     ):
         # min -0.5 x1 - x2 - x3 s.t. x_i <= 1: Dantzig enters x2 before x3
-        # (tied, lower index) and x1 last; Bland enters in index order
+        # (tied, lower index) and x1 last; Bland, which DUAL_STALL_PIVOTS = 0
+        # makes the rule from the first step, enters in index order
+        if not dantzig:
+            monkeypatch.setattr(_kernel, "DUAL_STALL_PIVOTS", 0)
         problem = (np.eye(3), np.ones(3), np.array([-0.5, -1.0, -1.0, 0.0, 0.0, 0.0]),
                    np.full(6, np.inf))
         for order in itertools.permutations(range(3)):
             T, basis, nonbasic, flipped = self._start(problem, [3, 4, 5])
             T = np.ascontiguousarray(T[:, list(order) + [3]])
             nonbasic = nonbasic[list(order)]
-            status, used, exchanges = _recorded_run(
-                monkeypatch, T, basis, nonbasic, dantzig=dantzig
-            )
+            status, used, exchanges = _recorded_run(monkeypatch, T, basis, nonbasic)
             assert status == _kernel.STATUS_OPTIMAL
             assert [var for _, var in exchanges] == entered
 
@@ -732,7 +733,7 @@ class TestKernelRules:
         # moves, so Dantzig's rule takes x3 next, not x2
         rows = [[0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0],
                 [0.0, 0.0, 1.0, 0.0, 1.0], [-1.0, -3.0, -0.5, -2.0, 0.0]]
-        run = functools.partial(self._run, monkeypatch, rows, [4, 5, 6, 7], dantzig=True)
+        run = functools.partial(self._run, monkeypatch, rows, [4, 5, 6, 7])
         assert run() == [(0, 1), (2, 3), (1, 0), (3, 2)]
         assert run(stall=1) == [(0, 1), (1, 0), (2, 3), (3, 2)]
 
@@ -1229,27 +1230,25 @@ def _cut_loop(oracle, p, solve):
 
 @pytest.mark.xfail(raises=SolverError, strict=True)
 def test_epsilon_mix_cut_rows_break_down():
-    """The k-selection interval n=90 seed 1 optimal marginal mixed with the
+    """The k-selection interval n=99 seed 1 optimal marginal mixed with the
     uniform point, ``(1 - 1e-9) p + 1e-9 k/n``, on the cut-row layout (the
     box as n rows, so no bound flips) with plain warm solves ends in
-    ``breakdown (singular-basis)`` on a well-posed LP.  n=85, 95 and 99
-    break down too; n=80, 93 and 100 solve.  The package's decomposition
-    runs no LP, so this pin keeps the breakdown of the unbounded dual and
-    refresh path, which the double oracle and the adversary LP run,
-    visible.
+    ``breakdown (singular-basis)`` on a well-posed LP.  n=80, 85, 90, 93,
+    95 and 100 solve.  The package's decomposition runs no LP, so this pin
+    keeps the breakdown of the unbounded dual and refresh path, which the
+    double oracle and the adversary LP run, visible.
 
     Where it goes wrong, measured by wrapping the kernel's pivots: cut-loop
-    solve 356 (an LP of 446 rows and 92 columns) runs 35 dual and 989
-    primal pivots in one burst.  Its primal ratio test pivots on elements
-    down to 1.013e-9, just above ``PIVOT_TOL = 1e-9``; 15 of them are below
-    1e-6.  Tableau entries reach 1.1e21 before the exact refresh finds the
-    79 x 79 basis block singular.  At n=85 the failing solve (284) runs
-    3,868 dual and 18,660 primal pivots, with elements down to 1.014e-9
-    and entries up to 1.5e23.  No dual pivot enters a dual-infeasible
-    column: 0 of the 9,229 at n=90, counting the solve that makes p.  So a fix starts at the primal leaving rule: an
+    solve 438 (an LP of 537 rows and 101 columns) runs two full bursts.
+    The first, 179 dual and 845 primal pivots, ends in a refresh that
+    succeeds; the second, 6 dual and 1,018 primal pivots, in one that finds
+    the 85 x 85 basis block singular.  Their primal ratio tests pivot on
+    elements down to 1.249e-9 and 1.034e-9, just above ``PIVOT_TOL =
+    1e-9``; 6 and 7 of them are below 1e-6, and tableau entries reach
+    2.7e17 and 3.2e18.  So a fix starts at the primal leaving rule: an
     absolute 1e-9 test on the pivot element, with ties broken by basis
     index (Bland)."""
-    n = 90
+    n = 99
     instance = generate_instance("k-selection", n=n, uncertainty="interval", seed=1)
     oracle = build_oracle(instance)
     p = solve_randomized(instance).marginal.p
