@@ -9,19 +9,29 @@ at the repository root (or ``--out``), where ``<rev>`` is ``git rev-parse
 --short HEAD``, followed by ``-dirty`` when ``src/`` differs from it.  Per
 rung it records the LP's solves, dual and primal pivots and refreshes,
 summed over every ``WarmLP`` solve, the largest LP solved (rows, variables),
-the solver's iterations, its value and certified gap, and the wall seconds.
+the solver's iterations, its value and certified gap, and the wall seconds,
+split into layers (``layers``): the pivot kernel (``_kernel.run_simplex``),
+the exact refresh (``lp._refresh``), the rest of the LP (``WarmLP._solve``
+less those two), the double oracle's best responses, oracle solves included
+(``_RestrictedGame.responses``), and its growth, payoff assembly and tableau
+growth (``_RestrictedGame.grow``).  What is left of the seconds is the
+solver's own loop and certificate.
 
 The counts do not depend on the host's speed, so a change's before and
 after compare rung by rung; the seconds are for information only.  They do
 depend on floating-point bits, so compare two trees on one host with one
-numpy and BLAS build, as ``tests/answer_digest.py`` is compared.
+numpy and BLAS build, as ``tests/answer_digest.py`` is compared.  The script
+pins BLAS to one thread before it imports numpy, as ``perfbench/run.py``
+does, and stamps the thread variables in the report: under threads, the
+refresh's solves and the growth's products sum in another order, and 4 of
+the 9 slow rungs counted differently.
 
 The tiny tier, the default, is the double-oracle cases of perfbench's
 ``do-interval`` workload (spanning trees and DAG paths under intervals, at
 their pinned seeds) and one adversary LP on the scenario axis, k-selection
 n=100 with 32 scenarios: under a second in all.  The full tier is the
-slow rungs, about 15 to 40 seconds in all: ``solve_randomized`` on spanning
-trees under intervals (n=500 seeds 1 and 2, n=1000 seed 2) and with 64
+slow rungs, about 10 to 60 seconds in all: ``solve_randomized`` on spanning
+trees under intervals (n=500 seeds 1 and 2, n=1000 seeds 2 and 1) and with 64
 scenarios (n=200), the adversary LP with 64 scenarios (k-selection n=200,
 spanning trees n=500), and the double oracle on interval k-selection
 (n=150 seed 1, n=200 seeds 3 and 1), which ``solve_randomized`` leaves to
@@ -29,6 +39,20 @@ the threshold search.
 """
 
 from __future__ import annotations
+
+import os
+
+# One BLAS thread, set before numpy is first imported.
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
 
 import argparse
 import contextlib
@@ -70,6 +94,7 @@ FULL_RUNGS = (
     Rung("spanning-tree", 500, "interval", 0, 1, "randomized"),
     Rung("spanning-tree", 500, "interval", 0, 2, "randomized"),
     Rung("spanning-tree", 1000, "interval", 0, 2, "randomized"),
+    Rung("spanning-tree", 1000, "interval", 0, 1, "randomized"),
     Rung("k-selection", 200, "scenarios", 64, 1, "adversary-lp"),
     Rung("spanning-tree", 500, "scenarios", 64, 1, "adversary-lp"),
     Rung("spanning-tree", 200, "scenarios", 64, 1, "randomized"),
@@ -82,32 +107,64 @@ TIERS = {"tiny": RUNGS, "full": FULL_RUNGS}
 
 COUNTS = ("solves", "dual_pivots", "primal_pivots", "refreshes")
 
+LAYERS = ("kernel", "refresh", "lp_rest", "responses", "grow")
+
 
 @contextlib.contextmanager
 def lp_counts():
-    """Sums of every ``WarmLP`` solve's counts while open, and the largest
-    LP solved; the one seam through which the counts are read."""
-    from minregret.lp import WarmLP
+    """Sums of every ``WarmLP`` solve's counts while open, the largest LP
+    solved, and the seconds of each layer; the one seam through which they
+    are read.  Its wrappers are taken out again on exit."""
+    from minregret import lp
+    from minregret.lp import WarmLP, _kernel
+    from minregret.solvers import _RestrictedGame
 
     totals = dict.fromkeys(COUNTS, 0)
     totals["largest_lp"] = [0, 0]
-    solve = WarmLP._solve  # solve and _reprice both run it
+    seconds = dict.fromkeys(LAYERS, 0.0)
+    totals["layers"] = seconds
 
-    def counted(lp, *args):
-        sol = solve(lp, *args)
+    def timed(layer, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                seconds[layer] += time.perf_counter() - start
+
+        return wrapper
+
+    solve = timed("lp_rest", WarmLP._solve)  # solve and _reprice both run it
+
+    def counted(warm, *args):
+        sol = solve(warm, *args)
         totals["solves"] += 1
         totals["dual_pivots"] += sol.dual_pivots
         totals["primal_pivots"] += sol.primal_pivots
         totals["refreshes"] += sol.refreshes
-        if np.prod(lp.shape) > np.prod(totals["largest_lp"]):
-            totals["largest_lp"] = list(lp.shape)
+        if np.prod(warm.shape) > np.prod(totals["largest_lp"]):
+            totals["largest_lp"] = list(warm.shape)
         return sol
 
-    WarmLP._solve = counted
+    seams = [
+        (WarmLP, "_solve", counted),
+        (_kernel, "run_simplex", timed("kernel", _kernel.run_simplex)),
+        (lp, "_refresh", timed("refresh", lp._refresh)),
+        (_RestrictedGame, "responses", timed("responses", _RestrictedGame.responses)),
+        (_RestrictedGame, "grow", timed("grow", _RestrictedGame.grow)),
+    ]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in seams]
+    for owner, name, wrapper in seams:
+        setattr(owner, name, wrapper)
     try:
         yield totals
     finally:
-        WarmLP._solve = solve
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+        # the kernel and the refresh run inside WarmLP._solve
+        seconds["lp_rest"] -= seconds["kernel"] + seconds["refresh"]
+        for layer in LAYERS:
+            seconds[layer] = round(seconds[layer], 4)
 
 
 def run_rung(rung: Rung) -> dict:
@@ -163,7 +220,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rev = revision()
     rungs = run_rungs(TIERS[args.tier])
-    report = {"revision": rev, "tier": args.tier, "numpy": np.__version__, "rungs": rungs}
+    threads = {var: os.environ.get(var) for var in THREAD_VARS}
+    report = {
+        "revision": rev, "tier": args.tier, "numpy": np.__version__, "threads": threads,
+        "rungs": rungs,
+    }
     out = args.out or ROOT / f"BENCH_counts_{rev}_{args.tier}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for r in rungs:

@@ -10,9 +10,9 @@ a per-variable ``flipped`` array), so no bound is a row.  Bounds serve an LP
 solved once from the slack basis (the compact scenario k-selection LP's box
 ``0 <= z <= 1``), and a bounded LP does not grow.  The pivot loop is the
 package's hot kernel and lives in ``_kernel``, a dense numpy basis exchange
-per pivot: a dual pass while some basic variable is out of its bounds (dual
-feasible columns first, largest infeasibility first, dual Bland's rule once
-it stalls), then a primal pass priced by Dantzig's rule (Bland's once it
+per pivot: a dual pass while some basic variable is out of its bounds (the
+leaving row by dual steepest edge on the condensed rows, dual feasible
+columns first), then a primal pass priced by Dantzig's rule (Bland's once it
 stalls) whose ratio test includes the entering variable's own bound flip;
 both break ties by variable index.  The LP here runs it in bursts of at
 most ``BURST_PIVOTS`` pivots between exact refreshes (``_refresh``).  A solve accepts a claim only after a refresh and

@@ -34,34 +34,37 @@ happens when a row is appended to an optimal tableau: the basis is then
 still dual feasible.  A basic variable above its upper bound (round-off
 after a refresh can put one there) is infeasible by ``rhs - u``; its row is
 complemented (:func:`complement_row`), which makes it the usual negative
-right-hand side, and it leaves at that bound.  The leaving row is the most
-infeasible one, the first of ties.  The candidate columns are the ones with
-a negative entry in that row, and the dual feasible ones among them
-(reduced cost nonnegative within ``tol``) go first, so a column appended in
-the same step with a negative reduced cost waits for the primal pass; only
-when no such column can repair the row does any other candidate enter.
-The ratios are computed on the candidates only (:func:`_dual_entering`),
-never over the full row, and one entering rule serves every LP, bounded or
-not: the column with the largest pivot element among the columns whose
-ratio is within ``tol`` of the minimum ratio, which keeps reduced costs
-nonnegative within ``tol``.  After ``DUAL_STALL_PIVOTS`` consecutive
-degenerate pivots the pass switches to dual Bland's rule (leaving row: the
-lowest basis index among infeasible rows; entering column: the lowest
-variable index among minimum ratios) until a pivot moves the dual objective
-again.  Pure dual Bland took about ten times as many pivots on the double
-oracle's restricted games.
+right-hand side, and it leaves at that bound.  The leaving row is chosen by
+dual steepest edge on the condensed rows (Forrest & Goldfarb 1992): among
+the infeasible rows, the one with the largest ``violation² / (1 + ‖T[i,
+:-1]‖²)``, the first of ties; with one infeasible row no norm is computed.
+The norm is that of the row of the condensed tableau, plus one for the
+basic variable's own unit entry, so it needs nothing beyond the tableau; it
+is recomputed on every dual pivot, with no update formula.  On the double
+oracle's larger restricted games it took 1.3 to 10 times fewer pivots than
+taking the most infeasible row.  The candidate
+columns are the ones with a negative entry in that row, and the dual
+feasible ones among them (reduced cost nonnegative within ``tol``) go
+first, so a column appended in the same step with a negative reduced cost
+waits for the primal pass; only when no such column can repair the row does
+any other candidate enter.  The ratios are computed on the candidates only
+(:func:`_dual_entering`), never over the full row, and one entering rule
+serves every LP, bounded or not: the column with the largest pivot element
+among the columns whose ratio is within ``tol`` of the minimum ratio, which
+keeps reduced costs nonnegative within ``tol``.
 
-That makes the dual pass finite only while every entering column is dual
-feasible.  When no such column can repair the row, a column with a
-negative reduced cost enters: its ratio is clipped to zero, but the pivot
-lowers the reduced cost of every column with a positive entry in the
-leaving row, so the tableau loses dual feasibility, the dual objective is
-no longer monotone, and from then on only ``max_pivots`` (the caller's
-budget) bounds the pass.
+No anti-cycling rule guards the dual pass.  While every entering column is
+dual feasible the dual objective never falls, but a degenerate pivot (ratio
+0) leaves it where it is.  When no such column can repair the row, a column
+with a negative reduced cost enters: its ratio is clipped to zero, but the
+pivot lowers the reduced cost of every column with a positive entry in the
+leaving row, so the tableau loses dual feasibility and the dual objective is
+no longer monotone.  Either way ``max_pivots`` (the caller's budget) is what
+bounds the pass; it ends there as ``STATUS_PIVOT_LIMIT``.
 
 The primal pass enters by Dantzig's rule on every solve, first or warm:
 the most negative reduced cost, ties by the lowest variable index.  After
-``DUAL_STALL_PIVOTS`` consecutive degenerate steps it falls back to Bland's
+``STALL_PIVOTS`` consecutive degenerate steps it falls back to Bland's
 rule (the lowest eligible variable index) until a step is nondegenerate.
 Pure Bland pricing on warm re-solves took 3.8 to 4.5 times as many pivots
 on the 64-scenario adversary LPs, whose re-solves are primal only.  The
@@ -86,9 +89,9 @@ STATUS_PIVOT_LIMIT = 2
 # The dual pass found a violated row that no column can repair.
 STATUS_INFEASIBLE = 3
 
-# Degenerate pivots in a row before the dual pass falls back to dual Bland's
-# rule, and before Dantzig pricing in the primal pass falls back to Bland's.
-DUAL_STALL_PIVOTS = 50
+# Degenerate steps in a row before Dantzig pricing in the primal pass falls
+# back to Bland's rule.
+STALL_PIVOTS = 50
 
 
 def _lowest_variable(candidates, variables):
@@ -154,24 +157,19 @@ def run_simplex(
                 flipped[entering] = 0
                 complement_row(tableau, leave, ub[leave])
 
-    stalled = 0  # consecutive degenerate dual pivots
     while m:  # a tableau without rows has no row to repair
-        if bounded:
-            violation = np.maximum(-rhs, rhs - ub)
-            leave = int(violation.argmax())  # the first of ties
-            if not violation[leave] > tol:
-                break
-        else:
-            leave = int(rhs.argmin())  # the first of ties
-            if not rhs[leave] < below:
-                break
+        violation = np.maximum(-rhs, rhs - ub) if bounded else -rhs
+        infeasible = (violation > tol).nonzero()[0]
+        if not infeasible.size:
+            break
         if pivots >= max_pivots:
             return STATUS_PIVOT_LIMIT, pivots, pivots
-        bland = stalled >= DUAL_STALL_PIVOTS
-        if bland:
-            # Dual Bland's leaving rule: lowest basis index among infeasible rows.
-            infeasible = ((violation > tol) if bounded else (rhs < below)).nonzero()[0]
-            leave = _lowest_variable(infeasible, basis)
+        leave = int(infeasible[0])
+        if infeasible.size > 1:
+            # Dual steepest edge on the condensed rows, the first of ties.
+            rows = tableau[infeasible, :-1]
+            weights = violation[infeasible] ** 2 / (1.0 + np.einsum("ij,ij->i", rows, rows))
+            leave = int(infeasible[weights.argmax()])
         above = bounded and rhs[leave] > ub[leave]
         if above:
             complement_row(tableau, leave, ub[leave])
@@ -180,9 +178,7 @@ def run_simplex(
             if above:
                 complement_row(tableau, leave, ub[leave])  # back to rest
             return STATUS_INFEASIBLE, pivots, pivots
-        enter, step = _dual_entering(tableau, leave, candidates, nonbasic, bland, tol)
-        stalled = stalled + 1 if step <= tol else 0
-        pivot(leave, enter, above)
+        pivot(leave, _dual_entering(tableau, leave, candidates, nonbasic, tol), above)
         pivots += 1
     dual = pivots
 
@@ -193,7 +189,7 @@ def run_simplex(
             return STATUS_OPTIMAL, pivots, dual
         if pivots >= max_pivots:
             return STATUS_PIVOT_LIMIT, pivots, dual
-        if degenerate < DUAL_STALL_PIVOTS and eligible.size > 1:
+        if degenerate < STALL_PIVOTS and eligible.size > 1:
             # Dantzig's rule: most negative reduced cost, lowest index among ties.
             scores = obj[eligible]
             eligible = eligible[scores == scores[scores.argmin()]]
@@ -236,14 +232,13 @@ def run_simplex(
         pivots += 1
 
 
-def _dual_entering(tableau, leave, candidates, nonbasic, bland, tol):
-    """Entering column of the dual pivot on the infeasible row ``leave``, and
-    its ratio, among the ``candidates`` columns (an index array).
+def _dual_entering(tableau, leave, candidates, nonbasic, tol):
+    """Entering column of the dual pivot on the infeasible row ``leave``
+    among the ``candidates`` columns (an index array).
 
-    The dual feasible candidates go first when there are any.  ``bland``
-    takes the lowest variable index among the minimum ratios; otherwise the
-    column with the largest pivot element among the ratios within ``tol``
-    of the minimum enters, ties by variable index.
+    The dual feasible candidates go first when there are any; of those
+    left, the column with the largest pivot element among the ratios within
+    ``tol`` of the minimum enters, ties by variable index.
     """
     costs = tableau[-1, candidates]
     if costs[costs.argmin()] < -tol:
@@ -253,14 +248,11 @@ def _dual_entering(tableau, leave, candidates, nonbasic, bland, tol):
     size = -tableau[leave, candidates]  # the pivot elements, negated
     # Clip negative reduced costs to zero so that no ratio is negative.
     ratios = np.maximum(costs, 0.0) / size
-    best = ratios[ratios.argmin()]
-    if bland:  # dual Bland's entering rule
-        return _lowest_variable(candidates[(ratios == best).nonzero()[0]], nonbasic), best
-    near = (ratios <= best + tol).nonzero()[0]
+    near = (ratios <= ratios[ratios.argmin()] + tol).nonzero()[0]
     if near.size > 1:
         size = size[near]
         near = near[size == size[size.argmax()]]
-    return _lowest_variable(candidates[near], nonbasic), best
+    return _lowest_variable(candidates[near], nonbasic)
 
 
 def pivot_inplace(tableau, basis, nonbasic, row, col):

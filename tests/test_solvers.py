@@ -406,6 +406,22 @@ def test_adversary_lp_k_selection_128_scenarios():
     assert elapsed < 120.0
 
 
+# The double oracle on interval k-selection at n=200, which solve_randomized
+# leaves to the threshold search.  Taking the most infeasible row in the dual
+# pass, seeds 1 and 3 took 55,468 and 44,112 pivots (3.9 and 2.6 s on a
+# 2-vCPU machine); under dual steepest edge, 10,443 and 6,041 (0.7 and 0.4 s).
+@pytest.mark.parametrize("seed", [1, 3])
+def test_double_oracle_interval_k_selection_n200(seed):
+    inst = generate_instance("k-selection", n=200, uncertainty="interval", seed=seed)
+    oracle = build_oracle(inst)
+    started = time.perf_counter()
+    game = _double_oracle(inst, 1e-7, 10000, oracle)
+    elapsed = time.perf_counter() - started
+    assert 0.0 <= game.certified_gap <= 1e-7
+    assert abs(game.value - solve_randomized(inst, oracle=oracle).value) <= VALUE_TOL
+    assert elapsed < 5.0
+
+
 @given(
     st.lists(st.floats(allow_nan=False), min_size=1, max_size=8).flatmap(
         lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=200)
