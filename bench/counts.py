@@ -8,7 +8,9 @@ It solves each rung of the tier and writes ``BENCH_counts_<rev>_<tier>.json``
 at the repository root (or ``--out``), where ``<rev>`` is ``git rev-parse
 --short HEAD``, followed by ``-dirty`` when ``src/`` differs from it.  Per
 rung it records the LP's solves, dual and primal pivots and refreshes,
-summed over every ``WarmLP`` solve, the largest LP solved (rows, variables),
+summed over every ``WarmLP`` solve, the kernel runs that lifted their
+right-hand sides against a stall (``lifts``: ``_kernel.run_simplex`` calls
+that returned ``STATUS_LIFTED``), the largest LP solved (rows, variables),
 the solver's iterations, its value and certified gap, and the wall seconds,
 split into layers (``layers``): the pivot kernel (``_kernel.run_simplex``),
 the exact refresh (``lp._refresh``), the rest of the LP (``WarmLP._solve``
@@ -29,13 +31,15 @@ the 9 slow rungs counted differently.
 The tiny tier, the default, is the double-oracle cases of perfbench's
 ``do-interval`` workload (spanning trees and DAG paths under intervals, at
 their pinned seeds) and one adversary LP on the scenario axis, k-selection
-n=100 with 32 scenarios: under a second in all.  The full tier is the
-slow rungs, about 10 to 60 seconds in all: ``solve_randomized`` on spanning
-trees under intervals (n=500 seeds 1 and 2, n=1000 seeds 2 and 1) and with 64
-scenarios (n=200), the adversary LP with 64 scenarios (k-selection n=200,
-spanning trees n=500), and the double oracle on interval k-selection
-(n=150 seed 1, n=200 seeds 3 and 1), which ``solve_randomized`` leaves to
-the threshold search.
+n=100 with 32 scenarios: under a second in all.  The full tier is eleven
+slow rungs, about 35 seconds in all on a 2-vCPU host: ``solve_randomized``
+on spanning trees under intervals (n=500 seeds 1 and 2, n=1000 seeds 2 and
+1) and with 64 scenarios (n=200), the adversary LP with 64 scenarios
+(k-selection n=200, spanning trees n=500), and the double oracle on
+interval k-selection (n=150 seed 1, n=200 seeds 3, 1 and 2), which
+``solve_randomized`` leaves to the threshold search.  Seed 2 takes most of
+the time; it is the rung that stalled under the Bland fallback that the
+kernel's right-hand-side lift replaced.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ FULL_RUNGS = (
     Rung("k-selection", 150, "interval", 0, 1, "double-oracle"),
     Rung("k-selection", 200, "interval", 0, 3, "double-oracle"),
     Rung("k-selection", 200, "interval", 0, 1, "double-oracle"),
+    Rung("k-selection", 200, "interval", 0, 2, "double-oracle"),
 )
 
 TIERS = {"tiny": RUNGS, "full": FULL_RUNGS}
@@ -120,6 +125,7 @@ def lp_counts():
     from minregret.solvers import _RestrictedGame
 
     totals = dict.fromkeys(COUNTS, 0)
+    totals["lifts"] = 0
     totals["largest_lp"] = [0, 0]
     seconds = dict.fromkeys(LAYERS, 0.0)
     totals["layers"] = seconds
@@ -146,9 +152,16 @@ def lp_counts():
             totals["largest_lp"] = list(warm.shape)
         return sol
 
+    kernel = timed("kernel", _kernel.run_simplex)
+
+    def lifting(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        totals["lifts"] += result[0] == _kernel.STATUS_LIFTED
+        return result
+
     seams = [
         (WarmLP, "_solve", counted),
-        (_kernel, "run_simplex", timed("kernel", _kernel.run_simplex)),
+        (_kernel, "run_simplex", lifting),
         (lp, "_refresh", timed("refresh", lp._refresh)),
         (_RestrictedGame, "responses", timed("responses", _RestrictedGame.responses)),
         (_RestrictedGame, "grow", timed("grow", _RestrictedGame.grow)),
@@ -230,7 +243,7 @@ def main(argv=None) -> int:
     for r in rungs:
         print(
             f"{r['rung']:52s} solves {r['solves']:4d} pivots {r['dual_pivots']:5d} + "
-            f"{r['primal_pivots']:5d} refreshes {r['refreshes']:3d} "
+            f"{r['primal_pivots']:5d} refreshes {r['refreshes']:3d} lifts {r['lifts']:3d} "
             f"iterations {r['iterations']:3d} LP {r['largest_lp'][0]}x{r['largest_lp'][1]} "
             f"{r['seconds']:.3f}s"
         )

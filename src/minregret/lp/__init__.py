@@ -12,9 +12,10 @@ solved once from the slack basis (the compact scenario k-selection LP's box
 package's hot kernel and lives in ``_kernel``, a dense numpy basis exchange
 per pivot: a dual pass while some basic variable is out of its bounds (the
 leaving row by dual steepest edge on the condensed rows, dual feasible
-columns first), then a primal pass priced by Dantzig's rule (Bland's once it
-stalls) whose ratio test includes the entering variable's own bound flip;
-both break ties by variable index.  The LP here runs it in bursts of at
+columns first), then a primal pass priced by Dantzig's rule whose ratio test
+includes the entering variable's own bound flip, and whose first degenerate
+step lifts the low right-hand sides once; both enter ties by variable index
+and leave the first of tied rows.  The LP here runs it in bursts of at
 most ``BURST_PIVOTS`` pivots between exact refreshes (``_refresh``).  A solve accepts a claim only after a refresh and
 a kernel run that confirms it without pivoting; an iterate solve, which the
 double oracle uses between its answers, returns the kernel's optimal claim
@@ -191,7 +192,11 @@ def _run_bursts(
     refreshed tableau without pivoting.  So a solve that ends within one
     burst refreshes once.  With ``iterate``, an optimal claim of the first
     burst is returned as it stands, unrefreshed; any other outcome of that
-    burst goes on as above.  ``optimal_tol`` is the kernel's optimality
+    burst goes on as above.  A lifted claim (``_kernel.STATUS_LIFTED``) is
+    refreshed like any other: the run that lifted made a pivot, so it
+    confirms nothing, and its status is not an iterate's; a confirming run
+    makes no pivot, so it never lifts, and the kept tableau carries no
+    lift.  ``optimal_tol`` is the kernel's optimality
     test.  Returns ``(status, reason, dual_pivots, primal_pivots,
     refreshes)``; see :class:`LpSolution` for the breakdown reasons.
     """
@@ -275,11 +280,12 @@ class WarmLP:
     kernel's optimal claim from the kept tableau, unrefreshed, while the
     pivots since the last refresh stay within the burst; a loop moves on
     from it but answers only from a confirmed solve.  Every solve, first or
-    warm, prices the primal pass by Dantzig's rule, with Bland's as its
-    anti-stall fallback: from the slack basis Bland's rule took 7 to 28
-    times as many pivots on the scenario k-selection LP (n = 300 to 2000),
-    and on warm re-solves 3 to 5 times as many on the 64-scenario adversary
-    LPs.
+    warm, prices the primal pass by Dantzig's rule, against Bland's: from
+    the slack basis Bland's rule took 7 to 28 times as many pivots on the
+    scenario k-selection LP (n = 300 to 2000), and on warm re-solves 3 to 5
+    times as many on the 64-scenario adversary LPs.  A kernel run that
+    lifted its right-hand sides against a stall is never an iterate: its
+    claim is refreshed from the unlifted data and confirmed.
     ``basis``, ``nonbasic`` and ``flipped`` index the layout
     ``[variables | slacks]``, one slack per row.
     """

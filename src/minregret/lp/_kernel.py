@@ -3,8 +3,9 @@
 The kernel works on a condensed tableau: one column per nonbasic variable
 (``nonbasic`` names them) and none for the basic ones, whose columns are unit
 vectors that no rule reads.  A pivot is a basis exchange: the entering
-variable's column becomes the leaving variable's, and every choice below that
-breaks a tie by index uses the variable index, not the column position.
+variable's column becomes the leaving variable's, and every entering choice
+below that breaks a tie by index uses the variable index, not the column
+position; a leaving choice among tied rows takes the first row.
 
 Every variable is ``0 <= x <= u`` with ``u`` finite or not (``upper``, one
 entry per variable; None means no finite bound).  A nonbasic variable sits
@@ -63,18 +64,30 @@ no longer monotone.  Either way ``max_pivots`` (the caller's budget) is what
 bounds the pass; it ends there as ``STATUS_PIVOT_LIMIT``.
 
 The primal pass enters by Dantzig's rule on every solve, first or warm:
-the most negative reduced cost, ties by the lowest variable index.  After
-``STALL_PIVOTS`` consecutive degenerate steps it falls back to Bland's
-rule (the lowest eligible variable index) until a step is nondegenerate.
-Pure Bland pricing on warm re-solves took 3.8 to 4.5 times as many pivots
-on the 64-scenario adversary LPs, whose re-solves are primal only.  The
-ratio test counts a basic variable reaching 0, a basic variable reaching
-its upper bound (its row is complemented and it leaves flipped) and the
-entering variable reaching its own bound, which flips its column without a
-basis change and wins ties; among rows, the lowest basis index wins.  An
+the most negative reduced cost, ties by the lowest variable index.  Pure
+Bland pricing on warm re-solves took 3.8 to 4.5 times as many pivots on the
+64-scenario adversary LPs, whose re-solves are primal only.  The ratio test
+counts a basic variable reaching 0, a basic variable reaching its upper
+bound (its row is complemented and it leaves flipped) and the entering
+variable reaching its own bound, which flips its column without a basis
+change and wins ties; among rows, the first of the least ratios leaves.  An
 entering variable that was flipped has its row un-complemented after the
-pivot.  Every choice breaks its ties by index, so the pivot sequence, and
-with it every result, is deterministic.
+pivot.
+
+No pricing rule guards the primal pass against cycling; a one-time
+perturbation of the right-hand sides does (Wolfe 1963), with ``max_pivots``
+as the backstop, as in the dual pass.  At the first degenerate basis
+exchange of a call (least ratio at most ``tol``), every right-hand side
+below ``LIFT`` rises once, row ``i`` by ``LIFT·(0.5 + 0.5·frac(0.618…·(i +
+1)))``, but never past its basic variable's upper bound, and the ratio test
+is redone.  The amounts are fixed, so the pivot sequence, and with it every
+result, is deterministic.  The lifted rows then differ from the LP's, so a
+call that lifted and reaches optimality returns ``STATUS_LIFTED``, not
+``STATUS_OPTIMAL``: its basis is a candidate that only an exact refresh of
+the unlifted data, and a run that confirms it without pivoting, can accept.
+The lift ends Beale's (1955) cycling example in two pivots, and let the
+double oracle on interval k-selection n=200 seed 2 finish, which stalled
+under the Bland fallback it replaces.
 
 The pivot counts returned cover basis exchanges and primal bound flips.
 """
@@ -89,17 +102,20 @@ STATUS_PIVOT_LIMIT = 2
 # The dual pass found a violated row that no column can repair.
 STATUS_INFEASIBLE = 3
 
-# Degenerate steps in a row before Dantzig pricing in the primal pass falls
-# back to Bland's rule.
-STALL_PIVOTS = 50
+# The primal pass lifted its right-hand sides, so its optimum is the
+# perturbed LP's.
+STATUS_LIFTED = 4
+
+# How far a degenerate primal step lifts the right-hand sides below it.
+LIFT = 1e-7
 
 
-def _lowest_variable(candidates, variables):
-    """Position among ``candidates`` whose variable index in ``variables`` (the
-    nonbasic columns' or the basis rows') is lowest."""
+def _lowest_variable(candidates, nonbasic):
+    """Position among ``candidates`` whose variable index in ``nonbasic`` is
+    lowest."""
     if candidates.size == 1:
         return int(candidates[0])
-    return int(candidates[variables[candidates].argmin()])
+    return int(candidates[nonbasic[candidates].argmin()])
 
 
 def complement_row(tableau, row, bound):
@@ -182,18 +198,17 @@ def run_simplex(
         pivots += 1
     dual = pivots
 
-    degenerate = 0  # consecutive degenerate primal steps
+    lifted = False
     while True:
         eligible = (obj < priced).nonzero()[0]
         if not eligible.size:
-            return STATUS_OPTIMAL, pivots, dual
+            return STATUS_LIFTED if lifted else STATUS_OPTIMAL, pivots, dual
         if pivots >= max_pivots:
             return STATUS_PIVOT_LIMIT, pivots, dual
-        if degenerate < STALL_PIVOTS and eligible.size > 1:
+        if eligible.size > 1:
             # Dantzig's rule: most negative reduced cost, lowest index among ties.
             scores = obj[eligible]
             eligible = eligible[scores == scores[scores.argmin()]]
-        # Bland's entering rule, and Dantzig's tie-break: lowest-index variable.
         enter = _lowest_variable(eligible, nonbasic)
 
         # Leaving rows: a basic variable falling to 0, then (with bounds) one
@@ -216,18 +231,20 @@ def run_simplex(
             # the entering variable reaches its own bound first
             flip_column(tableau, enter, width)
             flipped[nonbasic[enter]] ^= 1
-            degenerate = degenerate + 1 if width <= tol else 0
             pivots += 1
             continue
-        ties = (ratios == best).nonzero()[0]
-        if ties.size > 1:
-            # Bland's leaving rule: among minimum ratios, lowest basis index.
-            at = int(ties[basis[rows[ties]].argmin()])
+        if best <= tol and not lifted:
+            # The first degenerate exchange lifts the low right-hand sides
+            # once, by fixed amounts in [LIFT / 2, LIFT), and redoes the step.
+            low = (rhs < LIFT).nonzero()[0]
+            lift = rhs[low] + LIFT * (0.5 + 0.5 * (0.6180339887 * (low + 1.0) % 1.0))
+            rhs[low] = np.minimum(lift, ub[low]) if bounded else lift
+            lifted = True
+            continue
         leave = int(rows[at])
         above = at >= falling
         if above:
             complement_row(tableau, leave, ub[leave])
-        degenerate = degenerate + 1 if best <= tol else 0
         pivot(leave, enter, above)
         pivots += 1
 

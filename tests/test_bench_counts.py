@@ -64,6 +64,7 @@ def test_counts_repeat_and_every_answer_is_certified(tmp_path):
     for rung in first:
         assert rung["solves"] > 0 and rung["refreshes"] > 0, rung["rung"]
         assert rung["dual_pivots"] + rung["primal_pivots"] > 0, rung["rung"]
+        assert isinstance(rung["lifts"], int) and rung["lifts"] >= 0, rung["rung"]
         assert 0.0 <= rung["certified_gap"] <= counts.TOL, rung["rung"]
         layers = rung["layers"]
         assert list(layers) == list(counts.LAYERS), rung["rung"]

@@ -1,5 +1,4 @@
 import copy
-import functools
 import itertools
 import re
 
@@ -328,14 +327,25 @@ class TestAgainstScipy:
 
     def test_random_lp_corpus(self, monkeypatch):
         """First solves, with and without finite bounds, and warm solves of
-        the LPs without, grown by rows, columns or both in one ``grow``; one
-        case in five with ``STALL_PIVOTS = 0``, under primal Bland pricing
-        from the first pivot.  Small integers, so that ratios tie."""
+        the LPs without, grown by rows, columns or both in one ``grow``, every
+        other one as an iterate.  Small integers, so that ratios tie, and
+        zero right-hand sides, so that primal steps are degenerate and the
+        kernel lifts; a solve that lifted is confirmed by a refresh."""
         runs = _kernel_runs(monkeypatch)
         rng = np.random.default_rng(11)
         statuses = set()
+        lifted = 0
+
+        def solve(lp, iterate=False):
+            nonlocal lifted
+            start = len(runs)
+            sol = lp.solve(iterate=iterate)
+            if any(status == _kernel.STATUS_LIFTED for _, _, _, status, _ in runs[start:]):
+                assert sol.refreshes >= 1
+                lifted += 1
+            return sol
+
         for case in range(240):
-            monkeypatch.setattr(_kernel, "STALL_PIVOTS", (0, 1, 50, 50, 50)[case % 5])
             bounded = case % 2 == 0
             m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             A = rng.integers(-3, 4, size=(m, n)).astype(float)
@@ -343,7 +353,7 @@ class TestAgainstScipy:
             u = rng.choice([0.0, 1.0, 2.0, np.inf], size=n) if bounded else None
             b = rng.integers(0, 5, size=m).astype(float)
             lp = WarmLP(c, A, b, upper=u)
-            sol = lp.solve()
+            sol = solve(lp)
             self._check(sol, c, A, b, np.full(n, np.inf) if u is None else u)
             statuses.add(sol.status)
             if bounded or case % 3 == 2:
@@ -359,15 +369,14 @@ class TestAgainstScipy:
                     columns = (lhs, cost)
                     A, c = np.hstack([A, lhs]), np.append(c, cost)
                 lp.grow(rows, columns)
-                sol = lp.solve()
+                sol = solve(lp, iterate=step % 2 == 1)
                 self._check(sol, c, A, b, np.full(len(c), np.inf))
                 statuses.add(sol.status)
         assert {"optimal", "unbounded"} <= statuses
         for bounded in (False, True):
             assert any(used > dual for used, dual, finite, _, _ in runs if finite == bounded)
         assert any(dual for _, dual, finite, _, _ in runs if not finite)  # grown: dual pivots
-        for bland in (False, True):  # both pricing rules made primal pivots
-            assert any(used > dual for used, dual, _, stall, _ in runs if (stall == 0) == bland)
+        assert lifted
 
 
 def test_active_backend_reported():
@@ -375,8 +384,8 @@ def test_active_backend_reported():
 
 
 def _kernel_runs(monkeypatch):
-    """A list that collects ``(pivots, dual pivots, bounded,
-    STALL_PIVOTS, exchanges)`` per later ``run_simplex`` call, each basis
+    """A list that collects ``(pivots, dual pivots, bounded, status,
+    exchanges)`` per later ``run_simplex`` call, each basis
     exchange as (row, entering variable); the dual pass comes first and flips
     no bound.  It wraps the kernel functions in place, spies included."""
     runs, exchanges = [], []
@@ -389,7 +398,7 @@ def _kernel_runs(monkeypatch):
     def run(T, basis, nonbasic, max_pivots, tol, upper=None, **options):
         start = len(exchanges)
         status, used, dual = real_run(T, basis, nonbasic, max_pivots, tol, upper=upper, **options)
-        runs.append((used, dual, upper is not None, _kernel.STALL_PIVOTS, exchanges[start:]))
+        runs.append((used, dual, upper is not None, status, exchanges[start:]))
         return status, used, dual
 
     monkeypatch.setattr(_kernel, "pivot_inplace", pivot)
@@ -605,15 +614,12 @@ class TestKernelBounds:
         assert list(basis) == [3] and list(flipped) == [1, 1, 1, 0, 0]
         assert T[0, -1] == pytest.approx(2.0)  # x4, at rest, past its bound 1
 
-    @pytest.mark.parametrize("dantzig,entered", [(True, [1, 2, 0]), (False, [0, 1, 2])])
+    @pytest.mark.parametrize("dantzig,entered", [(True, [1, 2, 0])])
     def test_dantzig_ties_break_by_variable_under_permutations(
         self, monkeypatch, dantzig, entered
     ):
         # min -0.5 x1 - x2 - x3 s.t. x_i <= 1: Dantzig enters x2 before x3
-        # (tied, lower index) and x1 last; Bland, which STALL_PIVOTS = 0
-        # makes the rule from the first step, enters in index order
-        if not dantzig:
-            monkeypatch.setattr(_kernel, "STALL_PIVOTS", 0)
+        # (tied, lower index) and x1 last
         problem = (np.eye(3), np.ones(3), np.array([-0.5, -1.0, -1.0, 0.0, 0.0, 0.0]),
                    np.full(6, np.inf))
         for order in itertools.permutations(range(3)):
@@ -675,23 +681,22 @@ class TestKernelRules:
     build.  The nonbasic variables come first, in column order; pivots are
     recorded as (row, entering variable)."""
 
-    def _run(self, monkeypatch, rows, basis, stall=None, **options):
+    def _run(self, monkeypatch, rows, basis, status=_kernel.STATUS_OPTIMAL, **options):
         """Exchanges of a run to optimality from ``rows`` (constraints, then
-        reduced costs) at ``basis``, with ``STALL_PIVOTS = stall``."""
-        if stall is not None:
-            monkeypatch.setattr(_kernel, "STALL_PIVOTS", stall)
+        reduced costs) at ``basis``, which must end in ``status``."""
         T = np.array(rows, dtype=float)
         basis = np.array(basis, dtype=np.intp)
         nonbasic = np.setdiff1d(np.arange(len(basis) + T.shape[1] - 1), basis).astype(np.intp)
-        status, used, exchanges = _recorded_run(monkeypatch, T, basis, nonbasic, **options)
-        assert status == _kernel.STATUS_OPTIMAL and used == len(exchanges)
+        ended, used, exchanges = _recorded_run(monkeypatch, T, basis, nonbasic, **options)
+        assert ended == status and used == len(exchanges)
         assert np.all(T[:-1, -1] >= 0.0) and np.all(T[-1, :-1] >= -1e-9)
         return exchanges
 
-    def test_primal_ratio_ties_go_to_the_lowest_basis_index(self, monkeypatch):
-        # x0 empties both rows at once: x2's row (the second) leaves, not x3's
+    def test_primal_ratio_ties_go_to_the_first_row(self, monkeypatch):
+        # x0 empties both rows at once: x3's row (the first) leaves, though
+        # x2, in the second, has the lower basis index
         rows = [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]
-        assert self._run(monkeypatch, rows, [3, 2]) == [(1, 0)]
+        assert self._run(monkeypatch, rows, [3, 2]) == [(0, 0)]
 
     @pytest.mark.parametrize("gap,entering", [(0.0, 1), (5e-10, 1), (2e-9, 0)])
     def test_dual_entering_takes_the_largest_pivot_element_near_the_least_ratio(
@@ -713,16 +718,38 @@ class TestKernelRules:
         exchanges = self._run(monkeypatch, rows, [2, 3], upper=upper, flipped=flipped)
         assert exchanges == [(0, 0), (1, 1)]
 
-    def test_dantzig_falls_back_to_bland_until_a_step_moves(self, monkeypatch):
-        # Reduced costs -1, -3, -0.5, -2, each column with its own row, x1's
-        # degenerate: Dantzig's rule enters x1, x3, x0, x2.  With one stalled
-        # step allowed, x1's step hands the next to Bland's rule (x0), which
-        # moves, so Dantzig's rule takes x3 next, not x2
-        rows = [[0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0],
-                [0.0, 0.0, 1.0, 0.0, 1.0], [-1.0, -3.0, -0.5, -2.0, 0.0]]
-        run = functools.partial(self._run, monkeypatch, rows, [4, 5, 6, 7])
-        assert run() == [(0, 1), (2, 3), (1, 0), (3, 2)]
-        assert run(stall=1) == [(0, 1), (1, 0), (2, 3), (3, 2)]
+    def test_lift_ends_beales_cycle(self, monkeypatch):
+        # Beale's (1955) example, max 0.75 x0 - 20 x1 + 0.5 x2 - 6 x3 under
+        # two rows with zero right-hand sides and x2 <= 1: Dantzig's rule
+        # with the first of tied rows cycles on it.  The first degenerate
+        # step lifts the two zero rows, and the kernel ends lifted
+        A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        b, c = [0.0, 0.0, 1.0], [0.75, -20.0, 0.5, -6.0]
+        rows = [row + [rhs] for row, rhs in zip(A, b)] + [[-v for v in c] + [0.0]]
+        exchanges = self._run(monkeypatch, rows, [4, 5, 6], status=_kernel.STATUS_LIFTED)
+        assert len(exchanges) <= 3
+        # the answer comes from a refresh of the unlifted data, iterate or not
+        for iterate in (False, True):
+            sol = WarmLP(c, A, b).solve(iterate=iterate)
+            assert sol.status == "optimal" and sol.refreshes >= 1
+            assert sol.objective == pytest.approx(1.25, abs=1e-12)
+            np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        # without the lift, the pivot budget ends it
+        monkeypatch.setattr(_kernel, "LIFT", 0.0)
+        assert WarmLP(c, A, b).solve().status_text == "breakdown (budget)"
+
+    def test_lift_stops_at_the_upper_bound(self, monkeypatch):
+        # x0 enters with both rows at 0: x1 <= 0 in the first, x2 free in
+        # the second.  The lift leaves x1's row at its bound 0 and lifts
+        # x2's, so the first row leaves; lifted past the bound, x1's row
+        # would rise further than x2's per unit of x0 and stay basic
+        rows = [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]
+        upper = np.array([np.inf, 0.0, np.inf])
+        exchanges = self._run(
+            monkeypatch, rows, [1, 2], status=_kernel.STATUS_LIFTED,
+            upper=upper, flipped=np.zeros(3, dtype=np.uint8),
+        )
+        assert exchanges == [(0, 0)]
 
     def test_random_dual_pivots_keep_the_rules(self, monkeypatch):
         """One dual pivot per tableau, whose infeasible rows each have a

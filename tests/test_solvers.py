@@ -257,8 +257,8 @@ class TestCompactKSelection:
         assert game.value == pytest.approx(reference(inst, oracle), abs=tol)
         return elapsed
 
-    # Beyond desk scale: the double oracle takes 9 s on seed 1 and had not
-    # finished seed 2 after 60 s.  HiGHS solves the compact interval LP.
+    # Beyond desk scale: the double oracle takes about 0.7 s on seed 1 and
+    # about 22 s on seed 2.  HiGHS solves the compact interval LP.
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_interval_n200(self, seed):
         inst = generate_instance("k-selection", n=200, uncertainty="interval", seed=seed)
