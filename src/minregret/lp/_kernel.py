@@ -235,7 +235,8 @@ def run_simplex(
             continue
         if best <= tol and not lifted:
             # The first degenerate exchange lifts the low right-hand sides
-            # once, by fixed amounts in [LIFT / 2, LIFT), and redoes the step.
+            # once, by fixed amounts in [LIFT / 2, LIFT) but never past a
+            # row's bound, and redoes the step.
             low = (rhs < LIFT).nonzero()[0]
             lift = rhs[low] + LIFT * (0.5 + 0.5 * (0.6180339887 * (low + 1.0) % 1.0))
             rhs[low] = np.minimum(lift, ub[low]) if bounded else lift
