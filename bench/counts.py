@@ -13,7 +13,7 @@ right-hand sides against a stall (``lifts``: ``_kernel.run_simplex`` calls
 that returned ``STATUS_LIFTED``), the largest LP solved (rows, variables),
 the solver's iterations, its value and certified gap, and the wall seconds,
 split into layers (``layers``): the pivot kernel (``_kernel.run_simplex``),
-the exact refresh (``lp._refresh``), the rest of the LP (``WarmLP._solve``
+the exact refresh (``lp._refresh``), the rest of the LP (``WarmLP.solve``
 less those two), the double oracle's best responses, oracle solves included
 (``_RestrictedGame.responses``), and its growth, payoff assembly and tableau
 growth (``_RestrictedGame.grow``).  What is left of the seconds is the
@@ -140,10 +140,10 @@ def lp_counts():
 
         return wrapper
 
-    solve = timed("lp_rest", WarmLP._solve)  # solve and _reprice both run it
+    solve = timed("lp_rest", WarmLP.solve)
 
-    def counted(warm, *args):
-        sol = solve(warm, *args)
+    def counted(warm, *args, **kwargs):
+        sol = solve(warm, *args, **kwargs)
         totals["solves"] += 1
         totals["dual_pivots"] += sol.dual_pivots
         totals["primal_pivots"] += sol.primal_pivots
@@ -160,7 +160,7 @@ def lp_counts():
         return result
 
     seams = [
-        (WarmLP, "_solve", counted),
+        (WarmLP, "solve", counted),
         (_kernel, "run_simplex", lifting),
         (lp, "_refresh", timed("refresh", lp._refresh)),
         (_RestrictedGame, "responses", timed("responses", _RestrictedGame.responses)),
@@ -174,7 +174,7 @@ def lp_counts():
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
-        # the kernel and the refresh run inside WarmLP._solve
+        # the kernel and the refresh run inside WarmLP.solve
         seconds["lp_rest"] -= seconds["kernel"] + seconds["refresh"]
         for layer in LAYERS:
             seconds[layer] = round(seconds[layer], 4)

@@ -2,7 +2,8 @@
 
 The solver runs on a condensed tableau, ``B⁻¹[A_N | b]`` over the nonbasic
 columns only, with their reduced costs, next to a ``nonbasic`` index array;
-pivot tolerance is 1e-9 and infinities are explicit bound markers.  Upper
+pivot tolerance is 1e-9, the optimality test reads reduced costs down to
+round-off (-1e-12), and infinities are explicit bound markers.  Upper
 bounds ``0 <= x <= u`` are native: a nonbasic variable sits at 0 or at its
 bound, where it is stored complemented (``x' = u - x``: its column and
 reduced cost negated, the bound folded into the right-hand side, flagged in
@@ -58,9 +59,6 @@ from ..core import SolverError
 from . import _kernel
 
 PIVOT_TOL = 1e-9
-# The optimality test of a re-priced solve (see MatrixGame.solve): reduced
-# costs down to round-off, while pivot elements keep PIVOT_TOL.
-REPRICE_TOL = 1e-12
 # Pivots per kernel burst between exact tableau refreshes; bounds how far
 # round-off can compound before being wiped.
 BURST_PIVOTS = 1024
@@ -178,9 +176,7 @@ _CLAIMS = {
 }
 
 
-def _run_bursts(
-    T, basis, nonbasic, problem, budget, flipped=None, since=0, iterate=False, optimal_tol=None,
-):
+def _run_bursts(T, basis, nonbasic, problem, budget, flipped=None, since=0, iterate=False):
     """Kernel bursts interleaved with exact refreshes until a claim survives.
 
     ``problem`` is ``(A, b, costs, upper)`` as :func:`_refresh` takes it,
@@ -196,8 +192,7 @@ def _run_bursts(
     refreshed like any other: the run that lifted made a pivot, so it
     confirms nothing, and its status is not an iterate's; a confirming run
     makes no pivot, so it never lifts, and the kept tableau carries no
-    lift.  ``optimal_tol`` is the kernel's optimality
-    test.  Returns ``(status, reason, dual_pivots, primal_pivots,
+    lift.  Returns ``(status, reason, dual_pivots, primal_pivots,
     refreshes)``; see :class:`LpSolution` for the breakdown reasons.
     """
     upper = problem[3]
@@ -209,7 +204,7 @@ def _run_bursts(
             return "breakdown", "budget", dual, primal, refreshes
         status, used, dual_used = _kernel.run_simplex(
             T, basis, nonbasic, min(remaining, BURST_PIVOTS - since), PIVOT_TOL,
-            upper=upper, flipped=flipped, optimal_tol=optimal_tol,
+            upper=upper, flipped=flipped,
         )
         dual += dual_used
         primal += used - dual_used
@@ -283,7 +278,9 @@ class WarmLP:
     warm, prices the primal pass by Dantzig's rule, against Bland's: from
     the slack basis Bland's rule took 7 to 28 times as many pivots on the
     scenario k-selection LP (n = 300 to 2000), and on warm re-solves 3 to 5
-    times as many on the 64-scenario adversary LPs.  A kernel run that
+    times as many on the 64-scenario adversary LPs.  Every solve stops at
+    one optimality test, reduced costs down to ``-_kernel.OPTIMAL_TOL``
+    (round-off), while pivot elements read ``PIVOT_TOL``.  A kernel run that
     lifted its right-hand sides against a stall is never an iterate: its
     claim is refreshed from the unlifted data and confirmed.
     ``basis``, ``nonbasic`` and ``flipped`` index the layout
@@ -406,21 +403,13 @@ class WarmLP:
         an iterate, but takes its answer only from a confirmed solve, as
         the double oracle (``solvers._double_oracle``) does.
         """
-        return self._solve(iterate, None)
-
-    def _reprice(self) -> LpSolution:
-        """A confirmed solve whose optimality test admits reduced costs only
-        down to ``-REPRICE_TOL``; the pivot elements keep ``PIVOT_TOL``."""
-        return self._solve(False, REPRICE_TOL)
-
-    def _solve(self, iterate: bool, optimal_tol) -> LpSolution:
         m, n = self._A.shape
         T, basis, nonbasic = self._T.copy(), self.basis.copy(), self.nonbasic.copy()
         flipped = None if self.flipped is None else self.flipped.copy()
         budget = 10 * (2 * m + n) ** 2
         status, reason, dual, primal, refreshes = _run_bursts(
             T, basis, nonbasic, self._problem(), budget, flipped=flipped, since=self._since,
-            iterate=iterate, optimal_tol=optimal_tol,
+            iterate=iterate,
         )
         if status != "optimal":
             return LpSolution(status, None, None, None, dual, primal, reason, refreshes)
@@ -542,15 +531,10 @@ class MatrixGame:
         ``iterate`` solves the LP as an iterate (:meth:`WarmLP.solve`), and
         ``confirmed`` tells afterwards whether the answer is confirmed.  An
         iterate whose mixes miss the bracket is solved again, confirmed, so
-        the error, if any, comes from a confirmed solve.
-
-        A confirmed optimum may still miss: the kernel accepts reduced costs
-        down to ``-PIVOT_TOL``, and a player row whose ``(Q z)_i - 1`` sits
-        there concedes ``PIVOT_TOL * (scale + value)`` in payoff units, more
-        than the bracket's ``1e-9 * span`` whenever the span is below
-        ``scale + value``.  Such an optimum is re-priced to round-off
-        (:meth:`WarmLP._reprice`) and checked again; only a miss that
-        remains raises.
+        the error, if any, comes from a confirmed solve.  A confirmed
+        optimum that misses raises :class:`SolverError`: the kernel stops
+        at reduced costs down to round-off, so a player row concedes about
+        ``_kernel.OPTIMAL_TOL * (scale + value)`` in payoff units.
         """
         sol = self._lp.solve(iterate=iterate)
         self.confirmed = sol.confirmed
@@ -560,12 +544,7 @@ class MatrixGame:
             except SolverError:
                 self.confirmed = True
                 sol = self._lp.solve()
-        try:
-            return self._answer(sol)
-        except SolverError:
-            if not sol.is_optimal:
-                raise
-        return self._answer(self._lp._reprice())
+        return self._answer(sol)
 
     def _answer(self, sol: LpSolution) -> tuple[np.ndarray, np.ndarray, float]:
         P = self.payoff

@@ -72,7 +72,12 @@ bound (its row is complemented and it leaves flipped) and the entering
 variable reaching its own bound, which flips its column without a basis
 change and wins ties; among rows, the first of the least ratios leaves.  An
 entering variable that was flipped has its row un-complemented after the
-pivot.
+pivot.  The pass stops once no reduced cost is below ``-OPTIMAL_TOL``, at
+round-off, on every solve, first, warm or iterate; ``tol`` serves every
+other test: pivot elements, feasibility, dual feasibility, ratio ties and
+the lift's trigger.  A matrix game's row whose reduced cost sits at
+``-tol`` concedes about ``tol`` times the payoff scale, which on scenario
+k-selection n=2000 with 16 scenarios misses the double oracle's bracket.
 
 No pricing rule guards the primal pass against cycling; a one-time
 perturbation of the right-hand sides does (Wolfe 1963), with ``max_pivots``
@@ -109,6 +114,9 @@ STATUS_LIFTED = 4
 # How far a degenerate primal step lifts the right-hand sides below it.
 LIFT = 1e-7
 
+# How far below zero a reduced cost may sit when the primal pass stops.
+OPTIMAL_TOL = 1e-12
+
 
 def _lowest_variable(candidates, nonbasic):
     """Position among ``candidates`` whose variable index in ``nonbasic`` is
@@ -131,9 +139,7 @@ def flip_column(tableau, col, bound):
     tableau[:, col] *= -1.0
 
 
-def run_simplex(
-    tableau, basis, nonbasic, max_pivots, tol, upper=None, flipped=None, optimal_tol=None,
-):
+def run_simplex(tableau, basis, nonbasic, max_pivots, tol, upper=None, flipped=None):
     """Pivot ``tableau`` in place until it is primal and dual feasible.
 
     tableau : (m+1, k+1) float64, C-contiguous, ``B⁻¹[A_N | b]`` over the k
@@ -147,9 +153,6 @@ def run_simplex(
         None when no variable has one.
     flipped : uint8 per variable, the nonbasic variables at their upper
         bound; updated in place.  Needed only with a finite bound.
-    optimal_tol : how far below zero a reduced cost may sit at an optimum,
-        ``tol`` if None; every other test, the pivot elements' among them,
-        reads ``tol``.
     Returns ``(status, pivots, dual_pivots)``: the pivots of both passes,
     and how many of them the dual pass made.
     """
@@ -157,7 +160,6 @@ def run_simplex(
     obj = tableau[m, :-1]
     rhs = tableau[:m, -1]
     below = -tol
-    priced = below if optimal_tol is None else -optimal_tol
     pivots = 0
     bounded = upper is not None and bool(np.isfinite(upper).any())
     ub = upper[basis] if bounded else None  # the bound of each row's basic variable
@@ -200,7 +202,7 @@ def run_simplex(
 
     lifted = False
     while True:
-        eligible = (obj < priced).nonzero()[0]
+        eligible = (obj < -OPTIMAL_TOL).nonzero()[0]
         if not eligible.size:
             return STATUS_LIFTED if lifted else STATUS_OPTIMAL, pivots, dual
         if pivots >= max_pivots:

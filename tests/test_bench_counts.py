@@ -38,7 +38,7 @@ def _without_seconds(rungs):
 
 def _seams():
     return [
-        WarmLP._solve,
+        WarmLP.solve,
         _kernel.run_simplex,
         lp._refresh,
         _RestrictedGame.responses,

@@ -708,6 +708,25 @@ class TestSimulateCommand:
         assert code == 2
         assert "only for feasible sets" in capsys.readouterr().err
 
+    def test_short_adversary_cost_vector_exits_2(self, tight3, tmp_path, capsys):
+        # tight3 has n = 3; the second support vector is an entry short
+        strat = tmp_path / "s.json"
+        strat.write_text(
+            json.dumps(
+                {
+                    "player": {"sets": [[0]], "probs": [1.0]},
+                    "adversary": {"costs": [[1.0, 0.0, 0.0], [1.0, 0.0]], "probs": [0.5, 0.5]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(
+            ["simulate", "--instance", str(tight3), "--samples", "10", "--seed", "1",
+             "--strategies", str(strat)]
+        )
+        assert code == 2
+        assert "adversary cost vector length differs from n" in capsys.readouterr().err
+
     def test_player_item_out_of_range_exits_2(self, tight3, tmp_path, capsys):
         strat = tmp_path / "s.json"
         strat.write_text(

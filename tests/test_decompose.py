@@ -461,6 +461,21 @@ def test_cut_budget_raises_iteration_limit(monkeypatch):
     assert info.value.iterations == 1
 
 
+def test_reconstruction_off_by_more_than_tol_raises(monkeypatch):
+    # Systematic sampling splits (0.5, 0.5) into two sets of length 0.5;
+    # forced to lengths (0.9, 0.1), the strategy misses p by 0.4
+    p = MarginalVector(np.array([0.5, 0.5]))
+    rows, lengths = _offset_intervals(p.p, 1)
+    np.testing.assert_allclose(lengths, [0.5, 0.5])
+    monkeypatch.setattr(
+        decompose_mod, "_offset_intervals", lambda q, k: (rows, np.array([0.9, 0.1]))
+    )
+    with pytest.raises(
+        SolverError, match=r"^decomposition reconstruction error 0\.4 exceeds tol 1e-07$"
+    ):
+        decompose_marginal(p, KSelectionOracle(2, 1))
+
+
 def _forced_mix(oracle, rng, sets=6):
     """Marginal of a random mix of nominal optima at random costs, forced to
     have an item at 1 and two at 0: the first item of the largest of four

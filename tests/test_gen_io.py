@@ -313,6 +313,13 @@ class TestStrategyIo:
         w = adversary_strategy_from_dict(d, inst.n)
         w.validate_for(inst)
 
+    def test_adversary_cost_vector_an_entry_short_is_rejected(self):
+        inst = generate_instance("tight-discrete", k=3)
+        d = adversary_strategy_to_dict(solve_randomized(inst).adversary)
+        d["costs"][-1] = d["costs"][-1][:-1]
+        with pytest.raises(InstanceError, match="^adversary cost vector length differs from n$"):
+            adversary_strategy_from_dict(d, inst.n)
+
     def test_strategies_file(self, tmp_path):
         inst = generate_instance("tight-discrete", k=2)
         game = solve_randomized(inst)

@@ -173,19 +173,18 @@ class TestMatrixGameExamples:
 
 
     def test_unbracketed_answer_raises(self, monkeypatch):
-        # a solve whose row duals are off must not pass as an equilibrium,
-        # nor its re-priced re-solve (both run WarmLP._solve)
-        real_solve = WarmLP._solve
+        # a solve whose row duals are off must not pass as an equilibrium
+        real_solve = WarmLP.solve
 
-        def skewed(lp, *args):
-            sol = real_solve(lp, *args)
+        def skewed(lp, *args, **kwargs):
+            sol = real_solve(lp, *args, **kwargs)
             duals = sol.duals.copy()
             duals[0] += 1.0
             return LpSolution(
                 sol.status, sol.x, duals, sol.objective, sol.dual_pivots, sol.primal_pivots
             )
 
-        monkeypatch.setattr(WarmLP, "_solve", skewed)
+        monkeypatch.setattr(WarmLP, "solve", skewed)
         with pytest.raises(SolverError, match="bracket"):
             solve_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -414,7 +413,7 @@ def _recorded_run(monkeypatch, T, basis, nonbasic, **options):
     return status, used, runs[-1][4]
 
 
-def test_optimal_tol_reprices_reduced_costs_but_not_pivot_elements():
+def test_optimality_reads_round_off_but_pivot_elements_read_tol():
     # min over x1, x2 >= 0 from the slack basis of one row: x1 costs
     # -5e-10 with a unit column, x2 costs -5e-10 with a column of 5e-10,
     # below the pivot tolerance.  Columns: x1 x2 | rhs; basis: the slack (2).
@@ -422,15 +421,15 @@ def test_optimal_tol_reprices_reduced_costs_but_not_pivot_elements():
         T = np.array([[1.0, x2_entry, 1.0], [-5e-10, -5e-10, 0.0]])
         return T, np.array([2], dtype=np.intp), np.array([0, 1], dtype=np.intp)
 
+    # -5e-10 is inside tol but below -OPTIMAL_TOL, so x1 enters
     T, basis, nonbasic = tableau(1.0)
-    assert _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9)[:2] == (_kernel.STATUS_OPTIMAL, 0)
-    status, pivots, _ = _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9, optimal_tol=1e-12)
+    status, pivots, _ = _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9)
     assert (status, pivots, list(basis)) == (_kernel.STATUS_OPTIMAL, 1, [0])
     # with x1 at zero cost only x2 is eligible, and its column has no pivot
-    # element above 1e-9, so the re-priced pass finds no leaving row
+    # element above 1e-9, so the pass finds no leaving row
     T, basis, nonbasic = tableau(5e-10)
     T[1, 0] = 0.0
-    status, pivots, _ = _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9, optimal_tol=1e-12)
+    status, pivots, _ = _kernel.run_simplex(T, basis, nonbasic, 10, 1e-9)
     assert (status, pivots) == (_kernel.STATUS_UNBOUNDED, 0)
 
 
@@ -689,7 +688,7 @@ class TestKernelRules:
         nonbasic = np.setdiff1d(np.arange(len(basis) + T.shape[1] - 1), basis).astype(np.intp)
         ended, used, exchanges = _recorded_run(monkeypatch, T, basis, nonbasic, **options)
         assert ended == status and used == len(exchanges)
-        assert np.all(T[:-1, -1] >= 0.0) and np.all(T[-1, :-1] >= -1e-9)
+        assert np.all(T[:-1, -1] >= 0.0) and np.all(T[-1, :-1] >= -_kernel.OPTIMAL_TOL)
         return exchanges
 
     def test_primal_ratio_ties_go_to_the_first_row(self, monkeypatch):
@@ -698,14 +697,21 @@ class TestKernelRules:
         rows = [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]
         assert self._run(monkeypatch, rows, [3, 2]) == [(0, 0)]
 
-    @pytest.mark.parametrize("gap,entering", [(0.0, 1), (5e-10, 1), (2e-9, 0)])
+    # the ids name the gap and the dual pivot's entering variable
+    @pytest.mark.parametrize(
+        "gap,exchanges",
+        [(0.0, [(0, 1)]), (5e-10, [(0, 1), (0, 0)]), (2e-9, [(0, 0)])],
+        ids=["0.0-1", "5e-10-1", "2e-09-0"],
+    )
     def test_dual_entering_takes_the_largest_pivot_element_near_the_least_ratio(
-        self, monkeypatch, gap, entering
+        self, monkeypatch, gap, exchanges
     ):
         # x2's row: x0 at ratio 1/1, x1 with the larger pivot element at
-        # (2 + 2 gap)/2, which enters while its ratio is within tol
+        # (2 + 2 gap)/2, which enters while its ratio is within tol.  At
+        # gap 5e-10 that leaves x0's reduced cost at about -5e-10, inside
+        # tol but below -OPTIMAL_TOL, so the primal pass then lets x0 enter
         rows = [[-1.0, -2.0, -1.0], [1.0, 2.0 + 2.0 * gap, 0.0]]
-        assert self._run(monkeypatch, rows, [2]) == [(0, entering)]
+        assert self._run(monkeypatch, rows, [2]) == exchanges
 
     @pytest.mark.parametrize("bound", [np.inf, 10.0])
     def test_dual_pass_repairs_the_most_infeasible_row_first(self, monkeypatch, bound):

@@ -364,12 +364,12 @@ class TestCompactKSelection:
             assert game.certified_gap <= 1e-7
 
 
-# Scenario k-selection n=2000, 16 scenarios, seed 1: both restricted games
-# reach a confirmed optimum whose mixes miss the bracket (payoff span 2722,
-# bracket tol 2.7e-6).  The kernel accepts reduced costs down to
-# -PIVOT_TOL, and on the adversary LP's 391 x 16 game the smallest
-# (Q z)_i - 1 is -7.1e-10, which concedes 2.8e-6 in payoff units; the
-# matrix game re-prices such an optimum (2 and 3 pivots here).
+# Scenario k-selection n=2000, 16 scenarios, seed 1: the payoff span is
+# 2722, so the bracket tol is 2.7e-6.  A kernel that stops at reduced costs
+# down to -PIVOT_TOL leaves the double oracle a confirmed optimum whose mixes
+# miss it (row mix 1903.95043496, column mix 1903.95043156): a reduced cost
+# near -1e-9 concedes about 1e-9 * (scale + value) in payoff units.  The
+# kernel stops only at round-off (-_kernel.OPTIMAL_TOL), and the game brackets.
 def _ks2000s16():
     inst = generate_instance(
         "k-selection", n=2000, uncertainty="scenarios", n_scenarios=16, seed=1

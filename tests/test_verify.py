@@ -139,9 +139,10 @@ class TestBeyondDeskScale:
           upper bounds alternating 3, 2.  Half the items have zero width,
           and the adversary's threshold search must still return a point of
           the hull (sum(mu) = k), which the round trip decomposes.
-        - ks2000s16: scenario k-selection n=2000, 16 scenarios.  The matrix
-          game re-prices a confirmed optimum whose mixes miss the bracket by
-          round-off, so strong duality holds.
+        - ks2000s16: scenario k-selection n=2000, 16 scenarios, on which
+          the double oracle's matrix game misses its bracket when the
+          kernel stops at reduced costs down to -1e-9 instead of at
+          round-off; the adversary LP checks it by strong duality.
         - st300, st300s16: spanning trees n=300, interval and 16 scenarios,
           run both growth loops (the double oracle, and the adversary LP for
           strong duality) and the decomposition round trip.
