@@ -314,11 +314,9 @@ class TestStrategyIo:
         w.validate_for(inst)
 
     def test_adversary_cost_vector_an_entry_short_is_rejected(self):
-        inst = generate_instance("tight-discrete", k=3)
-        d = adversary_strategy_to_dict(solve_randomized(inst).adversary)
-        d["costs"][-1] = d["costs"][-1][:-1]
+        d = {"costs": [[1.0, 0.0, 0.0], [1.0, 0.0]], "probs": [0.5, 0.5]}
         with pytest.raises(InstanceError, match="^adversary cost vector length differs from n$"):
-            adversary_strategy_from_dict(d, inst.n)
+            adversary_strategy_from_dict(d, 3)
 
     def test_strategies_file(self, tmp_path):
         inst = generate_instance("tight-discrete", k=2)
